@@ -33,7 +33,7 @@ use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
 use crate::solver::ModelError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Low mantissa bits of `λ` and `h` dropped by key quantization.  An f64
 /// mantissa has 52 bits; dropping 32 keeps 20, for a worst-case relative
@@ -87,7 +87,31 @@ impl CacheKey {
     }
 }
 
-/// The exact-match key of one faulty-network lattice configuration.
+/// The exact-match key of one faulty-network lattice configuration: the
+/// key of the model it solves plus the `λ` it solves at.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct FaultyCacheKey {
+    model: FaultyModelKey,
+    lambda_bits: u64,
+}
+
+impl FaultyCacheKey {
+    fn of(cfg: &FaultyNCubeConfig) -> Self {
+        FaultyCacheKey {
+            model: FaultyModelKey {
+                fault_fingerprint: cfg.faults.fingerprint(),
+                hot_node: cfg.hot_node.0,
+                v: cfg.virtual_channels,
+                lm: cfg.message_length,
+                h_bits: cfg.hot_fraction.to_bits(),
+                multiplexing: cfg.multiplexing,
+            },
+            lambda_bits: cfg.lambda.to_bits(),
+        }
+    }
+}
+
+/// Everything a built [`FaultyNCubeModel`] depends on: every knob but `λ`.
 ///
 /// The fault set enters through [`FaultSet::fingerprint`], which digests
 /// the failed-element bitmaps *and* the topology (k, n, link kind,
@@ -97,28 +121,13 @@ impl CacheKey {
 ///
 /// [`FaultSet::fingerprint`]: kncube_topology::FaultSet::fingerprint
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct FaultyCacheKey {
+struct FaultyModelKey {
     fault_fingerprint: u64,
     hot_node: u32,
     v: u32,
     lm: u32,
-    lambda_bits: u64,
     h_bits: u64,
     multiplexing: crate::solver::MultiplexingModel,
-}
-
-impl FaultyCacheKey {
-    fn of(cfg: &FaultyNCubeConfig) -> Self {
-        FaultyCacheKey {
-            fault_fingerprint: cfg.faults.fingerprint(),
-            hot_node: cfg.hot_node.0,
-            v: cfg.virtual_channels,
-            lm: cfg.message_length,
-            lambda_bits: cfg.lambda.to_bits(),
-            h_bits: cfg.hot_fraction.to_bits(),
-            multiplexing: cfg.multiplexing,
-        }
-    }
 }
 
 #[derive(Clone)]
@@ -136,6 +145,10 @@ struct CacheEntry {
 pub struct SolveCache {
     map: Mutex<HashMap<CacheKey, CacheEntry>>,
     faulty_map: Mutex<HashMap<FaultyCacheKey, Result<FaultyNCubeOutput, ModelError>>>,
+    /// The most recently built faulty model, reused by misses that differ
+    /// from it only in `λ`.  One slot keeps memory bounded: a model holds
+    /// its router's `N²` tables.
+    faulty_model: Mutex<Option<(FaultyModelKey, Arc<FaultyNCubeModel>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -216,6 +229,10 @@ impl SolveCache {
     /// fingerprint, so two different [`FaultSet`]s never share an entry
     /// even when every scalar knob coincides.
     ///
+    /// A miss that differs from the last built model only in `λ` re-solves
+    /// that model ([`FaultyNCubeModel::solve_at`], bit-identical to a fresh
+    /// build) instead of rebuilding its router and rates.
+    ///
     /// [`FaultSet`]: kncube_topology::FaultSet
     pub fn solve_faulty(&self, cfg: &FaultyNCubeConfig) -> Result<FaultyNCubeOutput, ModelError> {
         let snapped = Self::quantize_faulty(cfg);
@@ -225,7 +242,10 @@ impl SolveCache {
             return entry.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let output = FaultyNCubeModel::new(snapped).and_then(|m| m.solve());
+        let lambda = snapped.lambda;
+        let output = self
+            .faulty_model(snapped, key.model)
+            .and_then(|model| model.solve_at(lambda));
         // First insert wins on a miss race, as for the fault-free map.
         self.faulty_map
             .lock()
@@ -233,6 +253,24 @@ impl SolveCache {
             .entry(key)
             .or_insert_with(|| output.clone());
         output
+    }
+
+    /// The built model for `snapped`: the slot's when only `λ` differs,
+    /// else a new one, which takes the slot.
+    fn faulty_model(
+        &self,
+        snapped: FaultyNCubeConfig,
+        key: FaultyModelKey,
+    ) -> Result<Arc<FaultyNCubeModel>, ModelError> {
+        let poisoned = "faulty model slot poisoned";
+        if let Some((k, model)) = &*self.faulty_model.lock().expect(poisoned) {
+            if *k == key {
+                return Ok(Arc::clone(model));
+            }
+        }
+        let model = Arc::new(FaultyNCubeModel::new(snapped)?);
+        *self.faulty_model.lock().expect(poisoned) = Some((key, Arc::clone(&model)));
+        Ok(model)
     }
 
     /// Lookups answered from the cache so far.
@@ -420,6 +458,62 @@ mod tests {
         assert_eq!(ra.latency.to_bits(), rb.latency.to_bits());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.faulty_len(), 1);
+    }
+
+    #[test]
+    fn faulty_misses_reuse_the_built_model_bit_for_bit() {
+        // Misses that change only λ re-solve the last built model; a change
+        // of fault set, h or hot node rebuilds it.  Either way the counts
+        // are those of a plain memo and every answer is bitwise that of a
+        // freshly built model.
+        use kncube_topology::{FaultSet, KAryNCube, NodeId};
+        let topo = KAryNCube::bidirectional(4, 2).unwrap();
+        let mut a = FaultSet::none(topo);
+        a.fail_node(NodeId(5));
+        let mut b = FaultSet::none(topo);
+        b.fail_node(NodeId(9));
+        let cfg =
+            |faults: &FaultSet, lambda, h| FaultyNCubeConfig::new(faults.clone(), 2, 16, lambda, h);
+        let sequence = [
+            (cfg(&a, 1e-3, 0.2), false),
+            (cfg(&a, 2e-3, 0.2), false),
+            (cfg(&a, 1e-3, 0.2), true),
+            (cfg(&b, 2e-3, 0.2), false),
+            (cfg(&a, 3e-3, 0.2), false),
+            (cfg(&a, 3e-3, 0.3), false),
+            (cfg(&a, 4e-3, 0.3).with_hot_node(NodeId(3)), false),
+            (cfg(&a, 4e-3, 0.3).with_hot_node(NodeId(3)), true),
+            (cfg(&a, f64::NAN, 0.3), false),
+            (cfg(&a, 1.0, 0.3), false),
+        ];
+        let cache = SolveCache::new();
+        let (mut hits, mut misses) = (0, 0);
+        for (cfg, hit) in &sequence {
+            let got = cache.solve_faulty(cfg);
+            let fresh =
+                FaultyNCubeModel::new(SolveCache::quantize_faulty(cfg)).and_then(|m| m.solve());
+            match (&got, &fresh) {
+                (Ok(g), Ok(f)) => {
+                    assert_eq!(g, f);
+                    assert_eq!(g.latency.to_bits(), f.latency.to_bits());
+                    assert_eq!(
+                        g.source_wait_regular.to_bits(),
+                        f.source_wait_regular.to_bits()
+                    );
+                }
+                _ => assert_eq!(got, fresh),
+            }
+            if *hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+        }
+        assert!(sequence
+            .last()
+            .map(|(c, _)| cache.solve_faulty(c).is_err())
+            .unwrap());
     }
 
     #[test]

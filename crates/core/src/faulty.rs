@@ -9,11 +9,12 @@
 //! altogether.  [`FaultyNCubeModel`] rebuilds the same queueing chain
 //! directly per directed channel:
 //!
-//! 1. **Rates** — [`FaultyChannelRates`] walks every ordered reachable
-//!    pair's surviving route once and accumulates the exact regular and
-//!    hot-spot rate per channel (detour-corrected load redistribution);
-//!    unreachable pairs contribute nothing, matching the simulator's
-//!    drop-at-generation semantics.
+//! 1. **Rates** — [`FaultyChannelRates`] accumulates the exact regular
+//!    and hot-spot rate per channel over every ordered reachable pair's
+//!    surviving route (detour-corrected load redistribution) as subtree
+//!    sums over each destination's route tree; unreachable pairs
+//!    contribute nothing, matching the simulator's drop-at-generation
+//!    semantics.
 //! 2. **Blocking** — each channel gets the paper's two-class blocking
 //!    operator (Eqs. 26–30) at its own rates, under the default
 //!    load-independent pipelined-transfer holding time `Lm + 1`.
@@ -22,6 +23,8 @@
 //!    by the multiplexing factor of its entry channel (Eqs. 33–35) and
 //!    the source queue adds the Eq. (28) M/G/1 wait at rate `λ_inj / V`,
 //!    where `λ_inj` counts only the *delivered* share of generation.
+//!    Route latencies are prefix sums down each destination's tree, so a
+//!    solve costs `O(N²)` array operations and no route walks.
 //!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
@@ -45,10 +48,24 @@ use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
 use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId};
 
-/// Hard cap on `N = k^n` for the faulty model: every solve walks all
-/// `N²` routes, so the practical regime is small networks (the same ones
-/// the exact [`FaultRouter`] substrate targets).
+/// Hard cap on `N = k^n` for the faulty model.  The [`FaultRouter`]
+/// stores [`FAULT_ROUTER_BYTES_PER_PAIR`] bytes per ordered pair (112 MiB
+/// at this cap, 1.75 GiB at 16k nodes) and every solve sweeps all `N²`
+/// pairs once.
+///
+/// [`FAULT_ROUTER_BYTES_PER_PAIR`]: kncube_topology::FAULT_ROUTER_BYTES_PER_PAIR
 pub const MAX_FAULTY_MODEL_NODES: u64 = 1 << 12;
+
+/// The per-node generation rate must be finite and non-negative.
+fn check_lambda(lambda: f64) -> Result<(), ModelError> {
+    if lambda.is_finite() && lambda >= 0.0 {
+        Ok(())
+    } else {
+        Err(ModelError::BadConfig(
+            "lambda must be finite and non-negative".into(),
+        ))
+    }
+}
 
 /// Configuration of the faulty-network model.
 ///
@@ -145,6 +162,8 @@ pub struct FaultyNCubeModel {
     config: FaultyNCubeConfig,
     router: FaultRouter,
     rates: FaultyChannelRates,
+    /// [`FaultRouter::expected_detour`], a property of the routes alone.
+    mean_detour_hops: f64,
 }
 
 impl FaultyNCubeModel {
@@ -165,11 +184,7 @@ impl FaultyNCubeModel {
                 "hot_fraction must be in [0, 1]".into(),
             ));
         }
-        if !config.lambda.is_finite() || config.lambda < 0.0 {
-            return Err(ModelError::BadConfig(
-                "lambda must be finite and non-negative".into(),
-            ));
-        }
+        check_lambda(config.lambda)?;
         if u64::from(topo.num_nodes()) > MAX_FAULTY_MODEL_NODES {
             return Err(ModelError::BadConfig(format!(
                 "faulty model limited to {MAX_FAULTY_MODEL_NODES} nodes (got {})",
@@ -185,10 +200,12 @@ impl FaultyNCubeModel {
         }
         let router = FaultRouter::new(config.faults.clone());
         let rates = FaultyChannelRates::from_router(&router, config.hot_node, config.hot_fraction);
+        let mean_detour_hops = router.expected_detour();
         Ok(FaultyNCubeModel {
             config,
             router,
             rates,
+            mean_detour_hops,
         })
     }
 
@@ -226,7 +243,10 @@ impl FaultyNCubeModel {
     }
 
     /// Solve at an arbitrary rate `lambda`, reusing the enumerated loads.
+    /// Returns what a model built with `lambda` in its configuration
+    /// returns from [`FaultyNCubeModel::solve`], bit for bit.
     pub fn solve_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
+        check_lambda(lambda)?;
         if self.delegates_to_ncube() {
             self.solve_delegated(lambda)
         } else {
@@ -301,11 +321,7 @@ impl FaultyNCubeModel {
 
     /// Force the per-channel path at an arbitrary rate `lambda`.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(ModelError::BadConfig(
-                "lambda must be finite and non-negative".into(),
-            ));
-        }
+        check_lambda(lambda)?;
         let topo = *self.config.topology();
         let n_nodes = topo.num_nodes();
         let others = (n_nodes - 1) as f64;
@@ -341,53 +357,57 @@ impl FaultyNCubeModel {
             return Err(ModelError::Saturated { max_utilization });
         }
 
-        // --- Per-source composition over the same route enumeration.
+        // --- Per-source composition, one prefix-sum sweep per destination.
+        // Down each destination's tree `lat[v] = lat[parent] + 1 + B_c(v)`
+        // is the network latency beyond `Lm` of the route from `v`, and
+        // `c(v)` is that route's entry channel.  Each source accumulates
+        // what Eq. (28) and the class means need: over its reachable
+        // destinations, Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry and the count;
+        // and its route to the hot node separately.
+        let n = n_nodes as usize;
+        let mut lat = vec![0.0f64; n];
+        let mut sum_s = vec![0.0f64; n];
+        let mut sum_sv = vec![0.0f64; n];
+        let mut sum_v = vec![0.0f64; n];
+        let mut count = vec![0u32; n];
+        // (s_net, v̄_entry) of each source's route to the hot node.
+        let mut to_hot: Vec<Option<(f64, f64)>> = vec![None; n];
+        for dest in topo.nodes() {
+            lat[dest.index()] = 0.0;
+            for edge in self.router.tree(dest) {
+                let (v, c) = (edge.node.index(), edge.channel.index());
+                lat[v] = lat[edge.parent.index()] + 1.0 + blocking[c];
+                let s_net = lm + lat[v];
+                sum_s[v] += s_net;
+                sum_sv[v] += s_net * vbar[c];
+                sum_v[v] += vbar[c];
+                count[v] += 1;
+                if dest == hot_node {
+                    to_hot[v] = Some((s_net, vbar[c]));
+                }
+            }
+        }
+
         let mut regular_num = 0.0;
         let mut regular_den = 0.0;
         let mut hot_num = 0.0;
         let mut hot_den = 0.0;
         let mut wait_sum = 0.0;
         let mut healthy_sources = 0u32;
-        // (network latency, entry-channel v̄, is-hot-destination) per
-        // reachable destination of the current source.
-        let mut pairs: Vec<(f64, f64, bool)> = Vec::with_capacity(n_nodes as usize);
         for src in topo.nodes() {
             if self.config.faults.node_failed(src) {
                 continue;
             }
             healthy_sources += 1;
+            let s = src.index();
             let regular_share = if src == hot_node { 1.0 } else { 1.0 - h };
             let pair_weight = regular_share / others;
-            pairs.clear();
-            let mut service_num = 0.0;
-            let mut delivered_weight = 0.0;
-            for dest in topo.nodes() {
-                if dest == src || self.router.distance(src, dest).is_none() {
-                    continue;
-                }
-                let mut s_net = lm;
-                let mut entry_vbar = 0.0;
-                let mut cur = src;
-                while cur != dest {
-                    let hop = self
-                        .router
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let id = hop.channel.id(&topo).index();
-                    if cur == src {
-                        entry_vbar = vbar[id];
-                    }
-                    s_net += 1.0 + blocking[id];
-                    cur = hop.channel.to(&topo);
-                }
-                let is_hot = dest == hot_node && src != hot_node;
-                let mut weight = pair_weight;
-                if is_hot {
-                    weight += h;
-                }
-                service_num += weight * s_net;
-                delivered_weight += weight;
-                pairs.push((s_net, entry_vbar, is_hot));
+            let regular_weight = pair_weight * count[s] as f64;
+            let mut service_num = pair_weight * sum_s[s];
+            let mut delivered_weight = regular_weight;
+            if let Some((s_net, _)) = to_hot[s] {
+                service_num += h * s_net;
+                delivered_weight += h;
             }
             // Source queue: Eq. (28) at the *delivered* injection rate per
             // VC, with the delivered-mix mean network latency as service.
@@ -401,14 +421,12 @@ impl FaultyNCubeModel {
                 0.0
             };
             wait_sum += wait;
-            for &(s_net, entry_vbar, is_hot) in &pairs {
-                let scaled = (s_net + wait) * entry_vbar;
-                regular_num += pair_weight * scaled;
-                regular_den += pair_weight;
-                if is_hot {
-                    hot_num += h * scaled;
-                    hot_den += h;
-                }
+            // Σ (s_net + wait)·v̄_entry over the source's pairs.
+            regular_num += pair_weight * (sum_sv[s] + wait * sum_v[s]);
+            regular_den += regular_weight;
+            if let Some((s_net, entry_vbar)) = to_hot[s] {
+                hot_num += h * (s_net + wait) * entry_vbar;
+                hot_den += h;
             }
         }
         let latency_num = regular_num + hot_num;
@@ -428,7 +446,7 @@ impl FaultyNCubeModel {
             max_utilization,
             reachable_pairs: self.rates.reachable_pairs(),
             reachable_fraction: self.rates.reachable_pairs() as f64 / (n64 * (n64 - 1)) as f64,
-            mean_detour_hops: self.router.expected_detour(),
+            mean_detour_hops: self.mean_detour_hops,
             delivered_fraction: latency_den / n_nodes as f64,
             iterations: 1,
             delegated: false,

@@ -185,14 +185,19 @@ impl Rates {
 /// destination over the fault-free dimension-order route.  With faults the
 /// load redistributes along the detoured shortest surviving routes, and
 /// pairs with no surviving route contribute nothing (the simulator drops
-/// them at generation).  This struct walks every ordered reachable pair
-/// once and accumulates, per directed channel:
+/// them at generation).  Every ordered reachable pair counts once,
+/// accumulating per directed channel:
 ///
 /// * **regular** traffic — each healthy source spreads its uniform share
 ///   over the *other* `N - 1` nodes (delivered only where reachable); the
 ///   hot node itself generates only regular traffic (Pfister–Norton);
 /// * **hot-spot** traffic — each healthy non-hot source adds rate `λh`
 ///   along its surviving route to the hot node.
+///
+/// Routes to one destination form the router's in-tree
+/// ([`FaultRouter::tree`]), so a channel's load from that destination is
+/// the summed share of the sources in the subtree below it: one reverse
+/// sweep per destination, `O(N²)` in all, with no route walks.
 ///
 /// Rates are stored per unit `λ`; multiply by the per-node generation rate
 /// at query time, which keeps one enumeration valid for a whole λ sweep.
@@ -205,9 +210,9 @@ pub struct FaultyChannelRates {
 }
 
 impl FaultyChannelRates {
-    /// Enumerate the surviving routes of `router` and accumulate the
-    /// per-channel rates for hot node `hot` and hot fraction
-    /// `hot_fraction` (`0 <= h <= 1`).
+    /// Accumulate the per-channel rates of the surviving routes of
+    /// `router` for hot node `hot` and hot fraction `hot_fraction`
+    /// (`0 <= h <= 1`).
     pub fn from_router(router: &FaultRouter, hot: NodeId, hot_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&hot_fraction));
         let topo = *router.topology();
@@ -216,28 +221,19 @@ impl FaultyChannelRates {
         let mut hot_unit = vec![0.0; topo.num_channels() as usize];
         let mut reachable_pairs = 0u64;
         let others = (n_nodes - 1) as f64;
-        for src in topo.nodes() {
-            // The hot node generates only regular traffic; everyone else
-            // splits `1 - h` uniform / `h` hot.  Failed sources generate
-            // traffic that is dropped whole (no reachable destination).
+        // The hot node generates only regular traffic; everyone else
+        // splits `1 - h` uniform / `h` hot.  Failed sources generate
+        // traffic that is dropped whole (they sit in no tree).
+        let pair_share = |src: NodeId| {
             let regular_share = if src == hot { 1.0 } else { 1.0 - hot_fraction };
-            for dest in topo.nodes() {
-                if dest == src || router.distance(src, dest).is_none() {
-                    continue;
-                }
-                reachable_pairs += 1;
-                let mut cur = src;
-                while cur != dest {
-                    let hop = router
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let id = hop.channel.id(&topo).index();
-                    regular_unit[id] += regular_share / others;
-                    if dest == hot && src != hot {
-                        hot_unit[id] += hot_fraction;
-                    }
-                    cur = hop.channel.to(&topo);
-                }
+            regular_share / others
+        };
+        let mut below = vec![0.0f64; n_nodes as usize];
+        for dest in topo.nodes() {
+            reachable_pairs += router.tree(dest).len() as u64;
+            add_subtree_loads(router, dest, pair_share, &mut below, &mut regular_unit);
+            if dest == hot {
+                add_subtree_loads(router, dest, |_| hot_fraction, &mut below, &mut hot_unit);
             }
         }
         FaultyChannelRates {
@@ -282,6 +278,27 @@ impl FaultyChannelRates {
     /// Hot fraction `h` the rates were accumulated with.
     pub fn hot_fraction(&self) -> f64 {
         self.hot_fraction
+    }
+}
+
+/// Add to `unit` the per-channel load of `dest`'s route tree when each
+/// source `s` sends `weight(s)`: a channel carries the summed weight of
+/// the subtree below it, accumulated in reverse BFS order.  `below` is
+/// per-node scratch space.
+fn add_subtree_loads(
+    router: &FaultRouter,
+    dest: NodeId,
+    weight: impl Fn(NodeId) -> f64,
+    below: &mut [f64],
+    unit: &mut [f64],
+) {
+    for edge in router.tree(dest) {
+        below[edge.node.index()] = weight(edge.node);
+    }
+    for edge in router.tree(dest).rev() {
+        let load = below[edge.node.index()];
+        unit[edge.channel.index()] += load;
+        below[edge.parent.index()] += load;
     }
 }
 

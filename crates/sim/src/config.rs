@@ -1,8 +1,21 @@
 //! Simulator configuration.
 
-use kncube_topology::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
+use kncube_topology::{
+    Boundary, KAryNCube, LinkKind, NodeId, TopologyError, FAULT_ROUTER_BYTES_PER_PAIR,
+};
 use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
 use std::fmt;
+
+/// Memory the simulator may spend on the fault router's per-pair tables.
+pub const FAULT_ROUTER_BUDGET_BYTES: u64 = 1 << 30;
+
+/// Largest network, in nodes, the simulator accepts with faults
+/// configured.  The fault router stores [`FAULT_ROUTER_BYTES_PER_PAIR`]
+/// bytes per ordered node pair, so `N² · 7 B` within
+/// [`FAULT_ROUTER_BUDGET_BYTES`] gives `N ≤ 12 385`: a 16³ cube fits, a
+/// 32³ cube (7 GiB of tables) does not.
+pub const MAX_FAULTY_SIM_NODES: u64 =
+    (FAULT_ROUTER_BUDGET_BYTES / FAULT_ROUTER_BYTES_PER_PAIR).isqrt();
 
 /// How arrived messages leave the network at their destination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -175,6 +188,12 @@ impl SimConfig {
                     "fault probabilities must lie in [0, 1]",
                 ));
             }
+            let nodes = u64::from(self.k).checked_pow(self.n);
+            if nodes.is_none_or(|nodes| nodes > MAX_FAULTY_SIM_NODES) {
+                return Err(SimConfigError::Invalid(
+                    "fault injection needs N x N fault-router tables: network above MAX_FAULTY_SIM_NODES",
+                ));
+            }
         }
         if self.virtual_channels < 1 {
             return Err(SimConfigError::Invalid("need at least 1 virtual channel"));
@@ -254,6 +273,35 @@ mod tests {
         let mut c = base;
         c.k = 1;
         assert!(c.topology().is_err());
+    }
+
+    #[test]
+    fn fault_injection_is_capped_by_the_router_table_budget() {
+        use kncube_traffic::FaultSpec;
+        assert_eq!(MAX_FAULTY_SIM_NODES, 12_385);
+        let faulty = |k, n| {
+            SimConfig::ncube(k, n, 2, 16, 1e-4, 0.2, 1)
+                .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+                .with_faults(FaultSpec::NONE)
+        };
+        // 16³ = 4096 nodes: 112 MiB of tables, accepted.
+        assert!(faulty(16, 3).validate().is_ok());
+        // 32³ = 32768 nodes: 7 GiB of tables, refused before anything is
+        // allocated — by `validate` and by `Simulator::new`.
+        assert!(matches!(
+            faulty(32, 3).validate(),
+            Err(SimConfigError::Invalid(_))
+        ));
+        assert!(matches!(
+            crate::Simulator::new(faulty(32, 3)),
+            Err(SimConfigError::Invalid(_))
+        ));
+        // k^n overflowing u64 is refused, not wrapped.
+        assert!(faulty(1 << 16, 8).validate().is_err());
+        // Without faults no router is built, so the cap does not apply.
+        assert!(SimConfig::ncube(32, 3, 2, 16, 1e-4, 0.2, 1)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub mod replicate;
 pub mod report;
 pub mod stats;
 
-pub use config::{EjectionPolicy, SimConfig, SimConfigError};
+pub use config::{
+    EjectionPolicy, SimConfig, SimConfigError, FAULT_ROUTER_BUDGET_BYTES, MAX_FAULTY_SIM_NODES,
+};
 pub use engine::Simulator;
 pub use replicate::{run_replications, run_replications_serial, ReplicatedReport};
 pub use report::SimReport;

@@ -26,7 +26,7 @@
 //! picks the lowest dimension first and resolves the even-`k` half-ring tie
 //! towards `Plus`, exactly the DOR conventions.
 
-use crate::channel::{Channel, Direction};
+use crate::channel::{Channel, ChannelId, Direction};
 use crate::geometry::{Boundary, KAryNCube, LinkKind, NodeId};
 use crate::routing::{Hop, VcClass};
 
@@ -164,61 +164,217 @@ fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
     hash
 }
 
+/// Hop byte of a pair with no next hop: the node is the destination, or
+/// the destination is unreachable from it (failed endpoints included).
+const NO_HOP: u8 = u8::MAX;
+
+/// Port-table marker for an unusable channel.
+const NO_NODE: u32 = u32::MAX;
+
+/// Bytes a [`FaultRouter`] stores per ordered `(node, destination)` pair:
+/// the `u16` distance, the one-byte next hop, and the `u32` entry of the
+/// destination's breadth-first order.  The per-node port tables add
+/// `O(N·n)` on top, negligible beside the `N²` pairs.
+pub const FAULT_ROUTER_BYTES_PER_PAIR: u64 = 7;
+
+/// One edge of a destination's route in-tree: the next hop from `node`
+/// crosses `channel` to `parent`, one hop closer to the destination.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TreeEdge {
+    /// The node the hop leaves.
+    pub node: NodeId,
+    /// The node the hop enters.
+    pub parent: NodeId,
+    /// The channel the hop crosses.
+    pub channel: ChannelId,
+}
+
+/// Where one output port of a node leads: the neighbour and the channel
+/// id, or `to == NO_NODE` when the channel is failed or does not exist.
+#[derive(Clone, Copy, Debug)]
+struct Port {
+    to: u32,
+    channel: u32,
+}
+
+/// The channel behind port `port` of `node`: port `p` runs in dimension
+/// `p / 2`, `Plus` for even `p` and `Minus` for odd `p`.  Ascending ports
+/// are ascending [`ChannelId`]s.
+fn port_channel(node: NodeId, port: usize) -> Channel {
+    Channel {
+        from: node,
+        dim: (port / 2) as u32,
+        direction: if port.is_multiple_of(2) {
+            Direction::Plus
+        } else {
+            Direction::Minus
+        },
+    }
+}
+
+/// Stateless Dally–Seitz dateline class of a hop in a ring of radix `k`
+/// from coordinate `cur` towards the destination coordinate `target`:
+/// [`VcClass::Low`] while the remaining travel in the hop's ring still
+/// crosses that ring's wrap-around link, [`VcClass::High`] after.
+///
+/// Detour routes can *sidestep* — move in a dimension whose coordinate
+/// already matches the destination's, which dimension-order routing never
+/// does and [`VcClass::for_hop`] rejects.  A sidestep takes the Low class
+/// iff the hop itself crosses the wrap-around link.
+fn torus_hop_class(k: u32, cur: u32, target: u32, direction: Direction) -> VcClass {
+    if cur == target {
+        let crosses = match direction {
+            Direction::Plus => cur == k - 1,
+            Direction::Minus => cur == 0,
+        };
+        return if crosses { VcClass::Low } else { VcClass::High };
+    }
+    VcClass::for_hop(cur, target, direction)
+}
+
 /// Deterministic fault-aware router: exact shortest surviving paths.
 ///
-/// Construction runs one reverse breadth-first search per destination over
-/// the surviving digraph and stores the full `N × N` distance table
-/// (`u16` per pair).  [`FaultRouter::next_hop`] then picks, at each node,
-/// the lowest-[`ChannelId`] surviving out-channel that decreases the
-/// distance to the destination — a deterministic minimal route in the
-/// surviving graph.
+/// Routing is destination-based, so for each destination the next hops
+/// form an in-tree over the nodes that can reach it.  Construction runs
+/// one reverse breadth-first search per destination over the surviving
+/// digraph and stores, per destination, the distance of every node (`u16`),
+/// every node's next hop (one byte: the output port and the VC class), and
+/// the BFS order of the reachable nodes — [`FAULT_ROUTER_BYTES_PER_PAIR`]
+/// bytes per ordered pair.  The next hop is the lowest-[`ChannelId`]
+/// surviving out-channel that decreases the distance to the destination —
+/// a deterministic minimal route in the surviving graph.
 ///
-/// [`ChannelId`]: crate::channel::ChannelId
+/// [`FaultRouter::next_hop`] is a table lookup, and [`FaultRouter::tree`]
+/// hands out a destination's tree in BFS order, so per-channel loads
+/// (subtree sums, in reverse order) and per-pair latencies (prefix sums,
+/// in order) take one linear sweep per destination.
 #[derive(Clone, Debug)]
 pub struct FaultRouter {
     topo: KAryNCube,
     faults: FaultSet,
+    /// Output ports per node, `2n` (unidirectional `Minus` ports are dead).
+    ports: usize,
+    /// `out[node·2n + port]`: where the port leads.
+    out: Vec<Port>,
+    /// `coords[node·n + dim]`: the node's coordinate in `dim`.
+    coords: Vec<u32>,
     /// Destination-major distance table: `dist[dest·N + node]`.
     dist: Vec<u16>,
+    /// Destination-major next-hop table: `hop[dest·N + node]` is
+    /// `port·2 + class` (class 1 = [`VcClass::Low`]), or `NO_HOP`.
+    hop: Vec<u8>,
+    /// Each destination's reachable nodes in BFS order, the destination
+    /// first, concatenated: destination `d`'s run is
+    /// `order[order_start[d]..order_start[d + 1]]` (empty when `d` failed).
+    order: Vec<u32>,
+    order_start: Vec<usize>,
 }
 
 impl FaultRouter {
-    /// Build the distance tables for `faults` (which carries its topology).
+    /// Build the route trees for `faults` (which carries its topology).
     pub fn new(faults: FaultSet) -> Self {
         let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
+        let n = topo.n() as usize;
+        let ports = 2 * n;
+        // Port tables.  `into[node·2n + port]` is the source of the
+        // surviving channel that enters `node` travelling like `port`.
+        let mut out = vec![
+            Port {
+                to: NO_NODE,
+                channel: 0
+            };
+            nodes * ports
+        ];
+        let mut into = vec![NO_NODE; nodes * ports];
+        let mut coords = vec![0u32; nodes * n];
+        for node in topo.nodes() {
+            for dim in 0..n {
+                coords[node.index() * n + dim] = topo.coord(node, dim as u32);
+            }
+            for port in 0..ports {
+                let channel = port_channel(node, port);
+                if faults.channel_failed(channel) {
+                    continue;
+                }
+                let to = channel.to(&topo);
+                out[node.index() * ports + port] = Port {
+                    to: to.0,
+                    channel: channel.id(&topo).0,
+                };
+                into[to.index() * ports + port] = node.0;
+            }
+        }
+
+        let healthy = nodes - faults.num_failed_routers() as usize;
         let mut dist = vec![UNREACHABLE; nodes * nodes];
-        let mut queue = std::collections::VecDeque::with_capacity(nodes);
+        let mut hop = vec![NO_HOP; nodes * nodes];
+        let mut order = Vec::with_capacity(healthy * healthy);
+        let mut order_start = Vec::with_capacity(nodes + 1);
         for dest in topo.nodes() {
+            order_start.push(order.len());
             if faults.node_failed(dest) {
                 continue;
             }
-            let table = &mut dist[dest.index() * nodes..(dest.index() + 1) * nodes];
-            table[dest.index()] = 0;
-            queue.clear();
-            queue.push_back(dest);
-            while let Some(u) = queue.pop_front() {
-                let d = table[u.index()];
+            let row = dest.index() * nodes..(dest.index() + 1) * nodes;
+            let dist = &mut dist[row.clone()];
+            let start = order.len();
+            dist[dest.index()] = 0;
+            order.push(dest.0);
+            let mut head = start;
+            while head < order.len() {
+                let u = order[head] as usize;
+                head += 1;
+                let d = dist[u];
                 // Predecessors of `u`: sources of surviving channels into it.
-                for dim in 0..topo.n() {
-                    for (v, direction) in [
-                        (topo.neighbor_minus(u, dim), Direction::Plus),
-                        (topo.neighbor_plus(u, dim), Direction::Minus),
-                    ] {
-                        let c = Channel {
-                            from: v,
-                            dim,
-                            direction,
-                        };
-                        if table[v.index()] == UNREACHABLE && !faults.channel_failed(c) {
-                            table[v.index()] = d + 1;
-                            queue.push_back(v);
-                        }
+                for &v in &into[u * ports..(u + 1) * ports] {
+                    if v != NO_NODE && dist[v as usize] == UNREACHABLE {
+                        dist[v as usize] = d + 1;
+                        order.push(v);
                     }
                 }
             }
+            let hop = &mut hop[row];
+            let target = &coords[dest.index() * n..(dest.index() + 1) * n];
+            for &v in &order[start + 1..] {
+                let v = v as usize;
+                // `d - 1` rather than `neighbor + 1`: the neighbor may sit
+                // at the UNREACHABLE marker, which must not wrap.
+                let d = dist[v] - 1;
+                let port = (0..ports)
+                    .find(|&p| {
+                        let to = out[v * ports + p].to;
+                        to != NO_NODE && dist[to as usize] == d
+                    })
+                    .expect("finite BFS distance implies a distance-decreasing out-channel");
+                let class = match topo.boundary() {
+                    Boundary::Mesh => VcClass::High,
+                    Boundary::Torus => {
+                        let channel = port_channel(NodeId(v as u32), port);
+                        let dim = channel.dim as usize;
+                        torus_hop_class(
+                            topo.k(),
+                            coords[v * n + dim],
+                            target[dim],
+                            channel.direction,
+                        )
+                    }
+                };
+                hop[v] = (port as u8) << 1 | class.index() as u8;
+            }
         }
-        FaultRouter { topo, faults, dist }
+        order_start.push(order.len());
+        FaultRouter {
+            topo,
+            faults,
+            ports,
+            out,
+            coords,
+            dist,
+            hop,
+            order,
+            order_start,
+        }
     }
 
     /// The underlying topology.
@@ -232,8 +388,19 @@ impl FaultRouter {
     }
 
     #[inline]
+    fn pair(&self, node: NodeId, dest: NodeId) -> usize {
+        dest.index() * self.topo.num_nodes() as usize + node.index()
+    }
+
+    #[inline]
     fn dist_raw(&self, node: NodeId, dest: NodeId) -> u16 {
-        self.dist[dest.index() * self.topo.num_nodes() as usize + node.index()]
+        self.dist[self.pair(node, dest)]
+    }
+
+    /// Destination `dest`'s reachable nodes in BFS order, `dest` first.
+    #[inline]
+    fn run(&self, dest: NodeId) -> &[u32] {
+        &self.order[self.order_start[dest.index()]..self.order_start[dest.index() + 1]]
     }
 
     /// Length in hops of the shortest surviving path from `src` to `dest`,
@@ -256,65 +423,47 @@ impl FaultRouter {
     /// The virtual-channel class is the stateless Dally–Seitz dateline
     /// rule ([`VcClass::for_hop`]) applied to the hop's own ring: it
     /// compares the hop's source coordinate against the *destination's*
-    /// coordinate in that dimension.  On fault-free networks this
-    /// reproduces dimension-order routes class-for-class (an acyclic
-    /// dependency graph, so the route set is wormhole-deadlock-free by
-    /// construction — pinned by [`FaultRouter::deadlock_free`]).  Detour
-    /// routes keep a deterministic class but may still close a dependency
-    /// cycle; check [`FaultRouter::deadlock_free`] before driving a
-    /// simulator with a faulted route set.  Mesh routes use only
-    /// [`VcClass::High`].
+    /// coordinate in that dimension (a *sidestep* in a dimension already
+    /// at the destination's coordinate is Low iff it crosses the
+    /// wrap-around link).  On fault-free networks this reproduces
+    /// dimension-order routes class-for-class (an acyclic dependency
+    /// graph, so the route set is wormhole-deadlock-free by construction —
+    /// pinned by [`FaultRouter::deadlock_free`]).  Detour routes keep a
+    /// deterministic class but may still close a dependency cycle; check
+    /// [`FaultRouter::deadlock_free`] before driving a simulator with a
+    /// faulted route set.  Mesh routes use only [`VcClass::High`].
     pub fn next_hop(&self, cur: NodeId, dest: NodeId) -> Option<Hop> {
-        if cur == dest {
-            return None;
-        }
-        let d = self.dist_raw(cur, dest);
-        if d == UNREACHABLE || self.faults.node_failed(cur) {
-            return None;
-        }
-        for dim in 0..self.topo.n() {
-            for direction in [Direction::Plus, Direction::Minus] {
-                let channel = Channel {
-                    from: cur,
-                    dim,
-                    direction,
-                };
-                if self.faults.channel_failed(channel) {
-                    continue;
-                }
-                // `d - 1` rather than `neighbor + 1`: the neighbor may sit
-                // at the UNREACHABLE marker, which must not wrap.
-                if self.dist_raw(channel.to(&self.topo), dest) == d - 1 {
-                    let vc_class = self.hop_class(channel, dest);
-                    return Some(Hop { channel, vc_class });
-                }
-            }
-        }
-        unreachable!("finite BFS distance implies a distance-decreasing out-channel");
+        let byte = self.hop[self.pair(cur, dest)];
+        (byte != NO_HOP).then(|| Hop {
+            channel: port_channel(cur, usize::from(byte >> 1)),
+            vc_class: if byte & 1 == 1 {
+                VcClass::Low
+            } else {
+                VcClass::High
+            },
+        })
     }
 
-    /// Stateless Dally–Seitz dateline class for a hop heading to `dest`:
-    /// [`VcClass::Low`] while the remaining travel in the hop's ring still
-    /// crosses that ring's wrap-around link, [`VcClass::High`] after.
-    ///
-    /// Detour routes can *sidestep* — move in a dimension whose coordinate
-    /// already matches the destination's, which dimension-order routing
-    /// never does and [`VcClass::for_hop`] rejects.  A sidestep takes the
-    /// Low class iff the hop itself crosses the wrap-around link.
-    fn hop_class(&self, channel: Channel, dest: NodeId) -> VcClass {
-        if self.topo.boundary() == Boundary::Mesh {
-            return VcClass::High;
-        }
-        let cur = self.topo.coord(channel.from, channel.dim);
-        let target = self.topo.coord(dest, channel.dim);
-        if cur == target {
-            let crosses = match channel.direction {
-                Direction::Plus => cur == self.topo.k() - 1,
-                Direction::Minus => cur == 0,
-            };
-            return if crosses { VcClass::Low } else { VcClass::High };
-        }
-        VcClass::for_hop(cur, target, channel.direction)
+    /// The route in-tree of `dest`: one edge per node that can reach
+    /// `dest` (other than `dest` itself), in BFS order — every edge comes
+    /// after its parent's, so a forward sweep sees each route from its
+    /// destination end and a reverse sweep sees subtrees before their
+    /// roots.  Empty when `dest` has failed.
+    pub fn tree(
+        &self,
+        dest: NodeId,
+    ) -> impl DoubleEndedIterator<Item = TreeEdge> + ExactSizeIterator + '_ {
+        let nodes = self.topo.num_nodes() as usize;
+        let hop = &self.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
+        let run = self.run(dest);
+        run[run.len().min(1)..].iter().map(move |&v| {
+            let port = self.out[v as usize * self.ports + usize::from(hop[v as usize] >> 1)];
+            TreeEdge {
+                node: NodeId(v),
+                parent: NodeId(port.to),
+                channel: ChannelId(port.channel),
+            }
+        })
     }
 
     /// The full deterministic route from `src` to `dest` (empty when
@@ -336,18 +485,10 @@ impl FaultRouter {
     /// Number of ordered pairs `(src, dest)` with `src != dest` that can
     /// still communicate.
     pub fn reachable_pairs(&self) -> u64 {
-        let mut pairs = 0u64;
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
-                continue;
-            }
-            for dest in self.topo.nodes() {
-                if src != dest && self.dist_raw(src, dest) != UNREACHABLE {
-                    pairs += 1;
-                }
-            }
-        }
-        pairs
+        self.topo
+            .nodes()
+            .map(|dest| self.run(dest).len().saturating_sub(1) as u64)
+            .sum()
     }
 
     /// Fraction of the `N(N-1)` ordered pairs that can still communicate
@@ -361,21 +502,34 @@ impl FaultRouter {
     /// distance minus the fault-free minimal distance
     /// ([`KAryNCube::hop_count`]).  0.0 when no pair is reachable.
     pub fn expected_detour(&self) -> f64 {
+        let (k, n) = (self.topo.k() as usize, self.topo.n() as usize);
         let mut pairs = 0u64;
         let mut extra = 0u64;
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
+        // `ring[dim·k + c]`: fault-free hops from coordinate `c` to the
+        // destination's coordinate in `dim`, so a pair's minimal distance
+        // is `n` lookups.
+        let mut ring = vec![0u64; n * k];
+        for dest in self.topo.nodes() {
+            let run = self.run(dest);
+            if run.len() <= 1 {
                 continue;
             }
-            for dest in self.topo.nodes() {
-                if src == dest {
-                    continue;
+            for dim in 0..n {
+                let target = self.coords[dest.index() * n + dim];
+                for c in 0..k {
+                    ring[dim * k + c] = self
+                        .topo
+                        .ring_offset_routed(c as u32, target)
+                        .unsigned_abs();
                 }
-                let d = self.dist_raw(src, dest);
-                if d != UNREACHABLE {
-                    pairs += 1;
-                    extra += d as u64 - self.topo.hop_count(src, dest) as u64;
-                }
+            }
+            for &src in &run[1..] {
+                let src = NodeId(src);
+                let minimal: u64 = (0..n)
+                    .map(|dim| ring[dim * k + self.coords[src.index() * n + dim] as usize])
+                    .sum();
+                pairs += 1;
+                extra += u64::from(self.dist_raw(src, dest)) - minimal;
             }
         }
         if pairs == 0 {
@@ -388,7 +542,8 @@ impl FaultRouter {
     /// Whether the route set is wormhole-deadlock-free, by Dally's
     /// criterion: the channel-dependency graph over `(channel, VC class)`
     /// vertices — one edge per consecutive hop pair of any surviving
-    /// route — is acyclic.
+    /// route — is acyclic.  Equivalent to
+    /// `self.dependency_cycle().is_none()`.
     ///
     /// Fault-free dimension-order routes satisfy this by construction
     /// (the Dally–Seitz classes break every ring cycle), but detour
@@ -397,62 +552,108 @@ impl FaultRouter {
     /// load.  Sweeps that need clean latency measurements use this
     /// predicate to select provably safe fault samples.
     pub fn deadlock_free(&self) -> bool {
+        self.dependency_cycle().is_none()
+    }
+
+    /// A cycle of the channel-dependency graph (see
+    /// [`FaultRouter::deadlock_free`]), or `None` when the graph is
+    /// acyclic.  The witness lists `(channel, class)` vertices in
+    /// dependency order: each vertex is followed on some surviving route
+    /// by the next one, and the last by the first.
+    ///
+    /// Every consecutive hop pair of a route is an edge of a destination's
+    /// tree, (hop at a node, hop at its parent), so the graph is built in
+    /// one sweep per destination with no route walks.  A dependency leaves
+    /// a channel for a hop out of the channel's sink node, so a vertex's
+    /// out-list is a bitmask over that node's `2n` ports × 2 classes (at
+    /// most 32 bits).  Kahn's algorithm drains the acyclic part; every
+    /// undrained vertex keeps an undrained predecessor, so walking
+    /// predecessors from one revisits a vertex, and the revisited stretch
+    /// is the cycle.
+    pub fn dependency_cycle(&self) -> Option<Vec<(ChannelId, VcClass)>> {
+        let nodes = self.topo.num_nodes() as usize;
         // Vertex per (channel, class): index = channel · 2 + class.
         let nv = self.topo.num_channels() as usize * 2;
-        let vertex = |hop: &Hop| {
-            let class = match hop.vc_class {
-                VcClass::High => 0,
-                VcClass::Low => 1,
-            };
-            hop.channel.id(&self.topo).index() * 2 + class
-        };
-        let mut adj = vec![false; nv * nv];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); nv];
-        for src in self.topo.nodes() {
-            if self.faults.node_failed(src) {
-                continue;
-            }
-            for dest in self.topo.nodes() {
-                if src == dest || self.dist_raw(src, dest) == UNREACHABLE {
+        let mut succ = vec![0u32; nv];
+        for dest in self.topo.nodes() {
+            let hop = &self.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
+            for edge in self.tree(dest) {
+                if edge.parent == dest {
                     continue;
                 }
-                let mut cur = src;
-                let mut prev: Option<usize> = None;
-                while cur != dest {
-                    let hop = self
-                        .next_hop(cur, dest)
-                        .expect("finite distance implies a next hop");
-                    let v = vertex(&hop);
-                    if let Some(u) = prev {
-                        if !adj[u * nv + v] {
-                            adj[u * nv + v] = true;
-                            out[u].push(v as u32);
-                        }
-                    }
-                    prev = Some(v);
-                    cur = hop.channel.to(&self.topo);
-                }
+                let class = u32::from(hop[edge.node.index()] & 1);
+                let vertex = edge.channel.index() * 2 + class as usize;
+                succ[vertex] |= 1 << hop[edge.parent.index()];
             }
         }
+        // Expand the bitmasks into a compressed adjacency list.
+        let mut adj_start = Vec::with_capacity(nv + 1);
+        let mut adj = Vec::new();
+        for (u, &mask) in succ.iter().enumerate() {
+            adj_start.push(adj.len());
+            if mask == 0 {
+                continue;
+            }
+            let sink = Channel::from_id(&self.topo, ChannelId((u / 2) as u32))
+                .to(&self.topo)
+                .index();
+            let mut bits = mask;
+            while bits != 0 {
+                let byte = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let channel = self.out[sink * self.ports + byte / 2].channel as usize;
+                adj.push(channel * 2 + byte % 2);
+            }
+        }
+        adj_start.push(adj.len());
+        let successors = |u: usize| &adj[adj_start[u]..adj_start[u + 1]];
+
         // Kahn's algorithm: the graph is acyclic iff every vertex drains.
         let mut indeg = vec![0u32; nv];
-        for edges in &out {
-            for &v in edges {
-                indeg[v as usize] += 1;
-            }
+        for &v in &adj {
+            indeg[v] += 1;
         }
         let mut stack: Vec<usize> = (0..nv).filter(|&v| indeg[v] == 0).collect();
-        let mut drained = 0usize;
         while let Some(u) = stack.pop() {
-            drained += 1;
-            for &v in &out[u] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    stack.push(v as usize);
+            for &v in successors(u) {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    stack.push(v);
                 }
             }
         }
-        drained == nv
+        let start = (0..nv).find(|&v| indeg[v] > 0)?;
+        let mut pred = vec![usize::MAX; nv];
+        for u in (0..nv).filter(|&u| indeg[u] > 0) {
+            for &v in successors(u) {
+                if indeg[v] > 0 {
+                    pred[v] = u;
+                }
+            }
+        }
+        let mut position = vec![usize::MAX; nv];
+        let mut walk = Vec::new();
+        let mut v = start;
+        while position[v] == usize::MAX {
+            position[v] = walk.len();
+            walk.push(v);
+            v = pred[v];
+        }
+        // `walk` runs against the edges; the cycle is its tail from `v`.
+        Some(
+            walk[position[v]..]
+                .iter()
+                .rev()
+                .map(|&u| {
+                    let class = if u % 2 == 1 {
+                        VcClass::Low
+                    } else {
+                        VcClass::High
+                    };
+                    (ChannelId((u / 2) as u32), class)
+                })
+                .collect(),
+        )
     }
 
     /// The largest finite distance in the table (0 on a fully-failed
@@ -727,6 +928,7 @@ mod tests {
         {
             let router = FaultRouter::new(FaultSet::none(t));
             assert!(router.deadlock_free(), "{t:?}");
+            assert_eq!(router.dependency_cycle(), None);
         }
     }
 
@@ -758,6 +960,90 @@ mod tests {
             any_cyclic,
             "no cyclic dependency found across the probe fault sets"
         );
+    }
+
+    #[test]
+    fn dependency_cycle_witness_is_a_closed_cycle_of_route_dependencies() {
+        // The cyclic 8×8 bi-torus probe above: every consecutive vertex
+        // pair of the witness, the last back to the first included, must
+        // be consecutive on some surviving route.
+        let t = KAryNCube::bidirectional(8, 2).unwrap();
+        let vertex = |hop: &Hop| (hop.channel.id(&t), hop.vc_class);
+        let mut witnessed = 0;
+        for node in 0..16u32 {
+            let mut faults = FaultSet::none(t);
+            faults.fail_node(NodeId(node));
+            faults.fail_link(Channel {
+                from: NodeId(node + 17),
+                dim: 0,
+                direction: Direction::Plus,
+            });
+            let router = FaultRouter::new(faults);
+            let Some(cycle) = router.dependency_cycle() else {
+                assert!(router.deadlock_free());
+                continue;
+            };
+            assert!(!router.deadlock_free());
+            witnessed += 1;
+            let mut dependencies = std::collections::HashSet::new();
+            for src in t.nodes() {
+                for dest in t.nodes() {
+                    if let Some(route) = router.route(src, dest) {
+                        for pair in route.windows(2) {
+                            dependencies.insert((vertex(&pair[0]), vertex(&pair[1])));
+                        }
+                    }
+                }
+            }
+            assert!(cycle.len() >= 2, "{cycle:?}");
+            for (i, &from) in cycle.iter().enumerate() {
+                let to = cycle[(i + 1) % cycle.len()];
+                assert!(
+                    dependencies.contains(&(from, to)),
+                    "{from:?} → {to:?} is no route's consecutive hop pair"
+                );
+                // A simple cycle: no vertex repeats.
+                assert_eq!(cycle.iter().filter(|&&v| v == from).count(), 1);
+            }
+        }
+        assert!(witnessed > 0, "no cyclic probe fault set");
+    }
+
+    #[test]
+    fn tree_edges_follow_next_hop_in_bfs_order() {
+        let t = KAryNCube::bidirectional(5, 2).unwrap();
+        let mut faults = FaultSet::none(t);
+        faults.fail_node(NodeId(7));
+        faults.fail_link(Channel {
+            from: NodeId(3),
+            dim: 1,
+            direction: Direction::Plus,
+        });
+        let router = FaultRouter::new(faults);
+        for dest in t.nodes() {
+            let edges: Vec<TreeEdge> = router.tree(dest).collect();
+            let mut seen = vec![false; t.num_nodes() as usize];
+            seen[dest.index()] = true;
+            let mut last_distance = 0;
+            for edge in &edges {
+                let hop = router.next_hop(edge.node, dest).unwrap();
+                assert_eq!(hop.channel.id(&t), edge.channel);
+                assert_eq!(hop.channel.to(&t), edge.parent);
+                // Parents come first, and distances never decrease.
+                assert!(seen[edge.parent.index()]);
+                seen[edge.node.index()] = true;
+                let d = router.distance(edge.node, dest).unwrap();
+                assert!(d >= last_distance);
+                last_distance = d;
+            }
+            // One edge per node that can reach `dest`.
+            let reaching = t
+                .nodes()
+                .filter(|&s| s != dest && router.distance(s, dest).is_some())
+                .count();
+            assert_eq!(edges.len(), reaching);
+        }
+        assert_eq!(router.tree(NodeId(7)).len(), 0);
     }
 
     #[test]

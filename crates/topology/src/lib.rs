@@ -30,7 +30,7 @@ pub mod ring;
 pub mod routing;
 
 pub use channel::{Channel, ChannelId, Direction};
-pub use faults::{FaultRouter, FaultSet};
+pub use faults::{FaultRouter, FaultSet, TreeEdge, FAULT_ROUTER_BYTES_PER_PAIR};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
 pub use ring::{Ring, RingId};
