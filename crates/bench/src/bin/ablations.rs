@@ -15,11 +15,14 @@
 //! ```
 
 use kncube_bench::FigureConfig;
-use kncube_core::{HotSpotModel, ModelConfig, ModelVariant, MultiplexingModel, ServiceTimeModel};
+use kncube_core::{
+    find_saturation_ncube, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel,
+    ServiceTimeModel,
+};
 use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
 
-fn model_latency(cfg: ModelConfig) -> String {
-    match HotSpotModel::new(cfg).unwrap().solve() {
+fn model_latency(cfg: NCubeConfig) -> String {
+    match NCubeModel::new(cfg).unwrap().solve() {
         Ok(o) => format!("{:10.1}", o.latency),
         Err(_) => " saturated".to_string(),
     }
@@ -27,8 +30,8 @@ fn model_latency(cfg: ModelConfig) -> String {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let fig = FigureConfig::paper(32, 0.4);
-    let sat = kncube_bench::or_exit(kncube_core::find_saturation(
+    let fig = FigureConfig::paper(32, 0.4, false);
+    let sat = kncube_bench::or_exit(find_saturation_ncube(
         fig.model_config(0.0),
         1e-8,
         1e-2,
@@ -47,12 +50,12 @@ fn main() {
         "traffic", "x-ring", "hot-ring", "Δ%"
     );
     for &lambda in &path_grid {
-        let base = ModelConfig {
+        let base = NCubeConfig {
             service_model: ServiceTimeModel::PathOccupancy,
             ..fig.model_config(lambda)
         };
-        let a = HotSpotModel::new(base).unwrap().solve();
-        let b = HotSpotModel::new(ModelConfig {
+        let a = NCubeModel::new(base).unwrap().solve();
+        let b = NCubeModel::new(NCubeConfig {
             variant: ModelVariant::HotRingServiceEq25,
             ..base
         })
@@ -65,7 +68,7 @@ fn main() {
         println!(
             "{lambda:>12.3e} {} {} {delta}",
             model_latency(base),
-            model_latency(ModelConfig {
+            model_latency(NCubeConfig {
                 variant: ModelVariant::HotRingServiceEq25,
                 ..base
             })
@@ -76,7 +79,7 @@ fn main() {
     println!("{:>12} {:>10} {:>10}", "traffic", "pipelined", "path-occ");
     for &lambda in path_grid.iter().chain(&grid) {
         let base = fig.model_config(lambda);
-        let path = ModelConfig {
+        let path = NCubeConfig {
             service_model: ServiceTimeModel::PathOccupancy,
             ..base
         };
@@ -102,7 +105,7 @@ fn main() {
     );
     for &lambda in &grid {
         let base = fig.model_config(lambda);
-        let aware = ModelConfig {
+        let aware = NCubeConfig {
             multiplexing: MultiplexingModel::ClassAware,
             ..base
         };

@@ -19,14 +19,14 @@
 //! ```
 
 use kncube_bench::FigureConfig;
-use kncube_core::HotSpotModel;
+use kncube_core::{find_saturation_ncube, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use kncube_traffic::ArrivalProcess;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let fig = FigureConfig::paper(32, 0.2);
-    let sat = kncube_bench::or_exit(kncube_core::find_saturation(
+    let fig = FigureConfig::paper(32, 0.2, false);
+    let sat = kncube_bench::or_exit(find_saturation_ncube(
         fig.model_config(0.0),
         1e-8,
         1e-2,
@@ -55,7 +55,7 @@ fn main() {
     let mut cell = 0u32;
     for f in fractions {
         let lambda = f * sat;
-        let model = HotSpotModel::new(fig.model_config(lambda))
+        let model = NCubeModel::new(fig.model_config(lambda))
             .unwrap()
             .solve()
             .map(|o| format!("{:10.1}", o.latency))

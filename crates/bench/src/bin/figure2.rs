@@ -13,10 +13,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut all_violations = Vec::new();
     for h in [0.2, 0.4, 0.7] {
-        let mut cfg = FigureConfig::paper(100, h);
-        if quick {
-            cfg = cfg.quick();
-        }
+        let cfg = FigureConfig::paper(100, h, quick);
         let rows = or_exit(run_figure(&cfg));
         print_figure(
             &format!("Figure 2, h = {:.0}% (Lm = 100 flits)", h * 100.0),

@@ -15,7 +15,7 @@
 //! cargo run --release -p kncube-bench --bin hypercube [-- --quick]
 //! ```
 
-use kncube_core::{find_saturation, HypercubeModel, ModelConfig};
+use kncube_core::{find_saturation_ncube, HypercubeModel, NCubeConfig};
 use kncube_sim::{SimConfig, Simulator};
 
 fn main() {
@@ -64,8 +64,8 @@ fn main() {
     let hyper256 = HypercubeModel::new(8, 2, 32, 0.0, 0.2)
         .unwrap()
         .saturation_bound();
-    let torus256 = kncube_bench::or_exit(find_saturation(
-        ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2),
+    let torus256 = kncube_bench::or_exit(find_saturation_ncube(
+        NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2),
         1e-8,
         1e-2,
         1e-3,

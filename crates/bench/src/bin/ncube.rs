@@ -3,16 +3,14 @@
 //! ([`kncube_core::NCubeModel`]) against the flit-level simulator over
 //! `(k, n) ∈ {(4,3), (8,3), (4,4), (16,2)}` under hot-spot traffic: three
 //! genuinely 3-/4-dimensional cubes plus the paper's own 256-node torus as
-//! the `n = 2` anchor (where the generalized model is bit-identical to the
-//! 2-D solver).
+//! the `n = 2` anchor.
 //!
 //! ```sh
 //! cargo run --release -p kncube-bench --bin ncube [-- --quick]
 //! ```
 
 use kncube_bench::{
-    check_ncube_figure_shape, or_exit, print_ncube_figure, run_ncube_figure, NCubeFigureConfig,
-    NCUBE_SWEEP,
+    check_figure_shape, or_exit, print_figure, run_figure, FigureConfig, NCUBE_SWEEP,
 };
 
 fn main() {
@@ -20,17 +18,14 @@ fn main() {
     let (lm, h) = (16u32, 0.2f64);
     let mut all_violations = Vec::new();
     for (k, n) in NCUBE_SWEEP {
-        let mut cfg = NCubeFigureConfig::new(k, n, lm, h);
-        if quick {
-            cfg = cfg.quick();
-        }
-        let rows = or_exit(run_ncube_figure(&cfg));
-        print_ncube_figure(
+        let cfg = FigureConfig::ncube(k, n, lm, h, quick);
+        let rows = or_exit(run_figure(&cfg));
+        print_figure(
             &format!("{k}-ary {n}-cube, h = {:.0}% (Lm = {lm} flits)", h * 100.0),
             &cfg,
             &rows,
         );
-        for v in check_ncube_figure_shape(&rows) {
+        for v in check_figure_shape(&rows) {
             all_violations.push(format!("(k={k}, n={n}): {v}"));
         }
     }

@@ -30,7 +30,7 @@ fn sim_saturation(cfg: &FigureConfig, lo0: f64, hi0: f64) -> f64 {
         // throughput, plus a 1.5% systematic allowance for warm-up edge
         // effects.
         let measured_cycles = (report.cycles.saturating_sub(cfg.sim_limits.1)).max(1) as f64;
-        let n = (cfg.k * cfg.k) as f64;
+        let n = cfg.num_nodes() as f64;
         let sigma = (lambda / (measured_cycles * n)).sqrt();
         report.throughput < lambda - (3.0 * sigma + 0.015 * lambda)
     };
@@ -73,14 +73,14 @@ fn main() {
         ]
     };
     for (lm, h) in configs {
-        let mut cfg = FigureConfig::paper(lm, h);
+        let mut cfg = FigureConfig::paper(lm, h, false);
         // Short runs suffice: saturation shows up fast in the queues.
         cfg.sim_limits = if quick {
             (250_000, 25_000, 0)
         } else {
             (600_000, 50_000, 0)
         };
-        let model_sat = kncube_bench::or_exit(kncube_core::find_saturation(
+        let model_sat = kncube_bench::or_exit(kncube_core::find_saturation_ncube(
             cfg.model_config(0.0),
             1e-8,
             1e-2,

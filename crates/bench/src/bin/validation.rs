@@ -13,7 +13,7 @@
 //! ```
 
 use kncube_bench::FigureConfig;
-use kncube_core::HotSpotModel;
+use kncube_core::{find_saturation_ncube, NCubeModel};
 use kncube_sim::Simulator;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         for &v in vs {
             for &lm in lms {
                 for &h in hs {
-                    let mut cfg = FigureConfig::paper(lm, h);
+                    let mut cfg = FigureConfig::paper(lm, h, false);
                     cfg.k = k;
                     cfg.v = v;
                     cfg.seed = kncube_bench::cell_seed(cfg.seed, cell);
@@ -50,14 +50,14 @@ fn main() {
                     } else {
                         (1_500_000, 100_000, 30_000)
                     };
-                    let sat = kncube_bench::or_exit(kncube_core::find_saturation(
+                    let sat = kncube_bench::or_exit(find_saturation_ncube(
                         cfg.model_config(0.0),
                         1e-8,
                         1e-1,
                         1e-3,
                     ));
                     let lambda = 0.4 * sat;
-                    let model = HotSpotModel::new(cfg.model_config(lambda)).unwrap().solve();
+                    let model = NCubeModel::new(cfg.model_config(lambda)).unwrap().solve();
                     let sim = Simulator::new(cfg.sim_config(lambda)).unwrap().run();
                     match model {
                         Ok(m) => {

@@ -13,10 +13,7 @@ pub mod json;
 pub mod queries;
 pub mod stamp;
 
-use kncube_core::{
-    HotSpotModel, ModelConfig, ModelError, ModelOutput, NCubeConfig, NCubeModel, NCubeOutput,
-    SaturationError,
-};
+use kncube_core::{ModelError, NCubeConfig, NCubeModel, NCubeOutput, SaturationError};
 use kncube_sim::{SimConfig, SimReport, Simulator};
 use rayon::prelude::*;
 
@@ -44,240 +41,15 @@ pub fn cell_seed(base: u64, cell: u32) -> u64 {
     kncube_traffic::replication_seed(base, cell)
 }
 
-/// One experimental configuration (a subfigure of the paper).
-#[derive(Clone, Copy, Debug)]
-pub struct FigureConfig {
-    /// Radix of the `k × k` torus.
-    pub k: u32,
-    /// Virtual channels per physical channel.
-    pub v: u32,
-    /// Message length in flits.
-    pub lm: u32,
-    /// Hot-spot fraction.
-    pub h: f64,
-    /// Number of λ points on the curve.
-    pub points: usize,
-    /// Highest λ as a fraction of the model's saturation rate.
-    pub top_fraction: f64,
-    /// Simulator seed.
-    pub seed: u64,
-    /// Simulator limits: (max_cycles, warmup, target messages).
-    pub sim_limits: (u64, u64, u64),
-}
-
-impl FigureConfig {
-    /// The paper's subfigure for `(lm, h)` with tuned run lengths.
-    pub fn paper(lm: u32, h: f64) -> Self {
-        FigureConfig {
-            k: 16,
-            v: 2,
-            lm,
-            h,
-            points: 8,
-            top_fraction: 0.95,
-            seed: 20_050_408, // the conference's opening day
-            sim_limits: (3_000_000, 150_000, 40_000),
-        }
-    }
-
-    /// Quick variant for smoke tests (fewer points, shorter runs).
-    pub fn quick(mut self) -> Self {
-        self.points = 4;
-        self.top_fraction = 0.8;
-        self.sim_limits = (400_000, 40_000, 8_000);
-        self
-    }
-
-    /// The model configuration at rate `lambda`.
-    pub fn model_config(&self, lambda: f64) -> ModelConfig {
-        ModelConfig::paper_validation(self.k, self.v, self.lm, lambda, self.h)
-    }
-
-    /// The simulator configuration at rate `lambda`.
-    pub fn sim_config(&self, lambda: f64) -> SimConfig {
-        let (max_cycles, warmup, target) = self.sim_limits;
-        SimConfig::paper_validation(self.k, self.v, self.lm, lambda, self.h, self.seed)
-            .with_limits(max_cycles, warmup, target)
-    }
-
-    /// The same sweep as a generalized configuration with `n = 2` —
-    /// mirroring `ModelConfig::as_ncube` and `SimConfig::paper_validation`,
-    /// so the grid/print/shape machinery has a single implementation.
-    pub fn as_ncube(&self) -> NCubeFigureConfig {
-        NCubeFigureConfig {
-            k: self.k,
-            n: 2,
-            v: self.v,
-            lm: self.lm,
-            h: self.h,
-            points: self.points,
-            top_fraction: self.top_fraction,
-            seed: self.seed,
-            sim_limits: self.sim_limits,
-        }
-    }
-
-    /// The λ grid: `points` evenly-spaced rates from `λ*/points` to
-    /// `top_fraction · λ*`, where `λ*` is the model's saturation rate —
-    /// the same sweep the paper's figures plot.
-    pub fn lambda_grid(&self) -> Result<Vec<f64>, SaturationError> {
-        self.as_ncube().lambda_grid()
-    }
-}
-
-/// One row of a regenerated figure.
-#[derive(Clone, Debug)]
-pub struct FigureRow {
-    /// Offered traffic (messages/node/cycle).
-    pub lambda: f64,
-    /// The model's prediction.
-    pub model: Result<ModelOutput, ModelError>,
-    /// The simulation measurement.
-    pub sim: SimReport,
-}
-
-impl FigureRow {
-    /// Relative model error vs. simulation, when the model solved.
-    pub fn relative_error(&self) -> Option<f64> {
-        self.model
-            .as_ref()
-            .ok()
-            .map(|m| (m.latency - self.sim.mean_latency) / self.sim.mean_latency)
-    }
-}
-
-/// Regenerate one subfigure: run the model and the simulator over the λ
-/// grid.  Points run in parallel on the pooled rayon workers (the
-/// simulator dominates the cost; the model solve per point is cheap).
-pub fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> {
-    let lambdas = config.lambda_grid()?;
-    Ok(lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let sim = Simulator::new(config.sim_config(lambda))
-                .expect("valid sim config")
-                .run();
-            FigureRow {
-                lambda,
-                model: HotSpotModel::new(config.model_config(lambda)).and_then(|m| m.solve()),
-                sim,
-            }
-        })
-        .collect())
-}
-
-/// Print a figure as an aligned table (and CSV-ish rows for re-plotting).
-pub fn print_figure(title: &str, config: &FigureConfig, rows: &[FigureRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "k={} V={} Lm={} h={:.0}% (seed {})",
-        config.k,
-        config.v,
-        config.lm,
-        config.h * 100.0,
-        config.seed
-    );
-    print_rows(
-        rows.iter()
-            .map(|r| (r.lambda, r.model.as_ref().map(|m| m.latency), &r.sim)),
-    );
-}
-
-/// The shared table body behind [`print_figure`] and
-/// [`print_ncube_figure`].
-fn print_rows<'a>(rows: impl Iterator<Item = (f64, Result<f64, &'a ModelError>, &'a SimReport)>) {
-    println!(
-        "{:>12} {:>12} {:>12} {:>8} {:>8} {:>7}",
-        "traffic", "model", "simulation", "ci95", "err%", "note"
-    );
-    for (lambda, model, sim) in rows {
-        let (model_str, err_str) = match model {
-            Ok(m) => (
-                format!("{m:12.1}"),
-                format!("{:8.1}", (m - sim.mean_latency) / sim.mean_latency * 100.0),
-            ),
-            Err(ModelError::Saturated { .. }) | Err(ModelError::NotConverged) => {
-                ("   saturated".to_string(), "       -".to_string())
-            }
-            Err(e) => (format!("{e}"), "       -".to_string()),
-        };
-        println!(
-            "{lambda:>12.4e} {model_str} {:>12.1} {:>8.1} {err_str} {:>7}",
-            sim.mean_latency,
-            sim.ci_half_width.unwrap_or(f64::NAN),
-            if sim.saturated { "SAT" } else { "" }
-        );
-    }
-}
-
-/// Shape assertions shared by the figure binaries and integration tests:
-/// the paper's headline claims for one regenerated subfigure.
-///
-/// Returns a list of violated claims (empty = all good).
-pub fn check_figure_shape(rows: &[FigureRow]) -> Vec<String> {
-    let points: Vec<(f64, Option<f64>, &SimReport)> = rows
-        .iter()
-        .map(|r| (r.lambda, r.model.as_ref().ok().map(|m| m.latency), &r.sim))
-        .collect();
-    shape_violations(&points)
-}
-
-/// The shared shape claims behind [`check_figure_shape`] and
-/// [`check_ncube_figure_shape`], over `(λ, model latency if solved, sim)`
-/// points in grid order.
-fn shape_violations(points: &[(f64, Option<f64>, &SimReport)]) -> Vec<String> {
-    let mut violations = Vec::new();
-    // Claim 1: at light load (first half of the grid, excluding points the
-    // simulator itself flagged saturated) the model tracks simulation.
-    for &(lambda, model, sim) in points.iter().take(points.len() / 2) {
-        if sim.saturated {
-            continue;
-        }
-        match model {
-            Some(m) => {
-                let err = (m - sim.mean_latency) / sim.mean_latency;
-                if err.abs() > 0.25 {
-                    violations.push(format!(
-                        "light-load error {:.0}% at λ={lambda:.3e}",
-                        err * 100.0
-                    ));
-                }
-            }
-            None => violations.push(format!("model saturated at light load λ={lambda:.3e}")),
-        }
-    }
-    // Claim 2: simulated latency grows monotonically with load (within
-    // noise) — it is a latency/throughput curve.
-    for pair in points.windows(2) {
-        let (a, b) = (pair[0].2, pair[1].2);
-        if a.saturated || b.saturated {
-            continue;
-        }
-        let slack =
-            3.0 * (a.ci_half_width.unwrap_or(0.0) + b.ci_half_width.unwrap_or(0.0)).max(1.0);
-        if b.mean_latency + slack < a.mean_latency {
-            violations.push(format!(
-                "simulated latency decreased: {:.1} → {:.1} between λ={:.3e} and {:.3e}",
-                a.mean_latency, b.mean_latency, pair[0].0, pair[1].0
-            ));
-        }
-    }
-    violations
-}
-
-// ---------------------------------------------------------------------
-// Generalized k-ary n-cube figures
-// ---------------------------------------------------------------------
-
 /// The `(k, n)` pairs the `ncube` experiment sweeps: three genuinely
 /// higher-dimensional cubes plus the paper's 256-node torus as the
 /// `n = 2` anchor.
 pub const NCUBE_SWEEP: [(u32, u32); 4] = [(4, 3), (8, 3), (4, 4), (16, 2)];
 
-/// One experimental configuration of the generalized model-vs-simulator
-/// sweep — [`FigureConfig`] with the dimension count as a parameter.
+/// One experimental configuration: a λ sweep of one `(k, n)` cube, such
+/// as a subfigure of the paper.
 #[derive(Clone, Copy, Debug)]
-pub struct NCubeFigureConfig {
+pub struct FigureConfig {
     /// Radix `k` (nodes per dimension).
     pub k: u32,
     /// Dimension count `n`.
@@ -298,32 +70,54 @@ pub struct NCubeFigureConfig {
     pub sim_limits: (u64, u64, u64),
 }
 
-impl NCubeFigureConfig {
-    /// A `(k, n)` sweep configuration with run lengths sized for cubes up
-    /// to a few hundred nodes.
-    pub fn new(k: u32, n: u32, lm: u32, h: f64) -> Self {
-        NCubeFigureConfig {
-            k,
-            n,
+impl FigureConfig {
+    /// The paper's subfigure for `(lm, h)` on the 16×16 torus with tuned
+    /// run lengths; `quick` shortens it for smoke tests (fewer points,
+    /// shorter runs).
+    pub fn paper(lm: u32, h: f64, quick: bool) -> Self {
+        let (points, top_fraction, sim_limits) = if quick {
+            (4, 0.8, (400_000, 40_000, 8_000))
+        } else {
+            (8, 0.95, (3_000_000, 150_000, 40_000))
+        };
+        FigureConfig {
+            k: 16,
+            n: 2,
             v: 2,
             lm,
             h,
-            points: 6,
-            top_fraction: 0.9,
-            seed: 20_050_408,
-            sim_limits: (1_500_000, 100_000, 20_000),
+            points,
+            top_fraction,
+            seed: 20_050_408, // the conference's opening day
+            sim_limits,
         }
     }
 
-    /// Quick variant for smoke tests (fewer points, shorter runs).
-    pub fn quick(mut self) -> Self {
-        self.points = 3;
-        self.top_fraction = 0.7;
-        self.sim_limits = (300_000, 30_000, 5_000);
-        self
+    /// A `(k, n)` sweep with run lengths sized for cubes up to a few
+    /// hundred nodes (`V` and seed as in [`FigureConfig::paper`]); `quick`
+    /// shortens it for smoke tests.
+    pub fn ncube(k: u32, n: u32, lm: u32, h: f64, quick: bool) -> Self {
+        let (points, top_fraction, sim_limits) = if quick {
+            (3, 0.7, (300_000, 30_000, 5_000))
+        } else {
+            (6, 0.9, (1_500_000, 100_000, 20_000))
+        };
+        FigureConfig {
+            k,
+            n,
+            points,
+            top_fraction,
+            sim_limits,
+            ..Self::paper(lm, h, quick)
+        }
     }
 
-    /// The generalized model configuration at rate `lambda`.
+    /// Node count `N = k^n`.
+    pub fn num_nodes(&self) -> u64 {
+        (self.k as u64).pow(self.n)
+    }
+
+    /// The model configuration at rate `lambda`.
     pub fn model_config(&self, lambda: f64) -> NCubeConfig {
         NCubeConfig::new(self.k, self.n, self.v, self.lm, lambda, self.h)
     }
@@ -335,8 +129,9 @@ impl NCubeFigureConfig {
             .with_limits(max_cycles, warmup, target)
     }
 
-    /// The λ grid: `points` evenly-spaced rates up to
-    /// `top_fraction · λ*` of the generalized model's saturation rate.
+    /// The λ grid: `points` evenly-spaced rates from `top_fraction · λ*/points`
+    /// to `top_fraction · λ*`, where `λ*` is the model's saturation rate —
+    /// the same sweep the paper's figures plot.
     pub fn lambda_grid(&self) -> Result<Vec<f64>, SaturationError> {
         let sat = kncube_core::find_saturation_ncube(self.model_config(0.0), 1e-9, 1e-1, 1e-3)?;
         Ok((1..=self.points)
@@ -345,32 +140,21 @@ impl NCubeFigureConfig {
     }
 }
 
-/// One row of a generalized `(k, n)` figure.
+/// One row of a regenerated figure.
 #[derive(Clone, Debug)]
-pub struct NCubeFigureRow {
+pub struct FigureRow {
     /// Offered traffic (messages/node/cycle).
     pub lambda: f64,
-    /// The generalized model's prediction.
+    /// The model's prediction.
     pub model: Result<NCubeOutput, ModelError>,
     /// The simulation measurement.
     pub sim: SimReport,
 }
 
-impl NCubeFigureRow {
-    /// Relative model error vs. simulation, when the model solved.
-    pub fn relative_error(&self) -> Option<f64> {
-        self.model
-            .as_ref()
-            .ok()
-            .map(|m| (m.latency - self.sim.mean_latency) / self.sim.mean_latency)
-    }
-}
-
-/// Run the generalized model and the simulator over the λ grid of one
-/// `(k, n)` configuration, in parallel on the pooled rayon workers.
-pub fn run_ncube_figure(
-    config: &NCubeFigureConfig,
-) -> Result<Vec<NCubeFigureRow>, SaturationError> {
+/// Regenerate one figure: run the model and the simulator over the λ
+/// grid.  Points run in parallel on the pooled rayon workers (the
+/// simulator dominates the cost; the model solve per point is cheap).
+pub fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> {
     let lambdas = config.lambda_grid()?;
     Ok(lambdas
         .par_iter()
@@ -378,7 +162,7 @@ pub fn run_ncube_figure(
             let sim = Simulator::new(config.sim_config(lambda))
                 .expect("valid sim config")
                 .run();
-            NCubeFigureRow {
+            FigureRow {
                 lambda,
                 model: NCubeModel::new(config.model_config(lambda)).and_then(|m| m.solve()),
                 sim,
@@ -387,32 +171,94 @@ pub fn run_ncube_figure(
         .collect())
 }
 
-/// Print a generalized figure as an aligned table.
-pub fn print_ncube_figure(title: &str, config: &NCubeFigureConfig, rows: &[NCubeFigureRow]) {
+/// Print a figure as an aligned table (and CSV-ish rows for re-plotting).
+pub fn print_figure(title: &str, config: &FigureConfig, rows: &[FigureRow]) {
     println!("\n=== {title} ===");
     println!(
         "k={} n={} (N={}) V={} Lm={} h={:.0}% (seed {})",
         config.k,
         config.n,
-        (config.k as u64).pow(config.n),
+        config.num_nodes(),
         config.v,
         config.lm,
         config.h * 100.0,
         config.seed
     );
-    print_rows(
-        rows.iter()
-            .map(|r| (r.lambda, r.model.as_ref().map(|m| m.latency), &r.sim)),
+    println!(
+        "{:>12} {:>12} {:>12} {:>8} {:>8} {:>7}",
+        "traffic", "model", "simulation", "ci95", "err%", "note"
     );
+    for row in rows {
+        let sim = &row.sim;
+        let (model_str, err_str) = match &row.model {
+            Ok(m) => (
+                format!("{:12.1}", m.latency),
+                format!(
+                    "{:8.1}",
+                    (m.latency - sim.mean_latency) / sim.mean_latency * 100.0
+                ),
+            ),
+            Err(ModelError::Saturated { .. }) | Err(ModelError::NotConverged) => {
+                ("   saturated".to_string(), "       -".to_string())
+            }
+            Err(e) => (format!("{e}"), "       -".to_string()),
+        };
+        println!(
+            "{:>12.4e} {model_str} {:>12.1} {:>8.1} {err_str} {:>7}",
+            row.lambda,
+            sim.mean_latency,
+            sim.ci_half_width.unwrap_or(f64::NAN),
+            if sim.saturated { "SAT" } else { "" }
+        );
+    }
 }
 
-/// [`check_figure_shape`] for the generalized `(k, n)` sweeps.
-pub fn check_ncube_figure_shape(rows: &[NCubeFigureRow]) -> Vec<String> {
-    let points: Vec<(f64, Option<f64>, &SimReport)> = rows
-        .iter()
-        .map(|r| (r.lambda, r.model.as_ref().ok().map(|m| m.latency), &r.sim))
-        .collect();
-    shape_violations(&points)
+/// Shape assertions shared by the figure binaries and integration tests:
+/// the paper's headline claims for one regenerated figure.
+///
+/// Returns a list of violated claims (empty = all good).
+pub fn check_figure_shape(rows: &[FigureRow]) -> Vec<String> {
+    let mut violations = Vec::new();
+    // Claim 1: at light load (first half of the grid, excluding points the
+    // simulator itself flagged saturated) the model tracks simulation.
+    for row in rows.iter().take(rows.len() / 2) {
+        if row.sim.saturated {
+            continue;
+        }
+        match &row.model {
+            Ok(m) => {
+                let err = (m.latency - row.sim.mean_latency) / row.sim.mean_latency;
+                if err.abs() > 0.25 {
+                    violations.push(format!(
+                        "light-load error {:.0}% at λ={:.3e}",
+                        err * 100.0,
+                        row.lambda
+                    ));
+                }
+            }
+            Err(_) => violations.push(format!(
+                "model saturated at light load λ={:.3e}",
+                row.lambda
+            )),
+        }
+    }
+    // Claim 2: simulated latency grows monotonically with load (within
+    // noise) — it is a latency/throughput curve.
+    for pair in rows.windows(2) {
+        let (a, b) = (&pair[0].sim, &pair[1].sim);
+        if a.saturated || b.saturated {
+            continue;
+        }
+        let slack =
+            3.0 * (a.ci_half_width.unwrap_or(0.0) + b.ci_half_width.unwrap_or(0.0)).max(1.0);
+        if b.mean_latency + slack < a.mean_latency {
+            violations.push(format!(
+                "simulated latency decreased: {:.1} → {:.1} between λ={:.3e} and {:.3e}",
+                a.mean_latency, b.mean_latency, pair[0].lambda, pair[1].lambda
+            ));
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -421,7 +267,7 @@ mod tests {
 
     #[test]
     fn lambda_grid_is_increasing_and_below_saturation() {
-        let cfg = FigureConfig::paper(32, 0.2);
+        let cfg = FigureConfig::paper(32, 0.2, false);
         let grid = cfg.lambda_grid().expect("paper config saturates");
         assert_eq!(grid.len(), cfg.points);
         for pair in grid.windows(2) {
@@ -431,7 +277,7 @@ mod tests {
         // last point (at 95% of λ* it should still solve).
         for &l in &grid {
             assert!(
-                HotSpotModel::new(cfg.model_config(l))
+                NCubeModel::new(cfg.model_config(l))
                     .unwrap()
                     .solve()
                     .is_ok(),
@@ -442,7 +288,7 @@ mod tests {
 
     #[test]
     fn quick_figure_run_has_sane_shape() {
-        let cfg = FigureConfig::paper(16, 0.3).quick();
+        let cfg = FigureConfig::paper(16, 0.3, true);
         let rows = run_figure(&cfg).expect("paper config saturates");
         assert_eq!(rows.len(), cfg.points);
         let violations = check_figure_shape(&rows);
@@ -451,7 +297,7 @@ mod tests {
 
     #[test]
     fn ncube_grid_is_solvable_below_saturation() {
-        let cfg = NCubeFigureConfig::new(4, 3, 16, 0.3);
+        let cfg = FigureConfig::ncube(4, 3, 16, 0.3, false);
         let grid = cfg.lambda_grid().expect("hot-spot cubes saturate");
         assert_eq!(grid.len(), cfg.points);
         for pair in grid.windows(2) {
@@ -470,10 +316,45 @@ mod tests {
 
     #[test]
     fn quick_ncube_figure_run_has_sane_shape() {
-        let cfg = NCubeFigureConfig::new(4, 3, 8, 0.3).quick();
-        let rows = run_ncube_figure(&cfg).expect("hot-spot cubes saturate");
+        let cfg = FigureConfig::ncube(4, 3, 8, 0.3, true);
+        let rows = run_figure(&cfg).expect("hot-spot cubes saturate");
         assert_eq!(rows.len(), cfg.points);
-        let violations = check_ncube_figure_shape(&rows);
+        let violations = check_figure_shape(&rows);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn paper_preset_keeps_its_full_and_quick_grids() {
+        for (quick, points, top, limits) in [
+            (false, 8, 0.95, (3_000_000, 150_000, 40_000)),
+            (true, 4, 0.8, (400_000, 40_000, 8_000)),
+        ] {
+            let cfg = FigureConfig::paper(100, 0.7, quick);
+            assert_eq!((cfg.k, cfg.n, cfg.v, cfg.lm, cfg.h), (16, 2, 2, 100, 0.7));
+            assert_eq!(
+                (cfg.points, cfg.top_fraction, cfg.sim_limits),
+                (points, top, limits)
+            );
+            assert_eq!(cfg.seed, 20_050_408);
+            assert_eq!(cfg.num_nodes(), 256);
+        }
+    }
+
+    #[test]
+    fn ncube_preset_keeps_its_full_and_quick_grids() {
+        for (quick, points, top, limits) in [
+            (false, 6, 0.9, (1_500_000, 100_000, 20_000)),
+            (true, 3, 0.7, (300_000, 30_000, 5_000)),
+        ] {
+            let cfg = FigureConfig::ncube(8, 3, 16, 0.2, quick);
+            assert_eq!((cfg.k, cfg.n, cfg.v, cfg.lm, cfg.h), (8, 3, 2, 16, 0.2));
+            assert_eq!(
+                (cfg.points, cfg.top_fraction, cfg.sim_limits),
+                (points, top, limits)
+            );
+            assert_eq!(cfg.seed, 20_050_408);
+            assert_eq!(cfg.num_nodes(), 512);
+            assert_eq!(cfg.sim_config(1e-4).n, 3);
+        }
     }
 }

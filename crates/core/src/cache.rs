@@ -29,8 +29,11 @@
 //! lock is held only for lookups and inserts, never across a solve.
 
 use crate::faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
-use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-use crate::solver::ModelError;
+use crate::ncube::{
+    ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
+    ServiceTimeModel,
+};
+use kncube_topology::FaultSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,9 +61,9 @@ struct CacheKey {
     lm: u32,
     lambda_bits: u64,
     h_bits: u64,
-    variant: crate::solver::ModelVariant,
-    service: crate::solver::ServiceTimeModel,
-    multiplexing: crate::solver::MultiplexingModel,
+    variant: ModelVariant,
+    service: ServiceTimeModel,
+    multiplexing: MultiplexingModel,
     max_iterations: usize,
     tolerance_bits: u64,
     damping_bits: u64,
@@ -89,7 +92,7 @@ impl CacheKey {
 
 /// The exact-match key of one faulty-network lattice configuration: the
 /// key of the model it solves plus the `λ` it solves at.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct FaultyCacheKey {
     model: FaultyModelKey,
     lambda_bits: u64,
@@ -99,7 +102,7 @@ impl FaultyCacheKey {
     fn of(cfg: &FaultyNCubeConfig) -> Self {
         FaultyCacheKey {
             model: FaultyModelKey {
-                fault_fingerprint: cfg.faults.fingerprint(),
+                faults: cfg.faults.clone(),
                 hot_node: cfg.hot_node.0,
                 v: cfg.virtual_channels,
                 lm: cfg.message_length,
@@ -113,21 +116,19 @@ impl FaultyCacheKey {
 
 /// Everything a built [`FaultyNCubeModel`] depends on: every knob but `λ`.
 ///
-/// The fault set enters through [`FaultSet::fingerprint`], which digests
-/// the failed-element bitmaps *and* the topology (k, n, link kind,
-/// boundary): two different fault sets — even with identical failure
-/// counts on the same geometry — can never alias, and neither can the
-/// same fault pattern on different topologies.
-///
-/// [`FaultSet::fingerprint`]: kncube_topology::FaultSet::fingerprint
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// The fault set enters whole, compared on the failed-element bitmaps
+/// *and* the topology (k, n, link kind, boundary): two different fault
+/// sets — even with identical failure counts on the same geometry — can
+/// never alias, and neither can the same fault pattern on different
+/// topologies.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct FaultyModelKey {
-    fault_fingerprint: u64,
+    faults: FaultSet,
     hot_node: u32,
     v: u32,
     lm: u32,
     h_bits: u64,
-    multiplexing: crate::solver::MultiplexingModel,
+    multiplexing: MultiplexingModel,
 }
 
 #[derive(Clone)]
@@ -140,7 +141,7 @@ struct CacheEntry {
 /// A thread-safe memo of [`NCubeModel`] solves over the quantization
 /// lattice, with hit/miss accounting.  Faulty-network solves
 /// ([`SolveCache::solve_faulty`]) share the hit/miss counters but live in
-/// their own keyspace, keyed by the fault-set fingerprint.
+/// their own keyspace, keyed by the fault set itself.
 #[derive(Default)]
 pub struct SolveCache {
     map: Mutex<HashMap<CacheKey, CacheEntry>>,
@@ -225,15 +226,13 @@ impl SolveCache {
     }
 
     /// Solve the quantized image of a faulty-network configuration,
-    /// consulting the cache first.  The key includes the fault-set
-    /// fingerprint, so two different [`FaultSet`]s never share an entry
-    /// even when every scalar knob coincides.
+    /// consulting the cache first.  The key includes the fault set, so two
+    /// different [`FaultSet`]s never share an entry even when every scalar
+    /// knob coincides.
     ///
     /// A miss that differs from the last built model only in `λ` re-solves
     /// that model ([`FaultyNCubeModel::solve_at`], bit-identical to a fresh
     /// build) instead of rebuilding its router and rates.
-    ///
-    /// [`FaultSet`]: kncube_topology::FaultSet
     pub fn solve_faulty(&self, cfg: &FaultyNCubeConfig) -> Result<FaultyNCubeOutput, ModelError> {
         let snapped = Self::quantize_faulty(cfg);
         let key = FaultyCacheKey::of(&snapped);
@@ -244,7 +243,7 @@ impl SolveCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let lambda = snapped.lambda;
         let output = self
-            .faulty_model(snapped, key.model)
+            .faulty_model(snapped, &key.model)
             .and_then(|model| model.solve_at(lambda));
         // First insert wins on a miss race, as for the fault-free map.
         self.faulty_map
@@ -260,16 +259,16 @@ impl SolveCache {
     fn faulty_model(
         &self,
         snapped: FaultyNCubeConfig,
-        key: FaultyModelKey,
+        key: &FaultyModelKey,
     ) -> Result<Arc<FaultyNCubeModel>, ModelError> {
         let poisoned = "faulty model slot poisoned";
         if let Some((k, model)) = &*self.faulty_model.lock().expect(poisoned) {
-            if *k == key {
+            if k == key {
                 return Ok(Arc::clone(model));
             }
         }
         let model = Arc::new(FaultyNCubeModel::new(snapped)?);
-        *self.faulty_model.lock().expect(poisoned) = Some((key, Arc::clone(&model)));
+        *self.faulty_model.lock().expect(poisoned) = Some((key.clone(), Arc::clone(&model)));
         Ok(model)
     }
 
@@ -302,7 +301,6 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::ServiceTimeModel;
 
     #[test]
     fn hit_returns_the_exact_solution_of_the_quantized_config() {
@@ -380,7 +378,7 @@ mod tests {
 
     #[test]
     fn faulty_entries_never_alias_across_distinct_fault_sets() {
-        // Regression: with the fault-set fingerprint missing from the key,
+        // Regression: with the fault set missing from the key,
         // two *different* fault sets with identical scalar knobs (same
         // topology, counts, λ, h, V, Lm) would silently share one entry —
         // the second lookup would return the first set's latency.  Both
@@ -542,5 +540,139 @@ mod tests {
             warm = state;
         }
         assert_eq!(cache.misses(), 10);
+    }
+
+    /// Chain `configs` through a fresh cache's warm-start path, the way the
+    /// query engine walks a batch.
+    fn chained(configs: &[NCubeConfig]) -> Vec<Result<NCubeOutput, ModelError>> {
+        let cache = SolveCache::new();
+        let mut warm: Option<Vec<f64>> = None;
+        configs
+            .iter()
+            .map(|cfg| {
+                let (out, state) = cache.solve_with_warm(cfg, warm.as_deref());
+                warm = state;
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn continuation_cuts_iterations_under_the_iterative_ablation() {
+        // The payoff regime is the near-saturation band: Picard's
+        // contraction rate degrades towards 1 as λ → λ*, so cold solves
+        // there cost hundreds of iterations while the accelerated warm
+        // chain stays flat.  (Far below saturation Picard converges in a
+        // handful of iterations and continuation saves only ~20%.)
+        use kncube_queueing::fixed_point::Acceleration;
+        let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
+        base.service_model = ServiceTimeModel::PathOccupancy;
+        let sat = crate::find_saturation_ncube(base, 1e-9, 1e-1, 1e-6).unwrap();
+        let points = 32usize;
+        let configs: Vec<NCubeConfig> = (0..points)
+            .map(|i| NCubeConfig {
+                lambda: sat * (0.98 + (0.9999 - 0.98) * i as f64 / (points - 1) as f64),
+                ..base
+            })
+            .collect();
+        let cold: usize = configs
+            .iter()
+            .map(|c| {
+                NCubeModel::new(SolveCache::quantize(c))
+                    .unwrap()
+                    .solve()
+                    .unwrap()
+                    .iterations
+            })
+            .sum();
+        // Plain continuation helps, but acceleration is what collapses the
+        // slow near-saturation modes; together they are the query engine's
+        // batch path.
+        let iterations = |results: Vec<Result<NCubeOutput, ModelError>>| -> usize {
+            results.into_iter().map(|r| r.unwrap().iterations).sum()
+        };
+        let warm_plain = iterations(chained(&configs));
+        assert!(
+            warm_plain < cold,
+            "continuation alone regressed: {warm_plain} vs {cold} iterations"
+        );
+        let mut accel = configs.clone();
+        for c in &mut accel {
+            c.options.acceleration = Acceleration::Anderson { depth: 4 };
+        }
+        let warm = iterations(chained(&accel));
+        assert!(
+            warm * 3 < cold,
+            "accelerated continuation saved too little: {warm} vs {cold} iterations"
+        );
+    }
+
+    #[test]
+    fn continuation_restarts_across_geometry_changes() {
+        // A chain that changes (k, n) mid-way must still solve every point
+        // correctly: the warm state is dropped when its shape changes.
+        let configs = [
+            NCubeConfig::new(8, 3, 2, 16, 2e-5, 0.3),
+            NCubeConfig::new(8, 3, 2, 16, 3e-5, 0.3),
+            NCubeConfig::new(4, 4, 2, 16, 2e-5, 0.3),
+            NCubeConfig::new(4, 4, 2, 16, 3e-5, 0.3),
+        ];
+        for (cfg, got) in configs.iter().zip(chained(&configs)) {
+            let cold = NCubeModel::new(SolveCache::quantize(cfg))
+                .unwrap()
+                .solve()
+                .unwrap();
+            let got = got.expect("all points solvable");
+            assert_eq!(cold.latency.to_bits(), got.latency.to_bits());
+        }
+    }
+
+    #[test]
+    fn continued_curve_matches_the_cold_curve() {
+        // The default service model's fixed point is reached exactly from
+        // any start, so a warm chain over 40 rates agrees bitwise with cold
+        // solves of the same (quantized) points.
+        let base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
+        let configs: Vec<NCubeConfig> = (1..=40)
+            .map(|i| NCubeConfig {
+                lambda: i as f64 * 2e-6,
+                ..base
+            })
+            .collect();
+        for (cfg, warm) in configs.iter().zip(chained(&configs)) {
+            let cold = NCubeModel::new(SolveCache::quantize(cfg)).unwrap().solve();
+            match (cold, warm) {
+                (Ok(a), Ok(b)) => assert_eq!(a.latency.to_bits(), b.latency.to_bits()),
+                (Err(_), Err(_)) => {}
+                other => panic!("solvability mismatch at λ={}: {other:?}", cfg.lambda),
+            }
+        }
+    }
+
+    #[test]
+    fn faulty_entries_never_alias_across_topologies() {
+        // The same failed router on two geometries with identical scalar
+        // knobs: distinct fault sets, so distinct entries and answers.
+        use kncube_topology::{FaultSet, KAryNCube, NodeId};
+        let cache = SolveCache::new();
+        let mut answers = Vec::new();
+        for topo in [
+            KAryNCube::bidirectional(4, 2).unwrap(),
+            KAryNCube::mesh(4, 2).unwrap(),
+        ] {
+            let mut faults = FaultSet::none(topo);
+            faults.fail_node(NodeId(5));
+            let cfg = FaultyNCubeConfig::new(faults, 2, 16, 2e-3, 0.2);
+            let got = cache.solve_faulty(&cfg).unwrap();
+            let direct = FaultyNCubeModel::new(SolveCache::quantize_faulty(&cfg))
+                .unwrap()
+                .solve()
+                .unwrap();
+            assert_eq!(got.latency.to_bits(), direct.latency.to_bits());
+            answers.push(got.latency);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.faulty_len(), 2);
+        assert_ne!(answers[0].to_bits(), answers[1].to_bits());
     }
 }

@@ -39,10 +39,9 @@
 //! its output bit-for-bit; [`FaultyNCubeModel::solve_general`] forces the
 //! per-channel path for cross-validation.
 
-use crate::ncube::{NCubeConfig, NCubeModel};
+use crate::ncube::{ModelError, MultiplexingModel, NCubeConfig, NCubeModel, RHO_CAP};
 use crate::rates::FaultyChannelRates;
-use crate::solver::{ModelError, MultiplexingModel, RHO_CAP};
-use crate::sweep::{SaturationError, SaturationReport};
+use crate::sweep::{bisect_saturation, SaturationError, SaturationReport};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
@@ -254,12 +253,6 @@ impl FaultyNCubeModel {
         }
     }
 
-    /// The headline number: mean delivered-message latency at the
-    /// configured `λ`.
-    pub fn mean_latency(&self) -> Result<f64, ModelError> {
-        self.solve().map(|out| out.latency)
-    }
-
     /// Latency at `λ → 0`: `Lm` plus the delivered-traffic-weighted mean
     /// surviving distance (NaN-free; a zero-load network cannot
     /// saturate).
@@ -270,16 +263,34 @@ impl FaultyNCubeModel {
     }
 
     /// Find the saturation rate `λ*` by bisection on solvability, exactly
-    /// as [`find_saturation_ncube_report`](crate::sweep) does for the
-    /// fault-free model.  Delegates to
-    /// [`find_saturation_faulty_report`](crate::sweep::find_saturation_faulty_report).
+    /// as [`find_saturation_ncube_report`](crate::find_saturation_ncube_report)
+    /// does for the fault-free model.  The per-channel path is
+    /// non-iterative (each solvable probe counts one iteration); the
+    /// delegated fault-free path reports the closed-form solver's
+    /// converged iteration counts.
     pub fn saturation(
         &self,
         lo: f64,
         hi: f64,
         rel_tol: f64,
     ) -> Result<SaturationReport, SaturationError> {
-        crate::sweep::find_saturation_faulty_report(self, lo, hi, rel_tol)
+        let mut probes = 0usize;
+        let mut iterations = 0usize;
+        let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
+            probes += 1;
+            match self.solve_at(lambda) {
+                Ok(out) => {
+                    iterations += out.iterations;
+                    true
+                }
+                Err(_) => false,
+            }
+        })?;
+        Ok(SaturationReport {
+            lambda_star,
+            probes,
+            solver_iterations: iterations,
+        })
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -515,7 +526,7 @@ mod tests {
         // stays within a few percent.
         let topo = KAryNCube::unidirectional(8, 2).unwrap();
         let cfg = NCubeConfig::new(8, 2, 2, 16, 0.0, 0.2);
-        let sat = crate::sweep::find_saturation_ncube(cfg, 1e-9, 1e-2, 1e-3).unwrap();
+        let sat = crate::find_saturation_ncube(cfg, 1e-9, 1e-2, 1e-3).unwrap();
         for frac in [0.05, 0.3, 0.5] {
             let lambda = frac * sat;
             let plain = NCubeModel::new(NCubeConfig { lambda, ..cfg })
@@ -695,5 +706,30 @@ mod tests {
             ok(FaultyNCubeConfig::new(empty(topo), 2, 16, 1e-4, 0.2).with_hot_node(NodeId(16))),
             Err(ModelError::BadConfig(_))
         ));
+    }
+
+    #[test]
+    fn delegated_saturation_matches_the_closed_form_search() {
+        // On the empty uni torus every probe delegates to the closed-form
+        // model, so the bisection lands on the same λ* bit for bit.
+        let topo = KAryNCube::unidirectional(8, 2).unwrap();
+        let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(
+            FaultSet::none(topo),
+            2,
+            16,
+            0.0,
+            0.3,
+        ))
+        .unwrap();
+        let faulty = model.saturation(1e-9, 1e-2, 1e-3).unwrap();
+        let closed = crate::find_saturation_ncube_report(
+            NCubeConfig::new(8, 2, 2, 16, 0.0, 0.3),
+            1e-9,
+            1e-2,
+            1e-3,
+        )
+        .unwrap();
+        assert_eq!(faulty.lambda_star.to_bits(), closed.lambda_star.to_bits());
+        assert_eq!(faulty.probes, closed.probes);
     }
 }

@@ -52,13 +52,10 @@
 //! Because the `Lm + 1` service time is load-independent, everything
 //! evaluates in closed form — no fixed-point iteration is needed.
 
-use crate::solver::ModelError;
+use crate::ncube::{ModelError, RHO_CAP};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
-
-/// Utilization cap mirroring the torus solver's.
-const RHO_CAP: f64 = 1.0 - 1e-7;
 
 /// Hot-spot latency model for the `n`-dimensional binary hypercube.
 ///
@@ -398,8 +395,8 @@ mod tests {
         let hyper = HypercubeModel::new(8, 2, 32, 0.0, 0.2)
             .unwrap()
             .saturation_bound();
-        let torus = crate::sweep::find_saturation(
-            crate::ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2),
+        let torus = crate::sweep::find_saturation_ncube(
+            crate::NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2),
             1e-8,
             1e-2,
             1e-3,

@@ -103,80 +103,6 @@ impl NCubeRates {
     }
 }
 
-/// The paper's 2-D rates (Eqs. 1–9 as printed): the `n = 2` specialization
-/// of [`NCubeRates`] under the paper's x/y naming.
-#[derive(Clone, Copy, Debug)]
-pub struct Rates {
-    inner: NCubeRates,
-}
-
-impl Rates {
-    /// Rates for a `k × k` unidirectional torus with per-node generation
-    /// rate `lambda` and hot fraction `hot_fraction`.
-    pub fn new(k: u32, lambda: f64, hot_fraction: f64) -> Self {
-        Rates {
-            inner: NCubeRates::new(k, 2, lambda, hot_fraction),
-        }
-    }
-
-    /// Eq. (1): mean channels crossed per dimension by a regular message,
-    /// `k̄ = (k-1)/2`.
-    pub fn mean_hops_per_dim(&self) -> f64 {
-        self.inner.mean_hops_per_dim()
-    }
-
-    /// Eq. (2): mean channels crossed in the whole 2-D network,
-    /// `d̄ = 2 k̄`.
-    pub fn mean_hops_total(&self) -> f64 {
-        self.inner.mean_hops_total()
-    }
-
-    /// Eq. (3): regular traffic rate on any channel of either dimension,
-    /// `λ_r = λ (1-h) k̄`.
-    pub fn regular_channel_rate(&self) -> f64 {
-        self.inner.regular_channel_rate()
-    }
-
-    /// Eqs. (4) & (6): hot-spot traffic rate on an x-channel `j` hops from
-    /// the hot y-ring (`1 <= j <= k`): `λ^h_x,j = N λ h P_hx,j = λ h (k-j)`.
-    pub fn hot_rate_x(&self, j: u32) -> f64 {
-        self.inner.hot_rate(0, j)
-    }
-
-    /// Eqs. (5) & (7): hot-spot traffic rate on the hot-y-ring channel `j`
-    /// hops from the hot node (`1 <= j <= k`):
-    /// `λ^h_y,j = N λ h P_hy,j = λ h k (k-j)`.
-    pub fn hot_rate_y(&self, j: u32) -> f64 {
-        self.inner.hot_rate(1, j)
-    }
-
-    /// Eq. (8): total rate on an x-channel `j` hops from the hot y-ring.
-    pub fn total_rate_x(&self, j: u32) -> f64 {
-        self.inner.total_rate(0, j)
-    }
-
-    /// Eq. (9): total rate on the hot-y-ring channel `j` hops from the hot
-    /// node.
-    pub fn total_rate_y(&self, j: u32) -> f64 {
-        self.inner.total_rate(1, j)
-    }
-
-    /// The radix.
-    pub fn k(&self) -> u32 {
-        self.inner.k()
-    }
-
-    /// Per-node generation rate `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.inner.lambda()
-    }
-
-    /// Hot fraction `h`.
-    pub fn hot_fraction(&self) -> f64 {
-        self.inner.hot_fraction()
-    }
-}
-
 /// Per-channel traffic rates of a *faulty* (or bidirectional / mesh)
 /// network, computed by exact route enumeration over the surviving paths
 /// of a [`FaultRouter`] instead of the closed forms above.
@@ -308,37 +234,37 @@ mod tests {
 
     #[test]
     fn mean_hops_eq1_eq2() {
-        let r = Rates::new(16, 1e-4, 0.2);
+        let r = NCubeRates::new(16, 2, 1e-4, 0.2);
         assert_eq!(r.mean_hops_per_dim(), 7.5);
         assert_eq!(r.mean_hops_total(), 15.0);
     }
 
     #[test]
     fn regular_rate_eq3() {
-        let r = Rates::new(16, 4e-4, 0.25);
+        let r = NCubeRates::new(16, 2, 4e-4, 0.25);
         let expected = 4e-4 * 0.75 * 7.5;
         assert!((r.regular_channel_rate() - expected).abs() < 1e-15);
     }
 
     #[test]
     fn hot_rates_vanish_at_j_equals_k() {
-        let r = Rates::new(8, 1e-3, 0.5);
-        assert_eq!(r.hot_rate_x(8), 0.0);
-        assert_eq!(r.hot_rate_y(8), 0.0);
+        let r = NCubeRates::new(8, 2, 1e-3, 0.5);
+        assert_eq!(r.hot_rate(0, 8), 0.0);
+        assert_eq!(r.hot_rate(1, 8), 0.0);
     }
 
     #[test]
     fn hot_rates_peak_next_to_hot_node() {
-        let r = Rates::new(8, 1e-3, 0.5);
+        let r = NCubeRates::new(8, 2, 1e-3, 0.5);
         for j in 1..8 {
-            assert!(r.hot_rate_y(j) > r.hot_rate_y(j + 1));
-            assert!(r.hot_rate_x(j) > r.hot_rate_x(j + 1));
+            assert!(r.hot_rate(1, j) > r.hot_rate(1, j + 1));
+            assert!(r.hot_rate(0, j) > r.hot_rate(0, j + 1));
         }
         // The last hop into the hot node carries h·λ·k(k-1): all hot
         // traffic except what is generated inside the hot node's column at
         // distance 0 — i.e. everything but the hot node itself, spread per
         // Poisson splitting.
-        assert!((r.hot_rate_y(1) - 1e-3 * 0.5 * 56.0).abs() < 1e-15);
+        assert!((r.hot_rate(1, 1) - 1e-3 * 0.5 * 56.0).abs() < 1e-15);
     }
 
     #[test]
@@ -348,30 +274,38 @@ mod tests {
         // λh Σ_j k(k-j) = λh k·k(k-1)/2 = N λh k̄', matching (N-1)-ish
         // sources each crossing their y-distance. The identity checked here
         // is the closed form Σ_{j=1}^{k} k(k-j) = k²(k-1)/2.
-        let r = Rates::new(10, 2e-3, 0.3);
-        let total: f64 = (1..=10).map(|j| r.hot_rate_y(j)).sum();
+        let r = NCubeRates::new(10, 2, 2e-3, 0.3);
+        let total: f64 = (1..=10).map(|j| r.hot_rate(1, j)).sum();
         let expected = 2e-3 * 0.3 * (100.0 * 9.0 / 2.0);
         assert!((total - expected).abs() < 1e-12);
     }
 
     #[test]
     fn zero_hot_fraction_means_uniform_only() {
-        let r = Rates::new(16, 1e-4, 0.0);
+        let r = NCubeRates::new(16, 2, 1e-4, 0.0);
         for j in 1..=16 {
-            assert_eq!(r.hot_rate_x(j), 0.0);
-            assert_eq!(r.hot_rate_y(j), 0.0);
-            assert!((r.total_rate_x(j) - r.regular_channel_rate()).abs() < 1e-18);
+            assert_eq!(r.hot_rate(0, j), 0.0);
+            assert_eq!(r.hot_rate(1, j), 0.0);
+            assert!((r.total_rate(0, j) - r.regular_channel_rate()).abs() < 1e-18);
         }
     }
 
     #[test]
     fn ncube_rates_specialize_to_the_2d_forms() {
-        let g = NCubeRates::new(12, 2, 3e-4, 0.35);
-        let r = Rates::new(12, 3e-4, 0.35);
-        assert_eq!(g.regular_channel_rate(), r.regular_channel_rate());
-        for j in 1..=12 {
-            assert_eq!(g.hot_rate(0, j), r.hot_rate_x(j));
-            assert_eq!(g.hot_rate(1, j), r.hot_rate_y(j));
+        // At n = 2 the generalized rates are the paper's printed Eqs. 4-7:
+        // λ^h_x,j = λh(k-j) on x channels, λ^h_y,j = λhk(k-j) on the hot
+        // y-ring.
+        let (k, lambda, h) = (12u32, 3e-4, 0.35);
+        let g = NCubeRates::new(k, 2, lambda, h);
+        assert_eq!(
+            g.regular_channel_rate(),
+            lambda * (1.0 - h) * (k as f64 - 1.0) / 2.0
+        );
+        for j in 1..=k {
+            let x = lambda * h * (k - j) as f64;
+            let y = lambda * h * (k * (k - j)) as f64;
+            assert!((g.hot_rate(0, j) - x).abs() <= 1e-15 * x.max(1.0));
+            assert!((g.hot_rate(1, j) - y).abs() <= 1e-15 * y.max(1.0));
         }
     }
 

@@ -1,134 +1,17 @@
-//! Load sweeps, warm-started continuation, and saturation search.
+//! Saturation search: the largest rate `λ*` at which a model still has a
+//! solution, found by bisection on solvability.
 //!
-//! The figures of the paper are latency-vs-λ curves.  This module sweeps
-//! the model across a λ grid and finds the saturation rate `λ*` by
-//! bisection on model solvability.  Sweep points are independent, so the
-//! sweep runs as a rayon parallel map: a bounded worker pool of at most
-//! `available_parallelism()` threads, not one OS thread per λ point —
-//! this is the hot path of every figure binary, where grids can reach
-//! hundreds of points.
+//! Neighbouring bisection probes have *nearby fixed points*, so
+//! [`find_saturation_ncube_report`] warm-starts each probe from the last
+//! solvable probe's converged state ([`NCubeModel::solve_warm`]) and
+//! surfaces the probe/iteration counts.  The faulty-network model runs the
+//! same bisection through [`FaultyNCubeModel::saturation`].
 //!
-//! Neighbouring grid points also have *nearby fixed points*, which the
-//! cold sweeps ignore.  The continuation entry points
-//! ([`solve_continued`], [`ncube_latency_curve_continued`]) exploit it:
-//! each solve is warm-started from the previous converged state
-//! ([`NCubeModel::solve_warm`]).  Combined with Anderson acceleration
-//! (`Acceleration::Anderson` in the config's solver options) this cuts
-//! the mean iteration count several-fold under the iterative service
-//! model, most dramatically near saturation where plain Picard slows to
-//! hundreds of iterations per point.
-//! [`find_saturation_ncube_report`] threads the same warm state through
-//! the bisection probes and surfaces the probe/iteration counts that the
-//! plain `find_saturation*` wrappers used to discard.
+//! [`FaultyNCubeModel::saturation`]: crate::FaultyNCubeModel::saturation
 
-use crate::faulty::{FaultyNCubeModel, FaultyNCubeOutput};
-use crate::ncube::{NCubeConfig, NCubeModel, NCubeOutput};
-use crate::solver::{HotSpotModel, ModelConfig, ModelError, ModelOutput};
-use rayon::prelude::*;
+use crate::ncube::{NCubeConfig, NCubeModel};
 
-/// One point of a latency curve.
-#[derive(Clone, Debug)]
-pub struct CurvePoint {
-    /// The per-node generation rate of this point.
-    pub lambda: f64,
-    /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<ModelOutput, ModelError>,
-}
-
-/// Evaluate the model at each `lambda`, in parallel on the pooled worker
-/// threads.  Points come back in input order.
-pub fn latency_curve(base: ModelConfig, lambdas: &[f64]) -> Vec<CurvePoint> {
-    lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let result = HotSpotModel::new(ModelConfig { lambda, ..base }).and_then(|m| m.solve());
-            CurvePoint { lambda, result }
-        })
-        .collect()
-}
-
-/// One point of a generalized n-cube latency curve.
-#[derive(Clone, Debug)]
-pub struct NCubeCurvePoint {
-    /// The per-node generation rate of this point.
-    pub lambda: f64,
-    /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<NCubeOutput, ModelError>,
-}
-
-/// Evaluate the generalized model at each `lambda`, in parallel on the
-/// pooled worker threads.  Points come back in input order.
-pub fn ncube_latency_curve(base: NCubeConfig, lambdas: &[f64]) -> Vec<NCubeCurvePoint> {
-    lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let result = NCubeModel::new(NCubeConfig { lambda, ..base }).and_then(|m| m.solve());
-            NCubeCurvePoint { lambda, result }
-        })
-        .collect()
-}
-
-/// Solve a grid of configurations *in order*, warm-starting each fixed
-/// point from the previous converged state.
-///
-/// The grid may mix geometries (λ/h/k/n sweeps alike): whenever the state
-/// shape changes — or the previous point failed — the chain restarts cold,
-/// so the result at every point is a valid solve of exactly that
-/// configuration.  Order the grid so neighbours are close in parameter
-/// space (e.g. ascending λ within a geometry) to get the full warm-start
-/// win.
-pub fn solve_continued(configs: &[NCubeConfig]) -> Vec<Result<NCubeOutput, ModelError>> {
-    let mut warm: Option<Vec<f64>> = None;
-    configs
-        .iter()
-        .map(|&cfg| match NCubeModel::new(cfg) {
-            Ok(model) => match model.solve_warm(warm.as_deref()) {
-                Ok((out, state)) => {
-                    warm = Some(state);
-                    Ok(out)
-                }
-                Err(e) => {
-                    warm = None;
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                warm = None;
-                Err(e)
-            }
-        })
-        .collect()
-}
-
-/// [`ncube_latency_curve`] with warm-start continuation: the λ grid is
-/// split into one contiguous chunk per pooled worker, and each chunk is
-/// solved sequentially with the previous converged state as the next
-/// initial guess.  Points come back in input order.
-pub fn ncube_latency_curve_continued(base: NCubeConfig, lambdas: &[f64]) -> Vec<NCubeCurvePoint> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(lambdas.len().max(1));
-    let chunk_len = lambdas.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[f64]> = lambdas.chunks(chunk_len).collect();
-    let per_chunk: Vec<Vec<NCubeCurvePoint>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let configs: Vec<NCubeConfig> = chunk
-                .iter()
-                .map(|&lambda| NCubeConfig { lambda, ..base })
-                .collect();
-            solve_continued(&configs)
-                .into_iter()
-                .zip(chunk.iter())
-                .map(|(result, &lambda)| NCubeCurvePoint { lambda, result })
-                .collect()
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// Why [`find_saturation`] could not produce a saturation rate.
+/// Why a saturation search could not produce a saturation rate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SaturationError {
     /// The requested bracket is malformed: `lo`/`hi`/`rel_tol` must be
@@ -196,39 +79,14 @@ impl SaturationReport {
 }
 
 /// Find the saturation rate `λ*` of `base` by bisection: the largest rate
-/// at which the model still has a solution, bracketed to a relative width
-/// of `rel_tol`.
+/// at which [`NCubeModel`] still has a solution, bracketed to a relative
+/// width of `rel_tol`.
 ///
-/// `hi` should be saturated and `lo` solvable (or zero); the function
-/// widens `hi` geometrically if it is not saturated yet.  If the widening
-/// runs away — the model stays solvable until `hi` stops being a useful
-/// rate — the search reports [`SaturationError::BracketNotFound`] instead
-/// of panicking.
-pub fn find_saturation(
-    base: ModelConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<f64, SaturationError> {
-    find_saturation_report(base, lo, hi, rel_tol).map(|r| r.lambda_star)
-}
-
-/// [`find_saturation`] with the probe/iteration accounting.  The 2-D
-/// model is the `n = 2` instance of [`NCubeModel`] (bit-identical by the
-/// cross-validation suite), so the search probes the generalized solver
-/// directly and inherits its warm-start continuation.
-pub fn find_saturation_report(
-    base: ModelConfig,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<SaturationReport, SaturationError> {
-    find_saturation_ncube_report(base.as_ncube(), lo, hi, rel_tol)
-}
-
-/// [`find_saturation`] for the generalized n-cube model: the largest rate
-/// at which [`NCubeModel`] still has a solution, to relative width
-/// `rel_tol`.
+/// `hi` should be saturated and `lo` solvable (or zero); the search widens
+/// `hi` geometrically if it is not saturated yet.  If the widening runs
+/// away — the model stays solvable until `hi` stops being a useful rate —
+/// the search reports [`SaturationError::BracketNotFound`] instead of
+/// panicking.
 pub fn find_saturation_ncube(
     base: NCubeConfig,
     lo: f64,
@@ -272,72 +130,9 @@ pub fn find_saturation_ncube_report(
     })
 }
 
-/// One point of a faulty-network latency curve.
-#[derive(Clone, Debug)]
-pub struct FaultyCurvePoint {
-    /// The per-node generation rate of this point.
-    pub lambda: f64,
-    /// The model solution, or the saturation error past `λ*`.
-    pub result: Result<FaultyNCubeOutput, ModelError>,
-}
-
-/// Evaluate the faulty-network model at each `lambda`, in parallel on the
-/// pooled worker threads.  The (expensive) route enumeration was done
-/// once at model construction, so every point reuses it; points come back
-/// in input order.
-pub fn faulty_latency_curve(model: &FaultyNCubeModel, lambdas: &[f64]) -> Vec<FaultyCurvePoint> {
-    lambdas
-        .par_iter()
-        .map(|&lambda| FaultyCurvePoint {
-            lambda,
-            result: model.solve_at(lambda),
-        })
-        .collect()
-}
-
-/// [`find_saturation_ncube`] for the faulty-network model: the largest
-/// rate at which [`FaultyNCubeModel`] still has a solution, to relative
-/// width `rel_tol`.
-pub fn find_saturation_faulty(
-    model: &FaultyNCubeModel,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<f64, SaturationError> {
-    find_saturation_faulty_report(model, lo, hi, rel_tol).map(|r| r.lambda_star)
-}
-
-/// [`find_saturation_faulty`] with the probe/iteration accounting.  The
-/// per-channel path is non-iterative (each solvable probe counts one
-/// iteration); the delegated fault-free path reports the closed-form
-/// solver's converged iteration counts.
-pub fn find_saturation_faulty_report(
-    model: &FaultyNCubeModel,
-    lo: f64,
-    hi: f64,
-    rel_tol: f64,
-) -> Result<SaturationReport, SaturationError> {
-    let mut probes = 0usize;
-    let mut iterations = 0usize;
-    let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
-        probes += 1;
-        match model.solve_at(lambda) {
-            Ok(out) => {
-                iterations += out.iterations;
-                true
-            }
-            Err(_) => false,
-        }
-    })?;
-    Ok(SaturationReport {
-        lambda_star,
-        probes,
-        solver_iterations: iterations,
-    })
-}
-
-/// The shared bisection behind all the saturation searches.
-fn bisect_saturation(
+/// The shared bisection behind the fault-free and faulty saturation
+/// searches.
+pub(crate) fn bisect_saturation(
     mut lo: f64,
     mut hi: f64,
     rel_tol: f64,
@@ -378,58 +173,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn curve_reports_points_in_input_order() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
-        let lambdas = [1e-5, 1e-4, 2e-4, 9e-4];
-        let curve = latency_curve(base, &lambdas);
-        assert_eq!(curve.len(), 4);
-        for (p, &l) in curve.iter().zip(&lambdas) {
-            assert_eq!(p.lambda, l);
-        }
-        // Low points solve, the extreme one saturates.
-        assert!(curve[0].result.is_ok());
-        assert!(curve[1].result.is_ok());
-        assert!(curve[3].result.is_err());
-    }
-
-    #[test]
-    fn curve_latencies_monotone_until_saturation() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.4);
-        let lambdas: Vec<f64> = (1..=10).map(|i| i as f64 * 3e-5).collect();
-        let curve = latency_curve(base, &lambdas);
-        let mut prev = 0.0;
-        for p in curve.iter().filter(|p| p.result.is_ok()) {
-            let l = p.result.as_ref().unwrap().latency;
-            assert!(l > prev);
-            prev = l;
-        }
-    }
-
-    #[test]
-    fn wide_curve_handles_hundreds_of_points() {
-        // The pooled sweep must digest a grid far wider than the CPU
-        // count (the old code spawned one OS thread per point).
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
-        let lambdas: Vec<f64> = (1..=400).map(|i| i as f64 * 2e-6).collect();
-        let curve = latency_curve(base, &lambdas);
-        assert_eq!(curve.len(), 400);
-        for (p, &l) in curve.iter().zip(&lambdas) {
-            assert_eq!(p.lambda, l);
-        }
-        assert!(curve.first().unwrap().result.is_ok());
-        assert!(curve.last().unwrap().result.is_err());
-    }
-
-    #[test]
     fn saturation_orders_by_hot_fraction_and_length() {
         let sat = |lm: u32, h: f64| {
-            find_saturation(
-                ModelConfig::paper_validation(16, 2, lm, 0.0, h),
-                1e-6,
-                1e-3,
-                1e-3,
-            )
-            .expect("paper configs saturate inside the bracket")
+            find_saturation_ncube(NCubeConfig::new(16, 2, 2, lm, 0.0, h), 1e-6, 1e-3, 1e-3)
+                .expect("paper configs saturate inside the bracket")
         };
         let s20 = sat(32, 0.2);
         let s40 = sat(32, 0.4);
@@ -446,7 +193,6 @@ mod tests {
 
     #[test]
     fn ncube_saturation_tracks_the_generalized_flit_bound() {
-        use crate::ncube::{NCubeConfig, NCubeModel};
         for (k, n, h) in [(8u32, 3u32, 0.3f64), (4, 4, 0.5), (16, 2, 0.2)] {
             let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
             let bound = NCubeModel::new(base).unwrap().flit_bound();
@@ -460,128 +206,23 @@ mod tests {
     }
 
     #[test]
-    fn ncube_curve_matches_2d_curve_at_n2() {
-        let base2d = ModelConfig::paper_validation(8, 2, 16, 0.0, 0.3);
-        let lambdas = [2e-5, 1e-4, 2e-4];
-        let a = latency_curve(base2d, &lambdas);
-        let b = ncube_latency_curve(base2d.as_ncube(), &lambdas);
-        for (pa, pb) in a.iter().zip(&b) {
-            match (&pa.result, &pb.result) {
-                (Ok(x), Ok(y)) => assert_eq!(x.latency.to_bits(), y.latency.to_bits()),
-                (Err(_), Err(_)) => {}
-                other => panic!("solvability mismatch at λ={}: {other:?}", pa.lambda),
-            }
-        }
-    }
-
-    #[test]
-    fn continued_curve_matches_the_cold_curve() {
-        let base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
-        let lambdas: Vec<f64> = (1..=40).map(|i| i as f64 * 2e-6).collect();
-        let cold = ncube_latency_curve(base, &lambdas);
-        let warm = ncube_latency_curve_continued(base, &lambdas);
-        assert_eq!(warm.len(), cold.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.lambda, w.lambda);
-            match (&c.result, &w.result) {
-                (Ok(a), Ok(b)) => {
-                    // The default service model's fixed point is reached
-                    // exactly from any start, so the curves agree bitwise.
-                    assert_eq!(a.latency.to_bits(), b.latency.to_bits());
-                }
-                (Err(_), Err(_)) => {}
-                other => panic!("solvability mismatch at λ={}: {other:?}", c.lambda),
-            }
-        }
-    }
-
-    #[test]
-    fn continuation_cuts_iterations_under_the_iterative_ablation() {
-        // The payoff regime is the near-saturation band: Picard's
-        // contraction rate degrades towards 1 as λ → λ*, so cold solves
-        // there cost hundreds of iterations while the accelerated warm
-        // chain stays flat.  (Far below saturation Picard converges in a
-        // handful of iterations and continuation saves only ~20%.)
-        use crate::solver::ServiceTimeModel;
-        use kncube_queueing::fixed_point::Acceleration;
-        let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
-        base.service_model = ServiceTimeModel::PathOccupancy;
-        let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-6).unwrap();
-        let points = 32usize;
-        let lambdas: Vec<f64> = (0..points)
-            .map(|i| sat * (0.98 + (0.9999 - 0.98) * i as f64 / (points - 1) as f64))
-            .collect();
-        let configs: Vec<NCubeConfig> = lambdas
-            .iter()
-            .map(|&lambda| NCubeConfig { lambda, ..base })
-            .collect();
-        let cold: usize = configs
-            .iter()
-            .map(|&c| NCubeModel::new(c).unwrap().solve().unwrap().iterations)
-            .sum();
-        // Plain continuation helps, but acceleration is what collapses the
-        // slow near-saturation modes; together they are the query engine's
-        // batch path.
-        let warm_plain: usize = solve_continued(&configs)
-            .into_iter()
-            .map(|r| r.unwrap().iterations)
-            .sum();
-        assert!(
-            warm_plain < cold,
-            "continuation alone regressed: {warm_plain} vs {cold} iterations"
-        );
-        let mut accel = configs.clone();
-        for c in &mut accel {
-            c.options.acceleration = Acceleration::Anderson { depth: 4 };
-        }
-        let warm: usize = solve_continued(&accel)
-            .into_iter()
-            .map(|r| r.unwrap().iterations)
-            .sum();
-        assert!(
-            warm * 3 < cold,
-            "accelerated continuation saved too little: {warm} vs {cold} iterations"
-        );
-    }
-
-    #[test]
-    fn continuation_restarts_across_geometry_changes() {
-        // A grid that changes (k, n) mid-way must still solve every point
-        // correctly: the chain restarts cold when the state shape changes.
-        let configs = [
-            NCubeConfig::new(8, 3, 2, 16, 2e-5, 0.3),
-            NCubeConfig::new(8, 3, 2, 16, 3e-5, 0.3),
-            NCubeConfig::new(4, 4, 2, 16, 2e-5, 0.3),
-            NCubeConfig::new(4, 4, 2, 16, 3e-5, 0.3),
-        ];
-        let chained = solve_continued(&configs);
-        for (cfg, got) in configs.iter().zip(&chained) {
-            let cold = NCubeModel::new(*cfg).unwrap().solve().unwrap();
-            let got = got.as_ref().expect("all points solvable");
-            assert_eq!(cold.latency.to_bits(), got.latency.to_bits());
-        }
-    }
-
-    #[test]
     fn saturation_report_surfaces_probe_and_iteration_counts() {
-        let base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
-        let report = find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-3).unwrap();
-        let plain = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).unwrap();
-        assert_eq!(report.lambda_star, plain);
-        assert!(report.probes > 10, "bisection probes: {}", report.probes);
-        assert!(report.solver_iterations > 0);
-        assert!(report.mean_iterations() > 0.0);
-        // The 2-D wrapper reports through the same machinery.
-        let base2d = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
-        let r2d = find_saturation_report(base2d, 1e-6, 1e-3, 1e-3).unwrap();
-        let plain2d = find_saturation(base2d, 1e-6, 1e-3, 1e-3).unwrap();
-        assert_eq!(r2d.lambda_star, plain2d);
-        assert!(r2d.solver_iterations > 0);
+        for (base, lo, hi) in [
+            (NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3), 1e-9, 1e-1),
+            (NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2), 1e-6, 1e-3),
+        ] {
+            let report = find_saturation_ncube_report(base, lo, hi, 1e-3).unwrap();
+            let plain = find_saturation_ncube(base, lo, hi, 1e-3).unwrap();
+            assert_eq!(report.lambda_star, plain);
+            assert!(report.probes > 10, "bisection probes: {}", report.probes);
+            assert!(report.solver_iterations > 0);
+            assert!(report.mean_iterations() > 0.0);
+        }
     }
 
     #[test]
     fn malformed_brackets_are_errors_not_panics() {
-        let base = ModelConfig::paper_validation(16, 2, 32, 0.0, 0.2);
+        let base = NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2);
         for (lo, hi, tol) in [
             (1e-3, 1e-6, 1e-3),         // inverted
             (-1.0, 1e-3, 1e-3),         // negative lo
@@ -589,10 +230,55 @@ mod tests {
             (0.0, f64::INFINITY, 1e-3), // non-finite hi
             (0.0, f64::NAN, 1e-3),      // NaN hi
         ] {
-            match find_saturation(base, lo, hi, tol) {
+            match find_saturation_ncube(base, lo, hi, tol) {
                 Err(SaturationError::InvalidBracket { .. }) => {}
                 other => panic!("expected InvalidBracket for ({lo}, {hi}, {tol}), got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn curve_latencies_monotone_until_saturation() {
+        // Below the reported λ* the model solves with latency rising along
+        // the grid; a rate one bracket-width past λ* no longer solves.
+        let base = NCubeConfig::new(16, 2, 2, 32, 0.0, 0.4);
+        let sat = find_saturation_ncube(base, 1e-6, 1e-3, 1e-3).unwrap();
+        let solve = |lambda: f64| {
+            NCubeModel::new(NCubeConfig { lambda, ..base })
+                .unwrap()
+                .solve()
+        };
+        let mut prev = 0.0;
+        for i in 1..=10 {
+            let lambda = sat * 0.99 * i as f64 / 10.0;
+            let latency = solve(lambda).unwrap().latency;
+            assert!(latency > prev, "λ={lambda}: {latency} <= {prev}");
+            prev = latency;
+        }
+        assert!(solve(sat * 1.002).is_err());
+    }
+
+    #[test]
+    fn bisection_brackets_a_step_to_the_requested_width() {
+        let edge = 3.7e-4;
+        let mut probes = 0;
+        let sat = bisect_saturation(1e-9, 1e-4, 1e-6, |lambda| {
+            probes += 1;
+            lambda < edge
+        })
+        .unwrap();
+        assert!((sat - edge).abs() <= 1e-6 * edge, "λ*={sat} vs edge {edge}");
+        // Two doublings widen 1e-4 past the edge, then ~20 halvings.
+        assert!((20..40).contains(&probes), "probes: {probes}");
+    }
+
+    #[test]
+    fn runaway_widening_reports_bracket_not_found() {
+        match bisect_saturation(0.0, 1e-3, 1e-3, |_| true) {
+            Err(SaturationError::BracketNotFound { last_hi }) => {
+                assert!(last_hi.is_finite() && last_hi > 1e-3)
+            }
+            other => panic!("expected BracketNotFound, got {other:?}"),
         }
     }
 }

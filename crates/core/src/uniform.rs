@@ -26,14 +26,11 @@
 //! `P(y only) = 1/(k+1)`, adds the M/G/1 source wait at rate `λ/V`, and
 //! scales by the multiplexing degree of Eqs. (33)–(35).
 
-use crate::solver::{ModelError, ServiceTimeModel};
+use crate::ncube::{ModelError, ServiceTimeModel, RHO_CAP};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::fixed_point::{self, FixedPointError, FixedPointOptions};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
-
-/// Utilization cap mirroring the hot-spot solver's.
-const RHO_CAP: f64 = 1.0 - 1e-7;
 
 /// The uniform-traffic baseline model.
 ///
@@ -77,7 +74,7 @@ pub struct UniformOutput {
 }
 
 impl UniformModel {
-    /// Construct with defaults mirroring [`crate::ModelConfig`].
+    /// Construct with defaults mirroring [`crate::NCubeConfig::new`].
     pub fn new(k: u32, virtual_channels: u32, message_length: u32, lambda: f64) -> Self {
         UniformModel {
             k,

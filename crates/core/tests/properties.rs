@@ -1,14 +1,14 @@
 //! Property-based tests of the analytical model.
 
 use kncube_core::{
-    solve_continued, HotSpotModel, ModelConfig, ModelError, NCubeConfig, NCubeModel, Rates,
-    RegularRouteProbs, ServiceTimeModel, SolveCache,
+    ModelError, NCubeConfig, NCubeModel, NCubeRates, RegularRouteProbs, ServiceTimeModel,
+    SolveCache,
 };
 use proptest::prelude::*;
 
-/// Strategy over valid model configurations at a load comfortably below
-/// the hot-channel flit bound.
-fn sub_saturation_config() -> impl Strategy<Value = ModelConfig> {
+/// Strategy over valid configurations of the paper's `k × k` torus at a
+/// load comfortably below the hot-channel flit bound.
+fn sub_saturation_config() -> impl Strategy<Value = NCubeConfig> {
     (
         4u32..=16,     // k
         2u32..=4,      // V
@@ -20,7 +20,7 @@ fn sub_saturation_config() -> impl Strategy<Value = ModelConfig> {
             let hot_bound = 1.0 / (h.max(0.01) * (k * (k - 1)) as f64 * (lm + 1) as f64);
             let uni_bound = 1.0 / ((k as f64 - 1.0) / 2.0 * (lm + 1) as f64);
             let lambda = frac * hot_bound.min(uni_bound);
-            ModelConfig::paper_validation(k, v, lm, lambda, h)
+            NCubeConfig::new(k, 2, v, lm, lambda, h)
         })
 }
 
@@ -29,7 +29,7 @@ proptest! {
 
     #[test]
     fn solves_below_half_of_the_flit_bound(cfg in sub_saturation_config()) {
-        let out = HotSpotModel::new(cfg).unwrap().solve();
+        let out = NCubeModel::new(cfg).unwrap().solve();
         prop_assert!(out.is_ok(), "diverged at {cfg:?}: {:?}", out.err());
         let out = out.unwrap();
         prop_assert!(out.latency.is_finite() && out.latency > 0.0);
@@ -38,7 +38,7 @@ proptest! {
 
     #[test]
     fn latency_at_least_zero_load(cfg in sub_saturation_config()) {
-        let model = HotSpotModel::new(cfg).unwrap();
+        let model = NCubeModel::new(cfg).unwrap();
         let out = model.solve().unwrap();
         // Queueing can only add delay over the contention-free network.
         prop_assert!(
@@ -51,21 +51,21 @@ proptest! {
 
     #[test]
     fn latency_monotone_in_lambda(cfg in sub_saturation_config()) {
-        let lo = HotSpotModel::new(ModelConfig { lambda: cfg.lambda * 0.5, ..cfg })
+        let lo = NCubeModel::new(NCubeConfig { lambda: cfg.lambda * 0.5, ..cfg })
             .unwrap().solve().unwrap();
-        let hi = HotSpotModel::new(cfg).unwrap().solve().unwrap();
+        let hi = NCubeModel::new(cfg).unwrap().solve().unwrap();
         prop_assert!(hi.latency >= lo.latency - 1e-9,
             "latency fell with load: {} -> {}", lo.latency, hi.latency);
     }
 
     #[test]
     fn multiplexing_factors_within_bounds(cfg in sub_saturation_config()) {
-        let out = HotSpotModel::new(cfg).unwrap().solve().unwrap();
+        let out = NCubeModel::new(cfg).unwrap().solve().unwrap();
         let v = cfg.virtual_channels as f64;
         for (name, vbar) in [
-            ("hot ring", out.vbar_hot_ring),
-            ("non-hot", out.vbar_nonhot_ring),
-            ("x", out.vbar_x),
+            ("hot ring", out.vbar_hot[1]),
+            ("non-hot", out.vbar_nonhot),
+            ("x", out.vbar_hot[0]),
         ] {
             prop_assert!(vbar >= 1.0 - 1e-9 && vbar <= v + 1e-9,
                 "{name} multiplexing {vbar} outside [1, {v}]");
@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn hot_latency_dominates_regular_when_hot_ring_loaded(cfg in sub_saturation_config()) {
         prop_assume!(cfg.hot_fraction > 0.05);
-        let out = HotSpotModel::new(cfg).unwrap().solve().unwrap();
+        let out = NCubeModel::new(cfg).unwrap().solve().unwrap();
         // Hot messages end at the most congested channels; their mean
         // cannot be lower than the overall regular mean minus the path
         // difference (hot paths can be shorter: they end at a fixed node).
@@ -88,15 +88,16 @@ proptest! {
 
     #[test]
     fn rates_are_consistent(k in 2u32..=32, lambda in 0.0f64..1e-2, h in 0.0f64..=1.0) {
-        let r = Rates::new(k, lambda, h);
+        let r = NCubeRates::new(k, 2, lambda, h);
         // Eq. 8/9 are sums of Eq. 3 and Eqs. 6/7.
         for j in 1..=k {
-            prop_assert!((r.total_rate_x(j) - r.regular_channel_rate() - r.hot_rate_x(j)).abs() < 1e-15);
-            prop_assert!((r.total_rate_y(j) - r.regular_channel_rate() - r.hot_rate_y(j)).abs() < 1e-15);
+            for dim in 0..2 {
+                prop_assert!((r.total_rate(dim, j) - r.regular_channel_rate() - r.hot_rate(dim, j)).abs() < 1e-15);
+            }
         }
         // Hot rates integrate to the global hot hop count: Σ_j λ^h_y,j =
         // λ h k(k-1)/2 · k/k ... the closed form k²(k-1)/2 per dimension.
-        let sum_y: f64 = (1..=k).map(|j| r.hot_rate_y(j)).sum();
+        let sum_y: f64 = (1..=k).map(|j| r.hot_rate(1, j)).sum();
         let expected = lambda * h * (k * k * (k - 1)) as f64 / 2.0;
         prop_assert!((sum_y - expected).abs() < 1e-12 + 1e-9 * expected);
     }
@@ -120,8 +121,8 @@ proptest! {
     ) {
         let iterative = iterative == 1;
         // A random ascending λ grid under either service model: the
-        // warm-started chain must answer every point like a cold solve
-        // of that exact point.  Under the default pipelined model the
+        // cache's warm-started chain must answer every point like a cold
+        // solve of that exact (quantized) point.  Under the default pipelined model the
         // agreement is bitwise (the update is load-only); under the
         // path-occupancy ablation both runs converge to the same fixed
         // point within the solver tolerance.
@@ -135,10 +136,13 @@ proptest! {
         let configs: Vec<NCubeConfig> = (1..=6)
             .map(|i| NCubeConfig { lambda: cap * i as f64 / 6.0, ..base })
             .collect();
-        let chained = solve_continued(&configs);
-        for (cfg, warm) in configs.iter().zip(&chained) {
-            let cold = NCubeModel::new(*cfg).unwrap().solve();
-            match (&cold, warm) {
+        let cache = SolveCache::new();
+        let mut state: Option<Vec<f64>> = None;
+        for cfg in &configs {
+            let (warm, next) = cache.solve_with_warm(cfg, state.as_deref());
+            state = next;
+            let cold = NCubeModel::new(SolveCache::quantize(cfg)).unwrap().solve();
+            match (&cold, &warm) {
                 (Ok(c), Ok(w)) => {
                     let rel = (c.latency - w.latency).abs() / c.latency.max(1.0);
                     prop_assert!(rel < 1e-6,
@@ -203,8 +207,8 @@ proptest! {
     ) {
         // 2× the flit bound must be unsolvable.
         let bound = 1.0 / (h * (k * (k - 1)) as f64 * (lm + 1) as f64);
-        let cfg = ModelConfig::paper_validation(k, 2, lm, 2.0 * bound, h);
-        match HotSpotModel::new(cfg).unwrap().solve() {
+        let cfg = NCubeConfig::new(k, 2, 2, lm, 2.0 * bound, h);
+        match NCubeModel::new(cfg).unwrap().solve() {
             Err(ModelError::Saturated { max_utilization }) => {
                 prop_assert!(max_utilization >= 1.0);
             }

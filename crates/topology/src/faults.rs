@@ -34,7 +34,12 @@ use crate::routing::{Hop, VcClass};
 const UNREACHABLE: u16 = u16::MAX;
 
 /// A set of failed routers and physical links in a topology.
-#[derive(Clone, Debug)]
+///
+/// Equality and hashing cover the topology and every failed element, so a
+/// `FaultSet` can key a memo directly: sets with the same failure *counts*
+/// but different failed elements, or on different topologies, never
+/// compare equal.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FaultSet {
     topo: KAryNCube,
     failed_nodes: Vec<bool>,
@@ -129,39 +134,6 @@ impl FaultSet {
     pub fn is_empty(&self) -> bool {
         self.num_failed_routers == 0 && self.num_failed_links == 0
     }
-
-    /// A 64-bit FNV-1a digest of the fault set *and* the topology it lives
-    /// in: the geometry parameters followed by the failed-router and
-    /// failed-channel bitmaps.
-    ///
-    /// Two fault sets differing in any failed element — or living in
-    /// different topologies — hash to different values (up to the 2⁻⁶⁴
-    /// collision probability of the digest), which is what memoisation
-    /// keys need: the same *counts* of failures on the same geometry must
-    /// not alias when the failed elements differ.  The digest is a pure
-    /// function of the set's content, so equal sets always agree.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = fnv1a(FNV_OFFSET, self.topo.k().to_le_bytes());
-        hash = fnv1a(hash, self.topo.n().to_le_bytes());
-        hash = fnv1a(
-            hash,
-            [self.topo.link_kind() as u8, self.topo.boundary() as u8],
-        );
-        hash = fnv1a(hash, self.failed_nodes.iter().map(|&b| b as u8));
-        fnv1a(hash, self.failed_channels.iter().map(|&b| b as u8))
-    }
-}
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into an FNV-1a 64-bit running hash.
-fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    for b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Hop byte of a pair with no next hop: the node is the destination, or
@@ -873,19 +845,19 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_distinct_sets_and_topologies() {
+    fn equality_separates_distinct_sets_and_topologies() {
         let t = KAryNCube::bidirectional(4, 2).unwrap();
         let empty = FaultSet::none(t);
-        // Same content hashes equal.
-        assert_eq!(empty.fingerprint(), FaultSet::none(t).fingerprint());
+        // Same content compares equal.
+        assert_eq!(empty, FaultSet::none(t));
         // Same failure *count*, different failed element: must not alias.
         let mut a = FaultSet::none(t);
         a.fail_node(NodeId(1));
         let mut b = FaultSet::none(t);
         b.fail_node(NodeId(2));
         assert_eq!(a.num_failed_routers(), b.num_failed_routers());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), empty.fingerprint());
+        assert_ne!(a, b);
+        assert_ne!(a, empty);
         // A link failure is not a router failure.
         let mut c = FaultSet::none(t);
         c.fail_link(Channel {
@@ -893,20 +865,20 @@ mod tests {
             dim: 0,
             direction: Direction::Plus,
         });
-        assert_ne!(c.fingerprint(), a.fingerprint());
-        // The topology is part of the digest: the same (empty) set on a
-        // different geometry or link kind hashes differently.
+        assert_ne!(c, a);
+        // The topology is part of the identity: the same (empty) set on a
+        // different geometry or link kind is a different set.
         for other in [
             KAryNCube::unidirectional(4, 2).unwrap(),
             KAryNCube::mesh(4, 2).unwrap(),
             KAryNCube::bidirectional(2, 4).unwrap(),
         ] {
-            assert_ne!(FaultSet::none(other).fingerprint(), empty.fingerprint());
+            assert_ne!(FaultSet::none(other), empty);
         }
     }
 
     #[test]
-    fn fingerprint_is_insertion_order_independent() {
+    fn equality_is_insertion_order_independent() {
         let t = KAryNCube::mesh(4, 2).unwrap();
         let mut ab = FaultSet::none(t);
         ab.fail_node(NodeId(3));
@@ -914,7 +886,26 @@ mod tests {
         let mut ba = FaultSet::none(t);
         ba.fail_node(NodeId(9));
         ba.fail_node(NodeId(3));
-        assert_eq!(ab.fingerprint(), ba.fingerprint());
+        assert_eq!(ab, ba);
+        // Failing a link twice, or from either end of a bidirectional
+        // link, is the same set too.
+        let bt = KAryNCube::bidirectional(4, 2).unwrap();
+        let plus = Channel {
+            from: NodeId(1),
+            dim: 0,
+            direction: Direction::Plus,
+        };
+        let minus = Channel {
+            from: NodeId(2),
+            dim: 0,
+            direction: Direction::Minus,
+        };
+        let mut once = FaultSet::none(bt);
+        once.fail_link(plus);
+        let mut twice = FaultSet::none(bt);
+        twice.fail_link(minus);
+        twice.fail_link(plus);
+        assert_eq!(once, twice);
     }
 
     #[test]

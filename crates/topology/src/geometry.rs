@@ -95,7 +95,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// The k-ary n-cube topology.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct KAryNCube {
     k: u32,
     n: u32,

@@ -16,7 +16,7 @@
 //! cargo run --release --example cache_coherence
 //! ```
 
-use kncube::model::{HotSpotModel, ModelConfig};
+use kncube::model::{NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     );
 
     for h in [0.0, 0.1, 0.25, 0.5] {
-        let model = HotSpotModel::new(ModelConfig::paper_validation(k, v, ack_flits, lambda, h))
+        let model = NCubeModel::new(NCubeConfig::new(k, 2, v, ack_flits, lambda, h))
             .unwrap()
             .solve();
         let sim = Simulator::new(

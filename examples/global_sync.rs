@@ -16,7 +16,7 @@
 //! cargo run --release --example global_sync
 //! ```
 
-use kncube::model::{find_saturation, HotSpotModel, ModelConfig, UniformModel};
+use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel, UniformModel};
 use kncube::sim::{SimConfig, Simulator};
 
 fn main() {
@@ -29,11 +29,11 @@ fn main() {
     );
 
     for h in [0.05, 0.1, 0.2, 0.4, 0.7] {
-        let base = ModelConfig::paper_validation(k, v, lm, 0.0, h);
-        let sat = find_saturation(base, 1e-7, 1e-2, 1e-3)
+        let base = NCubeConfig::new(k, 2, v, lm, 0.0, h);
+        let sat = find_saturation_ncube(base, 1e-7, 1e-2, 1e-3)
             .expect("barrier hot-spot configurations saturate inside the bracket");
         let lambda = 0.5 * sat;
-        let model = HotSpotModel::new(ModelConfig { lambda, ..base })
+        let model = NCubeModel::new(NCubeConfig { lambda, ..base })
             .unwrap()
             .solve()
             .expect("half of saturation is solvable");

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use kncube::model::{HotSpotModel, ModelConfig};
+use kncube::model::{NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
 fn main() {
@@ -15,8 +15,8 @@ fn main() {
     let (k, v, lm, lambda, h) = (16, 2, 32, 3e-4, 0.2);
 
     println!("== analytical model (Eqs. 1-37) ==");
-    let model = HotSpotModel::new(ModelConfig::paper_validation(k, v, lm, lambda, h))
-        .expect("valid configuration");
+    let model =
+        NCubeModel::new(NCubeConfig::new(k, 2, v, lm, lambda, h)).expect("valid configuration");
     let out = model.solve().expect("below saturation");
     println!("mean message latency : {:8.1} cycles", out.latency);
     println!("  regular messages   : {:8.1} cycles", out.regular_latency);
@@ -27,7 +27,7 @@ fn main() {
     );
     println!(
         "  multiplexing degree: hot ring {:.3}, x channels {:.3}",
-        out.vbar_hot_ring, out.vbar_x
+        out.vbar_hot[1], out.vbar_hot[0]
     );
     println!("  max utilization    : {:8.3}", out.max_utilization);
     println!("  fixed-point iters  : {:8}", out.iterations);

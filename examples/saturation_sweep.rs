@@ -11,7 +11,7 @@
 //! cargo run --release --example saturation_sweep
 //! ```
 
-use kncube::model::{find_saturation, ModelConfig};
+use kncube::model::{find_saturation_ncube, NCubeConfig};
 
 fn main() {
     let (k, v) = (16u32, 2u32);
@@ -28,8 +28,8 @@ fn main() {
     for h in fractions {
         print!("{h:>6.2}");
         for lm in lengths {
-            let base = ModelConfig::paper_validation(k, v, lm, 0.0, h);
-            let sat = find_saturation(base, 1e-8, 1e-2, 1e-3)
+            let base = NCubeConfig::new(k, 2, v, lm, 0.0, h);
+            let sat = find_saturation_ncube(base, 1e-8, 1e-2, 1e-3)
                 .expect("swept configurations saturate inside the bracket");
             print!(" {sat:>11.3e}");
         }

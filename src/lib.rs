@@ -7,9 +7,9 @@
 //! hot-spot traffic, together with the flit-level simulator used to
 //! validate it — carried at full generality, with radix `k` *and*
 //! dimension count `n` as first-class parameters.  The paper's 2-D
-//! unidirectional torus is the `n = 2` specialization (bit-identical, by
-//! test), and the binary hypercube of its reference \[12\] is the `k = 2`
-//! instance (within `1e-9`, by test — see `tests/cross_validation.rs`).
+//! unidirectional torus is the `n = 2` instance, and the binary hypercube
+//! of its reference \[12\] is the `k = 2` instance (within `1e-9`, by
+//! test — see `tests/cross_validation.rs`).
 //!
 //! This facade re-exports the workspace crates:
 //!
@@ -21,20 +21,20 @@
 //! * [`queueing`] — M/G/1 waits, the blocking operator, Dally's
 //!   virtual-channel multiplexing model, fixed-point machinery
 //!   (Eqs. 26–30, 33–35);
-//! * [`model`] — the generalized latency model (`NCubeModel`), the
-//!   paper's 2-D API (`HotSpotModel`), the hypercube comparison model and
-//!   the uniform-traffic baseline;
+//! * [`model`] — the latency model for any `(k, n)` (`NCubeModel`), the
+//!   faulty-network model, the hypercube comparison model and the
+//!   uniform-traffic baseline;
 //! * [`sim`] — the cycle-accurate wormhole simulator (§4's validation
 //!   vehicle), dimension-agnostic by construction.
 //!
 //! ## Reproduce the paper in three lines
 //!
 //! ```
-//! use kncube::model::{HotSpotModel, ModelConfig};
+//! use kncube::model::{NCubeConfig, NCubeModel};
 //!
-//! // Figure 1, h = 20%: N = 256 torus, V = 2, Lm = 32 flits.
-//! let cfg = ModelConfig::paper_validation(16, 2, 32, 3e-4, 0.2);
-//! let latency = HotSpotModel::new(cfg).unwrap().solve().unwrap().latency;
+//! // Figure 1, h = 20%: N = 256 (16×16) torus, V = 2, Lm = 32 flits.
+//! let cfg = NCubeConfig::new(16, 2, 2, 32, 3e-4, 0.2);
+//! let latency = NCubeModel::new(cfg).unwrap().solve().unwrap().latency;
 //! assert!(latency > 32.0 && latency < 200.0);
 //! ```
 //!

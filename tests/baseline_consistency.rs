@@ -2,7 +2,7 @@
 //! models: the hot-spot solver at `h → 0` must agree with the uniform
 //! baseline, and both must agree with the simulator.
 
-use kncube::model::{HotSpotModel, ModelConfig, UniformModel};
+use kncube::model::{NCubeConfig, NCubeModel, UniformModel};
 
 #[test]
 fn h_zero_reduces_to_uniform_baseline() {
@@ -11,7 +11,7 @@ fn h_zero_reduces_to_uniform_baseline() {
             // Scale the load to each radix's uniform saturation.
             let sat = 1.0 / ((k as f64 - 1.0) / 2.0 * 33.0);
             let lambda = lambda_frac * sat;
-            let hot = HotSpotModel::new(ModelConfig::paper_validation(k, 2, 32, lambda, 0.0))
+            let hot = NCubeModel::new(NCubeConfig::new(k, 2, 2, 32, lambda, 0.0))
                 .unwrap()
                 .solve()
                 .unwrap_or_else(|e| panic!("hot-spot model failed at k={k}: {e}"));
@@ -32,7 +32,7 @@ fn h_zero_reduces_to_uniform_baseline() {
 
 #[test]
 fn both_models_share_the_zero_load_intercept() {
-    let hot = HotSpotModel::new(ModelConfig::paper_validation(16, 2, 32, 1e-9, 0.0))
+    let hot = NCubeModel::new(NCubeConfig::new(16, 2, 2, 32, 1e-9, 0.0))
         .unwrap()
         .solve()
         .unwrap();
@@ -49,12 +49,12 @@ fn both_models_share_the_zero_load_intercept() {
 fn hot_spot_fraction_only_hurts() {
     // For every load where both solve, latency(h) >= latency(0).
     for lambda in [5e-5, 1e-4, 1.5e-4] {
-        let base = HotSpotModel::new(ModelConfig::paper_validation(16, 2, 32, lambda, 0.0))
+        let base = NCubeModel::new(NCubeConfig::new(16, 2, 2, 32, lambda, 0.0))
             .unwrap()
             .solve()
             .unwrap();
         for h in [0.05, 0.2, 0.4] {
-            let hot = HotSpotModel::new(ModelConfig::paper_validation(16, 2, 32, lambda, h))
+            let hot = NCubeModel::new(NCubeConfig::new(16, 2, 2, 32, lambda, h))
                 .unwrap()
                 .solve()
                 .unwrap();
@@ -74,8 +74,8 @@ fn virtual_channels_only_help_capacity() {
     // bandwidth, so latency can rise slightly, but the saturation rate
     // must not shrink).
     let sat = |v: u32| {
-        kncube::model::find_saturation(
-            ModelConfig::paper_validation(16, v, 32, 0.0, 0.4),
+        kncube::model::find_saturation_ncube(
+            NCubeConfig::new(16, 2, v, 32, 0.0, 0.4),
             1e-8,
             1e-2,
             1e-3,

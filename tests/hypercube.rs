@@ -86,12 +86,11 @@ fn hypercube_latency_beats_torus_at_equal_n_under_hot_load() {
         .unwrap()
         .solve()
         .unwrap();
-    let torus = kncube::model::HotSpotModel::new(kncube::model::ModelConfig::paper_validation(
-        8, 2, lm, lambda, h,
-    ))
-    .unwrap()
-    .solve()
-    .unwrap();
+    let torus =
+        kncube::model::NCubeModel::new(kncube::model::NCubeConfig::new(8, 2, 2, lm, lambda, h))
+            .unwrap()
+            .solve()
+            .unwrap();
     assert!(
         hyper.latency < torus.latency,
         "hypercube {:.1} !< torus {:.1}",

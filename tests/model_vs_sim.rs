@@ -7,12 +7,12 @@
 //! on small networks (debug-build friendly); the full 256-node figures are
 //! regenerated by `cargo run --release -p kncube-bench --bin figure1/2`.
 
-use kncube::model::{find_saturation_ncube, HotSpotModel, ModelConfig, NCubeConfig, NCubeModel};
+use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, SimReport, Simulator};
 
 /// Run both model and simulation, returning (model, sim) mean latencies.
 fn compare(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> (f64, f64) {
-    let model = HotSpotModel::new(ModelConfig::paper_validation(k, v, lm, lambda, h))
+    let model = NCubeModel::new(NCubeConfig::new(k, 2, v, lm, lambda, h))
         .expect("valid config")
         .solve()
         .expect("below saturation");
@@ -178,7 +178,7 @@ fn ncube_8_3_ranks_hot_and_regular_like_the_simulator() {
 #[test]
 fn hot_messages_slower_in_both_worlds() {
     let lambda = 2.5e-4;
-    let model = HotSpotModel::new(ModelConfig::paper_validation(8, 2, 16, lambda, 0.4))
+    let model = NCubeModel::new(NCubeConfig::new(8, 2, 2, 16, lambda, 0.4))
         .unwrap()
         .solve()
         .unwrap();

@@ -7,7 +7,7 @@
 //! (`kncube-sim`) with none of the queueing approximations in between —
 //! at any load below saturation they must agree to statistical accuracy.
 
-use kncube::model::Rates;
+use kncube::model::NCubeRates;
 use kncube::sim::{SimConfig, Simulator};
 use kncube::topology::hotspot::{DIM_X, DIM_Y};
 use kncube::topology::{Channel, Direction, HotSpotGeometry, NodeId};
@@ -30,7 +30,7 @@ fn hot_ring_channel_rates_match_eq9() {
     let (sim, cycles) = measure(k, lm, lambda, h, cycles);
     let topo = *sim.topology();
     let geom = HotSpotGeometry::new(topo, NodeId(0));
-    let rates = Rates::new(k, lambda, h);
+    let rates = NCubeRates::new(k, 2, lambda, h);
 
     for &from in &geom.hot_y_ring().nodes {
         let ch = Channel {
@@ -41,7 +41,7 @@ fn hot_ring_channel_rates_match_eq9() {
         let j = geom.y_channel_distance(ch).unwrap();
         // Flit rate = message rate × Lm (every message contributes Lm
         // flits to every channel it crosses).
-        let expected = rates.total_rate_y(j) * lm as f64;
+        let expected = rates.total_rate(DIM_Y, j) * lm as f64;
         let observed = sim.channel_flits(ch.id(&topo)) as f64 / cycles as f64;
         let tol = 0.12 * expected.max(0.002);
         assert!(
@@ -57,7 +57,7 @@ fn x_channel_rates_match_eq8() {
     let (sim, cycles) = measure(k, lm, lambda, h, 400_000);
     let topo = *sim.topology();
     let geom = HotSpotGeometry::new(topo, NodeId(0));
-    let rates = Rates::new(k, lambda, h);
+    let rates = NCubeRates::new(k, 2, lambda, h);
 
     // Average the observed rate over the k rings at each distance j (the
     // closed form says position within the ring is all that matters).
@@ -77,7 +77,7 @@ fn x_channel_rates_match_eq8() {
         }
         assert_eq!(count, k, "one channel per ring at distance {j}");
         let observed = observed_sum / count as f64;
-        let expected = rates.total_rate_x(j) * lm as f64;
+        let expected = rates.total_rate(DIM_X, j) * lm as f64;
         let tol = 0.10 * expected.max(0.002);
         assert!(
             (observed - expected).abs() < tol,
@@ -91,7 +91,7 @@ fn non_hot_y_channels_carry_only_regular_traffic() {
     let (k, lm, lambda, h) = (8u32, 16u32, 1e-3, 0.5);
     let (sim, cycles) = measure(k, lm, lambda, h, 400_000);
     let topo = *sim.topology();
-    let rates = Rates::new(k, lambda, h);
+    let rates = NCubeRates::new(k, 2, lambda, h);
     let expected = rates.regular_channel_rate() * lm as f64;
 
     let mut observed_sum = 0.0;

@@ -2,7 +2,7 @@
 //! the simulator's queue blow-up, and the hot-channel flit bound must all
 //! tell the same story.
 
-use kncube::model::{find_saturation, ModelConfig};
+use kncube::model::{find_saturation_ncube, NCubeConfig};
 use kncube::sim::{SimConfig, Simulator};
 
 /// The hot channel into the hot-spot node carries `λ h k(k-1)` messages of
@@ -19,8 +19,8 @@ fn model_saturation_tracks_flit_bound() {
         (16, 32, 0.2),
         (16, 100, 0.7),
     ] {
-        let base = ModelConfig::paper_validation(k, 2, lm, 0.0, h);
-        let sat = find_saturation(base, 1e-8, 1e-1, 1e-3)
+        let base = NCubeConfig::new(k, 2, 2, lm, 0.0, h);
+        let sat = find_saturation_ncube(base, 1e-8, 1e-1, 1e-3)
             .expect("paper configurations saturate inside the bracket");
         let bound = flit_bound(k, lm, h);
         assert!(
@@ -37,13 +37,8 @@ fn model_saturation_tracks_flit_bound() {
 #[test]
 fn saturation_rate_decreases_with_h_and_lm() {
     let sat = |lm: u32, h: f64| {
-        find_saturation(
-            ModelConfig::paper_validation(8, 2, lm, 0.0, h),
-            1e-8,
-            1e-1,
-            1e-3,
-        )
-        .expect("paper configurations saturate inside the bracket")
+        find_saturation_ncube(NCubeConfig::new(8, 2, 2, lm, 0.0, h), 1e-8, 1e-1, 1e-3)
+            .expect("paper configurations saturate inside the bracket")
     };
     assert!(sat(16, 0.1) > sat(16, 0.3));
     assert!(sat(16, 0.3) > sat(16, 0.7));

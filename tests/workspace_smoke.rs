@@ -1,9 +1,8 @@
 //! Workspace-level smoke test: the facade re-exports compose across every
-//! crate, and one `ModelConfig::paper_validation` parameterisation
-//! round-trips through both the analytical model and a short simulator
+//! crate, and one 2-D torus parameterisation round-trips through both the analytical model and a short simulator
 //! run with consistent answers.
 
-use kncube::model::{latency_curve, HotSpotModel, ModelConfig};
+use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
 /// One modest operating point shared by every check below: an 8×8 torus
@@ -44,8 +43,8 @@ fn paper_validation_round_trips_model_and_simulator() {
     let lambda = lambda();
 
     // Model side.
-    let model_cfg = ModelConfig::paper_validation(K, V, LM, lambda, H);
-    let model = HotSpotModel::new(model_cfg).unwrap();
+    let model_cfg = NCubeConfig::new(K, 2, V, LM, lambda, H);
+    let model = NCubeModel::new(model_cfg).unwrap();
     let out = model.solve().expect("sub-saturation point must solve");
     assert!(out.latency >= model.zero_load_latency());
     assert!(out.max_utilization < 1.0);
@@ -73,12 +72,13 @@ fn paper_validation_round_trips_model_and_simulator() {
 
 #[test]
 fn sweep_entrypoint_is_reachable_through_the_facade() {
-    let base = ModelConfig::paper_validation(K, V, LM, 0.0, H);
+    let base = NCubeConfig::new(K, 2, V, LM, 0.0, H);
     let grid = [0.5 * lambda(), lambda()];
-    let curve = latency_curve(base, &grid);
-    assert_eq!(curve.len(), 2);
-    assert!(curve.iter().all(|p| p.result.is_ok()));
-    let sat = kncube::model::find_saturation(base, 1e-8, 1e-1, 1e-3)
+    for lambda in grid {
+        let model = NCubeModel::new(NCubeConfig { lambda, ..base }).unwrap();
+        assert!(model.solve().is_ok(), "λ={lambda:.3e} must solve");
+    }
+    let sat = find_saturation_ncube(base, 1e-8, 1e-1, 1e-3)
         .expect("paper configurations saturate inside the bracket");
     assert!(sat > grid[1], "grid was supposed to sit below saturation");
 }
