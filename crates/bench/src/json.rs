@@ -156,12 +156,19 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses
+/// once per level, so without a limit a document of a few hundred
+/// thousand `[` overflows the stack; real query batches nest 3 deep.
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Parse a JSON document (the full input must be one value plus
-/// whitespace).  Errors carry a byte offset and a short description.
+/// whitespace).  Errors carry a byte offset and what went wrong; nesting
+/// past [`MAX_NESTING_DEPTH`] is [`JsonErrorKind::TooDeep`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -177,13 +184,34 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 pub struct JsonError {
     /// Byte offset into the input.
     pub offset: usize,
-    /// Description of the failure.
-    pub message: String,
+    /// What went wrong.
+    pub kind: JsonErrorKind,
+}
+
+/// The kinds of [`JsonError`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not JSON; the description says why.
+    Syntax(String),
+    /// An array or object opens at nesting depth `depth`, past
+    /// [`MAX_NESTING_DEPTH`].
+    TooDeep {
+        /// The depth of the offending array or object (the top-level
+        /// value is depth 1).
+        depth: usize,
+    },
 }
 
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
+        write!(f, "JSON error at byte {}: ", self.offset)?;
+        match &self.kind {
+            JsonErrorKind::Syntax(message) => f.write_str(message),
+            JsonErrorKind::TooDeep { depth } => write!(
+                f,
+                "nesting depth {depth} exceeds the limit of {MAX_NESTING_DEPTH}"
+            ),
+        }
     }
 }
 
@@ -192,14 +220,33 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
-            message: message.to_string(),
+            kind: JsonErrorKind::Syntax(message.to_string()),
         }
+    }
+
+    /// Parse an array or object body one nesting level down.
+    fn nested(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(JsonError {
+                offset: self.pos,
+                kind: JsonErrorKind::TooDeep { depth: self.depth },
+            });
+        }
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn peek(&self) -> Option<u8> {
@@ -232,8 +279,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -364,7 +411,7 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             offset: start,
-            message: format!("bad number '{text}'"),
+            kind: JsonErrorKind::Syntax(format!("bad number '{text}'")),
         })
     }
 }
@@ -427,6 +474,31 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\": 1} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let at_limit = "[".repeat(MAX_NESTING_DEPTH) + &"]".repeat(MAX_NESTING_DEPTH);
+        assert!(parse(&at_limit).is_ok());
+        let one_more = format!("{{\"a\": {}}}", at_limit);
+        let err = parse(&one_more).unwrap_err();
+        assert_eq!(
+            err.kind,
+            JsonErrorKind::TooDeep {
+                depth: MAX_NESTING_DEPTH + 1
+            }
+        );
+        assert_eq!(err.offset, 6 + MAX_NESTING_DEPTH - 1);
+        // Deep enough to overflow the stack of a parser without a limit.
+        let abyss = "[".repeat(200_000);
+        let err = parse(&abyss).unwrap_err();
+        assert_eq!(
+            err.kind,
+            JsonErrorKind::TooDeep {
+                depth: MAX_NESTING_DEPTH + 1
+            }
+        );
+        assert!(err.to_string().contains("nesting depth 129"), "{err}");
     }
 
     #[test]

@@ -291,6 +291,18 @@ impl Layout {
     }
 }
 
+/// How [`NCubeModel::tail_sums`] represents the downstream tails of a
+/// dimension.
+#[derive(Clone, Copy)]
+enum Tails {
+    /// Holds are load-independent: one zero tail stands for every profile.
+    Ignored,
+    /// One entry per tail profile, the last dimension varying fastest.
+    Enumerated,
+    /// More than [`TAIL_ENUM_CAP`] profiles: their mean cost alone.
+    Mean,
+}
+
 impl NCubeModel {
     /// Validate the configuration and build the model.
     pub fn new(config: NCubeConfig) -> Result<Self, ModelError> {
@@ -377,14 +389,17 @@ impl NCubeModel {
     }
 
     /// The downstream tail costs a hot message can carry past dimension
-    /// `d`: one entry per profile of the higher dimensions (uniform over
-    /// positions, the generalized Eq. 18–20/25 position average).  Under
-    /// the pipelined default holds are load-independent, so a single zero
+    /// `d`, written into `sums`: one entry per profile of the higher
+    /// dimensions (uniform over positions, the generalized Eq. 18–20/25
+    /// position average), the last dimension varying fastest.  Under the
+    /// pipelined default holds are load-independent, so a single zero
     /// tail suffices; past [`TAIL_ENUM_CAP`] profiles the mean tail cost
-    /// stands in for the enumeration.
-    fn tail_sums(&self, layout: Layout, state: &[f64], d: usize) -> Vec<f64> {
+    /// stands in for the enumeration.  The buffer is reused across calls.
+    fn tail_sums(&self, layout: Layout, state: &[f64], d: usize, sums: &mut Vec<f64>) -> Tails {
+        sums.clear();
         if self.config.service_model == ServiceTimeModel::PipelinedTransfer {
-            return vec![0.0];
+            sums.push(0.0);
+            return Tails::Ignored;
         }
         let k = self.config.k as usize;
         let higher = layout.n - d - 1;
@@ -398,19 +413,24 @@ impl NCubeModel {
                         / k as f64
                 })
                 .sum();
-            return vec![mean];
+            sums.push(mean);
+            return Tails::Mean;
         }
-        let mut sums = vec![0.0];
+        // Expand one dimension at a time in place: entry `i` becomes
+        // entries `i·k .. i·k + k`, written back to front so no entry is
+        // overwritten before it is read.
+        sums.push(0.0);
         for d2 in d + 1..layout.n {
-            let mut next = Vec::with_capacity(sums.len() * k);
-            for &s in &sums {
+            let len = sums.len();
+            sums.resize(len * k, 0.0);
+            for i in (0..len).rev() {
+                let s = sums[i];
                 for j in 0..=layout.m {
-                    next.push(s + layout.c_or_zero(state, d2, j));
+                    sums[i * k + j] = s + layout.c_or_zero(state, d2, j);
                 }
             }
-            sums = next;
         }
-        sums
+        Tails::Enumerated
     }
 
     /// Zero-load initial guess: blocking-free chains.
@@ -424,15 +444,29 @@ impl NCubeModel {
         state
     }
 
+    /// `λ^h_{d,l}` for every dimension `d` and `l = 1..=k`, at
+    /// `[d·k + l - 1]`: the rates are fixed for the whole solve.
+    fn hot_rate_table(&self) -> Vec<f64> {
+        let (k, n) = (self.config.k, self.config.n);
+        (0..n)
+            .flat_map(|d| (1..=k).map(move |l| (d, l)))
+            .map(|(d, l)| self.rates.hot_rate(d, l))
+            .collect()
+    }
+
     /// One application of the generalized recursions (16)–(20), (23), (25).
-    fn update(&self, layout: Layout, state: &[f64], next: &mut [f64]) {
+    fn update(
+        &self,
+        layout: Layout,
+        hot_rates: &[f64],
+        tails: &mut Vec<f64>,
+        state: &[f64],
+        next: &mut [f64],
+    ) {
         let k = self.config.k as usize;
         let lm = self.config.message_length as f64;
         let lr = self.rates.regular_channel_rate();
         let hold_nonhot = self.hold_regular(state[layout.b_nonhot()]);
-        let hold_hot: Vec<f64> = (0..layout.n)
-            .map(|d| self.hold_regular(state[layout.b_hot(d)]))
-            .collect();
 
         // Eq. (16) generalized: blocking at a channel with no hot traffic.
         next[layout.b_nonhot()] = blocking_delay(
@@ -443,48 +477,53 @@ impl NCubeModel {
         );
 
         for d in 0..layout.n {
-            let tails = self.tail_sums(layout, state, d);
+            self.tail_sums(layout, state, d, tails);
             let inv_tails = 1.0 / tails.len() as f64;
+            let hold_d = self.hold_regular(state[layout.b_hot(d)]);
+            let regular = TrafficClass::new(lr, hold_d);
+            // The hot chain's regular competitor holds for the Eq. 25
+            // reading (ModelVariant); the last dimension always uses its
+            // own family, matching Eq. 23.  Where that is dimension d's
+            // own family, the chain's blocking term at (j, tail) is the
+            // family term at (l = j, tail), evaluated once for both sums.
+            let chain_regular = match self.config.variant {
+                ModelVariant::XRingService => None,
+                ModelVariant::HotRingServiceEq25 if d + 1 == layout.n => None,
+                ModelVariant::HotRingServiceEq25 => Some(TrafficClass::new(
+                    lr,
+                    self.hold_regular(state[layout.b_hot(layout.n - 1)]),
+                )),
+            };
 
             // Eqs. (17)-(20) generalized: regular-message blocking at the
             // hot ring family of dimension d, uniform over the k in-ring
             // positions (and the tail profiles, which only matter under
-            // the path-occupancy ablation).
+            // the path-occupancy ablation).  Eqs. (23)/(25) generalized:
+            // the hot-message chain C_{d,j} over the first k-1 positions.
             let mut sum = 0.0;
+            let mut cum = 0.0;
             for l in 1..=k {
-                let rate = self.rates.hot_rate(d as u32, l as u32);
+                let rate = hot_rates[d * k + l - 1];
                 let c_before = layout.c_or_zero(state, d, l - 1);
-                for &tail in &tails {
+                let in_chain = l <= layout.m;
+                let mut bsum = 0.0;
+                for &tail in tails.iter() {
                     let hot = TrafficClass::new(rate, self.hot_hold(c_before, tail));
-                    sum += blocking_delay(TrafficClass::new(lr, hold_hot[d]), hot, lm, RHO_CAP);
+                    let b = blocking_delay(regular, hot, lm, RHO_CAP);
+                    sum += b;
+                    if in_chain {
+                        bsum += match chain_regular {
+                            None => b,
+                            Some(reg) => blocking_delay(reg, hot, lm, RHO_CAP),
+                        };
+                    }
+                }
+                if in_chain {
+                    cum += 1.0 + bsum * inv_tails;
+                    next[layout.c(d, l)] = cum;
                 }
             }
             next[layout.b_hot(d)] = sum / k as f64 * inv_tails;
-
-            // Eqs. (23)/(25) generalized: the hot-message chain C_{d,j}.
-            // The regular competitor's holding time follows the Eq. 25
-            // reading (ModelVariant); the last dimension always uses its
-            // own family, matching Eq. 23.
-            let reg_hold = match self.config.variant {
-                ModelVariant::XRingService => hold_hot[d],
-                ModelVariant::HotRingServiceEq25 => hold_hot[layout.n - 1],
-            };
-            let mut cum = 0.0;
-            for j in 1..=layout.m {
-                let rate = self.rates.hot_rate(d as u32, j as u32);
-                let c_before = layout.c_or_zero(state, d, j - 1);
-                let mut bsum = 0.0;
-                for &tail in &tails {
-                    bsum += blocking_delay(
-                        TrafficClass::new(lr, reg_hold),
-                        TrafficClass::new(rate, self.hot_hold(c_before, tail)),
-                        lm,
-                        RHO_CAP,
-                    );
-                }
-                cum += 1.0 + bsum * inv_tails;
-                next[layout.c(d, j)] = cum;
-            }
         }
     }
 
@@ -524,13 +563,15 @@ impl NCubeModel {
             }
             _ => self.initial_state(layout),
         };
+        let hot_rates = self.hot_rate_table();
+        let mut tails = Vec::new();
         let report = fixed_point::solve(initial, self.config.options, |state, next| {
-            self.update(layout, state, next)
+            self.update(layout, &hot_rates, &mut tails, state, next)
         })
         .map_err(|e| match e {
             FixedPointError::NonFinite | FixedPointError::NotConverged => ModelError::NotConverged,
         })?;
-        let out = self.compose(layout, &report.state, report.iterations)?;
+        let out = self.compose(layout, &hot_rates, &report.state, report.iterations)?;
         Ok((out, report.state))
     }
 
@@ -539,6 +580,7 @@ impl NCubeModel {
     fn compose(
         &self,
         layout: Layout,
+        hot_rates: &[f64],
         state: &[f64],
         iterations: usize,
     ) -> Result<NCubeOutput, ModelError> {
@@ -558,15 +600,24 @@ impl NCubeModel {
         let hold_hot: Vec<f64> = b_hot.iter().map(|&b| self.hold_regular(b)).collect();
 
         // --- Saturation diagnosis: every physical channel must be stable.
+        // The utilization of hot channel (d, l) at each tail is also the
+        // offered load its multiplexing degree is taken at, so it is kept
+        // in `per_channel`, at `offset[d] + (l-1)·|tails[d]| + tail`.
         let mut max_util: f64 = 0.0;
         if n >= 2 {
             max_util =
                 channel_utilization(TrafficClass::new(lr, hold_nonhot), TrafficClass::none());
         }
-        let tails: Vec<Vec<f64>> = (0..n).map(|d| self.tail_sums(layout, state, d)).collect();
+        let mut tails: Vec<Vec<f64>> = vec![Vec::new(); n];
+        let kinds: Vec<Tails> = (0..n)
+            .map(|d| self.tail_sums(layout, state, d, &mut tails[d]))
+            .collect();
+        let mut offset = Vec::with_capacity(n);
+        let mut per_channel = Vec::with_capacity(tails.iter().map(|t| k * t.len()).sum());
         for d in 0..n {
+            offset.push(per_channel.len());
             for l in 1..=k {
-                let rate = self.rates.hot_rate(d as u32, l as u32);
+                let rate = hot_rates[d * k + l - 1];
                 let c_before = layout.c_or_zero(state, d, l - 1);
                 for &tail in &tails[d] {
                     let util = channel_utilization(
@@ -574,6 +625,7 @@ impl NCubeModel {
                         TrafficClass::new(rate, self.hot_hold(c_before, tail)),
                     );
                     max_util = max_util.max(util);
+                    per_channel.push(util);
                 }
             }
         }
@@ -583,7 +635,8 @@ impl NCubeModel {
             });
         }
 
-        // --- Eqs. (33)-(37): multiplexing degrees per channel family.
+        // --- Eqs. (33)-(37): multiplexing degrees per channel family;
+        // `per_channel` now holds each hot channel's degree.
         let vbar_of = |rho: f64| -> f64 {
             match self.config.multiplexing {
                 MultiplexingModel::DallyMarkov => multiplexing_factor(rho, v),
@@ -591,15 +644,15 @@ impl NCubeModel {
             }
         };
         let vbar_nonhot = vbar_of(lr * hold_nonhot);
+        for x in per_channel.iter_mut() {
+            *x = vbar_of(*x);
+        }
         let vbar_hot: Vec<f64> = (0..n)
             .map(|d| {
+                let family = &per_channel[offset[d]..offset[d] + k * tails[d].len()];
                 let mut sum = 0.0;
-                for l in 1..=k {
-                    let rate = self.rates.hot_rate(d as u32, l as u32);
-                    let c_before = layout.c_or_zero(state, d, l - 1);
-                    for &tail in &tails[d] {
-                        sum += vbar_of(lr * hold_hot[d] + rate * self.hot_hold(c_before, tail));
-                    }
+                for &x in family {
+                    sum += x;
                 }
                 sum / (k * tails[d].len()) as f64
             })
@@ -633,7 +686,12 @@ impl NCubeModel {
             .sum();
 
         // --- Eqs. (21)-(24) and (32): per-source hot latencies and waits,
-        // one source per distance profile (t_0, …, t_{n-1}) != 0.
+        // one source per distance profile (t_0, …, t_{n-1}) != 0.  The
+        // source enters the network at channel (d0, t_{d0}) of the hot
+        // ring family of its first non-zero dimension d0, carrying the
+        // tail (t_{d0+1}, …, t_{n-1}); its multiplexing degree is the
+        // family entry at that channel and tail, looked up, unless the
+        // tails past d0 are too many to enumerate.
         let vc_rate = self.config.lambda / v as f64;
         let wait = |service: f64| -> Result<f64, ModelError> {
             mg1::waiting_time(vc_rate, service, lm).map_err(|sat| ModelError::Saturated {
@@ -645,18 +703,19 @@ impl NCubeModel {
         let mut profile = vec![0usize; n];
         'profiles: loop {
             // Advance the odometer (dimension 0 fastest); the all-zero
-            // profile (the hot node itself) is skipped below.
-            let mut d = 0;
+            // profile (the hot node itself) is skipped.  The dimension
+            // that was incremented is the first non-zero one, d0.
+            let mut d0 = 0;
             loop {
-                if d == n {
+                if d0 == n {
                     break 'profiles;
                 }
-                profile[d] += 1;
-                if profile[d] <= m {
+                profile[d0] += 1;
+                if profile[d0] <= m {
                     break;
                 }
-                profile[d] = 0;
-                d += 1;
+                profile[d0] = 0;
+                d0 += 1;
             }
             let s_h_net = lm
                 + profile
@@ -664,16 +723,28 @@ impl NCubeModel {
                     .enumerate()
                     .map(|(dd, &t)| layout.c_or_zero(state, dd, t))
                     .sum::<f64>();
-            let d0 = profile.iter().position(|&t| t > 0).expect("non-zero");
-            let entry_tail: f64 = (d0 + 1..n)
-                .map(|dd| layout.c_or_zero(state, dd, profile[dd]))
-                .sum();
-            let entry_rho = lr * hold_hot[d0]
-                + self.rates.hot_rate(d0 as u32, profile[d0] as u32)
-                    * self.hot_hold(layout.c_or_zero(state, d0, profile[d0] - 1), entry_tail);
+            let t0 = profile[d0];
+            let family = offset[d0] + (t0 - 1) * tails[d0].len();
+            let entry_vbar = match kinds[d0] {
+                Tails::Ignored => per_channel[family],
+                Tails::Enumerated => {
+                    let tail = profile[d0 + 1..].iter().fold(0, |i, &t| i * k + t);
+                    per_channel[family + tail]
+                }
+                Tails::Mean => {
+                    let entry_tail: f64 = (d0 + 1..n)
+                        .map(|dd| layout.c_or_zero(state, dd, profile[dd]))
+                        .sum();
+                    vbar_of(
+                        lr * hold_hot[d0]
+                            + hot_rates[d0 * k + t0 - 1]
+                                * self.hot_hold(layout.c_or_zero(state, d0, t0 - 1), entry_tail),
+                    )
+                }
+            };
             let w = wait((1.0 - h) * s_r_network + h * s_h_net)?;
             ws_sum += w;
-            s_h_sum += (s_h_net + w) * vbar_of(entry_rho);
+            s_h_sum += (s_h_net + w) * entry_vbar;
         }
         let ws_r = (ws_sum + wait(s_r_network)?) / n_nodes;
         let s_h = s_h_sum / (n_nodes - 1.0);

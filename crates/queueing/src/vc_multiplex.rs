@@ -23,14 +23,8 @@
 /// all channels busy, which the clamp approaches continuously.
 pub fn occupancy_distribution(rho: f64, v_channels: u32) -> Vec<f64> {
     assert!(v_channels >= 1, "need at least one virtual channel");
-    let v = v_channels as usize;
     let rho = rho.clamp(0.0, 1.0 - 1e-12);
-    let mut q = vec![0.0; v + 1];
-    q[0] = 1.0;
-    for i in 1..v {
-        q[i] = q[i - 1] * rho;
-    }
-    q[v] = q[v - 1] * rho / (1.0 - rho);
+    let mut q: Vec<f64> = occupancy_weights(rho, v_channels).collect();
     let total: f64 = q.iter().sum();
     for p in &mut q {
         *p /= total;
@@ -51,22 +45,45 @@ pub fn occupancy_distribution(rho: f64, v_channels: u32) -> Vec<f64> {
 /// // V = 2 at ρ = 0.5: hand-computable from Eqs. 33-35 → 5/3.
 /// assert!((multiplexing_factor(0.5, 2) - 5.0 / 3.0).abs() < 1e-12);
 /// ```
+///
+/// The `q_v` of Eq. (33) are generated on the fly rather than collected
+/// by [`occupancy_distribution`], with the same operations in the same
+/// order, so the result is bitwise equal to `V̄` computed from that
+/// distribution without allocating.
 pub fn multiplexing_factor(rho: f64, v_channels: u32) -> f64 {
     if rho <= 0.0 {
         return 1.0;
     }
-    let p = occupancy_distribution(rho, v_channels);
-    let num: f64 = p
-        .iter()
-        .enumerate()
-        .map(|(v, &pv)| (v * v) as f64 * pv)
-        .sum();
-    let den: f64 = p.iter().enumerate().map(|(v, &pv)| v as f64 * pv).sum();
+    assert!(v_channels >= 1, "need at least one virtual channel");
+    let rho = rho.clamp(0.0, 1.0 - 1e-12);
+    let total: f64 = occupancy_weights(rho, v_channels).sum();
+    let mut num = 0.0;
+    let mut den = 0.0;
+    for (v, q) in occupancy_weights(rho, v_channels).enumerate() {
+        let pv = q / total;
+        num += (v * v) as f64 * pv;
+        den += v as f64 * pv;
+    }
     if den == 0.0 {
         1.0
     } else {
         num / den
     }
+}
+
+/// The unnormalised weights `q_0, …, q_V` of Eq. (33) for a clamped load.
+fn occupancy_weights(rho: f64, v_channels: u32) -> impl Iterator<Item = f64> {
+    let mut q = 1.0;
+    (0..=v_channels).map(move |i| {
+        if i > 0 {
+            q = if i < v_channels {
+                q * rho
+            } else {
+                q * rho / (1.0 - rho)
+            };
+        }
+        q
+    })
 }
 
 #[cfg(test)]

@@ -115,6 +115,21 @@ proptest! {
     }
 
     #[test]
+    fn multiplexing_is_bitwise_the_mean_of_the_occupancy_distribution(
+        rho in 0.0f64..2.0,
+        v in 1u32..=8,
+    ) {
+        // `multiplexing_factor` never collects the Eq. 34 distribution; it
+        // must still be Eq. 35 over exactly that distribution, bit for bit.
+        let p = occupancy_distribution(rho, v);
+        let num: f64 = p.iter().enumerate().map(|(i, &pi)| (i * i) as f64 * pi).sum();
+        let den: f64 = p.iter().enumerate().map(|(i, &pi)| i as f64 * pi).sum();
+        let want = if rho <= 0.0 || den == 0.0 { 1.0 } else { num / den };
+        let got = multiplexing_factor(rho, v);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "ρ={} V={}: {} vs {}", rho, v, got, want);
+    }
+
+    #[test]
     fn fixed_point_solves_affine_contractions(
         a in -0.9f64..0.9,
         b in -10.0f64..10.0,

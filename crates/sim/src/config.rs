@@ -95,13 +95,42 @@ pub enum SimConfigError {
     Topology(TopologyError),
     /// A parameter is out of range.
     Invalid(&'static str),
+    /// The message length or buffer depth does not fit the engine's
+    /// 16-bit packed virtual-channel fields (`value >= 2^16`).
+    PackedFieldTooWide {
+        /// `"message_length"` or `"buffer_depth"`.
+        field: &'static str,
+        /// The configured value.
+        value: u32,
+    },
+    /// The longest route needs `stages` pipeline stages (injection plus
+    /// one per hop), more than the 16-bit packed stage field counts
+    /// (`stages >= 2^16`).
+    ChainTooLong {
+        /// Stages of the longest route.
+        stages: u32,
+    },
 }
+
+/// Exclusive bound of the engine's 16-bit packed virtual-channel fields
+/// (message length, buffer count, chain stage).
+pub(crate) const PACKED_FIELD_LIMIT: u32 = 1 << 16;
 
 impl fmt::Display for SimConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimConfigError::Topology(e) => write!(f, "topology: {e}"),
             SimConfigError::Invalid(msg) => write!(f, "invalid simulator config: {msg}"),
+            SimConfigError::PackedFieldTooWide { field, value } => write!(
+                f,
+                "{field} {value} does not fit the simulator's 16-bit packed fields \
+                 (must be < {PACKED_FIELD_LIMIT})"
+            ),
+            SimConfigError::ChainTooLong { stages } => write!(
+                f,
+                "the longest route needs {stages} chain stages; \
+                 the simulator's 16-bit stage field holds fewer than {PACKED_FIELD_LIMIT}"
+            ),
         }
     }
 }
@@ -207,6 +236,14 @@ impl SimConfig {
         if self.message_length < 1 {
             return Err(SimConfigError::Invalid("messages need at least 1 flit"));
         }
+        for (field, value) in [
+            ("message_length", self.message_length),
+            ("buffer_depth", self.buffer_depth),
+        ] {
+            if value >= PACKED_FIELD_LIMIT {
+                return Err(SimConfigError::PackedFieldTooWide { field, value });
+            }
+        }
         if self.warmup_cycles >= self.max_cycles {
             return Err(SimConfigError::Invalid(
                 "warm-up must be shorter than the total run",
@@ -302,6 +339,56 @@ mod tests {
         assert!(SimConfig::ncube(32, 3, 2, 16, 1e-4, 0.2, 1)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn packed_field_overflow_is_a_typed_error() {
+        let base = SimConfig::ncube(4, 2, 2, 16, 1e-4, 0.2, 1);
+        let lm = |message_length| SimConfig {
+            message_length,
+            ..base
+        };
+        let depth = |buffer_depth| SimConfig {
+            buffer_depth,
+            ..base
+        };
+        assert!(lm(PACKED_FIELD_LIMIT - 1).validate().is_ok());
+        assert!(depth(PACKED_FIELD_LIMIT - 1).validate().is_ok());
+        assert_eq!(
+            lm(PACKED_FIELD_LIMIT).validate(),
+            Err(SimConfigError::PackedFieldTooWide {
+                field: "message_length",
+                value: 1 << 16
+            })
+        );
+        assert_eq!(
+            crate::Simulator::new(depth(u32::MAX)).err(),
+            Some(SimConfigError::PackedFieldTooWide {
+                field: "buffer_depth",
+                value: u32::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn chains_longer_than_the_stage_field_are_a_typed_error() {
+        // A unidirectional ring of k nodes has a (k-1)-hop route, so
+        // k - 1 + 1 = k injection-plus-hop stages.
+        let ring = |k| SimConfig::ncube(k, 1, 2, 16, 1e-4, 0.2, 1);
+        assert_eq!(
+            crate::Simulator::new(ring(PACKED_FIELD_LIMIT)).err(),
+            Some(SimConfigError::ChainTooLong { stages: 1 << 16 })
+        );
+        // Bidirectional rings route the shorter way round: half the stages.
+        let bi =
+            ring(2 * PACKED_FIELD_LIMIT).with_topology(LinkKind::Bidirectional, Boundary::Torus);
+        assert_eq!(
+            crate::Simulator::new(bi).err(),
+            Some(SimConfigError::ChainTooLong {
+                stages: (1 << 16) + 1
+            })
+        );
+        assert!(crate::Simulator::new(ring(PACKED_FIELD_LIMIT - 1)).is_ok());
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! snapshots (`tests/engine_snapshots.rs`): same seed, bit-identical
 //! report.
 
-use crate::config::{EjectionPolicy, SimConfig, SimConfigError};
+use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
 use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG};
 use crate::report::SimReport;
 use crate::stats::{BatchMeans, StreamingStats};
@@ -238,6 +238,22 @@ impl Simulator {
         let n_ports = (n_channels + n_nodes) as usize;
         let v = config.virtual_channels;
         let n_vcs = n_ports * v as usize;
+        let fault_router = config
+            .faults
+            .map(|spec| FaultRouter::new(sample_fault_set(topo, spec, config.seed)));
+        // Longest chain: the injection stage plus one stage per hop of the
+        // longest route — the longest dimension-order route without
+        // faults, the longest surviving shortest path with them (detours
+        // can exceed the fault-free diameter).
+        let max_chain = match &fault_router {
+            Some(router) => router.max_finite_distance() + 1,
+            None => topo.max_hops() + 1,
+        };
+        // The packed VC words hold chain stages in a 16-bit field
+        // (`validate` has checked the length and buffer fields).
+        if max_chain >= PACKED_FIELD_LIMIT {
+            return Err(SimConfigError::ChainTooLong { stages: max_chain });
+        }
         let wl_config = WorkloadConfig {
             arrivals: config.arrivals,
             pattern: config.pattern,
@@ -257,24 +273,6 @@ impl Simulator {
         } else {
             1_000
         };
-        let fault_router = config
-            .faults
-            .map(|spec| FaultRouter::new(sample_fault_set(topo, spec, config.seed)));
-        // Longest chain: the injection stage plus one stage per hop of the
-        // longest route — the longest dimension-order route without
-        // faults, the longest surviving shortest path with them (detours
-        // can exceed the fault-free diameter).
-        let max_chain = match &fault_router {
-            Some(router) => router.max_finite_distance() + 1,
-            None => topo.max_hops() + 1,
-        };
-        // The packed VC words hold lengths, stages and buffer counts in
-        // 16-bit fields.
-        assert!(
-            config.message_length < (1 << 16) && config.buffer_depth < (1 << 16),
-            "message length and buffer depth must fit 16 bits"
-        );
-        assert!(max_chain < (1 << 16), "chain stages must fit 16 bits");
         Ok(Simulator {
             config,
             topo,
