@@ -29,7 +29,7 @@ fn model_latency(cfg: NCubeConfig) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.4, false);
     let sat = kncube_bench::or_exit(find_saturation_ncube(
         fig.model_config(0.0),

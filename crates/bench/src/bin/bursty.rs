@@ -24,7 +24,7 @@ use kncube_sim::{SimConfig, Simulator};
 use kncube_traffic::ArrivalProcess;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.2, false);
     let sat = kncube_bench::or_exit(find_saturation_ncube(
         fig.model_config(0.0),

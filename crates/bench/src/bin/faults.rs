@@ -165,7 +165,7 @@ fn print_rows(name: &str, rows: &[SweepRow]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let (seeds, sim_cycles, slack, grid): (u64, u64, f64, &[f64]) = if quick {
         (4, 6_000, 0.10, &[0.0, 0.05, 0.15])
     } else {

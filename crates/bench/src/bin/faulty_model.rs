@@ -341,7 +341,7 @@ fn print_rows(name: &str, rows: &[SweepRow]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let (densities, fracs, cal_target, target, warmup, min_completed): (
         &[f64],
         &[f64],

@@ -10,7 +10,7 @@
 use kncube_bench::{check_figure_shape, or_exit, print_figure, run_figure, FigureConfig};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let mut all_violations = Vec::new();
     for h in [0.2, 0.4, 0.7] {
         let cfg = FigureConfig::paper(100, h, quick);

@@ -19,7 +19,7 @@ use kncube_core::{find_saturation_ncube, HypercubeModel, NCubeConfig};
 use kncube_sim::{SimConfig, Simulator};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let (n, lm, h) = (6u32, 32u32, 0.3); // 64-node hypercube
     let model0 = HypercubeModel::new(n, 2, lm, 0.0, h).unwrap();
     let sat = model0.saturation_bound();

@@ -14,7 +14,7 @@ use kncube_bench::{
 };
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let (lm, h) = (16u32, 0.2f64);
     let mut all_violations = Vec::new();
     for (k, n) in NCUBE_SWEEP {

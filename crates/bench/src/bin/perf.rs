@@ -14,19 +14,16 @@
 //! * `moderate` — 50% of λ*: every cycle does flit work.
 //!
 //! The committed `BENCH_simulator.json` at the repo root is the baseline;
-//! CI re-runs this harness with `--quick` and compares via `--baseline`:
-//! a throughput ratio below `--min-ratio` (default 0.8) prints a warning
-//! (exit 0 — timing on shared runners is noisy), a malformed or
-//! schema-drifted baseline exits 1, and any measurement failure exits 2.
+//! CI re-runs this harness with `--quick` and compares via `--baseline`.
+//! Checking, writing and comparing the document is
+//! [`kncube_bench::benchfile`]'s job (its module docs list the exit
+//! codes); any measurement failure here exits 2.
 
-use kncube_bench::json::{parse, Json};
-use kncube_bench::stamp::{git_commit, utc_now_iso8601};
+use kncube_bench::benchfile::{self, SIMULATOR};
+use kncube_bench::json::Json;
 use kncube_core::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use std::time::Instant;
-
-/// Schema version of the emitted document; bump on breaking changes.
-const SCHEMA_VERSION: f64 = 1.0;
 
 /// One benchmarked configuration: `(k, n, v, lm, h)`.
 const CONFIGS: [(u32, u32, u32, u32, f64); 3] =
@@ -41,47 +38,12 @@ const LOADS: [(&str, f64, u64, u64); 3] = [
 
 const SEED: u64 = 7;
 
-struct Options {
-    quick: bool,
-    out: Option<String>,
-    baseline: Option<String>,
-    min_ratio: f64,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: perf [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
-         \n\
-         Measures simulator cycles/s and model solve time across (k,n) in\n\
-         {{(16,2),(8,3),(4,4)}} and writes a BENCH_simulator.json document.\n\
-         With --baseline, compares against a previous document: ratios below\n\
-         R (default 0.8) warn; a malformed baseline is an error (exit 1)."
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        quick: false,
-        out: None,
-        baseline: None,
-        min_ratio: 0.8,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => opts.out = Some(args.next().unwrap_or_else(|| usage())),
-            "--baseline" => opts.baseline = Some(args.next().unwrap_or_else(|| usage())),
-            "--min-ratio" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.min_ratio = v.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-    opts
-}
+const USAGE: &str = "usage: perf [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
+\n\
+Measures simulator cycles/s and model solve time across (k,n) in\n\
+{(16,2),(8,3),(4,4)} and writes a BENCH_simulator.json document.\n\
+With --baseline, compares against a previous document: ratios below\n\
+R (default 0.8) warn; a malformed baseline is an error (exit 1).";
 
 /// Time one production `run()` and return `(cycles/s, cycles, seconds,
 /// completed)`.
@@ -117,7 +79,7 @@ fn time_model_solve(cfg: NCubeConfig, iters: u32) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64 * 1e6
 }
 
-fn measure(opts: &Options) -> Json {
+fn measure(quick: bool) -> Json {
     let mut configs = Vec::new();
     for (k, n, v, lm, h) in CONFIGS {
         let base = NCubeConfig::new(k, n, v, lm, 0.0, h);
@@ -139,11 +101,7 @@ fn measure(opts: &Options) -> Json {
         let mut loads = Vec::new();
         let mut headline = 0.0;
         for (label, frac, full_cycles, quick_cycles) in LOADS {
-            let budget = if opts.quick {
-                quick_cycles
-            } else {
-                full_cycles
-            };
+            let budget = if quick { quick_cycles } else { full_cycles };
             let lambda = sat * frac;
             let cfg = SimConfig::ncube(k, n, v, lm, lambda, h, SEED).with_limits(budget, 0, 0);
             let (cps, cycles, seconds, completed) = time_run(cfg);
@@ -167,7 +125,7 @@ fn measure(opts: &Options) -> Json {
         entry.set("cycles_per_sec", Json::Num(headline));
         entry.set("loads", Json::Arr(loads));
 
-        let solve_iters = if opts.quick { 20 } else { 200 };
+        let solve_iters = if quick { 20 } else { 200 };
         let solve_cfg = NCubeConfig::new(k, n, v, lm, sat * 0.5, h);
         let solve_us = time_model_solve(solve_cfg, solve_iters);
         eprintln!("k={k} n={n} model solve: {solve_us:.1} µs");
@@ -176,162 +134,12 @@ fn measure(opts: &Options) -> Json {
         configs.push(entry);
     }
 
-    let mut doc = Json::obj();
-    doc.set("schema_version", Json::Num(SCHEMA_VERSION));
-    doc.set("commit", Json::Str(git_commit()));
-    doc.set("date", Json::Str(utc_now_iso8601()));
-    doc.set("quick", Json::Bool(opts.quick));
+    let mut doc = benchfile::header(quick);
     doc.set("configs", Json::Arr(configs));
     doc
 }
 
-/// Validate the benchmark document schema.  Returns the list of
-/// violations (empty = conforming).
-fn schema_violations(doc: &Json) -> Vec<String> {
-    let mut bad = Vec::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => bad.push(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => bad.push("missing numeric schema_version".into()),
-    }
-    if doc.get("commit").and_then(Json::as_str).is_none() {
-        bad.push("missing string commit".into());
-    }
-    if doc.get("date").and_then(Json::as_str).is_none() {
-        bad.push("missing string date".into());
-    }
-    let Some(configs) = doc.get("configs").and_then(Json::as_arr) else {
-        bad.push("missing configs array".into());
-        return bad;
-    };
-    if configs.is_empty() {
-        bad.push("configs array is empty".into());
-    }
-    for (i, cfg) in configs.iter().enumerate() {
-        for key in ["k", "n", "v", "lm", "h", "cycles_per_sec", "model_solve_us"] {
-            match cfg.get(key).and_then(Json::as_f64) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                _ => bad.push(format!("configs[{i}].{key} missing or not a finite number")),
-            }
-        }
-        match cfg.get("loads").and_then(Json::as_arr) {
-            Some(loads) if !loads.is_empty() => {
-                for (j, point) in loads.iter().enumerate() {
-                    if point.get("label").and_then(Json::as_str).is_none()
-                        || point.get("cycles_per_sec").and_then(Json::as_f64).is_none()
-                    {
-                        bad.push(format!("configs[{i}].loads[{j}] malformed"));
-                    }
-                }
-            }
-            _ => bad.push(format!("configs[{i}].loads missing or empty")),
-        }
-    }
-    bad
-}
-
-/// Compare against a baseline document; returns the number of warnings.
-fn compare(new: &Json, baseline: &Json, min_ratio: f64) -> u32 {
-    let mut warnings = 0;
-    let empty = Vec::new();
-    let base_cfgs = baseline
-        .get("configs")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for cfg in new.get("configs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let (k, n) = (
-            cfg.get("k").and_then(Json::as_f64).unwrap_or(-1.0),
-            cfg.get("n").and_then(Json::as_f64).unwrap_or(-1.0),
-        );
-        let Some(base) = base_cfgs.iter().find(|b| {
-            b.get("k").and_then(Json::as_f64) == Some(k)
-                && b.get("n").and_then(Json::as_f64) == Some(n)
-        }) else {
-            eprintln!("note: no baseline entry for k={k} n={n}");
-            continue;
-        };
-        let now = cfg
-            .get("cycles_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let then = base
-            .get("cycles_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        if then <= 0.0 {
-            continue;
-        }
-        let ratio = now / then;
-        if ratio < min_ratio {
-            eprintln!(
-                "WARNING: k={k} n={n} throughput regressed to {ratio:.2}x of baseline \
-                 ({:.3}M vs {:.3}M cycles/s)",
-                now / 1e6,
-                then / 1e6
-            );
-            warnings += 1;
-        } else {
-            eprintln!(
-                "ok: k={k} n={n} at {ratio:.2}x of baseline ({:.3}M vs {:.3}M cycles/s)",
-                now / 1e6,
-                then / 1e6
-            );
-        }
-    }
-    warnings
-}
-
 fn main() {
-    let opts = parse_args();
-    let doc = measure(&opts);
-
-    let violations = schema_violations(&doc);
-    assert!(
-        violations.is_empty(),
-        "freshly measured document violates its own schema: {violations:?}"
-    );
-
-    let text = doc.pretty();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-
-    if let Some(path) = &opts.baseline {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let baseline = match parse(&raw) {
-            Ok(baseline) => baseline,
-            Err(e) => {
-                eprintln!("error: baseline {path} is not valid JSON: {e}");
-                std::process::exit(1);
-            }
-        };
-        let drift = schema_violations(&baseline);
-        if !drift.is_empty() {
-            eprintln!("error: baseline {path} does not match the schema:");
-            for v in &drift {
-                eprintln!("  - {v}");
-            }
-            std::process::exit(1);
-        }
-        let warnings = compare(&doc, &baseline, opts.min_ratio);
-        if warnings > 0 {
-            eprintln!(
-                "{warnings} regression warning(s) — not failing the build; \
-                 timing on shared runners is noisy"
-            );
-        }
-    }
+    let opts = benchfile::parse_args(USAGE, |_, _| false);
+    benchfile::finish(&measure(opts.quick), &SIMULATOR, &opts);
 }

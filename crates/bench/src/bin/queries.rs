@@ -11,131 +11,46 @@
 //!   relative — the CI smoke gate.
 //! * **Benchmark** (`--bench`): run the near-saturation λ-grid sweep and
 //!   emit `BENCH_model_queries.json` (`--quick` shrinks the grids; with
-//!   `--baseline` compare throughput, warning below `--min-ratio`).
+//!   `--baseline` compare throughput, warning below `--min-ratio`), all
+//!   through [`kncube_bench::benchfile`].
 //!
 //! Exit codes: 0 ok (including throughput warnings), 1 bad input or
 //! baseline schema drift, 2 measurement/solver failure, 3 cold-check
 //! mismatch.
 
+use kncube_bench::benchfile::{self, MODEL_QUERIES};
 use kncube_bench::json::parse;
-use kncube_bench::queries::{
-    check_cold, query_bench_compare, query_bench_schema_violations, run_batch, run_query_bench,
-};
+use kncube_bench::queries::{check_cold, run_batch, run_query_bench};
 use std::io::Read as _;
 
-struct Options {
-    input: Option<String>,
-    out: Option<String>,
-    check_cold: bool,
-    bench: bool,
-    quick: bool,
-    baseline: Option<String>,
-    min_ratio: f64,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: queries [--in FILE] [--out FILE] [--check-cold]\n\
-         \x20      queries --bench [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
-         \n\
-         Batch mode answers a {{\"queries\": [...]}} JSON document (from --in or\n\
-         stdin) with the warm-start/cache engine; --check-cold re-solves every\n\
-         latency query cold and fails (exit 3) on drift beyond 1e-9 relative.\n\
-         Bench mode sweeps near-saturation λ grids and emits the\n\
-         BENCH_model_queries.json document; with --baseline, throughput ratios\n\
-         below R (default 0.8) warn, schema drift is an error (exit 1)."
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        input: None,
-        out: None,
-        check_cold: false,
-        bench: false,
-        quick: false,
-        baseline: None,
-        min_ratio: 0.8,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--in" => opts.input = Some(args.next().unwrap_or_else(|| usage())),
-            "--out" => opts.out = Some(args.next().unwrap_or_else(|| usage())),
-            "--check-cold" => opts.check_cold = true,
-            "--bench" => opts.bench = true,
-            "--quick" => opts.quick = true,
-            "--baseline" => opts.baseline = Some(args.next().unwrap_or_else(|| usage())),
-            "--min-ratio" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.min_ratio = v.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-    opts
-}
-
-fn write_output(out: &Option<String>, text: &str) {
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-}
+const USAGE: &str = "usage: queries [--in FILE] [--out FILE] [--check-cold]\n\
+\x20      queries --bench [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
+\n\
+Batch mode answers a {\"queries\": [...]} JSON document (from --in or\n\
+stdin) with the warm-start/cache engine; --check-cold re-solves every\n\
+latency query cold and fails (exit 3) on drift beyond 1e-9 relative.\n\
+Bench mode sweeps near-saturation λ grids and emits the\n\
+BENCH_model_queries.json document; with --baseline, throughput ratios\n\
+below R (default 0.8) warn, schema drift is an error (exit 1).";
 
 fn main() {
-    let opts = parse_args();
-
-    if opts.bench {
-        let doc = run_query_bench(opts.quick);
-        let violations = query_bench_schema_violations(&doc);
-        assert!(
-            violations.is_empty(),
-            "freshly measured document violates its own schema: {violations:?}"
-        );
-        write_output(&opts.out, &doc.pretty());
-        if let Some(path) = &opts.baseline {
-            let raw = match std::fs::read_to_string(path) {
-                Ok(raw) => raw,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let baseline = match parse(&raw) {
-                Ok(baseline) => baseline,
-                Err(e) => {
-                    eprintln!("error: baseline {path} is not valid JSON: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let drift = query_bench_schema_violations(&baseline);
-            if !drift.is_empty() {
-                eprintln!("error: baseline {path} does not match the schema:");
-                for v in &drift {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
-            let warnings = query_bench_compare(&doc, &baseline, opts.min_ratio);
-            if warnings > 0 {
-                eprintln!(
-                    "{warnings} regression warning(s) — not failing the build; \
-                     timing on shared runners is noisy"
-                );
-            }
+    let (mut input, mut check, mut bench) = (None, false, false);
+    let opts = benchfile::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--in" => input = Some(args.value()),
+            "--check-cold" => check = true,
+            "--bench" => bench = true,
+            _ => return false,
         }
+        true
+    });
+
+    if bench {
+        benchfile::finish(&run_query_bench(opts.quick), &MODEL_QUERIES, &opts);
         return;
     }
 
-    let raw = match &opts.input {
+    let raw = match &input {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(raw) => raw,
             Err(e) => {
@@ -166,9 +81,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    write_output(&opts.out, &output.pretty());
+    benchfile::write_output(opts.out.as_deref(), &output.pretty());
 
-    if opts.check_cold {
+    if check {
         match check_cold(&input, &output) {
             Ok(violations) if violations.is_empty() => {
                 eprintln!("cold check: all latency answers agree within 1e-9");

@@ -55,7 +55,7 @@ fn sim_saturation(cfg: &FigureConfig, lo0: f64, hi0: f64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     println!(
         "{:>4} {:>4} {:>5} {:>14} {:>14} {:>14} {:>9}",
         "Lm", "V", "h", "model λ*", "sim λ*", "flit bound", "model/sim"

@@ -17,7 +17,7 @@ use kncube_core::{find_saturation_ncube, NCubeModel};
 use kncube_sim::Simulator;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = kncube_bench::quick_flag();
     let ks: &[u32] = if quick { &[8] } else { &[8, 16] };
     let lms: &[u32] = if quick { &[16, 32] } else { &[16, 32, 64, 100] };
     let hs: &[f64] = if quick {

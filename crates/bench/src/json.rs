@@ -380,18 +380,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let step = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .map(char::len_utf8)
-                        .unwrap_or(1);
-                    let text = std::str::from_utf8(&rest[..step]).unwrap();
-                    s.push_str(text);
-                    self.pos += step;
+                    // Copy the whole run up to the next '"' or '\\'.  Both
+                    // are ASCII and the input is a &str, so the run ends on
+                    // a char boundary and is valid UTF-8 by itself.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    s.push_str(run);
                 }
             }
         }
@@ -499,6 +497,28 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("nesting depth 129"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MB string field: a per-character rescan of the rest of the
+        // input would take minutes here.
+        let long: String = "ab\u{e9}\u{1f600}".repeat(1 << 17);
+        let doc = Json::Arr(vec![Json::Str(long.clone()), Json::Str("tail\"q".into())]);
+        let text = doc.pretty();
+        assert!(text.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(back, doc);
+        assert_eq!(
+            parse(&format!("\"{long}")).unwrap_err().offset,
+            long.len() + 1
+        );
     }
 
     #[test]

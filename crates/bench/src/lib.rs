@@ -9,9 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod benchfile;
 pub mod json;
 pub mod queries;
-pub mod stamp;
 
 use kncube_core::{ModelError, NCubeConfig, NCubeModel, NCubeOutput, SaturationError};
 use kncube_sim::{SimConfig, SimReport, Simulator};
@@ -28,6 +28,26 @@ pub fn or_exit<T>(result: Result<T, SaturationError>) -> T {
             std::process::exit(2);
         }
     }
+}
+
+/// The command line of every experiment binary: `--quick` or nothing.
+/// Any other argument prints a usage line and exits 2, so a mistyped flag
+/// cannot silently start the full multi-minute grid.
+pub fn quick_flag() -> bool {
+    let mut args = std::env::args();
+    let path = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&path)
+        .file_name()
+        .map_or(path.clone(), |name| name.to_string_lossy().into_owned());
+    let mut quick = false;
+    for arg in args {
+        if arg != "--quick" {
+            eprintln!("error: unknown argument '{arg}'\nusage: {bin} [--quick]");
+            std::process::exit(2);
+        }
+        quick = true;
+    }
+    quick
 }
 
 /// Derive the simulator seed for experiment cell `cell` of a sweep from

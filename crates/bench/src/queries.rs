@@ -50,8 +50,8 @@
 //! [`SolveCache`], relative snap below `2⁻²⁰`); latency results echo the
 //! snapped `λ` they solved.
 
+use crate::benchfile;
 use crate::json::Json;
-use crate::stamp::{git_commit, utc_now_iso8601};
 use kncube_core::{
     find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, ServiceTimeModel, SolveCache,
 };
@@ -478,16 +478,6 @@ pub fn check_cold(input: &Json, output: &Json) -> Result<Vec<String>, String> {
 // The query-throughput benchmark (BENCH_model_queries.json)
 // ---------------------------------------------------------------------
 
-/// Schema version of `BENCH_model_queries.json`; bump on breaking change.
-pub const QUERY_BENCH_SCHEMA_VERSION: f64 = 1.0;
-
-/// The committed iteration-reduction floor: the engine pass (warm
-/// continuation + Anderson) must use at least this factor fewer mean
-/// fixed-point iterations than cold Picard on the benchmark grids.
-/// Iteration counts are deterministic — unlike wall-clock throughput —
-/// so CI checks this as a hard schema requirement, not a soft warning.
-pub const MIN_ITERATION_REDUCTION: f64 = 5.0;
-
 /// Benchmark geometries `(k, n, v, lm, h)` — the paper's torus at two
 /// subfigure corners plus a 3-cube, all under the iterative
 /// path-occupancy ablation (the service model where the fixed point
@@ -506,8 +496,9 @@ const BENCH_CONFIGS: [(u32, u32, u32, u32, f64); 3] = [
 const GRID_BAND: (f64, f64) = (0.98, 0.9999);
 
 /// Run the λ-grid query benchmark and emit the
-/// `BENCH_model_queries.json` document.  `quick` shrinks the grids for
-/// CI smoke runs; the reduction factors are deterministic either way.
+/// `BENCH_model_queries.json` document (schema
+/// [`benchfile::MODEL_QUERIES`]).  `quick` shrinks the grids for CI smoke
+/// runs; the reduction factors are deterministic either way.
 pub fn run_query_bench(quick: bool) -> Json {
     let points = if quick { 48 } else { 128 };
     let (lo, hi) = GRID_BAND;
@@ -636,11 +627,7 @@ pub fn run_query_bench(quick: bool) -> Json {
         total_replay_secs += replay_secs;
     }
 
-    let mut doc = Json::obj();
-    doc.set("schema_version", Json::Num(QUERY_BENCH_SCHEMA_VERSION));
-    doc.set("commit", Json::Str(git_commit()));
-    doc.set("date", Json::Str(utc_now_iso8601()));
-    doc.set("quick", Json::Bool(quick));
+    let mut doc = benchfile::header(quick);
     doc.set(
         "queries_per_sec",
         Json::Num(total_queries as f64 / total_warm_secs.max(1e-9)),
@@ -655,113 +642,6 @@ pub fn run_query_bench(quick: bool) -> Json {
     );
     doc.set("configs", Json::Arr(configs));
     doc
-}
-
-/// Validate a `BENCH_model_queries.json` document.  Returns the list of
-/// violations (empty = conforming).  The iteration-reduction floor is
-/// part of the schema: it is a deterministic quantity, so drifting below
-/// [`MIN_ITERATION_REDUCTION`] means the engine regressed, not the
-/// runner.
-pub fn query_bench_schema_violations(doc: &Json) -> Vec<String> {
-    let mut bad = Vec::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == QUERY_BENCH_SCHEMA_VERSION => {}
-        Some(v) => bad.push(format!(
-            "schema_version {v} != {QUERY_BENCH_SCHEMA_VERSION}"
-        )),
-        None => bad.push("missing numeric schema_version".into()),
-    }
-    for key in ["commit", "date"] {
-        if doc.get(key).and_then(Json::as_str).is_none() {
-            bad.push(format!("missing string {key}"));
-        }
-    }
-    for key in ["queries_per_sec", "cached_queries_per_sec"] {
-        match doc.get(key).and_then(Json::as_f64) {
-            Some(v) if v.is_finite() && v > 0.0 => {}
-            _ => bad.push(format!("{key} missing or not a positive number")),
-        }
-    }
-    match doc.get("mean_iteration_reduction").and_then(Json::as_f64) {
-        Some(v) if v >= MIN_ITERATION_REDUCTION => {}
-        Some(v) => bad.push(format!(
-            "mean_iteration_reduction {v:.2} below the committed floor \
-             {MIN_ITERATION_REDUCTION}"
-        )),
-        None => bad.push("missing numeric mean_iteration_reduction".into()),
-    }
-    let Some(configs) = doc.get("configs").and_then(Json::as_arr) else {
-        bad.push("missing configs array".into());
-        return bad;
-    };
-    if configs.is_empty() {
-        bad.push("configs array is empty".into());
-    }
-    for (i, cfg) in configs.iter().enumerate() {
-        for key in [
-            "k",
-            "n",
-            "v",
-            "lm",
-            "h",
-            "saturation_lambda",
-            "points",
-            "cold_mean_iterations",
-            "warm_mean_iterations",
-            "iteration_reduction",
-            "queries_per_sec",
-            "cached_queries_per_sec",
-            "cache_misses",
-        ] {
-            match cfg.get(key).and_then(Json::as_f64) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                _ => bad.push(format!("configs[{i}].{key} missing or not a finite number")),
-            }
-        }
-        if cfg.get("service_model").and_then(Json::as_str).is_none() {
-            bad.push(format!("configs[{i}].service_model missing"));
-        }
-    }
-    bad
-}
-
-/// Compare a fresh query-bench document against a baseline: throughput
-/// ratios below `min_ratio` warn (timing on shared runners is noisy);
-/// returns the number of warnings.
-pub fn query_bench_compare(new: &Json, baseline: &Json, min_ratio: f64) -> u32 {
-    let mut warnings = 0;
-    let now = new
-        .get("queries_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let then = baseline
-        .get("queries_per_sec")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    if then > 0.0 {
-        let ratio = now / then;
-        if ratio < min_ratio {
-            eprintln!(
-                "WARNING: query throughput regressed to {ratio:.2}x of baseline \
-                 ({now:.0} vs {then:.0} queries/s)"
-            );
-            warnings += 1;
-        } else {
-            eprintln!(
-                "ok: query throughput at {ratio:.2}x of baseline ({now:.0} vs {then:.0} queries/s)"
-            );
-        }
-    }
-    let new_red = new
-        .get("mean_iteration_reduction")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let base_red = baseline
-        .get("mean_iteration_reduction")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    eprintln!("iteration reduction: {new_red:.2}x now vs {base_red:.2}x at baseline");
-    warnings
 }
 
 #[cfg(test)]
@@ -893,6 +773,24 @@ mod tests {
     }
 
     #[test]
+    fn an_absurd_virtual_channel_count_fails_at_once() {
+        let input = batch(
+            r#"{"queries": [
+                {"type": "latency", "k": 16, "n": 2, "v": 1e8, "lm": 32, "h": 0.2, "lambda": 1e-4},
+                {"type": "latency", "k": 16, "n": 2, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4}
+            ]}"#,
+        );
+        let start = std::time::Instant::now();
+        let output = run_batch(&input).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        let results = output.get("results").unwrap().as_arr().unwrap();
+        assert_eq!(results[0].get("ok"), Some(&Json::Bool(false)));
+        let error = results[0].get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("virtual channels"), "{error}");
+        assert_eq!(results[1].get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
     fn duplicate_queries_hit_the_cache() {
         let input = batch(
             r#"{"queries": [
@@ -923,9 +821,9 @@ mod tests {
 
     #[test]
     fn query_bench_schema_accepts_its_own_output_shape() {
-        // A hand-built document with the committed shape (running the
-        // real benchmark here would be slow; the binary self-checks its
-        // fresh output at every run).
+        // A fresh header plus the keys `run_query_bench` writes (running
+        // the real benchmark here would be slow; the binary self-checks
+        // its fresh output at every run).
         let mut cfg = Json::obj();
         for (key, val) in [
             ("k", 16.0),
@@ -934,39 +832,30 @@ mod tests {
             ("lm", 32.0),
             ("h", 0.2),
             ("saturation_lambda", 1.5e-4),
-            ("points", 128.0),
+            ("points", 48.0),
             ("cold_mean_iterations", 117.0),
             ("warm_mean_iterations", 10.7),
             ("iteration_reduction", 10.9),
             ("queries_per_sec", 4000.0),
             ("cached_queries_per_sec", 90000.0),
-            ("cache_misses", 128.0),
+            ("cache_misses", 48.0),
         ] {
             cfg.set(key, Json::Num(val));
         }
         cfg.set("service_model", Json::Str("path_occupancy".into()));
-        let mut doc = Json::obj();
-        doc.set("schema_version", Json::Num(QUERY_BENCH_SCHEMA_VERSION));
-        doc.set("commit", Json::Str("abc".into()));
-        doc.set("date", Json::Str("2026-01-01T00:00:00Z".into()));
-        doc.set("quick", Json::Bool(false));
-        doc.set("queries_per_sec", Json::Num(4000.0));
-        doc.set("cached_queries_per_sec", Json::Num(90000.0));
-        doc.set("mean_iteration_reduction", Json::Num(7.4));
-        doc.set("configs", Json::Arr(vec![cfg]));
-        assert_eq!(query_bench_schema_violations(&doc), Vec::<String>::new());
+        let document = |reduction: f64| {
+            let mut doc = benchfile::header(true);
+            doc.set("queries_per_sec", Json::Num(4000.0));
+            doc.set("cached_queries_per_sec", Json::Num(90000.0));
+            doc.set("mean_iteration_reduction", Json::Num(reduction));
+            doc.set("configs", Json::Arr(vec![cfg.clone()]));
+            benchfile::violations(&doc, &benchfile::MODEL_QUERIES)
+        };
+        assert_eq!(document(7.4), Vec::<String>::new());
 
         // Dropping below the committed reduction floor is a schema
         // violation, not a warning.
-        let mut weak = doc.clone();
-        if let Json::Obj(pairs) = &mut weak {
-            for (k, v) in pairs.iter_mut() {
-                if k == "mean_iteration_reduction" {
-                    *v = Json::Num(3.0);
-                }
-            }
-        }
-        let bad = query_bench_schema_violations(&weak);
+        let bad = document(3.0);
         assert!(
             bad.iter().any(|b| b.contains("below the committed floor")),
             "{bad:?}"

@@ -39,7 +39,9 @@
 //! its output bit-for-bit; [`FaultyNCubeModel::solve_general`] forces the
 //! per-channel path for cross-validation.
 
-use crate::ncube::{ModelError, MultiplexingModel, NCubeConfig, NCubeModel, RHO_CAP};
+use crate::ncube::{
+    ModelError, MultiplexingModel, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP,
+};
 use crate::rates::FaultyChannelRates;
 use crate::sweep::{bisect_saturation, SaturationError, SaturationReport};
 use kncube_queueing::blocking::{channel_metrics, TrafficClass};
@@ -170,10 +172,10 @@ impl FaultyNCubeModel {
     /// per-channel loads.
     pub fn new(config: FaultyNCubeConfig) -> Result<Self, ModelError> {
         let topo = *config.topology();
-        if config.virtual_channels < 1 {
-            return Err(ModelError::BadConfig(
-                "virtual_channels must be >= 1".into(),
-            ));
+        if !(1..=MAX_VIRTUAL_CHANNELS).contains(&config.virtual_channels) {
+            return Err(ModelError::BadConfig(format!(
+                "virtual_channels must be in 1..={MAX_VIRTUAL_CHANNELS}"
+            )));
         }
         if config.message_length < 1 {
             return Err(ModelError::BadConfig("message_length must be >= 1".into()));
@@ -688,6 +690,16 @@ mod tests {
         let ok = |cfg: FaultyNCubeConfig| FaultyNCubeModel::new(cfg).map(|_| ());
         assert!(matches!(
             ok(FaultyNCubeConfig::new(empty(topo), 0, 16, 1e-4, 0.2)),
+            Err(ModelError::BadConfig(_))
+        ));
+        assert!(matches!(
+            ok(FaultyNCubeConfig::new(
+                empty(topo),
+                MAX_VIRTUAL_CHANNELS + 1,
+                16,
+                1e-4,
+                0.2
+            )),
             Err(ModelError::BadConfig(_))
         ));
         assert!(matches!(

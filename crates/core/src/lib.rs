@@ -67,7 +67,7 @@ pub use faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
 pub use hypercube::{HypercubeModel, HypercubeOutput};
 pub use ncube::{
     ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
-    ServiceTimeModel,
+    ServiceTimeModel, MAX_VIRTUAL_CHANNELS,
 };
 pub use probabilities::{entry_cases, EntryCase, RegularRouteProbs};
 pub use rates::{FaultyChannelRates, NCubeRates};

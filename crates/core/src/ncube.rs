@@ -165,6 +165,12 @@ impl std::error::Error for ModelError {}
 /// model is practical up to about a million nodes.
 pub const MAX_MODEL_NODES: u64 = 1 << 20;
 
+/// Largest number of virtual channels per physical channel the models
+/// accept — the cap `SimConfig::validate` enforces, so every model
+/// configuration can also be simulated.  The solve does work per virtual
+/// channel, so an unbounded `V` is unbounded time.
+pub const MAX_VIRTUAL_CHANNELS: u32 = 64;
+
 /// Largest number of downstream tail profiles enumerated exactly when
 /// position-averaging blocking under the path-occupancy ablation; beyond
 /// it the mean tail cost is used instead.
@@ -321,10 +327,10 @@ impl NCubeModel {
                 )));
             }
         }
-        if config.virtual_channels < 1 {
-            return Err(ModelError::BadConfig(
-                "need at least one virtual channel".into(),
-            ));
+        if !(1..=MAX_VIRTUAL_CHANNELS).contains(&config.virtual_channels) {
+            return Err(ModelError::BadConfig(format!(
+                "virtual channels must be in 1..={MAX_VIRTUAL_CHANNELS}"
+            )));
         }
         if config.message_length < 1 {
             return Err(ModelError::BadConfig(
@@ -1033,6 +1039,7 @@ mod torus_tests {
         for cfg in [
             NCubeConfig::new(1, 2, 2, 32, 1e-4, 0.2),
             NCubeConfig::new(16, 2, 0, 32, 1e-4, 0.2),
+            NCubeConfig::new(16, 2, MAX_VIRTUAL_CHANNELS + 1, 32, 1e-4, 0.2),
             NCubeConfig::new(16, 2, 2, 0, 1e-4, 0.2),
             NCubeConfig::new(16, 2, 2, 32, 1e-4, 1.5),
             NCubeConfig::new(16, 2, 2, 32, -1.0, 0.2),
@@ -1040,6 +1047,8 @@ mod torus_tests {
         ] {
             assert!(NCubeModel::new(cfg).is_err(), "{cfg:?}");
         }
+        let widest = NCubeConfig::new(16, 2, MAX_VIRTUAL_CHANNELS, 32, 1e-4, 0.2);
+        assert!(NCubeModel::new(widest).unwrap().solve().is_ok());
     }
 
     #[test]

@@ -128,8 +128,11 @@ pub fn entry_cases(k: u32, n: u32) -> Vec<EntryCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kncube_topology::hotspot::{DIM_X, DIM_Y};
     use kncube_topology::KAryNCube;
+
+    /// The paper's x and y dimensions.
+    const X: u32 = 0;
+    const Y: u32 = 1;
 
     #[test]
     fn probabilities_sum_to_one() {
@@ -146,7 +149,7 @@ mod tests {
     fn enumerate(k: u32) -> RegularRouteProbs {
         let t = KAryNCube::unidirectional(k, 2).unwrap();
         let hot = t.node_at(&[1 % k, 2 % k]);
-        let hot_x = t.coord(hot, DIM_X);
+        let hot_x = t.coord(hot, X);
         let mut counts = [0u64; 5];
         let mut total = 0u64;
         for src in t.nodes() {
@@ -155,11 +158,11 @@ mod tests {
                     continue;
                 }
                 total += 1;
-                let moves_x = t.coord(src, DIM_X) != t.coord(dest, DIM_X);
-                let moves_y = t.coord(src, DIM_Y) != t.coord(dest, DIM_Y);
+                let moves_x = t.coord(src, X) != t.coord(dest, X);
+                let moves_y = t.coord(src, Y) != t.coord(dest, Y);
                 let idx = match (moves_x, moves_y) {
                     (false, true) => {
-                        if t.coord(src, DIM_X) == hot_x {
+                        if t.coord(src, X) == hot_x {
                             0
                         } else {
                             1
@@ -167,7 +170,7 @@ mod tests {
                     }
                     (true, false) => 2,
                     (true, true) => {
-                        if t.coord(dest, DIM_X) == hot_x {
+                        if t.coord(dest, X) == hot_x {
                             3
                         } else {
                             4

@@ -21,8 +21,8 @@
 //! (`k - j` source coordinates behind the channel in its own ring, times
 //! the `k^d` free coordinates in the already-corrected dimensions below
 //! `d`; the coordinates above `d` are pinned to the channel's ring.)  The
-//! paper's 2-D forms are the `d = 0` ("x", Eq. 4) and `d = 1` ("y", Eq. 5)
-//! instances:
+//! paper's 2-D forms are the `d = 0` ("x") and `d = 1` ("y") instances:
+//! Eq. 4 is `p_hot(0, j)` and Eq. 5 is `p_hot(1, j)`.
 //!
 //! ```text
 //! P_hx,j = (k - j) / N          (x channel, j hops from the hot y-ring)
@@ -34,36 +34,6 @@
 
 use crate::channel::{Channel, Direction};
 use crate::geometry::{Boundary, KAryNCube, LinkKind, NodeId};
-use crate::ring::Ring;
-
-/// Dimension index of the paper's `x` dimension.
-pub const DIM_X: u32 = 0;
-/// Dimension index of the paper's `y` dimension.
-pub const DIM_Y: u32 = 1;
-
-/// Classification of a source node relative to the hot-spot node in the
-/// paper's 2-D taxonomy, used by the analytical model to weight per-source
-/// latencies (Eqs. 22, 24, 32).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SourceClass {
-    /// The hot-spot node itself (generates only regular traffic).
-    HotNode,
-    /// A node of the hot y-ring, `j` hops (`1..k`) from the hot-spot node.
-    HotYRing {
-        /// Forward `y` distance to the hot-spot node.
-        j: u32,
-    },
-    /// Any other node: within the x-ring `t` hops (`1..=k`) from the
-    /// hot-spot node, `j` hops (`1..k`) from the hot y-ring.  `t = k` means
-    /// the x-ring containing the hot-spot node.
-    XRing {
-        /// Forward `x` distance to the hot y-ring (column of the hot node).
-        j: u32,
-        /// Distance of the node's x-ring from the hot-spot node (paper
-        /// convention: `k` for the hot node's own x-ring).
-        t: u32,
-    },
-}
 
 /// Hot-spot geometry helper for any k-ary n-cube or mesh.
 ///
@@ -95,12 +65,6 @@ impl HotSpotGeometry {
     /// The hot-spot node.
     pub fn hot_node(&self) -> NodeId {
         self.hot
-    }
-
-    /// The hot y-ring: the dimension-`y` ring containing the hot-spot node
-    /// (2-D naming; in general this is the hot ring of dimension 1).
-    pub fn hot_y_ring(&self) -> Ring {
-        self.topo.ring_of(self.hot, DIM_Y)
     }
 
     /// Paper distance convention: forward distance mapped into `1..=k`, with
@@ -140,38 +104,6 @@ impl HotSpotGeometry {
         Some(self.paper_distance(fwd))
     }
 
-    /// Distance (`1..=k`) of a hot-y-ring channel from the hot-spot node.
-    /// Returns `None` for channels that are not y-channels of the hot
-    /// y-ring (2-D naming for [`HotSpotGeometry::hot_channel_distance`] at
-    /// `dim = 1`).
-    pub fn y_channel_distance(&self, channel: Channel) -> Option<u32> {
-        if channel.dim != DIM_Y {
-            return None;
-        }
-        self.hot_channel_distance(channel)
-    }
-
-    /// Distance (`1..=k`) of an x-channel from the hot y-ring.  Returns
-    /// `None` for non-x channels (2-D naming for
-    /// [`HotSpotGeometry::hot_channel_distance`] at `dim = 0`, where every
-    /// ring carries hot traffic).
-    pub fn x_channel_distance(&self, channel: Channel) -> Option<u32> {
-        if channel.dim != DIM_X {
-            return None;
-        }
-        self.hot_channel_distance(channel)
-    }
-
-    /// Distance (`1..=k`) of the x-ring containing `node` from the hot-spot
-    /// node (`k` for the hot node's own x-ring).
-    pub fn x_ring_distance(&self, node: NodeId) -> u32 {
-        let fwd = self.topo.ring_distance_forward(
-            self.topo.coord(node, DIM_Y),
-            self.topo.coord(self.hot, DIM_Y),
-        );
-        self.paper_distance(fwd)
-    }
-
     /// The forward distance from `src` to the hot node in every dimension —
     /// the source's position in the generalized source taxonomy.  A
     /// hot-spot message from `src` crosses exactly the hot channels of
@@ -185,62 +117,26 @@ impl HotSpotGeometry {
             .collect()
     }
 
-    /// Classify a source node per the 2-D model's source taxonomy.
-    /// Returns `None` when the geometry is not 2-dimensional —
-    /// [`SourceClass`] has no meaning there; use
-    /// [`HotSpotGeometry::distance_profile`] for the general form.
-    pub fn classify_source(&self, src: NodeId) -> Option<SourceClass> {
-        if self.topo.n() != 2 {
-            return None;
-        }
-        if src == self.hot {
-            return Some(SourceClass::HotNode);
-        }
-        let profile = self.distance_profile(src);
-        let (dx, dy) = (profile[0], profile[1]);
-        Some(if dx == 0 {
-            SourceClass::HotYRing { j: dy }
-        } else {
-            SourceClass::XRing {
-                j: dx,
-                t: self.paper_distance(dy),
-            }
-        })
-    }
-
     /// Generalized Eqs. (4)–(5): `P_{h,d,j} = k^d (k - j) / N` — fraction
     /// of system nodes whose hot-spot messages cross a hot dimension-`dim`
     /// channel `j` hops from the hot coordinate (`1 <= j <= k`; zero at
-    /// `j = k`).
-    pub fn p_hot(&self, dim: u32, j: u32) -> f64 {
-        assert!(dim < self.topo.n());
-        assert!((1..=self.topo.k()).contains(&j));
-        let lower_rings = (self.topo.k() as u64).pow(dim);
-        (lower_rings * (self.topo.k() - j) as u64) as f64 / self.topo.num_nodes() as f64
-    }
-
-    /// Eq. (4): `P_hx,j = (k - j)/N` — fraction of system nodes whose
-    /// hot-spot messages cross a given x-channel `j` hops from the hot
-    /// y-ring (`1 <= j <= k`; zero at `j = k`).
-    pub fn p_hx(&self, j: u32) -> f64 {
-        self.p_hot(DIM_X, j)
-    }
-
-    /// Eq. (5): `P_hy,j = k(k - j)/N` — fraction of system nodes whose
-    /// hot-spot messages cross the hot-y-ring channel `j` hops from the
-    /// hot-spot node (`1 <= j <= k`; zero at `j = k`).
+    /// `j = k`).  Eq. 4 (`P_hx,j`) is `p_hot(0, j)` and Eq. 5 (`P_hy,j`)
+    /// is `p_hot(1, j)`.
     ///
     /// ```
     /// use kncube_topology::{HotSpotGeometry, KAryNCube, NodeId};
     /// let t = KAryNCube::unidirectional(16, 2).unwrap();
     /// let g = HotSpotGeometry::new(t, NodeId(0));
-    /// // The last channel into the hot node serves k(k-1) = 240 of the
+    /// // The last y channel into the hot node serves k(k-1) = 240 of the
     /// // 256 nodes (everyone outside the hot node's own x-ring).
-    /// assert_eq!(g.p_hy(1), 240.0 / 256.0);
-    /// assert_eq!(g.p_hy(16), 0.0);
+    /// assert_eq!(g.p_hot(1, 1), 240.0 / 256.0);
+    /// assert_eq!(g.p_hot(1, 16), 0.0);
     /// ```
-    pub fn p_hy(&self, j: u32) -> f64 {
-        self.p_hot(DIM_Y, j)
+    pub fn p_hot(&self, dim: u32, j: u32) -> f64 {
+        assert!(dim < self.topo.n());
+        assert!((1..=self.topo.k()).contains(&j));
+        let lower_rings = (self.topo.k() as u64).pow(dim);
+        (lower_rings * (self.topo.k() - j) as u64) as f64 / self.topo.num_nodes() as f64
     }
 
     /// Number of source *coordinates* in `channel`'s own ring whose
@@ -354,8 +250,7 @@ mod tests {
     fn accepts_any_dimension_and_link_kind() {
         let t3 = KAryNCube::unidirectional(4, 3).unwrap();
         let g3 = HotSpotGeometry::new(t3, NodeId(0));
-        // The 2-D source taxonomy has no meaning off n = 2.
-        assert_eq!(g3.classify_source(NodeId(1)), None);
+        assert_eq!(g3.distance_profile(NodeId(1)), vec![3, 0, 0]);
         // Bidirectional tori and meshes are first-class now; their hot
         // fractions flow through p_hot_channel.
         let tb = KAryNCube::bidirectional(4, 2).unwrap();
@@ -363,7 +258,7 @@ mod tests {
         assert!(
             gb.p_hot_channel(Channel {
                 from: tb.node_at(&[3, 0]),
-                dim: DIM_X,
+                dim: 0,
                 direction: Direction::Plus,
             }) > 0.0
         );
@@ -372,7 +267,7 @@ mod tests {
         assert!(
             gm.p_hot_channel(Channel {
                 from: tm.node_at(&[0, 3]),
-                dim: DIM_X,
+                dim: 0,
                 direction: Direction::Plus,
             }) > 0.0
         );
@@ -381,10 +276,10 @@ mod tests {
     #[test]
     fn hot_y_ring_is_hot_column() {
         let g = geometry(5, &[3, 1]);
-        let ring = g.hot_y_ring();
+        let ring = g.topology().ring_of(g.hot_node(), 1);
         assert_eq!(ring.nodes.len(), 5);
         for &m in &ring.nodes {
-            assert_eq!(g.topology().coord(m, DIM_X), 3);
+            assert_eq!(g.topology().coord(m, 0), 3);
         }
     }
 
@@ -392,76 +287,43 @@ mod tests {
     fn paper_distance_conventions() {
         let g = geometry(4, &[1, 2]);
         let t = g.topology();
+        let distance = |at: &[u32], dim: u32| {
+            g.hot_channel_distance(Channel {
+                from: t.node_at(at),
+                dim,
+                direction: Direction::Plus,
+            })
+        };
         // Outgoing y channel of the hot node itself: distance k.
-        let c = Channel {
-            from: t.node_at(&[1, 2]),
-            dim: DIM_Y,
-            direction: Direction::Plus,
-        };
-        assert_eq!(g.y_channel_distance(c), Some(4));
+        assert_eq!(distance(&[1, 2], 1), Some(4));
         // One hop before the hot node: distance 1.
-        let c = Channel {
-            from: t.node_at(&[1, 1]),
-            dim: DIM_Y,
-            direction: Direction::Plus,
-        };
-        assert_eq!(g.y_channel_distance(c), Some(1));
+        assert_eq!(distance(&[1, 1], 1), Some(1));
         // Wrap-around counting: node y=3 is (2-3) mod 4 = 3 hops away.
-        let c = Channel {
-            from: t.node_at(&[1, 3]),
-            dim: DIM_Y,
-            direction: Direction::Plus,
-        };
-        assert_eq!(g.y_channel_distance(c), Some(3));
+        assert_eq!(distance(&[1, 3], 1), Some(3));
         // y channels outside the hot column are not hot-ring channels.
-        let c = Channel {
-            from: t.node_at(&[0, 1]),
-            dim: DIM_Y,
-            direction: Direction::Plus,
-        };
-        assert_eq!(g.y_channel_distance(c), None);
+        assert_eq!(distance(&[0, 1], 1), None);
         // x channel leaving the hot column: distance k.
-        let c = Channel {
-            from: t.node_at(&[1, 0]),
-            dim: DIM_X,
-            direction: Direction::Plus,
-        };
-        assert_eq!(g.x_channel_distance(c), Some(4));
-        // x-ring through the hot node has paper-distance k.
-        assert_eq!(g.x_ring_distance(t.node_at(&[0, 2])), 4);
-        assert_eq!(g.x_ring_distance(t.node_at(&[0, 1])), 1);
+        assert_eq!(distance(&[1, 0], 0), Some(4));
+        // The x-ring through the hot node is 0 forward hops away in y (the
+        // paper's distance k); the ring below it is 1.
+        assert_eq!(g.distance_profile(t.node_at(&[0, 2]))[1], 0);
+        assert_eq!(g.distance_profile(t.node_at(&[0, 1]))[1], 1);
     }
 
     #[test]
     fn source_classification_partitions_nodes() {
+        // The source taxonomy is the distance profile: the hot node is the
+        // all-zero profile, and every other profile names exactly one node.
         let g = geometry(6, &[2, 4]);
         let t = g.topology();
-        let k = t.k();
-        let mut hot_nodes = 0u32;
-        let mut hot_ring = vec![0u32; k as usize + 1];
-        let mut x_ring = vec![vec![0u32; k as usize + 1]; k as usize + 1];
+        let k = t.k() as usize;
+        let mut seen = vec![0u32; k * k];
         for src in t.nodes() {
-            match g.classify_source(src).expect("2-D geometry") {
-                SourceClass::HotNode => hot_nodes += 1,
-                SourceClass::HotYRing { j } => {
-                    assert!((1..k).contains(&j));
-                    hot_ring[j as usize] += 1;
-                }
-                SourceClass::XRing { j, t: tt } => {
-                    assert!((1..k).contains(&j));
-                    assert!((1..=k).contains(&tt));
-                    x_ring[j as usize][tt as usize] += 1;
-                }
-            }
+            let profile = g.distance_profile(src);
+            assert_eq!(profile == [0, 0], src == g.hot_node());
+            seen[profile[0] as usize * k + profile[1] as usize] += 1;
         }
-        assert_eq!(hot_nodes, 1);
-        // Exactly one node per (j) in the hot ring and per (j, t) elsewhere.
-        for j in 1..k {
-            assert_eq!(hot_ring[j as usize], 1);
-            for tt in 1..=k {
-                assert_eq!(x_ring[j as usize][tt as usize], 1);
-            }
-        }
+        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
     }
 
     #[test]
@@ -493,16 +355,16 @@ mod tests {
             for from in t.nodes() {
                 let c = Channel {
                     from,
-                    dim: DIM_X,
+                    dim: 0,
                     direction: Direction::Plus,
                 };
-                let j = g.x_channel_distance(c).unwrap();
+                let j = g.hot_channel_distance(c).unwrap();
                 let counted = g.count_hot_sources_crossing(c) as f64 / n;
                 assert!(
-                    (counted - g.p_hx(j)).abs() < 1e-12,
+                    (counted - g.p_hot(0, j)).abs() < 1e-12,
                     "k={k} channel from {:?}: bruteforce {counted} vs P_hx,{j}={}",
                     t.coords(from),
-                    g.p_hx(j)
+                    g.p_hot(0, j)
                 );
             }
         }
@@ -514,18 +376,18 @@ mod tests {
             let g = geometry(k, &[0, 2 % k]);
             let t = *g.topology();
             let n = t.num_nodes() as f64;
-            for &from in &g.hot_y_ring().nodes {
+            for &from in &t.ring_of(g.hot_node(), 1).nodes {
                 let c = Channel {
                     from,
-                    dim: DIM_Y,
+                    dim: 1,
                     direction: Direction::Plus,
                 };
-                let j = g.y_channel_distance(c).unwrap();
+                let j = g.hot_channel_distance(c).unwrap();
                 let counted = g.count_hot_sources_crossing(c) as f64 / n;
                 assert!(
-                    (counted - g.p_hy(j)).abs() < 1e-12,
+                    (counted - g.p_hot(1, j)).abs() < 1e-12,
                     "k={k} hot-ring channel at j={j}: bruteforce {counted} vs {}",
-                    g.p_hy(j)
+                    g.p_hot(1, j)
                 );
             }
         }
@@ -638,12 +500,12 @@ mod tests {
         let g = geometry(4, &[2, 2]);
         let t = *g.topology();
         for from in t.nodes() {
-            if t.coord(from, DIM_X) == 2 {
+            if t.coord(from, 0) == 2 {
                 continue;
             }
             let c = Channel {
                 from,
-                dim: DIM_Y,
+                dim: 1,
                 direction: Direction::Plus,
             };
             assert_eq!(g.count_hot_sources_crossing(c), 0);

@@ -2,7 +2,6 @@
 //! paper analyses, plus the n-dimensional generalization for random
 //! `(k, n)` up to `k = 16`, `n = 4`.
 
-use kncube_topology::hotspot::{DIM_X, DIM_Y};
 use kncube_topology::{
     Boundary, Channel, Direction, FaultRouter, FaultSet, HotSpotGeometry, KAryNCube, NodeId,
     VcClass,
@@ -247,8 +246,8 @@ proptest! {
         let route = t.dor_route(src, hot);
         for hop in &route.hops {
             match hop.channel.dim {
-                DIM_X => prop_assert_eq!(t.coord(hop.channel.from, DIM_Y), t.coord(src, DIM_Y)),
-                DIM_Y => prop_assert_eq!(t.coord(hop.channel.from, DIM_X), t.coord(hot, DIM_X)),
+                0 => prop_assert_eq!(t.coord(hop.channel.from, 1), t.coord(src, 1)),
+                1 => prop_assert_eq!(t.coord(hop.channel.from, 0), t.coord(hot, 0)),
                 _ => prop_assert!(false, "unexpected dimension"),
             }
         }
@@ -260,13 +259,8 @@ proptest! {
         let from = kncube_topology::NodeId(from % t.num_nodes());
         let c = Channel { from, dim, direction: Direction::Plus };
         let counted = g.count_hot_sources_crossing(c) as f64 / t.num_nodes() as f64;
-        let expected = if dim == DIM_X {
-            g.p_hx(g.x_channel_distance(c).unwrap())
-        } else if g.y_channel_distance(c).is_some() {
-            g.p_hy(g.y_channel_distance(c).unwrap())
-        } else {
-            0.0
-        };
+        // Eq. 4 on x channels, Eq. 5 on hot y-ring channels, 0 elsewhere.
+        let expected = g.hot_channel_distance(c).map_or(0.0, |j| g.p_hot(dim, j));
         prop_assert!((counted - expected).abs() < 1e-12,
             "channel {:?} dim {} counted {} expected {}", t.coords(from), dim, counted, expected);
     }

@@ -7,10 +7,8 @@
 //! "generates only regular traffic" (§3, discussion before Eq. 32), so its
 //! own messages are always uniform.
 //!
-//! The remaining patterns are the classic synthetic permutations/offsets
-//! used across the interconnection-network literature, included for
-//! extension experiments: transpose, bit-complement, bit-reversal, tornado
-//! and nearest-neighbour.
+//! One adversarial pattern rides along for the simulator's own tests:
+//! tornado, the classic worst case for rings.
 
 use kncube_topology::{KAryNCube, NodeId};
 use rand::Rng;
@@ -49,21 +47,9 @@ pub enum TrafficPattern {
         /// The hot-spot node.
         hot: NodeId,
     },
-    /// Matrix transpose: `(v_0, v_1, …) → (v_1, v_0, …)` (coordinates of
-    /// the first two dimensions swapped).  Nodes on the diagonal fall back
-    /// to uniform destinations.
-    Transpose,
-    /// Bit-complement on the node id: `id → (N-1) - id` expressed per
-    /// coordinate as `c → k-1-c`.
-    BitComplement,
-    /// Bit-reversal of the node id within `ceil(log2 N)` bits (requires
-    /// `N` a power of two; falls back to uniform otherwise).
-    BitReversal,
     /// Tornado: `⌈k/2⌉ - 1` hops forward in every dimension — the classic
     /// adversary for rings.
     Tornado,
-    /// Uniform over the source's immediate neighbours.
-    NearestNeighbor,
 }
 
 impl TrafficPattern {
@@ -88,34 +74,6 @@ impl TrafficPattern {
                     (uniform_other(topo, src, rng), MessageClass::Regular)
                 }
             }
-            TrafficPattern::Transpose => {
-                let (c0, c1) = (topo.coord(src, 0), topo.coord(src, 1));
-                let dest = topo.with_coord(topo.with_coord(src, 0, c1), 1, c0);
-                (
-                    fallback_if_self(topo, src, dest, rng),
-                    MessageClass::Regular,
-                )
-            }
-            TrafficPattern::BitComplement => {
-                let dest = NodeId(topo.num_nodes() - 1 - src.0);
-                (
-                    fallback_if_self(topo, src, dest, rng),
-                    MessageClass::Regular,
-                )
-            }
-            TrafficPattern::BitReversal => {
-                let n = topo.num_nodes();
-                let dest = if n.is_power_of_two() {
-                    let bits = n.trailing_zeros();
-                    NodeId(src.0.reverse_bits() >> (32 - bits))
-                } else {
-                    uniform_other(topo, src, rng)
-                };
-                (
-                    fallback_if_self(topo, src, dest, rng),
-                    MessageClass::Regular,
-                )
-            }
             TrafficPattern::Tornado => {
                 let offset = topo.k().div_ceil(2) - 1;
                 let mut dest = src;
@@ -123,23 +81,6 @@ impl TrafficPattern {
                     let c = (topo.coord(src, d) + offset) % topo.k();
                     dest = topo.with_coord(dest, d, c);
                 }
-                (
-                    fallback_if_self(topo, src, dest, rng),
-                    MessageClass::Regular,
-                )
-            }
-            TrafficPattern::NearestNeighbor => {
-                let dim = rng.gen_range(0..topo.n());
-                let dest = match topo.link_kind() {
-                    kncube_topology::LinkKind::Unidirectional => topo.neighbor_plus(src, dim),
-                    kncube_topology::LinkKind::Bidirectional => {
-                        if rng.gen_bool(0.5) {
-                            topo.neighbor_plus(src, dim)
-                        } else {
-                            topo.neighbor_minus(src, dim)
-                        }
-                    }
-                };
                 (
                     fallback_if_self(topo, src, dest, rng),
                     MessageClass::Regular,
@@ -272,44 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_swaps_coordinates() {
-        let t = torus(5);
-        let src = t.node_at(&[3, 1]);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let (d, _) = TrafficPattern::Transpose.pick_destination(&t, src, &mut rng);
-        assert_eq!(t.coords(d), vec![1, 3]);
-    }
-
-    #[test]
-    fn transpose_diagonal_falls_back_to_uniform() {
-        let t = torus(5);
-        let src = t.node_at(&[2, 2]);
-        let mut rng = SmallRng::seed_from_u64(6);
-        for _ in 0..100 {
-            let (d, _) = TrafficPattern::Transpose.pick_destination(&t, src, &mut rng);
-            assert_ne!(d, src);
-        }
-    }
-
-    #[test]
-    fn bit_complement_mirrors_id() {
-        let t = torus(4);
-        let src = NodeId(3);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let (d, _) = TrafficPattern::BitComplement.pick_destination(&t, src, &mut rng);
-        assert_eq!(d, NodeId(12));
-    }
-
-    #[test]
-    fn bit_reversal_on_power_of_two() {
-        let t = torus(4); // N = 16, 4 bits
-        let src = NodeId(0b0001);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let (d, _) = TrafficPattern::BitReversal.pick_destination(&t, src, &mut rng);
-        assert_eq!(d, NodeId(0b1000));
-    }
-
-    #[test]
     fn tornado_offsets_every_dimension() {
         let t = torus(8);
         let src = t.node_at(&[6, 2]);
@@ -320,14 +223,20 @@ mod tests {
     }
 
     #[test]
-    fn nearest_neighbor_is_one_hop() {
-        let t = torus(6);
-        let src = t.node_at(&[4, 4]);
-        let mut rng = SmallRng::seed_from_u64(10);
-        for _ in 0..200 {
-            let (d, _) = TrafficPattern::NearestNeighbor.pick_destination(&t, src, &mut rng);
-            assert_eq!(t.hop_count(src, d), 1);
+    fn tornado_fixed_points_fall_back_to_uniform() {
+        // At k = 2 the tornado offset is 0 hops: every node maps to
+        // itself and must draw a uniform other node instead.
+        let t = torus(2);
+        let src = NodeId(1);
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut seen = [0u32; 4];
+        for _ in 0..300 {
+            let (d, class) = TrafficPattern::Tornado.pick_destination(&t, src, &mut rng);
+            assert_eq!(class, MessageClass::Regular);
+            seen[d.index()] += 1;
         }
+        assert_eq!(seen[src.index()], 0);
+        assert!(seen.iter().filter(|&&c| c > 0).count() == 3, "{seen:?}");
     }
 
     #[test]

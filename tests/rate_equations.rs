@@ -9,8 +9,11 @@
 
 use kncube::model::NCubeRates;
 use kncube::sim::{SimConfig, Simulator};
-use kncube::topology::hotspot::{DIM_X, DIM_Y};
 use kncube::topology::{Channel, Direction, HotSpotGeometry, NodeId};
+
+/// The paper's x and y dimensions.
+const X: u32 = 0;
+const Y: u32 = 1;
 
 /// Run the simulator and return (cycles, per-channel flit counts keyed by
 /// channel id).
@@ -32,16 +35,16 @@ fn hot_ring_channel_rates_match_eq9() {
     let geom = HotSpotGeometry::new(topo, NodeId(0));
     let rates = NCubeRates::new(k, 2, lambda, h);
 
-    for &from in &geom.hot_y_ring().nodes {
+    for &from in &topo.ring_of(NodeId(0), Y).nodes {
         let ch = Channel {
             from,
-            dim: DIM_Y,
+            dim: Y,
             direction: Direction::Plus,
         };
-        let j = geom.y_channel_distance(ch).unwrap();
+        let j = geom.hot_channel_distance(ch).unwrap();
         // Flit rate = message rate × Lm (every message contributes Lm
         // flits to every channel it crosses).
-        let expected = rates.total_rate(DIM_Y, j) * lm as f64;
+        let expected = rates.total_rate(Y, j) * lm as f64;
         let observed = sim.channel_flits(ch.id(&topo)) as f64 / cycles as f64;
         let tol = 0.12 * expected.max(0.002);
         assert!(
@@ -67,17 +70,17 @@ fn x_channel_rates_match_eq8() {
         for from in topo.nodes() {
             let ch = Channel {
                 from,
-                dim: DIM_X,
+                dim: X,
                 direction: Direction::Plus,
             };
-            if geom.x_channel_distance(ch) == Some(j) {
+            if geom.hot_channel_distance(ch) == Some(j) {
                 observed_sum += sim.channel_flits(ch.id(&topo)) as f64 / cycles as f64;
                 count += 1;
             }
         }
         assert_eq!(count, k, "one channel per ring at distance {j}");
         let observed = observed_sum / count as f64;
-        let expected = rates.total_rate(DIM_X, j) * lm as f64;
+        let expected = rates.total_rate(X, j) * lm as f64;
         let tol = 0.10 * expected.max(0.002);
         assert!(
             (observed - expected).abs() < tol,
@@ -97,12 +100,12 @@ fn non_hot_y_channels_carry_only_regular_traffic() {
     let mut observed_sum = 0.0;
     let mut count = 0;
     for from in topo.nodes() {
-        if topo.coord(from, DIM_X) == 0 {
+        if topo.coord(from, X) == 0 {
             continue; // hot column
         }
         let ch = Channel {
             from,
-            dim: DIM_Y,
+            dim: Y,
             direction: Direction::Plus,
         };
         observed_sum += sim.channel_flits(ch.id(&topo)) as f64 / cycles as f64;

@@ -82,3 +82,16 @@ fn sweep_entrypoint_is_reachable_through_the_facade() {
         .expect("paper configurations saturate inside the bracket");
     assert!(sat > grid[1], "grid was supposed to sit below saturation");
 }
+
+#[test]
+fn model_and_simulator_accept_the_same_virtual_channel_range() {
+    use kncube::model::MAX_VIRTUAL_CHANNELS;
+    for v in [0, 1, MAX_VIRTUAL_CHANNELS, MAX_VIRTUAL_CHANNELS + 1] {
+        let model = NCubeModel::new(NCubeConfig::new(K, 2, v, LM, lambda(), H)).is_ok();
+        let sim = SimConfig::paper_validation(K, v, LM, lambda(), H, 1)
+            .validate()
+            .is_ok();
+        assert_eq!(model, sim, "V = {v}");
+        assert_eq!(model, (1..=MAX_VIRTUAL_CHANNELS).contains(&v), "V = {v}");
+    }
+}
