@@ -533,4 +533,195 @@ mod tests {
         }
         assert_eq!(doc.pretty(), "{\n  \"z\": 1,\n  \"a\": 2\n}\n");
     }
+
+    /// A SplitMix64 stream: the fixed-seed source of the robustness tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Bytes that steer random input into the parser's deeper branches.
+    const JSON_BYTES: &[u8] = b"{}[]\":,\\/-+.0123456789eEtrufalsnbu \t\n\r";
+
+    /// Parse `bytes` (lossily made UTF-8): any outcome but a panic or an
+    /// out-of-range error offset passes.
+    fn parse_survives(bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
+        if let Err(e) = parse(&text) {
+            assert!(e.offset <= text.len(), "{e} in {text:?}");
+        }
+    }
+
+    #[test]
+    fn random_bytes_parse_to_a_value_or_an_error() {
+        let mut rng = Rng(0x4a50_4e31);
+        for _ in 0..20_000 {
+            let len = rng.below(64);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(4) {
+                    0 => rng.next() as u8,
+                    _ => JSON_BYTES[rng.below(JSON_BYTES.len())],
+                })
+                .collect();
+            parse_survives(&bytes);
+        }
+    }
+
+    #[test]
+    fn mutated_batches_parse_to_a_value_or_an_error() {
+        let batch = r#"{"queries": [
+            {"type": "latency", "k": 16, "n": 2, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4},
+            {"type": "saturation", "k": 8, "n": 3, "v": 2, "lm": 16, "h": 0.3,
+             "service_model": "path_occupancy", "anderson_depth": 4},
+            {"type": "pareto", "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-5,
+             "min_nodes": 256, "candidates": [[16, 2], [8, 3], [4, 4]]},
+            {"type": "latency", "k": 4, "n": 4, "v": 2, "lm": 8, "h": 0.5,
+             "lambda": 2.5E-3, "note": "café \"quoted\" \\ \ud83d tab\t"}
+        ]}"#;
+        assert!(parse(batch).is_ok());
+        let mut rng = Rng(0x6261_7463);
+        for _ in 0..20_000 {
+            let mut bytes = batch.as_bytes().to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len());
+                let byte = match rng.below(3) {
+                    0 => rng.next() as u8,
+                    _ => JSON_BYTES[rng.below(JSON_BYTES.len())],
+                };
+                match rng.below(5) {
+                    0 => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    2 => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.truncate(at),
+                    _ => {
+                        let end = (at + rng.below(16)).min(bytes.len());
+                        let run = bytes[at..end].to_vec();
+                        bytes.splice(at..at, run);
+                    }
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            parse_survives(&bytes);
+        }
+    }
+
+    fn random_string(rng: &mut Rng) -> String {
+        const SPECIAL: [char; 12] = [
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1f}',
+            '\u{7f}',
+            '\u{e9}',
+            '\u{2028}',
+            '\u{1f600}',
+        ];
+        (0..rng.below(8))
+            .map(|_| match rng.below(3) {
+                0 => SPECIAL[rng.below(SPECIAL.len())],
+                1 => char::from_u32(rng.next() as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                _ => (b' ' + rng.below(95) as u8) as char,
+            })
+            .collect()
+    }
+
+    fn random_number(rng: &mut Rng) -> f64 {
+        match rng.below(4) {
+            0 => (rng.next() >> 11) as f64 - (1u64 << 52) as f64,
+            1 => rng.below(2001) as f64 / 8.0 - 125.0,
+            _ => loop {
+                let x = f64::from_bits(rng.next());
+                if x.is_finite() {
+                    break x;
+                }
+            },
+        }
+    }
+
+    fn random_leaf(rng: &mut Rng) -> Json {
+        match rng.below(4) {
+            0 => [Json::Null, Json::Bool(true), Json::Bool(false)][rng.below(3)].clone(),
+            1 => Json::Str(random_string(rng)),
+            _ => Json::Num(random_number(rng)),
+        }
+    }
+
+    /// An array or object holding `children`, keyed at random.
+    fn random_container(rng: &mut Rng, children: Vec<Json>) -> Json {
+        if rng.below(2) == 0 {
+            Json::Arr(children)
+        } else {
+            Json::Obj(
+                children
+                    .into_iter()
+                    .map(|child| (random_string(rng), child))
+                    .collect(),
+            )
+        }
+    }
+
+    /// A random value nested at most `depth` levels deep.
+    fn random_value(rng: &mut Rng, depth: usize) -> Json {
+        if depth == 0 || rng.below(3) != 0 {
+            return random_leaf(rng);
+        }
+        let children = (0..rng.below(4))
+            .map(|_| random_value(rng, depth - 1))
+            .collect();
+        random_container(rng, children)
+    }
+
+    /// A random value nested exactly `depth` levels deep.
+    fn random_spine(rng: &mut Rng, depth: usize) -> Json {
+        if depth == 0 {
+            return random_leaf(rng);
+        }
+        let mut children: Vec<Json> = (0..rng.below(3))
+            .map(|_| random_value(rng, depth - 1))
+            .collect();
+        let at = rng.below(children.len() + 1);
+        children.insert(at, random_spine(rng, depth - 1));
+        random_container(rng, children)
+    }
+
+    #[test]
+    fn random_documents_round_trip_through_emit_and_parse() {
+        let mut rng = Rng(0x7274_7270);
+        for i in 0..400 {
+            let depth = match i % 4 {
+                0 => MAX_NESTING_DEPTH,
+                _ => rng.below(MAX_NESTING_DEPTH + 1),
+            };
+            let doc = random_spine(&mut rng, depth);
+            let text = doc.pretty();
+            assert_eq!(parse(&text).as_ref(), Ok(&doc), "{text}");
+        }
+        // One level past the limit is the typed error, not a round trip.
+        let too_deep = random_spine(&mut rng, MAX_NESTING_DEPTH + 1).pretty();
+        assert_eq!(
+            parse(&too_deep).unwrap_err().kind,
+            JsonErrorKind::TooDeep {
+                depth: MAX_NESTING_DEPTH + 1
+            }
+        );
+    }
 }

@@ -92,43 +92,6 @@ enum Query {
     },
 }
 
-/// The geometry key that decides which continuation chain a latency
-/// query joins: everything that shapes the fixed point except `λ`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct ChainKey {
-    k: u32,
-    n: u32,
-    v: u32,
-    lm: u32,
-    h_bits: u64,
-    variant: kncube_core::ModelVariant,
-    service: ServiceTimeModel,
-    multiplexing: kncube_core::MultiplexingModel,
-    max_iterations: usize,
-    tolerance_bits: u64,
-    damping_bits: u64,
-    acceleration: Acceleration,
-}
-
-impl ChainKey {
-    fn of(cfg: &NCubeConfig) -> Self {
-        ChainKey {
-            k: cfg.k,
-            n: cfg.n,
-            v: cfg.virtual_channels,
-            lm: cfg.message_length,
-            h_bits: cfg.hot_fraction.to_bits(),
-            variant: cfg.variant,
-            service: cfg.service_model,
-            multiplexing: cfg.multiplexing,
-            max_iterations: cfg.options.max_iterations,
-            tolerance_bits: cfg.options.tolerance.to_bits(),
-            damping_bits: cfg.options.damping.to_bits(),
-            acceleration: cfg.options.acceleration,
-        }
-    }
-}
-
 /// A schedulable unit of batch work: one continuation chain or one
 /// standalone query.
 enum Unit {
@@ -152,9 +115,9 @@ fn req_u32(q: &Json, i: usize, key: &str) -> Result<u32, String> {
     }
 }
 
-/// Shared `(k, n, v, lm, h, knobs)` parsing of latency/saturation
-/// queries; `lambda` comes from the field named `lambda_key` (pareto
-/// prototypes skip `k`/`n` by passing placeholders).
+/// Shared `(v, lm, h, knobs)` parsing of latency, saturation and pareto
+/// queries into a config at the given `k`, `n` and `λ` (pareto prototypes
+/// pass placeholders for `k`/`n`).
 fn parse_config(q: &Json, i: usize, k: u32, n: u32, lambda: f64) -> Result<NCubeConfig, String> {
     let v = req_u32(q, i, "v")?;
     let lm = req_u32(q, i, "lm")?;
@@ -175,7 +138,7 @@ fn parse_config(q: &Json, i: usize, k: u32, n: u32, lambda: f64) -> Result<NCube
             .as_f64()
             .filter(|d| *d >= 1.0 && d.fract() == 0.0 && *d <= 64.0)
             .ok_or_else(|| format!("queries[{i}]: anderson_depth must be an integer in 1..=64"))?;
-        cfg.options.acceleration = Acceleration::Anderson {
+        cfg.acceleration = Acceleration::Anderson {
             depth: depth as usize,
         };
     }
@@ -250,11 +213,12 @@ fn parse_query(q: &Json, i: usize) -> Result<Query, String> {
     }
 }
 
-fn model_error_json(kind: &str, e: &ModelError) -> Json {
+/// The result object of a query of type `kind` that has no answer.
+fn error_result(kind: &str, message: String) -> Json {
     let mut out = Json::obj();
     out.set("type", Json::Str(kind.into()));
     out.set("ok", Json::Bool(false));
-    out.set("error", Json::Str(format!("{e}")));
+    out.set("error", Json::Str(message));
     out
 }
 
@@ -272,7 +236,7 @@ fn latency_result(cfg: &NCubeConfig, solved: Result<kncube_core::NCubeOutput, Mo
             r.set("iterations", Json::Num(out.iterations as f64));
             r
         }
-        Err(e) => model_error_json("latency", &e),
+        Err(e) => error_result("latency", e.to_string()),
     }
 }
 
@@ -305,13 +269,7 @@ fn run_unit(unit: &Unit, cache: &SolveCache) -> Vec<(usize, Json)> {
                     r.set("mean_iterations", Json::Num(report.mean_iterations()));
                     r
                 }
-                Err(e) => {
-                    let mut r = Json::obj();
-                    r.set("type", Json::Str("saturation".into()));
-                    r.set("ok", Json::Bool(false));
-                    r.set("error", Json::Str(format!("{e}")));
-                    r
-                }
+                Err(e) => error_result("saturation", e.to_string()),
             };
             vec![(*idx, result)]
         }
@@ -349,19 +307,13 @@ fn run_unit(unit: &Unit, cache: &SolveCache) -> Vec<(usize, Json)> {
                     r.set("latency", Json::Num(latency));
                     r
                 }
-                None => {
-                    let mut r = Json::obj();
-                    r.set("type", Json::Str("pareto".into()));
-                    r.set("ok", Json::Bool(false));
-                    r.set(
-                        "error",
-                        Json::Str(format!(
-                            "no candidate with at least {min_nodes} nodes solves at λ={}",
-                            proto.lambda
-                        )),
-                    );
-                    r
-                }
+                None => error_result(
+                    "pareto",
+                    format!(
+                        "no candidate with at least {min_nodes} nodes solves at λ={}",
+                        proto.lambda
+                    ),
+                ),
             };
             vec![(*idx, result)]
         }
@@ -385,12 +337,16 @@ pub fn run_batch(doc: &Json) -> Result<Json, String> {
     // Latency queries join per-geometry continuation chains (sorted by
     // λ so neighbours warm-start each other); everything else is its own
     // unit.  Units run in parallel on the bounded pool.
-    let mut chains: HashMap<ChainKey, Vec<(usize, NCubeConfig)>> = HashMap::new();
+    // A chain is keyed by its links' config at λ = 0.
+    let mut chains: HashMap<NCubeConfig, Vec<(usize, NCubeConfig)>> = HashMap::new();
     let mut units: Vec<Unit> = Vec::new();
     for (idx, query) in parsed.iter().enumerate() {
         match query {
             Query::Latency(cfg) => chains
-                .entry(ChainKey::of(cfg))
+                .entry(NCubeConfig {
+                    lambda: 0.0,
+                    ..*cfg
+                })
                 .or_default()
                 .push((idx, *cfg)),
             Query::Saturation(cfg) => units.push(Unit::Saturation(idx, *cfg)),
@@ -550,7 +506,7 @@ pub fn run_query_bench(quick: bool) -> Json {
         let cache = SolveCache::new();
         let mut accelerated = configs_grid.clone();
         for cfg in &mut accelerated {
-            cfg.options.acceleration = Acceleration::Anderson { depth: 4 };
+            cfg.acceleration = Acceleration::Anderson { depth: 4 };
         }
         let warm_start = Instant::now();
         let mut warm_iters = 0usize;

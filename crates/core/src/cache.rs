@@ -15,11 +15,11 @@
 //! what is solved — and cached — is exactly that snapped configuration.
 //! Two requests that collide on a key are therefore the *same* lattice
 //! configuration, and the cached entry is its exact solution; there is no
-//! approximation radius to go stale.  The key also carries every
-//! non-geometric knob that changes the numerics (model variant, service
-//! model, multiplexing model, and the full fixed-point options including
-//! the acceleration scheme), so an ablation run can never be served a
-//! default-model entry.
+//! approximation radius to go stale.  The key is the snapped
+//! configuration itself — every field, floats by bit pattern — so it
+//! carries every knob that changes the numerics (model variant, service
+//! model, multiplexing model, acceleration scheme), and an ablation run
+//! can never be served a default-model entry.
 //!
 //! Failures are cached too: past `λ*` the solver burns its whole
 //! iteration budget before reporting [`ModelError::NotConverged`], which
@@ -29,12 +29,9 @@
 //! lock is held only for lookups and inserts, never across a solve.
 
 use crate::faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
-use crate::ncube::{
-    ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
-    ServiceTimeModel,
-};
-use kncube_topology::FaultSet;
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, NCubeOutput};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -52,104 +49,22 @@ fn quantize_f64(x: f64) -> f64 {
     f64::from_bits(x.to_bits() & !((1u64 << QUANT_DROP_BITS) - 1))
 }
 
-/// The exact-match key of one lattice configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct CacheKey {
-    k: u32,
-    n: u32,
-    v: u32,
-    lm: u32,
-    lambda_bits: u64,
-    h_bits: u64,
-    variant: ModelVariant,
-    service: ServiceTimeModel,
-    multiplexing: MultiplexingModel,
-    max_iterations: usize,
-    tolerance_bits: u64,
-    damping_bits: u64,
-    acceleration: kncube_queueing::fixed_point::Acceleration,
-}
-
-impl CacheKey {
-    fn of(cfg: &NCubeConfig) -> Self {
-        CacheKey {
-            k: cfg.k,
-            n: cfg.n,
-            v: cfg.virtual_channels,
-            lm: cfg.message_length,
-            lambda_bits: cfg.lambda.to_bits(),
-            h_bits: cfg.hot_fraction.to_bits(),
-            variant: cfg.variant,
-            service: cfg.service_model,
-            multiplexing: cfg.multiplexing,
-            max_iterations: cfg.options.max_iterations,
-            tolerance_bits: cfg.options.tolerance.to_bits(),
-            damping_bits: cfg.options.damping.to_bits(),
-            acceleration: cfg.options.acceleration,
-        }
-    }
-}
-
-/// The exact-match key of one faulty-network lattice configuration: the
-/// key of the model it solves plus the `λ` it solves at.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct FaultyCacheKey {
-    model: FaultyModelKey,
-    lambda_bits: u64,
-}
-
-impl FaultyCacheKey {
-    fn of(cfg: &FaultyNCubeConfig) -> Self {
-        FaultyCacheKey {
-            model: FaultyModelKey {
-                faults: cfg.faults.clone(),
-                hot_node: cfg.hot_node.0,
-                v: cfg.virtual_channels,
-                lm: cfg.message_length,
-                h_bits: cfg.hot_fraction.to_bits(),
-                multiplexing: cfg.multiplexing,
-            },
-            lambda_bits: cfg.lambda.to_bits(),
-        }
-    }
-}
-
-/// Everything a built [`FaultyNCubeModel`] depends on: every knob but `λ`.
-///
-/// The fault set enters whole, compared on the failed-element bitmaps
-/// *and* the topology (k, n, link kind, boundary): two different fault
-/// sets — even with identical failure counts on the same geometry — can
-/// never alias, and neither can the same fault pattern on different
-/// topologies.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct FaultyModelKey {
-    faults: FaultSet,
-    hot_node: u32,
-    v: u32,
-    lm: u32,
-    h_bits: u64,
-    multiplexing: MultiplexingModel,
-}
-
-#[derive(Clone)]
-struct CacheEntry {
-    output: Result<NCubeOutput, ModelError>,
-    /// Converged fixed-point state, kept for warm-start chaining.
-    state: Option<Vec<f64>>,
-}
+/// A fault-free solve as the cache stores it: the output and, when it
+/// converged, the fixed-point state for warm-start chaining.
+type WarmSolve = (Result<NCubeOutput, ModelError>, Option<Vec<f64>>);
 
 /// A thread-safe memo of [`NCubeModel`] solves over the quantization
 /// lattice, with hit/miss accounting.  Faulty-network solves
 /// ([`SolveCache::solve_faulty`]) share the hit/miss counters but live in
-/// their own keyspace, keyed by the fault set itself.
+/// their own map, keyed by the snapped faulty config (fault set included).
 #[derive(Default)]
 pub struct SolveCache {
-    map: Mutex<HashMap<CacheKey, CacheEntry>>,
-    faulty_map: Mutex<HashMap<FaultyCacheKey, Result<FaultyNCubeOutput, ModelError>>>,
-    /// The most recently built faulty model, reused by misses that differ
-    /// from it only in `λ`.  One slot keeps memory bounded: a model holds
-    /// its router's `N²` tables.
-    faulty_model: Mutex<Option<(FaultyModelKey, Arc<FaultyNCubeModel>)>>,
+    map: Mutex<HashMap<NCubeConfig, WarmSolve>>,
+    faulty_map: Mutex<HashMap<FaultyNCubeConfig, Result<FaultyNCubeOutput, ModelError>>>,
+    /// The most recently built faulty model, keyed by its config with
+    /// `λ = 0` and reused by misses that differ from it only in `λ`.  One
+    /// slot keeps memory bounded: a model holds its router's `N²` tables.
+    faulty_model: Mutex<Option<(FaultyNCubeConfig, Arc<FaultyNCubeModel>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -184,33 +99,38 @@ impl SolveCache {
     /// A hit returns the stored solution verbatim — including its
     /// `iterations` count, which reflects the warm state in effect when
     /// the entry was first solved, not the `warm` passed here.
-    pub fn solve_with_warm(
-        &self,
-        cfg: &NCubeConfig,
-        warm: Option<&[f64]>,
-    ) -> (Result<NCubeOutput, ModelError>, Option<Vec<f64>>) {
-        let snapped = Self::quantize(cfg);
-        let key = CacheKey::of(&snapped);
-        if let Some(entry) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (entry.output.clone(), entry.state.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (output, state) = match NCubeModel::new(snapped) {
-            Ok(model) => match model.solve_warm(warm) {
+    pub fn solve_with_warm(&self, cfg: &NCubeConfig, warm: Option<&[f64]>) -> WarmSolve {
+        self.memo(&self.map, Self::quantize(cfg), |snapped| {
+            let solved = NCubeModel::new(*snapped).and_then(|model| model.solve_warm(warm));
+            match solved {
                 Ok((out, state)) => (Ok(out), Some(state)),
                 Err(e) => (Err(e), None),
-            },
-            Err(e) => (Err(e), None),
-        };
-        let entry = CacheEntry {
-            output: output.clone(),
-            state: state.clone(),
-        };
+            }
+        })
+    }
+
+    /// The entry of `key` in `map`, solved on a miss.  The lock is held
+    /// only for the lookup and the insert, never across `solve`.
+    fn memo<K: Eq + Hash, V: Clone>(
+        &self,
+        map: &Mutex<HashMap<K, V>>,
+        key: K,
+        solve: impl FnOnce(&K) -> V,
+    ) -> V {
+        let poisoned = "solve cache map poisoned";
+        if let Some(value) = map.lock().expect(poisoned).get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return value.clone();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = solve(&key);
         // Racing threads may both have missed; keep the first insert so
         // concurrent readers of the same key always see one entry.
-        self.map.lock().unwrap().entry(key).or_insert(entry);
-        (output, state)
+        map.lock()
+            .expect(poisoned)
+            .entry(key)
+            .or_insert_with(|| value.clone());
+        value
     }
 
     /// Snap a faulty configuration onto the quantization lattice, the
@@ -227,48 +147,37 @@ impl SolveCache {
 
     /// Solve the quantized image of a faulty-network configuration,
     /// consulting the cache first.  The key includes the fault set, so two
-    /// different [`FaultSet`]s never share an entry even when every scalar
-    /// knob coincides.
+    /// different [`FaultSet`](kncube_topology::FaultSet)s never share an
+    /// entry even when every scalar knob coincides.
     ///
     /// A miss that differs from the last built model only in `λ` re-solves
     /// that model ([`FaultyNCubeModel::solve_at`], bit-identical to a fresh
     /// build) instead of rebuilding its router and rates.
     pub fn solve_faulty(&self, cfg: &FaultyNCubeConfig) -> Result<FaultyNCubeOutput, ModelError> {
-        let snapped = Self::quantize_faulty(cfg);
-        let key = FaultyCacheKey::of(&snapped);
-        if let Some(entry) = self.faulty_map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let lambda = snapped.lambda;
-        let output = self
-            .faulty_model(snapped, &key.model)
-            .and_then(|model| model.solve_at(lambda));
-        // First insert wins on a miss race, as for the fault-free map.
-        self.faulty_map
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| output.clone());
-        output
+        self.memo(&self.faulty_map, Self::quantize_faulty(cfg), |snapped| {
+            self.faulty_model(snapped)
+                .and_then(|model| model.solve_at(snapped.lambda))
+        })
     }
 
     /// The built model for `snapped`: the slot's when only `λ` differs,
     /// else a new one, which takes the slot.
     fn faulty_model(
         &self,
-        snapped: FaultyNCubeConfig,
-        key: &FaultyModelKey,
+        snapped: &FaultyNCubeConfig,
     ) -> Result<Arc<FaultyNCubeModel>, ModelError> {
+        let key = FaultyNCubeConfig {
+            lambda: 0.0,
+            ..snapped.clone()
+        };
         let poisoned = "faulty model slot poisoned";
         if let Some((k, model)) = &*self.faulty_model.lock().expect(poisoned) {
-            if k == key {
+            if *k == key {
                 return Ok(Arc::clone(model));
             }
         }
-        let model = Arc::new(FaultyNCubeModel::new(snapped)?);
-        *self.faulty_model.lock().expect(poisoned) = Some((key.clone(), Arc::clone(&model)));
+        let model = Arc::new(FaultyNCubeModel::new(snapped.clone())?);
+        *self.faulty_model.lock().expect(poisoned) = Some((key, Arc::clone(&model)));
         Ok(model)
     }
 
@@ -301,6 +210,12 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ncube::{ModelVariant, MultiplexingModel, ServiceTimeModel};
+    use kncube_queueing::fixed_point::Acceleration;
+    use kncube_topology::{FaultSet, KAryNCube, NodeId};
+
+    /// One single-field change of a config, named for the failure message.
+    type Change<C> = (&'static str, fn(&mut C));
 
     #[test]
     fn hit_returns_the_exact_solution_of_the_quantized_config() {
@@ -338,20 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_solver_options_get_distinct_entries() {
-        use kncube_queueing::fixed_point::Acceleration;
-        let cache = SolveCache::new();
-        let mut a = NCubeConfig::new(8, 3, 2, 16, 1e-5, 0.3);
-        a.service_model = ServiceTimeModel::PathOccupancy;
-        let mut b = a;
-        b.options.acceleration = Acceleration::Anderson { depth: 4 };
-        cache.solve(&a).unwrap();
-        cache.solve(&b).unwrap();
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn failures_are_cached_as_failures() {
         let cache = SolveCache::new();
         // Far past saturation for the paper geometry.
@@ -384,7 +285,6 @@ mod tests {
         // the second lookup would return the first set's latency.  Both
         // sets here fail exactly one router, at different distances from
         // the hot node, so their correct latencies differ.
-        use kncube_topology::{FaultSet, KAryNCube, NodeId};
         let topo = KAryNCube::bidirectional(4, 2).unwrap();
         let mut near = FaultSet::none(topo);
         near.fail_node(NodeId(1));
@@ -417,7 +317,6 @@ mod tests {
 
     #[test]
     fn faulty_and_fault_free_keyspaces_are_disjoint() {
-        use kncube_topology::{FaultSet, KAryNCube};
         let cache = SolveCache::new();
         // A faulty solve of the empty set on a uni torus delegates to the
         // closed-form model, but must not collide with (or populate) the
@@ -439,7 +338,7 @@ mod tests {
 
     #[test]
     fn faulty_quantization_collapses_nearby_lambdas() {
-        use kncube_topology::{Channel, Direction, FaultSet, KAryNCube, NodeId};
+        use kncube_topology::{Channel, Direction};
         let topo = KAryNCube::mesh(4, 2).unwrap();
         let mut faults = FaultSet::none(topo);
         faults.fail_link(Channel {
@@ -464,7 +363,6 @@ mod tests {
         // of fault set, h or hot node rebuilds it.  Either way the counts
         // are those of a plain memo and every answer is bitwise that of a
         // freshly built model.
-        use kncube_topology::{FaultSet, KAryNCube, NodeId};
         let topo = KAryNCube::bidirectional(4, 2).unwrap();
         let mut a = FaultSet::none(topo);
         a.fail_node(NodeId(5));
@@ -564,7 +462,6 @@ mod tests {
         // there cost hundreds of iterations while the accelerated warm
         // chain stays flat.  (Far below saturation Picard converges in a
         // handful of iterations and continuation saves only ~20%.)
-        use kncube_queueing::fixed_point::Acceleration;
         let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
         base.service_model = ServiceTimeModel::PathOccupancy;
         let sat = crate::find_saturation_ncube(base, 1e-9, 1e-1, 1e-6).unwrap();
@@ -598,7 +495,7 @@ mod tests {
         );
         let mut accel = configs.clone();
         for c in &mut accel {
-            c.options.acceleration = Acceleration::Anderson { depth: 4 };
+            c.acceleration = Acceleration::Anderson { depth: 4 };
         }
         let warm = iterations(chained(&accel));
         assert!(
@@ -653,7 +550,6 @@ mod tests {
     fn faulty_entries_never_alias_across_topologies() {
         // The same failed router on two geometries with identical scalar
         // knobs: distinct fault sets, so distinct entries and answers.
-        use kncube_topology::{FaultSet, KAryNCube, NodeId};
         let cache = SolveCache::new();
         let mut answers = Vec::new();
         for topo in [
@@ -674,5 +570,94 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(cache.faulty_len(), 2);
         assert_ne!(answers[0].to_bits(), answers[1].to_bits());
+    }
+
+    #[test]
+    fn every_identity_field_keys_its_own_entry() {
+        // Changing any one field of a snapped config (λ by more than the
+        // lattice spacing) must miss: a shared entry would serve one
+        // config the other's answer.
+        let base = NCubeConfig::new(8, 3, 2, 16, 1e-5, 0.3);
+        let changes: [Change<NCubeConfig>; 10] = [
+            ("k", |c| c.k = 4),
+            ("n", |c| c.n = 2),
+            ("v", |c| c.virtual_channels = 3),
+            ("lm", |c| c.message_length = 8),
+            ("h", |c| c.hot_fraction = 0.2),
+            ("λ", |c| c.lambda *= 1.001),
+            ("variant", |c| c.variant = ModelVariant::HotRingServiceEq25),
+            ("service_model", |c| {
+                c.service_model = ServiceTimeModel::PathOccupancy
+            }),
+            ("multiplexing", |c| {
+                c.multiplexing = MultiplexingModel::ClassAware
+            }),
+            ("acceleration", |c| {
+                c.acceleration = Acceleration::Anderson { depth: 4 }
+            }),
+        ];
+        let cache = SolveCache::new();
+        cache.solve(&base).unwrap();
+        for (i, (field, change)) in changes.iter().enumerate() {
+            let mut cfg = base;
+            change(&mut cfg);
+            assert_ne!(SolveCache::quantize(&cfg), SolveCache::quantize(&base));
+            let got = cache.solve(&cfg);
+            let direct = NCubeModel::new(SolveCache::quantize(&cfg)).and_then(|m| m.solve());
+            assert_eq!(
+                got.map(|o| o.latency.to_bits()),
+                direct.map(|o| o.latency.to_bits()),
+                "{field}"
+            );
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.len()),
+                (0, i as u64 + 2, i + 2),
+                "changing {field} reused an entry"
+            );
+        }
+        cache.solve(&base).unwrap();
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn faulty_identity_fields_key_entries_and_only_lambda_shares_the_model() {
+        let topo = KAryNCube::bidirectional(4, 2).unwrap();
+        let mut faults = FaultSet::none(topo);
+        faults.fail_node(NodeId(5));
+        let base = FaultyNCubeConfig::new(faults, 2, 16, 1e-3, 0.2);
+        let slot = |cache: &SolveCache| {
+            let slot = cache.faulty_model.lock().unwrap();
+            Arc::clone(&slot.as_ref().expect("a model was built").1)
+        };
+        let changes: [Change<FaultyNCubeConfig>; 7] = [
+            ("fault set", |c| c.faults.fail_node(NodeId(9))),
+            ("hot node", |c| c.hot_node = NodeId(3)),
+            ("v", |c| c.virtual_channels = 3),
+            ("lm", |c| c.message_length = 8),
+            ("h", |c| c.hot_fraction = 0.3),
+            ("multiplexing", |c| {
+                c.multiplexing = MultiplexingModel::ClassAware
+            }),
+            ("λ", |c| c.lambda = 2e-3),
+        ];
+        for (field, change) in changes {
+            let mut cfg = base.clone();
+            change(&mut cfg);
+            assert_ne!(
+                SolveCache::quantize_faulty(&cfg),
+                SolveCache::quantize_faulty(&base)
+            );
+            let cache = SolveCache::new();
+            cache.solve_faulty(&base).unwrap();
+            let before = slot(&cache);
+            cache.solve_faulty(&cfg).unwrap();
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.faulty_len()),
+                (0, 2, 2),
+                "changing {field} reused an entry"
+            );
+            let reused = Arc::ptr_eq(&before, &slot(&cache));
+            assert_eq!(reused, field == "λ", "{field}: model reused = {reused}");
+        }
     }
 }

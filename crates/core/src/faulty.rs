@@ -77,6 +77,10 @@ fn check_lambda(lambda: f64) -> Result<(), ModelError> {
 /// same), which on a mesh is a *corner* — position matters once wrap
 /// links are gone.
 ///
+/// Equality and hashing compare every field, the floats by bit pattern
+/// and the fault set whole (failed elements *and* topology), so a config
+/// is its own exact cache key ([`crate::SolveCache`]).
+///
 /// [`SimConfig::ncube`]: ../../kncube_sim/struct.SimConfig.html
 #[derive(Clone, Debug)]
 pub struct FaultyNCubeConfig {
@@ -121,6 +125,39 @@ impl FaultyNCubeConfig {
     /// The topology the faults live in.
     pub fn topology(&self) -> &KAryNCube {
         self.faults.topology()
+    }
+
+    /// Every field, the floats as bit patterns.  Destructured without
+    /// `..`, so a new field does not compile until it joins the identity.
+    fn identity(&self) -> impl Eq + std::hash::Hash + '_ {
+        let FaultyNCubeConfig {
+            faults,
+            hot_node,
+            virtual_channels,
+            message_length,
+            lambda,
+            hot_fraction,
+            multiplexing,
+        } = self;
+        (
+            faults,
+            (*hot_node, *virtual_channels, *message_length),
+            (lambda.to_bits(), hot_fraction.to_bits(), *multiplexing),
+        )
+    }
+}
+
+impl PartialEq for FaultyNCubeConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for FaultyNCubeConfig {}
+
+impl std::hash::Hash for FaultyNCubeConfig {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.identity().hash(state)
     }
 }
 
@@ -276,22 +313,8 @@ impl FaultyNCubeModel {
         hi: f64,
         rel_tol: f64,
     ) -> Result<SaturationReport, SaturationError> {
-        let mut probes = 0usize;
-        let mut iterations = 0usize;
-        let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
-            probes += 1;
-            match self.solve_at(lambda) {
-                Ok(out) => {
-                    iterations += out.iterations;
-                    true
-                }
-                Err(_) => false,
-            }
-        })?;
-        Ok(SaturationReport {
-            lambda_star,
-            probes,
-            solver_iterations: iterations,
+        bisect_saturation(lo, hi, rel_tol, |lambda| {
+            self.solve_at(lambda).ok().map(|out| out.iterations)
         })
     }
 

@@ -53,7 +53,7 @@
 use crate::probabilities::{entry_cases, EntryCase};
 use crate::rates::NCubeRates;
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
-use kncube_queueing::fixed_point::{self, FixedPointError, FixedPointOptions};
+use kncube_queueing::fixed_point::{self, Acceleration, FixedPointError};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
 use std::fmt;
@@ -177,6 +177,9 @@ pub const MAX_VIRTUAL_CHANNELS: u32 = 64;
 const TAIL_ENUM_CAP: usize = 4096;
 
 /// Configuration of one generalized model evaluation.
+///
+/// Equality and hashing compare every field, the floats by bit pattern,
+/// so a config is its own exact cache key ([`crate::SolveCache`]).
 #[derive(Clone, Copy, Debug)]
 pub struct NCubeConfig {
     /// Radix `k` (nodes per dimension).
@@ -199,8 +202,8 @@ pub struct NCubeConfig {
     pub service_model: ServiceTimeModel,
     /// Virtual-channel multiplexing model (Eqs. 33-35 or class-aware).
     pub multiplexing: MultiplexingModel,
-    /// Fixed-point iteration controls.
-    pub options: FixedPointOptions,
+    /// How the fixed point's iterates are combined.
+    pub acceleration: Acceleration,
 }
 
 impl NCubeConfig {
@@ -217,8 +220,44 @@ impl NCubeConfig {
             variant: ModelVariant::default(),
             service_model: ServiceTimeModel::default(),
             multiplexing: MultiplexingModel::default(),
-            options: FixedPointOptions::default(),
+            acceleration: Acceleration::default(),
         }
+    }
+
+    /// Every field, the floats as bit patterns.  Destructured without
+    /// `..`, so a new field does not compile until it joins the identity.
+    fn identity(&self) -> impl Eq + std::hash::Hash {
+        let NCubeConfig {
+            k,
+            n,
+            virtual_channels,
+            message_length,
+            lambda,
+            hot_fraction,
+            variant,
+            service_model,
+            multiplexing,
+            acceleration,
+        } = *self;
+        (
+            (k, n, virtual_channels, message_length),
+            (lambda.to_bits(), hot_fraction.to_bits()),
+            (variant, service_model, multiplexing, acceleration),
+        )
+    }
+}
+
+impl PartialEq for NCubeConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for NCubeConfig {}
+
+impl std::hash::Hash for NCubeConfig {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.identity().hash(state)
     }
 }
 
@@ -571,7 +610,7 @@ impl NCubeModel {
         };
         let hot_rates = self.hot_rate_table();
         let mut tails = Vec::new();
-        let report = fixed_point::solve(initial, self.config.options, |state, next| {
+        let report = fixed_point::solve(initial, self.config.acceleration, |state, next| {
             self.update(layout, &hot_rates, &mut tails, state, next)
         })
         .map_err(|e| match e {

@@ -107,37 +107,24 @@ pub fn find_saturation_ncube_report(
     rel_tol: f64,
 ) -> Result<SaturationReport, SaturationError> {
     let mut warm: Option<Vec<f64>> = None;
-    let mut probes = 0usize;
-    let mut iterations = 0usize;
-    let lambda_star = bisect_saturation(lo, hi, rel_tol, |lambda| {
-        probes += 1;
-        match NCubeModel::new(NCubeConfig { lambda, ..base }) {
-            Ok(model) => match model.solve_warm(warm.as_deref()) {
-                Ok((out, state)) => {
-                    iterations += out.iterations;
-                    warm = Some(state);
-                    true
-                }
-                Err(_) => false,
-            },
-            Err(_) => false,
-        }
-    })?;
-    Ok(SaturationReport {
-        lambda_star,
-        probes,
-        solver_iterations: iterations,
+    bisect_saturation(lo, hi, rel_tol, |lambda| {
+        let model = NCubeModel::new(NCubeConfig { lambda, ..base }).ok()?;
+        let (out, state) = model.solve_warm(warm.as_deref()).ok()?;
+        warm = Some(state);
+        Some(out.iterations)
     })
 }
 
 /// The shared bisection behind the fault-free and faulty saturation
-/// searches.
+/// searches.  `probe` returns `Some(iterations)` when the model solves at
+/// the given rate and `None` when it does not; the report counts every
+/// probe and sums the iterations of the solvable ones.
 pub(crate) fn bisect_saturation(
     mut lo: f64,
     mut hi: f64,
     rel_tol: f64,
-    mut solvable: impl FnMut(f64) -> bool,
-) -> Result<f64, SaturationError> {
+    mut probe: impl FnMut(f64) -> Option<usize>,
+) -> Result<SaturationReport, SaturationError> {
     if !(lo.is_finite() && hi.is_finite() && rel_tol.is_finite())
         || lo < 0.0
         || hi <= lo
@@ -145,6 +132,14 @@ pub(crate) fn bisect_saturation(
     {
         return Err(SaturationError::InvalidBracket { lo, hi, rel_tol });
     }
+    let mut probes = 0usize;
+    let mut solver_iterations = 0usize;
+    let mut solvable = |lambda| {
+        probes += 1;
+        probe(lambda)
+            .map(|iterations| solver_iterations += iterations)
+            .is_some()
+    };
     // Widen until hi is saturated (bounded: utilization grows linearly in
     // λ, so a few doublings always suffice for a solvable model; a model
     // that never saturates exhausts the guard instead).
@@ -165,7 +160,11 @@ pub(crate) fn bisect_saturation(
             hi = mid;
         }
     }
-    Ok(0.5 * (lo + hi))
+    Ok(SaturationReport {
+        lambda_star: 0.5 * (lo + hi),
+        probes,
+        solver_iterations,
+    })
 }
 
 #[cfg(test)]
@@ -261,20 +260,21 @@ mod tests {
     #[test]
     fn bisection_brackets_a_step_to_the_requested_width() {
         let edge = 3.7e-4;
-        let mut probes = 0;
-        let sat = bisect_saturation(1e-9, 1e-4, 1e-6, |lambda| {
-            probes += 1;
-            lambda < edge
-        })
-        .unwrap();
+        let report =
+            bisect_saturation(1e-9, 1e-4, 1e-6, |lambda| (lambda < edge).then_some(2)).unwrap();
+        let sat = report.lambda_star;
         assert!((sat - edge).abs() <= 1e-6 * edge, "λ*={sat} vs edge {edge}");
         // Two doublings widen 1e-4 past the edge, then ~20 halvings.
+        let probes = report.probes;
         assert!((20..40).contains(&probes), "probes: {probes}");
+        // Only the solvable probes' iterations count.
+        assert!(report.solver_iterations < 2 * probes);
+        assert!(report.solver_iterations > 0 && report.solver_iterations % 2 == 0);
     }
 
     #[test]
     fn runaway_widening_reports_bracket_not_found() {
-        match bisect_saturation(0.0, 1e-3, 1e-3, |_| true) {
+        match bisect_saturation(0.0, 1e-3, 1e-3, |_| Some(1)) {
             Err(SaturationError::BracketNotFound { last_hi }) => {
                 assert!(last_hi.is_finite() && last_hi > 1e-3)
             }

@@ -28,7 +28,7 @@
 
 use crate::ncube::{ModelError, ServiceTimeModel, RHO_CAP};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
-use kncube_queueing::fixed_point::{self, FixedPointError, FixedPointOptions};
+use kncube_queueing::fixed_point::{self, Acceleration, FixedPointError};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
 
@@ -54,8 +54,6 @@ pub struct UniformModel {
     pub lambda: f64,
     /// Channel service-time model (see [`ServiceTimeModel`]).
     pub service_model: ServiceTimeModel,
-    /// Iteration controls.
-    pub options: FixedPointOptions,
 }
 
 /// Solved baseline latency and diagnostics.
@@ -82,7 +80,6 @@ impl UniformModel {
             message_length,
             lambda,
             service_model: ServiceTimeModel::default(),
-            options: FixedPointOptions::default(),
         }
     }
 
@@ -122,7 +119,7 @@ impl UniformModel {
             initial[m + j - 1] = j as f64 + lm;
             initial[2 * m + j - 1] = j as f64 + lm + kf / 2.0;
         }
-        let report = fixed_point::solve(initial, self.options, |state, next| {
+        let report = fixed_point::solve(initial, Acceleration::Picard, |state, next| {
             let h_y = family_hold(&state[0..m]);
             let h_x = family_hold(&state[m..2 * m]);
             let s_y_k = state[0..m].iter().sum::<f64>() / m as f64;

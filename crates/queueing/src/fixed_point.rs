@@ -1,69 +1,48 @@
-//! Damped and Anderson-accelerated fixed-point iteration for the model's
+//! Picard and Anderson-accelerated fixed-point iteration for the model's
 //! interdependent equations.
 //!
 //! §3 of the paper: "Given that a closed-form solution to these
 //! interdependencies is very difficult to determine, the different variables
 //! of the model are computed using iterative techniques."
 //!
-//! The baseline solver iterates `x_{n+1} = (1-d)·x_n + d·F(x_n)` on a flat
-//! `f64` state vector with damping factor `d`, declaring convergence when
-//! the largest relative component change drops below a tolerance, and
-//! divergence when a component goes non-finite or the iteration budget is
-//! exhausted (which, for this model, is how the saturation point manifests).
+//! The baseline solver iterates `x_{n+1} = F(x_n)` on a flat `f64` state
+//! vector, declaring convergence when the largest relative component change
+//! drops below [`TOLERANCE`], and divergence when a component goes
+//! non-finite or [`MAX_ITERATIONS`] are exhausted (which, for this model,
+//! is how the saturation point manifests).
 //!
 //! [`Acceleration::Anderson`] switches the update to Anderson mixing
 //! (type-II AA(m), the scheme used to accelerate routing-equilibrium
 //! fixed points à la Brightwell–Luczak): the next iterate extrapolates
 //! through the last `m` residuals by solving a tiny least-squares problem,
-//! falling back to the damped Picard step whenever the extrapolation is
-//! ill-conditioned or leaves the finite/non-negative region.  Warm starts
-//! are expressed through the existing `initial` argument — callers that
-//! keep the converged state of a neighbouring configuration (see
+//! falling back to the Picard step whenever the extrapolation is
+//! ill-conditioned or leaves the finite region.  Warm starts are expressed
+//! through the existing `initial` argument — callers that keep the
+//! converged state of a neighbouring configuration (see
 //! `kncube_core::sweep`) pass it back in and typically converge in a
 //! handful of iterations.
+
+/// Iteration budget of one solve; exhausting it is
+/// [`FixedPointError::NotConverged`].
+pub const MAX_ITERATIONS: usize = 20_000;
+
+/// Convergence tolerance on the maximum relative component change.
+pub const TOLERANCE: f64 = 1e-10;
 
 /// How successive fixed-point iterates are combined.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Acceleration {
-    /// Damped Picard: `x_{n+1} = (1-d)·x_n + d·F(x_n)` (default; the
-    /// reconstruction numerics are pinned to this path).
+    /// Picard: `x_{n+1} = F(x_n)` (default; the reconstruction numerics
+    /// are pinned to this path).
     #[default]
     Picard,
-    /// Anderson mixing over a window of `depth` previous residuals, with
-    /// the damping factor as the mixing parameter β.  Falls back to the
-    /// damped Picard step when the window is empty or the least-squares
-    /// extrapolation misbehaves.
+    /// Anderson mixing over a window of `depth` previous residuals.  Falls
+    /// back to the Picard step when the window is empty or the
+    /// least-squares extrapolation misbehaves.
     Anderson {
         /// History window `m >= 1`; 3–5 is typical for smooth updates.
         depth: usize,
     },
-}
-
-/// Options controlling the iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedPointOptions {
-    /// Maximum number of iterations before declaring failure.
-    pub max_iterations: usize,
-    /// Convergence tolerance on the maximum relative component change.
-    pub tolerance: f64,
-    /// Damping factor `d` in `(0, 1]`; `1` is undamped Picard iteration.
-    pub damping: f64,
-    /// Iterate-combination scheme (Picard by default).
-    pub acceleration: Acceleration,
-}
-
-impl Default for FixedPointOptions {
-    fn default() -> Self {
-        FixedPointOptions {
-            max_iterations: 20_000,
-            tolerance: 1e-10,
-            // The model's update is monotone when chains are swept
-            // Gauss-Seidel style, so undamped Picard converges from the
-            // zero-load start; damping stays available for experiments.
-            damping: 1.0,
-            acceleration: Acceleration::Picard,
-        }
-    }
 }
 
 /// Why the iteration stopped without converging.
@@ -102,8 +81,13 @@ pub struct FixedPointReport {
     pub residual: f64,
 }
 
+/// The relative change of one component, `|next - cur| / max(|next|, 1)`.
+fn relative_change(cur: f64, next: f64) -> f64 {
+    (next - cur).abs() / next.abs().max(1.0)
+}
+
 /// Iterate `update` from `initial` until the maximum relative change of any
-/// component is below `options.tolerance`.
+/// component is below [`TOLERANCE`].
 ///
 /// `update` writes the next state into its second argument (same length as
 /// the current state, passed as the first argument).  A warm start is just
@@ -111,44 +95,36 @@ pub struct FixedPointReport {
 /// configuration and the solver reports however few iterations it needed.
 pub fn solve<F>(
     initial: Vec<f64>,
-    options: FixedPointOptions,
+    acceleration: Acceleration,
     update: F,
 ) -> Result<FixedPointReport, FixedPointError>
 where
     F: FnMut(&[f64], &mut [f64]),
 {
-    assert!(options.damping > 0.0 && options.damping <= 1.0);
-    assert!(options.tolerance > 0.0);
-    match options.acceleration {
-        Acceleration::Picard => solve_picard(initial, options, update),
-        Acceleration::Anderson { depth } => solve_anderson(initial, options, depth.max(1), update),
+    match acceleration {
+        Acceleration::Picard => solve_picard(initial, update),
+        Acceleration::Anderson { depth } => solve_anderson(initial, depth.max(1), update),
     }
 }
 
-/// The damped Picard loop (the reconstruction's pinned numerics).
-fn solve_picard<F>(
-    initial: Vec<f64>,
-    options: FixedPointOptions,
-    mut update: F,
-) -> Result<FixedPointReport, FixedPointError>
+/// The Picard loop (the reconstruction's pinned numerics).
+fn solve_picard<F>(initial: Vec<f64>, mut update: F) -> Result<FixedPointReport, FixedPointError>
 where
     F: FnMut(&[f64], &mut [f64]),
 {
     let mut state = initial;
     let mut next = vec![0.0; state.len()];
-    for iteration in 1..=options.max_iterations {
+    for iteration in 1..=MAX_ITERATIONS {
         update(&state, &mut next);
         let mut residual: f64 = 0.0;
-        for (cur, nxt) in state.iter_mut().zip(next.iter()) {
+        for (cur, &nxt) in state.iter_mut().zip(next.iter()) {
             if !nxt.is_finite() {
                 return Err(FixedPointError::NonFinite);
             }
-            let blended = (1.0 - options.damping) * *cur + options.damping * *nxt;
-            let denom = blended.abs().max(1.0);
-            residual = residual.max((blended - *cur).abs() / denom);
-            *cur = blended;
+            residual = residual.max(relative_change(*cur, nxt));
+            *cur = nxt;
         }
-        if residual < options.tolerance {
+        if residual < TOLERANCE {
             return Ok(FixedPointReport {
                 state,
                 iterations: iteration,
@@ -161,11 +137,10 @@ where
 
 /// Anderson mixing (type-II AA(m)): keep the last `depth` iterate/residual
 /// pairs, extrapolate through them by a small least-squares solve, and fall
-/// back to the damped Picard step whenever the extrapolation is singular or
+/// back to the Picard step whenever the extrapolation is singular or
 /// non-finite.
 fn solve_anderson<F>(
     initial: Vec<f64>,
-    options: FixedPointOptions,
     depth: usize,
     mut update: F,
 ) -> Result<FixedPointReport, FixedPointError>
@@ -173,31 +148,28 @@ where
     F: FnMut(&[f64], &mut [f64]),
 {
     let dim = initial.len();
-    let beta = options.damping;
     let mut state = initial;
     let mut image = vec![0.0; dim];
     // Ring buffers of previous (iterate, residual) pairs, oldest first.
     let mut xs: Vec<Vec<f64>> = Vec::with_capacity(depth + 1);
     let mut fs: Vec<Vec<f64>> = Vec::with_capacity(depth + 1);
-    for iteration in 1..=options.max_iterations {
+    for iteration in 1..=MAX_ITERATIONS {
         update(&state, &mut image);
         if image.iter().any(|x| !x.is_finite()) {
             return Err(FixedPointError::NonFinite);
         }
-        // Residual f = F(x) - x, and the Picard-metric convergence check:
-        // with β = 1 this is exactly the Picard residual, so Anderson and
-        // Picard agree on what "converged" means.
+        // Residual f = F(x) - x, and the Picard convergence check, so
+        // Anderson and Picard agree on what "converged" means.
         let mut residual: f64 = 0.0;
         let f: Vec<f64> = state
             .iter()
             .zip(image.iter())
             .map(|(&x, &g)| {
-                let blended = (1.0 - beta) * x + beta * g;
-                residual = residual.max((blended - x).abs() / blended.abs().max(1.0));
+                residual = residual.max(relative_change(x, g));
                 g - x
             })
             .collect();
-        if residual < options.tolerance {
+        if residual < TOLERANCE {
             // Return the update's image so the final state satisfies F to
             // within the tolerance even after an extrapolated step.
             return Ok(FixedPointReport {
@@ -212,15 +184,10 @@ where
             xs.remove(0);
             fs.remove(0);
         }
-        let candidate = anderson_step(&xs, &fs, beta);
-        state = match candidate {
+        state = match anderson_step(&xs, &fs) {
             Some(accel) if accel.iter().all(|x| x.is_finite()) => accel,
-            // Fallback: the damped Picard step (always well-defined).
-            _ => state
-                .iter()
-                .zip(image.iter())
-                .map(|(&x, &g)| (1.0 - beta) * x + beta * g)
-                .collect(),
+            // Fallback: the Picard step (always well-defined).
+            _ => image.clone(),
         };
     }
     Err(FixedPointError::NotConverged)
@@ -228,10 +195,9 @@ where
 
 /// One Anderson extrapolation from history `(xs, fs)` (oldest first, the
 /// last entry is the current pair): minimise `‖f_k - ΔF γ‖₂` over the
-/// residual differences and return
-/// `x_k + β f_k - (ΔX + β ΔF) γ`.  `None` when there is no history or the
-/// normal equations are (near-)singular.
-fn anderson_step(xs: &[Vec<f64>], fs: &[Vec<f64>], beta: f64) -> Option<Vec<f64>> {
+/// residual differences and return `x_k + f_k - (ΔX + ΔF) γ`.  `None` when
+/// there is no history or the normal equations are (near-)singular.
+fn anderson_step(xs: &[Vec<f64>], fs: &[Vec<f64>]) -> Option<Vec<f64>> {
     let m = xs.len().checked_sub(1)?;
     if m == 0 {
         return None;
@@ -261,10 +227,10 @@ fn anderson_step(xs: &[Vec<f64>], fs: &[Vec<f64>], beta: f64) -> Option<Vec<f64>
     let gamma = solve_dense(&mut g, &mut b, m)?;
     let mut next = Vec::with_capacity(dim);
     for i in 0..dim {
-        let mut x = xs[k][i] + beta * fs[k][i];
+        let mut x = xs[k][i] + fs[k][i];
         for (j, &gj) in gamma.iter().enumerate() {
             let dx = xs[j + 1][i] - xs[j][i];
-            x -= gj * (dx + beta * df(j, i));
+            x -= gj * (dx + df(j, i));
         }
         next.push(x);
     }
@@ -320,7 +286,7 @@ mod tests {
     #[test]
     fn solves_scalar_contraction() {
         // x = cos(x) has the Dottie fixed point ~0.739085.
-        let report = solve(vec![0.0], FixedPointOptions::default(), |x, out| {
+        let report = solve(vec![0.0], Acceleration::Picard, |x, out| {
             out[0] = x[0].cos();
         })
         .unwrap();
@@ -330,7 +296,7 @@ mod tests {
     #[test]
     fn solves_coupled_system() {
         // x = 0.5 y + 1, y = 0.25 x + 1  →  x = 12/7, y = 10/7.
-        let report = solve(vec![0.0, 0.0], FixedPointOptions::default(), |s, out| {
+        let report = solve(vec![0.0, 0.0], Acceleration::Picard, |s, out| {
             out[0] = 0.5 * s[1] + 1.0;
             out[1] = 0.25 * s[0] + 1.0;
         })
@@ -340,27 +306,25 @@ mod tests {
     }
 
     #[test]
-    fn damping_stabilizes_oscillation() {
-        // x = 2.5 - x oscillates undamped about 1.25 with |f'| = 1; damping
-        // turns it into a contraction.
-        let opts = FixedPointOptions {
-            damping: 0.5,
-            ..Default::default()
-        };
-        let report = solve(vec![0.0], opts, |x, out| {
-            out[0] = 2.5 - x[0];
-        })
-        .unwrap();
-        assert!((report.state[0] - 1.25).abs() < 1e-7);
+    fn anderson_solves_the_oscillation_picard_cannot() {
+        // x = 2.5 - x has |F'| = 1: Picard flips between 0 and 2.5 for
+        // its whole budget, while the map is affine, so AA(1)
+        // extrapolates straight onto the fixed point 1.25.
+        let f = |x: &[f64], out: &mut [f64]| out[0] = 2.5 - x[0];
+        let picard = solve(vec![0.0], Acceleration::Picard, f).unwrap_err();
+        assert_eq!(picard, FixedPointError::NotConverged);
+        let aa = solve(vec![0.0], Acceleration::Anderson { depth: 1 }, f).unwrap();
+        assert!((aa.state[0] - 1.25).abs() < 1e-9, "{}", aa.state[0]);
+        assert!(
+            aa.iterations < 10,
+            "AA(1) took {} iterations",
+            aa.iterations
+        );
     }
 
     #[test]
     fn reports_divergence_to_infinity() {
-        let opts = FixedPointOptions {
-            max_iterations: 10_000,
-            ..Default::default()
-        };
-        let err = solve(vec![1.0], opts, |x, out| {
+        let err = solve(vec![1.0], Acceleration::Picard, |x, out| {
             out[0] = x[0] * 3.0;
         })
         .unwrap_err();
@@ -374,18 +338,15 @@ mod tests {
 
     #[test]
     fn reports_nan() {
-        let err = solve(vec![1.0], FixedPointOptions::default(), |_, out| {
+        let err = solve(vec![1.0], Acceleration::Picard, |_, out| {
             out[0] = f64::NAN;
         })
         .unwrap_err();
         assert_eq!(err, FixedPointError::NonFinite);
     }
 
-    fn anderson(depth: usize) -> FixedPointOptions {
-        FixedPointOptions {
-            acceleration: Acceleration::Anderson { depth },
-            ..Default::default()
-        }
+    fn anderson(depth: usize) -> Acceleration {
+        Acceleration::Anderson { depth }
     }
 
     #[test]
@@ -402,7 +363,7 @@ mod tests {
         // x = 0.999 x + 1 contracts agonisingly slowly under Picard but is
         // affine, so AA(1) nails it as soon as it has two residuals.
         let f = |x: &[f64], out: &mut [f64]| out[0] = 0.999 * x[0] + 1.0;
-        let picard = solve(vec![0.0], FixedPointOptions::default(), f).unwrap();
+        let picard = solve(vec![0.0], Acceleration::Picard, f).unwrap();
         let aa = solve(vec![0.0], anderson(2), f).unwrap();
         assert!((aa.state[0] - 1000.0).abs() < 1e-6, "{}", aa.state[0]);
         assert!(
@@ -462,16 +423,16 @@ mod tests {
 
     #[test]
     fn iteration_budget_respected() {
-        let opts = FixedPointOptions {
-            max_iterations: 3,
-            tolerance: 1e-15,
-            damping: 1.0,
-            acceleration: Acceleration::Picard,
-        };
-        let err = solve(vec![0.0], opts, |x, out| {
+        // x = (1 - 1e-6) x + 1 contracts by 1e-6 per step: reaching the
+        // tolerance from 0 would take ~10⁷ Picard steps, far past the
+        // budget.
+        let mut calls = 0usize;
+        let err = solve(vec![0.0], Acceleration::Picard, |x, out| {
+            calls += 1;
             out[0] = 0.999_999 * x[0] + 1.0;
         })
         .unwrap_err();
         assert_eq!(err, FixedPointError::NotConverged);
+        assert_eq!(calls, MAX_ITERATIONS);
     }
 }

@@ -10,10 +10,10 @@
 //! * [`vc_multiplex`] — Dally's Markovian model of virtual-channel
 //!   multiplexing (Eqs. 33–35), giving the average multiplexing degree `V̄`
 //!   that scales all latencies;
-//! * [`fixed_point`] — a damped fixed-point iterator with convergence and
-//!   divergence detection, used to solve the interdependent equations
-//!   ("the different variables of the model are computed using iterative
-//!   techniques", §3).
+//! * [`fixed_point`] — a Picard/Anderson fixed-point iterator with
+//!   convergence and divergence detection, used to solve the
+//!   interdependent equations ("the different variables of the model are
+//!   computed using iterative techniques", §3).
 //!
 //! Everything is deliberately scalar and allocation-free on the hot paths so
 //! model evaluation stays cheap inside parameter sweeps.
@@ -29,6 +29,6 @@ pub mod vc_multiplex;
 pub use blocking::{
     blocking_delay, channel_metrics, weighted_service, ChannelMetrics, TrafficClass,
 };
-pub use fixed_point::{solve, Acceleration, FixedPointError, FixedPointOptions, FixedPointReport};
+pub use fixed_point::{solve, Acceleration, FixedPointError, FixedPointReport};
 pub use mg1::{utilization, waiting_time, waiting_time_clamped, Saturated};
 pub use vc_multiplex::{multiplexing_factor, occupancy_distribution};

@@ -137,7 +137,7 @@ proptest! {
         // x = a x + b has the unique fixed point b/(1-a).
         let report = kncube_queueing::fixed_point::solve(
             vec![0.0],
-            kncube_queueing::fixed_point::FixedPointOptions::default(),
+            kncube_queueing::fixed_point::Acceleration::Picard,
             |x, out| out[0] = a * x[0] + b,
         ).unwrap();
         prop_assert!((report.state[0] - b / (1.0 - a)).abs() < 1e-6);
@@ -149,17 +149,10 @@ proptest! {
         b in -10.0f64..10.0,
         depth in 1usize..6,
     ) {
-        use kncube_queueing::fixed_point::{solve, Acceleration, FixedPointOptions};
+        use kncube_queueing::fixed_point::{solve, Acceleration};
         let f = |x: &[f64], out: &mut [f64]| out[0] = a * x[0] + b;
-        let picard = solve(vec![0.0], FixedPointOptions::default(), f).unwrap();
-        let aa = solve(
-            vec![0.0],
-            FixedPointOptions {
-                acceleration: Acceleration::Anderson { depth },
-                ..Default::default()
-            },
-            f,
-        ).unwrap();
+        let picard = solve(vec![0.0], Acceleration::Picard, f).unwrap();
+        let aa = solve(vec![0.0], Acceleration::Anderson { depth }, f).unwrap();
         let target = b / (1.0 - a);
         prop_assert!((aa.state[0] - target).abs() < 1e-6,
             "AA missed the fixed point: {} vs {target}", aa.state[0]);
@@ -174,11 +167,11 @@ proptest! {
         a in -0.9f64..0.9,
         b in -10.0f64..10.0,
     ) {
-        use kncube_queueing::fixed_point::{solve, FixedPointOptions};
+        use kncube_queueing::fixed_point::{solve, Acceleration};
         let target = b / (1.0 - a);
         let report = solve(
             vec![target],
-            FixedPointOptions::default(),
+            Acceleration::Picard,
             |x, out| out[0] = a * x[0] + b,
         ).unwrap();
         prop_assert_eq!(report.iterations, 1);

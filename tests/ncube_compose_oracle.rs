@@ -229,7 +229,7 @@ impl Reference {
             }
             _ => self.initial_state(layout),
         };
-        let report = fixed_point::solve(initial, self.config.options, |state, next| {
+        let report = fixed_point::solve(initial, self.config.acceleration, |state, next| {
             self.update(layout, state, next)
         })
         .map_err(|e| match e {
@@ -511,7 +511,7 @@ fn grid(k: u32, n: u32) {
         if service_model == ServiceTimeModel::PathOccupancy {
             // The ablation iterates; Anderson keeps near-saturation
             // probes short, as the query engine runs them.
-            base.options.acceleration = Acceleration::Anderson { depth: 3 };
+            base.acceleration = Acceleration::Anderson { depth: 3 };
         }
         let lambda_star = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3)
             .expect("hot-spot n-cubes saturate inside the bracket");
