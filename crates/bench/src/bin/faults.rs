@@ -75,7 +75,7 @@ fn sweep_point(
         reach_sum += router.reachable_fraction();
         detour_sum += router.expected_detour();
     }
-    let mut cfg = SimConfig::paper_validation(topo.k(), 8, 8, 1e-3, 0.0, 0xFA0)
+    let mut cfg = SimConfig::ncube(topo.k(), 2, 8, 8, 1e-3, 0.0, 0xFA0)
         .with_topology(link_kind, boundary)
         .with_limits(sim_cycles, sim_cycles / 10, 0);
     if p > 0.0 {

@@ -44,9 +44,8 @@ fn main() {
         let lambda = f * sat;
         let model = HypercubeModel::new(n, 2, lm, lambda, h).unwrap().solve();
         // The simulator runs the hypercube as the 2-ary n-cube.
-        let mut cfg = SimConfig::paper_validation(2, 2, lm, lambda, h, 20_050_408);
-        cfg.n = n;
-        let cfg = cfg.with_limits(limits.0, limits.1, limits.2);
+        let cfg = SimConfig::ncube(2, n, 2, lm, lambda, h, 20_050_408)
+            .with_limits(limits.0, limits.1, limits.2);
         let sim = Simulator::new(cfg).unwrap().run();
         match model {
             Ok(m) => println!(

@@ -54,9 +54,8 @@ pub fn quick_flag() -> bool {
 /// the binary's base seed, so each cell runs an independent replication
 /// stream instead of re-using one literal seed everywhere.  Cell 0 is the
 /// base seed itself; the derivation is
-/// [`kncube_traffic::replication_seed`], the same one the simulator's
-/// parallel replications use, so a sweep cell can be reproduced as
-/// "replication `cell` of the base configuration".
+/// [`kncube_traffic::replication_seed`], so a sweep cell can be
+/// reproduced as "replication `cell` of the base configuration".
 pub fn cell_seed(base: u64, cell: u32) -> u64 {
     kncube_traffic::replication_seed(base, cell)
 }

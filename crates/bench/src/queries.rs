@@ -9,17 +9,19 @@
 //! * a shared [`SolveCache`]: every solve is memoised behind a quantized
 //!   `(k, n, V, Lm, h, λ)` key, so repeated and near-duplicate queries
 //!   become lookups;
-//! * **warm-start continuation**: latency queries are grouped by
-//!   geometry, sorted by `λ`, and each group is solved as a chain where
-//!   every fixed point starts from its neighbour's converged state
-//!   ([`kncube_core::NCubeModel::solve_warm`]);
+//! * **warm-start continuation**: every solve of the batch — a latency
+//!   query or a Pareto candidate — joins the chain of its geometry (its
+//!   snapped configuration at `λ = 0`), and each chain is solved in order
+//!   of `λ`, every fixed point starting from its neighbour's converged
+//!   state ([`kncube_core::NCubeModel::solve_warm`]);
 //! * **Anderson acceleration** for the iterative service-time ablation,
 //!   where plain Picard slows to hundreds of iterations near saturation.
 //!
-//! Chains and standalone queries run in parallel on the bounded rayon
-//! pool; results come back in input order, so the output is deterministic
-//! for a given input batch (modulo the floating-point-identical answers
-//! the cache guarantees per lattice point).
+//! Chains and saturation searches run in parallel on the bounded rayon
+//! pool; Pareto answers are assembled from their candidates' links
+//! afterwards.  Chains partition the cache keys and saturation searches
+//! do not use the cache, so no two units race on a key: the output is a
+//! pure function of the input batch, whatever the thread count.
 //!
 //! # Input document
 //!
@@ -53,7 +55,8 @@
 use crate::benchfile;
 use crate::json::Json;
 use kncube_core::{
-    find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, ServiceTimeModel, SolveCache,
+    find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, NCubeOutput,
+    ServiceTimeModel, SolveCache,
 };
 use kncube_queueing::fixed_point::Acceleration;
 use rayon::prelude::*;
@@ -80,8 +83,8 @@ pub const DEFAULT_PARETO_CANDIDATES: [(u32, u32); 9] = [
 /// cache's `λ` quantization).
 const SATURATION_REL_TOL: f64 = 1e-6;
 
-/// A parsed query, index-tagged so results scatter back to input order.
-#[derive(Clone, Debug)]
+/// A parsed query.
+#[derive(Debug)]
 enum Query {
     Latency(NCubeConfig),
     Saturation(NCubeConfig),
@@ -92,12 +95,17 @@ enum Query {
     },
 }
 
-/// A schedulable unit of batch work: one continuation chain or one
-/// standalone query.
+/// A schedulable unit of batch work: one continuation chain (link
+/// indices, in solve order) or one saturation search (by query index).
 enum Unit {
-    Chain(Vec<(usize, NCubeConfig)>),
+    Chain(Vec<usize>),
     Saturation(usize, NCubeConfig),
-    Pareto(usize, Query),
+}
+
+/// What a unit produced: each link's solve, or one saturation answer.
+enum Done {
+    Chain(Vec<(usize, Result<NCubeOutput, ModelError>)>),
+    Saturation(usize, Json),
 }
 
 fn req_num(q: &Json, i: usize, key: &str) -> Result<f64, String> {
@@ -222,7 +230,7 @@ fn error_result(kind: &str, message: String) -> Json {
     out
 }
 
-fn latency_result(cfg: &NCubeConfig, solved: Result<kncube_core::NCubeOutput, ModelError>) -> Json {
+fn latency_result(cfg: &NCubeConfig, solved: Result<NCubeOutput, ModelError>) -> Json {
     match solved {
         Ok(out) => {
             let mut r = Json::obj();
@@ -240,18 +248,20 @@ fn latency_result(cfg: &NCubeConfig, solved: Result<kncube_core::NCubeOutput, Mo
     }
 }
 
-fn run_unit(unit: &Unit, cache: &SolveCache) -> Vec<(usize, Json)> {
+fn run_unit(unit: &Unit, links: &[NCubeConfig], cache: &SolveCache) -> Done {
     match unit {
-        Unit::Chain(links) => {
+        Unit::Chain(chain) => {
             let mut warm: Option<Vec<f64>> = None;
-            links
-                .iter()
-                .map(|(idx, cfg)| {
-                    let (solved, state) = cache.solve_with_warm(cfg, warm.as_deref());
-                    warm = state;
-                    (*idx, latency_result(cfg, solved))
-                })
-                .collect()
+            Done::Chain(
+                chain
+                    .iter()
+                    .map(|&link| {
+                        let (solved, state) = cache.solve_with_warm(&links[link], warm.as_deref());
+                        warm = state;
+                        (link, solved)
+                    })
+                    .collect(),
+            )
         }
         Unit::Saturation(idx, cfg) => {
             let report = find_saturation_ncube_report(*cfg, 1e-9, 1e-1, SATURATION_REL_TOL);
@@ -271,54 +281,48 @@ fn run_unit(unit: &Unit, cache: &SolveCache) -> Vec<(usize, Json)> {
                 }
                 Err(e) => error_result("saturation", e.to_string()),
             };
-            vec![(*idx, result)]
+            Done::Saturation(*idx, result)
         }
-        Unit::Pareto(
-            idx,
-            Query::Pareto {
-                proto,
-                min_nodes,
-                candidates,
-            },
-        ) => {
-            let mut best: Option<(u32, u32, u64, f64)> = None;
-            for &(k, n) in candidates {
-                let nodes = (k as u64).saturating_pow(n);
-                if nodes < *min_nodes {
-                    continue;
-                }
-                let cfg = NCubeConfig { k, n, ..*proto };
-                // Geometries differ, so every candidate solves cold —
-                // but the shared cache still pays off across queries.
-                if let Ok(out) = cache.solve(&cfg) {
-                    if best.is_none_or(|(.., l)| out.latency < l) {
-                        best = Some((k, n, nodes, out.latency));
-                    }
-                }
-            }
-            let result = match best {
-                Some((k, n, nodes, latency)) => {
-                    let mut r = Json::obj();
-                    r.set("type", Json::Str("pareto".into()));
-                    r.set("ok", Json::Bool(true));
-                    r.set("k", Json::Num(k as f64));
-                    r.set("n", Json::Num(n as f64));
-                    r.set("nodes", Json::Num(nodes as f64));
-                    r.set("latency", Json::Num(latency));
-                    r
-                }
-                None => error_result(
-                    "pareto",
-                    format!(
-                        "no candidate with at least {min_nodes} nodes solves at λ={}",
-                        proto.lambda
-                    ),
-                ),
-            };
-            vec![(*idx, result)]
-        }
-        Unit::Pareto(..) => unreachable!("pareto units only wrap pareto queries"),
     }
+}
+
+/// The answer of a Pareto query from the solves of its eligible
+/// candidates (`links`, in candidate order): the lowest latency, the
+/// first candidate on a tie.
+fn pareto_result(
+    proto: &NCubeConfig,
+    min_nodes: u64,
+    links: &[NCubeConfig],
+    solved: &[Option<Result<NCubeOutput, ModelError>>],
+) -> Json {
+    let mut best: Option<(&NCubeConfig, f64)> = None;
+    for (cfg, solve) in links.iter().zip(solved) {
+        if let Some(Ok(out)) = solve {
+            if best.is_none_or(|(_, l)| out.latency < l) {
+                best = Some((cfg, out.latency));
+            }
+        }
+    }
+    let Some((cfg, latency)) = best else {
+        return error_result(
+            "pareto",
+            format!(
+                "no candidate with at least {min_nodes} nodes solves at λ={}",
+                proto.lambda
+            ),
+        );
+    };
+    let mut r = Json::obj();
+    r.set("type", Json::Str("pareto".into()));
+    r.set("ok", Json::Bool(true));
+    r.set("k", Json::Num(cfg.k as f64));
+    r.set("n", Json::Num(cfg.n as f64));
+    r.set(
+        "nodes",
+        Json::Num((cfg.k as u64).saturating_pow(cfg.n) as f64),
+    );
+    r.set("latency", Json::Num(latency));
+    r
 }
 
 /// Answer a batch document.  Returns the output document, or a message
@@ -334,39 +338,76 @@ pub fn run_batch(doc: &Json) -> Result<Json, String> {
         .map(|(i, q)| parse_query(q, i))
         .collect::<Result<_, _>>()?;
 
-    // Latency queries join per-geometry continuation chains (sorted by
-    // λ so neighbours warm-start each other); everything else is its own
-    // unit.  Units run in parallel on the bounded pool.
-    // A chain is keyed by its links' config at λ = 0.
-    let mut chains: HashMap<NCubeConfig, Vec<(usize, NCubeConfig)>> = HashMap::new();
+    // Every solve is a link: one per latency query, one per Pareto
+    // candidate with enough nodes; query `idx` owns `query_links[idx]`.
+    let mut links: Vec<NCubeConfig> = Vec::new();
+    let mut query_links = Vec::with_capacity(parsed.len());
     let mut units: Vec<Unit> = Vec::new();
     for (idx, query) in parsed.iter().enumerate() {
+        let first = links.len();
         match query {
-            Query::Latency(cfg) => chains
-                .entry(NCubeConfig {
-                    lambda: 0.0,
-                    ..*cfg
-                })
-                .or_default()
-                .push((idx, *cfg)),
+            Query::Latency(cfg) => links.push(*cfg),
             Query::Saturation(cfg) => units.push(Unit::Saturation(idx, *cfg)),
-            Query::Pareto { .. } => units.push(Unit::Pareto(idx, query.clone())),
+            Query::Pareto {
+                proto,
+                min_nodes,
+                candidates,
+            } => links.extend(
+                candidates
+                    .iter()
+                    .filter(|&&(k, n)| (k as u64).saturating_pow(n) >= *min_nodes)
+                    .map(|&(k, n)| NCubeConfig { k, n, ..*proto }),
+            ),
         }
+        query_links.push(first..links.len());
     }
-    for (_, mut links) in chains {
-        links.sort_by(|a, b| a.1.lambda.total_cmp(&b.1.lambda));
-        units.push(Unit::Chain(links));
+
+    // A link joins the chain of its snapped config at λ = 0, solved in
+    // order of λ (input order on a tie), so a cache key has one chain.
+    let mut chains: HashMap<NCubeConfig, Vec<usize>> = HashMap::new();
+    for (link, cfg) in links.iter().enumerate() {
+        let geometry = SolveCache::quantize(&NCubeConfig {
+            lambda: 0.0,
+            ..*cfg
+        });
+        chains.entry(geometry).or_default().push(link);
+    }
+    for (_, mut chain) in chains {
+        chain.sort_by(|&a, &b| links[a].lambda.total_cmp(&links[b].lambda));
+        units.push(Unit::Chain(chain));
     }
 
     let cache = SolveCache::new();
-    let scattered: Vec<Vec<(usize, Json)>> = units
+    let done: Vec<Done> = units
         .par_iter()
-        .map(|unit| run_unit(unit, &cache))
+        .map(|unit| run_unit(unit, &links, &cache))
         .collect();
 
+    let mut solved: Vec<Option<Result<NCubeOutput, ModelError>>> = vec![None; links.len()];
     let mut results: Vec<Json> = vec![Json::Null; parsed.len()];
-    for (idx, result) in scattered.into_iter().flatten() {
-        results[idx] = result;
+    for unit in done {
+        match unit {
+            Done::Chain(chain) => {
+                for (link, solve) in chain {
+                    solved[link] = Some(solve);
+                }
+            }
+            Done::Saturation(idx, result) => results[idx] = result,
+        }
+    }
+    for ((query, range), result) in parsed.iter().zip(query_links).zip(&mut results) {
+        match query {
+            Query::Latency(cfg) => {
+                let solve = solved[range.start].take().expect("every link is solved");
+                *result = latency_result(cfg, solve);
+            }
+            Query::Saturation(_) => {}
+            Query::Pareto {
+                proto, min_nodes, ..
+            } => {
+                *result = pareto_result(proto, *min_nodes, &links[range.clone()], &solved[range]);
+            }
+        }
     }
 
     let mut out = Json::obj();
@@ -772,6 +813,161 @@ mod tests {
                 .as_f64()
                 .unwrap()
                 .to_bits()
+        );
+    }
+
+    /// A Pareto candidate that shares its geometry and λ with latency
+    /// queries under the iterative service model, where a warm and a cold
+    /// solve of one key differ in the last bits.
+    const SHARED_KEY_QUERIES: [&str; 3] = [
+        r#"{"type": "pareto", "v": 2, "lm": 16, "h": 0.3, "lambda": 1.4e-5, "min_nodes": 1,
+            "candidates": [[16, 3]], "service_model": "path_occupancy"}"#,
+        r#"{"type": "latency", "k": 16, "n": 3, "v": 2, "lm": 16, "h": 0.3, "lambda": 1.35e-5,
+            "service_model": "path_occupancy"}"#,
+        r#"{"type": "latency", "k": 16, "n": 3, "v": 2, "lm": 16, "h": 0.3, "lambda": 1.4e-5,
+            "service_model": "path_occupancy"}"#,
+    ];
+
+    #[test]
+    fn answers_do_not_depend_on_thread_scheduling() {
+        let input = batch(&format!(
+            r#"{{"queries": [{}]}}"#,
+            SHARED_KEY_QUERIES.join(",")
+        ));
+        let first = run_batch(&input).unwrap();
+        for _ in 0..20 {
+            assert_eq!(run_batch(&input).unwrap().pretty(), first.pretty());
+        }
+        // The Pareto candidate joins the latency chain, so each latency
+        // answer is the one the chain gives without the Pareto query.
+        let alone = run_batch(&batch(&format!(
+            r#"{{"queries": [{}]}}"#,
+            SHARED_KEY_QUERIES[1..].join(",")
+        )))
+        .unwrap();
+        let results = |doc: &Json| doc.get("results").unwrap().as_arr().unwrap().to_vec();
+        assert_eq!(results(&first)[1..], results(&alone)[..]);
+        assert_eq!(
+            results(&first)[0].get("latency"),
+            results(&alone)[1].get("latency")
+        );
+    }
+
+    #[test]
+    fn hostile_field_values_give_answers_or_typed_errors() {
+        use crate::json::tests::Rng;
+        // "" leaves the field (or candidate entry) out; 1e400 parses to
+        // infinity.
+        const HOSTILE: [&str; 10] = [
+            "0",
+            "-1",
+            "-0.0",
+            "0.5",
+            "5e-324",
+            "1e400",
+            "4294967295",
+            "4294967296",
+            "",
+            r#""x""#,
+        ];
+        // One value in eight is hostile.  Valid geometries stay at
+        // k^n <= 512: a path-occupancy saturation search on 4096 nodes
+        // takes seconds in a debug build, because every probe past λ*
+        // spends the whole iteration budget.
+        fn value(rng: &mut Rng, valid: &[&'static str], extra: &[&'static str]) -> &'static str {
+            if rng.below(8) == 0 {
+                let i = rng.below(HOSTILE.len() + extra.len());
+                HOSTILE.get(i).unwrap_or_else(|| &extra[i - HOSTILE.len()])
+            } else {
+                valid[rng.below(valid.len())]
+            }
+        }
+        fn field(
+            rng: &mut Rng,
+            key: &str,
+            valid: &[&'static str],
+            extra: &[&'static str],
+        ) -> String {
+            match value(rng, valid, extra) {
+                "" => String::new(),
+                value => format!(r#", "{key}": {value}"#),
+            }
+        }
+        let mut rng = Rng(0x686f_7374);
+        let (mut answered, mut failed, mut rejected) = (0, 0, 0);
+        for _ in 0..2_000 {
+            let mut queries = Vec::new();
+            for _ in 0..1 + rng.below(3) {
+                let kind = ["latency", "saturation", "pareto"][rng.below(3)];
+                let mut q = format!(r#"{{"type": "{kind}""#);
+                q += &field(&mut rng, "v", &["1", "2", "4"], &[]);
+                q += &field(&mut rng, "lm", &["1", "8", "32"], &[]);
+                q += &field(&mut rng, "h", &["0", "0.2", "1"], &[]);
+                if rng.below(4) == 0 {
+                    q += &field(&mut rng, "anderson_depth", &["1", "4"], &[]);
+                }
+                if rng.below(4) == 0 {
+                    let model = [r#""path_occupancy""#, r#""pipelined_transfer""#];
+                    q += &field(&mut rng, "service_model", &model, &[]);
+                }
+                if kind != "saturation" {
+                    q += &field(&mut rng, "lambda", &["1e-6", "1e-4", "1e-2"], &[]);
+                }
+                if kind == "pareto" {
+                    q += &field(&mut rng, "min_nodes", &["1", "64"], &["1e300"]);
+                    let pair = |rng: &mut Rng| {
+                        let k = value(rng, &["2", "4", "8"], &[]);
+                        let n = value(rng, &["1", "2", "3"], &[]);
+                        let entries: Vec<&str> =
+                            [k, n].into_iter().filter(|v| !v.is_empty()).collect();
+                        format!("[{}]", entries.join(", "))
+                    };
+                    q += &format!(
+                        r#", "candidates": [{}, {}]"#,
+                        pair(&mut rng),
+                        pair(&mut rng)
+                    );
+                } else {
+                    q += &field(&mut rng, "k", &["2", "4", "8"], &[]);
+                    q += &field(&mut rng, "n", &["1", "2", "3"], &[]);
+                }
+                queries.push(q + "}");
+            }
+            let text = format!(r#"{{"queries": [{}]}}"#, queries.join(", "));
+            let input = parse(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
+            match run_batch(&input) {
+                Ok(output) => {
+                    let results = output.get("results").unwrap().as_arr().unwrap();
+                    assert_eq!(results.len(), queries.len(), "{text}");
+                    for r in results {
+                        if r.get("ok") == Some(&Json::Bool(true)) {
+                            // Rates, latencies and counts alike.
+                            let Json::Obj(fields) = r else { unreachable!() };
+                            for (key, value) in fields {
+                                if let Json::Num(x) = value {
+                                    assert!(
+                                        *x >= 0.0 && x.is_finite(),
+                                        "{key} in {r:?} for {text}"
+                                    );
+                                }
+                            }
+                            answered += 1;
+                        } else {
+                            let error = r.get("error").and_then(Json::as_str);
+                            assert!(error.is_some_and(|e| !e.is_empty()), "{r:?} for {text}");
+                            failed += 1;
+                        }
+                    }
+                }
+                Err(message) => {
+                    assert!(!message.is_empty(), "{text}");
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(
+            answered > 0 && failed > 0 && rejected > 0,
+            "{answered} {failed} {rejected}"
         );
     }
 

@@ -629,15 +629,12 @@ mod tests {
             let slot = cache.faulty_model.lock().unwrap();
             Arc::clone(&slot.as_ref().expect("a model was built").1)
         };
-        let changes: [Change<FaultyNCubeConfig>; 7] = [
+        let changes: [Change<FaultyNCubeConfig>; 6] = [
             ("fault set", |c| c.faults.fail_node(NodeId(9))),
             ("hot node", |c| c.hot_node = NodeId(3)),
             ("v", |c| c.virtual_channels = 3),
             ("lm", |c| c.message_length = 8),
             ("h", |c| c.hot_fraction = 0.3),
-            ("multiplexing", |c| {
-                c.multiplexing = MultiplexingModel::ClassAware
-            }),
             ("λ", |c| c.lambda = 2e-3),
         ];
         for (field, change) in changes {

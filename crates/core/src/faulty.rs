@@ -20,7 +20,8 @@
 //!    load-independent pipelined-transfer holding time `Lm + 1`.
 //! 3. **Composition** — a message's network latency is `Lm` plus
 //!    `1 + B_c` per channel of its route; the per-pair latency is scaled
-//!    by the multiplexing factor of its entry channel (Eqs. 33–35) and
+//!    by the multiplexing factor of its entry channel (Eqs. 33–35, always
+//!    Dally's Markov chain: the class-aware ablation is fault-free only) and
 //!    the source queue adds the Eq. (28) M/G/1 wait at rate `λ_inj / V`,
 //!    where `λ_inj` counts only the *delivered* share of generation.
 //!    Route latencies are prefix sums down each destination's tree, so a
@@ -39,12 +40,10 @@
 //! its output bit-for-bit; [`FaultyNCubeModel::solve_general`] forces the
 //! per-channel path for cross-validation.
 
-use crate::ncube::{
-    ModelError, MultiplexingModel, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP,
-};
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP};
 use crate::rates::FaultyChannelRates;
 use crate::sweep::{bisect_saturation, SaturationError, SaturationReport};
-use kncube_queueing::blocking::{channel_metrics, TrafficClass};
+use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
 use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId};
@@ -97,13 +96,10 @@ pub struct FaultyNCubeConfig {
     pub lambda: f64,
     /// Hot-spot fraction `h` in `[0, 1]`.
     pub hot_fraction: f64,
-    /// The VC multiplexing model (shared with the fault-free solver).
-    pub multiplexing: MultiplexingModel,
 }
 
 impl FaultyNCubeConfig {
-    /// A configuration with the default hot node `NodeId(0)` and the
-    /// default multiplexing model.
+    /// A configuration with the default hot node `NodeId(0)`.
     pub fn new(faults: FaultSet, v: u32, lm: u32, lambda: f64, h: f64) -> Self {
         FaultyNCubeConfig {
             faults,
@@ -112,7 +108,6 @@ impl FaultyNCubeConfig {
             message_length: lm,
             lambda,
             hot_fraction: h,
-            multiplexing: MultiplexingModel::default(),
         }
     }
 
@@ -137,12 +132,11 @@ impl FaultyNCubeConfig {
             message_length,
             lambda,
             hot_fraction,
-            multiplexing,
         } = self;
         (
             faults,
             (*hot_node, *virtual_channels, *message_length),
-            (lambda.to_bits(), hot_fraction.to_bits(), *multiplexing),
+            (lambda.to_bits(), hot_fraction.to_bits()),
         )
     }
 }
@@ -292,15 +286,6 @@ impl FaultyNCubeModel {
         }
     }
 
-    /// Latency at `λ → 0`: `Lm` plus the delivered-traffic-weighted mean
-    /// surviving distance (NaN-free; a zero-load network cannot
-    /// saturate).
-    pub fn zero_load_latency(&self) -> f64 {
-        self.solve_at(0.0)
-            .map(|out| out.latency)
-            .expect("zero load cannot saturate")
-    }
-
     /// Find the saturation rate `λ*` by bisection on solvability, exactly
     /// as [`find_saturation_ncube_report`](crate::find_saturation_ncube_report)
     /// does for the fault-free model.  The per-channel path is
@@ -322,7 +307,7 @@ impl FaultyNCubeModel {
     /// output onto the faulty-model shape.
     fn solve_delegated(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
         let topo = self.config.topology();
-        let mut cfg = NCubeConfig::new(
+        let cfg = NCubeConfig::new(
             topo.k(),
             topo.n(),
             self.config.virtual_channels,
@@ -330,7 +315,6 @@ impl FaultyNCubeModel {
             lambda,
             self.config.hot_fraction,
         );
-        cfg.multiplexing = self.config.multiplexing;
         let out = NCubeModel::new(cfg)?.solve()?;
         let n = u64::from(topo.num_nodes());
         Ok(FaultyNCubeOutput {
@@ -379,15 +363,10 @@ impl FaultyNCubeModel {
             let cid = ChannelId(id as u32);
             let regular = TrafficClass::new(self.rates.regular_rate(cid, lambda), hold);
             let hot = TrafficClass::new(self.rates.hot_rate(cid, lambda), hold);
-            let metrics = channel_metrics(regular, hot, lm, RHO_CAP);
-            blocking[id] = metrics.delay;
-            max_utilization = max_utilization.max(metrics.utilization);
-            vbar[id] = match self.config.multiplexing {
-                MultiplexingModel::DallyMarkov => multiplexing_factor(metrics.utilization, v),
-                MultiplexingModel::ClassAware => {
-                    1.0 + metrics.utilization.clamp(0.0, (v - 1).max(1) as f64)
-                }
-            };
+            let utilization = channel_utilization(regular, hot);
+            blocking[id] = blocking_delay(regular, hot, lm, RHO_CAP);
+            max_utilization = max_utilization.max(utilization);
+            vbar[id] = multiplexing_factor(utilization, v);
         }
         if max_utilization >= 1.0 {
             return Err(ModelError::Saturated { max_utilization });
@@ -607,7 +586,6 @@ mod tests {
             "{} vs {expected}",
             out.latency
         );
-        assert_eq!(out.latency, model.zero_load_latency());
     }
 
     #[test]

@@ -610,7 +610,18 @@ impl NCubeModel {
         };
         let hot_rates = self.hot_rate_table();
         let mut tails = Vec::new();
+        let mut clamped = Vec::new();
         let report = fixed_point::solve(initial, self.config.acceleration, |state, next| {
+            // Delays and hop counts are non-negative; Anderson steps that
+            // extrapolate below zero would find spurious negative fixed
+            // points, so the update reads them clamped at zero.
+            let state = if state.iter().any(|&x| x < 0.0) {
+                clamped.clear();
+                clamped.extend(state.iter().map(|&x| x.max(0.0)));
+                &clamped[..]
+            } else {
+                state
+            };
             self.update(layout, &hot_rates, &mut tails, state, next)
         })
         .map_err(|e| match e {
@@ -1058,6 +1069,35 @@ mod tests {
         let out = solve(4, 4, 1e-4, h).unwrap();
         let mix = (1.0 - h) * out.regular_latency + h * out.hot_latency;
         assert!((mix - out.latency).abs() < 1e-9 * out.latency);
+    }
+
+    #[test]
+    fn anderson_never_lands_on_a_negative_fixed_point() {
+        // Past Picard's λ* ≈ 1.27e-3 on this ring, Anderson used to
+        // extrapolate into a negative state and "solve" with a negative
+        // latency.  Both schemes must refuse the same rates.
+        let mut base = NCubeConfig::new(16, 1, 1, 8, 0.0, 0.0);
+        base.service_model = ServiceTimeModel::PathOccupancy;
+        let solve = |lambda: f64, acceleration| {
+            NCubeModel::new(NCubeConfig {
+                lambda,
+                acceleration,
+                ..base
+            })
+            .unwrap()
+            .solve()
+        };
+        for lambda in [1e-3, 1.2e-3, 2e-3, 4e-3] {
+            let picard = solve(lambda, Acceleration::Picard);
+            let anderson = solve(lambda, Acceleration::Anderson { depth: 4 });
+            assert_eq!(picard.is_ok(), anderson.is_ok(), "λ={lambda}");
+            if let (Ok(p), Ok(a)) = (picard, anderson) {
+                assert!(
+                    (a.latency - p.latency).abs() < 1e-9 * p.latency,
+                    "λ={lambda}"
+                );
+            }
+        }
     }
 }
 

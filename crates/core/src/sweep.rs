@@ -31,6 +31,12 @@ pub enum SaturationError {
         /// The largest rate probed before giving up.
         last_hi: f64,
     },
+    /// No probed rate has a solution: every probe failed, down to
+    /// `lowest` after halving the lower edge 64 times (or to zero).
+    NoSolvableRate {
+        /// The smallest rate probed.
+        lowest: f64,
+    },
 }
 
 impl std::fmt::Display for SaturationError {
@@ -44,6 +50,10 @@ impl std::fmt::Display for SaturationError {
             SaturationError::BracketNotFound { last_hi } => write!(
                 f,
                 "saturation bracket not found: model still solvable at λ={last_hi:e}"
+            ),
+            SaturationError::NoSolvableRate { lowest } => write!(
+                f,
+                "no solvable rate: model saturated at every rate probed, down to λ={lowest:e}"
             ),
         }
     }
@@ -83,10 +93,11 @@ impl SaturationReport {
 /// width of `rel_tol`.
 ///
 /// `hi` should be saturated and `lo` solvable (or zero); the search widens
-/// `hi` geometrically if it is not saturated yet.  If the widening runs
-/// away — the model stays solvable until `hi` stops being a useful rate —
-/// the search reports [`SaturationError::BracketNotFound`] instead of
-/// panicking.
+/// `hi` geometrically if it is not saturated yet, and halves `lo` if no
+/// rate above it solves.  If the widening runs away — the model stays
+/// solvable until `hi` stops being a useful rate — the search reports
+/// [`SaturationError::BracketNotFound`]; if no rate solves at all,
+/// [`SaturationError::NoSolvableRate`].  Neither panics.
 pub fn find_saturation_ncube(
     base: NCubeConfig,
     lo: f64,
@@ -119,6 +130,10 @@ pub fn find_saturation_ncube_report(
 /// searches.  `probe` returns `Some(iterations)` when the model solves at
 /// the given rate and `None` when it does not; the report counts every
 /// probe and sums the iterations of the solvable ones.
+///
+/// Every solvable probe raises `lo`, so a search that ends with `lo`
+/// where the caller put it found no solvable rate; it then halves `lo`
+/// until it solves (DESIGN.md §Saturation search).
 pub(crate) fn bisect_saturation(
     mut lo: f64,
     mut hi: f64,
@@ -143,6 +158,7 @@ pub(crate) fn bisect_saturation(
     // Widen until hi is saturated (bounded: utilization grows linearly in
     // λ, so a few doublings always suffice for a solvable model; a model
     // that never saturates exhausts the guard instead).
+    let requested_lo = lo;
     let mut guard = 0;
     while solvable(hi) {
         lo = hi;
@@ -152,19 +168,40 @@ pub(crate) fn bisect_saturation(
             return Err(SaturationError::BracketNotFound { last_hi: lo });
         }
     }
-    while (hi - lo) / hi > rel_tol {
-        let mid = 0.5 * (lo + hi);
-        if solvable(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
+    narrow(&mut lo, &mut hi, rel_tol, &mut solvable);
+    if lo == requested_lo {
+        let mut guard = 0;
+        loop {
+            if lo == 0.0 || guard >= 64 {
+                return Err(SaturationError::NoSolvableRate { lowest: hi });
+            }
+            if solvable(lo) {
+                break;
+            }
+            hi = lo;
+            lo *= 0.5;
+            guard += 1;
         }
+        narrow(&mut lo, &mut hi, rel_tol, &mut solvable);
     }
     Ok(SaturationReport {
         lambda_star: 0.5 * (lo + hi),
         probes,
         solver_iterations,
     })
+}
+
+/// Bisect `[lo, hi]` (solvable below, saturated at `hi`) down to a
+/// relative width of `rel_tol`.
+fn narrow(lo: &mut f64, hi: &mut f64, rel_tol: f64, solvable: &mut impl FnMut(f64) -> bool) {
+    while (*hi - *lo) / *hi > rel_tol {
+        let mid = 0.5 * (*lo + *hi);
+        if solvable(mid) {
+            *lo = mid;
+        } else {
+            *hi = mid;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +307,50 @@ mod tests {
         // Only the solvable probes' iterations count.
         assert!(report.solver_iterations < 2 * probes);
         assert!(report.solver_iterations > 0 && report.solver_iterations % 2 == 0);
+    }
+
+    #[test]
+    fn a_saturated_lower_edge_is_walked_down_not_reported() {
+        // Every probe at or above the caller's `lo` fails: λ* lies below
+        // the bracket, so the search halves `lo` until it solves instead
+        // of reporting the unsolvable `lo` itself.
+        let edge = 3e-10;
+        let report =
+            bisect_saturation(1e-9, 1e-1, 1e-6, |lambda| (lambda < edge).then_some(1)).unwrap();
+        let sat = report.lambda_star;
+        assert!((sat - edge).abs() <= 1e-6 * edge, "λ*={sat} vs edge {edge}");
+        assert!(report.solver_iterations > 0);
+    }
+
+    #[test]
+    fn a_model_that_never_solves_is_a_typed_error() {
+        for lo in [1e-9, 0.0] {
+            match bisect_saturation(lo, 1e-1, 1e-6, |_| None) {
+                Err(SaturationError::NoSolvableRate { lowest }) => {
+                    assert!((0.0..1e-20).contains(&lowest), "lo {lo}: lowest {lowest}")
+                }
+                other => panic!("lo {lo}: expected NoSolvableRate, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn saturation_below_the_bracket_is_found_on_the_paper_torus() {
+        // Lm = 10^7 with all traffic hot puts λ* under the flit bound
+        // 1/(240·(Lm + 1)) ≈ 4.17e-10, below the queries' 1e-9 lower edge.
+        let base = NCubeConfig::new(16, 2, 2, 10_000_000, 0.0, 1.0);
+        let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-6).unwrap();
+        assert!(sat > 4.0e-10 && sat <= 4.17e-10, "λ*={sat:e}");
+        let solve = |lambda: f64| {
+            NCubeModel::new(NCubeConfig { lambda, ..base })
+                .unwrap()
+                .solve()
+        };
+        assert!(solve(0.99 * sat).is_ok());
+        assert!(matches!(
+            solve(1.01 * sat),
+            Err(crate::ModelError::Saturated { .. })
+        ));
     }
 
     #[test]

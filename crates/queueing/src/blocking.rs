@@ -77,31 +77,6 @@ pub fn channel_utilization(regular: TrafficClass, hot: TrafficClass) -> f64 {
     regular.rate * regular.service + hot.rate * hot.service
 }
 
-/// The blocking delay and exact utilization of one channel, in one call.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ChannelMetrics {
-    /// Eq. (26): mean blocking delay, as [`blocking_delay`].
-    pub delay: f64,
-    /// The un-clamped utilization, as [`channel_utilization`].
-    pub utilization: f64,
-}
-
-/// Evaluate [`blocking_delay`] and [`channel_utilization`] together —
-/// the per-channel inner loop of the faulty-network model, which visits
-/// every directed channel of the topology once per solve.  Bit-identical
-/// to the two separate calls.
-pub fn channel_metrics(
-    regular: TrafficClass,
-    hot: TrafficClass,
-    lm: f64,
-    rho_cap: f64,
-) -> ChannelMetrics {
-    ChannelMetrics {
-        delay: blocking_delay(regular, hot, lm, rho_cap),
-        utilization: channel_utilization(regular, hot),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,9 +26,7 @@ pub mod fixed_point;
 pub mod mg1;
 pub mod vc_multiplex;
 
-pub use blocking::{
-    blocking_delay, channel_metrics, weighted_service, ChannelMetrics, TrafficClass,
-};
+pub use blocking::{blocking_delay, weighted_service, TrafficClass};
 pub use fixed_point::{solve, Acceleration, FixedPointError, FixedPointReport};
 pub use mg1::{utilization, waiting_time, waiting_time_clamped, Saturated};
 pub use vc_multiplex::{multiplexing_factor, occupancy_distribution};

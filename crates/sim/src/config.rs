@@ -81,8 +81,6 @@ pub struct SimConfig {
     /// Stop early once this many measured messages completed (0 = run to
     /// `max_cycles`).
     pub target_messages: u64,
-    /// Number of batches for the batch-means confidence interval.
-    pub batches: u32,
     /// Consider the run saturated if any source queue exceeds this many
     /// waiting messages (0 disables the check).
     pub max_source_queue: usize,
@@ -170,15 +168,8 @@ impl SimConfig {
             warmup_cycles: 100_000,
             max_cycles: 2_000_000,
             target_messages: 60_000,
-            batches: 10,
             max_source_queue: 2_000,
         }
-    }
-
-    /// The paper's validation setup: [`SimConfig::ncube`] at `n = 2` (a
-    /// `k × k` unidirectional torus).
-    pub fn paper_validation(k: u32, v: u32, lm: u32, lambda: f64, h: f64, seed: u64) -> Self {
-        Self::ncube(k, 2, v, lm, lambda, h, seed)
     }
 
     /// Override run lengths: `max_cycles`, `warmup_cycles` and the early
@@ -249,9 +240,6 @@ impl SimConfig {
                 "warm-up must be shorter than the total run",
             ));
         }
-        if self.batches < 1 {
-            return Err(SimConfigError::Invalid("need at least one batch"));
-        }
         if !self.arrivals.rate().is_finite() || self.arrivals.rate() < 0.0 {
             return Err(SimConfigError::Invalid("arrival rate must be >= 0"));
         }
@@ -264,15 +252,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_validation_defaults_are_valid() {
-        let c = SimConfig::paper_validation(16, 2, 32, 1e-4, 0.2, 1);
+    fn paper_torus_defaults_are_valid() {
+        let c = SimConfig::ncube(16, 2, 2, 32, 1e-4, 0.2, 1);
         assert!(c.validate().is_ok());
         assert_eq!(c.topology().unwrap().num_nodes(), 256);
         assert!(matches!(c.pattern, TrafficPattern::HotSpot { .. }));
     }
 
     #[test]
-    fn ncube_constructor_generalizes_paper_validation() {
+    fn ncube_constructor_covers_cubes_and_hypercubes() {
         let c = SimConfig::ncube(8, 3, 2, 16, 1e-4, 0.2, 1);
         assert!(c.validate().is_ok());
         let t = c.topology().unwrap();
@@ -280,21 +268,17 @@ mod tests {
         // A binary hypercube is the 2-ary n-cube.
         let hc = SimConfig::ncube(2, 6, 2, 16, 1e-4, 0.2, 1);
         assert_eq!(hc.topology().unwrap().num_nodes(), 64);
-        // paper_validation is exactly the n = 2 instance.
-        let p = SimConfig::paper_validation(8, 2, 16, 1e-4, 0.2, 1);
-        assert_eq!(p.n, 2);
-        assert_eq!(p.k, SimConfig::ncube(8, 2, 2, 16, 1e-4, 0.2, 1).k);
     }
 
     #[test]
     fn zero_h_becomes_uniform() {
-        let c = SimConfig::paper_validation(8, 2, 32, 1e-4, 0.0, 1);
+        let c = SimConfig::ncube(8, 2, 2, 32, 1e-4, 0.0, 1);
         assert_eq!(c.pattern, TrafficPattern::Uniform);
     }
 
     #[test]
     fn rejects_bad_parameters() {
-        let base = SimConfig::paper_validation(8, 2, 32, 1e-4, 0.2, 1);
+        let base = SimConfig::ncube(8, 2, 2, 32, 1e-4, 0.2, 1);
         let mut c = base;
         c.virtual_channels = 0;
         assert!(c.validate().is_err());
@@ -393,7 +377,7 @@ mod tests {
 
     #[test]
     fn with_limits_overrides() {
-        let c = SimConfig::paper_validation(8, 2, 32, 1e-4, 0.2, 1).with_limits(9, 3, 7);
+        let c = SimConfig::ncube(8, 2, 2, 32, 1e-4, 0.2, 1).with_limits(9, 3, 7);
         assert_eq!(
             (c.max_cycles, c.warmup_cycles, c.target_messages),
             (9, 3, 7)

@@ -87,6 +87,10 @@ const CNT_F: u64 = 0xFFFF;
 /// Everything below the stamp.
 const CNT_MASK: u64 = (1 << 48) - 1;
 
+/// Batches of the batch-means confidence interval
+/// ([`SimReport::ci_half_width`]).
+const BATCHES: u32 = 10;
+
 /// Normalize a counter word read at stamp `stamp`: stale per-cycle fields
 /// read as zero.
 #[inline]
@@ -269,7 +273,7 @@ impl Simulator {
             .filter_map(|wl| wl.next_arrival_cycle().map(|c| Reverse((c, wl.node().0))))
             .collect();
         let per_batch = if config.target_messages > 0 {
-            (config.target_messages / config.batches as u64).max(1)
+            (config.target_messages / u64::from(BATCHES)).max(1)
         } else {
             1_000
         };
@@ -309,7 +313,7 @@ impl Simulator {
             latency_all: StreamingStats::new(),
             latency_regular: StreamingStats::new(),
             latency_hot: StreamingStats::new(),
-            batches: BatchMeans::new(config.batches, per_batch),
+            batches: BatchMeans::new(BATCHES, per_batch),
             busy_v: 0,
             busy_v2: 0,
             vbar_total_v: 0,
@@ -1012,7 +1016,7 @@ mod tests {
     fn quiet_config(k: u32) -> SimConfig {
         SimConfig {
             arrivals: ArrivalProcess::Poisson(0.0),
-            ..SimConfig::paper_validation(k, 2, 4, 0.0, 0.0, 1)
+            ..SimConfig::ncube(k, 2, 2, 4, 0.0, 0.0, 1)
         }
     }
 
@@ -1103,8 +1107,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg =
-            SimConfig::paper_validation(8, 2, 16, 5e-3, 0.3, 1234).with_limits(30_000, 2_000, 0);
+        let cfg = SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 1234).with_limits(30_000, 2_000, 0);
         let a = Simulator::new(cfg).unwrap().run();
         let b = Simulator::new(cfg).unwrap().run();
         assert_eq!(a.completed, b.completed);
@@ -1114,8 +1117,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let base =
-            SimConfig::paper_validation(8, 2, 16, 5e-3, 0.3, 1).with_limits(30_000, 2_000, 0);
+        let base = SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 1).with_limits(30_000, 2_000, 0);
         let a = Simulator::new(base).unwrap().run();
         let b = Simulator::new(SimConfig { seed: 2, ..base }).unwrap().run();
         assert_ne!(a.mean_latency, b.mean_latency);
@@ -1129,7 +1131,7 @@ mod tests {
                 hot: NodeId(5),
             },
             arrivals: ArrivalProcess::Poisson(0.02),
-            ..SimConfig::paper_validation(4, 2, 8, 0.02, 0.5, 7)
+            ..SimConfig::ncube(4, 2, 2, 8, 0.02, 0.5, 7)
         };
         let mut sim = Simulator::new(cfg).unwrap();
         for _ in 0..5_000 {
@@ -1148,7 +1150,7 @@ mod tests {
         let cfg = SimConfig {
             pattern: TrafficPattern::Tornado,
             arrivals: ArrivalProcess::Poisson(0.05),
-            ..SimConfig::paper_validation(4, 2, 8, 0.05, 0.0, 99)
+            ..SimConfig::ncube(4, 2, 2, 8, 0.05, 0.0, 99)
         }
         .with_limits(60_000, 1_000, 0);
         let report = Simulator::new(cfg).unwrap().run();
@@ -1201,7 +1203,7 @@ mod tests {
             virtual_channels: 1,
             pattern: TrafficPattern::Tornado,
             arrivals: ArrivalProcess::Poisson(0.1),
-            ..SimConfig::paper_validation(4, 1, 8, 0.1, 0.0, 3)
+            ..SimConfig::ncube(4, 2, 1, 8, 0.1, 0.0, 3)
         }
         .with_limits(100_000, 1_000, 0);
         let report = Simulator::new(cfg).unwrap().run();
@@ -1214,7 +1216,7 @@ mod tests {
         let cfg = SimConfig {
             pattern: TrafficPattern::HotSpot { h: 1.0, hot },
             arrivals: ArrivalProcess::Poisson(0.001),
-            ..SimConfig::paper_validation(4, 2, 8, 0.001, 1.0, 5)
+            ..SimConfig::ncube(4, 2, 2, 8, 0.001, 1.0, 5)
         }
         .with_limits(50_000, 0, 500);
         let report = Simulator::new(cfg).unwrap().run();
@@ -1228,7 +1230,7 @@ mod tests {
         let mk = |policy| {
             let cfg = SimConfig {
                 ejection: policy,
-                ..SimConfig::paper_validation(8, 2, 32, 3e-3, 0.4, 11)
+                ..SimConfig::ncube(8, 2, 2, 32, 3e-3, 0.4, 11)
             }
             .with_limits(150_000, 10_000, 5_000);
             Simulator::new(cfg).unwrap().run()
@@ -1248,7 +1250,7 @@ mod tests {
         let mk = |depth| {
             let cfg = SimConfig {
                 buffer_depth: depth,
-                ..SimConfig::paper_validation(8, 2, 32, 2e-3, 0.0, 21)
+                ..SimConfig::ncube(8, 2, 2, 32, 2e-3, 0.0, 21)
             }
             .with_limits(80_000, 5_000, 3_000);
             Simulator::new(cfg).unwrap().run()
@@ -1265,7 +1267,7 @@ mod tests {
         // Far past the hot-channel flit bound: queues must blow up.
         let cfg = SimConfig {
             max_source_queue: 200,
-            ..SimConfig::paper_validation(8, 2, 32, 0.02, 0.7, 13)
+            ..SimConfig::ncube(8, 2, 2, 32, 0.02, 0.7, 13)
         }
         .with_limits(400_000, 10_000, 0);
         let report = Simulator::new(cfg).unwrap().run();

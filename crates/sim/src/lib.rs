@@ -17,10 +17,9 @@
 //!
 //! The engine is dimension-agnostic: router ports and virtual-channel
 //! classes are indexed by the topology's channel ids, so one flit pipeline
-//! serves any radix and dimension count — build a generalized run with
-//! [`SimConfig::ncube`] (the paper's 2-D torus is
-//! [`SimConfig::paper_validation`], its `n = 2` instance; a binary
-//! hypercube is `k = 2`).
+//! serves any radix and dimension count — build a run with
+//! [`SimConfig::ncube`] (the paper's 2-D torus is its `n = 2` instance; a
+//! binary hypercube is `k = 2`).
 //!
 //! # Model
 //!
@@ -39,7 +38,7 @@
 //! ```
 //! use kncube_sim::{SimConfig, Simulator};
 //!
-//! let config = SimConfig::paper_validation(8, 2, 32, 1e-3, 0.2, 42)
+//! let config = SimConfig::ncube(8, 2, 2, 32, 1e-3, 0.2, 42)
 //!     .with_limits(20_000, 5_000, 2_000);
 //! let report = Simulator::new(config).unwrap().run();
 //! assert!(report.completed > 0);
@@ -52,7 +51,6 @@
 pub mod config;
 pub mod engine;
 pub mod message;
-pub mod replicate;
 pub mod report;
 pub mod stats;
 
@@ -60,6 +58,5 @@ pub use config::{
     EjectionPolicy, SimConfig, SimConfigError, FAULT_ROUTER_BUDGET_BYTES, MAX_FAULTY_SIM_NODES,
 };
 pub use engine::Simulator;
-pub use replicate::{run_replications, run_replications_serial, ReplicatedReport};
 pub use report::SimReport;
 pub use stats::{BatchMeans, StreamingStats};

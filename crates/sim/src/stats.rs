@@ -85,45 +85,6 @@ impl StreamingStats {
             self.max
         }
     }
-
-    /// Reconstruct an accumulator from externally-stored moments: `count`
-    /// observations with sample `mean`, unbiased `variance` and largest
-    /// observation `max`.  Used to pool per-replication report statistics
-    /// without access to the raw observations; the minimum is not
-    /// recoverable from a report and is left unset.
-    pub fn from_moments(count: u64, mean: f64, variance: f64, max: f64) -> Self {
-        StreamingStats {
-            count,
-            mean: if count == 0 { 0.0 } else { mean },
-            m2: if count < 2 {
-                0.0
-            } else {
-                variance * (count - 1) as f64
-            },
-            min: f64::INFINITY,
-            max: if count == 0 { f64::NEG_INFINITY } else { max },
-        }
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Non-overlapping batch means over a fixed number of batches.
@@ -243,26 +204,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert!(s.min().is_nan());
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingStats::new();
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            all.push(x);
-            if i < 20 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]

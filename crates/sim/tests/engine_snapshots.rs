@@ -111,8 +111,7 @@ fn check(s: Snapshot) {
 fn snapshot_paper_k8_v2_lm16_h30() {
     check(Snapshot {
         name: "paper_k8_v2_lm16_h30",
-        config: SimConfig::paper_validation(8, 2, 16, 5e-3, 0.3, 1234)
-            .with_limits(30_000, 2_000, 0),
+        config: SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 1234).with_limits(30_000, 2_000, 0),
         mean_latency: 0x40903d606f4647f8,
         ci_half_width: Some(0x408e6698be2907eb),
         latency_std_dev: 0x40a923cb07377eed,
@@ -138,7 +137,7 @@ fn snapshot_paper_k8_v2_lm16_h30() {
 fn snapshot_paper_k16_v2_lm32_h20() {
     check(Snapshot {
         name: "paper_k16_v2_lm32_h20",
-        config: SimConfig::paper_validation(16, 2, 32, 3e-4, 0.2, 42).with_limits(60_000, 5_000, 0),
+        config: SimConfig::ncube(16, 2, 2, 32, 3e-4, 0.2, 42).with_limits(60_000, 5_000, 0),
         mean_latency: 0x404cc60c7ff81442,
         ci_half_width: Some(0x3ff43c67fae4d26e),
         latency_std_dev: 0x40361e2486051673,
@@ -218,7 +217,7 @@ fn snapshot_shared_ejection_k8() {
         name: "shared_ejection_k8",
         config: SimConfig {
             ejection: EjectionPolicy::SharedChannel,
-            ..SimConfig::paper_validation(8, 2, 32, 3e-3, 0.4, 11)
+            ..SimConfig::ncube(8, 2, 2, 32, 3e-3, 0.4, 11)
         }
         .with_limits(40_000, 4_000, 0),
         mean_latency: 0x409dee0cf7a24d01,
@@ -248,7 +247,7 @@ fn snapshot_buffer_depth1_k8() {
         name: "buffer_depth1_k8",
         config: SimConfig {
             buffer_depth: 1,
-            ..SimConfig::paper_validation(8, 2, 32, 2e-3, 0.0, 21)
+            ..SimConfig::ncube(8, 2, 2, 32, 2e-3, 0.0, 21)
         }
         .with_limits(40_000, 4_000, 0),
         mean_latency: 0x40924645aba63c13,
@@ -277,7 +276,7 @@ fn snapshot_bidirectional_torus_k8() {
     use kncube_topology::{Boundary, LinkKind};
     check(Snapshot {
         name: "bidi_torus_k8",
-        config: SimConfig::paper_validation(8, 2, 16, 5e-3, 0.3, 77)
+        config: SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 77)
             .with_topology(LinkKind::Bidirectional, Boundary::Torus)
             .with_limits(30_000, 2_000, 0),
         mean_latency: 0x4058d44bcd50d909,
@@ -306,7 +305,7 @@ fn snapshot_mesh_k8() {
     use kncube_topology::{Boundary, LinkKind};
     check(Snapshot {
         name: "mesh_k8",
-        config: SimConfig::paper_validation(8, 2, 16, 5e-3, 0.3, 78)
+        config: SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 78)
             .with_topology(LinkKind::Bidirectional, Boundary::Mesh)
             .with_limits(30_000, 2_000, 0),
         mean_latency: 0x4088f2714007ba1f,

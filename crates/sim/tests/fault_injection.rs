@@ -65,7 +65,7 @@ fn zero_probability_faults_on_a_mesh_change_nothing() {
     // router's shortest paths coincide with DOR hop-for-hop, so routing
     // through the fault machinery with an empty fault set must be
     // *bit-identical* to not having it at all.
-    let base = SimConfig::paper_validation(6, 2, 16, 4e-3, 0.3, 91)
+    let base = SimConfig::ncube(6, 2, 2, 16, 4e-3, 0.3, 91)
         .with_topology(LinkKind::Bidirectional, Boundary::Mesh)
         .with_limits(25_000, 2_000, 0);
     let plain = Simulator::new(base).unwrap().run();
@@ -81,7 +81,7 @@ fn fault_runs_are_deterministic_in_the_seed() {
         router_failure_prob: 0.05,
         link_failure_prob: 0.05,
     };
-    let cfg = SimConfig::paper_validation(8, 2, 8, 3e-3, 0.2, 5150)
+    let cfg = SimConfig::ncube(8, 2, 2, 8, 3e-3, 0.2, 5150)
         .with_topology(LinkKind::Bidirectional, Boundary::Torus)
         .with_faults(spec)
         .with_limits(20_000, 1_000, 0);
@@ -108,7 +108,7 @@ fn router_failures_drop_unreachable_messages_and_account_for_all() {
     };
     // warmup 0 so every message is measured: generated messages either
     // drop at the source, complete, or are still in flight at the end.
-    let cfg = SimConfig::paper_validation(8, 2, 8, 2e-3, 0.2, 60)
+    let cfg = SimConfig::ncube(8, 2, 2, 8, 2e-3, 0.2, 60)
         .with_topology(LinkKind::Bidirectional, Boundary::Torus)
         .with_faults(spec)
         .with_limits(20_000, 0, 0);
@@ -139,7 +139,7 @@ fn report_reachability_matches_the_routers() {
         (LinkKind::Bidirectional, Boundary::Torus),
         (LinkKind::Bidirectional, Boundary::Mesh),
     ] {
-        let cfg = SimConfig::paper_validation(6, 2, 8, 1e-3, 0.0, 31)
+        let cfg = SimConfig::ncube(6, 2, 2, 8, 1e-3, 0.0, 31)
             .with_topology(link_kind, boundary)
             .with_faults(spec)
             .with_limits(10_000, 0, 0);
@@ -163,7 +163,7 @@ fn link_faults_on_a_bidirectional_torus_cause_detours() {
         router_failure_prob: 0.0,
         link_failure_prob: 0.15,
     };
-    let cfg = SimConfig::paper_validation(8, 2, 8, 1e-3, 0.0, 23)
+    let cfg = SimConfig::ncube(8, 2, 2, 8, 1e-3, 0.0, 23)
         .with_topology(LinkKind::Bidirectional, Boundary::Torus)
         .with_faults(spec)
         .with_limits(30_000, 0, 0);
@@ -187,7 +187,7 @@ fn faulty_mesh_completes_messages() {
         router_failure_prob: 0.05,
         link_failure_prob: 0.05,
     };
-    let cfg = SimConfig::paper_validation(6, 2, 8, 2e-3, 0.3, 47)
+    let cfg = SimConfig::ncube(6, 2, 2, 8, 2e-3, 0.3, 47)
         .with_topology(LinkKind::Bidirectional, Boundary::Mesh)
         .with_faults(spec)
         .with_limits(25_000, 0, 0);
@@ -210,7 +210,7 @@ fn fully_partitioned_network_drops_everything_without_panicking() {
         router_failure_prob: 1.0,
         link_failure_prob: 0.0,
     };
-    let cfg = SimConfig::paper_validation(4, 2, 8, 2e-3, 0.2, 11)
+    let cfg = SimConfig::ncube(4, 2, 2, 8, 2e-3, 0.2, 11)
         .with_topology(LinkKind::Bidirectional, Boundary::Torus)
         .with_faults(spec)
         .with_limits(10_000, 0, 0);

@@ -83,7 +83,7 @@ proptest! {
         let cfg = SimConfig {
             pattern: TrafficPattern::HotSpot { h, hot: NodeId(3) },
             arrivals: ArrivalProcess::Poisson(lambda),
-            ..SimConfig::paper_validation(4, 2, 8, lambda, h, seed)
+            ..SimConfig::ncube(4, 2, 2, 8, lambda, h, seed)
         }
         .with_limits(400_000, 2_000, 4_000);
         let report = Simulator::new(cfg).unwrap().run();

@@ -37,13 +37,12 @@ pub fn node_stream_rng(master_seed: u64, node: NodeId, stream: u64) -> SmallRng 
 /// The master seed of replication `rep` of an experiment seeded with
 /// `master_seed`.
 ///
-/// This is the single seed-derivation rule shared by every harness that
-/// runs repeated trials — parallel replications in the simulator, the
-/// sweep cells of the figure binaries — so independent replications of
-/// the same experiment can never collide, and the same `(master_seed,
-/// rep)` pair always names the same workload no matter which harness runs
-/// it.  Replication 0 is `master_seed` itself, so a single-replication
-/// run is identical to a plain run with the master seed.
+/// This is the seed-derivation rule behind the sweep cells of the figure
+/// binaries (`kncube_bench::cell_seed`), so independent replications of
+/// the same experiment never collide and the same `(master_seed, rep)`
+/// pair always names the same workload.  Replication 0 is `master_seed`
+/// itself, so replication 0 is identical to a plain run with the master
+/// seed.
 pub fn replication_seed(master_seed: u64, rep: u32) -> u64 {
     if rep == 0 {
         master_seed

@@ -38,7 +38,7 @@ fn main() {
             .unwrap()
             .solve();
         let sim = Simulator::new(
-            SimConfig::paper_validation(k, v, ack_flits, lambda, h, 99)
+            SimConfig::ncube(k, 2, v, ack_flits, lambda, h, 99)
                 .with_limits(600_000, 50_000, 25_000),
         )
         .unwrap()

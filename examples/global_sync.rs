@@ -38,8 +38,7 @@ fn main() {
             .solve()
             .expect("half of saturation is solvable");
         let sim = Simulator::new(
-            SimConfig::paper_validation(k, v, lm, lambda, h, 7)
-                .with_limits(800_000, 60_000, 20_000),
+            SimConfig::ncube(k, 2, v, lm, lambda, h, 7).with_limits(800_000, 60_000, 20_000),
         )
         .unwrap()
         .run();

@@ -33,8 +33,8 @@ fn main() {
     println!("  fixed-point iters  : {:8}", out.iterations);
 
     println!("\n== flit-level simulation (same operating point) ==");
-    let cfg = SimConfig::paper_validation(k, v, lm, lambda, h, 2024)
-        .with_limits(1_500_000, 100_000, 30_000);
+    let cfg =
+        SimConfig::ncube(k, 2, v, lm, lambda, h, 2024).with_limits(1_500_000, 100_000, 30_000);
     let report = Simulator::new(cfg).expect("valid configuration").run();
     println!("mean message latency : {:8.1} cycles", report.mean_latency);
     if let Some(hw) = report.ci_half_width {

@@ -43,7 +43,7 @@
 //! ```no_run
 //! use kncube::sim::{SimConfig, Simulator};
 //!
-//! let cfg = SimConfig::paper_validation(16, 2, 32, 3e-4, 0.2, 42);
+//! let cfg = SimConfig::ncube(16, 2, 2, 32, 3e-4, 0.2, 42);
 //! let report = Simulator::new(cfg).unwrap().run();
 //! println!("simulated: {report}");
 //! ```

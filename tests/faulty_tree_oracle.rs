@@ -24,8 +24,8 @@
 //! {0, 2, 5, 10}% router and link faults, over several sampling seeds;
 //! plus the failed-hot-node and fully-partitioned corner cases.
 
-use kncube::model::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput, MultiplexingModel};
-use kncube::queueing::blocking::{channel_metrics, TrafficClass};
+use kncube::model::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
+use kncube::queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube::queueing::mg1;
 use kncube::queueing::vc_multiplex::multiplexing_factor;
 use kncube::topology::{
@@ -161,17 +161,14 @@ impl PairWalk {
         let mut blocking = vec![0.0; regular.len()];
         let mut vbar = vec![0.0; regular.len()];
         for c in 0..regular.len() {
-            let m = channel_metrics(
-                TrafficClass::new(lambda * regular[c], lm + 1.0),
-                TrafficClass::new(lambda * hot_unit[c], lm + 1.0),
-                lm,
-                RHO_CAP,
-            );
-            if m.utilization >= 1.0 {
+            let reg_class = TrafficClass::new(lambda * regular[c], lm + 1.0);
+            let hot_class = TrafficClass::new(lambda * hot_unit[c], lm + 1.0);
+            let utilization = channel_utilization(reg_class, hot_class);
+            if utilization >= 1.0 {
                 return None;
             }
-            blocking[c] = m.delay;
-            vbar[c] = multiplexing_factor(m.utilization, V);
+            blocking[c] = blocking_delay(reg_class, hot_class, lm, RHO_CAP);
+            vbar[c] = multiplexing_factor(utilization, V);
         }
         let (mut reg_num, mut reg_den, mut hot_num, mut hot_den) = (0.0, 0.0, 0.0, 0.0);
         let (mut wait_sum, mut healthy) = (0.0, 0u32);
@@ -303,7 +300,6 @@ fn check(faults: FaultSet, hot: NodeId, loads: &[f64], ctx: &str) {
         FaultyNCubeConfig::new(faults.clone(), V, LM, 0.0, H).with_hot_node(hot),
     )
     .unwrap();
-    assert_eq!(model.config().multiplexing, MultiplexingModel::DallyMarkov);
     let router = model.router();
     let walk = PairWalk::new(router);
 

@@ -5,9 +5,7 @@ use kncube::model::HypercubeModel;
 use kncube::sim::{SimConfig, Simulator};
 
 fn simulate(n: u32, lm: u32, lambda: f64, h: f64) -> kncube::sim::SimReport {
-    let mut cfg = SimConfig::paper_validation(2, 2, lm, lambda, h, 8_128);
-    cfg.n = n;
-    let cfg = cfg.with_limits(700_000, 40_000, 12_000);
+    let cfg = SimConfig::ncube(2, n, 2, lm, lambda, h, 8_128).with_limits(700_000, 40_000, 12_000);
     Simulator::new(cfg).unwrap().run()
 }
 
@@ -63,9 +61,8 @@ fn simulator_saturates_near_the_models_bound() {
     );
     // Above: cannot keep up.
     let above = {
-        let mut cfg = SimConfig::paper_validation(2, 2, lm, 1.5 * bound, h, 8_128);
-        cfg.n = n;
-        let cfg = cfg.with_limits(700_000, 40_000, 0);
+        let cfg =
+            SimConfig::ncube(2, n, 2, lm, 1.5 * bound, h, 8_128).with_limits(700_000, 40_000, 0);
         Simulator::new(cfg).unwrap().run()
     };
     let deficit = (above.offered_load - above.throughput) / above.offered_load;

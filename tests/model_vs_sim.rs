@@ -23,8 +23,7 @@ fn compare(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> (f64, f64) {
     let warmup = 40_000u64;
     let max_cycles = warmup + (1.3 * target as f64 / (n * lambda)) as u64;
     let sim = Simulator::new(
-        SimConfig::paper_validation(k, v, lm, lambda, h, 31_415)
-            .with_limits(max_cycles, warmup, target),
+        SimConfig::ncube(k, 2, v, lm, lambda, h, 31_415).with_limits(max_cycles, warmup, target),
     )
     .expect("valid config")
     .run();
@@ -183,7 +182,7 @@ fn hot_messages_slower_in_both_worlds() {
         .solve()
         .unwrap();
     let sim = Simulator::new(
-        SimConfig::paper_validation(8, 2, 16, lambda, 0.4, 7).with_limits(600_000, 40_000, 12_000),
+        SimConfig::ncube(8, 2, 2, 16, lambda, 0.4, 7).with_limits(600_000, 40_000, 12_000),
     )
     .unwrap()
     .run();

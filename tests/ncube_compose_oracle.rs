@@ -229,8 +229,11 @@ impl Reference {
             }
             _ => self.initial_state(layout),
         };
+        // The production driver reads Anderson's extrapolations clamped at
+        // zero; the reference drives its own update the same way.
         let report = fixed_point::solve(initial, self.config.acceleration, |state, next| {
-            self.update(layout, state, next)
+            let clamped: Vec<f64> = state.iter().map(|&x| x.max(0.0)).collect();
+            self.update(layout, &clamped, next)
         })
         .map_err(|e| match e {
             FixedPointError::NonFinite | FixedPointError::NotConverged => ModelError::NotConverged,

@@ -18,7 +18,7 @@ const Y: u32 = 1;
 /// Run the simulator and return (cycles, per-channel flit counts keyed by
 /// channel id).
 fn measure(k: u32, lm: u32, lambda: f64, h: f64, cycles: u64) -> (Simulator, u64) {
-    let cfg = SimConfig::paper_validation(k, 2, lm, lambda, h, 777).with_limits(cycles, 0, 0);
+    let cfg = SimConfig::ncube(k, 2, 2, lm, lambda, h, 777).with_limits(cycles, 0, 0);
     let mut sim = Simulator::new(cfg).unwrap();
     while sim.cycle() < cycles {
         sim.step();

@@ -52,15 +52,13 @@ fn simulator_survives_below_and_collapses_above() {
     let bound = flit_bound(k, lm, h);
     // 60% of the bound: healthy.
     let healthy = Simulator::new(
-        SimConfig::paper_validation(k, 2, lm, 0.6 * bound, h, 5)
-            .with_limits(400_000, 30_000, 10_000),
+        SimConfig::ncube(k, 2, 2, lm, 0.6 * bound, h, 5).with_limits(400_000, 30_000, 10_000),
     )
     .unwrap()
     .run();
     assert!(!healthy.saturated, "unexpected saturation below the bound");
     // 160% of the bound: must blow up.
-    let mut cfg =
-        SimConfig::paper_validation(k, 2, lm, 1.6 * bound, h, 5).with_limits(400_000, 30_000, 0);
+    let mut cfg = SimConfig::ncube(k, 2, 2, lm, 1.6 * bound, h, 5).with_limits(400_000, 30_000, 0);
     cfg.max_source_queue = 300;
     let choked = Simulator::new(cfg).unwrap().run();
     assert!(choked.saturated, "expected saturation above the bound");
@@ -71,7 +69,7 @@ fn throughput_below_saturation_matches_offered_load() {
     let (k, lm, h) = (8, 16, 0.3);
     let lambda = 0.5 * flit_bound(k, lm, h);
     let report = Simulator::new(
-        SimConfig::paper_validation(k, 2, lm, lambda, h, 17).with_limits(900_000, 50_000, 0),
+        SimConfig::ncube(k, 2, 2, lm, lambda, h, 17).with_limits(900_000, 50_000, 0),
     )
     .unwrap()
     .run();

@@ -39,7 +39,7 @@ fn facade_reexports_compose_across_all_crates() {
 }
 
 #[test]
-fn paper_validation_round_trips_model_and_simulator() {
+fn paper_torus_round_trips_model_and_simulator() {
     let lambda = lambda();
 
     // Model side.
@@ -50,8 +50,8 @@ fn paper_validation_round_trips_model_and_simulator() {
     assert!(out.max_utilization < 1.0);
 
     // Simulator side, same parameterisation, short but real run.
-    let sim_cfg = SimConfig::paper_validation(K, V, LM, lambda, H, 20_050_408)
-        .with_limits(80_000, 8_000, 4_000);
+    let sim_cfg =
+        SimConfig::ncube(K, 2, V, LM, lambda, H, 20_050_408).with_limits(80_000, 8_000, 4_000);
     let report = Simulator::new(sim_cfg).unwrap().run();
     assert!(!report.saturated, "sub-saturation run flagged saturated");
     assert!(report.completed > 0);
@@ -88,7 +88,7 @@ fn model_and_simulator_accept_the_same_virtual_channel_range() {
     use kncube::model::MAX_VIRTUAL_CHANNELS;
     for v in [0, 1, MAX_VIRTUAL_CHANNELS, MAX_VIRTUAL_CHANNELS + 1] {
         let model = NCubeModel::new(NCubeConfig::new(K, 2, v, LM, lambda(), H)).is_ok();
-        let sim = SimConfig::paper_validation(K, v, LM, lambda(), H, 1)
+        let sim = SimConfig::ncube(K, 2, v, LM, lambda(), H, 1)
             .validate()
             .is_ok();
         assert_eq!(model, sim, "V = {v}");
