@@ -64,7 +64,7 @@ fn main() {
         for beta in betas {
             let cfg = SimConfig {
                 arrivals: ArrivalProcess::bursty(lambda, beta, 200.0),
-                seed: kncube_bench::cell_seed(fig.seed, cell),
+                seed: kncube_traffic::replication_seed(fig.seed, cell),
                 ..fig.sim_config(lambda)
             }
             .with_limits(limits.0, limits.1, limits.2);

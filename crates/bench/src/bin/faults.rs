@@ -17,6 +17,14 @@
 //! links does — probability `(1-p)^{2h+1}`.  Averaged over pairs these
 //! bracket the measured reachability; violations exit non-zero.
 //!
+//! Each point also publishes the deadlock-certificate census of its fault
+//! sets: the fraction whose surviving route set is certified
+//! deadlock-free ([`FaultRouter::deadlock_free`]) and the mean length of
+//! the channel-dependency cycle witnessing each uncertified one
+//! ([`FaultRouter::dependency_cycle`]).  Fault-free routes are
+//! dimension-ordered and acyclic by construction, so a `p = 0` point that
+//! is not fully certified is a violation.
+//!
 //! ```sh
 //! cargo run --release -p kncube-bench --bin faults [-- --quick]
 //! ```
@@ -34,6 +42,8 @@ struct SweepRow {
     sim_latency: f64,
     sim_dropped: u64,
     deadlocked: bool,
+    certified: f64,
+    witness_mean: Option<f64>,
     lower: f64,
     upper: f64,
 }
@@ -70,10 +80,16 @@ fn sweep_point(
     };
     let mut reach_sum = 0.0;
     let mut detour_sum = 0.0;
+    let mut uncertified = 0u64;
+    let mut witness_sum = 0usize;
     for seed in 0..seeds {
         let router = FaultRouter::new(sample_fault_set(topo, spec, 0xFA0 + seed));
         reach_sum += router.reachable_fraction();
         detour_sum += router.expected_detour();
+        if let Some(cycle) = router.dependency_cycle() {
+            uncertified += 1;
+            witness_sum += cycle.len();
+        }
     }
     let mut cfg = SimConfig::ncube(topo.k(), 2, 8, 8, 1e-3, 0.0, 0xFA0)
         .with_topology(link_kind, boundary)
@@ -91,6 +107,8 @@ fn sweep_point(
         sim_latency: report.mean_latency,
         sim_dropped: report.dropped_unreachable,
         deadlocked: report.deadlocked,
+        certified: 1.0 - uncertified as f64 / seeds as f64,
+        witness_mean: (uncertified > 0).then(|| witness_sum as f64 / uncertified as f64),
         lower,
         upper,
     }
@@ -109,6 +127,12 @@ fn check_rows(name: &str, rows: &[SweepRow], slack: f64) -> Vec<String> {
             }
             if row.detour_mean != 0.0 {
                 violations.push(format!("{ctx}: fault-free detour {} != 0", row.detour_mean));
+            }
+            if row.certified != 1.0 {
+                violations.push(format!(
+                    "{ctx}: only {:.2} of fault-free route sets certified deadlock-free",
+                    row.certified
+                ));
             }
         }
         if row.reach_mean > row.upper + slack {
@@ -146,12 +170,24 @@ fn check_rows(name: &str, rows: &[SweepRow], slack: f64) -> Vec<String> {
 fn print_rows(name: &str, rows: &[SweepRow]) {
     println!("\n{name}: reachable fraction vs element failure probability");
     println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9}",
-        "p", "lower-env", "reach", "upper-env", "detour", "sim-reach", "latency", "dropped"
+        "{:>6} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>10} {:>8}",
+        "p",
+        "lower-env",
+        "reach",
+        "upper-env",
+        "detour",
+        "sim-reach",
+        "latency",
+        "dropped",
+        "certified",
+        "witness"
     );
     for r in rows {
+        let witness = r
+            .witness_mean
+            .map_or_else(|| "-".to_string(), |w| format!("{w:.1}"));
         println!(
-            "{:>6.2} {:>12.4} {:>12.4} {:>12.4} {:>10.3} {:>10.4} {:>10.1} {:>9}",
+            "{:>6.2} {:>12.4} {:>12.4} {:>12.4} {:>10.3} {:>10.4} {:>10.1} {:>9} {:>10.2} {:>8}",
             r.p,
             r.lower,
             r.reach_mean,
@@ -159,7 +195,9 @@ fn print_rows(name: &str, rows: &[SweepRow]) {
             r.detour_mean,
             r.sim_reach,
             r.sim_latency,
-            r.sim_dropped
+            r.sim_dropped,
+            r.certified,
+            witness
         );
     }
 }

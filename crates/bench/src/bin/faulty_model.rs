@@ -9,316 +9,24 @@
 //! predictions against simulation at fixed fractions of the model's own
 //! saturation rate `λ*`.
 //!
-//! The comparison follows `tests/model_vs_sim.rs`: the simulator carries
-//! a constant instrumentation offset (injection-port crossing plus
-//! end-of-cycle completion observation) that is calibrated once per
-//! fault set at near-zero load, then every calibrated prediction is
-//! **gated** by a load-dependent agreement factor (1.2× through 0.5·λ*,
-//! 1.35× through 0.7·λ*, 2× at 0.85·λ*, with the batch-means 95% CI band
-//! as an absolute override) — the stated error envelope.  Reachability
-//! must agree exactly (model and simulator share the fault-aware
-//! router), and violations exit non-zero.
+//! The protocol is [`kncube_bench::validate`], shared with
+//! `tests/model_vs_sim_faults.rs`: the simulator's instrumentation offset
+//! is calibrated once per fault set at near-zero load, then every
+//! calibrated prediction is **gated** by a load-dependent agreement
+//! factor (1.2× through 0.5·λ*, 1.35× through 0.7·λ*, 2× at 0.85·λ*,
+//! with the batch-means 95% CI band as an absolute override) — the
+//! stated error envelope.  Reachability must agree exactly (model and
+//! simulator share the fault-aware router), and violations exit
+//! non-zero.
 //!
 //! ```sh
 //! cargo run --release -p kncube-bench --bin faulty_model [-- --quick]
 //! ```
 
-use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
-use kncube_sim::{SimConfig, SimReport, Simulator};
-use kncube_topology::{Boundary, FaultRouter, FaultSet, KAryNCube, LinkKind};
-use kncube_traffic::{sample_fault_set, FaultSpec};
+use kncube_bench::validate::{self, agreement_factor, Grid, Row};
+use kncube_topology::{Boundary, KAryNCube, LinkKind};
 
-const K: u32 = 8;
-const N: u32 = 2;
-const V: u32 = 2;
-const LM: u32 = 16;
-const H: f64 = 0.2;
-/// Base seed for fault sampling and simulation; the per-density seed is
-/// `SEED + density index` so model and simulator draw identical sets.
-const SEED: u64 = 0xFA17;
-
-/// One model-vs-sim comparison point.
-struct SweepRow {
-    density: f64,
-    frac: f64,
-    lambda: f64,
-    model: f64,
-    offset: f64,
-    sim: f64,
-    ci: f64,
-    reach_model: f64,
-    reach_sim: f64,
-    completed: u64,
-    saturated: bool,
-    deadlocked: bool,
-}
-
-impl SweepRow {
-    /// Calibrated absolute residual `|model + offset - sim|`.
-    fn residual(&self) -> f64 {
-        (self.model + self.offset - self.sim).abs()
-    }
-}
-
-/// Run one simulation sized so ~`target` delivered messages are
-/// measured (`delivered` is the model's delivered-traffic fraction,
-/// which discounts sources and destinations lost to faults).
-#[allow(clippy::too_many_arguments)]
-fn run_sim(
-    link_kind: LinkKind,
-    boundary: Boundary,
-    spec: Option<FaultSpec>,
-    seed: u64,
-    lambda: f64,
-    delivered: f64,
-    target: u64,
-    warmup: u64,
-) -> SimReport {
-    let nodes = (K as u64).pow(N) as f64;
-    let rate = (nodes * lambda * delivered.max(0.05)).max(1e-9);
-    let max_cycles = warmup + (1.6 * target as f64 / rate) as u64;
-    let mut cfg = SimConfig::ncube(K, N, V, LM, lambda, H, seed)
-        .with_topology(link_kind, boundary)
-        .with_limits(max_cycles, warmup, target);
-    if let Some(spec) = spec {
-        cfg = cfg.with_faults(spec);
-    }
-    Simulator::new(cfg).expect("valid sim config").run()
-}
-
-/// Deterministically pick a fault sample at `density`: scan seeds from
-/// `base`, preferring a sample whose surviving route set carries the
-/// exact wormhole-deadlock-freedom certificate
-/// ([`FaultRouter::deadlock_free`]), and falling back to the first
-/// *connected* sample when no certified one exists in the scan window.
-///
-/// The certificate is sufficient but not necessary: on a bidirectional
-/// torus, almost any detour breaks strict dimension order and closes a
-/// channel-dependency cycle on paper, yet the actual occupancy pattern
-/// rarely completes the cycle.  Uncertified samples therefore stay
-/// admissible — the simulation's own deadlock detector is the gate that
-/// catches the real thing.
-fn select_fault_set(
-    topo: KAryNCube,
-    density: f64,
-    base: u64,
-) -> Option<(FaultSet, Option<FaultSpec>, u64, bool)> {
-    if density == 0.0 {
-        return Some((FaultSet::none(topo), None, base, true));
-    }
-    let spec = FaultSpec {
-        router_failure_prob: density,
-        link_failure_prob: density,
-    };
-    let mut connected: Option<(FaultSet, u64)> = None;
-    for seed in base..base + 64 {
-        let faults = sample_fault_set(topo, spec, seed);
-        let router = FaultRouter::new(faults.clone());
-        if router.reachable_pairs() == 0 {
-            continue;
-        }
-        if router.deadlock_free() {
-            return Some((faults, Some(spec), seed, true));
-        }
-        if connected.is_none() {
-            connected = Some((faults, seed));
-        }
-    }
-    connected.map(|(faults, seed)| (faults, Some(spec), seed, false))
-}
-
-/// Sweep one geometry across fault densities and load fractions.
-#[allow(clippy::too_many_arguments)]
-fn sweep_geometry(
-    name: &str,
-    link_kind: LinkKind,
-    boundary: Boundary,
-    densities: &[f64],
-    fracs: &[f64],
-    cal_target: u64,
-    target: u64,
-    warmup: u64,
-) -> (Vec<SweepRow>, Vec<String>) {
-    let topo = KAryNCube::with_boundary(K, N, link_kind, boundary).expect("valid topology");
-    let mut rows = Vec::new();
-    let mut violations = Vec::new();
-
-    for (idx, &density) in densities.iter().enumerate() {
-        // Wormhole routing around faults is not deadlock-free in general:
-        // detours can close channel-dependency cycles the Dally–Seitz
-        // classes were ordered to prevent.  Prefer a fault sample whose
-        // route set carries the acyclicity certificate — the simulator
-        // draws the same set from the same seed.
-        let (faults, spec, seed, certified) =
-            match select_fault_set(topo, density, SEED + 100 * idx as u64) {
-                Some(found) => found,
-                None => {
-                    violations.push(format!(
-                        "{name} p={density:.2}: no connected fault sample in the seed scan"
-                    ));
-                    continue;
-                }
-            };
-        if !certified {
-            println!(
-                "{name} p={density:.2}: seed {seed:#x} sample is connected but carries \
-                 no deadlock-freedom certificate; relying on the simulator's detector"
-            );
-        }
-        let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, V, LM, 0.0, H))
-            .expect("valid faulty config");
-
-        let sat = match model.saturation(1e-9, 1e-1, 1e-3) {
-            Ok(report) => report.lambda_star,
-            Err(e) => {
-                violations.push(format!("{name} p={density:.2}: no saturation rate: {e:?}"));
-                continue;
-            }
-        };
-        let delivered = model
-            .solve_at(0.0)
-            .expect("zero load cannot saturate")
-            .delivered_fraction;
-
-        // Calibrate the simulator's instrumentation offset at 5% of λ*,
-        // where the model is exact (delivered-weighted hops + Lm).
-        let cal_lambda = 0.05 * sat;
-        let cal = run_sim(
-            link_kind, boundary, spec, seed, cal_lambda, delivered, cal_target, warmup,
-        );
-        let cal_model = model
-            .solve_at(cal_lambda)
-            .expect("calibration load is below saturation")
-            .latency;
-        let offset = cal.mean_latency - cal_model;
-        if !(0.0..3.0).contains(&offset) {
-            violations.push(format!(
-                "{name} p={density:.2}: calibration offset {offset:.3} outside the \
-                 plausible injection overhead [0, 3)"
-            ));
-        }
-        let cal_ci = cal.ci_half_width.unwrap_or(f64::INFINITY);
-
-        for &frac in fracs {
-            // Near-saturation occupancy is what completes a paper
-            // dependency cycle; without the acyclicity certificate the
-            // sweep stays in the light/moderate region where wormhole
-            // deadlock has never been observed for these samples.
-            if !certified && frac > 0.7 {
-                println!(
-                    "{name} p={density:.2} frac={frac:.2}: skipped (near-saturation \
-                     load needs the deadlock-freedom certificate)"
-                );
-                continue;
-            }
-            let lambda = frac * sat;
-            let out = match model.solve_at(lambda) {
-                Ok(out) => out,
-                Err(e) => {
-                    violations.push(format!(
-                        "{name} p={density:.2} frac={frac:.2}: model saturated below \
-                         its own λ* estimate: {e:?}"
-                    ));
-                    continue;
-                }
-            };
-            let sim = run_sim(
-                link_kind, boundary, spec, seed, lambda, delivered, target, warmup,
-            );
-            let ci = sim.ci_half_width.unwrap_or(f64::INFINITY);
-            rows.push(SweepRow {
-                density,
-                frac,
-                lambda,
-                model: out.latency,
-                offset,
-                sim: sim.mean_latency,
-                ci: ci + cal_ci,
-                reach_model: out.reachable_fraction,
-                reach_sim: sim.reachable_fraction,
-                completed: sim.completed,
-                saturated: sim.saturated,
-                deadlocked: sim.deadlocked,
-            });
-        }
-    }
-    (rows, violations)
-}
-
-/// The stated error envelope, as an agreement factor on the calibrated
-/// prediction: `(model + offset) / sim` must lie within `[1/f, f]` with
-/// `f = 1.2` through 0.5·λ*, `f = 1.35` through 0.7·λ*, and `f = 2`
-/// beyond — or the absolute residual must sit inside the batch-means 95%
-/// CI band.  The widening mirrors the paper's own claim ("reasonable
-/// accuracy in the light and moderate load regions", §4): near
-/// saturation the latency curve is steep, so a small λ* estimation error
-/// swings the predicted ordinate far more than the model/simulator
-/// disagreement at matched load.
-fn agreement_factor(frac: f64) -> f64 {
-    if frac <= 0.5 {
-        1.2
-    } else if frac <= 0.7 {
-        1.35
-    } else {
-        2.0
-    }
-}
-
-/// Whether a row satisfies the stated envelope.
-fn within_envelope(row: &SweepRow) -> bool {
-    if row.residual() <= row.ci {
-        return true;
-    }
-    let f = agreement_factor(row.frac);
-    let ratio = (row.model + row.offset) / row.sim;
-    ratio.is_finite() && ratio >= 1.0 / f && ratio <= f
-}
-
-fn check_rows(name: &str, rows: &[SweepRow], min_completed: u64) -> Vec<String> {
-    let mut violations = Vec::new();
-    for row in rows {
-        let ctx = format!("{name} p={:.2} frac={:.2}", row.density, row.frac);
-        if row.deadlocked {
-            violations.push(format!("{ctx}: simulation deadlocked"));
-            continue;
-        }
-        if row.saturated {
-            violations.push(format!("{ctx}: simulation saturated at λ={}", row.lambda));
-            continue;
-        }
-        if row.completed < min_completed {
-            violations.push(format!(
-                "{ctx}: too few measured messages ({} < {min_completed})",
-                row.completed
-            ));
-            continue;
-        }
-        // Model and simulator share the fault-aware router, so their
-        // reachability censuses must agree exactly.
-        if (row.reach_model - row.reach_sim).abs() > 1e-12 {
-            violations.push(format!(
-                "{ctx}: reachability disagrees — model {:.6} vs sim {:.6}",
-                row.reach_model, row.reach_sim
-            ));
-        }
-        if !within_envelope(row) {
-            violations.push(format!(
-                "{ctx}: model {:.2}+{:.2} vs sim {:.2} — ratio {:.3} outside \
-                 [1/{f}, {f}] and residual {:.3} outside the CI band {:.3}",
-                row.model,
-                row.offset,
-                row.sim,
-                (row.model + row.offset) / row.sim,
-                row.residual(),
-                row.ci,
-                f = agreement_factor(row.frac),
-            ));
-        }
-    }
-    violations
-}
-
-fn print_rows(name: &str, rows: &[SweepRow]) {
+fn print_rows(name: &str, rows: &[Row]) {
     println!("\n{name}: faulty-model latency vs simulation (calibrated)");
     println!(
         "{:>6} {:>6} {:>12} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8}",
@@ -330,63 +38,64 @@ fn print_rows(name: &str, rows: &[SweepRow]) {
             r.density,
             r.frac,
             r.lambda,
-            r.model + r.offset,
+            r.predicted,
             r.sim,
-            (r.model + r.offset) / r.sim,
+            r.predicted / r.sim,
             agreement_factor(r.frac),
-            r.reach_model,
+            r.reachable,
             r.completed,
         );
     }
 }
 
 fn main() {
-    let quick = kncube_bench::quick_flag();
-    let (densities, fracs, cal_target, target, warmup, min_completed): (
-        &[f64],
-        &[f64],
-        u64,
-        u64,
-        u64,
-        u64,
-    ) = if quick {
-        (&[0.0, 0.05], &[0.3, 0.6], 1_200, 2_000, 12_000, 800)
+    // Density `i` draws its fault set from seeds `0xFA17 + 100·i` onward,
+    // so model and simulator see identical sets.
+    let grid = if kncube_bench::quick_flag() {
+        Grid {
+            densities: &[0.0, 0.05],
+            fracs: &[0.3, 0.6],
+            seed_base: 0xFA17,
+            cal_target: 1_200,
+            target: 2_000,
+            warmup: 12_000,
+            min_completed: 800,
+        }
     } else {
-        (
-            &[0.0, 0.02, 0.05, 0.10],
-            &[0.3, 0.6, 0.85],
-            3_000,
-            6_000,
-            25_000,
-            2_500,
-        )
+        Grid {
+            densities: &[0.0, 0.02, 0.05, 0.10],
+            fracs: &[0.3, 0.6, 0.85],
+            seed_base: 0xFA17,
+            cal_target: 3_000,
+            target: 6_000,
+            warmup: 25_000,
+            min_completed: 2_500,
+        }
     };
 
-    let mut all_violations = Vec::new();
-    for (name, link_kind, boundary) in [
-        (
-            "8x8 bidirectional torus",
-            LinkKind::Bidirectional,
-            Boundary::Torus,
-        ),
-        ("8x8 mesh", LinkKind::Bidirectional, Boundary::Mesh),
+    let mut violations = Vec::new();
+    for (name, boundary) in [
+        ("8x8 bidirectional torus", Boundary::Torus),
+        ("8x8 mesh", Boundary::Mesh),
     ] {
-        let (rows, mut sweep_violations) = sweep_geometry(
-            name, link_kind, boundary, densities, fracs, cal_target, target, warmup,
-        );
-        print_rows(name, &rows);
-        sweep_violations.extend(check_rows(name, &rows, min_completed));
-        all_violations.extend(sweep_violations);
+        let topo = KAryNCube::with_boundary(8, 2, LinkKind::Bidirectional, boundary)
+            .expect("valid topology");
+        let outcome = validate::sweep(name, topo, &grid);
+        for note in &outcome.notes {
+            println!("{note}");
+        }
+        print_rows(name, &outcome.rows);
+        violations.extend(outcome.violations);
     }
 
-    if all_violations.is_empty() {
+    if violations.is_empty() {
         println!(
             "\nenvelope check: OK (model within the stated agreement factors of \
              simulation up to 0.85·λ* at every fault density)"
         );
     } else {
         println!("\nenvelope check violations:");
-        for v in &all_violations {
+        for v in &violations {
             println!("  - {v}");
         }
         std::process::exit(1);

@@ -43,7 +43,7 @@ fn main() {
                     let mut cfg = FigureConfig::paper(lm, h, false);
                     cfg.k = k;
                     cfg.v = v;
-                    cfg.seed = kncube_bench::cell_seed(cfg.seed, cell);
+                    cfg.seed = kncube_traffic::replication_seed(cfg.seed, cell);
                     cell += 1;
                     cfg.sim_limits = if quick {
                         (400_000, 40_000, 10_000)

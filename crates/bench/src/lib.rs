@@ -12,6 +12,7 @@
 pub mod benchfile;
 pub mod json;
 pub mod queries;
+pub mod validate;
 
 use kncube_core::{ModelError, NCubeConfig, NCubeModel, NCubeOutput, SaturationError};
 use kncube_sim::{SimConfig, SimReport, Simulator};
@@ -48,16 +49,6 @@ pub fn quick_flag() -> bool {
         quick = true;
     }
     quick
-}
-
-/// Derive the simulator seed for experiment cell `cell` of a sweep from
-/// the binary's base seed, so each cell runs an independent replication
-/// stream instead of re-using one literal seed everywhere.  Cell 0 is the
-/// base seed itself; the derivation is
-/// [`kncube_traffic::replication_seed`], so a sweep cell can be
-/// reproduced as "replication `cell` of the base configuration".
-pub fn cell_seed(base: u64, cell: u32) -> u64 {
-    kncube_traffic::replication_seed(base, cell)
 }
 
 /// The `(k, n)` pairs the `ncube` experiment sweeps: three genuinely

@@ -33,5 +33,5 @@ pub use channel::{Channel, ChannelId, Direction};
 pub use faults::{FaultRouter, FaultSet, TreeEdge, FAULT_ROUTER_BYTES_PER_PAIR};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
-pub use ring::{Ring, RingId};
+pub use ring::Ring;
 pub use routing::{DorRoute, Hop, VcClass};

@@ -8,16 +8,6 @@
 
 use crate::geometry::{KAryNCube, NodeId};
 
-/// Identifier of a ring: the dimension it travels in plus a dense index over
-/// the `N/k` rings of that dimension.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct RingId {
-    /// Dimension the ring travels in.
-    pub dim: u32,
-    /// Dense index among the rings of this dimension (`0..N/k`).
-    pub index: u32,
-}
-
 /// A ring of the torus: the `k` nodes sharing all coordinates except the one
 /// in dimension [`Ring::dim`].
 #[derive(Clone, Debug)]
@@ -29,37 +19,12 @@ pub struct Ring {
 }
 
 impl KAryNCube {
-    /// Number of rings per dimension, `N/k`.
-    pub fn rings_per_dim(&self) -> u32 {
-        self.num_nodes() / self.k()
-    }
-
     /// The ring of dimension `dim` containing `node`.
     pub fn ring_of(&self, node: NodeId, dim: u32) -> Ring {
         let nodes = (0..self.k())
             .map(|c| self.with_coord(node, dim, c))
             .collect();
         Ring { dim, nodes }
-    }
-
-    /// The id of the ring of dimension `dim` containing `node`: the node's
-    /// remaining coordinates collapsed into a dense mixed-radix index.
-    pub fn ring_id_of(&self, node: NodeId, dim: u32) -> RingId {
-        let mut index = 0u32;
-        let mut stride = 1u32;
-        for d in 0..self.n() {
-            if d == dim {
-                continue;
-            }
-            index += self.coord(node, d) * stride;
-            stride *= self.k();
-        }
-        RingId { dim, index }
-    }
-
-    /// Whether `a` and `b` lie on the same ring of dimension `dim`.
-    pub fn same_ring(&self, a: NodeId, b: NodeId, dim: u32) -> bool {
-        self.ring_id_of(a, dim) == self.ring_id_of(b, dim)
     }
 }
 
@@ -87,30 +52,35 @@ mod tests {
 
     #[test]
     fn ring_ids_partition_nodes() {
+        // The rings of one dimension partition the nodes into `N/k` sets
+        // of `k` members each.
         let t = KAryNCube::unidirectional(5, 3).unwrap();
         for dim in 0..t.n() {
-            let mut by_ring: std::collections::HashMap<u32, HashSet<NodeId>> = Default::default();
+            let mut rings: HashSet<Vec<NodeId>> = HashSet::new();
             for node in t.nodes() {
-                let rid = t.ring_id_of(node, dim);
-                assert_eq!(rid.dim, dim);
-                assert!(rid.index < t.rings_per_dim());
-                by_ring.entry(rid.index).or_default().insert(node);
+                let ring = t.ring_of(node, dim);
+                assert_eq!(ring.dim, dim);
+                assert_eq!(ring.nodes.len(), t.k() as usize);
+                assert!(ring.nodes.contains(&node));
+                rings.insert(ring.nodes);
             }
-            assert_eq!(by_ring.len(), t.rings_per_dim() as usize);
-            for members in by_ring.values() {
-                assert_eq!(members.len(), t.k() as usize);
-            }
+            assert_eq!(rings.len(), (t.num_nodes() / t.k()) as usize);
+            let members: HashSet<NodeId> = rings.into_iter().flatten().collect();
+            assert_eq!(members.len(), t.num_nodes() as usize);
         }
     }
 
     #[test]
     fn same_ring_agrees_with_ring_of() {
+        // Two nodes share a ring exactly when they agree on every
+        // coordinate but the ring's dimension.
         let t = KAryNCube::unidirectional(3, 2).unwrap();
         for a in t.nodes() {
             for dim in 0..t.n() {
                 let ring = t.ring_of(a, dim);
                 for b in t.nodes() {
-                    assert_eq!(t.same_ring(a, b, dim), ring.nodes.contains(&b));
+                    let same = (0..t.n()).all(|d| d == dim || t.coord(a, d) == t.coord(b, d));
+                    assert_eq!(same, ring.nodes.contains(&b));
                 }
             }
         }

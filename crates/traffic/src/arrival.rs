@@ -20,12 +20,6 @@ pub enum ArrivalProcess {
     /// `Poisson(λ)` — exponential inter-arrival gaps (the paper's
     /// assumption (i)).
     Poisson(f64),
-    /// At most one arrival per cycle with probability `λ` — geometric
-    /// gaps; statistically indistinguishable from Poisson at the paper's
-    /// loads.
-    Bernoulli(f64),
-    /// Exactly one arrival every `period` cycles.
-    EveryCycles(u64),
     /// Two-state Markov-modulated Poisson process: bursts of Poisson
     /// arrivals at `rate_on` lasting `Exp(mean_on)` cycles, separated by
     /// silent gaps lasting `Exp(mean_off)` cycles.  Mean rate
@@ -62,8 +56,7 @@ impl ArrivalProcess {
     /// Long-run mean arrivals per cycle.
     pub fn rate(&self) -> f64 {
         match *self {
-            ArrivalProcess::Poisson(l) | ArrivalProcess::Bernoulli(l) => l,
-            ArrivalProcess::EveryCycles(p) => 1.0 / p as f64,
+            ArrivalProcess::Poisson(l) => l,
             ArrivalProcess::OnOff {
                 rate_on,
                 mean_on,
@@ -72,7 +65,7 @@ impl ArrivalProcess {
         }
     }
 
-    /// Peak-to-mean ratio (1 for the memoryless processes).
+    /// Peak-to-mean ratio (1 for Poisson).
     pub fn burstiness(&self) -> f64 {
         match *self {
             ArrivalProcess::OnOff {
@@ -140,17 +133,6 @@ impl ArrivalSampler {
                     t + exp_with_mean(1.0 / lambda, rng)
                 }
             }
-            ArrivalProcess::Bernoulli(lambda) => {
-                if lambda <= 0.0 {
-                    f64::INFINITY
-                } else if lambda >= 1.0 {
-                    t + 1.0
-                } else {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    t + (u.ln() / (1.0 - lambda).ln()).floor() + 1.0
-                }
-            }
-            ArrivalProcess::EveryCycles(period) => t + period as f64,
             ArrivalProcess::OnOff {
                 rate_on,
                 mean_on,
@@ -214,8 +196,6 @@ mod tests {
     #[test]
     fn rates_report_correctly() {
         assert_eq!(ArrivalProcess::Poisson(0.25).rate(), 0.25);
-        assert_eq!(ArrivalProcess::Bernoulli(0.1).rate(), 0.1);
-        assert_eq!(ArrivalProcess::EveryCycles(4).rate(), 0.25);
         let bursty = ArrivalProcess::bursty(0.01, 5.0, 100.0);
         assert!((bursty.rate() - 0.01).abs() < 1e-12);
         assert!((bursty.burstiness() - 5.0).abs() < 1e-12);
@@ -235,33 +215,6 @@ mod tests {
         let n = count_arrivals(ArrivalProcess::Poisson(lambda), 2e5, 7);
         let mean = n as f64 / 2e5;
         assert!((mean - lambda).abs() < 0.003, "mean {mean} vs {lambda}");
-    }
-
-    #[test]
-    fn bernoulli_gaps_are_integral_and_rate_matches() {
-        let lambda = 0.08;
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut s = ArrivalSampler::new(ArrivalProcess::Bernoulli(lambda));
-        let mut t = 0.0;
-        for _ in 0..1000 {
-            let next = s.next_arrival_after(t, &mut rng);
-            assert!((next - t).fract().abs() < 1e-9, "gap must be integral");
-            assert!(next - t >= 1.0);
-            t = next;
-        }
-        let n = count_arrivals(ArrivalProcess::Bernoulli(lambda), 1e5, 5);
-        assert!((n as f64 / 1e5 - lambda).abs() < 0.005);
-    }
-
-    #[test]
-    fn deterministic_period_fires_on_schedule() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut s = ArrivalSampler::new(ArrivalProcess::EveryCycles(5));
-        let mut t = 0.0;
-        for expected in [5.0, 10.0, 15.0, 20.0] {
-            t = s.next_arrival_after(t, &mut rng);
-            assert_eq!(t, expected);
-        }
     }
 
     #[test]
@@ -329,7 +282,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(21);
         for p in [
             ArrivalProcess::Poisson(0.5),
-            ArrivalProcess::Bernoulli(0.5),
             ArrivalProcess::bursty(0.1, 4.0, 20.0),
         ] {
             let mut s = ArrivalSampler::new(p);

@@ -10,8 +10,8 @@
 //! * message length is a fixed `Lm` flits.
 //!
 //! Beyond the paper's two patterns (uniform and hot-spot) the crate ships
-//! the classic synthetic patterns used for extension studies: transpose,
-//! bit-complement, bit-reversal, tornado, and nearest-neighbour.
+//! the tornado pattern, the classic adversary for rings, and a bursty
+//! on-off arrival process for the paper's non-Poissonian future work.
 //!
 //! All randomness flows through [`rand`]'s `SmallRng`, seeded per node from
 //! a single master seed ([`rng`]), making every workload fully reproducible

@@ -37,8 +37,8 @@ pub fn node_stream_rng(master_seed: u64, node: NodeId, stream: u64) -> SmallRng 
 /// The master seed of replication `rep` of an experiment seeded with
 /// `master_seed`.
 ///
-/// This is the seed-derivation rule behind the sweep cells of the figure
-/// binaries (`kncube_bench::cell_seed`), so independent replications of
+/// This is the seed-derivation rule behind the sweep cells of the
+/// `validation` and `bursty` binaries, so independent replications of
 /// the same experiment never collide and the same `(master_seed, rep)`
 /// pair always names the same workload.  Replication 0 is `master_seed`
 /// itself, so replication 0 is identical to a plain run with the master

@@ -16,8 +16,8 @@
 //! * [`topology`] — k-ary n-cube geometry, dimension-order routing,
 //!   Dally–Seitz virtual-channel classes, hot-spot geometry (Eqs. 4–5 and
 //!   their product-over-rings generalization);
-//! * [`traffic`] — Poisson sources and destination patterns (uniform,
-//!   hot-spot, and the classic synthetic suites);
+//! * [`traffic`] — Poisson and bursty sources, destination patterns
+//!   (uniform, hot-spot, tornado) and fault-set sampling;
 //! * [`queueing`] — M/G/1 waits, the blocking operator, Dally's
 //!   virtual-channel multiplexing model, fixed-point machinery
 //!   (Eqs. 26–30, 33–35);

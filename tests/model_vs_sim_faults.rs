@@ -3,251 +3,62 @@
 //! simulator on bidirectional tori and meshes, across fault densities
 //! {0, 2, 5, 10}% — the headline gate of the faulty-model extension.
 //!
-//! Protocol (mirroring `tests/model_vs_sim.rs`):
-//!
-//! * model and simulator draw the **same** fault set — same
-//!   [`FaultSpec`], same seed, through the same [`sample_fault_set`] the
-//!   engine calls internally — and their reachability censuses must
-//!   agree exactly (they share the fault-aware router);
-//! * the simulator's constant instrumentation offset (injection-port
-//!   crossing plus end-of-cycle completion observation) is calibrated
-//!   once per fault set at 5% of the model's saturation rate λ*, where
-//!   the model is exact (delivered-weighted hops + Lm);
-//! * each calibrated prediction is held to a stated load-dependent
-//!   agreement factor — 1.2× at 0.45·λ*, 2× at 0.85·λ* — with the
-//!   batch-means 95% CI band as an absolute override.  The widening
-//!   mirrors the paper's own accuracy claim (§4: "light and moderate
-//!   load regions"): near saturation the latency curve is steep, so a
-//!   small λ* estimation error swings the ordinate far more than any
-//!   matched-load disagreement;
-//! * fault samples without the wormhole-deadlock-freedom certificate
-//!   ([`FaultRouter::deadlock_free`]) are only driven through 0.7·λ* —
-//!   near-saturation occupancy is what completes a paper dependency
-//!   cycle, and a deadlocked run measures nothing.
+//! The protocol is [`kncube_bench::validate`], shared with the
+//! `faulty_model` binary: one fault set per density shared by model and
+//! simulator (their reachability censuses must agree exactly), the
+//! simulator's instrumentation offset calibrated at 5% of λ*, and each
+//! calibrated prediction held to the load-dependent agreement factor —
+//! 1.2× at 0.45·λ*, 2× at 0.85·λ* — with the batch-means 95% CI band as
+//! an absolute override.  Samples without the deadlock-freedom
+//! certificate are only driven through 0.7·λ*.
 //!
 //! The empty-fault-set reduction (faulty model ≡ closed-form `NCubeModel`,
 //! bitwise) is pinned here as well; `tests/degenerate_k2.rs` carries the
 //! `k = 2` bidirectional↔unidirectional half.
 
 use kncube::model::{FaultyNCubeConfig, FaultyNCubeModel, NCubeConfig, NCubeModel};
-use kncube::sim::{SimConfig, SimReport, Simulator};
-use kncube::topology::{Boundary, FaultRouter, FaultSet, KAryNCube, LinkKind};
-use kncube::traffic::{sample_fault_set, FaultSpec};
+use kncube::topology::{Boundary, FaultSet, KAryNCube, LinkKind};
+use kncube_bench::validate::{self, Grid, H, LM, V};
 
-const V: u32 = 2;
-const LM: u32 = 16;
-const H: f64 = 0.2;
-const DENSITIES: [f64; 4] = [0.0, 0.02, 0.05, 0.10];
-const FRACS: [f64; 2] = [0.45, 0.85];
-
-/// Stated agreement factor at a load fraction of λ*.
-fn agreement_factor(frac: f64) -> f64 {
-    if frac <= 0.5 {
-        1.2
-    } else if frac <= 0.7 {
-        1.35
-    } else {
-        2.0
-    }
-}
-
-/// First connected fault sample at `density` from the scan window,
-/// preferring one with the deadlock-freedom certificate.  Returns
-/// `(faults, spec, seed, certified)`.
-fn select_fault_set(
-    topo: KAryNCube,
-    density: f64,
-    base: u64,
-) -> (FaultSet, Option<FaultSpec>, u64, bool) {
-    if density == 0.0 {
-        return (FaultSet::none(topo), None, base, true);
-    }
-    let spec = FaultSpec {
-        router_failure_prob: density,
-        link_failure_prob: density,
+/// Run the shared protocol on one geometry and fail on any violation.
+fn validate_geometry(name: &str, k: u32, n: u32, boundary: Boundary) {
+    let topo =
+        KAryNCube::with_boundary(k, n, LinkKind::Bidirectional, boundary).expect("valid topology");
+    let grid = Grid {
+        densities: &[0.0, 0.02, 0.05, 0.10],
+        fracs: &[0.45, 0.85],
+        seed_base: 0x1AB0,
+        cal_target: 1_500,
+        target: 2_500,
+        warmup: 15_000,
+        min_completed: 1_000,
     };
-    let mut connected: Option<(FaultSet, u64)> = None;
-    for seed in base..base + 64 {
-        let faults = sample_fault_set(topo, spec, seed);
-        let router = FaultRouter::new(faults.clone());
-        if router.reachable_pairs() == 0 {
-            continue;
-        }
-        if router.deadlock_free() {
-            return (faults, Some(spec), seed, true);
-        }
-        if connected.is_none() {
-            connected = Some((faults, seed));
-        }
-    }
-    let (faults, seed) = connected.expect("a connected fault sample in 64 seeds");
-    (faults, Some(spec), seed, false)
-}
-
-/// Run one simulation sized for ~`target` measured completions at the
-/// model's delivered-traffic fraction.
-#[allow(clippy::too_many_arguments)]
-fn run_sim(
-    k: u32,
-    n: u32,
-    link_kind: LinkKind,
-    boundary: Boundary,
-    spec: Option<FaultSpec>,
-    seed: u64,
-    lambda: f64,
-    delivered: f64,
-    target: u64,
-) -> SimReport {
-    let nodes = (k as u64).pow(n) as f64;
-    let warmup = 15_000u64;
-    let rate = (nodes * lambda * delivered.max(0.05)).max(1e-9);
-    let max_cycles = warmup + (1.6 * target as f64 / rate) as u64;
-    let mut cfg = SimConfig::ncube(k, n, V, LM, lambda, H, seed)
-        .with_topology(link_kind, boundary)
-        .with_limits(max_cycles, warmup, target);
-    if let Some(spec) = spec {
-        cfg = cfg.with_faults(spec);
-    }
-    Simulator::new(cfg).expect("valid sim config").run()
-}
-
-/// The cross-validation protocol for one geometry.
-fn validate_geometry(name: &str, k: u32, n: u32, link_kind: LinkKind, boundary: Boundary) {
-    let topo = KAryNCube::with_boundary(k, n, link_kind, boundary).expect("valid topology");
-    for (idx, &density) in DENSITIES.iter().enumerate() {
-        let (faults, spec, seed, certified) =
-            select_fault_set(topo, density, 0x1AB0 + 100 * idx as u64);
-        let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, V, LM, 0.0, H))
-            .expect("valid faulty config");
-        let sat = model
-            .saturation(1e-9, 1e-1, 1e-3)
-            .expect("hot-spot networks saturate")
-            .lambda_star;
-        let zero = model.solve_at(0.0).expect("zero load cannot saturate");
-
-        // Calibrate the instrumentation offset where the model is exact.
-        let cal_lambda = 0.05 * sat;
-        let cal = run_sim(
-            k,
-            n,
-            link_kind,
-            boundary,
-            spec,
-            seed,
-            cal_lambda,
-            zero.delivered_fraction,
-            1_500,
-        );
-        assert!(
-            !cal.deadlocked,
-            "{name} p={density}: calibration deadlocked"
-        );
-        let cal_model = model
-            .solve_at(cal_lambda)
-            .expect("calibration load is below saturation")
-            .latency;
-        let offset = cal.mean_latency - cal_model;
-        assert!(
-            (0.0..3.0).contains(&offset),
-            "{name} p={density}: calibration offset {offset} outside the plausible \
-             injection overhead"
-        );
-        let cal_ci = cal.ci_half_width.expect("batch means available");
-
-        for &frac in &FRACS {
-            if !certified && frac > 0.7 {
-                // Near-saturation load without the acyclicity certificate
-                // risks wormhole deadlock; stay in the validated region.
-                continue;
-            }
-            let lambda = frac * sat;
-            let out = model
-                .solve_at(lambda)
-                .expect("loads below λ* must be solvable");
-            let sim = run_sim(
-                k,
-                n,
-                link_kind,
-                boundary,
-                spec,
-                seed,
-                lambda,
-                zero.delivered_fraction,
-                2_500,
-            );
-            assert!(
-                !sim.deadlocked,
-                "{name} p={density} frac={frac}: deadlocked"
-            );
-            assert!(
-                !sim.saturated,
-                "{name} p={density} frac={frac}: saturated at λ={lambda}"
-            );
-            assert!(
-                sim.completed >= 1_000,
-                "{name} p={density} frac={frac}: too few samples ({})",
-                sim.completed
-            );
-            // Shared router ⇒ identical reachability census.
-            assert!(
-                (out.reachable_fraction - sim.reachable_fraction).abs() < 1e-12,
-                "{name} p={density}: reachability disagrees — model {} vs sim {}",
-                out.reachable_fraction,
-                sim.reachable_fraction
-            );
-            let predicted = out.latency + offset;
-            let residual = (predicted - sim.mean_latency).abs();
-            let ci = sim.ci_half_width.expect("batch means available") + cal_ci;
-            let factor = agreement_factor(frac);
-            let ratio = predicted / sim.mean_latency;
-            assert!(
-                residual <= ci || (ratio >= 1.0 / factor && ratio <= factor),
-                "{name} p={density} frac={frac}: model {:.2}+{offset:.2} vs sim {:.2} — \
-                 ratio {ratio:.3} outside [1/{factor}, {factor}] and residual \
-                 {residual:.3} outside the CI band {ci:.3}",
-                out.latency,
-                sim.mean_latency
-            );
-        }
-    }
+    let violations = validate::sweep(name, topo, &grid).violations;
+    assert!(
+        violations.is_empty(),
+        "{name}:\n  {}",
+        violations.join("\n  ")
+    );
 }
 
 #[test]
 fn bitorus_8_2_model_tracks_the_simulator_across_fault_densities() {
-    validate_geometry(
-        "8x8 bi-torus",
-        8,
-        2,
-        LinkKind::Bidirectional,
-        Boundary::Torus,
-    );
+    validate_geometry("8x8 bi-torus", 8, 2, Boundary::Torus);
 }
 
 #[test]
 fn mesh_8_2_model_tracks_the_simulator_across_fault_densities() {
-    validate_geometry("8x8 mesh", 8, 2, LinkKind::Bidirectional, Boundary::Mesh);
+    validate_geometry("8x8 mesh", 8, 2, Boundary::Mesh);
 }
 
 #[test]
 fn bitorus_4_3_model_tracks_the_simulator_across_fault_densities() {
-    validate_geometry(
-        "4-ary 3-cube bi-torus",
-        4,
-        3,
-        LinkKind::Bidirectional,
-        Boundary::Torus,
-    );
+    validate_geometry("4-ary 3-cube bi-torus", 4, 3, Boundary::Torus);
 }
 
 #[test]
 fn mesh_4_3_model_tracks_the_simulator_across_fault_densities() {
-    validate_geometry(
-        "4-ary 3-cube mesh",
-        4,
-        3,
-        LinkKind::Bidirectional,
-        Boundary::Mesh,
-    );
+    validate_geometry("4-ary 3-cube mesh", 4, 3, Boundary::Mesh);
 }
 
 #[test]
