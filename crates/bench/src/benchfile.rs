@@ -3,7 +3,7 @@
 //! (`BENCH_model_queries.json`) — so that each of them only measures.
 //!
 //! One module owns everything around the measurement: the command line
-//! (`--quick`, `--out FILE`, `--baseline FILE`, `--min-ratio R`), the
+//! (`--quick`, `--out FILE`, `--baseline FILE`), the
 //! provenance header every document starts with, the schema check (each
 //! document's [`Schema`] is data: [`SIMULATOR`], [`MODEL_QUERIES`]), the
 //! per-config throughput comparison against a baseline, and the writer.
@@ -11,9 +11,9 @@
 //! Exit codes of [`finish`]: a freshly measured document that fails its
 //! own schema is a bug (panic); an unwritable `--out` exits 2 (as does a
 //! bad flag, in [`parse_args`]); an unreadable, malformed or
-//! schema-drifted baseline exits 1; a throughput below `--min-ratio` ×
-//! the baseline only warns (exit 0), because timing on shared runners is
-//! noisy.
+//! schema-drifted baseline exits 1; a throughput below
+//! [`DEFAULT_MIN_RATIO`] × the baseline only warns (exit 0), because
+//! timing on shared runners is noisy.
 
 use crate::json::{parse, Json};
 
@@ -28,8 +28,7 @@ pub const SCHEMA_VERSION: f64 = 1.0;
 /// soft warning.
 pub const MIN_ITERATION_REDUCTION: f64 = 5.0;
 
-/// Throughput ratio below which [`compare`] warns, unless `--min-ratio`
-/// says otherwise.
+/// Throughput ratio below which [`compare`] warns.
 const DEFAULT_MIN_RATIO: f64 = 0.8;
 
 /// Every config entry is identified by these numbers; a baseline entry
@@ -102,8 +101,8 @@ pub const MODEL_QUERIES: Schema = Schema {
     throughput: "queries_per_sec",
 };
 
-/// The harness command line: `--quick`, `--out FILE`, `--baseline FILE`
-/// and `--min-ratio R`.
+/// The harness command line: `--quick`, `--out FILE` and
+/// `--baseline FILE`.
 pub struct Options {
     /// Shrink the measurement for CI smoke runs.
     pub quick: bool,
@@ -111,8 +110,6 @@ pub struct Options {
     pub out: Option<String>,
     /// A previous document to compare against.
     pub baseline: Option<String>,
-    /// Throughput ratio below which the comparison warns.
-    pub min_ratio: f64,
 }
 
 /// The command-line arguments not yet consumed by [`parse_args`].
@@ -139,14 +136,13 @@ impl Args {
 
 /// Parse the harness command line.  `extra` sees every other flag first,
 /// with the remaining arguments to take a value from, and returns whether
-/// it consumed the flag; a flag nobody consumes, a missing value or an
-/// unparsable `--min-ratio` prints `usage` and exits 2.
+/// it consumed the flag; a flag nobody consumes or a missing value
+/// prints `usage` and exits 2.
 pub fn parse_args(usage: &'static str, mut extra: impl FnMut(&str, &mut Args) -> bool) -> Options {
     let mut opts = Options {
         quick: false,
         out: None,
         baseline: None,
-        min_ratio: DEFAULT_MIN_RATIO,
     };
     let mut args = Args {
         rest: std::env::args().skip(1),
@@ -157,7 +153,6 @@ pub fn parse_args(usage: &'static str, mut extra: impl FnMut(&str, &mut Args) ->
             "--quick" => opts.quick = true,
             "--out" => opts.out = Some(args.value()),
             "--baseline" => opts.baseline = Some(args.value()),
-            "--min-ratio" => opts.min_ratio = args.value().parse().unwrap_or_else(|_| args.usage()),
             flag => {
                 if !extra(flag, &mut args) {
                     args.usage();
@@ -262,9 +257,9 @@ fn configs(doc: &Json) -> &[Json] {
 
 /// Compare a fresh document against a baseline, config by config (matched
 /// on `(k, n, v, lm, h)`), on the schema's throughput key: a ratio below
-/// `min_ratio` warns.  The deterministic floors are reported alongside.
-/// Returns the number of warnings.
-fn compare(new: &Json, baseline: &Json, schema: &Schema, min_ratio: f64) -> u32 {
+/// [`DEFAULT_MIN_RATIO`] warns.  The deterministic floors are reported
+/// alongside.  Returns the number of warnings.
+fn compare(new: &Json, baseline: &Json, schema: &Schema) -> u32 {
     let key = schema.throughput;
     let id = |cfg: &Json| CONFIG_KEY.map(|k| number(cfg, k));
     let mut warnings = 0;
@@ -284,7 +279,7 @@ fn compare(new: &Json, baseline: &Json, schema: &Schema, min_ratio: f64) -> u32 
             continue;
         }
         let ratio = now / then;
-        if ratio < min_ratio {
+        if ratio < DEFAULT_MIN_RATIO {
             eprintln!(
                 "WARNING: {name}: {key} regressed to {ratio:.2}x of baseline ({now:.4e} vs {then:.4e})"
             );
@@ -352,7 +347,7 @@ pub fn finish(doc: &Json, schema: &Schema, opts: &Options) {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    let warnings = compare(doc, &baseline, schema, opts.min_ratio);
+    let warnings = compare(doc, &baseline, schema);
     if warnings > 0 {
         eprintln!(
             "{warnings} regression warning(s) — not failing the build; \
@@ -518,17 +513,26 @@ mod tests {
         // The query file has two (16, 2) configs that differ in (lm, h):
         // each must be held to its own baseline entry.
         let base = committed(MODEL_QUERIES_FILE);
-        assert_eq!(compare(&base, &base, &MODEL_QUERIES, 0.8), 0);
+        assert_eq!(compare(&base, &base, &MODEL_QUERIES), 0);
         let mut slow = base.clone();
         edit(
             &mut slow,
             &["configs", "1", "queries_per_sec"],
             Json::Num(1.0),
         );
-        assert_eq!(compare(&slow, &base, &MODEL_QUERIES, 0.8), 1);
+        assert_eq!(compare(&slow, &base, &MODEL_QUERIES), 1);
+        // Every simulator config finds its baseline entry.
         let sim = committed(SIMULATOR_FILE);
-        assert_eq!(compare(&sim, &sim, &SIMULATOR, 0.8), 0);
-        assert_eq!(compare(&sim, &sim, &SIMULATOR, 1.5), 3);
+        assert_eq!(compare(&sim, &sim, &SIMULATOR), 0);
+        let mut fast = sim.clone();
+        for i in ["0", "1", "2"] {
+            edit(
+                &mut fast,
+                &["configs", i, "cycles_per_sec"],
+                Json::Num(1e300),
+            );
+        }
+        assert_eq!(compare(&sim, &fast, &SIMULATOR), 3);
     }
 
     #[test]

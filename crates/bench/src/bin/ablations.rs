@@ -14,11 +14,8 @@
 //! cargo run --release -p kncube-bench --bin ablations [-- --quick]
 //! ```
 
-use kncube_bench::FigureConfig;
-use kncube_core::{
-    find_saturation_ncube, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel,
-    ServiceTimeModel,
-};
+use kncube_bench::{or_exit, FigureConfig};
+use kncube_core::{ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, ServiceTimeModel};
 use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
 
 fn model_latency(cfg: NCubeConfig) -> String {
@@ -31,12 +28,7 @@ fn model_latency(cfg: NCubeConfig) -> String {
 fn main() {
     let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.4, false);
-    let sat = kncube_bench::or_exit(find_saturation_ncube(
-        fig.model_config(0.0),
-        1e-8,
-        1e-2,
-        1e-3,
-    ));
+    let sat = or_exit(fig.saturation());
     let grid: Vec<f64> = [0.3, 0.6, 0.85].iter().map(|f| f * sat).collect();
 
     // The Eq. 25 reading only matters when competitor services depend on

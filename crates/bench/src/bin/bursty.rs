@@ -18,20 +18,15 @@
 //! cargo run --release -p kncube-bench --bin bursty [-- --quick]
 //! ```
 
-use kncube_bench::FigureConfig;
-use kncube_core::{find_saturation_ncube, NCubeModel};
+use kncube_bench::{or_exit, FigureConfig};
+use kncube_core::NCubeModel;
 use kncube_sim::{SimConfig, Simulator};
 use kncube_traffic::ArrivalProcess;
 
 fn main() {
     let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.2, false);
-    let sat = kncube_bench::or_exit(find_saturation_ncube(
-        fig.model_config(0.0),
-        1e-8,
-        1e-2,
-        1e-3,
-    ));
+    let sat = or_exit(fig.saturation());
     let betas = [1.0, 2.0, 4.0, 8.0];
     let fractions = if quick {
         vec![0.3, 0.6]

@@ -228,13 +228,9 @@ fn main() {
         all_violations.extend(check_rows(name, &rows, slack));
     }
 
-    if all_violations.is_empty() {
-        println!("\nenvelope check: OK (reachability inside the closed-form failure envelopes)");
-    } else {
-        println!("\nenvelope check violations:");
-        for v in &all_violations {
-            println!("  - {v}");
-        }
-        std::process::exit(1);
-    }
+    kncube_bench::gate(
+        "envelope check",
+        "reachability inside the closed-form failure envelopes",
+        &all_violations,
+    );
 }

@@ -88,16 +88,10 @@ fn main() {
         violations.extend(outcome.violations);
     }
 
-    if violations.is_empty() {
-        println!(
-            "\nenvelope check: OK (model within the stated agreement factors of \
-             simulation up to 0.85·λ* at every fault density)"
-        );
-    } else {
-        println!("\nenvelope check violations:");
-        for v in &violations {
-            println!("  - {v}");
-        }
-        std::process::exit(1);
-    }
+    kncube_bench::gate(
+        "envelope check",
+        "model within the stated agreement factors of simulation up to 0.85·λ* \
+         at every fault density",
+        &violations,
+    );
 }

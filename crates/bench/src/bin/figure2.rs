@@ -7,30 +7,18 @@
 //! cargo run --release -p kncube-bench --bin figure2 [-- --quick]
 //! ```
 
-use kncube_bench::{check_figure_shape, or_exit, print_figure, run_figure, FigureConfig};
+use kncube_bench::{figure_main, FigureConfig};
 
 fn main() {
     let quick = kncube_bench::quick_flag();
-    let mut all_violations = Vec::new();
-    for h in [0.2, 0.4, 0.7] {
-        let cfg = FigureConfig::paper(100, h, quick);
-        let rows = or_exit(run_figure(&cfg));
-        print_figure(
-            &format!("Figure 2, h = {:.0}% (Lm = 100 flits)", h * 100.0),
-            &cfg,
-            &rows,
-        );
-        for v in check_figure_shape(&rows) {
-            all_violations.push(format!("h={h}: {v}"));
-        }
-    }
-    if all_violations.is_empty() {
-        println!("\nshape check: OK (model tracks simulation at light/moderate load)");
-    } else {
-        println!("\nshape check violations:");
-        for v in &all_violations {
-            println!("  - {v}");
-        }
-        std::process::exit(1);
-    }
+    figure_main(
+        [0.2, 0.4, 0.7].map(|h| {
+            (
+                format!("Figure 2, h = {:.0}% (Lm = 100 flits)", h * 100.0),
+                format!("h={h}"),
+                FigureConfig::paper(100, h, quick),
+            )
+        }),
+        "model tracks simulation at light/moderate load",
+    );
 }

@@ -15,7 +15,8 @@
 //! cargo run --release -p kncube-bench --bin hypercube [-- --quick]
 //! ```
 
-use kncube_core::{find_saturation_ncube, HypercubeModel, NCubeConfig};
+use kncube_bench::{or_exit, FigureConfig};
+use kncube_core::HypercubeModel;
 use kncube_sim::{SimConfig, Simulator};
 
 fn main() {
@@ -63,12 +64,7 @@ fn main() {
     let hyper256 = HypercubeModel::new(8, 2, 32, 0.0, 0.2)
         .unwrap()
         .saturation_bound();
-    let torus256 = kncube_bench::or_exit(find_saturation_ncube(
-        NCubeConfig::new(16, 2, 2, 32, 0.0, 0.2),
-        1e-8,
-        1e-2,
-        1e-3,
-    ));
+    let torus256 = or_exit(FigureConfig::paper(32, 0.2, false).saturation());
     println!(
         "\nat N = 256, Lm = 32, h = 20%:\n\
          hypercube λ* ≈ {hyper256:.3e}   (worst channel drains N/2 = 128 hot sources)\n\

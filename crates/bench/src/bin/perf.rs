@@ -21,6 +21,7 @@
 
 use kncube_bench::benchfile::{self, SIMULATOR};
 use kncube_bench::json::Json;
+use kncube_bench::{SATURATION_BRACKET, SATURATION_REL_TOL};
 use kncube_core::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use std::time::Instant;
@@ -38,12 +39,12 @@ const LOADS: [(&str, f64, u64, u64); 3] = [
 
 const SEED: u64 = 7;
 
-const USAGE: &str = "usage: perf [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
+const USAGE: &str = "usage: perf [--quick] [--out FILE] [--baseline FILE]\n\
 \n\
 Measures simulator cycles/s and model solve time across (k,n) in\n\
 {(16,2),(8,3),(4,4)} and writes a BENCH_simulator.json document.\n\
 With --baseline, compares against a previous document: ratios below\n\
-R (default 0.8) warn; a malformed baseline is an error (exit 1).";
+0.8 warn; a malformed baseline is an error (exit 1).";
 
 /// Time one production `run()` and return `(cycles/s, cycles, seconds,
 /// completed)`.
@@ -83,7 +84,8 @@ fn measure(quick: bool) -> Json {
     let mut configs = Vec::new();
     for (k, n, v, lm, h) in CONFIGS {
         let base = NCubeConfig::new(k, n, v, lm, 0.0, h);
-        let sat = match find_saturation_ncube(base, 1e-9, 1e-1, 1e-3) {
+        let (lo, hi) = SATURATION_BRACKET;
+        let sat = match find_saturation_ncube(base, lo, hi, SATURATION_REL_TOL) {
             Ok(sat) => sat,
             Err(e) => {
                 eprintln!("error: no saturation rate for k={k} n={n}: {e}");

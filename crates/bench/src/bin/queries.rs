@@ -11,7 +11,7 @@
 //!   relative — the CI smoke gate.
 //! * **Benchmark** (`--bench`): run the near-saturation λ-grid sweep and
 //!   emit `BENCH_model_queries.json` (`--quick` shrinks the grids; with
-//!   `--baseline` compare throughput, warning below `--min-ratio`), all
+//!   `--baseline` compare throughput, warning below 0.8×), all
 //!   through [`kncube_bench::benchfile`].
 //!
 //! Exit codes: 0 ok (including throughput warnings), 1 bad input or
@@ -24,14 +24,14 @@ use kncube_bench::queries::{check_cold, run_batch, run_query_bench};
 use std::io::Read as _;
 
 const USAGE: &str = "usage: queries [--in FILE] [--out FILE] [--check-cold]\n\
-\x20      queries --bench [--quick] [--out FILE] [--baseline FILE] [--min-ratio R]\n\
+\x20      queries --bench [--quick] [--out FILE] [--baseline FILE]\n\
 \n\
 Batch mode answers a {\"queries\": [...]} JSON document (from --in or\n\
 stdin) with the warm-start/cache engine; --check-cold re-solves every\n\
 latency query cold and fails (exit 3) on drift beyond 1e-9 relative.\n\
 Bench mode sweeps near-saturation λ grids and emits the\n\
 BENCH_model_queries.json document; with --baseline, throughput ratios\n\
-below R (default 0.8) warn, schema drift is an error (exit 1).";
+below 0.8 warn, schema drift is an error (exit 1).";
 
 fn main() {
     let (mut input, mut check, mut bench) = (None, false, false);

@@ -8,50 +8,32 @@
 //! cargo run --release -p kncube-bench --bin saturation [-- --quick]
 //! ```
 
-use kncube_bench::FigureConfig;
+use kncube_bench::{or_exit, FigureConfig};
+use kncube_core::bisect_saturation;
 use kncube_sim::Simulator;
 
-/// Bisect the simulator's saturation rate: the smallest λ at which the
-/// network cannot deliver the offered load.
+/// Whether the simulated network fails to deliver its offered load at
+/// `lambda`: the stability probe of the simulator's saturation search.
 ///
 /// Saturation in an open network is a *throughput deficit*: past λ* the
 /// delivery rate pins at capacity while the offered rate keeps rising, and
 /// the backlog grows without bound.  (Watching source-queue lengths alone
 /// is too blunt near the bound — the early excess spreads over all N
 /// queues and takes millions of cycles to trip any per-queue threshold.)
-fn sim_saturation(cfg: &FigureConfig, lo0: f64, hi0: f64) -> f64 {
-    let saturates = |lambda: f64| {
-        let sim_cfg = cfg.sim_config(lambda);
-        let report = Simulator::new(sim_cfg).unwrap().run();
-        if report.saturated {
-            return true;
-        }
-        // Statistical guard: Poisson counting noise on the measured
-        // throughput, plus a 1.5% systematic allowance for warm-up edge
-        // effects.
-        let measured_cycles = (report.cycles.saturating_sub(cfg.sim_limits.1)).max(1) as f64;
-        let n = cfg.num_nodes() as f64;
-        let sigma = (lambda / (measured_cycles * n)).sqrt();
-        report.throughput < lambda - (3.0 * sigma + 0.015 * lambda)
-    };
-    let (mut lo, mut hi) = (lo0, hi0);
-    // Make sure the bracket is valid; widen hi if needed.
-    let mut guard = 0;
-    while !saturates(hi) {
-        lo = hi;
-        hi *= 1.5;
-        guard += 1;
-        assert!(guard < 24, "failed to bracket simulator saturation");
+fn saturates(cfg: &FigureConfig, lambda: f64) -> bool {
+    let report = Simulator::new(cfg.sim_config(lambda))
+        .expect("the paper preset is a valid simulator configuration")
+        .run();
+    if report.saturated {
+        return true;
     }
-    while (hi - lo) / hi > 0.05 {
-        let mid = 0.5 * (lo + hi);
-        if saturates(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    // Statistical guard: Poisson counting noise on the measured
+    // throughput, plus a 1.5% systematic allowance for warm-up edge
+    // effects.
+    let measured_cycles = (report.cycles.saturating_sub(cfg.sim_limits.1)).max(1) as f64;
+    let n = cfg.num_nodes() as f64;
+    let sigma = (lambda / (measured_cycles * n)).sqrt();
+    report.throughput < lambda - (3.0 * sigma + 0.015 * lambda)
 }
 
 fn main() {
@@ -80,13 +62,15 @@ fn main() {
         } else {
             (600_000, 50_000, 0)
         };
-        let model_sat = kncube_bench::or_exit(kncube_core::find_saturation_ncube(
-            cfg.model_config(0.0),
-            1e-8,
-            1e-2,
-            1e-3,
-        ));
-        let sim_sat = sim_saturation(&cfg, 0.5 * model_sat, 1.4 * model_sat);
+        let model_sat = or_exit(cfg.saturation());
+        // The model's search, driven by the simulator: bisect to 5%.
+        let sim_sat = or_exit(bisect_saturation(
+            0.5 * model_sat,
+            1.4 * model_sat,
+            0.05,
+            |lambda| (!saturates(&cfg, lambda)).then_some(0),
+        ))
+        .lambda_star;
         let bound = 1.0 / (h * (cfg.k * (cfg.k - 1)) as f64 * (lm + 1) as f64);
         println!(
             "{lm:>4} {:>4} {h:>5.2} {model_sat:>14.3e} {sim_sat:>14.3e} {bound:>14.3e} {:>9.2}",

@@ -12,8 +12,8 @@
 //! cargo run --release -p kncube-bench --bin validation [-- --quick]
 //! ```
 
-use kncube_bench::FigureConfig;
-use kncube_core::{find_saturation_ncube, NCubeModel};
+use kncube_bench::{or_exit, FigureConfig};
+use kncube_core::NCubeModel;
 use kncube_sim::Simulator;
 
 fn main() {
@@ -50,13 +50,7 @@ fn main() {
                     } else {
                         (1_500_000, 100_000, 30_000)
                     };
-                    let sat = kncube_bench::or_exit(find_saturation_ncube(
-                        cfg.model_config(0.0),
-                        1e-8,
-                        1e-1,
-                        1e-3,
-                    ));
-                    let lambda = 0.4 * sat;
+                    let lambda = 0.4 * or_exit(cfg.saturation());
                     let model = NCubeModel::new(cfg.model_config(lambda)).unwrap().solve();
                     let sim = Simulator::new(cfg.sim_config(lambda)).unwrap().run();
                     match model {

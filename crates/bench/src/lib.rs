@@ -18,6 +18,15 @@ use kncube_core::{ModelError, NCubeConfig, NCubeModel, NCubeOutput, SaturationEr
 use kncube_sim::{SimConfig, SimReport, Simulator};
 use rayon::prelude::*;
 
+/// The one `(lo, hi)` bracket every λ* search in this crate starts from.
+/// [`kncube_core::bisect_saturation`] widens `hi` and walks `lo` down when
+/// λ* lies outside it, so the bracket only sets where the bisection
+/// starts — and therefore which λ* inside the tolerance it lands on.
+pub const SATURATION_BRACKET: (f64, f64) = (1e-9, 1e-1);
+
+/// Relative width to which the experiment binaries bisect λ*.
+pub const SATURATION_REL_TOL: f64 = 1e-3;
+
 /// Unwrap a saturation-search result in a figure binary: on failure,
 /// print a one-line human-readable message (not the `Debug` form) to
 /// stderr and exit non-zero.
@@ -28,6 +37,21 @@ pub fn or_exit<T>(result: Result<T, SaturationError>) -> T {
             eprintln!("error: saturation search failed: {e}");
             std::process::exit(2);
         }
+    }
+}
+
+/// The print-and-exit tail of a gated experiment binary: print
+/// `{check}: OK ({reason})` when `violations` is empty; otherwise list
+/// them under `{check} violations:` and exit 1.
+pub fn gate(check: &str, reason: &str, violations: &[String]) {
+    if violations.is_empty() {
+        println!("\n{check}: OK ({reason})");
+    } else {
+        println!("\n{check} violations:");
+        for v in violations {
+            println!("  - {v}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -139,11 +163,18 @@ impl FigureConfig {
             .with_limits(max_cycles, warmup, target)
     }
 
+    /// The model's saturation rate `λ*`, searched from
+    /// [`SATURATION_BRACKET`] to [`SATURATION_REL_TOL`].
+    pub fn saturation(&self) -> Result<f64, SaturationError> {
+        let (lo, hi) = SATURATION_BRACKET;
+        kncube_core::find_saturation_ncube(self.model_config(0.0), lo, hi, SATURATION_REL_TOL)
+    }
+
     /// The λ grid: `points` evenly-spaced rates from `top_fraction · λ*/points`
-    /// to `top_fraction · λ*`, where `λ*` is the model's saturation rate —
+    /// to `top_fraction · λ*`, where `λ*` is [`FigureConfig::saturation`] —
     /// the same sweep the paper's figures plot.
     pub fn lambda_grid(&self) -> Result<Vec<f64>, SaturationError> {
-        let sat = kncube_core::find_saturation_ncube(self.model_config(0.0), 1e-9, 1e-1, 1e-3)?;
+        let sat = self.saturation()?;
         Ok((1..=self.points)
             .map(|i| sat * self.top_fraction * i as f64 / self.points as f64)
             .collect())
@@ -152,19 +183,19 @@ impl FigureConfig {
 
 /// One row of a regenerated figure.
 #[derive(Clone, Debug)]
-pub struct FigureRow {
+struct FigureRow {
     /// Offered traffic (messages/node/cycle).
-    pub lambda: f64,
+    lambda: f64,
     /// The model's prediction.
-    pub model: Result<NCubeOutput, ModelError>,
+    model: Result<NCubeOutput, ModelError>,
     /// The simulation measurement.
-    pub sim: SimReport,
+    sim: SimReport,
 }
 
 /// Regenerate one figure: run the model and the simulator over the λ
 /// grid.  Points run in parallel on the pooled rayon workers (the
 /// simulator dominates the cost; the model solve per point is cheap).
-pub fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> {
+fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> {
     let lambdas = config.lambda_grid()?;
     Ok(lambdas
         .par_iter()
@@ -181,8 +212,25 @@ pub fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationErr
         .collect())
 }
 
+/// The whole of a figure binary: for each `(title, prefix, config)` in
+/// turn, run the figure, print it under `title` and shape-check it,
+/// prefixing its violations with `prefix`; then [`gate`] on all of them.
+pub fn figure_main(runs: impl IntoIterator<Item = (String, String, FigureConfig)>, reason: &str) {
+    let mut violations = Vec::new();
+    for (title, prefix, config) in runs {
+        let rows = or_exit(run_figure(&config));
+        print_figure(&title, &config, &rows);
+        violations.extend(
+            check_figure_shape(&rows)
+                .into_iter()
+                .map(|v| format!("{prefix}: {v}")),
+        );
+    }
+    gate("shape check", reason, &violations);
+}
+
 /// Print a figure as an aligned table (and CSV-ish rows for re-plotting).
-pub fn print_figure(title: &str, config: &FigureConfig, rows: &[FigureRow]) {
+fn print_figure(title: &str, config: &FigureConfig, rows: &[FigureRow]) {
     println!("\n=== {title} ===");
     println!(
         "k={} n={} (N={}) V={} Lm={} h={:.0}% (seed {})",
@@ -223,11 +271,9 @@ pub fn print_figure(title: &str, config: &FigureConfig, rows: &[FigureRow]) {
     }
 }
 
-/// Shape assertions shared by the figure binaries and integration tests:
-/// the paper's headline claims for one regenerated figure.
-///
-/// Returns a list of violated claims (empty = all good).
-pub fn check_figure_shape(rows: &[FigureRow]) -> Vec<String> {
+/// Shape assertions: the paper's headline claims for one regenerated
+/// figure.  Returns a list of violated claims (empty = all good).
+fn check_figure_shape(rows: &[FigureRow]) -> Vec<String> {
     let mut violations = Vec::new();
     // Claim 1: at light load (first half of the grid, excluding points the
     // simulator itself flagged saturated) the model tracks simulation.
@@ -331,6 +377,20 @@ mod tests {
         assert_eq!(rows.len(), cfg.points);
         let violations = check_figure_shape(&rows);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn the_grid_tops_out_at_the_one_saturation_search() {
+        for cfg in [
+            FigureConfig::paper(32, 0.4, true),
+            FigureConfig::paper(100, 0.7, false),
+            FigureConfig::ncube(8, 3, 16, 0.2, true),
+            FigureConfig::ncube(4, 4, 16, 0.2, false),
+        ] {
+            let sat = cfg.saturation().expect("hot-spot cubes saturate");
+            let top = *cfg.lambda_grid().unwrap().last().unwrap();
+            assert_eq!(top.to_bits(), (sat * cfg.top_fraction).to_bits());
+        }
     }
 
     #[test]

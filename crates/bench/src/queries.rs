@@ -54,6 +54,7 @@
 
 use crate::benchfile;
 use crate::json::Json;
+use crate::SATURATION_BRACKET;
 use kncube_core::{
     find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, NCubeOutput,
     ServiceTimeModel, SolveCache,
@@ -78,9 +79,10 @@ pub const DEFAULT_PARETO_CANDIDATES: [(u32, u32); 9] = [
     (8, 4),
 ];
 
-/// Relative tolerance of the saturation bisection behind `"saturation"`
-/// queries (tight enough that the reported `λ*` is stable under the
-/// cache's `λ` quantization).
+/// Relative tolerance of the saturation bisections behind `"saturation"`
+/// queries and the query benchmark's grids: finer than the crate's
+/// [`crate::SATURATION_REL_TOL`], so that the reported `λ*` is stable
+/// under the cache's `λ` quantization.
 const SATURATION_REL_TOL: f64 = 1e-6;
 
 /// A parsed query.
@@ -264,7 +266,8 @@ fn run_unit(unit: &Unit, links: &[NCubeConfig], cache: &SolveCache) -> Done {
             )
         }
         Unit::Saturation(idx, cfg) => {
-            let report = find_saturation_ncube_report(*cfg, 1e-9, 1e-1, SATURATION_REL_TOL);
+            let (lo, hi) = SATURATION_BRACKET;
+            let report = find_saturation_ncube_report(*cfg, lo, hi, SATURATION_REL_TOL);
             let result = match report {
                 Ok(report) => {
                     let mut r = Json::obj();
@@ -510,7 +513,8 @@ pub fn run_query_bench(quick: bool) -> Json {
     for (k, n, v, lm, h) in BENCH_CONFIGS {
         let mut base = NCubeConfig::new(k, n, v, lm, 0.0, h);
         base.service_model = ServiceTimeModel::PathOccupancy;
-        let sat = match find_saturation_ncube_report(base, 1e-9, 1e-1, 1e-6) {
+        let (sat_lo, sat_hi) = SATURATION_BRACKET;
+        let sat = match find_saturation_ncube_report(base, sat_lo, sat_hi, SATURATION_REL_TOL) {
             Ok(report) => report.lambda_star,
             Err(e) => {
                 eprintln!("error: no saturation rate for k={k} n={n}: {e}");
@@ -703,10 +707,11 @@ mod tests {
         let r = &output.get("results").unwrap().as_arr().unwrap()[0];
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
         let engine = r.get("lambda_star").unwrap().as_f64().unwrap();
+        let (lo, hi) = SATURATION_BRACKET;
         let direct = kncube_core::find_saturation_ncube(
             NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3),
-            1e-9,
-            1e-1,
+            lo,
+            hi,
             SATURATION_REL_TOL,
         )
         .unwrap();

@@ -22,6 +22,7 @@
 //! run measures nothing.  The sweep prints nothing; callers print its
 //! rows and notes and gate on its violations.
 
+use crate::{SATURATION_BRACKET, SATURATION_REL_TOL};
 use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
 use kncube_sim::{SimConfig, SimReport, Simulator};
 use kncube_topology::{FaultRouter, FaultSet, KAryNCube};
@@ -222,7 +223,8 @@ fn sweep_sample(
 ) {
     let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(sample.faults.clone(), V, LM, 0.0, H))
         .expect("valid faulty config");
-    let sat = match model.saturation(1e-9, 1e-1, 1e-3) {
+    let (lo, hi) = SATURATION_BRACKET;
+    let sat = match model.saturation(lo, hi, SATURATION_REL_TOL) {
         Ok(report) => report.lambda_star,
         Err(e) => {
             out.violations

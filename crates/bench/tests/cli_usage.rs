@@ -32,8 +32,11 @@ fn a_mistyped_experiment_flag_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("'--quik'"));
 }
 
+/// The harnesses take `--quick`, `--out` and `--baseline` (plus
+/// `queries`' own batch flags); anything else, such as the retired
+/// `--min-ratio`, is a usage error.
 #[test]
-fn a_bad_min_ratio_is_a_usage_error_in_both_harnesses() {
+fn an_unknown_flag_is_a_usage_error_in_both_harnesses() {
     assert_usage_error(&run(
         env!("CARGO_BIN_EXE_perf"),
         &["--quick", "--min-ratio", "abc"],

@@ -37,8 +37,8 @@
 //! With an **empty fault set on a unidirectional torus** (including every
 //! `k = 2` network, where the two link kinds coincide) the model
 //! *delegates* to [`NCubeModel`](crate::ncube::NCubeModel), reproducing
-//! its output bit-for-bit; [`FaultyNCubeModel::solve_general`] forces the
-//! per-channel path for cross-validation.
+//! its output bit-for-bit; [`FaultyNCubeModel::solve_general_at`] forces
+//! the per-channel path for cross-validation.
 
 use crate::ncube::{ModelError, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP};
 use crate::rates::FaultyChannelRates;
@@ -332,14 +332,9 @@ impl FaultyNCubeModel {
         })
     }
 
-    /// Force the per-channel path at the configured `λ`, even where
+    /// Force the per-channel path at rate `lambda`, even where
     /// [`FaultyNCubeModel::solve`] would delegate — the cross-validation
     /// hook for the reduction tests.
-    pub fn solve_general(&self) -> Result<FaultyNCubeOutput, ModelError> {
-        self.solve_general_at(self.config.lambda)
-    }
-
-    /// Force the per-channel path at an arbitrary rate `lambda`.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
         check_lambda(lambda)?;
         let topo = *self.config.topology();
@@ -540,7 +535,7 @@ mod tests {
             let general =
                 FaultyNCubeModel::new(FaultyNCubeConfig::new(empty(topo), 2, 16, lambda, 0.2))
                     .unwrap()
-                    .solve_general()
+                    .solve_general_at(lambda)
                     .unwrap();
             let rel = (general.latency - plain.latency).abs() / plain.latency;
             assert!(

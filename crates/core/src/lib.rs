@@ -72,6 +72,7 @@ pub use ncube::{
 pub use probabilities::{entry_cases, EntryCase, RegularRouteProbs};
 pub use rates::{FaultyChannelRates, NCubeRates};
 pub use sweep::{
-    find_saturation_ncube, find_saturation_ncube_report, SaturationError, SaturationReport,
+    bisect_saturation, find_saturation_ncube, find_saturation_ncube_report, SaturationError,
+    SaturationReport,
 };
 pub use uniform::UniformModel;

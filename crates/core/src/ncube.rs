@@ -165,11 +165,7 @@ impl std::error::Error for ModelError {}
 /// model is practical up to about a million nodes.
 pub const MAX_MODEL_NODES: u64 = 1 << 20;
 
-/// Largest number of virtual channels per physical channel the models
-/// accept — the cap `SimConfig::validate` enforces, so every model
-/// configuration can also be simulated.  The solve does work per virtual
-/// channel, so an unbounded `V` is unbounded time.
-pub const MAX_VIRTUAL_CHANNELS: u32 = 64;
+pub use kncube_topology::MAX_VIRTUAL_CHANNELS;
 
 /// Largest number of downstream tail profiles enumerated exactly when
 /// position-averaging blocking under the path-occupancy ablation; beyond

@@ -1,11 +1,16 @@
 //! Saturation search: the largest rate `λ*` at which a model still has a
 //! solution, found by bisection on solvability.
 //!
+//! [`bisect_saturation`] is the workspace's one saturation search.  It
+//! takes any stability probe: the closed-form model
+//! ([`find_saturation_ncube_report`]), the faulty-network model
+//! ([`FaultyNCubeModel::saturation`]) and the experiment harness's
+//! simulator probe all run through it.
+//!
 //! Neighbouring bisection probes have *nearby fixed points*, so
 //! [`find_saturation_ncube_report`] warm-starts each probe from the last
 //! solvable probe's converged state ([`NCubeModel::solve_warm`]) and
-//! surfaces the probe/iteration counts.  The faulty-network model runs the
-//! same bisection through [`FaultyNCubeModel::saturation`].
+//! surfaces the probe/iteration counts.
 //!
 //! [`FaultyNCubeModel::saturation`]: crate::FaultyNCubeModel::saturation
 
@@ -126,15 +131,19 @@ pub fn find_saturation_ncube_report(
     })
 }
 
-/// The shared bisection behind the fault-free and faulty saturation
-/// searches.  `probe` returns `Some(iterations)` when the model solves at
-/// the given rate and `None` when it does not; the report counts every
-/// probe and sums the iterations of the solvable ones.
+/// The one saturation search: bisect the edge between the rates `probe`
+/// accepts and the rates it rejects to a relative width of `rel_tol`.
+/// `probe` returns `Some(iterations)` when the system is stable at the
+/// given rate (a model solves, a simulated network keeps up with its
+/// offered load) and `None` when it is not; the report counts every probe
+/// and sums the iterations of the stable ones.
 ///
-/// Every solvable probe raises `lo`, so a search that ends with `lo`
-/// where the caller put it found no solvable rate; it then halves `lo`
-/// until it solves (DESIGN.md §Saturation search).
-pub(crate) fn bisect_saturation(
+/// A stable `hi` is doubled until it is not.  Every stable probe raises
+/// `lo`, so a search that ends with `lo` where the caller put it found no
+/// stable rate; it then halves `lo` until it is stable (DESIGN.md
+/// §Saturation search).  A malformed bracket, a runaway widening and a
+/// probe that never accepts are typed errors, never panics.
+pub fn bisect_saturation(
     mut lo: f64,
     mut hi: f64,
     rel_tol: f64,

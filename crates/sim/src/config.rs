@@ -2,6 +2,7 @@
 
 use kncube_topology::{
     Boundary, KAryNCube, LinkKind, NodeId, TopologyError, FAULT_ROUTER_BYTES_PER_PAIR,
+    MAX_VIRTUAL_CHANNELS,
 };
 use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
 use std::fmt;
@@ -218,8 +219,10 @@ impl SimConfig {
         if self.virtual_channels < 1 {
             return Err(SimConfigError::Invalid("need at least 1 virtual channel"));
         }
-        if self.virtual_channels > 64 {
-            return Err(SimConfigError::Invalid("more than 64 virtual channels"));
+        if self.virtual_channels > MAX_VIRTUAL_CHANNELS {
+            return Err(SimConfigError::Invalid(
+                "more virtual channels than MAX_VIRTUAL_CHANNELS",
+            ));
         }
         if self.buffer_depth < 1 {
             return Err(SimConfigError::Invalid("buffer depth must be >= 1"));

@@ -57,19 +57,6 @@ pub struct SimReport {
     pub deadlocked: bool,
 }
 
-impl SimReport {
-    /// Relative 95% confidence half-width, when available.
-    pub fn relative_ci(&self) -> Option<f64> {
-        self.ci_half_width.map(|hw| {
-            if self.mean_latency > 0.0 {
-                hw / self.mean_latency
-            } else {
-                0.0
-            }
-        })
-    }
-}
-
 impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -127,14 +114,6 @@ mod tests {
             saturated: false,
             deadlocked: false,
         }
-    }
-
-    #[test]
-    fn relative_ci_divides_by_mean() {
-        assert_eq!(report().relative_ci(), Some(0.05));
-        let mut r = report();
-        r.ci_half_width = None;
-        assert_eq!(r.relative_ci(), None);
     }
 
     #[test]

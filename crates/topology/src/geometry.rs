@@ -108,23 +108,18 @@ impl KAryNCube {
     /// Create a unidirectional k-ary n-cube (the configuration analysed in
     /// the paper).
     pub fn unidirectional(k: u32, n: u32) -> Result<Self, TopologyError> {
-        Self::new(k, n, LinkKind::Unidirectional)
+        Self::with_boundary(k, n, LinkKind::Unidirectional, Boundary::Torus)
     }
 
     /// Create a bidirectional k-ary n-cube.
     pub fn bidirectional(k: u32, n: u32) -> Result<Self, TopologyError> {
-        Self::new(k, n, LinkKind::Bidirectional)
+        Self::with_boundary(k, n, LinkKind::Bidirectional, Boundary::Torus)
     }
 
     /// Create a bidirectional n-dimensional `k × … × k` mesh (no
     /// wrap-around links).
     pub fn mesh(k: u32, n: u32) -> Result<Self, TopologyError> {
         Self::with_boundary(k, n, LinkKind::Bidirectional, Boundary::Mesh)
-    }
-
-    /// Create a k-ary n-cube torus with the given link kind.
-    pub fn new(k: u32, n: u32, links: LinkKind) -> Result<Self, TopologyError> {
-        Self::with_boundary(k, n, links, Boundary::Torus)
     }
 
     /// Create a topology with the given link kind and boundary condition.

@@ -34,4 +34,4 @@ pub use faults::{FaultRouter, FaultSet, TreeEdge, FAULT_ROUTER_BYTES_PER_PAIR};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
 pub use ring::Ring;
-pub use routing::{DorRoute, Hop, VcClass};
+pub use routing::{DorRoute, Hop, VcClass, MAX_VIRTUAL_CHANNELS};

@@ -17,6 +17,11 @@
 use crate::channel::{Channel, Direction};
 use crate::geometry::{KAryNCube, NodeId};
 
+/// Largest number of virtual channels per physical channel that the
+/// models and the simulator accept.  Every model configuration can then
+/// also be simulated, and the model's per-channel work stays bounded.
+pub const MAX_VIRTUAL_CHANNELS: u32 = 64;
+
 /// Dally–Seitz virtual-channel class within a ring.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum VcClass {

@@ -16,7 +16,9 @@
 //! cargo run --release --example global_sync
 //! ```
 
-use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel, UniformModel};
+use kncube::model::{
+    bisect_saturation, find_saturation_ncube, NCubeConfig, NCubeModel, UniformModel,
+};
 use kncube::sim::{SimConfig, Simulator};
 
 fn main() {
@@ -52,19 +54,11 @@ fn main() {
 
     // The uniform-traffic reference: what the same network carries with no
     // barrier concentration at all.
-    let uniform_sat = {
-        let mut lo = 1e-5;
-        let mut hi = 1e-2;
-        while (hi - lo) / hi > 1e-3 {
-            let mid = 0.5 * (lo + hi);
-            if UniformModel::new(k, v, lm, mid).solve().is_ok() {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    };
+    let uniform_sat = bisect_saturation(1e-5, 1e-2, 1e-3, |lambda| {
+        UniformModel::new(k, v, lm, lambda).solve().ok().map(|_| 0)
+    })
+    .expect("uniform traffic saturates inside the bracket")
+    .lambda_star;
     println!(
         "\nuniform traffic (h = 0) saturates at λ* ≈ {uniform_sat:.3e} — \
          a 5% barrier share already costs most of that headroom."

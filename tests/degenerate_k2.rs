@@ -139,11 +139,14 @@ fn k2_faulty_model_coincides_bitwise_across_link_kinds() {
                 );
                 // …and the forced general path agrees bitwise too, which
                 // pins the enumeration-order argument itself.
-                let (ga, gb) = (mu.solve_general().unwrap(), mb.solve_general().unwrap());
+                let (ga, gb) = (
+                    mu.solve_general_at(lambda).unwrap(),
+                    mb.solve_general_at(lambda).unwrap(),
+                );
                 assert_eq!(
                     ga.latency.to_bits(),
                     gb.latency.to_bits(),
-                    "n={n} λ={lambda} solve_general()"
+                    "n={n} λ={lambda} solve_general_at()"
                 );
                 assert_eq!(ga.max_utilization.to_bits(), gb.max_utilization.to_bits());
                 assert_eq!(ga.hot_latency.to_bits(), gb.hot_latency.to_bits());
