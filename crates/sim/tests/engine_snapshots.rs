@@ -8,12 +8,26 @@
 //! object-graph engine, not merely statistically close, for n ∈ {2, 3}
 //! and for both ejection policies and buffer depths.
 //!
+//! The later cases (faulty leg, (8,3) near saturation, V = 1 and V = 4,
+//! a saturated run, a watchdog-stopped run, and the mid-run hook values)
+//! were recorded from the per-flit engine before uncontended worms began
+//! to advance as a unit; they pin that the streaming representation is
+//! observably identical too.
+//!
 //! If an intentional behaviour change ever lands (new arbitration rule,
 //! different accumulation order), re-record the constants in the same
 //! change and say so in the commit — a silent diff here is a determinism
 //! regression.
 
 use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
+use kncube_topology::{Boundary, ChannelId, LinkKind};
+use kncube_traffic::{FaultSpec, TrafficPattern};
+
+/// The fault densities of the validation benchmark's faulty leg.
+const FIVE_PERCENT_FAULTS: FaultSpec = FaultSpec {
+    router_failure_prob: 0.05,
+    link_failure_prob: 0.05,
+};
 
 struct Snapshot {
     name: &'static str,
@@ -38,11 +52,18 @@ struct Snapshot {
     in_flight_at_end: u64,
 }
 
+/// Compare a run that must end neither saturated nor deadlocked.
 fn check(s: Snapshot) {
+    check_flags(s, false, false);
+}
+
+/// Compare every report field, the `saturated` and `deadlocked` flags
+/// included.
+fn check_flags(s: Snapshot, saturated: bool, deadlocked: bool) {
     let r = Simulator::new(s.config).unwrap().run();
     let ctx = s.name;
-    assert!(!r.saturated, "{ctx}: unexpectedly saturated");
-    assert!(!r.deadlocked, "{ctx}: unexpectedly deadlocked");
+    assert_eq!(r.saturated, saturated, "{ctx}: saturated");
+    assert_eq!(r.deadlocked, deadlocked, "{ctx}: deadlocked");
     assert_eq!(
         r.mean_latency.to_bits(),
         s.mean_latency,
@@ -273,7 +294,6 @@ fn snapshot_buffer_depth1_k8() {
 
 #[test]
 fn snapshot_bidirectional_torus_k8() {
-    use kncube_topology::{Boundary, LinkKind};
     check(Snapshot {
         name: "bidi_torus_k8",
         config: SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 77)
@@ -302,7 +322,6 @@ fn snapshot_bidirectional_torus_k8() {
 
 #[test]
 fn snapshot_mesh_k8() {
-    use kncube_topology::{Boundary, LinkKind};
     check(Snapshot {
         name: "mesh_k8",
         config: SimConfig::ncube(8, 2, 2, 16, 5e-3, 0.3, 78)
@@ -327,4 +346,225 @@ fn snapshot_mesh_k8() {
         max_source_queue: 159,
         in_flight_at_end: 2731,
     });
+}
+
+/// The shape of the validation benchmark's faulty leg: an 8×8
+/// bidirectional torus with 5% router and 5% link faults at about 0.6·λ*
+/// of the faulty model, so unreachable drops and detour routes are both
+/// exercised, stopped by `target_messages`.
+#[test]
+fn snapshot_faulty_leg_bitorus_k8() {
+    check(Snapshot {
+        name: "faulty_leg_bitorus_k8",
+        config: SimConfig::ncube(8, 2, 2, 16, 4.7e-3, 0.2, 1)
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(FIVE_PERCENT_FAULTS)
+            .with_limits(200_000, 5_000, 4_000),
+        mean_latency: 0x403bb291c417c4ce,
+        ci_half_width: Some(0x3ff094654310436e),
+        latency_std_dev: 0x402c93b8a7af2de2,
+        max_latency: 0x406ac00000000000,
+        completed: 4222,
+        completed_regular: 3391,
+        completed_hot: 831,
+        mean_latency_regular: 0x4039f120b05a97cc,
+        mean_latency_hot: 0x40416e4951a2f711,
+        generated: 5833,
+        dropped_unreachable: 178,
+        mean_detour_hops: 0x3fa70a8cea4af1d0,
+        reachable_fraction: 0x3fef000000000000,
+        cycles: 19456,
+        throughput: 0x3f72b116cf1f97bb,
+        vbar_measured: 0x3ff07b77f4ccd33e,
+        max_source_queue: 0,
+        in_flight_at_end: 9,
+    });
+}
+
+/// The (8,3) uni-torus of the `ncube` figure at 0.8·λ* (λ* = 6.3626e-4),
+/// stopped by `target_messages`: heavy port sharing and header waits.
+#[test]
+fn snapshot_cube_k8_n3_v2_lm16_h20_near_saturation() {
+    check(Snapshot {
+        name: "cube_k8_n3_v2_lm16_h20_near_saturation",
+        config: SimConfig::ncube(8, 3, 2, 16, 5.09e-4, 0.2, 83).with_limits(200_000, 5_000, 3_000),
+        mean_latency: 0x4041eeb9b3b42efd,
+        ci_half_width: Some(0x4010a51ea21baf1e),
+        latency_std_dev: 0x40413e48e2b5a838,
+        max_latency: 0x4083b00000000000,
+        completed: 3201,
+        completed_regular: 2559,
+        completed_hot: 642,
+        mean_latency_regular: 0x403e6d57bbf93282,
+        mean_latency_hot: 0x404cc52f0d8ec102,
+        generated: 4490,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 17408,
+        throughput: 0x3f4082b931057262,
+        vbar_measured: 0x3ff04710f89b1bf1,
+        max_source_queue: 0,
+        in_flight_at_end: 7,
+    });
+}
+
+/// One virtual channel on the uni-torus: the Low (pre-wrap) class is
+/// empty, so every wrapping route blocks at its first wrapping hop.
+#[test]
+fn snapshot_uni_torus_k8_v1() {
+    check(Snapshot {
+        name: "uni_torus_k8_v1",
+        config: SimConfig::ncube(8, 2, 1, 16, 5e-4, 0.2, 41).with_limits(40_000, 4_000, 0),
+        mean_latency: 0x4037bda12f684bda,
+        ci_half_width: None,
+        latency_std_dev: 0x4008f6e7e94b3d53,
+        max_latency: 0x403d000000000000,
+        completed: 27,
+        completed_regular: 27,
+        completed_hot: 0,
+        mean_latency_regular: 0x4037bda12f684bda,
+        mean_latency_hot: 0x0000000000000000,
+        generated: 1284,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 40000,
+        throughput: 0x3ee89374bc6a7efa,
+        vbar_measured: 0x3ff0000000000000,
+        max_source_queue: 31,
+        in_flight_at_end: 1239,
+    });
+}
+
+/// Four virtual channels per port (two per Dally–Seitz class).
+#[test]
+fn snapshot_uni_torus_k8_v4() {
+    check(Snapshot {
+        name: "uni_torus_k8_v4",
+        config: SimConfig::ncube(8, 2, 4, 16, 2e-3, 0.2, 44).with_limits(40_000, 4_000, 0),
+        mean_latency: 0x403f18c80876f35a,
+        ci_half_width: Some(0x3fe2ad7ee0925c12),
+        latency_std_dev: 0x40256dcea7e5e4d9,
+        max_latency: 0x4061200000000000,
+        completed: 4597,
+        completed_regular: 3698,
+        completed_hot: 899,
+        mean_latency_regular: 0x403de18a50946c02,
+        mean_latency_hot: 0x40420c878bd14c9e,
+        generated: 5103,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 40000,
+        throughput: 0x3f60584aa3628814,
+        vbar_measured: 0x3ff4490783ec0c6c,
+        max_source_queue: 0,
+        in_flight_at_end: 4,
+    });
+}
+
+/// Far past λ*: the run stops when a source queue exceeds
+/// `max_source_queue`.
+#[test]
+fn snapshot_saturated_source_queue() {
+    check_flags(
+        Snapshot {
+            name: "saturated_source_queue",
+            config: SimConfig {
+                max_source_queue: 100,
+                ..SimConfig::ncube(8, 2, 2, 16, 0.01, 0.5, 7)
+            }
+            .with_limits(200_000, 2_000, 0),
+            mean_latency: 0x4084238836191df3,
+            ci_half_width: Some(0x409df18575d6d517),
+            latency_std_dev: 0x40936b19b5b9cade,
+            max_latency: 0x40b6730000000000,
+            completed: 1060,
+            completed_regular: 554,
+            completed_hot: 506,
+            mean_latency_regular: 0x4081d0f049ef5d56,
+            mean_latency_hot: 0x4086ae8796c44ce7,
+            generated: 5908,
+            dropped_unreachable: 0,
+            mean_detour_hops: 0x0000000000000000,
+            reachable_fraction: 0x3ff0000000000000,
+            cycles: 9216,
+            throughput: 0x3f62cd7b2cd7b2cd,
+            vbar_measured: 0x3ff1c3372bb7a58e,
+            max_source_queue: 112,
+            in_flight_at_end: 4273,
+        },
+        true,
+        false,
+    );
+}
+
+/// V = 1 tornado traffic on a faulty bi-torus: detour routes close a
+/// channel-dependency cycle and the deadlock watchdog stops the run.
+#[test]
+fn snapshot_deadlock_watchdog_v1_tornado() {
+    check_flags(
+        Snapshot {
+            name: "deadlock_watchdog_v1_tornado",
+            config: SimConfig {
+                virtual_channels: 1,
+                pattern: TrafficPattern::Tornado,
+                max_source_queue: 0,
+                ..SimConfig::ncube(8, 2, 1, 8, 5e-3, 0.0, 1)
+            }
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(FIVE_PERCENT_FAULTS)
+            .with_limits(200_000, 0, 0),
+            mean_latency: 0x4030ad2d2d2d2d2c,
+            ci_half_width: None,
+            latency_std_dev: 0x400a0862569b9a75,
+            max_latency: 0x403c000000000000,
+            completed: 34,
+            completed_regular: 34,
+            completed_hot: 0,
+            mean_latency_regular: 0x4030ad2d2d2d2d2c,
+            mean_latency_hot: 0x0000000000000000,
+            generated: 3906,
+            dropped_unreachable: 116,
+            mean_detour_hops: 0x0000000000000000,
+            reachable_fraction: 0x3fef000000000000,
+            cycles: 12288,
+            throughput: 0x3f06aaaaaaaaaaab,
+            vbar_measured: 0x3ff0000000000000,
+            max_source_queue: 0,
+            in_flight_at_end: 3756,
+        },
+        false,
+        true,
+    );
+}
+
+/// The inspection hooks mid-run: at fixed cycles of a stepped, contended
+/// run, the live message count, the flits moved over all network channels
+/// and the conservation check.
+#[test]
+fn snapshot_hooks_mid_run() {
+    let cfg = SimConfig::ncube(8, 2, 2, 16, 4e-3, 0.3, 5);
+    let channels = cfg.topology().unwrap().num_channels();
+    let mut sim = Simulator::new(cfg).unwrap();
+    // (cycle, in_flight, Σ channel_flits)
+    let expected: [(u64, usize, u64); 4] = [
+        (500, 40, 8773),
+        (1500, 82, 31765),
+        (3000, 216, 59369),
+        (5000, 408, 95465),
+    ];
+    for (cycle, in_flight, flits) in expected {
+        while sim.cycle() < cycle {
+            sim.step();
+        }
+        let moved: u64 = (0..channels).map(|c| sim.channel_flits(ChannelId(c))).sum();
+        assert_eq!(sim.in_flight(), in_flight, "in_flight at cycle {cycle}");
+        assert_eq!(moved, flits, "channel flits at cycle {cycle}");
+        assert!(
+            sim.flit_conservation_check(),
+            "conservation at cycle {cycle}"
+        );
+    }
 }
