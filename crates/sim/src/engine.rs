@@ -63,7 +63,7 @@
 //! report.
 
 use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
-use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG};
+use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG, PER_FLIT};
 use crate::report::SimReport;
 use crate::stats::{BatchMeans, StreamingStats};
 use kncube_topology::{Boundary, Channel, ChannelId, FaultRouter, KAryNCube, NodeId, VcClass};
@@ -86,6 +86,9 @@ const CNT_DEP: u64 = 1 << 32;
 const CNT_F: u64 = 0xFFFF;
 /// Everything below the stamp.
 const CNT_MASK: u64 = (1 << 48) - 1;
+
+/// `port_stream_at` of a port with no streaming virtual channel.
+const NO_STREAM: u64 = u64::MAX;
 
 /// Batches of the batch-means confidence interval
 /// ([`SimReport::ci_half_width`]).
@@ -164,8 +167,18 @@ pub struct Simulator {
     /// cycle — or any cycle until a new grant — so the move phase skips
     /// it outright instead of scanning its VCs.
     port_movable: Vec<u32>,
-    /// Flits transferred (total, for utilization statistics).
+    /// Flits transferred (total, for utilization statistics).  A
+    /// streaming worm adds its flits when its tail crosses (or when it is
+    /// materialised), not flit by flit.
     port_flits: Vec<u64>,
+    /// The cycle of the next flit crossing that does something (the
+    /// header's, then the tail's) of the port's streaming virtual channel,
+    /// or [`NO_STREAM`].  A port holds at most one streaming VC that still
+    /// has flits to receive, and then no other VC with flits to receive.
+    port_stream_at: Vec<u64>,
+    /// That streaming virtual channel (meaningful while `port_stream_at`
+    /// is set).
+    port_stream_vc: Vec<u32>,
     port_in_active: Vec<bool>,
     port_in_pending: Vec<bool>,
     // --- allocation queues: intrusive FIFO per (port, class), indexed by
@@ -188,6 +201,18 @@ pub struct Simulator {
     pending_scratch: Vec<u32>,
     /// Messages draining at their destination.
     ejecting: Vec<MsgId>,
+    /// Streaming worms whose header was queued for its next hop this
+    /// cycle; any still waiting after the next allocation pass leave the
+    /// streaming representation.
+    stream_waits: Vec<MsgId>,
+    /// Whether newly injected worms may stream (set by [`Simulator::run`]
+    /// for the configurations the closed form covers).
+    stream: bool,
+    /// Live streaming worms.
+    n_streaming: usize,
+    /// `SharedChannel` ejection: the cycle each node last delivered a
+    /// flit (empty under `PerMessageSink`).
+    served_at: Vec<u64>,
     /// Scratch buffer for generated messages.
     gen_scratch: Vec<GeneratedMessage>,
     cycle: u64,
@@ -221,7 +246,6 @@ pub struct Simulator {
     vbar_total_v: u64,
     /// Σv² over the same.
     vbar_total_v2: u64,
-    measured_flits_ejected: u64,
     max_queue_seen: usize,
     saturated: bool,
     deadlocked: bool,
@@ -290,6 +314,8 @@ impl Simulator {
             port_busy: vec![0; n_ports],
             port_movable: vec![0; n_ports],
             port_flits: vec![0; n_ports],
+            port_stream_at: vec![NO_STREAM; n_ports],
+            port_stream_vc: vec![0; n_ports],
             port_in_active: vec![false; n_ports],
             port_in_pending: vec![false; n_ports],
             wait_head: vec![NO_MSG; n_ports * 2],
@@ -302,6 +328,13 @@ impl Simulator {
             pending_alloc: Vec::new(),
             pending_scratch: Vec::new(),
             ejecting: Vec::new(),
+            stream_waits: Vec::new(),
+            stream: false,
+            n_streaming: 0,
+            served_at: match config.ejection {
+                EjectionPolicy::PerMessageSink => Vec::new(),
+                EjectionPolicy::SharedChannel => vec![u64::MAX; n_nodes as usize],
+            },
             gen_scratch: Vec::new(),
             cycle: 0,
             next_sweep: 1 << 16,
@@ -318,7 +351,6 @@ impl Simulator {
             busy_v2: 0,
             vbar_total_v: 0,
             vbar_total_v2: 0,
-            measured_flits_ejected: 0,
             max_queue_seen: 0,
             saturated: false,
             deadlocked: false,
@@ -503,6 +535,17 @@ impl Simulator {
             }
         }
         self.pending_scratch = pending;
+        // A streaming header not granted on its first pass waits: its
+        // flits bunch up behind it, which only the per-flit path models.
+        for i in 0..self.stream_waits.len() {
+            let id = self.stream_waits[i];
+            if self.messages.is_streaming(id)
+                && self.messages.head[id as usize] != HeadState::Crossing
+            {
+                self.materialise(id);
+            }
+        }
+        self.stream_waits.clear();
     }
 
     fn grant(&mut self, id: MsgId, port_idx: u32, vc_idx: u32) {
@@ -520,7 +563,32 @@ impl Simulator {
         };
         let busy = self.port_busy[port_idx as usize] + 1;
         self.port_busy[port_idx as usize] = busy;
-        self.port_movable[port_idx as usize] += 1;
+        let p = port_idx as usize;
+        if self.port_movable[p] > 0 {
+            // Another VC here may still move flits: round-robin
+            // arbitration decides flit by flit, so neither worm streams.
+            if self.port_stream_at[p] != NO_STREAM {
+                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
+                self.materialise(holder);
+            }
+            if self.messages.is_streaming(id) {
+                self.materialise(id);
+            }
+        } else if self.messages.is_streaming(id) || (stage == 0 && self.stream) {
+            // Sole mover on this port: the header crosses this cycle and
+            // one flit follows per cycle.
+            if stage == 0 {
+                self.messages.stream_start[id as usize] = self.cycle;
+                self.n_streaming += 1;
+            }
+            debug_assert_eq!(
+                self.messages.stream_start[id as usize] + stage as u64,
+                self.cycle
+            );
+            self.port_stream_at[p] = self.cycle;
+            self.port_stream_vc[p] = vc_idx;
+        }
+        self.port_movable[p] += 1;
         if port_idx < self.inj_base {
             // Incremental Σv / Σv² over network channels.
             self.busy_v += 1;
@@ -566,6 +634,15 @@ impl Simulator {
                 // Every allocated VC is fully transferred: nothing can
                 // move here until a fresh grant, and skipping has no
                 // observable effect (a scan would find no movable flit).
+                continue;
+            }
+            let at = self.port_stream_at[port_idx as usize];
+            if at != NO_STREAM {
+                // A streaming worm is the only mover: only its header's
+                // and its tail's crossings change anything.
+                if at == self.cycle {
+                    self.stream_crossing(port_idx);
+                }
                 continue;
             }
             let v = self.v;
@@ -649,6 +726,88 @@ impl Simulator {
         true
     }
 
+    /// The header or the tail of the streaming VC on `port` crosses it this
+    /// cycle: do what the per-flit move of that flit does.
+    fn stream_crossing(&mut self, port_idx: u32) {
+        let p = port_idx as usize;
+        let vc_idx = self.port_stream_vc[p];
+        let pv = self.pv(port_idx, vc_idx);
+        let slot = self.vc_slot[pv];
+        let id = slot as u32;
+        let stage = ((slot >> 32) & 0xFFFF) as usize;
+        let length = u64::from(self.messages.length[id as usize]);
+        let header_at = self.messages.stream_start[id as usize] + stage as u64;
+        let tail_at = header_at + length - 1;
+        if self.cycle == tail_at {
+            self.port_stream_at[p] = NO_STREAM;
+            self.port_movable[p] -= 1;
+            self.port_flits[p] += length;
+            self.vc_slot[pv] = slot & CNT_MASK;
+            if stage > 0 {
+                // The tail just left the previous stage: release it.
+                let prev = self.messages.chain[self.messages.chain_base(id) + stage - 1];
+                self.free_vc(prev.port, prev.vc);
+            }
+        } else {
+            self.port_stream_at[p] = tail_at;
+        }
+        if self.cycle == header_at {
+            self.port_rr[p] = (vc_idx + 1) % self.v;
+            self.on_head_arrival(id, port_idx);
+        }
+    }
+
+    /// Put the streaming worm `id` on the per-flit path: write the state
+    /// the per-flit engine holds at the end of the previous cycle, which is
+    /// where the engine stands (materialisation only happens during
+    /// allocation, before any flit of this cycle moves).
+    fn materialise(&mut self, id: MsgId) {
+        let i = id as usize;
+        let start = self.messages.stream_start[i];
+        debug_assert_ne!(start, PER_FLIT);
+        self.messages.stream_start[i] = PER_FLIT;
+        self.n_streaming -= 1;
+        let length = self.messages.length[i];
+        let chain_len = self.messages.chain_len[i] as usize;
+        let base = self.messages.chain_base(id);
+        // Stage `s` saw flit `f` at cycle `start + s + f - 1`; ejection
+        // runs one stage behind the last.
+        let seen_by = |at: u64| self.cycle.saturating_sub(at).min(u64::from(length)) as u32;
+        for s in 0..chain_len {
+            self.messages.chain[base + s].entered = seen_by(start + s as u64);
+        }
+        let ejected = if self.messages.head[i] == HeadState::Ejecting {
+            seen_by(start + chain_len as u64)
+        } else {
+            0
+        };
+        self.messages.ejected[i] = ejected;
+        let stamp = self.cycle & 0xFFFF;
+        for s in 0..chain_len {
+            let stage = self.messages.chain[base + s];
+            let left = match self.messages.chain.get(base + s + 1) {
+                Some(next) if s + 1 < chain_len => next.entered,
+                _ => ejected,
+            };
+            if s + 1 < chain_len && left == length {
+                continue; // released when the tail left it
+            }
+            let pv = self.pv(stage.port, stage.vc);
+            self.vc_slot[pv] =
+                u64::from(length - stage.entered) << 48 | (s as u64) << 32 | u64::from(id);
+            self.vc_cnt[pv] = u64::from(stage.entered - left) | stamp << 48;
+            let p = stage.port as usize;
+            if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
+                self.port_stream_at[p] = NO_STREAM;
+                self.port_flits[p] += u64::from(stage.entered);
+            }
+        }
+        if self.cycle > start {
+            // It moved a flit every cycle since its header was injected.
+            self.last_progress = self.last_progress.max(self.cycle - 1);
+        }
+    }
+
     /// The header landed in the buffer at the sink of `port`: route it.
     fn on_head_arrival(&mut self, id: MsgId, port_idx: u32) {
         let node = self.port_sink(port_idx);
@@ -687,6 +846,9 @@ impl Simulator {
             VcClass::Low => 1,
         };
         self.enqueue_request(id, next_port, class);
+        if self.messages.is_streaming(id) {
+            self.stream_waits.push(id);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -699,7 +861,12 @@ impl Simulator {
                 let mut i = 0;
                 while i < self.ejecting.len() {
                     let id = self.ejecting[i];
-                    if self.try_eject_one(id) && self.messages.is_delivered(id) {
+                    let done = if self.messages.is_streaming(id) {
+                        self.stream_delivered(id)
+                    } else {
+                        self.try_eject_one(id) && self.messages.is_delivered(id)
+                    };
+                    if done {
                         self.complete(id);
                         self.ejecting.swap_remove(i);
                     } else {
@@ -710,17 +877,16 @@ impl Simulator {
             EjectionPolicy::SharedChannel => {
                 // One flit per node per cycle: group by destination and
                 // serve round-robin by rotating the ejecting list.
-                let mut served: Vec<NodeId> = Vec::new();
                 let mut i = 0;
                 while i < self.ejecting.len() {
                     let id = self.ejecting[i];
-                    let dest = self.messages.dest[id as usize];
-                    if served.contains(&dest) {
+                    let dest = self.messages.dest[id as usize].0 as usize;
+                    if self.served_at[dest] == self.cycle {
                         i += 1;
                         continue;
                     }
                     if self.try_eject_one(id) {
-                        served.push(dest);
+                        self.served_at[dest] = self.cycle;
                         if self.messages.is_delivered(id) {
                             self.complete(id);
                             self.ejecting.swap_remove(i);
@@ -752,13 +918,29 @@ impl Simulator {
         }
         self.vc_cnt[pv] = (w + (CNT_DEP - CNT_OCC)) & CNT_MASK | stamp << 48;
         self.messages.ejected[i] += 1;
-        if self.messages.measured[i] {
-            self.measured_flits_ejected += 1;
-        }
         self.last_progress = self.cycle;
         if self.messages.is_delivered(id) {
             self.free_vc(last.port, last.vc);
         }
+        true
+    }
+
+    /// Whether the streaming worm `id` delivers its tail this cycle (it
+    /// delivered one flit per cycle since the cycle after its header
+    /// arrived); if so, release its last VC.
+    fn stream_delivered(&mut self, id: MsgId) -> bool {
+        let i = id as usize;
+        let chain_len = self.messages.chain_len[i];
+        let length = self.messages.length[i];
+        if self.cycle != self.messages.stream_start[i] + u64::from(chain_len - 1 + length) {
+            return false;
+        }
+        self.messages.stream_start[i] = PER_FLIT;
+        self.n_streaming -= 1;
+        self.messages.ejected[i] = length;
+        self.last_progress = self.cycle;
+        let last = self.messages.chain[self.messages.chain_base(id) + chain_len as usize - 1];
+        self.free_vc(last.port, last.vc);
         true
     }
 
@@ -842,6 +1024,10 @@ impl Simulator {
                 return false;
             }
         }
+        if self.n_streaming > 0 {
+            // A streaming worm moves a flit every cycle of its life.
+            self.last_progress = self.cycle - 1;
+        }
         // Deadlock watchdog: in-flight messages but no flit movement for a
         // long stretch cannot happen in a correct deadlock-free network.
         if self.messages.live_count() > 0
@@ -854,41 +1040,65 @@ impl Simulator {
     }
 
     /// Run to completion (max cycles, message target, or failure) and
-    /// report.
-    pub fn run(mut self) -> SimReport {
-        while self.cycle < self.config.max_cycles {
-            // Fast-forward across fully idle stretches: with nothing in
-            // flight, nothing can happen until the next arrival.
-            if self.messages.live_count() == 0 {
-                match self.arrival_heap.peek() {
-                    Some(&Reverse((next, _))) if next > self.cycle => {
-                        self.cycle = next.min(self.config.max_cycles);
-                        self.last_progress = self.cycle;
-                        if self.cycle == self.config.max_cycles {
-                            break;
-                        }
-                    }
-                    Some(_) => {}
-                    None => {
-                        // No further arrivals, ever.
-                        self.cycle = self.config.max_cycles;
-                        break;
+    /// report.  Worms stream wherever the closed form covers the
+    /// configuration: `buffer_depth >= 2` and per-message ejection sinks.
+    pub fn run(self) -> SimReport {
+        let stream = self.streams();
+        self.run_with(stream)
+    }
+
+    /// Whether the configuration lets worms stream: a depth-1 buffer
+    /// stalls every other flit and a shared ejection channel interleaves
+    /// the messages draining at a node, so neither has the one flit per
+    /// cycle closed form.
+    fn streams(&self) -> bool {
+        self.config.buffer_depth >= 2 && self.config.ejection == EjectionPolicy::PerMessageSink
+    }
+
+    /// [`Simulator::run`], with streaming allowed or not; both give the
+    /// same report bit for bit.
+    fn run_with(mut self, stream: bool) -> SimReport {
+        self.stream = stream;
+        while self.advance() {}
+        self.into_report()
+    }
+
+    /// One iteration of the run loop; false once the run is over.
+    fn advance(&mut self) -> bool {
+        if self.cycle >= self.config.max_cycles {
+            return false;
+        }
+        // Fast-forward across fully idle stretches: with nothing in
+        // flight, nothing can happen until the next arrival.
+        if self.messages.live_count() == 0 {
+            match self.arrival_heap.peek() {
+                Some(&Reverse((next, _))) if next > self.cycle => {
+                    self.cycle = next.min(self.config.max_cycles);
+                    self.last_progress = self.cycle;
+                    if self.cycle == self.config.max_cycles {
+                        return false;
                     }
                 }
-            }
-            self.step();
-            if self.cycle.is_multiple_of(1024) {
-                if !self.healthy() {
-                    break;
-                }
-                if self.config.target_messages > 0
-                    && self.completed_measured >= self.config.target_messages
-                {
-                    break;
+                Some(_) => {}
+                None => {
+                    // No further arrivals, ever.
+                    self.cycle = self.config.max_cycles;
+                    return false;
                 }
             }
         }
-        self.into_report()
+        self.step();
+        if self.cycle.is_multiple_of(1024) {
+            if !self.healthy() {
+                return false;
+            }
+            if self.config.target_messages > 0
+                && self.completed_measured >= self.config.target_messages
+            {
+                return false;
+            }
+        }
+        true
     }
 
     /// Produce the report for the cycles simulated so far.
@@ -1011,7 +1221,157 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kncube_traffic::{ArrivalProcess, TrafficPattern};
+    use kncube_topology::LinkKind;
+    use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    impl Simulator {
+        /// Put every streaming worm on the per-flit path (between cycles).
+        fn materialise_all(&mut self) {
+            for id in 0..self.messages.capacity() as MsgId {
+                if self.messages.live[id as usize] && self.messages.is_streaming(id) {
+                    self.materialise(id);
+                }
+            }
+        }
+
+        /// Everything the rest of a run depends on, rendered for
+        /// comparison: `vc_cnt` by occupancy (between cycles its
+        /// per-cycle fields are stale), messages by their live slots.
+        fn fingerprint(&self) -> String {
+            let m = &self.messages;
+            let live: Vec<_> = (0..m.capacity() as MsgId)
+                .filter(|&id| m.live[id as usize])
+                .map(|id| {
+                    let i = id as usize;
+                    let per_message = (m.src[i], m.dest[i], m.length[i], m.birth[i]);
+                    let progress = (m.ejected[i], m.head[i], m.wait_next[i], m.stream_start[i]);
+                    (id, per_message, progress, m.chain(id).to_vec())
+                })
+                .collect();
+            let occ: Vec<u64> = self.vc_cnt.iter().map(|&w| cnt_occ(w)).collect();
+            let vcs = (&self.vc_slot, occ, &self.vc_prev);
+            let ports = (
+                &self.port_rr,
+                &self.port_busy,
+                &self.port_movable,
+                &self.port_flits,
+                &self.port_in_active,
+                &self.port_in_pending,
+                &self.port_stream_at,
+            );
+            let queues = (&self.wait_head, &self.wait_tail, &self.wait_len);
+            let lists = (&self.active, &self.pending_alloc, &self.ejecting);
+            let counters = (
+                self.cycle,
+                self.last_progress,
+                self.generated,
+                self.completed_measured,
+                (self.busy_v, self.busy_v2, self.vbar_total_v, self.vbar_total_v2),
+                self.max_queue_seen,
+                &self.latency_all,
+                m.capacity(),
+            );
+            format!("{:?}", (vcs, ports, queues, live, lists, counters))
+        }
+    }
+
+    /// Run `cfg` on the per-flit path and with streaming, in lockstep;
+    /// every `every` iterations materialise the streaming run and compare
+    /// its whole state, and compare the final reports bit for bit.
+    fn assert_streaming_exact(cfg: SimConfig, every: u64) -> Result<(), TestCaseError> {
+        let mut per_flit = Simulator::new(cfg).unwrap();
+        let mut streaming = Simulator::new(cfg).unwrap();
+        streaming.stream = streaming.streams();
+        let mut iterations = 0u64;
+        loop {
+            let (a, b) = (per_flit.advance(), streaming.advance());
+            prop_assert_eq!(a, b, "run length diverged at cycle {}", per_flit.cycle);
+            if !a {
+                break;
+            }
+            iterations += 1;
+            if iterations.is_multiple_of(every) {
+                streaming.materialise_all();
+                prop_assert_eq!(
+                    per_flit.fingerprint(),
+                    streaming.fingerprint(),
+                    "state diverged at cycle {}",
+                    per_flit.cycle
+                );
+            }
+        }
+        let (a, b) = (per_flit.into_report(), streaming.into_report());
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        Ok(())
+    }
+
+    /// Small random configurations across every engine option, from idle
+    /// to far past saturation.
+    fn differential_config() -> impl Strategy<Value = SimConfig> {
+        let shape = (2u32..=6, 1u32..=3, 1u32..=4, 1u32..=20, 1u32..=3, 0u32..3);
+        let traffic = (0.0f64..=0.8, 0.02f64..=1.5, 1u64..10_000, 0u32..4, 0u32..3);
+        (shape, traffic).prop_map(|((k, n, v, lm, depth, links), traffic)| {
+            let (h, frac, seed, ejection, faults) = traffic;
+            let nodes = f64::from(k).powi(n as i32);
+            // A fraction of the hot channel's flit bound.
+            let lambda = frac / (h.max(0.05) * nodes * f64::from(lm + 1));
+            let mut cfg = SimConfig {
+                buffer_depth: depth,
+                ejection: if ejection == 0 {
+                    EjectionPolicy::SharedChannel
+                } else {
+                    EjectionPolicy::PerMessageSink
+                },
+                max_source_queue: 60,
+                ..SimConfig::ncube(k, n, v, lm, lambda, h, seed)
+            }
+            .with_limits(4_000 + seed % 3_000, 300, seed % 2 * 400);
+            cfg = match links {
+                0 => cfg,
+                1 => cfg.with_topology(LinkKind::Bidirectional, Boundary::Torus),
+                _ => cfg.with_topology(LinkKind::Bidirectional, Boundary::Mesh),
+            };
+            if faults == 0 && links > 0 {
+                cfg = cfg.with_faults(FaultSpec {
+                    router_failure_prob: 0.05,
+                    link_failure_prob: 0.1,
+                });
+            }
+            cfg
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Streaming is an exact representation: the report, and the
+        /// whole engine state whenever the streaming run is materialised,
+        /// equal the per-flit path's.
+        #[test]
+        fn streaming_matches_per_flit(cfg in differential_config(), every in 1u64..400) {
+            assert_streaming_exact(cfg, every)?;
+            assert_streaming_exact(cfg, u64::MAX)?;
+        }
+    }
+
+    #[test]
+    fn streaming_matches_per_flit_on_long_runs() {
+        // The benchmark's two legs, long enough to cross the 2^16-cycle
+        // stamp sweep, and the watchdog-stopped V = 1 run.
+        let uni = SimConfig::ncube(8, 3, 2, 16, 4e-4, 0.2, 3).with_limits(70_000, 5_000, 0);
+        let faulty = SimConfig::ncube(8, 2, 2, 16, 4e-3, 0.2, 2)
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(FaultSpec {
+                router_failure_prob: 0.05,
+                link_failure_prob: 0.05,
+            })
+            .with_limits(70_000, 5_000, 0);
+        for cfg in [uni, faulty] {
+            assert_streaming_exact(cfg, 997).unwrap();
+        }
+    }
 
     fn quiet_config(k: u32) -> SimConfig {
         SimConfig {

@@ -25,6 +25,9 @@ pub type MsgId = u32;
 /// Sentinel for "no message" in VC holders and intrusive queue links.
 pub(crate) const NO_MSG: MsgId = MsgId::MAX;
 
+/// [`MessageArena::stream_start`] of a worm on the per-flit path.
+pub(crate) const PER_FLIT: u64 = u64::MAX;
+
 /// One stage of a message's resource chain: a (channel, virtual channel)
 /// pair, identified by the simulator's flat port indexing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -94,6 +97,11 @@ pub struct MessageArena {
     pub(crate) ejected: Vec<u32>,
     pub(crate) head: Vec<HeadState>,
     pub(crate) chain_len: Vec<u32>,
+    /// For a streaming worm (one the engine advances in closed form), the
+    /// cycle its header entered the injection stage: stage `s` then saw
+    /// its header at `stream_start + s` and flit `i` one cycle per flit
+    /// later.  [`PER_FLIT`] for a worm on the per-flit path.
+    pub(crate) stream_start: Vec<u64>,
     /// Intrusive FIFO link for the per-(port, class) allocation queues.
     pub(crate) wait_next: Vec<MsgId>,
     /// Packed chains: slot `id` owns `chain[id*max_chain .. +chain_len]`.
@@ -118,6 +126,7 @@ impl MessageArena {
             ejected: Vec::new(),
             head: Vec::new(),
             chain_len: Vec::new(),
+            stream_start: Vec::new(),
             wait_next: Vec::new(),
             chain: Vec::new(),
             live: Vec::new(),
@@ -141,6 +150,7 @@ impl MessageArena {
                 self.ejected.push(0);
                 self.head.push(HeadState::Done);
                 self.chain_len.push(0);
+                self.stream_start.push(PER_FLIT);
                 self.wait_next.push(NO_MSG);
                 self.chain.resize(
                     self.chain.len() + self.max_chain as usize,
@@ -160,6 +170,7 @@ impl MessageArena {
         self.ejected[i] = 0;
         self.head[i] = HeadState::Done;
         self.chain_len[i] = 0;
+        self.stream_start[i] = PER_FLIT;
         self.wait_next[i] = NO_MSG;
         self.live[i] = true;
         self.n_live += 1;
@@ -234,6 +245,12 @@ impl MessageArena {
             self.ejected[id as usize]
         };
         entered - left
+    }
+
+    /// True while `id` streams.
+    #[inline]
+    pub(crate) fn is_streaming(&self, id: MsgId) -> bool {
+        self.stream_start[id as usize] != PER_FLIT
     }
 
     /// True when every flit of `id` has been delivered.
