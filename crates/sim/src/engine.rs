@@ -179,7 +179,14 @@ pub struct Simulator {
     /// That streaming virtual channel (meaningful while `port_stream_at`
     /// is set).
     port_stream_vc: Vec<u32>,
-    port_in_active: Vec<bool>,
+    /// Activation sequence number: the order in which ports last went
+    /// from idle to busy.  The move phase visits ports in this order, so
+    /// same-cycle header arrivals at one router queue up in it.
+    port_seq: Vec<u64>,
+    /// The next activation sequence number.
+    next_seq: u64,
+    /// Whether the port is on `flit_ports`.
+    port_in_flit: Vec<bool>,
     port_in_pending: Vec<bool>,
     // --- allocation queues: intrusive FIFO per (port, class), indexed by
     // `port * 2 + class` (injection ports use class 0 only) ---
@@ -192,8 +199,19 @@ pub struct Simulator {
     /// nodes that actually have an arrival due, and lets the run loop
     /// fast-forward across fully idle stretches.
     arrival_heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Ports with at least one allocated VC.
-    active: Vec<u32>,
+    /// Ports that may hold a per-flit VC with flits left to receive (a
+    /// superset; idle entries drop out in the move phase).
+    flit_ports: Vec<u32>,
+    /// Streaming crossings by cycle: slot `cycle & wheel_mask` lists the
+    /// ports whose streaming VC has a header or tail crossing then.  The
+    /// wheel spans the message length, so no pending crossing aliases the
+    /// current slot.  An entry whose port no longer expects a crossing
+    /// that cycle (its worm was materialised) is skipped.
+    wheel: Vec<Vec<u32>>,
+    wheel_mask: u64,
+    /// This cycle's deferred crossing side effects, keyed by the
+    /// crossed port's activation order (then releases first).
+    effects: Vec<(u64, Effect)>,
     /// Ports with waiting headers that may be grantable.
     pending_alloc: Vec<u32>,
     /// Scratch list swapped with `pending_alloc` each allocation pass so
@@ -249,6 +267,16 @@ pub struct Simulator {
     max_queue_seen: usize,
     saturated: bool,
     deadlocked: bool,
+}
+
+/// A side effect of a flit crossing, applied after every port moved.
+#[derive(Clone, Copy, Debug)]
+enum Effect {
+    /// The tail left the VC `(port, vc)`: release it.
+    Release(u32, u32),
+    /// The header of a message crossed a port (`id`, port): route it or
+    /// start ejecting.
+    HeadArrival(MsgId, u32),
 }
 
 /// Size of the High VC class: `ceil(V/2)` (the rest are Low).
@@ -316,7 +344,9 @@ impl Simulator {
             port_flits: vec![0; n_ports],
             port_stream_at: vec![NO_STREAM; n_ports],
             port_stream_vc: vec![0; n_ports],
-            port_in_active: vec![false; n_ports],
+            port_seq: vec![0; n_ports],
+            next_seq: 0,
+            port_in_flit: vec![false; n_ports],
             port_in_pending: vec![false; n_ports],
             wait_head: vec![NO_MSG; n_ports * 2],
             wait_tail: vec![NO_MSG; n_ports * 2],
@@ -324,7 +354,10 @@ impl Simulator {
             messages: MessageArena::new(max_chain),
             workloads,
             arrival_heap,
-            active: Vec::new(),
+            flit_ports: Vec::new(),
+            wheel: vec![Vec::new(); config.message_length.next_power_of_two() as usize],
+            wheel_mask: u64::from(config.message_length.next_power_of_two() - 1),
+            effects: Vec::new(),
             pending_alloc: Vec::new(),
             pending_scratch: Vec::new(),
             ejecting: Vec::new(),
@@ -561,22 +594,22 @@ impl Simulator {
             let prev = self.messages.chain[self.messages.chain_base(id) + stage as usize - 1];
             self.pv(prev.port, prev.vc) as u32
         };
-        let busy = self.port_busy[port_idx as usize] + 1;
-        self.port_busy[port_idx as usize] = busy;
         let p = port_idx as usize;
-        if self.port_movable[p] > 0 {
-            // Another VC here may still move flits: round-robin
-            // arbitration decides flit by flit, so neither worm streams.
-            if self.port_stream_at[p] != NO_STREAM {
-                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
-                self.materialise(holder);
-            }
-            if self.messages.is_streaming(id) {
-                self.materialise(id);
-            }
-        } else if self.messages.is_streaming(id) || (stage == 0 && self.stream) {
-            // Sole mover on this port: the header crosses this cycle and
-            // one flit follows per cycle.
+        let busy = self.port_busy[p] + 1;
+        self.port_busy[p] = busy;
+        if busy == 1 {
+            self.port_seq[p] = self.next_seq;
+            self.next_seq += 1;
+        }
+        if port_idx < self.inj_base {
+            // Incremental Σv / Σv² over network channels.
+            self.busy_v += 1;
+            self.busy_v2 += (2 * busy - 1) as u64;
+        }
+        let sole_mover = self.port_movable[p] == 0;
+        self.port_movable[p] += 1;
+        if sole_mover && (self.messages.is_streaming(id) || (stage == 0 && self.stream)) {
+            // The header crosses this cycle and one flit follows per cycle.
             if stage == 0 {
                 self.messages.stream_start[id as usize] = self.cycle;
                 self.n_streaming += 1;
@@ -587,16 +620,28 @@ impl Simulator {
             );
             self.port_stream_at[p] = self.cycle;
             self.port_stream_vc[p] = vc_idx;
+            self.wheel[(self.cycle & self.wheel_mask) as usize].push(port_idx);
+            return;
         }
-        self.port_movable[p] += 1;
-        if port_idx < self.inj_base {
-            // Incremental Σv / Σv² over network channels.
-            self.busy_v += 1;
-            self.busy_v2 += (2 * busy - 1) as u64;
+        if !sole_mover {
+            // Another VC here may still move flits: round-robin
+            // arbitration decides flit by flit, so neither worm streams.
+            if self.port_stream_at[p] != NO_STREAM {
+                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
+                self.materialise(holder);
+            }
+            if self.messages.is_streaming(id) {
+                self.materialise(id);
+            }
         }
-        if !self.port_in_active[port_idx as usize] {
-            self.port_in_active[port_idx as usize] = true;
-            self.active.push(port_idx);
+        self.flit_port(port_idx);
+    }
+
+    /// Put `port` on the per-flit worklist.
+    fn flit_port(&mut self, port: u32) {
+        if !self.port_in_flit[port as usize] {
+            self.port_in_flit[port as usize] = true;
+            self.flit_ports.push(port);
         }
     }
 
@@ -623,38 +668,54 @@ impl Simulator {
 
     fn move_flits(&mut self) {
         let cap = self.config.buffer_depth as u64;
-        // Iterate a snapshot: ports becoming active this cycle (they can't
-        // move flits yet anyway — their buffers' flits arrive this cycle)
-        // are picked up next cycle.
-        let mut idx = 0;
-        while idx < self.active.len() {
-            let port_idx = self.active[idx];
-            idx += 1;
-            if self.port_movable[port_idx as usize] == 0 {
-                // Every allocated VC is fully transferred: nothing can
-                // move here until a fresh grant, and skipping has no
-                // observable effect (a scan would find no movable flit).
+        // Which flits cross does not depend on the order ports are
+        // visited in: a flit may move on when it arrived before this cycle
+        // and its buffer had room at the start of it.  Only the side
+        // effects (releasing a VC, queueing or ejecting a header) are
+        // ordered, so they are deferred and applied by activation order.
+        // First the streaming crossings due now.
+        let slot = (self.cycle & self.wheel_mask) as usize;
+        let mut due = std::mem::take(&mut self.wheel[slot]);
+        for &port in &due {
+            if self.port_stream_at[port as usize] == self.cycle {
+                self.stream_crossing(port);
+            }
+        }
+        due.clear();
+        self.wheel[slot] = due;
+        // Then every port with a per-flit VC that still has flits to
+        // receive (a port whose allocated VCs are all fully transferred
+        // can move nothing until a fresh grant).
+        let mut i = 0;
+        while i < self.flit_ports.len() {
+            let port_idx = self.flit_ports[i];
+            let port = port_idx as usize;
+            if self.port_movable[port] == 0 || self.port_stream_at[port] != NO_STREAM {
+                self.port_in_flit[port] = false;
+                self.flit_ports.swap_remove(i);
                 continue;
             }
-            let at = self.port_stream_at[port_idx as usize];
-            if at != NO_STREAM {
-                // A streaming worm is the only mover: only its header's
-                // and its tail's crossings change anything.
-                if at == self.cycle {
-                    self.stream_crossing(port_idx);
-                }
-                continue;
-            }
+            i += 1;
             let v = self.v;
-            let rr = self.port_rr[port_idx as usize];
+            let rr = self.port_rr[port];
             for off in 0..v {
                 let vc_idx = (rr + off) % v;
                 if self.try_move(port_idx, vc_idx, cap) {
-                    self.port_rr[port_idx as usize] = (vc_idx + 1) % v;
+                    self.port_rr[port] = (vc_idx + 1) % v;
                     break;
                 }
             }
         }
+        let mut effects = std::mem::take(&mut self.effects);
+        effects.sort_unstable_by_key(|&(key, _)| key);
+        for &(_, effect) in &effects {
+            match effect {
+                Effect::Release(port, vc) => self.free_vc(port, vc),
+                Effect::HeadArrival(id, port) => self.on_head_arrival(id, port),
+            }
+        }
+        effects.clear();
+        self.effects = effects;
     }
 
     /// Attempt to move one flit of the message on `(port, vc)` across the
@@ -716,14 +777,25 @@ impl Simulator {
             if rem == 1 {
                 // The tail just left the previous stage: release it.
                 let prev = self.messages.chain[base + stage_idx - 1];
-                self.free_vc(prev.port, prev.vc);
+                self.defer(port_idx, Effect::Release(prev.port, prev.vc));
             }
         }
         self.last_progress = self.cycle;
         if is_head_arrival {
-            self.on_head_arrival(id, port_idx);
+            self.defer(port_idx, Effect::HeadArrival(id, port_idx));
         }
         true
+    }
+
+    /// Queue a side effect of this cycle's flit crossing on `port`.
+    #[inline]
+    fn defer(&mut self, port: u32, effect: Effect) {
+        let rank = match effect {
+            Effect::Release(..) => 0,
+            Effect::HeadArrival(..) => 1,
+        };
+        self.effects
+            .push((self.port_seq[port as usize] << 1 | rank, effect));
     }
 
     /// The header or the tail of the streaming VC on `port` crosses it this
@@ -746,14 +818,15 @@ impl Simulator {
             if stage > 0 {
                 // The tail just left the previous stage: release it.
                 let prev = self.messages.chain[self.messages.chain_base(id) + stage - 1];
-                self.free_vc(prev.port, prev.vc);
+                self.defer(port_idx, Effect::Release(prev.port, prev.vc));
             }
         } else {
             self.port_stream_at[p] = tail_at;
+            self.wheel[(tail_at & self.wheel_mask) as usize].push(port_idx);
         }
         if self.cycle == header_at {
             self.port_rr[p] = (vc_idx + 1) % self.v;
-            self.on_head_arrival(id, port_idx);
+            self.defer(port_idx, Effect::HeadArrival(id, port_idx));
         }
     }
 
@@ -800,6 +873,7 @@ impl Simulator {
             if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
                 self.port_stream_at[p] = NO_STREAM;
                 self.port_flits[p] += u64::from(stage.entered);
+                self.flit_port(stage.port);
             }
         }
         if self.cycle > start {
@@ -996,17 +1070,6 @@ impl Simulator {
             self.vbar_total_v += self.busy_v;
             self.vbar_total_v2 += self.busy_v2;
         }
-        // Compact the active worklist: drop ports that went idle.
-        let port_busy = &self.port_busy;
-        let port_in_active = &mut self.port_in_active;
-        self.active.retain(|&p| {
-            if port_busy[p as usize] == 0 {
-                port_in_active[p as usize] = false;
-                false
-            } else {
-                true
-            }
-        });
         self.cycle += 1;
     }
 
@@ -1257,12 +1320,12 @@ mod tests {
                 &self.port_busy,
                 &self.port_movable,
                 &self.port_flits,
-                &self.port_in_active,
+                &self.port_seq,
                 &self.port_in_pending,
                 &self.port_stream_at,
             );
             let queues = (&self.wait_head, &self.wait_tail, &self.wait_len);
-            let lists = (&self.active, &self.pending_alloc, &self.ejecting);
+            let lists = (self.next_seq, &self.pending_alloc, &self.ejecting);
             let counters = (
                 self.cycle,
                 self.last_progress,
