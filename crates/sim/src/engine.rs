@@ -209,6 +209,9 @@ pub struct Simulator {
     /// that cycle (its worm was materialised) is skipped.
     wheel: Vec<Vec<u32>>,
     wheel_mask: u64,
+    /// Ports a crossing or ejection this cycle may unblock from the next
+    /// cycle on (a flit to read, or room to write).
+    woken: Vec<u32>,
     /// This cycle's deferred crossing side effects, keyed by the
     /// crossed port's activation order (then releases first).
     effects: Vec<(u64, Effect)>,
@@ -357,6 +360,7 @@ impl Simulator {
             flit_ports: Vec::new(),
             wheel: vec![Vec::new(); config.message_length.next_power_of_two() as usize],
             wheel_mask: u64::from(config.message_length.next_power_of_two() - 1),
+            woken: Vec::new(),
             effects: Vec::new(),
             pending_alloc: Vec::new(),
             pending_scratch: Vec::new(),
@@ -637,6 +641,14 @@ impl Simulator {
         self.flit_port(port_idx);
     }
 
+    /// Put the ports woken this cycle back on the per-flit worklist.
+    fn wake_ports(&mut self) {
+        for i in 0..self.woken.len() {
+            self.flit_port(self.woken[i]);
+        }
+        self.woken.clear();
+    }
+
     /// Put `port` on the per-flit worklist.
     fn flit_port(&mut self, port: u32) {
         if !self.port_in_flit[port as usize] {
@@ -683,27 +695,34 @@ impl Simulator {
         }
         due.clear();
         self.wheel[slot] = due;
-        // Then every port with a per-flit VC that still has flits to
-        // receive (a port whose allocated VCs are all fully transferred
-        // can move nothing until a fresh grant).
+        // Then the ports with per-flit VCs that may move a flit.  A port
+        // whose allocated VCs are all fully transferred can move nothing
+        // until a fresh grant, and a port that moved nothing stays blocked
+        // until a flit enters a buffer it reads from or leaves one it
+        // writes to, which puts it back on the list (`try_move`,
+        // `try_eject_one`).
         let mut i = 0;
         while i < self.flit_ports.len() {
             let port_idx = self.flit_ports[i];
             let port = port_idx as usize;
-            if self.port_movable[port] == 0 || self.port_stream_at[port] != NO_STREAM {
+            let mut moved = false;
+            if self.port_movable[port] > 0 && self.port_stream_at[port] == NO_STREAM {
+                let v = self.v;
+                let rr = self.port_rr[port];
+                for off in 0..v {
+                    let vc_idx = (rr + off) % v;
+                    if self.try_move(port_idx, vc_idx, cap) {
+                        self.port_rr[port] = (vc_idx + 1) % v;
+                        moved = true;
+                        break;
+                    }
+                }
+            }
+            if moved {
+                i += 1;
+            } else {
                 self.port_in_flit[port] = false;
                 self.flit_ports.swap_remove(i);
-                continue;
-            }
-            i += 1;
-            let v = self.v;
-            let rr = self.port_rr[port];
-            for off in 0..v {
-                let vc_idx = (rr + off) % v;
-                if self.try_move(port_idx, vc_idx, cap) {
-                    self.port_rr[port] = (vc_idx + 1) % v;
-                    break;
-                }
             }
         }
         let mut effects = std::mem::take(&mut self.effects);
@@ -778,7 +797,14 @@ impl Simulator {
                 // The tail just left the previous stage: release it.
                 let prev = self.messages.chain[base + stage_idx - 1];
                 self.defer(port_idx, Effect::Release(prev.port, prev.vc));
+            } else {
+                // Room upstream from the next cycle on.
+                self.woken.push(prev_pv as u32 / self.v);
             }
+        }
+        if !is_head_arrival && stage_idx as u32 + 1 < self.messages.chain_len[id as usize] {
+            // A flit to move on from the next cycle on.
+            self.woken.push(self.messages.chain[base + stage_idx + 1].port);
         }
         self.last_progress = self.cycle;
         if is_head_arrival {
@@ -993,6 +1019,8 @@ impl Simulator {
         self.vc_cnt[pv] = (w + (CNT_DEP - CNT_OCC)) & CNT_MASK | stamp << 48;
         self.messages.ejected[i] += 1;
         self.last_progress = self.cycle;
+        // Room in the last buffer from the next cycle on.
+        self.woken.push(last.port);
         if self.messages.is_delivered(id) {
             self.free_vc(last.port, last.vc);
         }
@@ -1062,6 +1090,7 @@ impl Simulator {
         self.allocate();
         self.move_flits();
         self.eject();
+        self.wake_ports();
         // Multiplexing measurement (after warm-up): average busy VCs over
         // busy physical channels, the quantity Eqs. (33)-(35) model.  The
         // Σv / Σv² snapshot is maintained incrementally by grant/free_vc,
