@@ -450,6 +450,13 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn generate(&mut self) {
+        if self
+            .arrival_heap
+            .peek()
+            .is_none_or(|&Reverse((due, _))| due != self.cycle)
+        {
+            return;
+        }
         let mut scratch = std::mem::take(&mut self.gen_scratch);
         scratch.clear();
         while let Some(&Reverse((due, node))) = self.arrival_heap.peek() {
