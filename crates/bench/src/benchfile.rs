@@ -17,9 +17,6 @@
 
 use crate::json::{parse, Json};
 
-/// Schema version of every BENCH document; bump on breaking changes.
-pub const SCHEMA_VERSION: f64 = 1.0;
-
 /// The committed iteration-reduction floor of `BENCH_model_queries.json`:
 /// the engine pass (warm continuation + Anderson) must use at least this
 /// factor fewer mean fixed-point iterations than cold Picard on the
@@ -47,6 +44,8 @@ pub struct Fields {
 /// carries the [`header`] and a non-empty `configs` array whose entries
 /// hold the `(k, n, v, lm, h)` key.
 pub struct Schema {
+    /// The document's `schema_version`; bump on breaking changes.
+    pub version: f64,
     /// Top-level numbers that must be finite and positive.
     pub positive: &'static [&'static str],
     /// Top-level deterministic quantities with a committed floor: below
@@ -60,28 +59,38 @@ pub struct Schema {
     pub throughput: &'static str,
 }
 
-/// `BENCH_simulator.json`: simulator cycles/s at three loads per `(k, n)`
-/// plus the model's solve time.
+/// `BENCH_simulator.json`: simulator messages/s and cycles/s at three
+/// loads per `(k, n)`, each the median and interquartile range of
+/// repeated runs, plus the model's solve time.  Version 2 added the
+/// messages/s figures and the repeats.
 pub const SIMULATOR: Schema = Schema {
+    version: 2.0,
     positive: &[],
     floors: &[],
     config: Fields {
-        numbers: &["cycles_per_sec", "model_solve_us"],
+        numbers: &["messages_per_sec", "cycles_per_sec", "model_solve_us"],
         strings: &[],
     },
     series: Some((
         "loads",
         Fields {
-            numbers: &["cycles_per_sec"],
+            numbers: &[
+                "repeats",
+                "messages_per_sec",
+                "messages_per_sec_iqr",
+                "cycles_per_sec",
+                "cycles_per_sec_iqr",
+            ],
             strings: &["label"],
         },
     )),
-    throughput: "cycles_per_sec",
+    throughput: "messages_per_sec",
 };
 
 /// `BENCH_model_queries.json`: query-engine throughput and the warm-vs-cold
 /// iteration reduction on near-saturation λ grids.
 pub const MODEL_QUERIES: Schema = Schema {
+    version: 1.0,
     positive: &["queries_per_sec", "cached_queries_per_sec"],
     floors: &[("mean_iteration_reduction", MIN_ITERATION_REDUCTION)],
     config: Fields {
@@ -163,11 +172,12 @@ pub fn parse_args(usage: &'static str, mut extra: impl FnMut(&str, &mut Args) ->
     opts
 }
 
-/// The header every BENCH document starts with: `schema_version`,
-/// `commit`, `date` and `quick`.  The harness appends its measurements.
-pub fn header(quick: bool) -> Json {
+/// The header every BENCH document starts with: `schema_version` (the
+/// schema's version), `commit`, `date` and `quick`.  The harness appends
+/// its measurements.
+pub fn header(schema: &Schema, quick: bool) -> Json {
     let mut doc = Json::obj();
-    doc.set("schema_version", Json::Num(SCHEMA_VERSION));
+    doc.set("schema_version", Json::Num(schema.version));
     doc.set("commit", Json::Str(git_commit()));
     doc.set("date", Json::Str(utc_now_iso8601()));
     doc.set("quick", Json::Bool(quick));
@@ -179,8 +189,8 @@ pub fn header(quick: bool) -> Json {
 pub fn violations(doc: &Json, schema: &Schema) -> Vec<String> {
     let mut bad = Vec::new();
     match number(doc, "schema_version") {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => bad.push(format!("schema_version {v} != {SCHEMA_VERSION}")),
+        Some(v) if v == schema.version => {}
+        Some(v) => bad.push(format!("schema_version {v} != {}", schema.version)),
         None => bad.push("missing numeric schema_version".into()),
     }
     for key in ["commit", "date"] {
@@ -474,13 +484,13 @@ mod tests {
     #[test]
     fn header_drift_is_rejected() {
         let mut doc = committed(SIMULATOR_FILE);
-        edit(&mut doc, &["schema_version"], Json::Num(2.0));
+        edit(&mut doc, &["schema_version"], Json::Num(1.0));
         edit(&mut doc, &["commit"], Json::Null);
         edit(&mut doc, &["quick"], Json::Str("no".into()));
         assert_eq!(
             violations(&doc, &SIMULATOR),
             vec![
-                "schema_version 2 != 1".to_string(),
+                "schema_version 1 != 2".to_string(),
                 "missing string commit".to_string(),
                 "missing boolean quick".to_string(),
             ]
@@ -489,7 +499,7 @@ mod tests {
 
     #[test]
     fn the_header_is_the_documents_prefix() {
-        let doc = header(true);
+        let doc = header(&SIMULATOR, true);
         let Json::Obj(pairs) = &doc else {
             panic!("the header is an object")
         };
@@ -528,7 +538,7 @@ mod tests {
         for i in ["0", "1", "2"] {
             edit(
                 &mut fast,
-                &["configs", i, "cycles_per_sec"],
+                &["configs", i, "messages_per_sec"],
                 Json::Num(1e300),
             );
         }

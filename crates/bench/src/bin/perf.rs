@@ -1,17 +1,22 @@
-//! Perf trajectory harness: measures simulator throughput (cycles/s) and
-//! model solve time across representative `(k, n)` configurations and
-//! emits a machine-readable `BENCH_simulator.json`.
+//! Perf trajectory harness: measures simulator throughput (delivered
+//! messages/s and cycles/s) and model solve time across representative
+//! `(k, n)` configurations and emits a machine-readable
+//! `BENCH_simulator.json`.
 //!
 //! Three load points per configuration, all driven through the production
 //! `Simulator::run()` path:
 //!
 //! * `anchor` — 5% of the model's saturation rate λ*, the near-zero-load
-//!   regime the paper's validation curves start from.  This is the
-//!   **headline** `cycles_per_sec`: the engine's idle fast-forward makes
-//!   it the rate a validation sweep actually experiences at its first
-//!   grid points.
-//! * `light` — 25% of λ*: busy-cycle dominated, little queueing.
-//! * `moderate` — 50% of λ*: every cycle does flit work.
+//!   regime the paper's validation curves start from;
+//! * `light` — 25% of λ*: little queueing;
+//! * `moderate` — 50% of λ*: ports shared, headers waiting.
+//!
+//! Each load runs [`REPEATS`] times (the same seed, so the same run) and
+//! reports the median and interquartile range of the repeats.  The
+//! headline is `messages_per_sec`: messages delivered per second of
+//! simulation over the three loads.  Cycles/s says little about cost once
+//! the engine skips cycles: idle stretches, and the quiet cycles while
+//! every worm in flight streams, cost nothing.
 //!
 //! The committed `BENCH_simulator.json` at the repo root is the baseline;
 //! CI re-runs this harness with `--quick` and compares via `--baseline`.
@@ -39,16 +44,18 @@ const LOADS: [(&str, f64, u64, u64); 3] = [
 
 const SEED: u64 = 7;
 
+/// Timed repeats of every load point: full runs, then `--quick` runs.
+const REPEATS: (usize, usize) = (5, 3);
+
 const USAGE: &str = "usage: perf [--quick] [--out FILE] [--baseline FILE]\n\
 \n\
-Measures simulator cycles/s and model solve time across (k,n) in\n\
+Measures simulator messages/s, cycles/s and model solve time across (k,n) in\n\
 {(16,2),(8,3),(4,4)} and writes a BENCH_simulator.json document.\n\
 With --baseline, compares against a previous document: ratios below\n\
 0.8 warn; a malformed baseline is an error (exit 1).";
 
-/// Time one production `run()` and return `(cycles/s, cycles, seconds,
-/// completed)`.
-fn time_run(cfg: SimConfig) -> (f64, u64, f64, u64) {
+/// Time one production `run()` and return `(seconds, cycles, completed)`.
+fn time_run(cfg: SimConfig) -> (f64, u64, u64) {
     let sim = match Simulator::new(cfg) {
         Ok(sim) => sim,
         Err(e) => {
@@ -59,12 +66,20 @@ fn time_run(cfg: SimConfig) -> (f64, u64, f64, u64) {
     let start = Instant::now();
     let report = sim.run();
     let dt = start.elapsed().as_secs_f64().max(1e-9);
-    (
-        report.cycles as f64 / dt,
-        report.cycles,
-        dt,
-        report.completed,
-    )
+    (dt, report.cycles, report.completed)
+}
+
+/// `(median, interquartile range)` of `xs`, with linear interpolation
+/// between order statistics.
+fn median_iqr(xs: &[f64]) -> (f64, f64) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    (at(0.5), at(0.75) - at(0.25))
 }
 
 /// Mean solve time of the generalized model, in microseconds.
@@ -101,30 +116,49 @@ fn measure(quick: bool) -> Json {
         entry.set("saturation_lambda", Json::Num(sat));
 
         let mut loads = Vec::new();
-        let mut headline = 0.0;
+        let mut anchor_cps = 0.0;
+        let (mut delivered, mut busy_s) = (0, 0.0);
         for (label, frac, full_cycles, quick_cycles) in LOADS {
             let budget = if quick { quick_cycles } else { full_cycles };
             let lambda = sat * frac;
             let cfg = SimConfig::ncube(k, n, v, lm, lambda, h, SEED).with_limits(budget, 0, 0);
-            let (cps, cycles, seconds, completed) = time_run(cfg);
+            let repeats = if quick { REPEATS.1 } else { REPEATS.0 };
+            let runs: Vec<(f64, u64, u64)> = (0..repeats).map(|_| time_run(cfg)).collect();
+            let (_, cycles, completed) = runs[0];
+            let seconds: Vec<f64> = runs.iter().map(|r| r.0).collect();
+            let per_sec =
+                |count: u64| -> Vec<f64> { seconds.iter().map(|s| count as f64 / s).collect() };
+            let (seconds, _) = median_iqr(&seconds);
+            let (cps, cps_iqr) = median_iqr(&per_sec(cycles));
+            let (mps, mps_iqr) = median_iqr(&per_sec(completed));
             eprintln!(
-                "k={k} n={n} {label:>8} λ={lambda:.3e}: {:.3}M cycles/s \
-                 ({cycles} cycles, {completed} messages, {seconds:.2}s)",
+                "k={k} n={n} {label:>8} λ={lambda:.3e}: {:.1}k messages/s ± {:.1}k, \
+                 {:.3}M cycles/s ({cycles} cycles, {completed} messages, {seconds:.3}s median \
+                 of {repeats})",
+                mps / 1e3,
+                mps_iqr / 1e3,
                 cps / 1e6
             );
             if label == "anchor" {
-                headline = cps;
+                anchor_cps = cps;
             }
+            delivered += completed;
+            busy_s += seconds;
             let mut point = Json::obj();
             point.set("label", Json::Str(label.into()));
             point.set("lambda", Json::Num(lambda));
             point.set("cycles", Json::Num(cycles as f64));
+            point.set("completed", Json::Num(completed as f64));
+            point.set("repeats", Json::Num(repeats as f64));
             point.set("seconds", Json::Num(seconds));
             point.set("cycles_per_sec", Json::Num(cps));
-            point.set("completed", Json::Num(completed as f64));
+            point.set("cycles_per_sec_iqr", Json::Num(cps_iqr));
+            point.set("messages_per_sec", Json::Num(mps));
+            point.set("messages_per_sec_iqr", Json::Num(mps_iqr));
             loads.push(point);
         }
-        entry.set("cycles_per_sec", Json::Num(headline));
+        entry.set("messages_per_sec", Json::Num(delivered as f64 / busy_s));
+        entry.set("cycles_per_sec", Json::Num(anchor_cps));
         entry.set("loads", Json::Arr(loads));
 
         let solve_iters = if quick { 20 } else { 200 };
@@ -136,7 +170,7 @@ fn measure(quick: bool) -> Json {
         configs.push(entry);
     }
 
-    let mut doc = benchfile::header(quick);
+    let mut doc = benchfile::header(&SIMULATOR, quick);
     doc.set("configs", Json::Arr(configs));
     doc
 }

@@ -628,7 +628,7 @@ pub fn run_query_bench(quick: bool) -> Json {
         total_replay_secs += replay_secs;
     }
 
-    let mut doc = benchfile::header(quick);
+    let mut doc = benchfile::header(&benchfile::MODEL_QUERIES, quick);
     doc.set(
         "queries_per_sec",
         Json::Num(total_queries as f64 / total_warm_secs.max(1e-9)),
@@ -1001,7 +1001,7 @@ mod tests {
         }
         cfg.set("service_model", Json::Str("path_occupancy".into()));
         let document = |reduction: f64| {
-            let mut doc = benchfile::header(true);
+            let mut doc = benchfile::header(&benchfile::MODEL_QUERIES, true);
             doc.set("queries_per_sec", Json::Num(4000.0));
             doc.set("cached_queries_per_sec", Json::Num(90000.0));
             doc.set("mean_iteration_reduction", Json::Num(reduction));

@@ -22,11 +22,12 @@
 //!
 //! # State layout (struct of arrays)
 //!
-//! Router state is flat arrays, not an object graph: per-VC counters
-//! (`vc_occ`, `vc_arrived`, `vc_departed`), the VC's holding message
-//! (`vc_msg`) and its chain-stage index (`vc_stage`) are `Vec`s indexed by
-//! `port * V + vc`; per-port state (`port_rr`, `port_busy`, `port_flits`,
-//! worklist membership flags) is indexed by the flat port id.  The
+//! Router state is flat arrays, not an object graph: the per-VC words
+//! (`vc_slot`: holder, stage and flits still to receive; `vc_cnt`:
+//! occupancy and this cycle's arrivals and departures; `vc_prev`: the
+//! upstream VC) are `Vec`s indexed by `port * V + vc`; per-port state
+//! (`port_rr`, `port_busy`, `port_movable`, `port_flits`, the activation
+//! order `port_seq`, worklist flags) is indexed by the flat port id.  The
 //! allocation queues are intrusive FIFOs threaded through the message
 //! arena (`wait_head`/`wait_tail` per `(port, class)`, `wait_next` per
 //! message), and message state itself lives in the struct-of-arrays
@@ -35,13 +36,15 @@
 //! steady-state execution performs no allocation at all.
 //!
 //! Work is driven by explicit worklists, all O(live state) rather than
-//! O(network size): the `active` list holds exactly the ports with at
-//! least one allocated VC (maintained by `grant`/`free_vc` via the
-//! `port_in_active` flag), `pending_alloc` holds the ports whose
+//! O(network size): `flit_ports` holds the ports whose per-flit VCs may
+//! move a flit this cycle, the crossing `wheel` holds the streaming
+//! crossings due (see below), `pending_alloc` holds the ports whose
 //! allocation queues may be grantable (`port_in_pending`), `ejecting`
 //! holds draining messages, and the arrival heap orders future source
-//! events so fully idle stretches are skipped in O(log N).  Idle channels
-//! are therefore never scanned — at the low-to-mid loads where validation
+//! events so fully idle stretches are skipped in O(log N).  A per-flit
+//! port that moved nothing leaves `flit_ports` until a flit enters a
+//! buffer it reads from or leaves one it writes to.  Idle channels are
+//! therefore never scanned — at the low-to-mid loads where validation
 //! sweeps live, almost all ports are idle almost always.
 //!
 //! # Cycle phases
@@ -50,17 +53,81 @@
 //!    the injection-port allocation queues;
 //! 2. **allocate** — free virtual channels are granted to the FIFO of
 //!    waiting headers, per Dally–Seitz class on network ports;
-//! 3. **move** — every active port transfers at most one flit, arbitrating
-//!    round-robin over its virtual channels; headers that land pick their
-//!    next hop (dimension-order) or start ejecting;
+//! 3. **move** — every port with work transfers at most one flit,
+//!    arbitrating round-robin over its virtual channels; headers that land
+//!    pick their next hop (dimension-order) or start ejecting;
 //! 4. **eject/complete** — draining messages deliver flits; completed
 //!    messages are retired into the statistics.
 //!
-//! All four phases are deterministic; a run is a pure function of its
-//! configuration (including the seed).  The struct-of-arrays refactor is
-//! pinned to the original object-graph engine by fixed-seed report
-//! snapshots (`tests/engine_snapshots.rs`): same seed, bit-identical
-//! report.
+//! Which flits cross in the move phase does not depend on the order ports
+//! are visited in (start-of-cycle accounting).  Its side effects do:
+//! releasing a VC and routing a header append to allocation queues and to
+//! the ejection list, whose orders decide later grants and the order in
+//! which latencies enter the statistics.  They are deferred and applied
+//! in *activation order*: the order in which ports last went from idle to
+//! busy (`port_seq`).
+//!
+//! # Streaming worms
+//!
+//! With `buffer_depth >= 2`, a worm that nothing contends with moves one
+//! flit per cycle through every stage: if its header entered the
+//! injection stage at cycle `g`, flit `i` enters stage `s` at
+//! `g + s + i - 1` and is delivered at `g + L + i`, where `L` is the
+//! last stage.  Such a worm *streams*: the engine keeps only `g`
+//! (`MessageArena::stream_start`) and acts at the per-hop events, never
+//! per flit — the header crossing a port (route, queue for the next hop),
+//! the grant of the next hop, the tail crossing (release the previous
+//! stage), and the delivery of the tail.  Header and tail crossings sit
+//! in the crossing wheel; deliveries are checked in the ejection phase.
+//!
+//! A worm streams from its injection grant while two things hold: it is
+//! the only VC with flits left to receive on every port it holds, and its
+//! header gets each next VC on the first allocation pass after it lands.
+//! Streaming ends for good — the worm is *materialised* and continues on
+//! the per-flit path — when
+//!
+//! * another VC is granted on a port where the worm still has flits to
+//!   receive, or the worm is granted a port where another VC still has
+//!   (both worms then share the port flit by flit);
+//! * its header is not granted on that first pass (the flits behind it
+//!   bunch up and buffers fill, which only the per-flit path models).
+//!
+//! Materialising writes what the per-flit engine holds at the end of the
+//! previous cycle: every stage's `entered`, the ejected count, `vc_slot`
+//! and `vc_cnt` of the VCs still held, the flits owed to `port_flits`,
+//! and `last_progress`.  It only happens during allocation, before any
+//! flit of the cycle moves.  `port_rr` is set when the header crosses,
+//! as the per-flit move does (no other VC moves on the port meanwhile).
+//!
+//! What stays exact:
+//!
+//! * the inspection hooks ([`Simulator::channel_flits`],
+//!   [`Simulator::flit_conservation_check`], [`Simulator::in_flight`])
+//!   read per-flit state: only [`Simulator::run`] streams, and it owns the
+//!   simulator until the report, while [`Simulator::step`] keeps every
+//!   worm on the per-flit path;
+//! * the deadlock watchdog: a streaming worm moves a flit every cycle of
+//!   its life, so `last_progress` is the previous cycle whenever one is
+//!   live;
+//! * V̄: grants and releases happen on the cycles they always did, and
+//!   when every live worm streams and has reached its destination, `run`
+//!   skips the quiet cycles before the next crossing, delivery or arrival,
+//!   adding `busy_v · Δ` (and `busy_v2 · Δ`) for the measured ones.  Those
+//!   jumps stop at every 1024th cycle, so the health and target checks run
+//!   on the cycles they always did, and never start on a cycle due the
+//!   2¹⁶-cycle stamp sweep.
+//!
+//! Configurations with `buffer_depth = 1` (a stalled flit every other
+//! cycle) or [`EjectionPolicy::SharedChannel`] (draining messages take
+//! turns) always take the per-flit path.
+//!
+//! All phases are deterministic; a run is a pure function of its
+//! configuration (including the seed).  Fixed-seed report snapshots
+//! (`tests/engine_snapshots.rs`) pin the engine to its earlier versions —
+//! the object-graph engine, and the per-flit engine before streaming —
+//! bit for bit, and a differential property test in this module runs
+//! random small configurations both ways and compares the report and,
+//! after materialising, every engine array.
 
 use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
 use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG, PER_FLIT};
@@ -180,8 +247,8 @@ pub struct Simulator {
     /// is set).
     port_stream_vc: Vec<u32>,
     /// Activation sequence number: the order in which ports last went
-    /// from idle to busy.  The move phase visits ports in this order, so
-    /// same-cycle header arrivals at one router queue up in it.
+    /// from idle to busy.  The move phase applies its side effects in this
+    /// order, so same-cycle header arrivals at one router queue up in it.
     port_seq: Vec<u64>,
     /// The next activation sequence number.
     next_seq: u64,
@@ -811,7 +878,8 @@ impl Simulator {
         }
         if !is_head_arrival && stage_idx as u32 + 1 < self.messages.chain_len[id as usize] {
             // A flit to move on from the next cycle on.
-            self.woken.push(self.messages.chain[base + stage_idx + 1].port);
+            self.woken
+                .push(self.messages.chain[base + stage_idx + 1].port);
         }
         self.last_progress = self.cycle;
         if is_head_arrival {
@@ -891,11 +959,13 @@ impl Simulator {
         let stamp = self.cycle & 0xFFFF;
         for s in 0..chain_len {
             let stage = self.messages.chain[base + s];
-            let left = match self.messages.chain.get(base + s + 1) {
-                Some(next) if s + 1 < chain_len => next.entered,
-                _ => ejected,
+            let last = s + 1 == chain_len;
+            let left = if last {
+                ejected
+            } else {
+                self.messages.chain[base + s + 1].entered
             };
-            if s + 1 < chain_len && left == length {
+            if !last && left == length {
                 continue; // released when the tail left it
             }
             let pv = self.pv(stage.port, stage.vc);
@@ -1082,7 +1152,9 @@ impl Simulator {
     // Cycle driver
     // ------------------------------------------------------------------
 
-    /// Advance the simulation by one cycle.
+    /// Advance the simulation by one cycle.  Stepping by hand never starts
+    /// a streaming worm (see the module docs), so the inspection hooks read
+    /// exact per-flit state between steps.
     pub fn step(&mut self) {
         // Periodic stamp sweep: clear per-cycle fields everywhere so a
         // wrapped 16-bit stamp can never alias the current cycle.  Runs
@@ -1415,7 +1487,12 @@ mod tests {
                 self.last_progress,
                 self.generated,
                 self.completed_measured,
-                (self.busy_v, self.busy_v2, self.vbar_total_v, self.vbar_total_v2),
+                (
+                    self.busy_v,
+                    self.busy_v2,
+                    self.vbar_total_v,
+                    self.vbar_total_v2,
+                ),
                 self.max_queue_seen,
                 &self.latency_all,
                 m.capacity(),
