@@ -915,7 +915,7 @@ impl Simulator {
             self.port_stream_at[p] = NO_STREAM;
             self.port_movable[p] -= 1;
             self.port_flits[p] += length;
-            self.vc_slot[pv] = slot & CNT_MASK;
+            self.vc_slot[pv] = slot & !(0xFFFF << 48); // no flits left to receive
             if stage > 0 {
                 // The tail just left the previous stage: release it.
                 let prev = self.messages.chain[self.messages.chain_base(id) + stage - 1];
