@@ -1213,9 +1213,10 @@ impl Simulator {
     /// Run to completion (max cycles, message target, or failure) and
     /// report.  Worms stream wherever the closed form covers the
     /// configuration: `buffer_depth >= 2` and per-message ejection sinks.
-    pub fn run(self) -> SimReport {
-        let stream = self.streams();
-        self.run_with(stream)
+    pub fn run(mut self) -> SimReport {
+        self.stream = self.streams();
+        while self.advance() {}
+        self.into_report()
     }
 
     /// Whether the configuration lets worms stream: a depth-1 buffer
@@ -1224,14 +1225,6 @@ impl Simulator {
     /// cycle closed form.
     fn streams(&self) -> bool {
         self.config.buffer_depth >= 2 && self.config.ejection == EjectionPolicy::PerMessageSink
-    }
-
-    /// [`Simulator::run`], with streaming allowed or not; both give the
-    /// same report bit for bit.
-    fn run_with(mut self, stream: bool) -> SimReport {
-        self.stream = stream;
-        while self.advance() {}
-        self.into_report()
     }
 
     /// One iteration of the run loop; false once the run is over.
