@@ -14,6 +14,11 @@
 //! to advance as a unit; they pin that the streaming representation is
 //! observably identical too.
 //!
+//! The long-worm cases (the `validation` grid's Lm = 64 and 100 corner,
+//! four-flit buffers, the faulty bi-torus with Lm = 64) were recorded from
+//! the engine before materialised worms could drain in closed form; they
+//! pin that representation too.
+//!
 //! If an intentional behaviour change ever lands (new arbitration rule,
 //! different accumulation order), re-record the constants in the same
 //! change and say so in the commit — a silent diff here is a determinism
@@ -47,6 +52,7 @@ struct Snapshot {
     reachable_fraction: u64,
     cycles: u64,
     throughput: u64,
+    offered_load: u64,
     vbar_measured: u64,
     max_source_queue: usize,
     in_flight_at_end: u64,
@@ -114,6 +120,11 @@ fn check_flags(s: Snapshot, saturated: bool, deadlocked: bool) {
     assert_eq!(r.cycles, s.cycles, "{ctx}: cycles");
     assert_eq!(r.throughput.to_bits(), s.throughput, "{ctx}: throughput");
     assert_eq!(
+        r.offered_load.to_bits(),
+        s.offered_load,
+        "{ctx}: offered_load"
+    );
+    assert_eq!(
         r.vbar_measured.to_bits(),
         s.vbar_measured,
         "{ctx}: vbar_measured"
@@ -148,6 +159,7 @@ fn snapshot_paper_k8_v2_lm16_h30() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 30000,
         throughput: 0x3f67e5155b9329d6,
+        offered_load: 0x3f747ae147ae147b,
         vbar_measured: 0x3ff1dc68a0636ada,
         max_source_queue: 174,
         in_flight_at_end: 3733,
@@ -174,6 +186,7 @@ fn snapshot_paper_k16_v2_lm32_h20() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 60000,
         throughput: 0x3f33417faef9429e,
+        offered_load: 0x3f33a92a30553261,
         vbar_measured: 0x3ff09cb0be17b697,
         max_source_queue: 0,
         in_flight_at_end: 3,
@@ -200,6 +213,7 @@ fn snapshot_cube_k4_n3_v2_lm8_h40() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 50000,
         throughput: 0x3f79a7cca9d8f393,
+        offered_load: 0x3f847ae147ae147b,
         vbar_measured: 0x3ff0907e272bc37d,
         max_source_queue: 512,
         in_flight_at_end: 11289,
@@ -226,6 +240,7 @@ fn snapshot_cube_k3_n3_v2_lm8_h50() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 30000,
         throughput: 0x3f8ca9f394fbdf1a,
+        offered_load: 0x3f947ae147ae147b,
         vbar_measured: 0x3ff0a112a757a11b,
         max_source_queue: 556,
         in_flight_at_end: 4604,
@@ -256,6 +271,7 @@ fn snapshot_shared_ejection_k8() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 40000,
         throughput: 0x3f516872b020c49c,
+        offered_load: 0x3f689374bc6a7efa,
         vbar_measured: 0x3ff165d99563ac26,
         max_source_queue: 139,
         in_flight_at_end: 4791,
@@ -286,6 +302,7 @@ fn snapshot_buffer_depth1_k8() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 40000,
         throughput: 0x3f5e41fdb97530ed,
+        offered_load: 0x3f60624dd2f1a9fc,
         vbar_measured: 0x3ff5673887b2fce9,
         max_source_queue: 38,
         in_flight_at_end: 286,
@@ -314,6 +331,7 @@ fn snapshot_bidirectional_torus_k8() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 30000,
         throughput: 0x3f74df864a502a21,
+        offered_load: 0x3f747ae147ae147b,
         vbar_measured: 0x3ff0af9dd0fd27dd,
         max_source_queue: 22,
         in_flight_at_end: 32,
@@ -342,6 +360,7 @@ fn snapshot_mesh_k8() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 30000,
         throughput: 0x3f6d142ffb51a09f,
+        offered_load: 0x3f747ae147ae147b,
         vbar_measured: 0x3ffcf181f76e6509,
         max_source_queue: 159,
         in_flight_at_end: 2731,
@@ -375,6 +394,7 @@ fn snapshot_faulty_leg_bitorus_k8() {
         reachable_fraction: 0x3fef000000000000,
         cycles: 19456,
         throughput: 0x3f72b116cf1f97bb,
+        offered_load: 0x3f73404ea4a8c155,
         vbar_measured: 0x3ff07b77f4ccd33e,
         max_source_queue: 0,
         in_flight_at_end: 9,
@@ -403,6 +423,7 @@ fn snapshot_cube_k8_n3_v2_lm16_h20_near_saturation() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 17408,
         throughput: 0x3f4082b931057262,
+        offered_load: 0x3f40adcd2d44dca9,
         vbar_measured: 0x3ff04710f89b1bf1,
         max_source_queue: 0,
         in_flight_at_end: 7,
@@ -431,6 +452,7 @@ fn snapshot_uni_torus_k8_v1() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 40000,
         throughput: 0x3ee89374bc6a7efa,
+        offered_load: 0x3f40624dd2f1a9fc,
         vbar_measured: 0x3ff0000000000000,
         max_source_queue: 31,
         in_flight_at_end: 1239,
@@ -458,8 +480,135 @@ fn snapshot_uni_torus_k8_v4() {
         reachable_fraction: 0x3ff0000000000000,
         cycles: 40000,
         throughput: 0x3f60584aa3628814,
+        offered_load: 0x3f60624dd2f1a9fc,
         vbar_measured: 0x3ff4490783ec0c6c,
         max_source_queue: 0,
+        in_flight_at_end: 4,
+    });
+}
+
+/// The heavy corner of the `validation` grid: the 8×8 uni-torus with
+/// V = 3, h = 0.4 and Lm = 64 at 0.4·λ* (λ* = 6.2618e-4), under that
+/// cell's seed.  Long worms that share ports and finish draining alone.
+#[test]
+fn snapshot_validation_k8_v3_lm64_h40() {
+    check(Snapshot {
+        name: "validation_k8_v3_lm64_h40",
+        config: SimConfig::ncube(8, 2, 3, 64, 2.5047e-4, 0.4, 14_416_253_990_734_835_934)
+            .with_limits(400_000, 10_000, 5_000),
+        mean_latency: 0x40564ad42c3c9ee6,
+        ci_half_width: Some(0x4002e1b948075434),
+        latency_std_dev: 0x404279d913bee8ab,
+        max_latency: 0x407f300000000000,
+        completed: 5000,
+        completed_regular: 3018,
+        completed_hot: 1982,
+        mean_latency_regular: 0x4054a83fc9b65f43,
+        mean_latency_hot: 0x4058c833aa3c72b1,
+        generated: 5186,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 320512,
+        throughput: 0x3f307d2845c12f14,
+        offered_load: 0x3f306a307568b7cf,
+        vbar_measured: 0x3ff0b4ef6e2345f5,
+        max_source_queue: 0,
+        in_flight_at_end: 1,
+    });
+}
+
+/// The same corner with Lm = 100 at 0.4·λ* (λ* = 4.0302e-4).
+#[test]
+fn snapshot_validation_k8_v3_lm100_h40() {
+    check(Snapshot {
+        name: "validation_k8_v3_lm100_h40",
+        config: SimConfig::ncube(8, 2, 3, 100, 1.6121e-4, 0.4, 427_956_710_659_413_795)
+            .with_limits(400_000, 10_000, 5_000),
+        mean_latency: 0x4060e7e0ae8f5ec6,
+        ci_half_width: Some(0x4010c61dd4caa23b),
+        latency_std_dev: 0x404f1b59a85c4998,
+        max_latency: 0x4089500000000000,
+        completed: 3989,
+        completed_regular: 2372,
+        completed_hot: 1617,
+        mean_latency_regular: 0x405edb8c4db4e23a,
+        mean_latency_hot: 0x40631285efda00f7,
+        generated: 4086,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 400000,
+        throughput: 0x3f24f286742deace,
+        offered_load: 0x3f25214f5b070cba,
+        vbar_measured: 0x3ff0aee90b1263b6,
+        max_source_queue: 0,
+        in_flight_at_end: 1,
+    });
+}
+
+/// Four-flit buffers on the (8,3) uni-torus with Lm = 32 and h = 0.5
+/// at 0.7·λ* (λ* = 1.3416e-4): a worm's flits bunch up deeper behind a
+/// blocked header.
+#[test]
+fn snapshot_buffer_depth4_k8_n3_lm32_h50() {
+    check(Snapshot {
+        name: "buffer_depth4_k8_n3_lm32_h50",
+        config: SimConfig {
+            buffer_depth: 4,
+            ..SimConfig::ncube(8, 3, 2, 32, 9.391e-5, 0.5, 47)
+        }
+        .with_limits(400_000, 10_000, 5_000),
+        mean_latency: 0x404f52f4f3039d92,
+        ci_half_width: Some(0x40124d015f2f0d3c),
+        latency_std_dev: 0x404955c022bf15e9,
+        max_latency: 0x4087680000000000,
+        completed: 5027,
+        completed_regular: 2518,
+        completed_hot: 2509,
+        mean_latency_regular: 0x4046dc367e799842,
+        mean_latency_hot: 0x4053e8bc8e700821,
+        generated: 5511,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 115712,
+        throughput: 0x3f1858f66df69f8f,
+        offered_load: 0x3f189e3183db9740,
+        vbar_measured: 0x3ff0142d88fba143,
+        max_source_queue: 0,
+        in_flight_at_end: 5,
+    });
+}
+
+/// The faulty leg's 8×8 bi-torus with 5% faults and Lm = 64, at the flit
+/// load of the Lm = 16 leg: long worms on detour routes.
+#[test]
+fn snapshot_faulty_bitorus_k8_lm64() {
+    check(Snapshot {
+        name: "faulty_bitorus_k8_lm64",
+        config: SimConfig::ncube(8, 2, 2, 64, 1.2e-3, 0.2, 1)
+            .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+            .with_faults(FIVE_PERCENT_FAULTS)
+            .with_limits(200_000, 5_000, 5_000),
+        mean_latency: 0x4057f9037b08050e,
+        ci_half_width: Some(0x40128d6d45886d25),
+        latency_std_dev: 0x404d4a9d1f96ccdd,
+        max_latency: 0x408a500000000000,
+        completed: 5075,
+        completed_regular: 4071,
+        completed_hot: 1004,
+        mean_latency_regular: 0x4056363cbeea4e01,
+        mean_latency_hot: 0x405f1cd0105197fb,
+        generated: 5618,
+        dropped_unreachable: 174,
+        mean_detour_hops: 0x3fa9051843646ec6,
+        reachable_fraction: 0x3fef000000000000,
+        cycles: 73728,
+        throughput: 0x3f52e74c042bfb97,
+        offered_load: 0x3f53a92a30553261,
+        vbar_measured: 0x3ff083d707274043,
+        max_source_queue: 1,
         in_flight_at_end: 4,
     });
 }
@@ -491,6 +640,7 @@ fn snapshot_saturated_source_queue() {
             reachable_fraction: 0x3ff0000000000000,
             cycles: 9216,
             throughput: 0x3f62cd7b2cd7b2cd,
+            offered_load: 0x3f847ae147ae147b,
             vbar_measured: 0x3ff1c3372bb7a58e,
             max_source_queue: 112,
             in_flight_at_end: 4273,
@@ -531,6 +681,7 @@ fn snapshot_deadlock_watchdog_v1_tornado() {
             reachable_fraction: 0x3fef000000000000,
             cycles: 12288,
             throughput: 0x3f06aaaaaaaaaaab,
+            offered_load: 0x3f747ae147ae147b,
             vbar_measured: 0x3ff0000000000000,
             max_source_queue: 0,
             in_flight_at_end: 3756,
