@@ -298,6 +298,17 @@ pub struct Simulator {
     stream: bool,
     /// Live streaming worms.
     n_streaming: usize,
+    /// Live draining worms.
+    n_draining: usize,
+    /// Per-flit worms with an ejecting header that an event this cycle
+    /// may have left alone on every port where they still have flits to
+    /// receive: checked for a drain at the end of the cycle.
+    drain_candidates: Vec<MsgId>,
+    /// A drain's replayed crossing and delivery cycles (scratch, see
+    /// [`Simulator::replay_drain`]).
+    drain_times: Vec<u64>,
+    #[cfg(test)]
+    drain_counts: DrainCounts,
     /// `SharedChannel` ejection: the cycle each node last delivered a
     /// flit (empty under `PerMessageSink`).
     served_at: Vec<u64>,
@@ -349,6 +360,19 @@ enum Effect {
     HeadArrival(MsgId, u32),
 }
 
+/// How often worms drained, for the differential test to show its cases
+/// exercise every drain path.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct DrainCounts {
+    /// Drains started.
+    started: u64,
+    /// Drains a grant put back on the per-flit path.
+    materialised: u64,
+    /// Flit crossings and deliveries done in closed form by drains.
+    flits: u64,
+}
+
 /// Size of the High VC class: `ceil(V/2)` (the rest are Low).
 fn high_class_size(v: u32) -> u32 {
     v.div_ceil(2)
@@ -394,6 +418,9 @@ impl Simulator {
             .iter()
             .filter_map(|wl| wl.next_arrival_cycle().map(|c| Reverse((c, wl.node().0))))
             .collect();
+        // The crossing wheel spans every crossing a streaming or draining
+        // worm schedules (see `start_drain`).
+        let wheel_len = (config.message_length + max_chain).next_power_of_two();
         let per_batch = if config.target_messages > 0 {
             (config.target_messages / u64::from(BATCHES)).max(1)
         } else {
@@ -425,8 +452,8 @@ impl Simulator {
             workloads,
             arrival_heap,
             flit_ports: Vec::new(),
-            wheel: vec![Vec::new(); config.message_length.next_power_of_two() as usize],
-            wheel_mask: u64::from(config.message_length.next_power_of_two() - 1),
+            wheel: vec![Vec::new(); wheel_len as usize],
+            wheel_mask: u64::from(wheel_len - 1),
             woken: Vec::new(),
             effects: Vec::new(),
             pending_alloc: Vec::new(),
@@ -435,6 +462,11 @@ impl Simulator {
             stream_waits: Vec::new(),
             stream: false,
             n_streaming: 0,
+            n_draining: 0,
+            drain_candidates: Vec::new(),
+            drain_times: Vec::new(),
+            #[cfg(test)]
+            drain_counts: DrainCounts::default(),
             served_at: match config.ejection {
                 EjectionPolicy::PerMessageSink => Vec::new(),
                 EjectionPolicy::SharedChannel => vec![u64::MAX; n_nodes as usize],
@@ -706,6 +738,10 @@ impl Simulator {
             // arbitration decides flit by flit, so neither worm streams.
             if self.port_stream_at[p] != NO_STREAM {
                 let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
+                #[cfg(test)]
+                if self.messages.is_draining(holder) {
+                    self.drain_counts.materialised += 1;
+                }
                 self.materialise(holder);
             }
             if self.messages.is_streaming(id) {
@@ -759,11 +795,17 @@ impl Simulator {
         // and its buffer had room at the start of it.  Only the side
         // effects (releasing a VC, queueing or ejecting a header) are
         // ordered, so they are deferred and applied by activation order.
-        // First the streaming crossings due now.
+        // First the streaming and draining crossings due now.
         let slot = (self.cycle & self.wheel_mask) as usize;
         let mut due = std::mem::take(&mut self.wheel[slot]);
         for &port in &due {
-            if self.port_stream_at[port as usize] == self.cycle {
+            if self.port_stream_at[port as usize] != self.cycle {
+                continue;
+            }
+            let id = self.vc_slot[self.pv(port, self.port_stream_vc[port as usize])] as u32;
+            if self.messages.is_draining(id) {
+                self.drain_crossing(port, id);
+            } else {
                 self.stream_crossing(port);
             }
         }
@@ -860,6 +902,9 @@ impl Simulator {
             // This VC has now received every flit; it can never move one
             // in again.
             self.port_movable[port_idx as usize] -= 1;
+            if self.stream {
+                self.last_flit_received(id, port_idx);
+            }
         }
         let is_head_arrival =
             entered == 1 && stage_idx as u32 + 1 == self.messages.chain_len[id as usize];
@@ -931,31 +976,63 @@ impl Simulator {
         }
     }
 
-    /// Put the streaming worm `id` on the per-flit path: write the state
-    /// the per-flit engine holds at the end of the previous cycle, which is
-    /// where the engine stands (materialisation only happens during
-    /// allocation, before any flit of this cycle moves).
+    /// The tail of the draining worm `id` crosses `port` this cycle: do
+    /// what the per-flit move of the tail does.
+    fn drain_crossing(&mut self, port_idx: u32, id: MsgId) {
+        let p = port_idx as usize;
+        let vc_idx = self.port_stream_vc[p];
+        let pv = self.pv(port_idx, vc_idx);
+        let stage = ((self.vc_slot[pv] >> 32) & 0xFFFF) as usize;
+        let base = self.messages.chain_base(id);
+        let moved = self.messages.length[id as usize] - self.messages.chain[base + stage].entered;
+        #[cfg(test)]
+        {
+            self.drain_counts.flits += u64::from(moved);
+        }
+        self.port_stream_at[p] = NO_STREAM;
+        self.port_movable[p] -= 1;
+        self.port_flits[p] += u64::from(moved);
+        self.port_rr[p] = (vc_idx + 1) % self.v;
+        self.vc_slot[pv] &= !(0xFFFF << 48); // no flits left to receive
+        if stage > 0 {
+            // The tail just left the previous stage, emptying its buffer:
+            // release it.
+            let prev = self.messages.chain[base + stage - 1];
+            let prev_pv = self.pv(prev.port, prev.vc);
+            self.vc_cnt[prev_pv] = 0;
+            self.defer(port_idx, Effect::Release(prev.port, prev.vc));
+        }
+    }
+
+    /// Put the streaming or draining worm `id` on the per-flit path: write
+    /// the state the per-flit engine holds at the end of the previous
+    /// cycle, which is where the engine stands (materialisation only
+    /// happens during allocation, before any flit of this cycle moves).
     fn materialise(&mut self, id: MsgId) {
         let i = id as usize;
-        let start = self.messages.stream_start[i];
-        debug_assert_ne!(start, PER_FLIT);
-        self.messages.stream_start[i] = PER_FLIT;
-        self.n_streaming -= 1;
         let length = self.messages.length[i];
         let chain_len = self.messages.chain_len[i] as usize;
         let base = self.messages.chain_base(id);
-        // Stage `s` saw flit `f` at cycle `start + s + f - 1`; ejection
-        // runs one stage behind the last.
-        let seen_by = |at: u64| self.cycle.saturating_sub(at).min(u64::from(length)) as u32;
-        for s in 0..chain_len {
-            self.messages.chain[base + s].entered = seen_by(start + s as u64);
-        }
-        let ejected = if self.messages.head[i] == HeadState::Ejecting {
-            seen_by(start + chain_len as u64)
+        let start = if self.messages.is_streaming(id) {
+            let start = self.messages.stream_start[i];
+            self.messages.stream_start[i] = PER_FLIT;
+            self.n_streaming -= 1;
+            // Stage `s` saw flit `f` at cycle `start + s + f - 1`; ejection
+            // runs one stage behind the last.
+            let seen_by = |at: u64| self.cycle.saturating_sub(at).min(u64::from(length)) as u32;
+            for s in 0..chain_len {
+                self.messages.chain[base + s].entered = seen_by(start + s as u64);
+            }
+            self.messages.ejected[i] = if self.messages.head[i] == HeadState::Ejecting {
+                seen_by(start + chain_len as u64)
+            } else {
+                0
+            };
+            start
         } else {
-            0
+            self.end_drain(id)
         };
-        self.messages.ejected[i] = ejected;
+        let ejected = self.messages.ejected[i];
         let stamp = self.cycle & 0xFFFF;
         for s in 0..chain_len {
             let stage = self.messages.chain[base + s];
@@ -974,15 +1051,197 @@ impl Simulator {
             self.vc_cnt[pv] = u64::from(stage.entered - left) | stamp << 48;
             let p = stage.port as usize;
             if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
+                // A port the worm streamed through.
                 self.port_stream_at[p] = NO_STREAM;
                 self.port_flits[p] += u64::from(stage.entered);
                 self.flit_port(stage.port);
             }
         }
         if self.cycle > start {
-            // It moved a flit every cycle since its header was injected.
+            // It moved a flit every cycle since it started streaming or
+            // draining.
             self.last_progress = self.last_progress.max(self.cycle - 1);
         }
+    }
+
+    /// `id` just received its last flit on `port`.  If that leaves one VC
+    /// there with flits to receive, its worm may now be alone on every
+    /// port it needs; so may `id`.  Either drains if its header ejects.
+    fn last_flit_received(&mut self, id: MsgId, port: u32) {
+        if self.messages.head[id as usize] == HeadState::Ejecting {
+            self.drain_candidates.push(id);
+        }
+        if self.port_movable[port as usize] == 1 {
+            let base = self.pv(port, 0);
+            let v = self.v as usize;
+            if let Some(&slot) = self.vc_slot[base..base + v].iter().find(|&&w| w >> 48 != 0) {
+                let other = slot as u32;
+                if self.messages.head[other as usize] == HeadState::Ejecting {
+                    self.drain_candidates.push(other);
+                }
+            }
+        }
+    }
+
+    /// End of cycle: start draining every candidate whose header ejects
+    /// and that is the only VC with flits left to receive on every port
+    /// where it has any (a suffix of its chain).
+    fn start_drains(&mut self) {
+        let mut candidates = std::mem::take(&mut self.drain_candidates);
+        for &id in &candidates {
+            let i = id as usize;
+            if !self.messages.live[i] || self.messages.is_draining(id) {
+                continue;
+            }
+            debug_assert!(!self.messages.is_streaming(id));
+            debug_assert_eq!(self.messages.head[i], HeadState::Ejecting);
+            let length = self.messages.length[i];
+            let alone = self
+                .messages
+                .chain(id)
+                .iter()
+                .rev()
+                .take_while(|stage| stage.entered < length)
+                .all(|stage| self.port_movable[stage.port as usize] == 1);
+            if alone {
+                self.start_drain(id);
+            }
+        }
+        candidates.clear();
+        self.drain_candidates = candidates;
+    }
+
+    /// Drain `id` from the next cycle on: keep its counts as they stand,
+    /// schedule each tail crossing still to come in the wheel and note the
+    /// delivery of its tail.
+    ///
+    /// With `buffer_depth >= 2` the replay gives flit `f` (from 1) at stage
+    /// `s` at most `start + s + f - 1`: each term of its max-plus step is
+    /// one flit or one stage behind, or `cap >= 2` flits behind and one
+    /// stage ahead.  So the last crossing falls within `Lm + chain - 1`
+    /// cycles of this one, inside the wheel's span.
+    fn start_drain(&mut self, id: MsgId) {
+        let i = id as usize;
+        self.messages.drain_start[i] = self.cycle + 1;
+        self.n_draining += 1;
+        #[cfg(test)]
+        {
+            self.drain_counts.started += 1;
+        }
+        let rows = self.replay_drain(id);
+        let length = self.messages.length[i];
+        let tail = (length as usize - 1) * rows;
+        self.messages.drain_done[i] = self.drain_times[tail + rows - 1];
+        let base = self.messages.chain_base(id);
+        for s in 0..rows - 1 {
+            let stage = self.messages.chain[base + s];
+            if stage.entered == length {
+                continue;
+            }
+            let at = self.drain_times[tail + s];
+            debug_assert!(at - self.cycle <= self.wheel_mask + 1, "beyond the wheel");
+            let p = stage.port as usize;
+            self.port_stream_at[p] = at;
+            self.port_stream_vc[p] = stage.vc;
+            self.wheel[(at & self.wheel_mask) as usize].push(stage.port);
+        }
+    }
+
+    /// Replay the drain of `id` from its saved counts (`entered` of every
+    /// stage, `ejected`, as they stood the cycle before `drain_start`).
+    /// Fills `drain_times` so that entry `f * rows + s` is the cycle flit
+    /// `f` (from 0) enters stage `s`, and entry `f * rows + rows - 1` the
+    /// cycle it is delivered, where `rows` (returned) is the chain length
+    /// plus one; flits already in place get `drain_start - 1`.
+    ///
+    /// These are the per-flit rules for a worm alone on its ports: a flit
+    /// enters a stage one cycle after it entered the stage before, after
+    /// the flit ahead of it entered this one, and after the flit `cap`
+    /// ahead left it (start-of-cycle buffer space); the sink takes one
+    /// flit per cycle.
+    fn replay_drain(&mut self, id: MsgId) -> usize {
+        let i = id as usize;
+        let before = self.messages.drain_start[i] - 1;
+        let length = self.messages.length[i] as usize;
+        let stages = self.messages.chain(id);
+        let ejected = self.messages.ejected[i];
+        let rows = stages.len() + 1;
+        let cap = self.config.buffer_depth as usize;
+        let times = &mut self.drain_times;
+        times.clear();
+        times.resize(rows * length, before);
+        for f in 0..length {
+            for r in 0..rows {
+                let in_place = stages.get(r).map_or(ejected, |stage| stage.entered);
+                if f < in_place as usize {
+                    continue;
+                }
+                let at = f * rows + r;
+                let mut ready = before;
+                if r > 0 {
+                    ready = ready.max(times[at - 1]);
+                }
+                if f > 0 {
+                    ready = ready.max(times[at - rows]);
+                }
+                if f >= cap && r + 1 < rows {
+                    ready = ready.max(times[at + 1 - cap * rows]);
+                }
+                times[at] = ready + 1;
+            }
+        }
+        rows
+    }
+
+    /// End the drain of `id`: write every stage's `entered` and the
+    /// ejected count as they stand at the end of the previous cycle, and
+    /// hand the ports whose tail crossing is still to come back to the
+    /// per-flit path.  Returns the drain's first cycle.
+    fn end_drain(&mut self, id: MsgId) -> u64 {
+        let i = id as usize;
+        let start = self.messages.drain_start[i];
+        let rows = self.replay_drain(id);
+        self.messages.drain_start[i] = PER_FLIT;
+        self.n_draining -= 1;
+        let length = self.messages.length[i];
+        let base = self.messages.chain_base(id);
+        // Flits of replay row `r` moved before this cycle, from `from` on.
+        let moved_by = |times: &[u64], r: usize, from: u32, now: u64| {
+            (from..length)
+                .find(|&f| times[f as usize * rows + r] >= now)
+                .unwrap_or(length)
+        };
+        for s in 0..rows - 1 {
+            let stage = self.messages.chain[base + s];
+            let entered = moved_by(&self.drain_times, s, stage.entered, self.cycle);
+            if stage.entered < length && entered < length {
+                // Its tail crossing has not happened yet.
+                let p = stage.port as usize;
+                self.port_stream_at[p] = NO_STREAM;
+                self.port_flits[p] += u64::from(entered - stage.entered);
+                if entered > stage.entered {
+                    self.port_rr[p] = (stage.vc + 1) % self.v;
+                }
+                self.flit_port(stage.port);
+                #[cfg(test)]
+                {
+                    self.drain_counts.flits += u64::from(entered - stage.entered);
+                }
+            }
+            self.messages.chain[base + s].entered = entered;
+        }
+        let ejected = moved_by(
+            &self.drain_times,
+            rows - 1,
+            self.messages.ejected[i],
+            self.cycle,
+        );
+        #[cfg(test)]
+        {
+            self.drain_counts.flits += u64::from(ejected - self.messages.ejected[i]);
+        }
+        self.messages.ejected[i] = ejected;
+        start
     }
 
     /// The header landed in the buffer at the sink of `port`: route it.
@@ -992,6 +1251,9 @@ impl Simulator {
         if node == dest {
             self.messages.head[id as usize] = HeadState::Ejecting;
             self.ejecting.push(id);
+            if self.stream && !self.messages.is_streaming(id) {
+                self.drain_candidates.push(id);
+            }
             return;
         }
         // Invariant: a header can only be at an intermediate node if the
@@ -1038,8 +1300,8 @@ impl Simulator {
                 let mut i = 0;
                 while i < self.ejecting.len() {
                     let id = self.ejecting[i];
-                    let done = if self.messages.is_streaming(id) {
-                        self.stream_delivered(id)
+                    let done = if self.messages.is_streaming(id) || self.messages.is_draining(id) {
+                        self.closed_form_delivered(id)
                     } else {
                         self.try_eject_one(id) && self.messages.is_delivered(id)
                     };
@@ -1104,21 +1366,44 @@ impl Simulator {
         true
     }
 
-    /// Whether the streaming worm `id` delivers its tail this cycle (it
-    /// delivered one flit per cycle since the cycle after its header
-    /// arrived); if so, release its last VC.
-    fn stream_delivered(&mut self, id: MsgId) -> bool {
+    /// The cycle the streaming or draining worm `id` delivers its tail: a
+    /// streaming worm delivers one flit per cycle from the cycle after its
+    /// header arrived.
+    fn delivery_cycle(&self, id: MsgId) -> u64 {
         let i = id as usize;
-        let chain_len = self.messages.chain_len[i];
-        let length = self.messages.length[i];
-        if self.cycle != self.messages.stream_start[i] + u64::from(chain_len - 1 + length) {
+        if self.messages.is_draining(id) {
+            self.messages.drain_done[i]
+        } else {
+            self.messages.stream_start[i]
+                + u64::from(self.messages.chain_len[i] - 1 + self.messages.length[i])
+        }
+    }
+
+    /// Whether the streaming or draining worm `id` delivers its tail this
+    /// cycle; if so, release its last VC.
+    fn closed_form_delivered(&mut self, id: MsgId) -> bool {
+        if self.cycle != self.delivery_cycle(id) {
             return false;
         }
-        self.messages.stream_start[i] = PER_FLIT;
-        self.n_streaming -= 1;
-        self.messages.ejected[i] = length;
+        let i = id as usize;
+        if self.messages.is_draining(id) {
+            self.messages.drain_start[i] = PER_FLIT;
+            self.n_draining -= 1;
+            #[cfg(test)]
+            {
+                self.drain_counts.flits +=
+                    u64::from(self.messages.length[i] - self.messages.ejected[i]);
+            }
+        } else {
+            self.messages.stream_start[i] = PER_FLIT;
+            self.n_streaming -= 1;
+        }
+        self.messages.ejected[i] = self.messages.length[i];
         self.last_progress = self.cycle;
-        let last = self.messages.chain[self.messages.chain_base(id) + chain_len as usize - 1];
+        let last = self.messages.chain
+            [self.messages.chain_base(id) + self.messages.chain_len[i] as usize - 1];
+        let pv = self.pv(last.port, last.vc);
+        self.vc_cnt[pv] = 0; // its buffer is empty
         self.free_vc(last.port, last.vc);
         true
     }
@@ -1170,6 +1455,9 @@ impl Simulator {
         self.move_flits();
         self.eject();
         self.wake_ports();
+        if !self.drain_candidates.is_empty() {
+            self.start_drains();
+        }
         // Multiplexing measurement (after warm-up): average busy VCs over
         // busy physical channels, the quantity Eqs. (33)-(35) model.  The
         // Σv / Σv² snapshot is maintained incrementally by grant/free_vc,
@@ -1195,8 +1483,9 @@ impl Simulator {
                 return false;
             }
         }
-        if self.n_streaming > 0 {
-            // A streaming worm moves a flit every cycle of its life.
+        if self.n_streaming + self.n_draining > 0 {
+            // A streaming or draining worm moves a flit every cycle of its
+            // life.
             self.last_progress = self.cycle - 1;
         }
         // Deadlock watchdog: in-flight messages but no flit movement for a
@@ -1275,8 +1564,9 @@ impl Simulator {
     /// this cycle.  No jump starts on a cycle that is due a stamp sweep.
     fn quiet_until(&self) -> Option<u64> {
         let now = self.cycle;
-        if self.n_streaming == 0
-            || self.n_streaming != self.messages.live_count()
+        let closed_form = self.n_streaming + self.n_draining;
+        if closed_form == 0
+            || closed_form != self.messages.live_count()
             || !self.stream_waits.is_empty()
             || now >= self.next_sweep
         {
@@ -1289,10 +1579,7 @@ impl Simulator {
             until = until.min(next);
         }
         for &id in &self.ejecting {
-            let i = id as usize;
-            let delivered_at = self.messages.stream_start[i]
-                + u64::from(self.messages.chain_len[i] - 1 + self.messages.length[i]);
-            until = until.min(delivered_at);
+            until = until.min(self.delivery_cycle(id));
         }
         // Every pending crossing lies within one wheel turn.
         for at in now..until.min(now + self.wheel_mask + 1) {
@@ -1436,13 +1723,16 @@ mod tests {
     use kncube_topology::LinkKind;
     use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
     use proptest::prelude::*;
-    use proptest::test_runner::TestCaseError;
+    use proptest::test_runner::{TestCaseError, TestRng};
 
     impl Simulator {
-        /// Put every streaming worm on the per-flit path (between cycles).
+        /// Put every streaming and draining worm on the per-flit path
+        /// (between cycles).
         fn materialise_all(&mut self) {
             for id in 0..self.messages.capacity() as MsgId {
-                if self.messages.live[id as usize] && self.messages.is_streaming(id) {
+                if self.messages.live[id as usize]
+                    && (self.messages.is_streaming(id) || self.messages.is_draining(id))
+                {
                     self.materialise(id);
                 }
             }
@@ -1494,10 +1784,19 @@ mod tests {
         }
     }
 
-    /// Run `cfg` on the per-flit path and with streaming, in lockstep;
-    /// every `every` iterations materialise the streaming run and compare
-    /// its whole state, and compare the final reports bit for bit.
-    fn assert_streaming_exact(cfg: SimConfig, every: u64) -> Result<(), TestCaseError> {
+    impl std::ops::AddAssign for DrainCounts {
+        fn add_assign(&mut self, other: DrainCounts) {
+            self.started += other.started;
+            self.materialised += other.materialised;
+            self.flits += other.flits;
+        }
+    }
+
+    /// Run `cfg` on the per-flit path and with streaming and draining, in
+    /// lockstep; every `every` iterations materialise the streaming run and
+    /// compare its whole state, and compare the final reports bit for bit.
+    /// Returns how often the streaming run drained.
+    fn assert_streaming_exact(cfg: SimConfig, every: u64) -> Result<DrainCounts, TestCaseError> {
         let mut per_flit = Simulator::new(cfg).unwrap();
         let mut streaming = Simulator::new(cfg).unwrap();
         streaming.stream = streaming.streams();
@@ -1525,15 +1824,17 @@ mod tests {
                 );
             }
         }
+        let counts = streaming.drain_counts;
         let (a, b) = (per_flit.into_report(), streaming.into_report());
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        Ok(())
+        Ok(counts)
     }
 
     /// Small random configurations across every engine option, from idle
-    /// to far past saturation.
+    /// to far past saturation, with worms long enough to share ports and
+    /// drain.
     fn differential_config() -> impl Strategy<Value = SimConfig> {
-        let shape = (2u32..=6, 1u32..=3, 1u32..=4, 1u32..=20, 1u32..=3, 0u32..3);
+        let shape = (2u32..=6, 1u32..=3, 1u32..=4, 1u32..=100, 1u32..=4, 0u32..3);
         let traffic = (0.0f64..=0.8, 0.02f64..=1.5, 1u64..10_000, 0u32..4, 0u32..3);
         (shape, traffic).prop_map(|((k, n, v, lm, depth, links), traffic)| {
             let (h, frac, seed, ejection, faults) = traffic;
@@ -1566,24 +1867,36 @@ mod tests {
         })
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Streaming is an exact representation: the report, and the
-        /// whole engine state whenever the streaming run is materialised,
-        /// equal the per-flit path's.
-        #[test]
-        fn streaming_matches_per_flit(cfg in differential_config(), every in 1u64..400) {
-            assert_streaming_exact(cfg, every)?;
-            assert_streaming_exact(cfg, u64::MAX)?;
+    /// Streaming and draining are exact representations: the report, and
+    /// the whole engine state whenever the streaming run is materialised,
+    /// equal the per-flit path's.  The cases must start drains, see grants
+    /// end some of them, and drain flits, so the check is not vacuous.
+    #[test]
+    fn streaming_matches_per_flit() {
+        let strategy = (differential_config(), 1u64..400);
+        let mut rng = TestRng::deterministic("streaming_matches_per_flit");
+        let mut total = DrainCounts::default();
+        for case in 0..48 {
+            let (cfg, every) = strategy.sample(&mut rng);
+            for every in [every, u64::MAX] {
+                match assert_streaming_exact(cfg, every) {
+                    Ok(counts) => total += counts,
+                    Err(e) => panic!("case {case}, every {every}: {e:?}\n{cfg:?}"),
+                }
+            }
         }
+        assert!(
+            total.started > 0 && total.materialised > 0 && total.flits > 0,
+            "the cases never exercised a drain path: {total:?}"
+        );
     }
 
     #[test]
     fn streaming_matches_per_flit_on_long_runs() {
-        // The benchmark's two legs, long enough to cross the 2^16-cycle
-        // stamp sweep, and the watchdog-stopped V = 1 run.
+        // The benchmark's two legs and the uni-torus with Lm = 64 worms,
+        // long enough to cross the 2^16-cycle stamp sweep.
         let uni = SimConfig::ncube(8, 3, 2, 16, 4e-4, 0.2, 3).with_limits(70_000, 5_000, 0);
+        let long = SimConfig::ncube(8, 3, 2, 64, 1e-4, 0.2, 4).with_limits(70_000, 5_000, 0);
         let faulty = SimConfig::ncube(8, 2, 2, 16, 4e-3, 0.2, 2)
             .with_topology(LinkKind::Bidirectional, Boundary::Torus)
             .with_faults(FaultSpec {
@@ -1591,7 +1904,7 @@ mod tests {
                 link_failure_prob: 0.05,
             })
             .with_limits(70_000, 5_000, 0);
-        for cfg in [uni, faulty] {
+        for cfg in [uni, faulty, long] {
             assert_streaming_exact(cfg, 997).unwrap();
         }
     }

@@ -25,7 +25,8 @@ pub type MsgId = u32;
 /// Sentinel for "no message" in VC holders and intrusive queue links.
 pub(crate) const NO_MSG: MsgId = MsgId::MAX;
 
-/// [`MessageArena::stream_start`] of a worm on the per-flit path.
+/// [`MessageArena::stream_start`] and [`MessageArena::drain_start`] of a
+/// worm on the per-flit path.
 pub(crate) const PER_FLIT: u64 = u64::MAX;
 
 /// One stage of a message's resource chain: a (channel, virtual channel)
@@ -102,6 +103,13 @@ pub struct MessageArena {
     /// its header at `stream_start + s` and flit `i` one cycle per flit
     /// later.  [`PER_FLIT`] for a worm on the per-flit path.
     pub(crate) stream_start: Vec<u64>,
+    /// For a draining worm (header ejecting, alone on every port where it
+    /// still has flits to receive, advanced in closed form from its saved
+    /// `entered` and `ejected` counts), the first cycle of the drain;
+    /// [`PER_FLIT`] otherwise.
+    pub(crate) drain_start: Vec<u64>,
+    /// For a draining worm, the cycle its tail is delivered.
+    pub(crate) drain_done: Vec<u64>,
     /// Intrusive FIFO link for the per-(port, class) allocation queues.
     pub(crate) wait_next: Vec<MsgId>,
     /// Packed chains: slot `id` owns `chain[id*max_chain .. +chain_len]`.
@@ -127,6 +135,8 @@ impl MessageArena {
             head: Vec::new(),
             chain_len: Vec::new(),
             stream_start: Vec::new(),
+            drain_start: Vec::new(),
+            drain_done: Vec::new(),
             wait_next: Vec::new(),
             chain: Vec::new(),
             live: Vec::new(),
@@ -151,6 +161,8 @@ impl MessageArena {
                 self.head.push(HeadState::Done);
                 self.chain_len.push(0);
                 self.stream_start.push(PER_FLIT);
+                self.drain_start.push(PER_FLIT);
+                self.drain_done.push(0);
                 self.wait_next.push(NO_MSG);
                 self.chain.resize(
                     self.chain.len() + self.max_chain as usize,
@@ -171,6 +183,7 @@ impl MessageArena {
         self.head[i] = HeadState::Done;
         self.chain_len[i] = 0;
         self.stream_start[i] = PER_FLIT;
+        self.drain_start[i] = PER_FLIT;
         self.wait_next[i] = NO_MSG;
         self.live[i] = true;
         self.n_live += 1;
@@ -251,6 +264,12 @@ impl MessageArena {
     #[inline]
     pub(crate) fn is_streaming(&self, id: MsgId) -> bool {
         self.stream_start[id as usize] != PER_FLIT
+    }
+
+    /// True while `id` drains.
+    #[inline]
+    pub(crate) fn is_draining(&self, id: MsgId) -> bool {
+        self.drain_start[id as usize] != PER_FLIT
     }
 
     /// True when every flit of `id` has been delivered.
