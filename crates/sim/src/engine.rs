@@ -157,6 +157,13 @@ const CNT_MASK: u64 = (1 << 48) - 1;
 /// `port_stream_at` of a port with no streaming virtual channel.
 const NO_STREAM: u64 = u64::MAX;
 
+/// `port_stream_vc` flag of a draining virtual channel, whose next
+/// crossing is its tail's.
+const DRAINING: u32 = 1 << 31;
+
+/// `port_sinks` entry of a port not yet looked up.
+const NO_NODE: u32 = u32::MAX;
+
 /// Batches of the batch-means confidence interval
 /// ([`SimReport::ci_half_width`]).
 const BATCHES: u32 = 10;
@@ -206,6 +213,9 @@ pub struct Simulator {
     v: u32,
     /// First injection-port index (= number of network channels).
     inj_base: u32,
+    /// The node that receives flits crossing each port, by flat port id,
+    /// filled in on first use ([`NO_NODE`] before).
+    port_sinks: Vec<u32>,
     // --- virtual-channel state, indexed by `port * V + vc` ---
     /// Holder, chain stage, and flits still to receive, in one word: the
     /// holding message in bits 0..32 (`NO_MSG` when free), the stage index
@@ -243,8 +253,8 @@ pub struct Simulator {
     /// or [`NO_STREAM`].  A port holds at most one streaming VC that still
     /// has flits to receive, and then no other VC with flits to receive.
     port_stream_at: Vec<u64>,
-    /// That streaming virtual channel (meaningful while `port_stream_at`
-    /// is set).
+    /// That streaming virtual channel, or a draining one marked with
+    /// [`DRAINING`] (meaningful while `port_stream_at` is set).
     port_stream_vc: Vec<u32>,
     /// Activation sequence number: the order in which ports last went
     /// from idle to busy.  The move phase applies its side effects in this
@@ -304,8 +314,8 @@ pub struct Simulator {
     /// may have left alone on every port where they still have flits to
     /// receive: checked for a drain at the end of the cycle.
     drain_candidates: Vec<MsgId>,
-    /// A drain's replayed crossing and delivery cycles (scratch, see
-    /// [`Simulator::replay_drain`]).
+    /// A drain's replayed crossing and delivery cycles (scratch, laid out
+    /// as [`DrainTable`] says).
     drain_times: Vec<u64>,
     #[cfg(test)]
     drain_counts: DrainCounts,
@@ -373,6 +383,26 @@ struct DrainCounts {
     flits: u64,
 }
 
+/// Layout of a replayed drain in `Simulator::drain_times`: row `r <
+/// rows - 1` is chain stage `r`, row `rows - 1` the delivery.  Each flit
+/// takes `stride = rows + 1` entries, the last one a pad (nothing lies
+/// downstream of the delivery), and `pad = buffer_depth` flits of pads
+/// come first, so every term of the recurrence reads a real entry.
+#[derive(Clone, Copy, Debug)]
+struct DrainTable {
+    rows: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl DrainTable {
+    /// Index of flit `f` (from 0) at row `r`.
+    #[inline]
+    fn at(self, f: usize, r: usize) -> usize {
+        (f + self.pad) * self.stride + r
+    }
+}
+
 /// Size of the High VC class: `ceil(V/2)` (the rest are Low).
 fn high_class_size(v: u32) -> u32 {
     v.div_ceil(2)
@@ -432,6 +462,7 @@ impl Simulator {
             fault_router,
             v,
             inj_base: n_channels,
+            port_sinks: vec![NO_NODE; n_ports],
             vc_slot: vec![NO_MSG as u64; n_vcs],
             vc_cnt: vec![0; n_vcs],
             vc_prev: vec![u32::MAX; n_vcs],
@@ -513,19 +544,25 @@ impl Simulator {
         self.inj_base + node.0
     }
 
+    /// The node that receives flits crossing `port`.
+    fn port_sink(&mut self, port: u32) -> NodeId {
+        let sink = &mut self.port_sinks[port as usize];
+        if *sink == NO_NODE {
+            *sink = if port >= self.inj_base {
+                port - self.inj_base
+            } else {
+                Channel::from_id(&self.topo, ChannelId(port))
+                    .to(&self.topo)
+                    .0
+            };
+        }
+        NodeId(*sink)
+    }
+
     /// Flat VC-state index of `(port, vc)`.
     #[inline]
     fn pv(&self, port: u32, vc: u32) -> usize {
         (port * self.v + vc) as usize
-    }
-
-    /// The node that receives flits crossing `port`.
-    fn port_sink(&self, port: u32) -> NodeId {
-        if port >= self.inj_base {
-            NodeId(port - self.inj_base)
-        } else {
-            Channel::from_id(&self.topo, ChannelId(port)).to(&self.topo)
-        }
     }
 
     /// VC indices `[lo, hi)` of `class` on a network port.  Meshes have no
@@ -737,7 +774,8 @@ impl Simulator {
             // Another VC here may still move flits: round-robin
             // arbitration decides flit by flit, so neither worm streams.
             if self.port_stream_at[p] != NO_STREAM {
-                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
+                let vc = self.port_stream_vc[p] & !DRAINING;
+                let holder = self.vc_slot[self.pv(port_idx, vc)] as u32;
                 #[cfg(test)]
                 if self.messages.is_draining(holder) {
                     self.drain_counts.materialised += 1;
@@ -802,9 +840,8 @@ impl Simulator {
             if self.port_stream_at[port as usize] != self.cycle {
                 continue;
             }
-            let id = self.vc_slot[self.pv(port, self.port_stream_vc[port as usize])] as u32;
-            if self.messages.is_draining(id) {
-                self.drain_crossing(port, id);
+            if self.port_stream_vc[port as usize] & DRAINING != 0 {
+                self.drain_crossing(port);
             } else {
                 self.stream_crossing(port);
             }
@@ -976,13 +1013,15 @@ impl Simulator {
         }
     }
 
-    /// The tail of the draining worm `id` crosses `port` this cycle: do
+    /// The tail of the draining VC on `port` crosses it this cycle: do
     /// what the per-flit move of the tail does.
-    fn drain_crossing(&mut self, port_idx: u32, id: MsgId) {
+    fn drain_crossing(&mut self, port_idx: u32) {
         let p = port_idx as usize;
-        let vc_idx = self.port_stream_vc[p];
+        let vc_idx = self.port_stream_vc[p] & !DRAINING;
         let pv = self.pv(port_idx, vc_idx);
-        let stage = ((self.vc_slot[pv] >> 32) & 0xFFFF) as usize;
+        let slot = self.vc_slot[pv];
+        let id = slot as u32;
+        let stage = ((slot >> 32) & 0xFFFF) as usize;
         let base = self.messages.chain_base(id);
         let moved = self.messages.length[id as usize] - self.messages.chain[base + stage].entered;
         #[cfg(test)]
@@ -1013,6 +1052,7 @@ impl Simulator {
         let length = self.messages.length[i];
         let chain_len = self.messages.chain_len[i] as usize;
         let base = self.messages.chain_base(id);
+        self.messages.delivered_at[i] = PER_FLIT;
         let start = if self.messages.is_streaming(id) {
             let start = self.messages.stream_start[i];
             self.messages.stream_start[i] = PER_FLIT;
@@ -1128,69 +1168,67 @@ impl Simulator {
         {
             self.drain_counts.started += 1;
         }
-        let rows = self.replay_drain(id);
+        let table = self.replay_drain(id);
         let length = self.messages.length[i];
-        let tail = (length as usize - 1) * rows;
-        self.messages.drain_done[i] = self.drain_times[tail + rows - 1];
+        let tail = length as usize - 1;
+        self.messages.delivered_at[i] = self.drain_times[table.at(tail, table.rows - 1)];
         let base = self.messages.chain_base(id);
-        for s in 0..rows - 1 {
+        for s in 0..table.rows - 1 {
             let stage = self.messages.chain[base + s];
             if stage.entered == length {
                 continue;
             }
-            let at = self.drain_times[tail + s];
+            let at = self.drain_times[table.at(tail, s)];
             debug_assert!(at - self.cycle <= self.wheel_mask + 1, "beyond the wheel");
             let p = stage.port as usize;
             self.port_stream_at[p] = at;
-            self.port_stream_vc[p] = stage.vc;
+            self.port_stream_vc[p] = stage.vc | DRAINING;
             self.wheel[(at & self.wheel_mask) as usize].push(stage.port);
         }
     }
 
     /// Replay the drain of `id` from its saved counts (`entered` of every
-    /// stage, `ejected`, as they stood the cycle before `drain_start`).
-    /// Fills `drain_times` so that entry `f * rows + s` is the cycle flit
-    /// `f` (from 0) enters stage `s`, and entry `f * rows + rows - 1` the
-    /// cycle it is delivered, where `rows` (returned) is the chain length
-    /// plus one; flits already in place get `drain_start - 1`.
+    /// stage, `ejected`, as they stood the cycle before `drain_start`):
+    /// fill `drain_times` with the cycle each flit enters each stage, and
+    /// is delivered (see [`DrainTable`]); flits already in place get
+    /// `drain_start - 1`.
     ///
     /// These are the per-flit rules for a worm alone on its ports: a flit
     /// enters a stage one cycle after it entered the stage before, after
     /// the flit ahead of it entered this one, and after the flit `cap`
     /// ahead left it (start-of-cycle buffer space); the sink takes one
     /// flit per cycle.
-    fn replay_drain(&mut self, id: MsgId) -> usize {
+    fn replay_drain(&mut self, id: MsgId) -> DrainTable {
         let i = id as usize;
         let before = self.messages.drain_start[i] - 1;
         let length = self.messages.length[i] as usize;
         let stages = self.messages.chain(id);
         let ejected = self.messages.ejected[i];
-        let rows = stages.len() + 1;
         let cap = self.config.buffer_depth as usize;
+        let table = DrainTable {
+            rows: stages.len() + 1,
+            stride: stages.len() + 2,
+            pad: cap,
+        };
+        let in_place = |r: usize| stages.get(r).map_or(ejected, |stage| stage.entered) as usize;
         let times = &mut self.drain_times;
         times.clear();
-        times.resize(rows * length, before);
-        for f in 0..length {
-            for r in 0..rows {
-                let in_place = stages.get(r).map_or(ejected, |stage| stage.entered);
-                if f < in_place as usize {
-                    continue;
-                }
-                let at = f * rows + r;
-                let mut ready = before;
-                if r > 0 {
-                    ready = ready.max(times[at - 1]);
-                }
-                if f > 0 {
-                    ready = ready.max(times[at - rows]);
-                }
-                if f >= cap && r + 1 < rows {
-                    ready = ready.max(times[at + 1 - cap * rows]);
-                }
-                times[at] = ready + 1;
+        times.resize((length + cap) * table.stride, before);
+        // Flit `f` is in place at the rows before `first`: the counts fall
+        // along the chain, so `first` only falls as `f` grows.
+        let mut first = table.rows - 1;
+        for f in ejected as usize..length {
+            while first > 0 && in_place(first - 1) <= f {
+                first -= 1;
+            }
+            for at in table.at(f, first)..table.at(f, table.rows) {
+                let upstream = times[at - 1];
+                let ahead = times[at - table.stride];
+                let downstream = times[at + 1 - cap * table.stride];
+                times[at] = upstream.max(ahead).max(downstream) + 1;
             }
         }
-        rows
+        table
     }
 
     /// End the drain of `id`: write every stage's `entered` and the
@@ -1200,7 +1238,7 @@ impl Simulator {
     fn end_drain(&mut self, id: MsgId) -> u64 {
         let i = id as usize;
         let start = self.messages.drain_start[i];
-        let rows = self.replay_drain(id);
+        let table = self.replay_drain(id);
         self.messages.drain_start[i] = PER_FLIT;
         self.n_draining -= 1;
         let length = self.messages.length[i];
@@ -1208,10 +1246,10 @@ impl Simulator {
         // Flits of replay row `r` moved before this cycle, from `from` on.
         let moved_by = |times: &[u64], r: usize, from: u32, now: u64| {
             (from..length)
-                .find(|&f| times[f as usize * rows + r] >= now)
+                .find(|&f| times[table.at(f as usize, r)] >= now)
                 .unwrap_or(length)
         };
-        for s in 0..rows - 1 {
+        for s in 0..table.rows - 1 {
             let stage = self.messages.chain[base + s];
             let entered = moved_by(&self.drain_times, s, stage.entered, self.cycle);
             if stage.entered < length && entered < length {
@@ -1232,7 +1270,7 @@ impl Simulator {
         }
         let ejected = moved_by(
             &self.drain_times,
-            rows - 1,
+            table.rows - 1,
             self.messages.ejected[i],
             self.cycle,
         );
@@ -1249,9 +1287,13 @@ impl Simulator {
         let node = self.port_sink(port_idx);
         let dest = self.messages.dest[id as usize];
         if node == dest {
-            self.messages.head[id as usize] = HeadState::Ejecting;
+            let i = id as usize;
+            self.messages.head[i] = HeadState::Ejecting;
             self.ejecting.push(id);
-            if self.stream && !self.messages.is_streaming(id) {
+            if self.messages.is_streaming(id) {
+                // One flit per cycle from the next cycle on.
+                self.messages.delivered_at[i] = self.cycle + u64::from(self.messages.length[i]);
+            } else if self.stream {
                 self.drain_candidates.push(id);
             }
             return;
@@ -1300,8 +1342,9 @@ impl Simulator {
                 let mut i = 0;
                 while i < self.ejecting.len() {
                     let id = self.ejecting[i];
-                    let done = if self.messages.is_streaming(id) || self.messages.is_draining(id) {
-                        self.closed_form_delivered(id)
+                    let due = self.messages.delivered_at[id as usize];
+                    let done = if due != PER_FLIT {
+                        due == self.cycle && self.closed_form_delivered(id)
                     } else {
                         self.try_eject_one(id) && self.messages.is_delivered(id)
                     };
@@ -1366,26 +1409,11 @@ impl Simulator {
         true
     }
 
-    /// The cycle the streaming or draining worm `id` delivers its tail: a
-    /// streaming worm delivers one flit per cycle from the cycle after its
-    /// header arrived.
-    fn delivery_cycle(&self, id: MsgId) -> u64 {
-        let i = id as usize;
-        if self.messages.is_draining(id) {
-            self.messages.drain_done[i]
-        } else {
-            self.messages.stream_start[i]
-                + u64::from(self.messages.chain_len[i] - 1 + self.messages.length[i])
-        }
-    }
-
-    /// Whether the streaming or draining worm `id` delivers its tail this
-    /// cycle; if so, release its last VC.
+    /// The streaming or draining worm `id` delivers its tail this cycle:
+    /// release its last VC.
     fn closed_form_delivered(&mut self, id: MsgId) -> bool {
-        if self.cycle != self.delivery_cycle(id) {
-            return false;
-        }
         let i = id as usize;
+        self.messages.delivered_at[i] = PER_FLIT;
         if self.messages.is_draining(id) {
             self.messages.drain_start[i] = PER_FLIT;
             self.n_draining -= 1;
@@ -1579,7 +1607,7 @@ impl Simulator {
             until = until.min(next);
         }
         for &id in &self.ejecting {
-            until = until.min(self.delivery_cycle(id));
+            until = until.min(self.messages.delivered_at[id as usize]);
         }
         // Every pending crossing lies within one wheel turn.
         for at in now..until.min(now + self.wheel_mask + 1) {

@@ -25,8 +25,8 @@ pub type MsgId = u32;
 /// Sentinel for "no message" in VC holders and intrusive queue links.
 pub(crate) const NO_MSG: MsgId = MsgId::MAX;
 
-/// [`MessageArena::stream_start`] and [`MessageArena::drain_start`] of a
-/// worm on the per-flit path.
+/// [`MessageArena::stream_start`], [`MessageArena::drain_start`] and
+/// [`MessageArena::delivered_at`] of a worm on the per-flit path.
 pub(crate) const PER_FLIT: u64 = u64::MAX;
 
 /// One stage of a message's resource chain: a (channel, virtual channel)
@@ -108,8 +108,9 @@ pub struct MessageArena {
     /// `entered` and `ejected` counts), the first cycle of the drain;
     /// [`PER_FLIT`] otherwise.
     pub(crate) drain_start: Vec<u64>,
-    /// For a draining worm, the cycle its tail is delivered.
-    pub(crate) drain_done: Vec<u64>,
+    /// The cycle the tail of a draining worm, or of a streaming worm whose
+    /// header is ejecting, is delivered; [`PER_FLIT`] for any other worm.
+    pub(crate) delivered_at: Vec<u64>,
     /// Intrusive FIFO link for the per-(port, class) allocation queues.
     pub(crate) wait_next: Vec<MsgId>,
     /// Packed chains: slot `id` owns `chain[id*max_chain .. +chain_len]`.
@@ -136,7 +137,7 @@ impl MessageArena {
             chain_len: Vec::new(),
             stream_start: Vec::new(),
             drain_start: Vec::new(),
-            drain_done: Vec::new(),
+            delivered_at: Vec::new(),
             wait_next: Vec::new(),
             chain: Vec::new(),
             live: Vec::new(),
@@ -162,7 +163,7 @@ impl MessageArena {
                 self.chain_len.push(0);
                 self.stream_start.push(PER_FLIT);
                 self.drain_start.push(PER_FLIT);
-                self.drain_done.push(0);
+                self.delivered_at.push(PER_FLIT);
                 self.wait_next.push(NO_MSG);
                 self.chain.resize(
                     self.chain.len() + self.max_chain as usize,
@@ -184,6 +185,7 @@ impl MessageArena {
         self.chain_len[i] = 0;
         self.stream_start[i] = PER_FLIT;
         self.drain_start[i] = PER_FLIT;
+        self.delivered_at[i] = PER_FLIT;
         self.wait_next[i] = NO_MSG;
         self.live[i] = true;
         self.n_live += 1;

@@ -279,7 +279,12 @@ impl KAryNCube {
     /// single ring: `(to - from) mod k`.
     #[inline]
     pub fn ring_distance_forward(&self, from: u32, to: u32) -> u32 {
-        (to + self.k - from) % self.k
+        debug_assert!(from < self.k && to < self.k, "coordinates lie in 0..k");
+        if to >= from {
+            to - from
+        } else {
+            to + self.k - from
+        }
     }
 
     /// Shortest signed offset from `from` to `to` in a bidirectional ring;

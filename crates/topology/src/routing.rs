@@ -152,20 +152,30 @@ impl KAryNCube {
     /// used by the simulator's routing stage; it agrees hop-for-hop with
     /// [`KAryNCube::dor_route`].
     pub fn dor_next_hop(&self, cur: NodeId, dest: NodeId) -> Option<Hop> {
+        // Walk both nodes' coordinates digit by digit (x first): one
+        // division per dimension instead of a power and a division per
+        // coordinate read.
+        let k = self.k();
+        let (mut c, mut d) = (cur.0, dest.0);
         for dim in 0..self.n() {
-            let target = self.coord(dest, dim);
-            if self.coord(cur, dim) != target {
-                let direction = self.travel_direction(cur, dest, dim)?;
-                let vc_class = VcClass::for_hop(self.coord(cur, dim), target, direction);
+            let (from, target) = (c % k, d % k);
+            if from != target {
+                let direction = if self.ring_offset_routed(from, target) > 0 {
+                    Direction::Plus
+                } else {
+                    Direction::Minus
+                };
                 return Some(Hop {
                     channel: Channel {
                         from: cur,
                         dim,
                         direction,
                     },
-                    vc_class,
+                    vc_class: VcClass::for_hop(from, target, direction),
                 });
             }
+            c /= k;
+            d /= k;
         }
         None
     }
