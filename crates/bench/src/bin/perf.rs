@@ -3,18 +3,20 @@
 //! `(k, n)` configurations and emits a machine-readable
 //! `BENCH_simulator.json`.
 //!
-//! Three load points per configuration, all driven through the production
+//! Four load points per configuration, all driven through the production
 //! `Simulator::run()` path:
 //!
 //! * `anchor` — 5% of the model's saturation rate λ*, the near-zero-load
 //!   regime the paper's validation curves start from;
 //! * `light` — 25% of λ*: little queueing;
-//! * `moderate` — 50% of λ*: ports shared, headers waiting.
+//! * `moderate` — 50% of λ*: ports shared, headers waiting;
+//! * `heavy` — 80% of λ*: most worms share a port on the way and finish
+//!   draining alone at their destination.
 //!
 //! Each load runs [`REPEATS`] times (the same seed, so the same run) and
 //! reports the median and interquartile range of the repeats.  The
 //! headline is `messages_per_sec`: messages delivered per second of
-//! simulation over the three loads.  Cycles/s says little about cost once
+//! simulation over the four loads.  Cycles/s says little about cost once
 //! the engine skips cycles: idle stretches, and the quiet cycles while
 //! every worm in flight streams, cost nothing.
 //!
@@ -36,10 +38,11 @@ const CONFIGS: [(u32, u32, u32, u32, f64); 3] =
     [(16, 2, 2, 32, 0.2), (8, 3, 2, 16, 0.2), (4, 4, 2, 16, 0.2)];
 
 /// `(label, fraction of λ*, full-run cycle budget, quick-run cycle budget)`.
-const LOADS: [(&str, f64, u64, u64); 3] = [
+const LOADS: [(&str, f64, u64, u64); 4] = [
     ("anchor", 0.05, 20_000_000, 2_000_000),
     ("light", 0.25, 6_000_000, 600_000),
     ("moderate", 0.50, 2_000_000, 200_000),
+    ("heavy", 0.80, 1_200_000, 120_000),
 ];
 
 const SEED: u64 = 7;

@@ -306,10 +306,8 @@ pub struct Simulator {
     /// Whether newly injected worms may stream (set by [`Simulator::run`]
     /// for the configurations the closed form covers).
     stream: bool,
-    /// Live streaming worms.
-    n_streaming: usize,
-    /// Live draining worms.
-    n_draining: usize,
+    /// Live streaming or draining worms.
+    n_closed_form: usize,
     /// Per-flit worms with an ejecting header that an event this cycle
     /// may have left alone on every port where they still have flits to
     /// receive: checked for a drain at the end of the cycle.
@@ -492,8 +490,7 @@ impl Simulator {
             ejecting: Vec::new(),
             stream_waits: Vec::new(),
             stream: false,
-            n_streaming: 0,
-            n_draining: 0,
+            n_closed_form: 0,
             drain_candidates: Vec::new(),
             drain_times: Vec::new(),
             #[cfg(test)]
@@ -759,7 +756,7 @@ impl Simulator {
             // The header crosses this cycle and one flit follows per cycle.
             if stage == 0 {
                 self.messages.stream_start[id as usize] = self.cycle;
-                self.n_streaming += 1;
+                self.n_closed_form += 1;
             }
             debug_assert_eq!(
                 self.messages.stream_start[id as usize] + stage as u64,
@@ -1056,7 +1053,7 @@ impl Simulator {
         let start = if self.messages.is_streaming(id) {
             let start = self.messages.stream_start[i];
             self.messages.stream_start[i] = PER_FLIT;
-            self.n_streaming -= 1;
+            self.n_closed_form -= 1;
             // Stage `s` saw flit `f` at cycle `start + s + f - 1`; ejection
             // runs one stage behind the last.
             let seen_by = |at: u64| self.cycle.saturating_sub(at).min(u64::from(length)) as u32;
@@ -1163,7 +1160,7 @@ impl Simulator {
     fn start_drain(&mut self, id: MsgId) {
         let i = id as usize;
         self.messages.drain_start[i] = self.cycle + 1;
-        self.n_draining += 1;
+        self.n_closed_form += 1;
         #[cfg(test)]
         {
             self.drain_counts.started += 1;
@@ -1240,7 +1237,7 @@ impl Simulator {
         let start = self.messages.drain_start[i];
         let table = self.replay_drain(id);
         self.messages.drain_start[i] = PER_FLIT;
-        self.n_draining -= 1;
+        self.n_closed_form -= 1;
         let length = self.messages.length[i];
         let base = self.messages.chain_base(id);
         // Flits of replay row `r` moved before this cycle, from `from` on.
@@ -1343,10 +1340,13 @@ impl Simulator {
                 while i < self.ejecting.len() {
                     let id = self.ejecting[i];
                     let due = self.messages.delivered_at[id as usize];
-                    let done = if due != PER_FLIT {
-                        due == self.cycle && self.closed_form_delivered(id)
-                    } else {
+                    let done = if due == PER_FLIT {
                         self.try_eject_one(id) && self.messages.is_delivered(id)
+                    } else if due == self.cycle {
+                        self.deliver_closed_form(id);
+                        true
+                    } else {
+                        false
                     };
                     if done {
                         self.complete(id);
@@ -1411,21 +1411,17 @@ impl Simulator {
 
     /// The streaming or draining worm `id` delivers its tail this cycle:
     /// release its last VC.
-    fn closed_form_delivered(&mut self, id: MsgId) -> bool {
+    fn deliver_closed_form(&mut self, id: MsgId) {
         let i = id as usize;
-        self.messages.delivered_at[i] = PER_FLIT;
+        #[cfg(test)]
         if self.messages.is_draining(id) {
-            self.messages.drain_start[i] = PER_FLIT;
-            self.n_draining -= 1;
-            #[cfg(test)]
-            {
-                self.drain_counts.flits +=
-                    u64::from(self.messages.length[i] - self.messages.ejected[i]);
-            }
-        } else {
-            self.messages.stream_start[i] = PER_FLIT;
-            self.n_streaming -= 1;
+            self.drain_counts.flits +=
+                u64::from(self.messages.length[i] - self.messages.ejected[i]);
         }
+        self.messages.stream_start[i] = PER_FLIT;
+        self.messages.drain_start[i] = PER_FLIT;
+        self.messages.delivered_at[i] = PER_FLIT;
+        self.n_closed_form -= 1;
         self.messages.ejected[i] = self.messages.length[i];
         self.last_progress = self.cycle;
         let last = self.messages.chain
@@ -1433,7 +1429,6 @@ impl Simulator {
         let pv = self.pv(last.port, last.vc);
         self.vc_cnt[pv] = 0; // its buffer is empty
         self.free_vc(last.port, last.vc);
-        true
     }
 
     fn complete(&mut self, id: MsgId) {
@@ -1511,7 +1506,7 @@ impl Simulator {
                 return false;
             }
         }
-        if self.n_streaming + self.n_draining > 0 {
+        if self.n_closed_form > 0 {
             // A streaming or draining worm moves a flit every cycle of its
             // life.
             self.last_progress = self.cycle - 1;
@@ -1592,9 +1587,8 @@ impl Simulator {
     /// this cycle.  No jump starts on a cycle that is due a stamp sweep.
     fn quiet_until(&self) -> Option<u64> {
         let now = self.cycle;
-        let closed_form = self.n_streaming + self.n_draining;
-        if closed_form == 0
-            || closed_form != self.messages.live_count()
+        if self.n_closed_form == 0
+            || self.n_closed_form != self.messages.live_count()
             || !self.stream_waits.is_empty()
             || now >= self.next_sweep
         {
