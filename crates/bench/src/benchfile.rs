@@ -491,7 +491,7 @@ mod tests {
         assert_eq!(
             violations(&doc, &SIMULATOR),
             vec![
-                "schema_version 1 != 2".to_string(),
+                "schema_version 1 != 3".to_string(),
                 "missing string commit".to_string(),
                 "missing boolean quick".to_string(),
             ]

@@ -37,8 +37,8 @@
 //!
 //! Work is driven by explicit worklists, all O(live state) rather than
 //! O(network size): `flit_ports` holds the ports whose per-flit VCs may
-//! move a flit this cycle, the crossing `wheel` holds the streaming
-//! crossings due (see below), `pending_alloc` holds the ports whose
+//! move a flit this cycle, the crossing `wheel` holds the streaming and
+//! draining crossings due (see below), `pending_alloc` holds the ports whose
 //! allocation queues may be grantable (`port_in_pending`), `ejecting`
 //! holds draining messages, and the arrival heap orders future source
 //! events so fully idle stretches are skipped in O(log N).  A per-flit
@@ -83,8 +83,8 @@
 //! A worm streams from its injection grant while two things hold: it is
 //! the only VC with flits left to receive on every port it holds, and its
 //! header gets each next VC on the first allocation pass after it lands.
-//! Streaming ends for good — the worm is *materialised* and continues on
-//! the per-flit path — when
+//! Streaming ends — the worm is *materialised* and continues on the
+//! per-flit path — when
 //!
 //! * another VC is granted on a port where the worm still has flits to
 //!   receive, or the worm is granted a port where another VC still has
@@ -99,35 +99,75 @@
 //! flit of the cycle moves.  `port_rr` is set when the header crosses,
 //! as the per-flit move does (no other VC moves on the port meanwhile).
 //!
+//! # Draining worms
+//!
+//! A materialised worm streams again, as a *draining* worm, once its
+//! header is ejecting (its path is complete, so it needs no more grants)
+//! and it is again the only VC with flits left to receive on every port
+//! where it has any.  Only two events can bring that about, so only they
+//! nominate a worm, checked at the end of the cycle: its header starting
+//! to eject, and a VC on one of its ports receiving its last flit (the
+//! worm's own included).  The engine keeps the worm's `entered` and
+//! `ejected` counts as they stand and the drain's first cycle
+//! (`MessageArena::drain_start`), and replays the rest of the drain once
+//! from the max-plus recurrence of the per-flit rules, with `cap` the
+//! buffer depth:
+//!
+//! ```text
+//! E[s][i] = 1 + max(E[s-1][i], E[s][i-1], E[s+1][i-cap])   flit i enters stage s
+//! X[i]    = 1 + max(E[L][i],   X[i-1])                     flit i is delivered
+//! ```
+//!
+//! (`E[L+1]` is `X`; counts already in place stand for the cycle before
+//! the drain.)  The uncontended solution is the streaming closed form
+//! above.  From the replay the engine schedules each stage's tail
+//! crossing in the wheel — release the upstream VC in activation order,
+//! retire the port's `port_movable` count, add the flits to `port_flits`,
+//! set `port_rr` — and the tail's delivery, which the ejection phase
+//! makes at the worm's place in the ejecting list.  A drain ends at that
+//! delivery, or when a grant lands on a port where the worm still has
+//! flits to receive: materialising then replays the recurrence up to the
+//! end of the previous cycle and writes the same state as for a
+//! streaming worm, `port_rr` included.
+//!
 //! What stays exact:
 //!
 //! * the inspection hooks ([`Simulator::channel_flits`],
 //!   [`Simulator::flit_conservation_check`], [`Simulator::in_flight`])
-//!   read per-flit state: only [`Simulator::run`] streams, and it owns the
-//!   simulator until the report, while [`Simulator::step`] keeps every
-//!   worm on the per-flit path;
+//!   read per-flit state: only [`Simulator::run`] streams and drains, and
+//!   it owns the simulator until the report, while [`Simulator::step`]
+//!   keeps every worm on the per-flit path;
 //! * the deadlock watchdog: a streaming worm moves a flit every cycle of
-//!   its life, so `last_progress` is the previous cycle whenever one is
-//!   live;
+//!   its life, and so does a draining one — at the start of each cycle
+//!   the stage after its furthest flit is empty, so that flit moves on (or
+//!   is delivered, or a flit is injected if none has left the source) —
+//!   so `last_progress` is the previous cycle whenever one is live.  A
+//!   drain starts only after a cycle in which a flit moved;
 //! * V̄: grants and releases happen on the cycles they always did, and
-//!   when every live worm streams and has reached its destination, `run`
-//!   skips the quiet cycles before the next crossing, delivery or arrival,
-//!   adding `busy_v · Δ` (and `busy_v2 · Δ`) for the measured ones.  Those
-//!   jumps stop at every 1024th cycle, so the health and target checks run
-//!   on the cycles they always did, and never start on a cycle due the
-//!   2¹⁶-cycle stamp sweep.
+//!   when every live worm streams or drains, `run` skips the quiet cycles
+//!   before the next crossing, delivery or arrival, adding `busy_v · Δ`
+//!   (and `busy_v2 · Δ`) for the measured ones.  Those jumps stop at every
+//!   1024th cycle, so the health and target checks run on the cycles they
+//!   always did, and never start on a cycle due the 2¹⁶-cycle stamp sweep;
+//! * the wheel horizon: with `cap >= 2`, each term of the recurrence is
+//!   one flit or one stage behind, or two or more flits behind and one
+//!   stage ahead, so a drain started after cycle `t` has flit `i` (from 1)
+//!   at stage `s` by `t + s + i`.  Its last crossing is thus within
+//!   `Lm + chain - 1` cycles, and the wheel spans `Lm` plus the longest
+//!   chain.
 //!
 //! Configurations with `buffer_depth = 1` (a stalled flit every other
-//! cycle) or [`EjectionPolicy::SharedChannel`] (draining messages take
+//! cycle) or [`EjectionPolicy::SharedChannel`] (ejecting messages take
 //! turns) always take the per-flit path.
 //!
 //! All phases are deterministic; a run is a pure function of its
 //! configuration (including the seed).  Fixed-seed report snapshots
 //! (`tests/engine_snapshots.rs`) pin the engine to its earlier versions —
 //! the object-graph engine, and the per-flit engine before streaming —
-//! bit for bit, and a differential property test in this module runs
-//! random small configurations both ways and compares the report and,
-//! after materialising, every engine array.
+//! bit for bit, and a differential test in this module runs random small
+//! configurations both ways and compares the report and, after
+//! materialising, every engine array; it also checks that its cases start
+//! drains, see grants end some, and drain flits.
 
 use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
 use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG, PER_FLIT};
@@ -279,11 +319,13 @@ pub struct Simulator {
     /// Ports that may hold a per-flit VC with flits left to receive (a
     /// superset; idle entries drop out in the move phase).
     flit_ports: Vec<u32>,
-    /// Streaming crossings by cycle: slot `cycle & wheel_mask` lists the
-    /// ports whose streaming VC has a header or tail crossing then.  The
-    /// wheel spans the message length, so no pending crossing aliases the
-    /// current slot.  An entry whose port no longer expects a crossing
-    /// that cycle (its worm was materialised) is skipped.
+    /// Streaming and draining crossings by cycle: slot `cycle &
+    /// wheel_mask` lists the ports whose streaming VC has a header or tail
+    /// crossing then, or whose draining VC a tail crossing.  The wheel
+    /// spans the message length plus the longest chain, so no pending
+    /// crossing aliases the current slot.  An entry whose port no longer
+    /// expects a crossing that cycle (its worm was materialised) is
+    /// skipped.
     wheel: Vec<Vec<u32>>,
     wheel_mask: u64,
     /// Ports a crossing or ejection this cycle may unblock from the next
@@ -1150,13 +1192,8 @@ impl Simulator {
 
     /// Drain `id` from the next cycle on: keep its counts as they stand,
     /// schedule each tail crossing still to come in the wheel and note the
-    /// delivery of its tail.
-    ///
-    /// With `buffer_depth >= 2` the replay gives flit `f` (from 1) at stage
-    /// `s` at most `start + s + f - 1`: each term of its max-plus step is
-    /// one flit or one stage behind, or `cap >= 2` flits behind and one
-    /// stage ahead.  So the last crossing falls within `Lm + chain - 1`
-    /// cycles of this one, inside the wheel's span.
+    /// delivery of its tail.  Every crossing falls within the wheel's span
+    /// (module docs, *Draining worms*).
     fn start_drain(&mut self, id: MsgId) {
         let i = id as usize;
         self.messages.drain_start[i] = self.cycle + 1;
@@ -1580,8 +1617,8 @@ impl Simulator {
         true
     }
 
-    /// When every live worm streams and has reached its destination, the
-    /// cycles before the next tail crossing, delivery or arrival change
+    /// When every live worm streams or drains, the cycles before the next
+    /// header or tail crossing, delivery or arrival change
     /// nothing but the V̄ sums: the first cycle something happens, capped
     /// at the next health check (every 1024 cycles), or `None` if that is
     /// this cycle.  No jump starts on a cycle that is due a stamp sweep.
