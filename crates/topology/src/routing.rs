@@ -102,14 +102,17 @@ impl KAryNCube {
     /// needed.
     pub fn travel_direction(&self, src: NodeId, dest: NodeId, dim: u32) -> Option<Direction> {
         let (a, b) = (self.coord(src, dim), self.coord(dest, dim));
-        if a == b {
-            return None;
-        }
-        Some(if self.ring_offset_routed(a, b) > 0 {
+        (a != b).then(|| self.ring_direction(a, b))
+    }
+
+    /// Direction of travel from coordinate `from` to a different `to` in
+    /// one ring: the sign of [`KAryNCube::ring_offset_routed`].
+    fn ring_direction(&self, from: u32, to: u32) -> Direction {
+        if self.ring_offset_routed(from, to) > 0 {
             Direction::Plus
         } else {
             Direction::Minus
-        })
+        }
     }
 
     /// Compute the full dimension-order route from `src` to `dest`:
@@ -160,11 +163,7 @@ impl KAryNCube {
         for dim in 0..self.n() {
             let (from, target) = (c % k, d % k);
             if from != target {
-                let direction = if self.ring_offset_routed(from, target) > 0 {
-                    Direction::Plus
-                } else {
-                    Direction::Minus
-                };
+                let direction = self.ring_direction(from, target);
                 return Some(Hop {
                     channel: Channel {
                         from: cur,
