@@ -489,7 +489,7 @@ impl Simulator {
             .filter_map(|wl| wl.next_arrival_cycle().map(|c| Reverse((c, wl.node().0))))
             .collect();
         // The crossing wheel spans every crossing a streaming or draining
-        // worm schedules (see `start_drain`).
+        // worm schedules (module docs, *Draining worms*).
         let wheel_len = (config.message_length + max_chain).next_power_of_two();
         let per_batch = if config.target_messages > 0 {
             (config.target_messages / u64::from(BATCHES)).max(1)
