@@ -12,7 +12,7 @@
 //! own schema is a bug (panic); an unwritable `--out` exits 2 (as does a
 //! bad flag, in [`parse_args`]); an unreadable, malformed or
 //! schema-drifted baseline exits 1; a throughput below
-//! [`DEFAULT_MIN_RATIO`] × the baseline only warns (exit 0), because
+//! `DEFAULT_MIN_RATIO` × the baseline only warns (exit 0), because
 //! timing on shared runners is noisy.
 
 use crate::json::{parse, Json};

@@ -5,9 +5,10 @@
 //! For an 8×8 bidirectional torus and an 8×8 mesh, sweeps a common
 //! element-failure density `p` (routers and physical links alike),
 //! samples the **same** deterministic fault set the simulator will use
-//! (same spec, same seed), and compares [`FaultyNCubeModel`] latency
-//! predictions against simulation at fixed fractions of the model's own
-//! saturation rate `λ*`.
+//! (same spec, same seed), and compares
+//! [`FaultyNCubeModel`](kncube_core::FaultyNCubeModel) latency predictions
+//! against simulation at fixed fractions of the model's own saturation
+//! rate `λ*`.
 //!
 //! The protocol is [`kncube_bench::validate`], shared with
 //! `tests/model_vs_sim_faults.rs`: the simulator's instrumentation offset

@@ -1,9 +1,9 @@
 //! The faulty-network latency model: the paper's blocking analysis over
 //! the *exact* surviving-route substrate of a [`FaultRouter`].
 //!
-//! The closed-form model ([`NCubeModel`](crate::ncube::NCubeModel))
-//! assumes the fault-free unidirectional torus, where symmetry collapses
-//! the per-channel state onto a handful of position families.  Faults —
+//! The closed-form model ([`NCubeModel`]) assumes the fault-free
+//! unidirectional torus, where symmetry collapses the per-channel state
+//! onto a handful of position families.  Faults —
 //! and the bidirectional/mesh geometries — break that symmetry: routes
 //! detour, load redistributes unevenly, and some pairs stop communicating
 //! altogether.  [`FaultyNCubeModel`] rebuilds the same queueing chain
@@ -36,9 +36,9 @@
 //!
 //! With an **empty fault set on a unidirectional torus** (including every
 //! `k = 2` network, where the two link kinds coincide) the model
-//! *delegates* to [`NCubeModel`](crate::ncube::NCubeModel), reproducing
-//! its output bit-for-bit; [`FaultyNCubeModel::solve_general_at`] forces
-//! the per-channel path for cross-validation.
+//! *delegates* to [`NCubeModel`], reproducing its output bit-for-bit;
+//! [`FaultyNCubeModel::solve_general_at`] forces the per-channel path for
+//! cross-validation.
 
 use crate::ncube::{ModelError, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP};
 use crate::rates::FaultyChannelRates;
@@ -70,11 +70,10 @@ fn check_lambda(lambda: f64) -> Result<(), ModelError> {
 /// Configuration of the faulty-network model.
 ///
 /// The topology is carried by the fault set (possibly empty —
-/// [`FaultSet::none`]); the traffic knobs mirror
-/// [`NCubeConfig`](crate::ncube::NCubeConfig).  The hot node defaults to
-/// `NodeId(0)`, the simulator's convention ([`SimConfig::ncube`] uses the
-/// same), which on a mesh is a *corner* — position matters once wrap
-/// links are gone.
+/// [`FaultSet::none`]); the traffic knobs mirror [`NCubeConfig`].  The
+/// hot node defaults to `NodeId(0)`, the simulator's convention
+/// ([`SimConfig::ncube`] uses the same), which on a mesh is a *corner* —
+/// position matters once wrap links are gone.
 ///
 /// Equality and hashing compare every field, the floats by bit pattern
 /// and the fault set whole (failed elements *and* topology), so a config
@@ -181,8 +180,7 @@ pub struct FaultyNCubeOutput {
     /// Fixed-point iterations: the delegate's count on the bit-exact
     /// fault-free path, 1 for the (non-iterative) per-channel path.
     pub iterations: usize,
-    /// Whether this evaluation delegated to the closed-form
-    /// [`NCubeModel`](crate::ncube::NCubeModel).
+    /// Whether this evaluation delegated to the closed-form [`NCubeModel`].
     pub delegated: bool,
 }
 
@@ -257,11 +255,11 @@ impl FaultyNCubeModel {
     }
 
     /// Whether [`FaultyNCubeModel::solve`] delegates to the closed-form
-    /// [`NCubeModel`](crate::ncube::NCubeModel): empty fault set on a
-    /// torus whose geometry the closed forms cover exactly — the
-    /// unidirectional link kind, or `k = 2` where the two link kinds
-    /// coincide (each ring has two nodes, so `Plus` reaches everything
-    /// `Minus` could; pinned by `tests/degenerate_k2.rs`).
+    /// [`NCubeModel`]: empty fault set on a torus whose geometry the
+    /// closed forms cover exactly — the unidirectional link kind, or
+    /// `k = 2` where the two link kinds coincide (each ring has two
+    /// nodes, so `Plus` reaches everything `Minus` could; pinned by
+    /// `tests/degenerate_k2.rs`).
     pub fn delegates_to_ncube(&self) -> bool {
         let topo = self.config.topology();
         self.config.faults.is_empty()

@@ -37,10 +37,10 @@
 //!
 //! Work is driven by explicit worklists, all O(live state) rather than
 //! O(network size): `flit_ports` holds the ports whose per-flit VCs may
-//! move a flit this cycle, the crossing `wheel` holds the streaming and
-//! draining crossings due (see below), `pending_alloc` holds the ports whose
+//! move a flit this cycle, the crossing `wheel` holds the closed-form
+//! crossings due (see below), `pending_alloc` holds the ports whose
 //! allocation queues may be grantable (`port_in_pending`), `ejecting`
-//! holds draining messages, and the arrival heap orders future source
+//! holds ejecting messages, and the arrival heap orders future source
 //! events so fully idle stretches are skipped in O(log N).  A per-flit
 //! port that moved nothing leaves `flit_ports` until a flit enters a
 //! buffer it reads from or leaves one it writes to.  Idle channels are
@@ -67,92 +67,91 @@
 //! in *activation order*: the order in which ports last went from idle to
 //! busy (`port_seq`).
 //!
-//! # Streaming worms
+//! # Closed-form worms
 //!
-//! With `buffer_depth >= 2`, a worm that nothing contends with moves one
-//! flit per cycle through every stage: if its header entered the
-//! injection stage at cycle `g`, flit `i` enters stage `s` at
-//! `g + s + i - 1` and is delivered at `g + L + i`, where `L` is the
-//! last stage.  Such a worm *streams*: the engine keeps only `g`
-//! (`MessageArena::stream_start`) and acts at the per-hop events, never
-//! per flit — the header crossing a port (route, queue for the next hop),
-//! the grant of the next hop, the tail crossing (release the previous
-//! stage), and the delivery of the tail.  Header and tail crossings sit
-//! in the crossing wheel; deliveries are checked in the ejection phase.
-//!
-//! A worm streams from its injection grant while two things hold: it is
-//! the only VC with flits left to receive on every port it holds, and its
-//! header gets each next VC on the first allocation pass after it lands.
-//! Streaming ends — the worm is *materialised* and continues on the
-//! per-flit path — when
-//!
-//! * another VC is granted on a port where the worm still has flits to
-//!   receive, or the worm is granted a port where another VC still has
-//!   (both worms then share the port flit by flit);
-//! * its header is not granted on that first pass (the flits behind it
-//!   bunch up and buffers fill, which only the per-flit path models).
-//!
-//! Materialising writes what the per-flit engine holds at the end of the
-//! previous cycle: every stage's `entered`, the ejected count, `vc_slot`
-//! and `vc_cnt` of the VCs still held, the flits owed to `port_flits`,
-//! and `last_progress`.  It only happens during allocation, before any
-//! flit of the cycle moves.  `port_rr` is set when the header crosses,
-//! as the per-flit move does (no other VC moves on the port meanwhile).
-//!
-//! # Draining worms
-//!
-//! A materialised worm streams again, as a *draining* worm, once its
-//! header is ejecting (its path is complete, so it needs no more grants)
-//! and it is again the only VC with flits left to receive on every port
-//! where it has any.  Only two events can bring that about, so only they
-//! nominate a worm, checked at the end of the cycle: its header starting
-//! to eject, and a VC on one of its ports receiving its last flit (the
-//! worm's own included).  The engine keeps the worm's `entered` and
-//! `ejected` counts as they stand and the drain's first cycle
-//! (`MessageArena::drain_start`), and replays the rest of the drain once
-//! from the max-plus recurrence of the per-flit rules, with `cap` the
-//! buffer depth:
+//! With `buffer_depth >= 2`, the per-flit rules for a worm alone on its
+//! ports are a max-plus recurrence, with `cap` the buffer depth and `L`
+//! the last stage:
 //!
 //! ```text
 //! E[s][i] = 1 + max(E[s-1][i], E[s][i-1], E[s+1][i-cap])   flit i enters stage s
 //! X[i]    = 1 + max(E[L][i],   X[i-1])                     flit i is delivered
 //! ```
 //!
-//! (`E[L+1]` is `X`; counts already in place stand for the cycle before
-//! the drain.)  The uncontended solution is the streaming closed form
-//! above.  From the replay the engine schedules each stage's tail
-//! crossing in the wheel — release the upstream VC in activation order,
-//! retire the port's `port_movable` count, add the flits to `port_flits`,
-//! set `port_rr` — and the tail's delivery, which the ejection phase
-//! makes at the worm's place in the ejecting list.  A drain ends at that
-//! delivery, or when a grant lands on a port where the worm still has
-//! flits to receive: materialising then replays the recurrence up to the
-//! end of the previous cycle and writes the same state as for a
-//! streaming worm, `port_rr` included.
+//! (`E[L+1]` is `X`.)  The engine advances such a worm in *closed form*:
+//! it keeps the first cycle of the closed form
+//! (`MessageArena::closed_start`) and the worm's `entered` and `ejected`
+//! counts as they stood the cycle before it, and acts at the per-hop
+//! events only, never per flit.  Its uncontended
+//! solution, with nothing in place at the start `g`, is one flit per
+//! cycle: flit `i` (from 0) enters stage `s` at `g + s + i` and is
+//! delivered at `g + L + 1 + i`.  A worm enters the closed form in one of
+//! two ways:
+//!
+//! * at its injection grant, when no other VC on the port has flits left
+//!   to receive.  Every stage it is then granted is *streamed*: nothing
+//!   is in place, so the closed form above holds;
+//! * once a per-flit worm's header is ejecting (its path is complete, so
+//!   it needs no more grants) and it is alone again: the only VC with
+//!   flits left to receive on every port where it has any.  Only two
+//!   events can bring that about, so only they nominate a worm, checked at
+//!   the end of the cycle: its header starting to eject, and a VC on one
+//!   of its ports receiving its last flit (the worm's own included).  Such
+//!   a worm *drains*: every stage has flits in place, and the engine
+//!   replays the rest of the recurrence once.
+//!
+//! The events are a streamed stage's header crossing at `g + s` (route,
+//! queue for the next hop or start ejecting), the grant of that hop, each stage's tail
+//! crossing (at `g + s + Lm - 1` when streamed, from the replay
+//! otherwise), and the delivery of the tail.  Crossings sit in the
+//! crossing wheel, and a port tells them apart by the flits its VC still
+//! has to receive in `vc_slot`: all of them, at `g + s`, is a streamed
+//! header.  Each crossing sets `port_rr`; the tail's also releases the
+//! upstream VC in activation order, retires the port's `port_movable`
+//! count and adds the flits to `port_flits`.  The ejection phase makes
+//! the delivery at the worm's place in the ejecting list.
+//!
+//! A worm leaves the closed form at that delivery, or is *materialised*
+//! and continues on the per-flit path when
+//!
+//! * another VC is granted on a port where the worm still has flits to
+//!   receive, or a streamed worm is granted a port where another VC still
+//!   has (both worms then share the port flit by flit);
+//! * its streamed header is not granted on the first allocation pass
+//!   after it lands (the flits behind it bunch up and buffers fill, which
+//!   only the per-flit path models).
+//!
+//! Materialising writes what the per-flit engine holds at the end of the
+//! previous cycle: every stage's `entered` and the ejected count (one
+//! flit per cycle from `g + s` when streamed, replayed otherwise), then
+//! `vc_slot` and `vc_cnt` of the VCs still held, the flits and `port_rr`
+//! of the ports whose tail crossing is still to come, and
+//! `last_progress`.  It only happens during allocation, before any flit
+//! of the cycle moves.
 //!
 //! What stays exact:
 //!
 //! * the inspection hooks ([`Simulator::channel_flits`],
 //!   [`Simulator::flit_conservation_check`], [`Simulator::in_flight`])
-//!   read per-flit state: only [`Simulator::run`] streams and drains, and
-//!   it owns the simulator until the report, while [`Simulator::step`]
+//!   read per-flit state: only [`Simulator::run`] uses the closed form,
+//!   and it owns the simulator until the report, while [`Simulator::step`]
 //!   keeps every worm on the per-flit path;
-//! * the deadlock watchdog: a streaming worm moves a flit every cycle of
-//!   its life, and so does a draining one — at the start of each cycle
-//!   the stage after its furthest flit is empty, so that flit moves on (or
-//!   is delivered, or a flit is injected if none has left the source) —
-//!   so `last_progress` is the previous cycle whenever one is live.  A
-//!   drain starts only after a cycle in which a flit moved;
+//! * the deadlock watchdog: a closed-form worm moves a flit every cycle
+//!   of its life — at the start of each cycle the stage after its
+//!   furthest flit is empty, so that flit moves on (or is delivered, or a
+//!   flit is injected if none has left the source) — so `last_progress`
+//!   is the previous cycle whenever one is live.  A drain starts only
+//!   after a cycle in which a flit moved;
 //! * V̄: grants and releases happen on the cycles they always did, and
-//!   when every live worm streams or drains, `run` skips the quiet cycles
+//!   when every live worm is in closed form, `run` skips the quiet cycles
 //!   before the next crossing, delivery or arrival, adding `busy_v · Δ`
 //!   (and `busy_v2 · Δ`) for the measured ones.  Those jumps stop at every
 //!   1024th cycle, so the health and target checks run on the cycles they
 //!   always did, and never start on a cycle due the 2¹⁶-cycle stamp sweep;
 //! * the wheel horizon: with `cap >= 2`, each term of the recurrence is
 //!   one flit or one stage behind, or two or more flits behind and one
-//!   stage ahead, so a drain started after cycle `t` has flit `i` (from 1)
-//!   at stage `s` by `t + s + i`.  Its last crossing is thus within
+//!   stage ahead, so a worm whose closed form starts after cycle `t` has
+//!   flit `i` (from 1) at stage `s` by `t + s + i`.  Its last crossing is thus within
 //!   `Lm + chain - 1` cycles, and the wheel spans `Lm` plus the longest
 //!   chain.
 //!
@@ -167,7 +166,8 @@
 //! bit for bit, and a differential test in this module runs random small
 //! configurations both ways and compares the report and, after
 //! materialising, every engine array; it also checks that its cases start
-//! drains, see grants end some, and drain flits.
+//! drains, materialise streamed and drained worms during the run, and move
+//! flits in closed form.
 
 use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
 use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG, PER_FLIT};
@@ -194,12 +194,8 @@ const CNT_F: u64 = 0xFFFF;
 /// Everything below the stamp.
 const CNT_MASK: u64 = (1 << 48) - 1;
 
-/// `port_stream_at` of a port with no streaming virtual channel.
+/// `port_stream_at` of a port with no closed-form virtual channel.
 const NO_STREAM: u64 = u64::MAX;
-
-/// `port_stream_vc` flag of a draining virtual channel, whose next
-/// crossing is its tail's.
-const DRAINING: u32 = 1 << 31;
 
 /// `port_sinks` entry of a port not yet looked up.
 const NO_NODE: u32 = u32::MAX;
@@ -285,16 +281,17 @@ pub struct Simulator {
     /// it outright instead of scanning its VCs.
     port_movable: Vec<u32>,
     /// Flits transferred (total, for utilization statistics).  A
-    /// streaming worm adds its flits when its tail crosses (or when it is
+    /// closed-form worm adds its flits when its tail crosses (or when it is
     /// materialised), not flit by flit.
     port_flits: Vec<u64>,
-    /// The cycle of the next flit crossing that does something (the
-    /// header's, then the tail's) of the port's streaming virtual channel,
-    /// or [`NO_STREAM`].  A port holds at most one streaming VC that still
-    /// has flits to receive, and then no other VC with flits to receive.
+    /// The cycle of the next flit crossing that does something (a streamed
+    /// stage's header, then the tail) of the port's closed-form virtual
+    /// channel, or [`NO_STREAM`].  A port holds at most one closed-form VC
+    /// that still has flits to receive, and then no other VC with flits to
+    /// receive.
     port_stream_at: Vec<u64>,
-    /// That streaming virtual channel, or a draining one marked with
-    /// [`DRAINING`] (meaningful while `port_stream_at` is set).
+    /// That closed-form virtual channel (meaningful while `port_stream_at`
+    /// is set).
     port_stream_vc: Vec<u32>,
     /// Activation sequence number: the order in which ports last went
     /// from idle to busy.  The move phase applies its side effects in this
@@ -319,12 +316,11 @@ pub struct Simulator {
     /// Ports that may hold a per-flit VC with flits left to receive (a
     /// superset; idle entries drop out in the move phase).
     flit_ports: Vec<u32>,
-    /// Streaming and draining crossings by cycle: slot `cycle &
-    /// wheel_mask` lists the ports whose streaming VC has a header or tail
-    /// crossing then, or whose draining VC a tail crossing.  The wheel
-    /// spans the message length plus the longest chain, so no pending
-    /// crossing aliases the current slot.  An entry whose port no longer
-    /// expects a crossing that cycle (its worm was materialised) is
+    /// Closed-form crossings by cycle: slot `cycle & wheel_mask` lists the
+    /// ports whose closed-form VC has a header or tail crossing then.  The
+    /// wheel spans the message length plus the longest chain, so no
+    /// pending crossing aliases the current slot.  An entry whose port no
+    /// longer expects a crossing that cycle (its worm was materialised) is
     /// skipped.
     wheel: Vec<Vec<u32>>,
     wheel_mask: u64,
@@ -341,14 +337,14 @@ pub struct Simulator {
     pending_scratch: Vec<u32>,
     /// Messages draining at their destination.
     ejecting: Vec<MsgId>,
-    /// Streaming worms whose header was queued for its next hop this
+    /// Closed-form worms whose header was queued for its next hop this
     /// cycle; any still waiting after the next allocation pass leave the
-    /// streaming representation.
+    /// closed form.
     stream_waits: Vec<MsgId>,
-    /// Whether newly injected worms may stream (set by [`Simulator::run`]
-    /// for the configurations the closed form covers).
+    /// Whether worms may enter the closed form (set by [`Simulator::run`]
+    /// for the configurations it covers).
     stream: bool,
-    /// Live streaming or draining worms.
+    /// Live closed-form worms.
     n_closed_form: usize,
     /// Per-flit worms with an ejecting header that an event this cycle
     /// may have left alone on every port where they still have flits to
@@ -358,7 +354,7 @@ pub struct Simulator {
     /// as [`DrainTable`] says).
     drain_times: Vec<u64>,
     #[cfg(test)]
-    drain_counts: DrainCounts,
+    closed_form_counts: ClosedFormCounts,
     /// `SharedChannel` ejection: the cycle each node last delivered a
     /// flit (empty under `PerMessageSink`).
     served_at: Vec<u64>,
@@ -410,16 +406,18 @@ enum Effect {
     HeadArrival(MsgId, u32),
 }
 
-/// How often worms drained, for the differential test to show its cases
-/// exercise every drain path.
+/// How often worms took each closed-form path, for the differential test
+/// to show its cases exercise all of them.
 #[cfg(test)]
 #[derive(Clone, Copy, Debug, Default)]
-struct DrainCounts {
+struct ClosedFormCounts {
     /// Drains started.
-    started: u64,
-    /// Drains a grant put back on the per-flit path.
-    materialised: u64,
-    /// Flit crossings and deliveries done in closed form by drains.
+    drains: u64,
+    /// Drained worms put back on the per-flit path during a run.
+    drains_materialised: u64,
+    /// Streamed worms put back on the per-flit path during a run.
+    streams_materialised: u64,
+    /// Flit crossings and deliveries done in closed form.
     flits: u64,
 }
 
@@ -488,8 +486,8 @@ impl Simulator {
             .iter()
             .filter_map(|wl| wl.next_arrival_cycle().map(|c| Reverse((c, wl.node().0))))
             .collect();
-        // The crossing wheel spans every crossing a streaming or draining
-        // worm schedules (module docs, *Draining worms*).
+        // The crossing wheel spans every crossing a closed-form worm
+        // schedules (module docs, *Closed-form worms*).
         let wheel_len = (config.message_length + max_chain).next_power_of_two();
         let per_batch = if config.target_messages > 0 {
             (config.target_messages / u64::from(BATCHES)).max(1)
@@ -536,7 +534,7 @@ impl Simulator {
             drain_candidates: Vec::new(),
             drain_times: Vec::new(),
             #[cfg(test)]
-            drain_counts: DrainCounts::default(),
+            closed_form_counts: ClosedFormCounts::default(),
             served_at: match config.ejection {
                 EjectionPolicy::PerMessageSink => Vec::new(),
                 EjectionPolicy::SharedChannel => vec![u64::MAX; n_nodes as usize],
@@ -754,11 +752,11 @@ impl Simulator {
             }
         }
         self.pending_scratch = pending;
-        // A streaming header not granted on its first pass waits: its
+        // A closed-form header not granted on its first pass waits: its
         // flits bunch up behind it, which only the per-flit path models.
         for i in 0..self.stream_waits.len() {
             let id = self.stream_waits[i];
-            if self.messages.is_streaming(id)
+            if self.messages.is_closed_form(id)
                 && self.messages.head[id as usize] != HeadState::Crossing
             {
                 self.materialise(id);
@@ -794,14 +792,14 @@ impl Simulator {
         }
         let sole_mover = self.port_movable[p] == 0;
         self.port_movable[p] += 1;
-        if sole_mover && (self.messages.is_streaming(id) || (stage == 0 && self.stream)) {
+        if sole_mover && (self.messages.is_closed_form(id) || (stage == 0 && self.stream)) {
             // The header crosses this cycle and one flit follows per cycle.
             if stage == 0 {
-                self.messages.stream_start[id as usize] = self.cycle;
+                self.messages.closed_start[id as usize] = self.cycle;
                 self.n_closed_form += 1;
             }
             debug_assert_eq!(
-                self.messages.stream_start[id as usize] + stage as u64,
+                self.messages.closed_start[id as usize] + stage as u64,
                 self.cycle
             );
             self.port_stream_at[p] = self.cycle;
@@ -813,15 +811,10 @@ impl Simulator {
             // Another VC here may still move flits: round-robin
             // arbitration decides flit by flit, so neither worm streams.
             if self.port_stream_at[p] != NO_STREAM {
-                let vc = self.port_stream_vc[p] & !DRAINING;
-                let holder = self.vc_slot[self.pv(port_idx, vc)] as u32;
-                #[cfg(test)]
-                if self.messages.is_draining(holder) {
-                    self.drain_counts.materialised += 1;
-                }
+                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
                 self.materialise(holder);
             }
-            if self.messages.is_streaming(id) {
+            if self.messages.is_closed_form(id) {
                 self.materialise(id);
             }
         }
@@ -872,17 +865,12 @@ impl Simulator {
         // and its buffer had room at the start of it.  Only the side
         // effects (releasing a VC, queueing or ejecting a header) are
         // ordered, so they are deferred and applied by activation order.
-        // First the streaming and draining crossings due now.
+        // First the closed-form crossings due now.
         let slot = (self.cycle & self.wheel_mask) as usize;
         let mut due = std::mem::take(&mut self.wheel[slot]);
         for &port in &due {
-            if self.port_stream_at[port as usize] != self.cycle {
-                continue;
-            }
-            if self.port_stream_vc[port as usize] & DRAINING != 0 {
-                self.drain_crossing(port);
-            } else {
-                self.stream_crossing(port);
+            if self.port_stream_at[port as usize] == self.cycle {
+                self.crossing(port);
             }
         }
         due.clear();
@@ -1020,98 +1008,94 @@ impl Simulator {
             .push((self.port_seq[port as usize] << 1 | rank, effect));
     }
 
-    /// The header or the tail of the streaming VC on `port` crosses it this
-    /// cycle: do what the per-flit move of that flit does.
-    fn stream_crossing(&mut self, port_idx: u32) {
+    /// The closed-form VC on `port` crosses it this cycle: do what the
+    /// per-flit move of a streamed stage's header, of the tail, or of both
+    /// (a one-flit worm) does.  A stage still owed every flit is streamed.
+    fn crossing(&mut self, port_idx: u32) {
         let p = port_idx as usize;
         let vc_idx = self.port_stream_vc[p];
         let pv = self.pv(port_idx, vc_idx);
         let slot = self.vc_slot[pv];
         let id = slot as u32;
         let stage = ((slot >> 32) & 0xFFFF) as usize;
-        let length = u64::from(self.messages.length[id as usize]);
-        let header_at = self.messages.stream_start[id as usize] + stage as u64;
-        let tail_at = header_at + length - 1;
-        if self.cycle == tail_at {
-            self.port_stream_at[p] = NO_STREAM;
-            self.port_movable[p] -= 1;
-            self.port_flits[p] += length;
-            self.vc_slot[pv] = slot & !(0xFFFF << 48); // no flits left to receive
-            if stage > 0 {
-                // The tail just left the previous stage: release it.
-                let prev = self.messages.chain[self.messages.chain_base(id) + stage - 1];
-                self.defer(port_idx, Effect::Release(prev.port, prev.vc));
-            }
-        } else {
-            self.port_stream_at[p] = tail_at;
-            self.wheel[(tail_at & self.wheel_mask) as usize].push(port_idx);
-        }
-        if self.cycle == header_at {
-            self.port_rr[p] = (vc_idx + 1) % self.v;
+        let remaining = (slot >> 48) as u32;
+        let length = self.messages.length[id as usize];
+        self.port_rr[p] = (vc_idx + 1) % self.v;
+        if remaining == length
+            && self.cycle == self.messages.closed_start[id as usize] + stage as u64
+        {
             self.defer(port_idx, Effect::HeadArrival(id, port_idx));
+            if length > 1 {
+                let tail_at = self.cycle + u64::from(length) - 1;
+                self.port_stream_at[p] = tail_at;
+                self.wheel[(tail_at & self.wheel_mask) as usize].push(port_idx);
+                return;
+            }
         }
-    }
-
-    /// The tail of the draining VC on `port` crosses it this cycle: do
-    /// what the per-flit move of the tail does.
-    fn drain_crossing(&mut self, port_idx: u32) {
-        let p = port_idx as usize;
-        let vc_idx = self.port_stream_vc[p] & !DRAINING;
-        let pv = self.pv(port_idx, vc_idx);
-        let slot = self.vc_slot[pv];
-        let id = slot as u32;
-        let stage = ((slot >> 32) & 0xFFFF) as usize;
-        let base = self.messages.chain_base(id);
-        let moved = self.messages.length[id as usize] - self.messages.chain[base + stage].entered;
         #[cfg(test)]
         {
-            self.drain_counts.flits += u64::from(moved);
+            self.closed_form_counts.flits += u64::from(remaining);
         }
         self.port_stream_at[p] = NO_STREAM;
         self.port_movable[p] -= 1;
-        self.port_flits[p] += u64::from(moved);
-        self.port_rr[p] = (vc_idx + 1) % self.v;
-        self.vc_slot[pv] &= !(0xFFFF << 48); // no flits left to receive
+        self.port_flits[p] += u64::from(remaining);
+        self.vc_slot[pv] = slot & !(0xFFFF << 48); // no flits left to receive
         if stage > 0 {
             // The tail just left the previous stage, emptying its buffer:
             // release it.
-            let prev = self.messages.chain[base + stage - 1];
+            let prev = self.messages.chain[self.messages.chain_base(id) + stage - 1];
             let prev_pv = self.pv(prev.port, prev.vc);
             self.vc_cnt[prev_pv] = 0;
             self.defer(port_idx, Effect::Release(prev.port, prev.vc));
         }
     }
 
-    /// Put the streaming or draining worm `id` on the per-flit path: write
-    /// the state the per-flit engine holds at the end of the previous
-    /// cycle, which is where the engine stands (materialisation only
-    /// happens during allocation, before any flit of this cycle moves).
+    /// Put the closed-form worm `id` on the per-flit path: write the state
+    /// the per-flit engine holds at the end of the previous cycle, which is
+    /// where the engine stands (materialisation only happens during
+    /// allocation, before any flit of this cycle moves).
     fn materialise(&mut self, id: MsgId) {
         let i = id as usize;
         let length = self.messages.length[i];
         let chain_len = self.messages.chain_len[i] as usize;
         let base = self.messages.chain_base(id);
-        self.messages.delivered_at[i] = PER_FLIT;
-        let start = if self.messages.is_streaming(id) {
-            let start = self.messages.stream_start[i];
-            self.messages.stream_start[i] = PER_FLIT;
-            self.n_closed_form -= 1;
-            // Stage `s` saw flit `f` at cycle `start + s + f - 1`; ejection
-            // runs one stage behind the last.
-            let seen_by = |at: u64| self.cycle.saturating_sub(at).min(u64::from(length)) as u32;
-            for s in 0..chain_len {
-                self.messages.chain[base + s].entered = seen_by(start + s as u64);
-            }
-            self.messages.ejected[i] = if self.messages.head[i] == HeadState::Ejecting {
-                seen_by(start + chain_len as u64)
+        let start = self.messages.closed_start[i];
+        #[cfg(test)]
+        let ejected_before = self.messages.ejected[i];
+        // A streamed worm had nothing in place; a drained one is replayed.
+        let drain = (self.messages.chain[base].entered > 0).then(|| self.replay_drain(id));
+        #[cfg(test)]
+        match drain {
+            Some(_) => self.closed_form_counts.drains_materialised += 1,
+            None => self.closed_form_counts.streams_materialised += 1,
+        }
+        // Row `r` of the counts: stage `r`'s `entered`, then `ejected`.
+        for r in 0..=chain_len {
+            let count = if r < chain_len {
+                &mut self.messages.chain[base + r].entered
             } else {
-                0
+                &mut self.messages.ejected[i]
             };
-            start
-        } else {
-            self.end_drain(id)
-        };
+            *count = match drain {
+                // Row `r` saw flit `f` at cycle `start + r + f`.
+                None => self
+                    .cycle
+                    .saturating_sub(start + r as u64)
+                    .min(u64::from(length)) as u32,
+                // The first flit the replay has not moved before this cycle.
+                Some(table) => (*count..length)
+                    .find(|&f| self.drain_times[table.at(f as usize, r)] >= self.cycle)
+                    .unwrap_or(length),
+            };
+        }
+        self.messages.closed_start[i] = PER_FLIT;
+        self.messages.delivered_at[i] = PER_FLIT;
+        self.n_closed_form -= 1;
         let ejected = self.messages.ejected[i];
+        #[cfg(test)]
+        {
+            self.closed_form_counts.flits += u64::from(ejected - ejected_before);
+        }
         let stamp = self.cycle & 0xFFFF;
         for s in 0..chain_len {
             let stage = self.messages.chain[base + s];
@@ -1125,20 +1109,28 @@ impl Simulator {
                 continue; // released when the tail left it
             }
             let pv = self.pv(stage.port, stage.vc);
+            let p = stage.port as usize;
+            if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
+                // Its tail crossing is still to come: hand the flits that
+                // crossed in closed form to the per-flit path.
+                let moved = stage.entered - (length - (self.vc_slot[pv] >> 48) as u32);
+                #[cfg(test)]
+                {
+                    self.closed_form_counts.flits += u64::from(moved);
+                }
+                self.port_stream_at[p] = NO_STREAM;
+                self.port_flits[p] += u64::from(moved);
+                if moved > 0 {
+                    self.port_rr[p] = (stage.vc + 1) % self.v;
+                }
+                self.flit_port(stage.port);
+            }
             self.vc_slot[pv] =
                 u64::from(length - stage.entered) << 48 | (s as u64) << 32 | u64::from(id);
             self.vc_cnt[pv] = u64::from(stage.entered - left) | stamp << 48;
-            let p = stage.port as usize;
-            if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
-                // A port the worm streamed through.
-                self.port_stream_at[p] = NO_STREAM;
-                self.port_flits[p] += u64::from(stage.entered);
-                self.flit_port(stage.port);
-            }
         }
         if self.cycle > start {
-            // It moved a flit every cycle since it started streaming or
-            // draining.
+            // It moved a flit every cycle since it entered the closed form.
             self.last_progress = self.last_progress.max(self.cycle - 1);
         }
     }
@@ -1169,10 +1161,9 @@ impl Simulator {
         let mut candidates = std::mem::take(&mut self.drain_candidates);
         for &id in &candidates {
             let i = id as usize;
-            if !self.messages.live[i] || self.messages.is_draining(id) {
+            if !self.messages.live[i] || self.messages.is_closed_form(id) {
                 continue;
             }
-            debug_assert!(!self.messages.is_streaming(id));
             debug_assert_eq!(self.messages.head[i], HeadState::Ejecting);
             let length = self.messages.length[i];
             let alone = self
@@ -1193,14 +1184,14 @@ impl Simulator {
     /// Drain `id` from the next cycle on: keep its counts as they stand,
     /// schedule each tail crossing still to come in the wheel and note the
     /// delivery of its tail.  Every crossing falls within the wheel's span
-    /// (module docs, *Draining worms*).
+    /// (module docs, *Closed-form worms*).
     fn start_drain(&mut self, id: MsgId) {
         let i = id as usize;
-        self.messages.drain_start[i] = self.cycle + 1;
+        self.messages.closed_start[i] = self.cycle + 1;
         self.n_closed_form += 1;
         #[cfg(test)]
         {
-            self.drain_counts.started += 1;
+            self.closed_form_counts.drains += 1;
         }
         let table = self.replay_drain(id);
         let length = self.messages.length[i];
@@ -1216,16 +1207,16 @@ impl Simulator {
             debug_assert!(at - self.cycle <= self.wheel_mask + 1, "beyond the wheel");
             let p = stage.port as usize;
             self.port_stream_at[p] = at;
-            self.port_stream_vc[p] = stage.vc | DRAINING;
+            self.port_stream_vc[p] = stage.vc;
             self.wheel[(at & self.wheel_mask) as usize].push(stage.port);
         }
     }
 
     /// Replay the drain of `id` from its saved counts (`entered` of every
-    /// stage, `ejected`, as they stood the cycle before `drain_start`):
+    /// stage, `ejected`, as they stood the cycle before `closed_start`):
     /// fill `drain_times` with the cycle each flit enters each stage, and
     /// is delivered (see [`DrainTable`]); flits already in place get
-    /// `drain_start - 1`.
+    /// `closed_start - 1`.
     ///
     /// These are the per-flit rules for a worm alone on its ports: a flit
     /// enters a stage one cycle after it entered the stage before, after
@@ -1234,7 +1225,7 @@ impl Simulator {
     /// flit per cycle.
     fn replay_drain(&mut self, id: MsgId) -> DrainTable {
         let i = id as usize;
-        let before = self.messages.drain_start[i] - 1;
+        let before = self.messages.closed_start[i] - 1;
         let length = self.messages.length[i] as usize;
         let stages = self.messages.chain(id);
         let ejected = self.messages.ejected[i];
@@ -1265,57 +1256,6 @@ impl Simulator {
         table
     }
 
-    /// End the drain of `id`: write every stage's `entered` and the
-    /// ejected count as they stand at the end of the previous cycle, and
-    /// hand the ports whose tail crossing is still to come back to the
-    /// per-flit path.  Returns the drain's first cycle.
-    fn end_drain(&mut self, id: MsgId) -> u64 {
-        let i = id as usize;
-        let start = self.messages.drain_start[i];
-        let table = self.replay_drain(id);
-        self.messages.drain_start[i] = PER_FLIT;
-        self.n_closed_form -= 1;
-        let length = self.messages.length[i];
-        let base = self.messages.chain_base(id);
-        // Flits of replay row `r` moved before this cycle, from `from` on.
-        let moved_by = |times: &[u64], r: usize, from: u32, now: u64| {
-            (from..length)
-                .find(|&f| times[table.at(f as usize, r)] >= now)
-                .unwrap_or(length)
-        };
-        for s in 0..table.rows - 1 {
-            let stage = self.messages.chain[base + s];
-            let entered = moved_by(&self.drain_times, s, stage.entered, self.cycle);
-            if stage.entered < length && entered < length {
-                // Its tail crossing has not happened yet.
-                let p = stage.port as usize;
-                self.port_stream_at[p] = NO_STREAM;
-                self.port_flits[p] += u64::from(entered - stage.entered);
-                if entered > stage.entered {
-                    self.port_rr[p] = (stage.vc + 1) % self.v;
-                }
-                self.flit_port(stage.port);
-                #[cfg(test)]
-                {
-                    self.drain_counts.flits += u64::from(entered - stage.entered);
-                }
-            }
-            self.messages.chain[base + s].entered = entered;
-        }
-        let ejected = moved_by(
-            &self.drain_times,
-            table.rows - 1,
-            self.messages.ejected[i],
-            self.cycle,
-        );
-        #[cfg(test)]
-        {
-            self.drain_counts.flits += u64::from(ejected - self.messages.ejected[i]);
-        }
-        self.messages.ejected[i] = ejected;
-        start
-    }
-
     /// The header landed in the buffer at the sink of `port`: route it.
     fn on_head_arrival(&mut self, id: MsgId, port_idx: u32) {
         let node = self.port_sink(port_idx);
@@ -1324,7 +1264,7 @@ impl Simulator {
             let i = id as usize;
             self.messages.head[i] = HeadState::Ejecting;
             self.ejecting.push(id);
-            if self.messages.is_streaming(id) {
+            if self.messages.is_closed_form(id) {
                 // One flit per cycle from the next cycle on.
                 self.messages.delivered_at[i] = self.cycle + u64::from(self.messages.length[i]);
             } else if self.stream {
@@ -1361,7 +1301,7 @@ impl Simulator {
             VcClass::Low => 1,
         };
         self.enqueue_request(id, next_port, class);
-        if self.messages.is_streaming(id) {
+        if self.messages.is_closed_form(id) {
             self.stream_waits.push(id);
         }
     }
@@ -1446,17 +1386,16 @@ impl Simulator {
         true
     }
 
-    /// The streaming or draining worm `id` delivers its tail this cycle:
-    /// release its last VC.
+    /// The closed-form worm `id` delivers its tail this cycle: release its
+    /// last VC.
     fn deliver_closed_form(&mut self, id: MsgId) {
         let i = id as usize;
         #[cfg(test)]
-        if self.messages.is_draining(id) {
-            self.drain_counts.flits +=
+        {
+            self.closed_form_counts.flits +=
                 u64::from(self.messages.length[i] - self.messages.ejected[i]);
         }
-        self.messages.stream_start[i] = PER_FLIT;
-        self.messages.drain_start[i] = PER_FLIT;
+        self.messages.closed_start[i] = PER_FLIT;
         self.messages.delivered_at[i] = PER_FLIT;
         self.n_closed_form -= 1;
         self.messages.ejected[i] = self.messages.length[i];
@@ -1497,9 +1436,9 @@ impl Simulator {
     // Cycle driver
     // ------------------------------------------------------------------
 
-    /// Advance the simulation by one cycle.  Stepping by hand never starts
-    /// a streaming worm (see the module docs), so the inspection hooks read
-    /// exact per-flit state between steps.
+    /// Advance the simulation by one cycle.  Stepping by hand never puts a
+    /// worm in closed form (see the module docs), so the inspection hooks
+    /// read exact per-flit state between steps.
     pub fn step(&mut self) {
         // Periodic stamp sweep: clear per-cycle fields everywhere so a
         // wrapped 16-bit stamp can never alias the current cycle.  Runs
@@ -1544,8 +1483,7 @@ impl Simulator {
             }
         }
         if self.n_closed_form > 0 {
-            // A streaming or draining worm moves a flit every cycle of its
-            // life.
+            // A closed-form worm moves a flit every cycle of its life.
             self.last_progress = self.cycle - 1;
         }
         // Deadlock watchdog: in-flight messages but no flit movement for a
@@ -1560,7 +1498,7 @@ impl Simulator {
     }
 
     /// Run to completion (max cycles, message target, or failure) and
-    /// report.  Worms stream wherever the closed form covers the
+    /// report.  Worms take the closed form wherever it covers the
     /// configuration: `buffer_depth >= 2` and per-message ejection sinks.
     pub fn run(mut self) -> SimReport {
         self.stream = self.streams();
@@ -1568,7 +1506,7 @@ impl Simulator {
         self.into_report()
     }
 
-    /// Whether the configuration lets worms stream: a depth-1 buffer
+    /// Whether the configuration admits closed-form worms: a depth-1 buffer
     /// stalls every other flit and a shared ejection channel interleaves
     /// the messages draining at a node, so neither has the one flit per
     /// cycle closed form.
@@ -1617,7 +1555,7 @@ impl Simulator {
         true
     }
 
-    /// When every live worm streams or drains, the cycles before the next
+    /// When every live worm is in closed form, the cycles before the next
     /// header or tail crossing, delivery or arrival change
     /// nothing but the V̄ sums: the first cycle something happens, capped
     /// at the next health check (every 1024 cycles), or `None` if that is
@@ -1785,16 +1723,16 @@ mod tests {
     use proptest::test_runner::{TestCaseError, TestRng};
 
     impl Simulator {
-        /// Put every streaming and draining worm on the per-flit path
-        /// (between cycles).
+        /// Put every closed-form worm on the per-flit path (between
+        /// cycles), leaving the counts to the run's own paths.
         fn materialise_all(&mut self) {
+            let counts = self.closed_form_counts;
             for id in 0..self.messages.capacity() as MsgId {
-                if self.messages.live[id as usize]
-                    && (self.messages.is_streaming(id) || self.messages.is_draining(id))
-                {
+                if self.messages.live[id as usize] && self.messages.is_closed_form(id) {
                     self.materialise(id);
                 }
             }
+            self.closed_form_counts = counts;
         }
 
         /// Everything the rest of a run depends on, rendered for
@@ -1807,7 +1745,7 @@ mod tests {
                 .map(|id| {
                     let i = id as usize;
                     let per_message = (m.src[i], m.dest[i], m.length[i], m.birth[i]);
-                    let progress = (m.ejected[i], m.head[i], m.wait_next[i], m.stream_start[i]);
+                    let progress = (m.ejected[i], m.head[i], m.wait_next[i], m.closed_start[i]);
                     (id, per_message, progress, m.chain(id).to_vec())
                 })
                 .collect();
@@ -1843,48 +1781,52 @@ mod tests {
         }
     }
 
-    impl std::ops::AddAssign for DrainCounts {
-        fn add_assign(&mut self, other: DrainCounts) {
-            self.started += other.started;
-            self.materialised += other.materialised;
+    impl std::ops::AddAssign for ClosedFormCounts {
+        fn add_assign(&mut self, other: ClosedFormCounts) {
+            self.drains += other.drains;
+            self.drains_materialised += other.drains_materialised;
+            self.streams_materialised += other.streams_materialised;
             self.flits += other.flits;
         }
     }
 
-    /// Run `cfg` on the per-flit path and with streaming and draining, in
-    /// lockstep; every `every` iterations materialise the streaming run and
-    /// compare its whole state, and compare the final reports bit for bit.
-    /// Returns how often the streaming run drained.
-    fn assert_streaming_exact(cfg: SimConfig, every: u64) -> Result<DrainCounts, TestCaseError> {
+    /// Run `cfg` on the per-flit path and with closed-form worms, in
+    /// lockstep; every `every` iterations materialise the closed-form run
+    /// and compare its whole state, and compare the final reports bit for
+    /// bit.  Returns how often the closed-form run took each path.
+    fn assert_streaming_exact(
+        cfg: SimConfig,
+        every: u64,
+    ) -> Result<ClosedFormCounts, TestCaseError> {
         let mut per_flit = Simulator::new(cfg).unwrap();
-        let mut streaming = Simulator::new(cfg).unwrap();
-        streaming.stream = streaming.streams();
+        let mut closed = Simulator::new(cfg).unwrap();
+        closed.stream = closed.streams();
         let mut iterations = 0u64;
         loop {
-            // The streaming run may skip quiet cycles: step the per-flit
+            // The closed-form run may skip quiet cycles: step the per-flit
             // run up to the same cycle.
-            let b = streaming.advance();
+            let b = closed.advance();
             let mut a = per_flit.advance();
-            while a && per_flit.cycle < streaming.cycle {
+            while a && per_flit.cycle < closed.cycle {
                 a = per_flit.advance();
             }
-            prop_assert_eq!((a, per_flit.cycle), (b, streaming.cycle), "runs diverged");
+            prop_assert_eq!((a, per_flit.cycle), (b, closed.cycle), "runs diverged");
             if !a {
                 break;
             }
             iterations += 1;
             if iterations.is_multiple_of(every) {
-                streaming.materialise_all();
+                closed.materialise_all();
                 prop_assert_eq!(
                     per_flit.fingerprint(),
-                    streaming.fingerprint(),
+                    closed.fingerprint(),
                     "state diverged at cycle {}",
                     per_flit.cycle
                 );
             }
         }
-        let counts = streaming.drain_counts;
-        let (a, b) = (per_flit.into_report(), streaming.into_report());
+        let counts = closed.closed_form_counts;
+        let (a, b) = (per_flit.into_report(), closed.into_report());
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         Ok(counts)
     }
@@ -1926,15 +1868,16 @@ mod tests {
         })
     }
 
-    /// Streaming and draining are exact representations: the report, and
-    /// the whole engine state whenever the streaming run is materialised,
-    /// equal the per-flit path's.  The cases must start drains, see grants
-    /// end some of them, and drain flits, so the check is not vacuous.
+    /// The closed form is an exact representation: the report, and the
+    /// whole engine state whenever the closed-form run is materialised,
+    /// equal the per-flit path's.  The cases must start drains, put both
+    /// streamed and drained worms back on the per-flit path, and move
+    /// flits in closed form, so the check is not vacuous.
     #[test]
     fn streaming_matches_per_flit() {
         let strategy = (differential_config(), 1u64..400);
         let mut rng = TestRng::deterministic("streaming_matches_per_flit");
-        let mut total = DrainCounts::default();
+        let mut total = ClosedFormCounts::default();
         for case in 0..48 {
             let (cfg, every) = strategy.sample(&mut rng);
             for every in [every, u64::MAX] {
@@ -1944,9 +1887,17 @@ mod tests {
                 }
             }
         }
+        let ClosedFormCounts {
+            drains,
+            drains_materialised,
+            streams_materialised,
+            flits,
+        } = total;
         assert!(
-            total.started > 0 && total.materialised > 0 && total.flits > 0,
-            "the cases never exercised a drain path: {total:?}"
+            [drains, drains_materialised, streams_materialised, flits]
+                .iter()
+                .all(|&c| c > 0),
+            "the cases never exercised a closed-form path: {total:?}"
         );
     }
 
@@ -1965,6 +1916,41 @@ mod tests {
             .with_limits(70_000, 5_000, 0);
         for cfg in [uni, faulty, long] {
             assert_streaming_exact(cfg, 997).unwrap();
+        }
+    }
+
+    /// The shortest worms, which the sampled cases barely reach: with
+    /// Lm = 1 the header and the tail cross on one event, and Lm = 2 is
+    /// the shortest worm with separate ones.  Buffer depths 2 and 3 on the
+    /// (4,2) uni- and bi-torus, at about 0.5 and 0.9 of the hot channel's
+    /// bound.
+    #[test]
+    fn streaming_matches_per_flit_on_short_worms() {
+        let h = 0.2;
+        for lm in [1, 2] {
+            let mut total = ClosedFormCounts::default();
+            for depth in [2, 3] {
+                for links in [LinkKind::Unidirectional, LinkKind::Bidirectional] {
+                    for frac in [0.5, 0.9] {
+                        let lambda = frac / (h * 16.0 * f64::from(lm + 1));
+                        let cfg = SimConfig {
+                            buffer_depth: depth,
+                            max_source_queue: 60,
+                            ..SimConfig::ncube(4, 2, 2, lm, lambda, h, u64::from(depth))
+                        }
+                        .with_topology(links, Boundary::Torus)
+                        .with_limits(20_000, 1_000, 0);
+                        for every in [97, u64::MAX] {
+                            total += assert_streaming_exact(cfg, every)
+                                .unwrap_or_else(|e| panic!("{e:?}\n{cfg:?}"));
+                        }
+                    }
+                }
+            }
+            assert!(
+                total.drains > 0 && total.flits > 0,
+                "Lm {lm} worms never took the closed form: {total:?}"
+            );
         }
     }
 

@@ -25,8 +25,8 @@ pub type MsgId = u32;
 /// Sentinel for "no message" in VC holders and intrusive queue links.
 pub(crate) const NO_MSG: MsgId = MsgId::MAX;
 
-/// [`MessageArena::stream_start`], [`MessageArena::drain_start`] and
-/// [`MessageArena::delivered_at`] of a worm on the per-flit path.
+/// [`MessageArena::closed_start`] and [`MessageArena::delivered_at`] of a
+/// worm on the per-flit path.
 pub(crate) const PER_FLIT: u64 = u64::MAX;
 
 /// One stage of a message's resource chain: a (channel, virtual channel)
@@ -98,18 +98,14 @@ pub struct MessageArena {
     pub(crate) ejected: Vec<u32>,
     pub(crate) head: Vec<HeadState>,
     pub(crate) chain_len: Vec<u32>,
-    /// For a streaming worm (one the engine advances in closed form), the
-    /// cycle its header entered the injection stage: stage `s` then saw
-    /// its header at `stream_start + s` and flit `i` one cycle per flit
-    /// later.  [`PER_FLIT`] for a worm on the per-flit path.
-    pub(crate) stream_start: Vec<u64>,
-    /// For a draining worm (header ejecting, alone on every port where it
-    /// still has flits to receive, advanced in closed form from its saved
-    /// `entered` and `ejected` counts), the first cycle of the drain;
-    /// [`PER_FLIT`] otherwise.
-    pub(crate) drain_start: Vec<u64>,
-    /// The cycle the tail of a draining worm, or of a streaming worm whose
-    /// header is ejecting, is delivered; [`PER_FLIT`] for any other worm.
+    /// For a worm the engine advances in closed form, the first cycle of
+    /// the closed form; its saved `entered` and `ejected` counts describe
+    /// the cycle before.  A stage with no flits in place then is
+    /// *streamed*: its header crosses at `closed_start + stage`.
+    /// [`PER_FLIT`] for a worm on the per-flit path.
+    pub(crate) closed_start: Vec<u64>,
+    /// The cycle the tail of a closed-form worm whose header is ejecting
+    /// is delivered; [`PER_FLIT`] for any other worm.
     pub(crate) delivered_at: Vec<u64>,
     /// Intrusive FIFO link for the per-(port, class) allocation queues.
     pub(crate) wait_next: Vec<MsgId>,
@@ -135,8 +131,7 @@ impl MessageArena {
             ejected: Vec::new(),
             head: Vec::new(),
             chain_len: Vec::new(),
-            stream_start: Vec::new(),
-            drain_start: Vec::new(),
+            closed_start: Vec::new(),
             delivered_at: Vec::new(),
             wait_next: Vec::new(),
             chain: Vec::new(),
@@ -161,8 +156,7 @@ impl MessageArena {
                 self.ejected.push(0);
                 self.head.push(HeadState::Done);
                 self.chain_len.push(0);
-                self.stream_start.push(PER_FLIT);
-                self.drain_start.push(PER_FLIT);
+                self.closed_start.push(PER_FLIT);
                 self.delivered_at.push(PER_FLIT);
                 self.wait_next.push(NO_MSG);
                 self.chain.resize(
@@ -183,8 +177,7 @@ impl MessageArena {
         self.ejected[i] = 0;
         self.head[i] = HeadState::Done;
         self.chain_len[i] = 0;
-        self.stream_start[i] = PER_FLIT;
-        self.drain_start[i] = PER_FLIT;
+        self.closed_start[i] = PER_FLIT;
         self.delivered_at[i] = PER_FLIT;
         self.wait_next[i] = NO_MSG;
         self.live[i] = true;
@@ -262,16 +255,10 @@ impl MessageArena {
         entered - left
     }
 
-    /// True while `id` streams.
+    /// True while the engine advances `id` in closed form.
     #[inline]
-    pub(crate) fn is_streaming(&self, id: MsgId) -> bool {
-        self.stream_start[id as usize] != PER_FLIT
-    }
-
-    /// True while `id` drains.
-    #[inline]
-    pub(crate) fn is_draining(&self, id: MsgId) -> bool {
-        self.drain_start[id as usize] != PER_FLIT
+    pub(crate) fn is_closed_form(&self, id: MsgId) -> bool {
+        self.closed_start[id as usize] != PER_FLIT
     }
 
     /// True when every flit of `id` has been delivered.
