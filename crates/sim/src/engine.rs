@@ -162,12 +162,12 @@
 //! All phases are deterministic; a run is a pure function of its
 //! configuration (including the seed).  Fixed-seed report snapshots
 //! (`tests/engine_snapshots.rs`) pin the engine to its earlier versions —
-//! the object-graph engine, and the per-flit engine before streaming —
+//! the object-graph engine, and the per-flit engine before closed-form worms —
 //! bit for bit, and a differential test in this module runs random small
 //! configurations both ways and compares the report and, after
 //! materialising, every engine array; it also checks that its cases start
 //! drains, materialise streamed and drained worms during the run, and move
-//! flits in closed form.
+//! flits in closed form on both kinds.
 
 use crate::config::{EjectionPolicy, SimConfig, SimConfigError, PACKED_FIELD_LIMIT};
 use crate::message::{HeadState, MessageArena, MsgId, NewMessage, NO_MSG, PER_FLIT};
@@ -194,8 +194,8 @@ const CNT_F: u64 = 0xFFFF;
 /// Everything below the stamp.
 const CNT_MASK: u64 = (1 << 48) - 1;
 
-/// `port_stream_at` of a port with no closed-form virtual channel.
-const NO_STREAM: u64 = u64::MAX;
+/// `port_closed_at` of a port with no closed-form virtual channel.
+const NO_CLOSED: u64 = u64::MAX;
 
 /// `port_sinks` entry of a port not yet looked up.
 const NO_NODE: u32 = u32::MAX;
@@ -286,13 +286,13 @@ pub struct Simulator {
     port_flits: Vec<u64>,
     /// The cycle of the next flit crossing that does something (a streamed
     /// stage's header, then the tail) of the port's closed-form virtual
-    /// channel, or [`NO_STREAM`].  A port holds at most one closed-form VC
+    /// channel, or [`NO_CLOSED`].  A port holds at most one closed-form VC
     /// that still has flits to receive, and then no other VC with flits to
     /// receive.
-    port_stream_at: Vec<u64>,
-    /// That closed-form virtual channel (meaningful while `port_stream_at`
+    port_closed_at: Vec<u64>,
+    /// That closed-form virtual channel (meaningful while `port_closed_at`
     /// is set).
-    port_stream_vc: Vec<u32>,
+    port_closed_vc: Vec<u32>,
     /// Activation sequence number: the order in which ports last went
     /// from idle to busy.  The move phase applies its side effects in this
     /// order, so same-cycle header arrivals at one router queue up in it.
@@ -340,10 +340,10 @@ pub struct Simulator {
     /// Closed-form worms whose header was queued for its next hop this
     /// cycle; any still waiting after the next allocation pass leave the
     /// closed form.
-    stream_waits: Vec<MsgId>,
+    closed_waits: Vec<MsgId>,
     /// Whether worms may enter the closed form (set by [`Simulator::run`]
     /// for the configurations it covers).
-    stream: bool,
+    closed_form: bool,
     /// Live closed-form worms.
     n_closed_form: usize,
     /// Per-flit worms with an ejecting header that an event this cycle
@@ -417,8 +417,10 @@ struct ClosedFormCounts {
     drains_materialised: u64,
     /// Streamed worms put back on the per-flit path during a run.
     streams_materialised: u64,
-    /// Flit crossings and deliveries done in closed form.
-    flits: u64,
+    /// Flit crossings and deliveries done in closed form by drained worms.
+    drain_flits: u64,
+    /// The same by streamed worms.
+    stream_flits: u64,
 }
 
 /// Layout of a replayed drain in `Simulator::drain_times`: row `r <
@@ -508,8 +510,8 @@ impl Simulator {
             port_busy: vec![0; n_ports],
             port_movable: vec![0; n_ports],
             port_flits: vec![0; n_ports],
-            port_stream_at: vec![NO_STREAM; n_ports],
-            port_stream_vc: vec![0; n_ports],
+            port_closed_at: vec![NO_CLOSED; n_ports],
+            port_closed_vc: vec![0; n_ports],
             port_seq: vec![0; n_ports],
             next_seq: 0,
             port_in_flit: vec![false; n_ports],
@@ -528,8 +530,8 @@ impl Simulator {
             pending_alloc: Vec::new(),
             pending_scratch: Vec::new(),
             ejecting: Vec::new(),
-            stream_waits: Vec::new(),
-            stream: false,
+            closed_waits: Vec::new(),
+            closed_form: false,
             n_closed_form: 0,
             drain_candidates: Vec::new(),
             drain_times: Vec::new(),
@@ -754,15 +756,15 @@ impl Simulator {
         self.pending_scratch = pending;
         // A closed-form header not granted on its first pass waits: its
         // flits bunch up behind it, which only the per-flit path models.
-        for i in 0..self.stream_waits.len() {
-            let id = self.stream_waits[i];
+        for i in 0..self.closed_waits.len() {
+            let id = self.closed_waits[i];
             if self.messages.is_closed_form(id)
                 && self.messages.head[id as usize] != HeadState::Crossing
             {
                 self.materialise(id);
             }
         }
-        self.stream_waits.clear();
+        self.closed_waits.clear();
     }
 
     fn grant(&mut self, id: MsgId, port_idx: u32, vc_idx: u32) {
@@ -792,7 +794,7 @@ impl Simulator {
         }
         let sole_mover = self.port_movable[p] == 0;
         self.port_movable[p] += 1;
-        if sole_mover && (self.messages.is_closed_form(id) || (stage == 0 && self.stream)) {
+        if sole_mover && (self.messages.is_closed_form(id) || (stage == 0 && self.closed_form)) {
             // The header crosses this cycle and one flit follows per cycle.
             if stage == 0 {
                 self.messages.closed_start[id as usize] = self.cycle;
@@ -802,16 +804,16 @@ impl Simulator {
                 self.messages.closed_start[id as usize] + stage as u64,
                 self.cycle
             );
-            self.port_stream_at[p] = self.cycle;
-            self.port_stream_vc[p] = vc_idx;
+            self.port_closed_at[p] = self.cycle;
+            self.port_closed_vc[p] = vc_idx;
             self.wheel[(self.cycle & self.wheel_mask) as usize].push(port_idx);
             return;
         }
         if !sole_mover {
             // Another VC here may still move flits: round-robin
-            // arbitration decides flit by flit, so neither worm streams.
-            if self.port_stream_at[p] != NO_STREAM {
-                let holder = self.vc_slot[self.pv(port_idx, self.port_stream_vc[p])] as u32;
+            // arbitration decides flit by flit, so neither worm keeps the closed form.
+            if self.port_closed_at[p] != NO_CLOSED {
+                let holder = self.vc_slot[self.pv(port_idx, self.port_closed_vc[p])] as u32;
                 self.materialise(holder);
             }
             if self.messages.is_closed_form(id) {
@@ -869,7 +871,7 @@ impl Simulator {
         let slot = (self.cycle & self.wheel_mask) as usize;
         let mut due = std::mem::take(&mut self.wheel[slot]);
         for &port in &due {
-            if self.port_stream_at[port as usize] == self.cycle {
+            if self.port_closed_at[port as usize] == self.cycle {
                 self.crossing(port);
             }
         }
@@ -886,7 +888,7 @@ impl Simulator {
             let port_idx = self.flit_ports[i];
             let port = port_idx as usize;
             let mut moved = false;
-            if self.port_movable[port] > 0 && self.port_stream_at[port] == NO_STREAM {
+            if self.port_movable[port] > 0 && self.port_closed_at[port] == NO_CLOSED {
                 let v = self.v;
                 let rr = self.port_rr[port];
                 for off in 0..v {
@@ -966,7 +968,7 @@ impl Simulator {
             // This VC has now received every flit; it can never move one
             // in again.
             self.port_movable[port_idx as usize] -= 1;
-            if self.stream {
+            if self.closed_form {
                 self.last_flit_received(id, port_idx);
             }
         }
@@ -1013,7 +1015,7 @@ impl Simulator {
     /// (a one-flit worm) does.  A stage still owed every flit is streamed.
     fn crossing(&mut self, port_idx: u32) {
         let p = port_idx as usize;
-        let vc_idx = self.port_stream_vc[p];
+        let vc_idx = self.port_closed_vc[p];
         let pv = self.pv(port_idx, vc_idx);
         let slot = self.vc_slot[pv];
         let id = slot as u32;
@@ -1027,16 +1029,16 @@ impl Simulator {
             self.defer(port_idx, Effect::HeadArrival(id, port_idx));
             if length > 1 {
                 let tail_at = self.cycle + u64::from(length) - 1;
-                self.port_stream_at[p] = tail_at;
+                self.port_closed_at[p] = tail_at;
                 self.wheel[(tail_at & self.wheel_mask) as usize].push(port_idx);
                 return;
             }
         }
+        // A drained worm's header has entered every stage.
         #[cfg(test)]
-        {
-            self.closed_form_counts.flits += u64::from(remaining);
-        }
-        self.port_stream_at[p] = NO_STREAM;
+        self.closed_form_counts
+            .add_flits(remaining < length, remaining);
+        self.port_closed_at[p] = NO_CLOSED;
         self.port_movable[p] -= 1;
         self.port_flits[p] += u64::from(remaining);
         self.vc_slot[pv] = slot & !(0xFFFF << 48); // no flits left to receive
@@ -1093,9 +1095,8 @@ impl Simulator {
         self.n_closed_form -= 1;
         let ejected = self.messages.ejected[i];
         #[cfg(test)]
-        {
-            self.closed_form_counts.flits += u64::from(ejected - ejected_before);
-        }
+        self.closed_form_counts
+            .add_flits(drain.is_some(), ejected - ejected_before);
         let stamp = self.cycle & 0xFFFF;
         for s in 0..chain_len {
             let stage = self.messages.chain[base + s];
@@ -1110,15 +1111,13 @@ impl Simulator {
             }
             let pv = self.pv(stage.port, stage.vc);
             let p = stage.port as usize;
-            if self.port_stream_at[p] != NO_STREAM && self.port_stream_vc[p] == stage.vc {
+            if self.port_closed_at[p] != NO_CLOSED && self.port_closed_vc[p] == stage.vc {
                 // Its tail crossing is still to come: hand the flits that
                 // crossed in closed form to the per-flit path.
                 let moved = stage.entered - (length - (self.vc_slot[pv] >> 48) as u32);
                 #[cfg(test)]
-                {
-                    self.closed_form_counts.flits += u64::from(moved);
-                }
-                self.port_stream_at[p] = NO_STREAM;
+                self.closed_form_counts.add_flits(drain.is_some(), moved);
+                self.port_closed_at[p] = NO_CLOSED;
                 self.port_flits[p] += u64::from(moved);
                 if moved > 0 {
                     self.port_rr[p] = (stage.vc + 1) % self.v;
@@ -1161,7 +1160,13 @@ impl Simulator {
         let mut candidates = std::mem::take(&mut self.drain_candidates);
         for &id in &candidates {
             let i = id as usize;
-            if !self.messages.live[i] || self.messages.is_closed_form(id) {
+            if !self.messages.live[i] {
+                continue;
+            }
+            if self.messages.is_closed_form(id) {
+                // Nominated twice and already draining: streamed worms are
+                // never nominated.
+                debug_assert!(self.messages.chain[self.messages.chain_base(id)].entered > 0);
                 continue;
             }
             debug_assert_eq!(self.messages.head[i], HeadState::Ejecting);
@@ -1206,8 +1211,8 @@ impl Simulator {
             let at = self.drain_times[table.at(tail, s)];
             debug_assert!(at - self.cycle <= self.wheel_mask + 1, "beyond the wheel");
             let p = stage.port as usize;
-            self.port_stream_at[p] = at;
-            self.port_stream_vc[p] = stage.vc;
+            self.port_closed_at[p] = at;
+            self.port_closed_vc[p] = stage.vc;
             self.wheel[(at & self.wheel_mask) as usize].push(stage.port);
         }
     }
@@ -1267,7 +1272,7 @@ impl Simulator {
             if self.messages.is_closed_form(id) {
                 // One flit per cycle from the next cycle on.
                 self.messages.delivered_at[i] = self.cycle + u64::from(self.messages.length[i]);
-            } else if self.stream {
+            } else if self.closed_form {
                 self.drain_candidates.push(id);
             }
             return;
@@ -1302,7 +1307,7 @@ impl Simulator {
         };
         self.enqueue_request(id, next_port, class);
         if self.messages.is_closed_form(id) {
-            self.stream_waits.push(id);
+            self.closed_waits.push(id);
         }
     }
 
@@ -1391,10 +1396,10 @@ impl Simulator {
     fn deliver_closed_form(&mut self, id: MsgId) {
         let i = id as usize;
         #[cfg(test)]
-        {
-            self.closed_form_counts.flits +=
-                u64::from(self.messages.length[i] - self.messages.ejected[i]);
-        }
+        self.closed_form_counts.add_flits(
+            self.messages.chain[self.messages.chain_base(id)].entered > 0,
+            self.messages.length[i] - self.messages.ejected[i],
+        );
         self.messages.closed_start[i] = PER_FLIT;
         self.messages.delivered_at[i] = PER_FLIT;
         self.n_closed_form -= 1;
@@ -1501,7 +1506,7 @@ impl Simulator {
     /// report.  Worms take the closed form wherever it covers the
     /// configuration: `buffer_depth >= 2` and per-message ejection sinks.
     pub fn run(mut self) -> SimReport {
-        self.stream = self.streams();
+        self.closed_form = self.closed_form_allowed();
         while self.advance() {}
         self.into_report()
     }
@@ -1510,7 +1515,7 @@ impl Simulator {
     /// stalls every other flit and a shared ejection channel interleaves
     /// the messages draining at a node, so neither has the one flit per
     /// cycle closed form.
-    fn streams(&self) -> bool {
+    fn closed_form_allowed(&self) -> bool {
         self.config.buffer_depth >= 2 && self.config.ejection == EjectionPolicy::PerMessageSink
     }
 
@@ -1564,7 +1569,7 @@ impl Simulator {
         let now = self.cycle;
         if self.n_closed_form == 0
             || self.n_closed_form != self.messages.live_count()
-            || !self.stream_waits.is_empty()
+            || !self.closed_waits.is_empty()
             || now >= self.next_sweep
         {
             return None;
@@ -1581,7 +1586,7 @@ impl Simulator {
         // Every pending crossing lies within one wheel turn.
         for at in now..until.min(now + self.wheel_mask + 1) {
             let slot = &self.wheel[(at & self.wheel_mask) as usize];
-            if slot.iter().any(|&p| self.port_stream_at[p as usize] == at) {
+            if slot.iter().any(|&p| self.port_closed_at[p as usize] == at) {
                 until = at;
                 break;
             }
@@ -1758,7 +1763,7 @@ mod tests {
                 &self.port_flits,
                 &self.port_seq,
                 &self.port_in_pending,
-                &self.port_stream_at,
+                &self.port_closed_at,
             );
             let queues = (&self.wait_head, &self.wait_tail, &self.wait_len);
             let lists = (self.next_seq, &self.pending_alloc, &self.ejecting);
@@ -1781,12 +1786,26 @@ mod tests {
         }
     }
 
+    impl ClosedFormCounts {
+        /// Count `flits` moved in closed form by a drained or a streamed
+        /// worm.
+        pub(super) fn add_flits(&mut self, drained: bool, flits: u32) {
+            let count = if drained {
+                &mut self.drain_flits
+            } else {
+                &mut self.stream_flits
+            };
+            *count += u64::from(flits);
+        }
+    }
+
     impl std::ops::AddAssign for ClosedFormCounts {
         fn add_assign(&mut self, other: ClosedFormCounts) {
             self.drains += other.drains;
             self.drains_materialised += other.drains_materialised;
             self.streams_materialised += other.streams_materialised;
-            self.flits += other.flits;
+            self.drain_flits += other.drain_flits;
+            self.stream_flits += other.stream_flits;
         }
     }
 
@@ -1794,13 +1813,13 @@ mod tests {
     /// lockstep; every `every` iterations materialise the closed-form run
     /// and compare its whole state, and compare the final reports bit for
     /// bit.  Returns how often the closed-form run took each path.
-    fn assert_streaming_exact(
+    fn assert_closed_form_exact(
         cfg: SimConfig,
         every: u64,
     ) -> Result<ClosedFormCounts, TestCaseError> {
         let mut per_flit = Simulator::new(cfg).unwrap();
         let mut closed = Simulator::new(cfg).unwrap();
-        closed.stream = closed.streams();
+        closed.closed_form = closed.closed_form_allowed();
         let mut iterations = 0u64;
         loop {
             // The closed-form run may skip quiet cycles: step the per-flit
@@ -1881,7 +1900,7 @@ mod tests {
         for case in 0..48 {
             let (cfg, every) = strategy.sample(&mut rng);
             for every in [every, u64::MAX] {
-                match assert_streaming_exact(cfg, every) {
+                match assert_closed_form_exact(cfg, every) {
                     Ok(counts) => total += counts,
                     Err(e) => panic!("case {case}, every {every}: {e:?}\n{cfg:?}"),
                 }
@@ -1891,12 +1910,19 @@ mod tests {
             drains,
             drains_materialised,
             streams_materialised,
-            flits,
+            drain_flits,
+            stream_flits,
         } = total;
         assert!(
-            [drains, drains_materialised, streams_materialised, flits]
-                .iter()
-                .all(|&c| c > 0),
+            [
+                drains,
+                drains_materialised,
+                streams_materialised,
+                drain_flits,
+                stream_flits
+            ]
+            .iter()
+            .all(|&c| c > 0),
             "the cases never exercised a closed-form path: {total:?}"
         );
     }
@@ -1915,7 +1941,7 @@ mod tests {
             })
             .with_limits(70_000, 5_000, 0);
         for cfg in [uni, faulty, long] {
-            assert_streaming_exact(cfg, 997).unwrap();
+            assert_closed_form_exact(cfg, 997).unwrap();
         }
     }
 
@@ -1923,7 +1949,8 @@ mod tests {
     /// Lm = 1 the header and the tail cross on one event, and Lm = 2 is
     /// the shortest worm with separate ones.  Buffer depths 2 and 3 on the
     /// (4,2) uni- and bi-torus, at about 0.5 and 0.9 of the hot channel's
-    /// bound.
+    /// bound.  A one-flit worm has crossed every port by the time its
+    /// header ejects, so it drains with nothing left to materialise.
     #[test]
     fn streaming_matches_per_flit_on_short_worms() {
         let h = 0.2;
@@ -1941,15 +1968,25 @@ mod tests {
                         .with_topology(links, Boundary::Torus)
                         .with_limits(20_000, 1_000, 0);
                         for every in [97, u64::MAX] {
-                            total += assert_streaming_exact(cfg, every)
+                            total += assert_closed_form_exact(cfg, every)
                                 .unwrap_or_else(|e| panic!("{e:?}\n{cfg:?}"));
                         }
                     }
                 }
             }
+            let ClosedFormCounts {
+                drains,
+                drains_materialised,
+                streams_materialised,
+                drain_flits,
+                stream_flits,
+            } = total;
             assert!(
-                total.drains > 0 && total.flits > 0,
-                "Lm {lm} worms never took the closed form: {total:?}"
+                [drains, streams_materialised, drain_flits, stream_flits]
+                    .iter()
+                    .all(|&c| c > 0)
+                    && (lm == 1 || drains_materialised > 0),
+                "Lm {lm} worms never took a closed-form path: {total:?}"
             );
         }
     }
