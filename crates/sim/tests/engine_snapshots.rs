@@ -19,6 +19,10 @@
 //! the engine before materialised worms could drain in closed form; they
 //! pin that representation too.
 //!
+//! The on-off case (bursty arrivals) was recorded from the engine whose
+//! per-VC counters still carried a cycle stamp, before the workload
+//! generator stopped copying the message length into every message.
+//!
 //! If an intentional behaviour change ever lands (new arbitration rule,
 //! different accumulation order), re-record the constants in the same
 //! change and say so in the commit — a silent diff here is a determinism
@@ -26,7 +30,7 @@
 
 use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
 use kncube_topology::{Boundary, ChannelId, LinkKind};
-use kncube_traffic::{FaultSpec, TrafficPattern};
+use kncube_traffic::{ArrivalProcess, FaultSpec, TrafficPattern};
 
 /// The fault densities of the validation benchmark's faulty leg.
 const FIVE_PERCENT_FAULTS: FaultSpec = FaultSpec {
@@ -610,6 +614,42 @@ fn snapshot_faulty_bitorus_k8_lm64() {
         vbar_measured: 0x3ff083d707274043,
         max_source_queue: 1,
         in_flight_at_end: 4,
+    });
+}
+
+/// On-off (bursty) arrivals on the 8×8 uni-torus with Lm = 16 and
+/// h = 0.2 at about 0.5·λ* (λ* = 4.181e-3): peak-to-mean ratio β = 4 with
+/// 200-cycle bursts, as the `bursty` experiment runs them.  The run
+/// crosses cycle 2¹⁶.
+#[test]
+fn snapshot_onoff_bursty_k8_lm16_h20() {
+    let lambda = 2.09e-3;
+    check(Snapshot {
+        name: "onoff_bursty_k8_lm16_h20",
+        config: SimConfig {
+            arrivals: ArrivalProcess::bursty(lambda, 4.0, 200.0),
+            ..SimConfig::ncube(8, 2, 2, 16, lambda, 0.2, 31)
+        }
+        .with_limits(300_000, 10_000, 8_000),
+        mean_latency: 0x40418ea399930fb0,
+        ci_half_width: Some(0x3fe9f458218c78bb),
+        latency_std_dev: 0x403568262d4755f4,
+        max_latency: 0x4079500000000000,
+        completed: 8018,
+        completed_regular: 6441,
+        completed_hot: 1577,
+        mean_latency_regular: 0x40408159f19cb750,
+        mean_latency_hot: 0x4045da803e560966,
+        generated: 9397,
+        dropped_unreachable: 0,
+        mean_detour_hops: 0x0000000000000000,
+        reachable_fraction: 0x3ff0000000000000,
+        cycles: 71680,
+        throughput: 0x3f60a3a0a3a0a3a1,
+        offered_load: 0x3f611f0c34c1a8ac,
+        vbar_measured: 0x3ff162c455b6ed9e,
+        max_source_queue: 1,
+        in_flight_at_end: 9,
     });
 }
 
