@@ -24,8 +24,10 @@
 //!
 //! Router state is flat arrays, not an object graph: the per-VC words
 //! (`vc_slot`: holder, stage and flits still to receive; `vc_cnt`:
-//! occupancy and this cycle's arrivals and departures; `vc_prev`: the
-//! upstream VC) are `Vec`s indexed by `port * V + vc`; per-port state
+//! occupancy and this cycle's arrivals and departures, the latter
+//! cleared at the end of the cycle for the words written in it
+//! (`cnt_written`); `vc_prev`: the upstream VC) are `Vec`s indexed by
+//! `port * V + vc`; per-port state
 //! (`port_rr`, `port_busy`, `port_movable`, `port_flits`, the activation
 //! order `port_seq`, worklist flags) is indexed by the flat port id.  The
 //! allocation queues are intrusive FIFOs threaded through the message
@@ -147,7 +149,7 @@
 //!   before the next crossing, delivery or arrival, adding `busy_v · Δ`
 //!   (and `busy_v2 · Δ`) for the measured ones.  Those jumps stop at every
 //!   1024th cycle, so the health and target checks run on the cycles they
-//!   always did, and never start on a cycle due the 2¹⁶-cycle stamp sweep;
+//!   always did;
 //! * the wheel horizon: with `cap >= 2`, each term of the recurrence is
 //!   one flit or one stage behind, or two or more flits behind and one
 //!   stage ahead, so a worm whose closed form starts after cycle `t` has
@@ -180,56 +182,37 @@ use kncube_traffic::{
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Packed `vc_cnt` fields (16 bits each): `occ`, `arrived`, `departed`,
-/// and the low 16 bits of the cycle the word was last written (its
-/// *stamp*).  `arrived`/`departed` are per-cycle quantities: a reader
-/// treats them as zero whenever the stamp is not the current cycle, which
-/// replaces an explicit end-of-cycle reset pass (there is no "touched"
-/// list to drain).  A periodic sweep (every 2¹⁶ cycles) clears stale
-/// words so a wrapped stamp can never false-match.
+/// Packed `vc_cnt` fields (16 bits each): `occ`, and this cycle's
+/// `arrived` and `departed`.  The end of each cycle clears the per-cycle
+/// fields of the words written in it, so between cycles a word is its
+/// occupancy.
 const CNT_OCC: u64 = 1;
 const CNT_ARR: u64 = 1 << 16;
 const CNT_DEP: u64 = 1 << 32;
 const CNT_F: u64 = 0xFFFF;
-/// Everything below the stamp.
-const CNT_MASK: u64 = (1 << 48) - 1;
 
 /// `port_closed_at` of a port with no closed-form virtual channel.
 const NO_CLOSED: u64 = u64::MAX;
-
-/// `port_sinks` entry of a port not yet looked up.
-const NO_NODE: u32 = u32::MAX;
 
 /// Batches of the batch-means confidence interval
 /// ([`SimReport::ci_half_width`]).
 const BATCHES: u32 = 10;
 
-/// Normalize a counter word read at stamp `stamp`: stale per-cycle fields
-/// read as zero.
-#[inline]
-fn cnt_norm(w: u64, stamp: u64) -> u64 {
-    if w >> 48 == stamp {
-        w
-    } else {
-        w & CNT_F
-    }
-}
-
-/// `occ` field of a packed count (valid regardless of stamp).
+/// `occ` field of a packed count.
 #[inline]
 fn cnt_occ(w: u64) -> u64 {
     w & CNT_F
 }
 
 /// Flits eligible to move on: `occ - arrived` (present since cycle
-/// start).  Takes a normalized word.
+/// start).
 #[inline]
 fn cnt_ready(w: u64) -> u64 {
     (w & CNT_F) - ((w >> 16) & CNT_F)
 }
 
 /// Start-of-cycle occupancy: `occ - arrived + departed` (credit-loop
-/// view).  Takes a normalized word.
+/// view).
 #[inline]
 fn cnt_start_occ(w: u64) -> u64 {
     (w & CNT_F) - ((w >> 16) & CNT_F) + ((w >> 32) & CNT_F)
@@ -249,8 +232,7 @@ pub struct Simulator {
     v: u32,
     /// First injection-port index (= number of network channels).
     inj_base: u32,
-    /// The node that receives flits crossing each port, by flat port id,
-    /// filled in on first use ([`NO_NODE`] before).
+    /// The node that receives flits crossing each port, by flat port id.
     port_sinks: Vec<u32>,
     // --- virtual-channel state, indexed by `port * V + vc` ---
     /// Holder, chain stage, and flits still to receive, in one word: the
@@ -259,12 +241,14 @@ pub struct Simulator {
     /// in bits 48..64 — one load answers "is there anything to move here"
     /// without touching the message arena at all.
     vc_slot: Vec<u64>,
-    /// Packed, cycle-stamped per-VC flit accounting: `occ` (flits
-    /// currently buffered), `arrived` (this cycle) and `departed` (this
-    /// cycle) — see the `CNT_*` constants.  A flit arrival is one add of
-    /// `CNT_OCC + CNT_ARR`, a departure one add of `CNT_DEP - CNT_OCC`;
-    /// per-cycle fields expire via the stamp instead of a reset pass.
+    /// Packed per-VC flit accounting: `occ` (flits currently buffered),
+    /// `arrived` (this cycle) and `departed` (this cycle) — see the
+    /// `CNT_*` constants.  A flit arrival is one add of `CNT_OCC +
+    /// CNT_ARR`, a departure one add of `CNT_DEP - CNT_OCC`.
     vc_cnt: Vec<u64>,
+    /// The `vc_cnt` words written this cycle, whose per-cycle fields the
+    /// end of the cycle clears.
+    cnt_written: Vec<u32>,
     /// Flat index of the previous chain stage's VC (`u32::MAX` for
     /// injection stages), cached at grant time so the move hot path needs
     /// no chain lookup to find its upstream buffer.
@@ -321,7 +305,8 @@ pub struct Simulator {
     /// wheel spans the message length plus the longest chain, so no
     /// pending crossing aliases the current slot.  An entry whose port no
     /// longer expects a crossing that cycle (its worm was materialised) is
-    /// skipped.
+    /// skipped.  A binary heap of crossings gave the same results but ran
+    /// the `sim_validate` benchmark 43% slower (0.217 s → 0.310 s median).
     wheel: Vec<Vec<u32>>,
     wheel_mask: u64,
     /// Ports a crossing or ejection this cycle may unblock from the next
@@ -361,9 +346,6 @@ pub struct Simulator {
     /// Scratch buffer for generated messages.
     gen_scratch: Vec<GeneratedMessage>,
     cycle: u64,
-    /// Next cycle at which stale `vc_cnt` stamps must be swept (so a
-    /// wrapped 16-bit stamp can never alias a current cycle).
-    next_sweep: u64,
     last_progress: u64,
     // --- statistics ---
     generated: u64,
@@ -477,7 +459,6 @@ impl Simulator {
         let wl_config = WorkloadConfig {
             arrivals: config.arrivals,
             pattern: config.pattern,
-            message_length: config.message_length,
             seed: config.seed,
         };
         let workloads: Vec<NodeWorkload> = topo
@@ -491,6 +472,12 @@ impl Simulator {
         // The crossing wheel spans every crossing a closed-form worm
         // schedules (module docs, *Closed-form worms*).
         let wheel_len = (config.message_length + max_chain).next_power_of_two();
+        let port_sinks = (0..n_ports as u32)
+            .map(|port| match port.checked_sub(n_channels) {
+                Some(node) => node,
+                None => Channel::from_id(&topo, ChannelId(port)).to(&topo).0,
+            })
+            .collect();
         let per_batch = if config.target_messages > 0 {
             (config.target_messages / u64::from(BATCHES)).max(1)
         } else {
@@ -502,9 +489,10 @@ impl Simulator {
             fault_router,
             v,
             inj_base: n_channels,
-            port_sinks: vec![NO_NODE; n_ports],
+            port_sinks,
             vc_slot: vec![NO_MSG as u64; n_vcs],
             vc_cnt: vec![0; n_vcs],
+            cnt_written: Vec::new(),
             vc_prev: vec![u32::MAX; n_vcs],
             port_rr: vec![0; n_ports],
             port_busy: vec![0; n_ports],
@@ -519,7 +507,7 @@ impl Simulator {
             wait_head: vec![NO_MSG; n_ports * 2],
             wait_tail: vec![NO_MSG; n_ports * 2],
             wait_len: vec![0; n_ports * 2],
-            messages: MessageArena::new(max_chain),
+            messages: MessageArena::new(max_chain, config.message_length),
             workloads,
             arrival_heap,
             flit_ports: Vec::new(),
@@ -543,7 +531,6 @@ impl Simulator {
             },
             gen_scratch: Vec::new(),
             cycle: 0,
-            next_sweep: 1 << 16,
             last_progress: 0,
             generated: 0,
             dropped_unreachable: 0,
@@ -563,11 +550,6 @@ impl Simulator {
         })
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -581,21 +563,6 @@ impl Simulator {
     /// The injection-port index of `node`.
     fn inj_port(&self, node: NodeId) -> u32 {
         self.inj_base + node.0
-    }
-
-    /// The node that receives flits crossing `port`.
-    fn port_sink(&mut self, port: u32) -> NodeId {
-        let sink = &mut self.port_sinks[port as usize];
-        if *sink == NO_NODE {
-            *sink = if port >= self.inj_base {
-                port - self.inj_base
-            } else {
-                Channel::from_id(&self.topo, ChannelId(port))
-                    .to(&self.topo)
-                    .0
-            };
-        }
-        NodeId(*sink)
     }
 
     /// Flat VC-state index of `(port, vc)`.
@@ -657,14 +624,11 @@ impl Simulator {
                     continue;
                 }
             }
-            let measured = gm.birth_cycle >= self.config.warmup_cycles;
             let id = self.messages.insert(NewMessage {
                 src: gm.src,
                 dest: gm.dest,
                 class: gm.class,
-                length: gm.length,
                 birth: gm.birth_cycle,
-                measured,
             });
             self.generated += 1;
             let port = self.inj_port(gm.src);
@@ -684,7 +648,7 @@ impl Simulator {
         }
         self.wait_tail[q] = id;
         self.wait_len[q] += 1;
-        self.messages.head[id as usize] = HeadState::WaitingFor { port };
+        self.messages.head[id as usize] = HeadState::Waiting;
         if !self.port_in_pending[port as usize] {
             self.port_in_pending[port as usize] = true;
             self.pending_alloc.push(port);
@@ -772,8 +736,7 @@ impl Simulator {
         self.messages.head[id as usize] = HeadState::Crossing;
         let pv = self.pv(port_idx, vc_idx);
         debug_assert_eq!(self.vc_slot[pv] as u32, NO_MSG);
-        let length = self.messages.length[id as usize];
-        self.vc_slot[pv] = (length as u64) << 48 | (stage as u64) << 32 | id as u64;
+        self.vc_slot[pv] = (self.messages.length as u64) << 48 | (stage as u64) << 32 | id as u64;
         self.vc_prev[pv] = if stage == 0 {
             u32::MAX
         } else {
@@ -932,26 +895,25 @@ impl Simulator {
         if rem == 0 {
             return false; // fully transferred; waiting for downstream drain
         }
-        let stamp = self.cycle & 0xFFFF;
         // Upstream flit available since cycle start?  (For injection
         // stages — no upstream VC — all not-yet-injected flits are.)
         let prev_pv = self.vc_prev[pv] as usize;
         let mut w_prev = 0;
         if prev_pv != u32::MAX as usize {
             debug_assert_eq!(self.vc_slot[prev_pv] as u32, id);
-            w_prev = cnt_norm(self.vc_cnt[prev_pv], stamp);
+            w_prev = self.vc_cnt[prev_pv];
             if cnt_ready(w_prev) == 0 {
                 return false;
             }
         }
         // Space in this VC's buffer (start-of-cycle occupancy rule)?
-        let w = cnt_norm(self.vc_cnt[pv], stamp);
+        let w = self.vc_cnt[pv];
         if cnt_start_occ(w) >= cap {
             return false;
         }
         // --- Commit the move.
         let stage_idx = ((slot >> 32) & 0xFFFF) as usize;
-        let length = self.messages.length[id as usize];
+        let length = self.messages.length;
         let base = self.messages.chain_base(id);
         debug_assert_eq!(
             (
@@ -974,10 +936,12 @@ impl Simulator {
         }
         let is_head_arrival =
             entered == 1 && stage_idx as u32 + 1 == self.messages.chain_len[id as usize];
-        self.vc_cnt[pv] = (w + (CNT_OCC + CNT_ARR)) & CNT_MASK | stamp << 48;
+        self.vc_cnt[pv] = w + CNT_OCC + CNT_ARR;
+        self.cnt_written.push(pv as u32);
         self.port_flits[port_idx as usize] += 1;
         if prev_pv != u32::MAX as usize {
-            self.vc_cnt[prev_pv] = (w_prev + (CNT_DEP - CNT_OCC)) & CNT_MASK | stamp << 48;
+            self.vc_cnt[prev_pv] = w_prev + CNT_DEP - CNT_OCC;
+            self.cnt_written.push(prev_pv as u32);
             if rem == 1 {
                 // The tail just left the previous stage: release it.
                 let prev = self.messages.chain[base + stage_idx - 1];
@@ -1021,7 +985,7 @@ impl Simulator {
         let id = slot as u32;
         let stage = ((slot >> 32) & 0xFFFF) as usize;
         let remaining = (slot >> 48) as u32;
-        let length = self.messages.length[id as usize];
+        let length = self.messages.length;
         self.port_rr[p] = (vc_idx + 1) % self.v;
         if remaining == length
             && self.cycle == self.messages.closed_start[id as usize] + stage as u64
@@ -1058,7 +1022,7 @@ impl Simulator {
     /// allocation, before any flit of this cycle moves).
     fn materialise(&mut self, id: MsgId) {
         let i = id as usize;
-        let length = self.messages.length[i];
+        let length = self.messages.length;
         let chain_len = self.messages.chain_len[i] as usize;
         let base = self.messages.chain_base(id);
         let start = self.messages.closed_start[i];
@@ -1097,7 +1061,6 @@ impl Simulator {
         #[cfg(test)]
         self.closed_form_counts
             .add_flits(drain.is_some(), ejected - ejected_before);
-        let stamp = self.cycle & 0xFFFF;
         for s in 0..chain_len {
             let stage = self.messages.chain[base + s];
             let last = s + 1 == chain_len;
@@ -1126,7 +1089,7 @@ impl Simulator {
             }
             self.vc_slot[pv] =
                 u64::from(length - stage.entered) << 48 | (s as u64) << 32 | u64::from(id);
-            self.vc_cnt[pv] = u64::from(stage.entered - left) | stamp << 48;
+            self.vc_cnt[pv] = u64::from(stage.entered - left);
         }
         if self.cycle > start {
             // It moved a flit every cycle since it entered the closed form.
@@ -1170,7 +1133,7 @@ impl Simulator {
                 continue;
             }
             debug_assert_eq!(self.messages.head[i], HeadState::Ejecting);
-            let length = self.messages.length[i];
+            let length = self.messages.length;
             let alone = self
                 .messages
                 .chain(id)
@@ -1199,7 +1162,7 @@ impl Simulator {
             self.closed_form_counts.drains += 1;
         }
         let table = self.replay_drain(id);
-        let length = self.messages.length[i];
+        let length = self.messages.length;
         let tail = length as usize - 1;
         self.messages.delivered_at[i] = self.drain_times[table.at(tail, table.rows - 1)];
         let base = self.messages.chain_base(id);
@@ -1231,7 +1194,7 @@ impl Simulator {
     fn replay_drain(&mut self, id: MsgId) -> DrainTable {
         let i = id as usize;
         let before = self.messages.closed_start[i] - 1;
-        let length = self.messages.length[i] as usize;
+        let length = self.messages.length as usize;
         let stages = self.messages.chain(id);
         let ejected = self.messages.ejected[i];
         let cap = self.config.buffer_depth as usize;
@@ -1263,7 +1226,7 @@ impl Simulator {
 
     /// The header landed in the buffer at the sink of `port`: route it.
     fn on_head_arrival(&mut self, id: MsgId, port_idx: u32) {
-        let node = self.port_sink(port_idx);
+        let node = NodeId(self.port_sinks[port_idx as usize]);
         let dest = self.messages.dest[id as usize];
         if node == dest {
             let i = id as usize;
@@ -1271,7 +1234,7 @@ impl Simulator {
             self.ejecting.push(id);
             if self.messages.is_closed_form(id) {
                 // One flit per cycle from the next cycle on.
-                self.messages.delivered_at[i] = self.cycle + u64::from(self.messages.length[i]);
+                self.messages.delivered_at[i] = self.cycle + u64::from(self.messages.length);
             } else if self.closed_form {
                 self.drain_candidates.push(id);
             }
@@ -1375,12 +1338,12 @@ impl Simulator {
         debug_assert!(chain_len > 0, "ejecting message has a chain");
         let last = self.messages.chain[self.messages.chain_base(id) + chain_len - 1];
         let pv = self.pv(last.port, last.vc);
-        let stamp = self.cycle & 0xFFFF;
-        let w = cnt_norm(self.vc_cnt[pv], stamp);
+        let w = self.vc_cnt[pv];
         if cnt_ready(w) == 0 {
             return false;
         }
-        self.vc_cnt[pv] = (w + (CNT_DEP - CNT_OCC)) & CNT_MASK | stamp << 48;
+        self.vc_cnt[pv] = w + CNT_DEP - CNT_OCC;
+        self.cnt_written.push(pv as u32);
         self.messages.ejected[i] += 1;
         self.last_progress = self.cycle;
         // Room in the last buffer from the next cycle on.
@@ -1398,12 +1361,12 @@ impl Simulator {
         #[cfg(test)]
         self.closed_form_counts.add_flits(
             self.messages.chain[self.messages.chain_base(id)].entered > 0,
-            self.messages.length[i] - self.messages.ejected[i],
+            self.messages.length - self.messages.ejected[i],
         );
         self.messages.closed_start[i] = PER_FLIT;
         self.messages.delivered_at[i] = PER_FLIT;
         self.n_closed_form -= 1;
-        self.messages.ejected[i] = self.messages.length[i];
+        self.messages.ejected[i] = self.messages.length;
         self.last_progress = self.cycle;
         let last = self.messages.chain
             [self.messages.chain_base(id) + self.messages.chain_len[i] as usize - 1];
@@ -1415,7 +1378,7 @@ impl Simulator {
     fn complete(&mut self, id: MsgId) {
         debug_assert!(self.messages.is_delivered(id));
         let i = id as usize;
-        if self.messages.measured[i] {
+        if self.messages.birth[i] >= self.config.warmup_cycles {
             let latency = self.messages.latency_at(id, self.cycle) as f64;
             if self.fault_router.is_some() {
                 // Chain stages are the injection stage plus one per hop;
@@ -1445,15 +1408,6 @@ impl Simulator {
     /// worm in closed form (see the module docs), so the inspection hooks
     /// read exact per-flit state between steps.
     pub fn step(&mut self) {
-        // Periodic stamp sweep: clear per-cycle fields everywhere so a
-        // wrapped 16-bit stamp can never alias the current cycle.  Runs
-        // once per 2¹⁶ cycles — amortized noise.
-        if self.cycle >= self.next_sweep {
-            for w in &mut self.vc_cnt {
-                *w &= CNT_F;
-            }
-            self.next_sweep = (self.cycle | 0xFFFF) + 1;
-        }
         self.generate();
         self.allocate();
         self.move_flits();
@@ -1470,6 +1424,10 @@ impl Simulator {
             self.vbar_total_v += self.busy_v;
             self.vbar_total_v2 += self.busy_v2;
         }
+        for &pv in &self.cnt_written {
+            self.vc_cnt[pv as usize] &= CNT_F;
+        }
+        self.cnt_written.clear();
         self.cycle += 1;
     }
 
@@ -1564,13 +1522,12 @@ impl Simulator {
     /// header or tail crossing, delivery or arrival change
     /// nothing but the V̄ sums: the first cycle something happens, capped
     /// at the next health check (every 1024 cycles), or `None` if that is
-    /// this cycle.  No jump starts on a cycle that is due a stamp sweep.
+    /// this cycle.
     fn quiet_until(&self) -> Option<u64> {
         let now = self.cycle;
         if self.n_closed_form == 0
             || self.n_closed_form != self.messages.live_count()
             || !self.closed_waits.is_empty()
-            || now >= self.next_sweep
         {
             return None;
         }
@@ -1678,7 +1635,7 @@ impl Simulator {
             if !self.messages.live[id as usize] {
                 continue;
             }
-            let length = self.messages.length[id as usize];
+            let length = self.messages.length;
             let chain = self.messages.chain(id);
             let mut accounted =
                 self.messages.flits_at_source(id) + self.messages.ejected[id as usize];
@@ -1708,7 +1665,7 @@ impl Simulator {
                 let slot = self.vc_slot[pv];
                 if slot as u32 != id
                     || ((slot >> 32) & 0xFFFF) as usize != i
-                    || (slot >> 48) as u32 != self.messages.length[id as usize] - stage.entered
+                    || (slot >> 48) as u32 != length - stage.entered
                     || cnt_occ(self.vc_cnt[pv]) != self.messages.stage_occupancy(id, i) as u64
                 {
                     return false;
@@ -1741,21 +1698,19 @@ mod tests {
         }
 
         /// Everything the rest of a run depends on, rendered for
-        /// comparison: `vc_cnt` by occupancy (between cycles its
-        /// per-cycle fields are stale), messages by their live slots.
+        /// comparison: messages by their live slots.
         fn fingerprint(&self) -> String {
             let m = &self.messages;
             let live: Vec<_> = (0..m.capacity() as MsgId)
                 .filter(|&id| m.live[id as usize])
                 .map(|id| {
                     let i = id as usize;
-                    let per_message = (m.src[i], m.dest[i], m.length[i], m.birth[i]);
+                    let per_message = (m.src[i], m.dest[i], m.birth[i]);
                     let progress = (m.ejected[i], m.head[i], m.wait_next[i], m.closed_start[i]);
                     (id, per_message, progress, m.chain(id).to_vec())
                 })
                 .collect();
-            let occ: Vec<u64> = self.vc_cnt.iter().map(|&w| cnt_occ(w)).collect();
-            let vcs = (&self.vc_slot, occ, &self.vc_prev);
+            let vcs = (&self.vc_slot, &self.vc_cnt, &self.vc_prev);
             let ports = (
                 &self.port_rr,
                 &self.port_busy,
@@ -1810,9 +1765,11 @@ mod tests {
     }
 
     /// Run `cfg` on the per-flit path and with closed-form worms, in
-    /// lockstep; every `every` iterations materialise the closed-form run
-    /// and compare its whole state, and compare the final reports bit for
-    /// bit.  Returns how often the closed-form run took each path.
+    /// lockstep; after every iteration check that both runs' `vc_cnt`
+    /// words hold only their occupancy, every `every` iterations
+    /// materialise the closed-form run and compare its whole state, and
+    /// compare the final reports bit for bit.  Returns how often the
+    /// closed-form run took each path.
     fn assert_closed_form_exact(
         cfg: SimConfig,
         every: u64,
@@ -1832,6 +1789,13 @@ mod tests {
             prop_assert_eq!((a, per_flit.cycle), (b, closed.cycle), "runs diverged");
             if !a {
                 break;
+            }
+            for sim in [&per_flit, &closed] {
+                prop_assert!(
+                    sim.vc_cnt.iter().all(|&w| w >> 16 == 0),
+                    "per-cycle counts left over at cycle {}",
+                    sim.cycle
+                );
             }
             iterations += 1;
             if iterations.is_multiple_of(every) {
@@ -1930,7 +1894,7 @@ mod tests {
     #[test]
     fn streaming_matches_per_flit_on_long_runs() {
         // The benchmark's two legs and the uni-torus with Lm = 64 worms,
-        // long enough to cross the 2^16-cycle stamp sweep.
+        // run past cycle 2^16 so no 16-bit field can wrap unnoticed.
         let uni = SimConfig::ncube(8, 3, 2, 16, 4e-4, 0.2, 3).with_limits(70_000, 5_000, 0);
         let long = SimConfig::ncube(8, 3, 2, 64, 1e-4, 0.2, 4).with_limits(70_000, 5_000, 0);
         let faulty = SimConfig::ncube(8, 2, 2, 16, 4e-3, 0.2, 2)
@@ -2014,9 +1978,7 @@ mod tests {
             src,
             dest,
             class: MessageClass::Regular,
-            length: lm,
             birth: 0,
-            measured: false,
         });
         let inj = sim.inj_port(src);
         sim.enqueue_request(id, inj, 0);

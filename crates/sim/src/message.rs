@@ -44,20 +44,15 @@ pub struct ChainStage {
 /// Where the header currently is / what it waits for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HeadState {
-    /// Waiting in the per-(port, class) allocation queue for a virtual
-    /// channel on `port`.
-    WaitingFor {
-        /// The port whose allocation queue the header sits in.
-        port: u32,
-    },
+    /// Waiting in a per-(port, class) allocation queue for a virtual
+    /// channel.
+    Waiting,
     /// A virtual channel on the next port is allocated; the header has not
     /// yet crossed into its buffer.
     Crossing,
     /// Header sits in the buffer of the last chain stage, which is at the
     /// destination; the message is draining into the PE.
     Ejecting,
-    /// All flits delivered (terminal state, message about to be retired).
-    Done,
 }
 
 /// Parameters of a freshly generated message, before it enters the arena.
@@ -69,18 +64,15 @@ pub struct NewMessage {
     pub dest: NodeId,
     /// Regular or hot-spot (statistics bucket).
     pub class: MessageClass,
-    /// Length in flits.
-    pub length: u32,
     /// Cycle the message was generated (entered the source queue).
     pub birth: u64,
-    /// Whether the message was born after warm-up (is measured).
-    pub measured: bool,
 }
 
 /// Struct-of-arrays storage for every in-flight message.
 ///
-/// All per-message fields are parallel `Vec`s indexed by [`MsgId`]; chain
-/// stages are packed into one shared arena at stride `max_chain` (the
+/// All per-message fields are parallel `Vec`s indexed by [`MsgId`]; every
+/// message has the run's one length (assumption (iii)); chain stages are
+/// packed into one shared arena at stride `max_chain` (the
 /// longest route the topology admits, plus the injection stage).  Slots are
 /// recycled through a free list, so steady-state insertion is allocation
 /// free.
@@ -89,12 +81,12 @@ pub struct MessageArena {
     /// Chain stride: the longest possible chain (injection stage + one
     /// stage per network hop of the longest route).
     pub(crate) max_chain: u32,
+    /// Length of every message, in flits.
+    pub(crate) length: u32,
     pub(crate) src: Vec<NodeId>,
     pub(crate) dest: Vec<NodeId>,
     pub(crate) class: Vec<MessageClass>,
-    pub(crate) length: Vec<u32>,
     pub(crate) birth: Vec<u64>,
-    pub(crate) measured: Vec<bool>,
     pub(crate) ejected: Vec<u32>,
     pub(crate) head: Vec<HeadState>,
     pub(crate) chain_len: Vec<u32>,
@@ -117,17 +109,17 @@ pub struct MessageArena {
 }
 
 impl MessageArena {
-    /// An empty arena whose chains can hold up to `max_chain` stages.
-    pub fn new(max_chain: u32) -> Self {
+    /// An empty arena for `length`-flit messages whose chains can hold up
+    /// to `max_chain` stages.
+    pub fn new(max_chain: u32, length: u32) -> Self {
         assert!(max_chain >= 1);
         MessageArena {
             max_chain,
+            length,
             src: Vec::new(),
             dest: Vec::new(),
             class: Vec::new(),
-            length: Vec::new(),
             birth: Vec::new(),
-            measured: Vec::new(),
             ejected: Vec::new(),
             head: Vec::new(),
             chain_len: Vec::new(),
@@ -150,11 +142,9 @@ impl MessageArena {
                 self.src.push(m.src);
                 self.dest.push(m.dest);
                 self.class.push(m.class);
-                self.length.push(0);
                 self.birth.push(0);
-                self.measured.push(false);
                 self.ejected.push(0);
-                self.head.push(HeadState::Done);
+                self.head.push(HeadState::Waiting);
                 self.chain_len.push(0);
                 self.closed_start.push(PER_FLIT);
                 self.delivered_at.push(PER_FLIT);
@@ -171,11 +161,9 @@ impl MessageArena {
         self.src[i] = m.src;
         self.dest[i] = m.dest;
         self.class[i] = m.class;
-        self.length[i] = m.length;
         self.birth[i] = m.birth;
-        self.measured[i] = m.measured;
         self.ejected[i] = 0;
-        self.head[i] = HeadState::Done;
+        self.head[i] = HeadState::Waiting;
         self.chain_len[i] = 0;
         self.closed_start[i] = PER_FLIT;
         self.delivered_at[i] = PER_FLIT;
@@ -235,9 +223,9 @@ impl MessageArena {
     pub fn flits_at_source(&self, id: MsgId) -> u32 {
         let i = id as usize;
         if self.chain_len[i] == 0 {
-            self.length[i]
+            self.length
         } else {
-            self.length[i] - self.chain[self.chain_base(id)].entered
+            self.length - self.chain[self.chain_base(id)].entered
         }
     }
 
@@ -264,7 +252,7 @@ impl MessageArena {
     /// True when every flit of `id` has been delivered.
     #[inline]
     pub fn is_delivered(&self, id: MsgId) -> bool {
-        self.ejected[id as usize] == self.length[id as usize]
+        self.ejected[id as usize] == self.length
     }
 
     /// Latency if `id` completed at `cycle`: generation to delivery of the
@@ -279,14 +267,12 @@ mod tests {
     use super::*;
 
     fn arena() -> (MessageArena, MsgId) {
-        let mut a = MessageArena::new(8);
+        let mut a = MessageArena::new(8, 4);
         let id = a.insert(NewMessage {
             src: NodeId(0),
             dest: NodeId(5),
             class: MessageClass::Regular,
-            length: 4,
             birth: 100,
-            measured: true,
         });
         (a, id)
     }
@@ -334,14 +320,12 @@ mod tests {
             src: NodeId(1),
             dest: NodeId(2),
             class: MessageClass::HotSpot,
-            length: 9,
             birth: 7,
-            measured: false,
         });
         assert_eq!(id, id2, "free slot must be reused");
         assert_eq!(a.capacity(), 1);
         assert_eq!(a.chain_len[id2 as usize], 0, "chain reset on reuse");
-        assert_eq!(a.flits_at_source(id2), 9);
+        assert_eq!(a.flits_at_source(id2), 4);
     }
 
     #[test]
@@ -351,9 +335,7 @@ mod tests {
             src: NodeId(3),
             dest: NodeId(4),
             class: MessageClass::Regular,
-            length: 2,
             birth: 0,
-            measured: false,
         });
         a.push_stage(id0, 10, 0);
         a.push_stage(id1, 20, 1);

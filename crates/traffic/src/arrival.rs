@@ -117,11 +117,6 @@ impl ArrivalSampler {
         }
     }
 
-    /// The described process.
-    pub fn process(&self) -> ArrivalProcess {
-        self.process
-    }
-
     /// Time of the first arrival strictly after `t` (`f64::INFINITY` when
     /// the rate is zero).
     pub fn next_arrival_after<R: Rng + ?Sized>(&mut self, t: f64, rng: &mut R) -> f64 {

@@ -1,13 +1,15 @@
 //! Traffic generation for k-ary n-cube experiments.
 //!
-//! Implements assumptions (i)–(iii) of the paper's model:
+//! Implements assumptions (i) and (ii) of the paper's model:
 //!
 //! * nodes generate messages independently, following a Poisson process
 //!   with mean rate `λ` messages/cycle ([`arrival`]);
 //! * destinations follow the hot-spot model of Pfister & Norton \[20\]:
 //!   with probability `h` a message is directed to the hot-spot node, with
-//!   probability `1-h` to a uniformly-random other node ([`patterns`]);
-//! * message length is a fixed `Lm` flits.
+//!   probability `1-h` to a uniformly-random other node ([`patterns`]).
+//!
+//! Assumption (iii), a fixed message length of `Lm` flits, is a constant
+//! of the simulator's run, so generated messages carry no length.
 //!
 //! Beyond the paper's two patterns (uniform and hot-spot) the crate ships
 //! the tornado pattern, the classic adversary for rings, and a bursty

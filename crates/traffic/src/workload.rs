@@ -1,4 +1,4 @@
-//! Per-node workload generation: arrivals × destinations × message length.
+//! Per-node workload generation: arrivals × destinations.
 //!
 //! Arrivals are generated by *gap sampling*: instead of flipping a coin
 //! every cycle, the generator samples the time to the next arrival directly
@@ -20,8 +20,6 @@ pub struct WorkloadConfig {
     pub arrivals: ArrivalProcess,
     /// Destination pattern.
     pub pattern: TrafficPattern,
-    /// Fixed message length in flits (assumption (iii)).
-    pub message_length: u32,
     /// Master seed; per-node streams are derived deterministically.
     pub seed: u64,
 }
@@ -33,8 +31,6 @@ pub struct GeneratedMessage {
     pub src: NodeId,
     /// Destination node (never equals `src`).
     pub dest: NodeId,
-    /// Length in flits.
-    pub length: u32,
     /// Regular or hot-spot, per the pattern's coin flip.
     pub class: MessageClass,
     /// Cycle at which the message was generated.
@@ -52,7 +48,6 @@ pub struct NodeWorkload {
     /// Real-valued time of the next arrival (`f64::INFINITY` when the rate
     /// is zero).
     next_time: f64,
-    generated: u64,
 }
 
 impl NodeWorkload {
@@ -65,7 +60,6 @@ impl NodeWorkload {
             dest_rng: node_stream_rng(config.seed, node, 1),
             sampler: ArrivalSampler::new(config.arrivals),
             next_time: 0.0,
-            generated: 0,
         };
         // The first arrival is one gap from time zero.
         wl.next_time = wl.sampler.next_arrival_after(0.0, &mut wl.arrival_rng);
@@ -75,11 +69,6 @@ impl NodeWorkload {
     /// The node this generator belongs to.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Total messages generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// The cycle of the next arrival, or `None` if the rate is zero.
@@ -110,11 +99,9 @@ impl NodeWorkload {
             out.push(GeneratedMessage {
                 src: self.node,
                 dest,
-                length: self.config.message_length,
                 class,
                 birth_cycle: cycle,
             });
-            self.generated += 1;
             self.next_time = self
                 .sampler
                 .next_arrival_after(self.next_time, &mut self.arrival_rng);
@@ -133,7 +120,6 @@ mod tests {
                 h: 0.2,
                 hot: NodeId(0),
             },
-            message_length: 32,
             seed,
         }
     }
@@ -168,7 +154,6 @@ mod tests {
             (rate - lambda).abs() < 0.002,
             "observed rate {rate} vs λ {lambda}"
         );
-        assert_eq!(w.generated(), out.len() as u64);
     }
 
     #[test]
