@@ -140,7 +140,7 @@ impl SimConfig {
     /// A generalized k-ary n-cube hot-spot run: a unidirectional cube of
     /// radix `k` and dimension count `n`, Poisson sources of rate
     /// `lambda`, Pfister–Norton hot-spot pattern with fraction `h` towards
-    /// node 0, fixed `lm`-flit messages.
+    /// node 0 (uniform traffic when `h` is 0), fixed `lm`-flit messages.
     ///
     /// The engine itself is dimension-agnostic — router ports and
     /// Dally–Seitz virtual-channel classes come from the topology's
@@ -159,7 +159,7 @@ impl SimConfig {
             buffer_depth: 2,
             message_length: lm,
             arrivals: ArrivalProcess::Poisson(lambda),
-            pattern: if h > 0.0 {
+            pattern: if h != 0.0 {
                 TrafficPattern::HotSpot { h, hot: NodeId(0) }
             } else {
                 TrafficPattern::Uniform
@@ -203,13 +203,13 @@ impl SimConfig {
 
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), SimConfigError> {
+        let nodes = u64::from(self.k).checked_pow(self.n);
         if let Some(spec) = self.faults {
             if !spec.is_valid() {
                 return Err(SimConfigError::Invalid(
                     "fault probabilities must lie in [0, 1]",
                 ));
             }
-            let nodes = u64::from(self.k).checked_pow(self.n);
             if nodes.is_none_or(|nodes| nodes > MAX_FAULTY_SIM_NODES) {
                 return Err(SimConfigError::Invalid(
                     "fault injection needs N x N fault-router tables: network above MAX_FAULTY_SIM_NODES",
@@ -245,6 +245,34 @@ impl SimConfig {
         }
         if !self.arrivals.rate().is_finite() || self.arrivals.rate() < 0.0 {
             return Err(SimConfigError::Invalid("arrival rate must be >= 0"));
+        }
+        if let ArrivalProcess::OnOff {
+            rate_on,
+            mean_on,
+            mean_off,
+        } = self.arrivals
+        {
+            // The burst sampler loops forever unless bursts have a
+            // positive length and both phases end.
+            if ![rate_on, mean_on, mean_off].iter().all(|x| x.is_finite())
+                || rate_on < 0.0
+                || mean_on <= 0.0
+                || mean_off < 0.0
+            {
+                return Err(SimConfigError::Invalid(
+                    "on-off arrivals need finite rate_on >= 0, mean_on > 0 and mean_off >= 0",
+                ));
+            }
+        }
+        if let TrafficPattern::HotSpot { h, hot } = self.pattern {
+            if !(0.0..=1.0).contains(&h) {
+                return Err(SimConfigError::Invalid(
+                    "hot-spot fraction h must lie in [0, 1]",
+                ));
+            }
+            if nodes.is_some_and(|nodes| u64::from(hot.0) >= nodes) {
+                return Err(SimConfigError::Invalid("hot-spot node outside the network"));
+            }
         }
         Ok(())
     }
@@ -297,6 +325,48 @@ mod tests {
         let mut c = base;
         c.k = 1;
         assert!(c.topology().is_err());
+    }
+
+    #[test]
+    fn hot_spot_and_on_off_parameters_are_typed_errors() {
+        let base = SimConfig::ncube(4, 2, 2, 8, 1e-3, 0.2, 1);
+        let h = |h| SimConfig::ncube(4, 2, 2, 8, 1e-3, h, 1);
+        let on_off = |rate_on, mean_on, mean_off| SimConfig {
+            arrivals: ArrivalProcess::OnOff {
+                rate_on,
+                mean_on,
+                mean_off,
+            },
+            ..base
+        };
+        let hot_99 = SimConfig {
+            pattern: TrafficPattern::HotSpot {
+                h: 0.2,
+                hot: NodeId(99),
+            },
+            ..base
+        };
+        let cases = [
+            ("h = 1.5", h(1.5)),
+            ("h = -0.5", h(-0.5)),
+            ("h = NaN", h(f64::NAN)),
+            ("hot node 99 of 16", hot_99),
+            ("negative on-off means", on_off(1.0, -5.0, -10.0)),
+            ("zero mean_on", on_off(1.0, 0.0, 10.0)),
+            ("infinite mean_off", on_off(1.0, 5.0, f64::INFINITY)),
+        ];
+        for (name, cfg) in cases {
+            assert!(
+                matches!(cfg.validate(), Err(SimConfigError::Invalid(_))),
+                "{name}: validate"
+            );
+            assert!(
+                matches!(crate::Simulator::new(cfg), Err(SimConfigError::Invalid(_))),
+                "{name}: Simulator::new"
+            );
+        }
+        assert_eq!(h(0.0).pattern, TrafficPattern::Uniform);
+        assert!(on_off(1.0, 5.0, 0.0).validate().is_ok());
     }
 
     #[test]
