@@ -24,12 +24,11 @@
 //!
 //! Router state is flat arrays, not an object graph: the per-VC words
 //! (`vc_slot`: holder, stage and flits still to receive; `vc_cnt`:
-//! occupancy and this cycle's arrivals and departures, the latter
-//! cleared at the end of the cycle for the words written in it
-//! (`cnt_written`); `vc_prev`: the upstream VC) are `Vec`s indexed by
-//! `port * V + vc`; per-port state
-//! (`port_rr`, `port_busy`, `port_movable`, `port_flits`, the activation
-//! order `port_seq`, worklist flags) is indexed by the flat port id.  The
+//! occupancy and this cycle's arrivals and departures, which the end of
+//! the cycle clears in the words it wrote; `vc_prev`: the upstream VC)
+//! are `Vec`s indexed by `port * V + vc`; per-port state (`port_rr`,
+//! `port_busy`, `port_movable`, `port_flits`, the activation order
+//! `port_seq`, worklist flags) is indexed by the flat port id.  The
 //! allocation queues are intrusive FIFOs threaded through the message
 //! arena (`wait_head`/`wait_tail` per `(port, class)`, `wait_next` per
 //! message), and message state itself lives in the struct-of-arrays
@@ -306,7 +305,8 @@ pub struct Simulator {
     /// pending crossing aliases the current slot.  An entry whose port no
     /// longer expects a crossing that cycle (its worm was materialised) is
     /// skipped.  A binary heap of crossings gave the same results but ran
-    /// the `sim_validate` benchmark 43% slower (0.217 s → 0.310 s median).
+    /// the `sim_validate` benchmark 43% slower (median 0.217 s → 0.310 s
+    /// over 4 pairs on a 2-vCPU x86-64 host).
     wheel: Vec<Vec<u32>>,
     wheel_mask: u64,
     /// Ports a crossing or ejection this cycle may unblock from the next

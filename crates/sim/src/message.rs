@@ -71,11 +71,10 @@ pub struct NewMessage {
 /// Struct-of-arrays storage for every in-flight message.
 ///
 /// All per-message fields are parallel `Vec`s indexed by [`MsgId`]; every
-/// message has the run's one length (assumption (iii)); chain stages are
-/// packed into one shared arena at stride `max_chain` (the
-/// longest route the topology admits, plus the injection stage).  Slots are
-/// recycled through a free list, so steady-state insertion is allocation
-/// free.
+/// message has the run's one length (assumption (iii)).  Chain stages are
+/// packed into one shared arena at stride `max_chain` (the longest route
+/// the topology admits, plus the injection stage).  Slots are recycled
+/// through a free list, so steady-state insertion is allocation free.
 #[derive(Debug)]
 pub struct MessageArena {
     /// Chain stride: the longest possible chain (injection stage + one
