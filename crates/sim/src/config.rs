@@ -263,6 +263,18 @@ impl SimConfig {
                     "on-off arrivals need finite rate_on >= 0, mean_on > 0 and mean_off >= 0",
                 ));
             }
+            // The sampler walks phases up to the horizon, one silence and
+            // one burst per step: a mean step of at least one cycle, that
+            // still moves time at the horizon, keeps that walk within
+            // about `max_cycles` steps per node.
+            let step = mean_on + mean_off;
+            let horizon = self.max_cycles as f64;
+            if step < 1.0 || horizon + step == horizon {
+                return Err(SimConfigError::Invalid(
+                    "on-off arrivals need mean_on + mean_off of at least one cycle, \
+                     and enough to advance time at max_cycles",
+                ));
+            }
         }
         if let TrafficPattern::HotSpot { h, hot } = self.pattern {
             if !(0.0..=1.0).contains(&h) {
@@ -354,6 +366,14 @@ mod tests {
             ("negative on-off means", on_off(1.0, -5.0, -10.0)),
             ("zero mean_on", on_off(1.0, 0.0, 10.0)),
             ("infinite mean_off", on_off(1.0, 5.0, f64::INFINITY)),
+            ("sub-cycle on-off step", on_off(1e-3, 1e-300, 0.5)),
+            (
+                "on-off step lost at the horizon",
+                SimConfig {
+                    max_cycles: u64::MAX,
+                    ..on_off(1e-3, 1.0, 1e3)
+                },
+            ),
         ];
         for (name, cfg) in cases {
             assert!(
@@ -367,6 +387,39 @@ mod tests {
         }
         assert_eq!(h(0.0).pattern, TrafficPattern::Uniform);
         assert!(on_off(1.0, 5.0, 0.0).validate().is_ok());
+    }
+
+    #[test]
+    fn on_off_phase_walks_are_bounded_by_the_horizon() {
+        use std::time::{Duration, Instant};
+        // Both once passed `validate` and then hung `Simulator::new`: the
+        // first walks 1e-300-cycle bursts that never fire, the second
+        // starts with a silence near 1e300 cycles, where a burst of one
+        // cycle rounds away.
+        let witnesses = [(1e-3, 1e-300, 10.0), (1e300, 1.0, 1e300)];
+        for (rate_on, mean_on, mean_off) in witnesses {
+            let cfg = SimConfig {
+                arrivals: ArrivalProcess::OnOff {
+                    rate_on,
+                    mean_on,
+                    mean_off,
+                },
+                ..SimConfig::ncube(4, 2, 2, 8, 1e-3, 0.2, 1).with_limits(200_000, 10_000, 0)
+            };
+            let start = Instant::now();
+            match crate::Simulator::new(cfg) {
+                Ok(sim) => {
+                    let report = sim.run();
+                    assert_eq!(report.cycles, 200_000, "{cfg:?}");
+                }
+                Err(e) => assert!(matches!(e, SimConfigError::Invalid(_)), "{e}"),
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "{cfg:?} took {:?}",
+                start.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -460,6 +460,7 @@ impl Simulator {
             arrivals: config.arrivals,
             pattern: config.pattern,
             seed: config.seed,
+            horizon: config.max_cycles,
         };
         let workloads: Vec<NodeWorkload> = topo
             .nodes()

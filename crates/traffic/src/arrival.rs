@@ -10,7 +10,9 @@
 //! Sampling is by *gaps*: [`ArrivalSampler::next_arrival_after`] returns
 //! the real-valued time of the next arrival, which both matches the
 //! continuous-time definitions exactly and lets the simulator skip idle
-//! stretches.
+//! stretches.  A sampler knows the run's horizon: an on-off phase that
+//! starts at or past it ends the stream (`f64::INFINITY`), so walking
+//! the phases never outlasts the run.
 
 use rand::Rng;
 
@@ -98,6 +100,8 @@ enum Phase {
 pub struct ArrivalSampler {
     process: ArrivalProcess,
     phase: Phase,
+    /// End of the run: no arrival at or after it is needed.
+    horizon: f64,
 }
 
 /// Exponential variate with the given mean.
@@ -107,18 +111,22 @@ fn exp_with_mean<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
 }
 
 impl ArrivalSampler {
-    /// Build a sampler; `OnOff` processes start in the silent phase (the
-    /// first burst begins after one `Exp(mean_off)` gap), so independent
-    /// nodes desynchronise naturally.
-    pub fn new(process: ArrivalProcess) -> Self {
+    /// Build a sampler for a run that ends at `horizon`; `OnOff`
+    /// processes start in the silent phase (the first burst begins after
+    /// one `Exp(mean_off)` gap), so independent nodes desynchronise
+    /// naturally.
+    pub fn new(process: ArrivalProcess, horizon: f64) -> Self {
         ArrivalSampler {
             process,
             phase: Phase::Steady,
+            horizon,
         }
     }
 
     /// Time of the first arrival strictly after `t` (`f64::INFINITY` when
-    /// the rate is zero).
+    /// the rate is zero, or when the on-off phase that would hold it
+    /// starts at or past the horizon).  Every arrival before the horizon
+    /// is the one an unbounded sampler draws.
     pub fn next_arrival_after<R: Rng + ?Sized>(&mut self, t: f64, rng: &mut R) -> f64 {
         match self.process {
             ArrivalProcess::Poisson(lambda) => {
@@ -147,6 +155,9 @@ impl ArrivalSampler {
                     match self.phase {
                         Phase::Off { until } => {
                             now = now.max(until);
+                            if now >= self.horizon {
+                                return f64::INFINITY;
+                            }
                             self.phase = Phase::On {
                                 until: now + exp_with_mean(mean_on, rng),
                             };
@@ -157,6 +168,9 @@ impl ArrivalSampler {
                                 return candidate;
                             }
                             now = until;
+                            if now >= self.horizon {
+                                return f64::INFINITY;
+                            }
                             self.phase = Phase::Off {
                                 until: now + exp_with_mean(mean_off, rng),
                             };
@@ -178,7 +192,7 @@ mod tests {
     /// Count arrivals of `process` in `[0, horizon)`.
     fn count_arrivals(process: ArrivalProcess, horizon: f64, seed: u64) -> u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut sampler = ArrivalSampler::new(process);
+        let mut sampler = ArrivalSampler::new(process, f64::INFINITY);
         let mut t = sampler.next_arrival_after(0.0, &mut rng);
         let mut count = 0;
         while t < horizon {
@@ -234,7 +248,7 @@ mod tests {
         let horizon = 4e5;
         let dispersion = |process: ArrivalProcess, seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut s = ArrivalSampler::new(process);
+            let mut s = ArrivalSampler::new(process, f64::INFINITY);
             let mut counts = vec![0u32; (horizon / window) as usize];
             let mut t = s.next_arrival_after(0.0, &mut rng);
             while t < horizon {
@@ -262,13 +276,48 @@ mod tests {
     #[test]
     fn zero_rate_never_fires() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut s = ArrivalSampler::new(ArrivalProcess::Poisson(0.0));
+        let mut s = ArrivalSampler::new(ArrivalProcess::Poisson(0.0), f64::INFINITY);
         assert_eq!(s.next_arrival_after(0.0, &mut rng), f64::INFINITY);
-        let mut s = ArrivalSampler::new(ArrivalProcess::OnOff {
-            rate_on: 0.0,
-            mean_on: 1.0,
-            mean_off: 1.0,
-        });
+        let mut s = ArrivalSampler::new(
+            ArrivalProcess::OnOff {
+                rate_on: 0.0,
+                mean_on: 1.0,
+                mean_off: 1.0,
+            },
+            f64::INFINITY,
+        );
+        assert_eq!(s.next_arrival_after(0.0, &mut rng), f64::INFINITY);
+    }
+
+    #[test]
+    fn the_horizon_ends_the_stream_without_moving_earlier_arrivals() {
+        let horizon = 2e5;
+        // Arrivals before `horizon` from a sampler bounded at `bound`.
+        let arrivals = |bound| {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut s = ArrivalSampler::new(ArrivalProcess::bursty(0.01, 6.0, 150.0), bound);
+            let mut times = Vec::new();
+            let mut t = s.next_arrival_after(0.0, &mut rng);
+            while t < horizon {
+                times.push(t);
+                t = s.next_arrival_after(t, &mut rng);
+            }
+            (times, t)
+        };
+        let (bounded, end) = arrivals(horizon);
+        assert!(bounded.len() > 1000);
+        assert_eq!(bounded, arrivals(f64::INFINITY).0);
+        assert!(end >= horizon);
+        // A first silence far past the horizon ends the stream at once.
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut s = ArrivalSampler::new(
+            ArrivalProcess::OnOff {
+                rate_on: 1e300,
+                mean_on: 1.0,
+                mean_off: 1e300,
+            },
+            horizon,
+        );
         assert_eq!(s.next_arrival_after(0.0, &mut rng), f64::INFINITY);
     }
 
@@ -279,7 +328,7 @@ mod tests {
             ArrivalProcess::Poisson(0.5),
             ArrivalProcess::bursty(0.1, 4.0, 20.0),
         ] {
-            let mut s = ArrivalSampler::new(p);
+            let mut s = ArrivalSampler::new(p, f64::INFINITY);
             let mut t = 0.0;
             for _ in 0..500 {
                 let next = s.next_arrival_after(t, &mut rng);

@@ -22,6 +22,9 @@ pub struct WorkloadConfig {
     pub pattern: TrafficPattern,
     /// Master seed; per-node streams are derived deterministically.
     pub seed: u64,
+    /// Cycles the run lasts: arrivals at or after this cycle are never
+    /// generated, so the sampler may stop walking on-off phases there.
+    pub horizon: u64,
 }
 
 /// A message emitted by a workload generator, before it enters the network.
@@ -58,7 +61,7 @@ impl NodeWorkload {
             config,
             arrival_rng: node_rng(config.seed, node),
             dest_rng: node_stream_rng(config.seed, node, 1),
-            sampler: ArrivalSampler::new(config.arrivals),
+            sampler: ArrivalSampler::new(config.arrivals, config.horizon as f64),
             next_time: 0.0,
         };
         // The first arrival is one gap from time zero.
@@ -121,6 +124,7 @@ mod tests {
                 hot: NodeId(0),
             },
             seed,
+            horizon: u64::MAX,
         }
     }
 
