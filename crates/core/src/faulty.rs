@@ -49,8 +49,8 @@ use kncube_queueing::vc_multiplex::multiplexing_factor;
 use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId};
 
 /// Hard cap on `N = k^n` for the faulty model.  The [`FaultRouter`]
-/// stores [`FAULT_ROUTER_BYTES_PER_PAIR`] bytes per ordered pair (112 MiB
-/// at this cap, 1.75 GiB at 16k nodes) and every solve sweeps all `N²`
+/// stores [`FAULT_ROUTER_BYTES_PER_PAIR`] bytes per ordered pair (48 MiB
+/// at this cap, 768 MiB at 16k nodes) and every solve sweeps all `N²`
 /// pairs once.
 ///
 /// [`FAULT_ROUTER_BYTES_PER_PAIR`]: kncube_topology::FAULT_ROUTER_BYTES_PER_PAIR
@@ -192,8 +192,6 @@ pub struct FaultyNCubeModel {
     config: FaultyNCubeConfig,
     router: FaultRouter,
     rates: FaultyChannelRates,
-    /// [`FaultRouter::expected_detour`], a property of the routes alone.
-    mean_detour_hops: f64,
 }
 
 impl FaultyNCubeModel {
@@ -230,12 +228,10 @@ impl FaultyNCubeModel {
         }
         let router = FaultRouter::new(config.faults.clone());
         let rates = FaultyChannelRates::from_router(&router, config.hot_node, config.hot_fraction);
-        let mean_detour_hops = router.expected_detour();
         Ok(FaultyNCubeModel {
             config,
             router,
             rates,
-            mean_detour_hops,
         })
     }
 
@@ -454,7 +450,7 @@ impl FaultyNCubeModel {
             max_utilization,
             reachable_pairs: self.rates.reachable_pairs(),
             reachable_fraction: self.rates.reachable_pairs() as f64 / (n64 * (n64 - 1)) as f64,
-            mean_detour_hops: self.mean_detour_hops,
+            mean_detour_hops: self.router.expected_detour(),
             delivered_fraction: latency_den / n_nodes as f64,
             iterations: 1,
             delegated: false,

@@ -12,9 +12,9 @@ pub const FAULT_ROUTER_BUDGET_BYTES: u64 = 1 << 30;
 
 /// Largest network, in nodes, the simulator accepts with faults
 /// configured.  The fault router stores [`FAULT_ROUTER_BYTES_PER_PAIR`]
-/// bytes per ordered node pair, so `N² · 7 B` within
-/// [`FAULT_ROUTER_BUDGET_BYTES`] gives `N ≤ 12 385`: a 16³ cube fits, a
-/// 32³ cube (7 GiB of tables) does not.
+/// bytes per ordered node pair, so `N² · 3 B` within
+/// [`FAULT_ROUTER_BUDGET_BYTES`] gives `N ≤ 18 918`: a 16³ cube fits, a
+/// 32³ cube (3 GiB of tables) does not.
 pub const MAX_FAULTY_SIM_NODES: u64 =
     (FAULT_ROUTER_BUDGET_BYTES / FAULT_ROUTER_BYTES_PER_PAIR).isqrt();
 
@@ -425,15 +425,16 @@ mod tests {
     #[test]
     fn fault_injection_is_capped_by_the_router_table_budget() {
         use kncube_traffic::FaultSpec;
-        assert_eq!(MAX_FAULTY_SIM_NODES, 12_385);
+        // Derived from the per-pair table size: (1 GiB / 3 B).isqrt().
+        assert_eq!(MAX_FAULTY_SIM_NODES, 18_918);
         let faulty = |k, n| {
             SimConfig::ncube(k, n, 2, 16, 1e-4, 0.2, 1)
                 .with_topology(LinkKind::Bidirectional, Boundary::Torus)
                 .with_faults(FaultSpec::NONE)
         };
-        // 16³ = 4096 nodes: 112 MiB of tables, accepted.
+        // 16³ = 4096 nodes: 48 MiB of tables, accepted.
         assert!(faulty(16, 3).validate().is_ok());
-        // 32³ = 32768 nodes: 7 GiB of tables, refused before anything is
+        // 32³ = 32768 nodes: 3 GiB of tables, refused before anything is
         // allocated — by `validate` and by `Simulator::new`.
         assert!(matches!(
             faulty(32, 3).validate(),

@@ -619,7 +619,7 @@ impl Simulator {
                 // Sources on failed routers generate nothing that can move,
                 // and no route exists to a failed or disconnected
                 // destination: count the message and drop it at the source.
-                if router.distance(gm.src, gm.dest).is_none() {
+                if !router.reachable(gm.src, gm.dest) {
                     self.generated += 1;
                     self.dropped_unreachable += 1;
                     continue;
@@ -1252,7 +1252,7 @@ impl Simulator {
         debug_assert!(
             self.fault_router
                 .as_ref()
-                .is_none_or(|r| r.distance(node, dest).is_some()),
+                .is_none_or(|r| r.reachable(node, dest)),
             "in-flight message at a node that cannot reach its destination"
         );
         let hop = match &self.fault_router {

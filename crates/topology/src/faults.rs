@@ -30,8 +30,9 @@ use crate::channel::{Channel, ChannelId, Direction};
 use crate::geometry::{Boundary, KAryNCube, LinkKind, NodeId};
 use crate::routing::{Hop, VcClass};
 
-/// Distance marker for unreachable (or failed) node pairs.
-const UNREACHABLE: u16 = u16::MAX;
+/// Distance marker for nodes the current breadth-first search has not
+/// reached.
+const UNREACHABLE: u32 = u32::MAX;
 
 /// A set of failed routers and physical links in a topology.
 ///
@@ -144,10 +145,14 @@ const NO_HOP: u8 = u8::MAX;
 const NO_NODE: u32 = u32::MAX;
 
 /// Bytes a [`FaultRouter`] stores per ordered `(node, destination)` pair:
-/// the `u16` distance, the one-byte next hop, and the `u32` entry of the
-/// destination's breadth-first order.  The per-node port tables add
-/// `O(N·n)` on top, negligible beside the `N²` pairs.
-pub const FAULT_ROUTER_BYTES_PER_PAIR: u64 = 7;
+/// the one-byte next hop and the `u16` entry of the destination's
+/// breadth-first order.  The per-node port tables add `O(N·n)` on top,
+/// negligible beside the `N²` pairs.
+pub const FAULT_ROUTER_BYTES_PER_PAIR: u64 = 3;
+
+/// Largest network a [`FaultRouter`] covers: the breadth-first orders
+/// hold node ids in 16 bits.
+const MAX_ROUTER_NODES: usize = 1 << 16;
 
 /// One edge of a destination's route in-tree: the next hop from `node`
 /// crosses `channel` to `parent`, one hop closer to the destination.
@@ -209,17 +214,21 @@ fn torus_hop_class(k: u32, cur: u32, target: u32, direction: Direction) -> VcCla
 /// Routing is destination-based, so for each destination the next hops
 /// form an in-tree over the nodes that can reach it.  Construction runs
 /// one reverse breadth-first search per destination over the surviving
-/// digraph and stores, per destination, the distance of every node (`u16`),
-/// every node's next hop (one byte: the output port and the VC class), and
-/// the BFS order of the reachable nodes — [`FAULT_ROUTER_BYTES_PER_PAIR`]
-/// bytes per ordered pair.  The next hop is the lowest-[`ChannelId`]
-/// surviving out-channel that decreases the distance to the destination —
-/// a deterministic minimal route in the surviving graph.
+/// digraph and stores, per destination, every node's next hop (one byte:
+/// the output port and the VC class) and the BFS order of the reachable
+/// nodes (`u16` node ids) — [`FAULT_ROUTER_BYTES_PER_PAIR`] bytes per
+/// ordered pair.  The next hop is the lowest-[`ChannelId`] surviving
+/// out-channel that decreases the distance to the destination — a
+/// deterministic minimal route in the surviving graph.  Distances live
+/// only in one scratch row during construction, which also totals the
+/// detour and the longest route.
 ///
-/// [`FaultRouter::next_hop`] is a table lookup, and [`FaultRouter::tree`]
-/// hands out a destination's tree in BFS order, so per-channel loads
-/// (subtree sums, in reverse order) and per-pair latencies (prefix sums,
-/// in order) take one linear sweep per destination.
+/// [`FaultRouter::next_hop`] and [`FaultRouter::reachable`] are table
+/// lookups, [`FaultRouter::distance`] walks the route, and
+/// [`FaultRouter::tree`] hands out a destination's tree in BFS order, so
+/// per-channel loads (subtree sums, in reverse order) and per-pair
+/// latencies (prefix sums, in order) take one linear sweep per
+/// destination.
 #[derive(Clone, Debug)]
 pub struct FaultRouter {
     topo: KAryNCube,
@@ -228,25 +237,35 @@ pub struct FaultRouter {
     ports: usize,
     /// `out[node·2n + port]`: where the port leads.
     out: Vec<Port>,
-    /// `coords[node·n + dim]`: the node's coordinate in `dim`.
-    coords: Vec<u32>,
-    /// Destination-major distance table: `dist[dest·N + node]`.
-    dist: Vec<u16>,
     /// Destination-major next-hop table: `hop[dest·N + node]` is
     /// `port·2 + class` (class 1 = [`VcClass::Low`]), or `NO_HOP`.
     hop: Vec<u8>,
     /// Each destination's reachable nodes in BFS order, the destination
     /// first, concatenated: destination `d`'s run is
     /// `order[order_start[d]..order_start[d + 1]]` (empty when `d` failed).
-    order: Vec<u32>,
+    order: Vec<u16>,
     order_start: Vec<usize>,
+    /// Σ over reachable pairs of the surviving distance minus the
+    /// fault-free minimal distance.
+    detour_hops: u64,
+    /// The longest surviving shortest route, in hops.
+    max_finite_distance: u32,
 }
 
 impl FaultRouter {
     /// Build the route trees for `faults` (which carries its topology).
+    ///
+    /// # Panics
+    ///
+    /// If the network has more than 65 536 nodes (its tables would take
+    /// 12 GiB).
     pub fn new(faults: FaultSet) -> Self {
         let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
+        assert!(
+            nodes <= MAX_ROUTER_NODES,
+            "fault router limited to {MAX_ROUTER_NODES} nodes (got {nodes})"
+        );
         let n = topo.n() as usize;
         let ports = 2 * n;
         // Port tables.  `into[node·2n + port]` is the source of the
@@ -278,38 +297,68 @@ impl FaultRouter {
             }
         }
 
+        // `ring_sum[t]`: fault-free hops from every coordinate of a ring
+        // to coordinate `t`, so the minimal distances from all `N` nodes to
+        // a destination sum to `N/k · Σ_dim ring_sum[target[dim]]`.
+        let k = topo.k();
+        let ring_sum: Vec<u64> = (0..k)
+            .map(|t| {
+                (0..k)
+                    .map(|c| topo.ring_offset_routed(c, t).unsigned_abs())
+                    .sum()
+            })
+            .collect();
+        let per_ring = (nodes / k as usize) as u64;
+
         let healthy = nodes - faults.num_failed_routers() as usize;
-        let mut dist = vec![UNREACHABLE; nodes * nodes];
+        // One destination's distances, reset after each search.
+        let mut dist = vec![UNREACHABLE; nodes];
         let mut hop = vec![NO_HOP; nodes * nodes];
-        let mut order = Vec::with_capacity(healthy * healthy);
+        let mut order: Vec<u16> = Vec::with_capacity(healthy * healthy);
         let mut order_start = Vec::with_capacity(nodes + 1);
+        let mut detour_hops = 0u64;
+        let mut max_finite_distance = 0u32;
         for dest in topo.nodes() {
             order_start.push(order.len());
             if faults.node_failed(dest) {
                 continue;
             }
-            let row = dest.index() * nodes..(dest.index() + 1) * nodes;
-            let dist = &mut dist[row.clone()];
             let start = order.len();
             dist[dest.index()] = 0;
-            order.push(dest.0);
+            order.push(dest.0 as u16);
             let mut head = start;
+            let mut distance_sum = 0u64;
             while head < order.len() {
-                let u = order[head] as usize;
+                let u = usize::from(order[head]);
                 head += 1;
-                let d = dist[u];
+                let d = dist[u] + 1;
                 // Predecessors of `u`: sources of surviving channels into it.
                 for &v in &into[u * ports..(u + 1) * ports] {
                     if v != NO_NODE && dist[v as usize] == UNREACHABLE {
-                        dist[v as usize] = d + 1;
-                        order.push(v);
+                        dist[v as usize] = d;
+                        distance_sum += u64::from(d);
+                        order.push(v as u16);
                     }
                 }
             }
-            let hop = &mut hop[row];
+            // BFS visits nodes by distance, so the last is the farthest.
+            let last = usize::from(order[order.len() - 1]);
+            max_finite_distance = max_finite_distance.max(dist[last]);
             let target = &coords[dest.index() * n..(dest.index() + 1) * n];
+            // Minimal distances of the reached nodes: those of all nodes,
+            // less those of the nodes the search missed.
+            let mut minimal_sum =
+                per_ring * target.iter().map(|&t| ring_sum[t as usize]).sum::<u64>();
+            for (v, &d) in dist.iter().enumerate() {
+                if d == UNREACHABLE {
+                    minimal_sum -= u64::from(topo.hop_count(NodeId(v as u32), dest));
+                }
+            }
+            detour_hops += distance_sum - minimal_sum;
+
+            let hop = &mut hop[dest.index() * nodes..(dest.index() + 1) * nodes];
             for &v in &order[start + 1..] {
-                let v = v as usize;
+                let v = usize::from(v);
                 // `d - 1` rather than `neighbor + 1`: the neighbor may sit
                 // at the UNREACHABLE marker, which must not wrap.
                 let d = dist[v] - 1;
@@ -334,6 +383,9 @@ impl FaultRouter {
                 };
                 hop[v] = (port as u8) << 1 | class.index() as u8;
             }
+            for &v in &order[start..] {
+                dist[usize::from(v)] = UNREACHABLE;
+            }
         }
         order_start.push(order.len());
         FaultRouter {
@@ -341,11 +393,11 @@ impl FaultRouter {
             faults,
             ports,
             out,
-            coords,
-            dist,
             hop,
             order,
             order_start,
+            detour_hops,
+            max_finite_distance,
         }
     }
 
@@ -364,28 +416,41 @@ impl FaultRouter {
         dest.index() * self.topo.num_nodes() as usize + node.index()
     }
 
-    #[inline]
-    fn dist_raw(&self, node: NodeId, dest: NodeId) -> u16 {
-        self.dist[self.pair(node, dest)]
-    }
-
     /// Destination `dest`'s reachable nodes in BFS order, `dest` first.
     #[inline]
-    fn run(&self, dest: NodeId) -> &[u32] {
+    fn run(&self, dest: NodeId) -> &[u16] {
         &self.order[self.order_start[dest.index()]..self.order_start[dest.index() + 1]]
+    }
+
+    /// Whether a surviving path leads from `src` to `dest` — false when
+    /// either endpoint router has failed, true when `src == dest` on a
+    /// healthy node.  Equivalent to `self.distance(src, dest).is_some()`,
+    /// in one table lookup.
+    #[inline]
+    pub fn reachable(&self, src: NodeId, dest: NodeId) -> bool {
+        if src == dest {
+            !self.faults.node_failed(src)
+        } else {
+            self.hop[self.pair(src, dest)] != NO_HOP
+        }
     }
 
     /// Length in hops of the shortest surviving path from `src` to `dest`,
     /// or `None` when no such path exists (including when either endpoint
     /// router has failed).  `Some(0)` iff `src == dest` on a healthy node.
+    /// Walks the route, so it costs one step per hop.
     pub fn distance(&self, src: NodeId, dest: NodeId) -> Option<u32> {
-        if self.faults.node_failed(src) {
+        if !self.reachable(src, dest) {
             return None;
         }
-        match self.dist_raw(src, dest) {
-            UNREACHABLE => None,
-            d => Some(d as u32),
+        let hop = &self.hop[dest.index() * self.topo.num_nodes() as usize..];
+        let mut hops = 0;
+        let mut cur = src.index();
+        while cur != dest.index() {
+            cur = self.out[cur * self.ports + usize::from(hop[cur] >> 1)].to as usize;
+            hops += 1;
         }
+        Some(hops)
     }
 
     /// The next hop of the deterministic shortest surviving route at `cur`
@@ -429,9 +494,10 @@ impl FaultRouter {
         let hop = &self.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
         let run = self.run(dest);
         run[run.len().min(1)..].iter().map(move |&v| {
-            let port = self.out[v as usize * self.ports + usize::from(hop[v as usize] >> 1)];
+            let v = usize::from(v);
+            let port = self.out[v * self.ports + usize::from(hop[v] >> 1)];
             TreeEdge {
-                node: NodeId(v),
+                node: NodeId(v as u32),
                 parent: NodeId(port.to),
                 channel: ChannelId(port.channel),
             }
@@ -441,13 +507,15 @@ impl FaultRouter {
     /// The full deterministic route from `src` to `dest` (empty when
     /// `src == dest`), or `None` when `dest` is unreachable from `src`.
     pub fn route(&self, src: NodeId, dest: NodeId) -> Option<Vec<Hop>> {
-        self.distance(src, dest)?;
+        if !self.reachable(src, dest) {
+            return None;
+        }
         let mut hops = Vec::new();
         let mut cur = src;
         while cur != dest {
             let hop = self
                 .next_hop(cur, dest)
-                .expect("finite distance implies a next hop");
+                .expect("a reachable destination has a next hop");
             cur = hop.channel.to(&self.topo);
             hops.push(hop);
         }
@@ -474,40 +542,9 @@ impl FaultRouter {
     /// distance minus the fault-free minimal distance
     /// ([`KAryNCube::hop_count`]).  0.0 when no pair is reachable.
     pub fn expected_detour(&self) -> f64 {
-        let (k, n) = (self.topo.k() as usize, self.topo.n() as usize);
-        let mut pairs = 0u64;
-        let mut extra = 0u64;
-        // `ring[dim·k + c]`: fault-free hops from coordinate `c` to the
-        // destination's coordinate in `dim`, so a pair's minimal distance
-        // is `n` lookups.
-        let mut ring = vec![0u64; n * k];
-        for dest in self.topo.nodes() {
-            let run = self.run(dest);
-            if run.len() <= 1 {
-                continue;
-            }
-            for dim in 0..n {
-                let target = self.coords[dest.index() * n + dim];
-                for c in 0..k {
-                    ring[dim * k + c] = self
-                        .topo
-                        .ring_offset_routed(c as u32, target)
-                        .unsigned_abs();
-                }
-            }
-            for &src in &run[1..] {
-                let src = NodeId(src);
-                let minimal: u64 = (0..n)
-                    .map(|dim| ring[dim * k + self.coords[src.index() * n + dim] as usize])
-                    .sum();
-                pairs += 1;
-                extra += u64::from(self.dist_raw(src, dest)) - minimal;
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            extra as f64 / pairs as f64
+        match self.reachable_pairs() {
+            0 => 0.0,
+            pairs => self.detour_hops as f64 / pairs as f64,
         }
     }
 
@@ -628,16 +665,11 @@ impl FaultRouter {
         )
     }
 
-    /// The largest finite distance in the table (0 on a fully-failed
-    /// network) — an upper bound on surviving route lengths, used to size
-    /// per-message hop storage.
+    /// The largest finite distance between any two nodes (0 on a
+    /// fully-failed network) — an upper bound on surviving route lengths,
+    /// used to size per-message hop storage.
     pub fn max_finite_distance(&self) -> u32 {
-        self.dist
-            .iter()
-            .filter(|&&d| d != UNREACHABLE)
-            .map(|&d| d as u32)
-            .max()
-            .unwrap_or(0)
+        self.max_finite_distance
     }
 }
 
@@ -679,6 +711,29 @@ mod tests {
             assert_eq!(router.expected_detour(), 0.0);
             assert_eq!(router.max_finite_distance(), t.max_hops());
         }
+    }
+
+    #[test]
+    fn table_sizes_match_the_stated_bytes_per_pair() {
+        let t = KAryNCube::bidirectional(8, 2).unwrap();
+        let pairs = u64::from(t.num_nodes()).pow(2);
+        let bytes = |router: &FaultRouter| {
+            (std::mem::size_of_val(&router.hop[..]) + std::mem::size_of_val(&router.order[..]))
+                as u64
+        };
+        // Fault-free, every pair holds a hop byte and a BFS-order entry.
+        let router = FaultRouter::new(FaultSet::none(t));
+        assert_eq!(bytes(&router), FAULT_ROUTER_BYTES_PER_PAIR * pairs);
+        let mut faults = FaultSet::none(t);
+        faults.fail_node(NodeId(9));
+        faults.fail_link(Channel {
+            from: NodeId(20),
+            dim: 1,
+            direction: Direction::Minus,
+        });
+        let router = FaultRouter::new(faults);
+        assert!(bytes(&router) <= FAULT_ROUTER_BYTES_PER_PAIR * pairs);
+        assert_eq!(router.hop.len() as u64, pairs);
     }
 
     #[test]

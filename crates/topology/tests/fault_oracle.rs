@@ -7,7 +7,9 @@
 //! topologies (`k <= 8`, `n <= 4`), both link kinds, torus and mesh, and a
 //! spread of deterministic fault sets:
 //!
-//! * distances agree pair-for-pair (including unreachable markers),
+//! * distances agree pair-for-pair (including unreachable markers), and
+//!   `reachable` answers whether the oracle's distance is finite — for
+//!   failed endpoints and `src == dest` too,
 //! * every produced route is legal (edge-by-edge present in the surviving
 //!   digraph) and **minimal** (length equals the oracle's BFS distance),
 //! * `reachable_pairs` / `reachable_fraction` / `expected_detour` /
@@ -225,6 +227,13 @@ fn check_against_oracle(topo: KAryNCube, faults: FaultSet, oracle: &OracleGraph,
                 router.distance(src, dest),
                 expected,
                 "{ctx}: distance {:?}→{:?}",
+                topo.coords(src),
+                topo.coords(dest)
+            );
+            assert_eq!(
+                router.reachable(src, dest),
+                expected.is_some(),
+                "{ctx}: reachable {:?}→{:?}",
                 topo.coords(src),
                 topo.coords(dest)
             );
