@@ -1824,8 +1824,9 @@ mod tests {
         (shape, traffic).prop_map(|((k, n, v, lm, depth, links), traffic)| {
             let (h, frac, seed, ejection, faults) = traffic;
             let nodes = f64::from(k).powi(n as i32);
-            // A fraction of the hot channel's flit bound.
-            let lambda = frac / (h.max(0.05) * nodes * f64::from(lm + 1));
+            // A fraction of the hot channel's flit bound, within the one
+            // message per node per cycle that `validate` accepts.
+            let lambda = (frac / (h.max(0.05) * nodes * f64::from(lm + 1))).min(1.0);
             let mut cfg = SimConfig {
                 buffer_depth: depth,
                 ejection: if ejection == 0 {
