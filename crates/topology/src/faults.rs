@@ -297,21 +297,31 @@ impl FaultRouter {
             }
         }
 
-        // `ring_sum[t]`: fault-free hops from every coordinate of a ring
-        // to coordinate `t`, so the minimal distances from all `N` nodes to
-        // a destination sum to `N/k · Σ_dim ring_sum[target[dim]]`.
-        let k = topo.k();
-        let ring_sum: Vec<u64> = (0..k)
-            .map(|t| {
-                (0..k)
-                    .map(|c| topo.ring_offset_routed(c, t).unsigned_abs())
-                    .sum()
-            })
-            .collect();
-        let per_ring = (nodes / k as usize) as u64;
+        // `healthy_ring[dim·k + t]`: fault-free hops in `dim` from every
+        // healthy node to coordinate `t`, so the minimal distances from
+        // all healthy nodes to a destination sum to
+        // `Σ_dim healthy_ring[dim·k + target[dim]]`.
+        let k = topo.k() as usize;
+        let mut per_coord = vec![0u64; n * k];
+        for node in topo.nodes().filter(|&node| !faults.node_failed(node)) {
+            for dim in 0..n {
+                per_coord[dim * k + coords[node.index() * n + dim] as usize] += 1;
+            }
+        }
+        let mut healthy_ring = vec![0u64; n * k];
+        for dim in 0..n {
+            for t in 0..k {
+                healthy_ring[dim * k + t] = (0..k)
+                    .map(|c| {
+                        per_coord[dim * k + c]
+                            * topo.ring_offset_routed(c as u32, t as u32).unsigned_abs()
+                    })
+                    .sum();
+            }
+        }
 
         let healthy = nodes - faults.num_failed_routers() as usize;
-        // One destination's distances, reset after each search.
+        // One destination's distances, refilled for each search.
         let mut dist = vec![UNREACHABLE; nodes];
         let mut hop = vec![NO_HOP; nodes * nodes];
         let mut order: Vec<u16> = Vec::with_capacity(healthy * healthy);
@@ -324,6 +334,7 @@ impl FaultRouter {
                 continue;
             }
             let start = order.len();
+            dist.fill(UNREACHABLE);
             dist[dest.index()] = 0;
             order.push(dest.0 as u16);
             let mut head = start;
@@ -345,13 +356,17 @@ impl FaultRouter {
             let last = usize::from(order[order.len() - 1]);
             max_finite_distance = max_finite_distance.max(dist[last]);
             let target = &coords[dest.index() * n..(dest.index() + 1) * n];
-            // Minimal distances of the reached nodes: those of all nodes,
-            // less those of the nodes the search missed.
-            let mut minimal_sum =
-                per_ring * target.iter().map(|&t| ring_sum[t as usize]).sum::<u64>();
-            for (v, &d) in dist.iter().enumerate() {
-                if d == UNREACHABLE {
-                    minimal_sum -= u64::from(topo.hop_count(NodeId(v as u32), dest));
+            // Minimal distances of the reached nodes: those of all healthy
+            // nodes, less those of the healthy nodes the search missed.
+            let mut minimal_sum: u64 = (0..n)
+                .map(|dim| healthy_ring[dim * k + target[dim] as usize])
+                .sum();
+            if order.len() - start < healthy {
+                for (v, &d) in dist.iter().enumerate() {
+                    let v = NodeId(v as u32);
+                    if d == UNREACHABLE && !faults.node_failed(v) {
+                        minimal_sum -= u64::from(topo.hop_count(v, dest));
+                    }
                 }
             }
             detour_hops += distance_sum - minimal_sum;
@@ -382,9 +397,6 @@ impl FaultRouter {
                     }
                 };
                 hop[v] = (port as u8) << 1 | class.index() as u8;
-            }
-            for &v in &order[start..] {
-                dist[usize::from(v)] = UNREACHABLE;
             }
         }
         order_start.push(order.len());
