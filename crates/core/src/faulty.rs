@@ -551,7 +551,7 @@ mod tests {
         let model =
             FaultyNCubeModel::new(FaultyNCubeConfig::new(faults.clone(), 2, 16, 0.0, h)).unwrap();
         let out = model.solve().unwrap();
-        // Recompute from the router's distance table.
+        // Recompute from the router's pair distances.
         let router = FaultRouter::new(faults);
         let others = (topo.num_nodes() - 1) as f64;
         let mut num = 0.0;

@@ -366,7 +366,7 @@ mod tests {
         // unit hot rate is `h` times the total surviving distance to the
         // hot node, and the unit regular rate is the share-weighted mean
         // surviving distance over reachable uniform pairs — both exactly
-        // recomputable from the router's distance table, faults included.
+        // recomputable from the router's pair distances, faults included.
         use kncube_topology::{Channel, Direction, FaultSet, KAryNCube, NodeId};
         let topo = KAryNCube::bidirectional(5, 2).unwrap();
         let h = 0.2;

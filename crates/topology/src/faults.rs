@@ -338,7 +338,6 @@ impl FaultRouter {
             dist[dest.index()] = 0;
             order.push(dest.0 as u16);
             let mut head = start;
-            let mut distance_sum = 0u64;
             while head < order.len() {
                 let u = usize::from(order[head]);
                 head += 1;
@@ -347,7 +346,6 @@ impl FaultRouter {
                 for &v in &into[u * ports..(u + 1) * ports] {
                     if v != NO_NODE && dist[v as usize] == UNREACHABLE {
                         dist[v as usize] = d;
-                        distance_sum += u64::from(d);
                         order.push(v as u16);
                     }
                 }
@@ -356,24 +354,11 @@ impl FaultRouter {
             let last = usize::from(order[order.len() - 1]);
             max_finite_distance = max_finite_distance.max(dist[last]);
             let target = &coords[dest.index() * n..(dest.index() + 1) * n];
-            // Minimal distances of the reached nodes: those of all healthy
-            // nodes, less those of the healthy nodes the search missed.
-            let mut minimal_sum: u64 = (0..n)
-                .map(|dim| healthy_ring[dim * k + target[dim] as usize])
-                .sum();
-            if order.len() - start < healthy {
-                for (v, &d) in dist.iter().enumerate() {
-                    let v = NodeId(v as u32);
-                    if d == UNREACHABLE && !faults.node_failed(v) {
-                        minimal_sum -= u64::from(topo.hop_count(v, dest));
-                    }
-                }
-            }
-            detour_hops += distance_sum - minimal_sum;
-
             let hop = &mut hop[dest.index() * nodes..(dest.index() + 1) * nodes];
+            let mut distance_sum = 0u64;
             for &v in &order[start + 1..] {
                 let v = usize::from(v);
+                distance_sum += u64::from(dist[v]);
                 // `d - 1` rather than `neighbor + 1`: the neighbor may sit
                 // at the UNREACHABLE marker, which must not wrap.
                 let d = dist[v] - 1;
@@ -398,6 +383,20 @@ impl FaultRouter {
                 };
                 hop[v] = (port as u8) << 1 | class.index() as u8;
             }
+            // Minimal distances of the reached nodes: those of all healthy
+            // nodes, less those of the healthy nodes the search missed.
+            let mut minimal_sum: u64 = (0..n)
+                .map(|dim| healthy_ring[dim * k + target[dim] as usize])
+                .sum();
+            if order.len() - start < healthy {
+                for (v, &d) in dist.iter().enumerate() {
+                    let v = NodeId(v as u32);
+                    if d == UNREACHABLE && !faults.node_failed(v) {
+                        minimal_sum -= u64::from(topo.hop_count(v, dest));
+                    }
+                }
+            }
+            detour_hops += distance_sum - minimal_sum;
         }
         order_start.push(order.len());
         FaultRouter {
