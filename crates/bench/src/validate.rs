@@ -60,8 +60,10 @@ pub fn agreement_factor(frac: f64) -> f64 {
 /// A fault set drawn for one density, shared by model and simulator.
 #[derive(Clone, Debug)]
 pub struct FaultSample {
-    /// The sampled fault set.
-    pub faults: FaultSet,
+    /// The router of the sampled fault set ([`FaultRouter::fault_set`]).
+    /// Holding it keeps the set's route tables alive, so the model and
+    /// every simulator built for the sample share them.
+    pub router: FaultRouter,
     /// The spec the simulator re-samples it from (`None` when fault-free).
     pub spec: Option<FaultSpec>,
     /// The seed it was drawn with.
@@ -85,7 +87,7 @@ pub struct FaultSample {
 pub fn select_fault_sample(topo: KAryNCube, density: f64, base: u64) -> Option<FaultSample> {
     if density == 0.0 {
         return Some(FaultSample {
-            faults: FaultSet::none(topo),
+            router: FaultRouter::new(FaultSet::none(topo)),
             spec: None,
             seed: base,
             certified: true,
@@ -97,15 +99,14 @@ pub fn select_fault_sample(topo: KAryNCube, density: f64, base: u64) -> Option<F
     };
     let mut connected = None;
     for seed in base..base + SEED_SCAN {
-        let faults = sample_fault_set(topo, spec, seed);
-        let router = FaultRouter::new(faults.clone());
+        let router = FaultRouter::new(sample_fault_set(topo, spec, seed));
         if router.reachable_pairs() == 0 {
             continue;
         }
         let certified = router.deadlock_free();
         if certified || connected.is_none() {
             connected = Some(FaultSample {
-                faults,
+                router,
                 spec: Some(spec),
                 seed,
                 certified,
@@ -221,8 +222,8 @@ fn sweep_sample(
     grid: &Grid,
     out: &mut Outcome,
 ) {
-    let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(sample.faults.clone(), V, LM, 0.0, H))
-        .expect("valid faulty config");
+    let config = FaultyNCubeConfig::new(sample.router.fault_set().clone(), V, LM, 0.0, H);
+    let model = FaultyNCubeModel::new(config).expect("valid faulty config");
     let (lo, hi) = SATURATION_BRACKET;
     let sat = match model.saturation(lo, hi, SATURATION_REL_TOL) {
         Ok(report) => report.lambda_star,
@@ -367,7 +368,7 @@ mod tests {
     fn density_zero_is_the_empty_certified_set_at_the_base_seed() {
         let topo = bitorus_8x8();
         let sample = select_fault_sample(topo, 0.0, 0x1234).unwrap();
-        assert_eq!(sample.faults, FaultSet::none(topo));
+        assert_eq!(*sample.router.fault_set(), FaultSet::none(topo));
         assert!(sample.spec.is_none());
         assert_eq!(sample.seed, 0x1234);
         assert!(sample.certified);

@@ -65,8 +65,13 @@ pub struct SolveCache {
     map: Mutex<HashMap<NCubeConfig, WarmSolve>>,
     faulty_map: Mutex<HashMap<FaultyNCubeConfig, Result<FaultyNCubeOutput, ModelError>>>,
     /// The most recently built faulty model, keyed by its config with
-    /// `λ = 0` and reused by misses that differ from it only in `λ`.  One
-    /// slot keeps memory bounded: a model holds its router's `N²` tables.
+    /// `λ = 0` and reused by misses that differ from it only in `λ`.  A
+    /// new model finds its router's tables in [`FaultRouter::new`]'s
+    /// registry while any holder of the fault set lives, so the slot
+    /// saves only the rate walk.  One slot keeps memory bounded: its model
+    /// keeps the router's `N²` tables alive.
+    ///
+    /// [`FaultRouter::new`]: kncube_topology::FaultRouter::new
     faulty_model: Mutex<Option<(FaultyNCubeConfig, Arc<FaultyNCubeModel>)>>,
     hits: AtomicU64,
     misses: AtomicU64,

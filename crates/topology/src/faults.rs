@@ -29,6 +29,8 @@
 use crate::channel::{Channel, ChannelId, Direction};
 use crate::geometry::{Boundary, KAryNCube, LinkKind, NodeId};
 use crate::routing::{Hop, VcClass};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Distance marker for nodes the current breadth-first search has not
 /// reached.
@@ -168,7 +170,7 @@ pub struct TreeEdge {
 
 /// Where one output port of a node leads: the neighbour and the channel
 /// id, or `to == NO_NODE` when the channel is failed or does not exist.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Port {
     to: u32,
     channel: u32,
@@ -221,7 +223,7 @@ fn torus_hop_class(k: u32, cur: u32, target: u32, direction: Direction) -> VcCla
 /// out-channel that decreases the distance to the destination — a
 /// deterministic minimal route in the surviving graph.  Distances live
 /// only in one scratch row during construction, which also totals the
-/// detour and the longest route.
+/// reachable pairs, the detour and the longest route.
 ///
 /// [`FaultRouter::next_hop`] and [`FaultRouter::reachable`] are table
 /// lookups, [`FaultRouter::distance`] walks the route, and
@@ -229,8 +231,22 @@ fn torus_hop_class(k: u32, cur: u32, target: u32, direction: Direction) -> VcCla
 /// per-channel loads (subtree sums, in reverse order) and per-pair
 /// latencies (prefix sums, in order) take one linear sweep per
 /// destination.
+///
+/// The tables are a pure function of the [`FaultSet`], so a router is a
+/// handle on tables shared by every router built from an equal set:
+/// [`FaultRouter::new`] looks the set up in a process-wide registry of
+/// weak references before it searches, and `clone` is O(1).  While any
+/// handle on a fault set lives — a model, a simulator, a cached model —
+/// the process holds one copy of its tables; once the last handle drops,
+/// the tables are freed and the next `new` builds them again.
 #[derive(Clone, Debug)]
 pub struct FaultRouter {
+    tables: Arc<RouteTables>,
+}
+
+/// The route tables of one fault set, shared by its routers.
+#[derive(Debug, PartialEq)]
+struct RouteTables {
     topo: KAryNCube,
     faults: FaultSet,
     /// Output ports per node, `2n` (unidirectional `Minus` ports are dead).
@@ -245,6 +261,8 @@ pub struct FaultRouter {
     /// `order[order_start[d]..order_start[d + 1]]` (empty when `d` failed).
     order: Vec<u16>,
     order_start: Vec<usize>,
+    /// Ordered pairs `(src, dest)`, `src != dest`, with a surviving route.
+    reachable_pairs: u64,
     /// Σ over reachable pairs of the surviving distance minus the
     /// fault-free minimal distance.
     detour_hops: u64,
@@ -252,14 +270,51 @@ pub struct FaultRouter {
     max_finite_distance: u32,
 }
 
+/// The route tables of every fault set some [`FaultRouter`] may still
+/// hold, keyed by the set itself (its `Eq`/`Hash` cover the topology and
+/// every failed element, so unequal sets never share).  Entries are weak:
+/// the registry never keeps tables alive, and dead entries are pruned
+/// whenever a new set is registered.  The lock is never held across a
+/// search.
+static REGISTRY: LazyLock<Mutex<HashMap<FaultSet, Weak<RouteTables>>>> =
+    LazyLock::new(Default::default);
+
+/// The registry's lock.  Nothing panics while it is held (searches run
+/// outside it), so a poisoned lock still guards a consistent map.
+fn registry() -> MutexGuard<'static, HashMap<FaultSet, Weak<RouteTables>>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl FaultRouter {
-    /// Build the route trees for `faults` (which carries its topology).
+    /// The router for `faults` (which carries its topology): the live
+    /// tables of an equal set when some router still holds them, else a
+    /// new search.  When two threads search for the same set at once, the
+    /// first to register its tables wins and the other adopts them.
     ///
     /// # Panics
     ///
     /// If the network has more than 65 536 nodes (its tables would take
     /// 12 GiB).
     pub fn new(faults: FaultSet) -> Self {
+        let live = registry().get(&faults).and_then(Weak::upgrade);
+        if let Some(tables) = live {
+            return FaultRouter { tables };
+        }
+        let built = Arc::new(RouteTables::build(faults));
+        let mut entries = registry();
+        if let Some(tables) = entries.get(&built.faults).and_then(Weak::upgrade) {
+            return FaultRouter { tables };
+        }
+        entries.retain(|_, tables| tables.strong_count() > 0);
+        entries.insert(built.faults.clone(), Arc::downgrade(&built));
+        FaultRouter { tables: built }
+    }
+}
+
+impl RouteTables {
+    /// Run one reverse breadth-first search per destination of `faults`'s
+    /// topology and keep the route trees.
+    fn build(faults: FaultSet) -> Self {
         let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
         assert!(
@@ -326,6 +381,7 @@ impl FaultRouter {
         let mut hop = vec![NO_HOP; nodes * nodes];
         let mut order: Vec<u16> = Vec::with_capacity(healthy * healthy);
         let mut order_start = Vec::with_capacity(nodes + 1);
+        let mut reachable_pairs = 0u64;
         let mut detour_hops = 0u64;
         let mut max_finite_distance = 0u32;
         for dest in topo.nodes() {
@@ -350,6 +406,7 @@ impl FaultRouter {
                     }
                 }
             }
+            reachable_pairs += (order.len() - start - 1) as u64;
             // BFS visits nodes by distance, so the last is the farthest.
             let last = usize::from(order[order.len() - 1]);
             max_finite_distance = max_finite_distance.max(dist[last]);
@@ -399,7 +456,7 @@ impl FaultRouter {
             detour_hops += distance_sum - minimal_sum;
         }
         order_start.push(order.len());
-        FaultRouter {
+        RouteTables {
             topo,
             faults,
             ports,
@@ -407,30 +464,34 @@ impl FaultRouter {
             hop,
             order,
             order_start,
+            reachable_pairs,
             detour_hops,
             max_finite_distance,
         }
     }
+}
 
+impl FaultRouter {
     /// The underlying topology.
     pub fn topology(&self) -> &KAryNCube {
-        &self.topo
+        &self.tables.topo
     }
 
     /// The fault set the routes avoid.
     pub fn fault_set(&self) -> &FaultSet {
-        &self.faults
+        &self.tables.faults
     }
 
     #[inline]
     fn pair(&self, node: NodeId, dest: NodeId) -> usize {
-        dest.index() * self.topo.num_nodes() as usize + node.index()
+        dest.index() * self.tables.topo.num_nodes() as usize + node.index()
     }
 
     /// Destination `dest`'s reachable nodes in BFS order, `dest` first.
     #[inline]
     fn run(&self, dest: NodeId) -> &[u16] {
-        &self.order[self.order_start[dest.index()]..self.order_start[dest.index() + 1]]
+        let tables = &*self.tables;
+        &tables.order[tables.order_start[dest.index()]..tables.order_start[dest.index() + 1]]
     }
 
     /// Whether a surviving path leads from `src` to `dest` — false when
@@ -440,9 +501,9 @@ impl FaultRouter {
     #[inline]
     pub fn reachable(&self, src: NodeId, dest: NodeId) -> bool {
         if src == dest {
-            !self.faults.node_failed(src)
+            !self.tables.faults.node_failed(src)
         } else {
-            self.hop[self.pair(src, dest)] != NO_HOP
+            self.tables.hop[self.pair(src, dest)] != NO_HOP
         }
     }
 
@@ -454,11 +515,12 @@ impl FaultRouter {
         if !self.reachable(src, dest) {
             return None;
         }
-        let hop = &self.hop[dest.index() * self.topo.num_nodes() as usize..];
+        let tables = &*self.tables;
+        let hop = &tables.hop[dest.index() * tables.topo.num_nodes() as usize..];
         let mut hops = 0;
         let mut cur = src.index();
         while cur != dest.index() {
-            cur = self.out[cur * self.ports + usize::from(hop[cur] >> 1)].to as usize;
+            cur = tables.out[cur * tables.ports + usize::from(hop[cur] >> 1)].to as usize;
             hops += 1;
         }
         Some(hops)
@@ -481,7 +543,7 @@ impl FaultRouter {
     /// [`FaultRouter::deadlock_free`] before driving a simulator with a
     /// faulted route set.  Mesh routes use only [`VcClass::High`].
     pub fn next_hop(&self, cur: NodeId, dest: NodeId) -> Option<Hop> {
-        let byte = self.hop[self.pair(cur, dest)];
+        let byte = self.tables.hop[self.pair(cur, dest)];
         (byte != NO_HOP).then(|| Hop {
             channel: port_channel(cur, usize::from(byte >> 1)),
             vc_class: if byte & 1 == 1 {
@@ -501,12 +563,13 @@ impl FaultRouter {
         &self,
         dest: NodeId,
     ) -> impl DoubleEndedIterator<Item = TreeEdge> + ExactSizeIterator + '_ {
-        let nodes = self.topo.num_nodes() as usize;
-        let hop = &self.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
+        let tables = &*self.tables;
+        let nodes = tables.topo.num_nodes() as usize;
+        let hop = &tables.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
         let run = self.run(dest);
         run[run.len().min(1)..].iter().map(move |&v| {
             let v = usize::from(v);
-            let port = self.out[v * self.ports + usize::from(hop[v] >> 1)];
+            let port = tables.out[v * tables.ports + usize::from(hop[v] >> 1)];
             TreeEdge {
                 node: NodeId(v as u32),
                 parent: NodeId(port.to),
@@ -527,7 +590,7 @@ impl FaultRouter {
             let hop = self
                 .next_hop(cur, dest)
                 .expect("a reachable destination has a next hop");
-            cur = hop.channel.to(&self.topo);
+            cur = hop.channel.to(&self.tables.topo);
             hops.push(hop);
         }
         Some(hops)
@@ -536,16 +599,13 @@ impl FaultRouter {
     /// Number of ordered pairs `(src, dest)` with `src != dest` that can
     /// still communicate.
     pub fn reachable_pairs(&self) -> u64 {
-        self.topo
-            .nodes()
-            .map(|dest| self.run(dest).len().saturating_sub(1) as u64)
-            .sum()
+        self.tables.reachable_pairs
     }
 
     /// Fraction of the `N(N-1)` ordered pairs that can still communicate
     /// (1.0 on a fault-free network).
     pub fn reachable_fraction(&self) -> f64 {
-        let n = self.topo.num_nodes() as u64;
+        let n = self.tables.topo.num_nodes() as u64;
         self.reachable_pairs() as f64 / (n * (n - 1)) as f64
     }
 
@@ -553,9 +613,9 @@ impl FaultRouter {
     /// distance minus the fault-free minimal distance
     /// ([`KAryNCube::hop_count`]).  0.0 when no pair is reachable.
     pub fn expected_detour(&self) -> f64 {
-        match self.reachable_pairs() {
+        match self.tables.reachable_pairs {
             0 => 0.0,
-            pairs => self.detour_hops as f64 / pairs as f64,
+            pairs => self.tables.detour_hops as f64 / pairs as f64,
         }
     }
 
@@ -591,12 +651,14 @@ impl FaultRouter {
     /// predecessors from one revisits a vertex, and the revisited stretch
     /// is the cycle.
     pub fn dependency_cycle(&self) -> Option<Vec<(ChannelId, VcClass)>> {
-        let nodes = self.topo.num_nodes() as usize;
+        let tables = &*self.tables;
+        let topo = &tables.topo;
+        let nodes = topo.num_nodes() as usize;
         // Vertex per (channel, class): index = channel · 2 + class.
-        let nv = self.topo.num_channels() as usize * 2;
+        let nv = topo.num_channels() as usize * 2;
         let mut succ = vec![0u32; nv];
-        for dest in self.topo.nodes() {
-            let hop = &self.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
+        for dest in topo.nodes() {
+            let hop = &tables.hop[dest.index() * nodes..(dest.index() + 1) * nodes];
             for edge in self.tree(dest) {
                 if edge.parent == dest {
                     continue;
@@ -614,14 +676,14 @@ impl FaultRouter {
             if mask == 0 {
                 continue;
             }
-            let sink = Channel::from_id(&self.topo, ChannelId((u / 2) as u32))
-                .to(&self.topo)
+            let sink = Channel::from_id(topo, ChannelId((u / 2) as u32))
+                .to(topo)
                 .index();
             let mut bits = mask;
             while bits != 0 {
                 let byte = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let channel = self.out[sink * self.ports + byte / 2].channel as usize;
+                let channel = tables.out[sink * tables.ports + byte / 2].channel as usize;
                 adj.push(channel * 2 + byte % 2);
             }
         }
@@ -680,7 +742,7 @@ impl FaultRouter {
     /// fully-failed network) — an upper bound on surviving route lengths,
     /// used to size per-message hop storage.
     pub fn max_finite_distance(&self) -> u32 {
-        self.max_finite_distance
+        self.tables.max_finite_distance
     }
 }
 
@@ -729,8 +791,8 @@ mod tests {
         let t = KAryNCube::bidirectional(8, 2).unwrap();
         let pairs = u64::from(t.num_nodes()).pow(2);
         let bytes = |router: &FaultRouter| {
-            (std::mem::size_of_val(&router.hop[..]) + std::mem::size_of_val(&router.order[..]))
-                as u64
+            (std::mem::size_of_val(&router.tables.hop[..])
+                + std::mem::size_of_val(&router.tables.order[..])) as u64
         };
         // Fault-free, every pair holds a hop byte and a BFS-order entry.
         let router = FaultRouter::new(FaultSet::none(t));
@@ -744,7 +806,7 @@ mod tests {
         });
         let router = FaultRouter::new(faults);
         assert!(bytes(&router) <= FAULT_ROUTER_BYTES_PER_PAIR * pairs);
-        assert_eq!(router.hop.len() as u64, pairs);
+        assert_eq!(router.tables.hop.len() as u64, pairs);
     }
 
     #[test]
@@ -1114,5 +1176,120 @@ mod tests {
         let router = FaultRouter::new(faults);
         assert!(router.reachable_pairs() > 0);
         assert!(router.deadlock_free());
+    }
+
+    // The registry tests run alongside the rest of this module, so each
+    // builds fault sets no other test builds: a concurrent test can then
+    // only prune dead entries, never hold or register these sets.
+
+    /// Whether `faults` has a registry entry, and whether it is live.
+    fn registered(faults: &FaultSet) -> Option<bool> {
+        registry()
+            .get(faults)
+            .map(|tables| tables.strong_count() > 0)
+    }
+
+    fn link(from: u32, dim: u32, direction: Direction) -> Channel {
+        Channel {
+            from: NodeId(from),
+            dim,
+            direction,
+        }
+    }
+
+    #[test]
+    fn equal_sets_built_independently_share_tables() {
+        let t = KAryNCube::bidirectional(6, 2).unwrap();
+        let mut forward = FaultSet::none(t);
+        forward.fail_node(NodeId(14));
+        forward.fail_link(link(3, 0, Direction::Plus));
+        forward.fail_link(link(20, 1, Direction::Minus));
+        // The same failures in the other order, one link named from its
+        // other end.
+        let mut backward = FaultSet::none(t);
+        backward.fail_link(link(14, 1, Direction::Plus));
+        backward.fail_link(link(4, 0, Direction::Minus));
+        backward.fail_node(NodeId(14));
+        let a = FaultRouter::new(forward.clone());
+        let b = FaultRouter::new(backward);
+        assert!(Arc::ptr_eq(&a.tables, &b.tables));
+        assert!(Arc::ptr_eq(&a.tables, &a.clone().tables));
+        assert_eq!(registered(&forward), Some(true));
+    }
+
+    #[test]
+    fn sets_differing_in_one_link_or_only_in_topology_never_share() {
+        let t = KAryNCube::bidirectional(6, 2).unwrap();
+        let mut base = FaultSet::none(t);
+        base.fail_node(NodeId(9));
+        let mut one_more = base.clone();
+        one_more.fail_link(link(30, 1, Direction::Plus));
+        let a = FaultRouter::new(base);
+        let b = FaultRouter::new(one_more);
+        assert!(!Arc::ptr_eq(&a.tables, &b.tables));
+        assert_ne!(a.reachable_pairs(), 0);
+        // The empty set on three geometries of the same radix and rank.
+        let empty: Vec<FaultRouter> = [
+            KAryNCube::unidirectional(6, 2).unwrap(),
+            t,
+            KAryNCube::mesh(6, 2).unwrap(),
+        ]
+        .into_iter()
+        .map(|topo| FaultRouter::new(FaultSet::none(topo)))
+        .collect();
+        for (i, x) in empty.iter().enumerate() {
+            for y in &empty[i + 1..] {
+                assert!(!Arc::ptr_eq(&x.tables, &y.tables));
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_tables_are_rebuilt_and_their_dead_entry_pruned() {
+        let t = KAryNCube::bidirectional(7, 2).unwrap();
+        let mut faults = FaultSet::none(t);
+        faults.fail_node(NodeId(5));
+        let router = FaultRouter::new(faults.clone());
+        assert_eq!(registered(&faults), Some(true));
+        // A weak handle keeps the allocation, so its address cannot be
+        // reused by the rebuild.
+        let old = Arc::downgrade(&router.tables);
+        drop(router);
+        assert!(old.upgrade().is_none());
+        assert_ne!(registered(&faults), Some(true));
+
+        let rebuilt = FaultRouter::new(faults.clone());
+        assert!(!Weak::ptr_eq(&old, &Arc::downgrade(&rebuilt.tables)));
+        assert_eq!(*rebuilt.tables, RouteTables::build(faults.clone()));
+        assert_eq!(registered(&faults), Some(true));
+
+        // Registering another set prunes the dead entry.
+        drop(rebuilt);
+        let _other = FaultRouter::new(FaultSet::none(KAryNCube::mesh(7, 2).unwrap()));
+        assert_eq!(registered(&faults), None);
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_set_share_the_winners_tables() {
+        let t = KAryNCube::bidirectional(5, 3).unwrap();
+        let mut faults = FaultSet::none(t);
+        faults.fail_node(NodeId(31));
+        faults.fail_link(link(62, 2, Direction::Plus));
+        let start = std::sync::Barrier::new(8);
+        let routers: Vec<FaultRouter> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        FaultRouter::new(faults.clone())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for router in &routers {
+            assert!(Arc::ptr_eq(&router.tables, &routers[0].tables));
+        }
+        assert_eq!(*routers[0].tables, RouteTables::build(faults));
     }
 }

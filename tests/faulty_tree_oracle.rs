@@ -7,9 +7,11 @@
 //! parent).  This suite keeps the pair walk those sweeps replaced as
 //! reference code and holds the production answers to it:
 //!
-//! * the next-hop rule, recomputed from the distance table and the fault
-//!   set (lowest surviving distance-decreasing channel, Dally–Seitz
-//!   dateline class), equals `next_hop` for every ordered pair;
+//! * the next-hop rule, recomputed from the fault set alone (one reverse
+//!   breadth-first search per destination over `FaultSet::channel_failed`,
+//!   then the lowest surviving distance-decreasing channel and the
+//!   Dally–Seitz dateline class), equals `next_hop` for every ordered
+//!   pair;
 //! * per-channel unit rates, accumulated pair by pair along each route,
 //!   agree with `FaultyChannelRates` within `1e-12` relative;
 //! * `latency`, `regular_latency`, `hot_latency` and
@@ -56,31 +58,54 @@ fn reference_class(topo: &KAryNCube, channel: Channel, dest: NodeId) -> VcClass 
     VcClass::for_hop(cur, target, channel.direction)
 }
 
-/// The original next-hop rule: the lowest-id surviving channel out of
-/// `cur` that decreases the distance to `dest`.
-fn reference_next_hop(router: &FaultRouter, cur: NodeId, dest: NodeId) -> Option<Hop> {
-    let topo = router.topology();
-    if cur == dest {
-        return None;
-    }
-    let d = router.distance(cur, dest)?;
-    for dim in 0..topo.n() {
-        for direction in [Direction::Plus, Direction::Minus] {
-            let channel = Channel {
-                from: cur,
+/// Distance marker of nodes that cannot reach the destination.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// The surviving channels out of `node`, lowest id first.
+fn surviving_channels(faults: &FaultSet, node: NodeId) -> impl Iterator<Item = Channel> + '_ {
+    (0..faults.topology().n()).flat_map(move |dim| {
+        [Direction::Plus, Direction::Minus]
+            .into_iter()
+            .map(move |direction| Channel {
+                from: node,
                 dim,
                 direction,
-            };
-            if router.fault_set().channel_failed(channel) {
-                continue;
-            }
-            if router.distance(channel.to(topo), dest) == Some(d - 1) {
-                let vc_class = reference_class(topo, channel, dest);
-                return Some(Hop { channel, vc_class });
+            })
+            .filter(|&channel| !faults.channel_failed(channel))
+    })
+}
+
+/// Every node's surviving distance to `dest` (`UNREACHABLE` when it has
+/// none), by a reverse breadth-first search over the channels that
+/// `preds` lists into each node.
+fn distances_to(preds: &[Vec<NodeId>], dest: NodeId) -> Vec<u32> {
+    let mut dist = vec![UNREACHABLE; preds.len()];
+    dist[dest.index()] = 0;
+    let mut queue = std::collections::VecDeque::from([dest]);
+    while let Some(u) = queue.pop_front() {
+        for &v in &preds[u.index()] {
+            if dist[v.index()] == UNREACHABLE {
+                dist[v.index()] = dist[u.index()] + 1;
+                queue.push_back(v);
             }
         }
     }
-    panic!("finite distance without a distance-decreasing channel");
+    dist
+}
+
+/// The original next-hop rule: the lowest-id surviving channel out of
+/// `cur` that decreases the distance to `dest` (`dist` is `dest`'s row).
+fn reference_next_hop(faults: &FaultSet, dist: &[u32], cur: NodeId, dest: NodeId) -> Option<Hop> {
+    let topo = faults.topology();
+    if cur == dest || dist[cur.index()] == UNREACHABLE {
+        return None;
+    }
+    let d = dist[cur.index()];
+    let channel = surviving_channels(faults, cur)
+        .find(|channel| dist[channel.to(topo).index()] == d - 1)
+        .expect("finite distance without a distance-decreasing channel");
+    let vc_class = reference_class(topo, channel, dest);
+    Some(Hop { channel, vc_class })
 }
 
 /// Every ordered reachable pair's route, walked hop by hop with the
@@ -93,15 +118,23 @@ struct PairWalk {
 }
 
 impl PairWalk {
-    fn new(router: &FaultRouter) -> Self {
-        let topo = *router.topology();
+    /// The walk over `faults`' surviving routes, checking `router`'s
+    /// next-hop lookup for every ordered pair on the way.
+    fn new(faults: &FaultSet, router: &FaultRouter) -> Self {
+        let topo = *faults.topology();
         let nodes = topo.num_nodes() as usize;
-        // The rule depends only on (node, dest): evaluate it once per pair,
-        // checking the production lookup on the way.
+        let mut preds = vec![Vec::new(); nodes];
+        for node in topo.nodes() {
+            for channel in surviving_channels(faults, node) {
+                preds[channel.to(&topo).index()].push(node);
+            }
+        }
+        // The rule depends only on (node, dest): evaluate it once per pair.
         let mut next = vec![None; nodes * nodes];
         for dest in topo.nodes() {
+            let dist = distances_to(&preds, dest);
             for cur in topo.nodes() {
-                let hop = reference_next_hop(router, cur, dest);
+                let hop = reference_next_hop(faults, &dist, cur, dest);
                 assert_eq!(router.next_hop(cur, dest), hop, "{cur:?}→{dest:?}");
                 next[dest.index() * nodes + cur.index()] = hop;
             }
@@ -113,19 +146,16 @@ impl PairWalk {
         };
         for src in topo.nodes() {
             for dest in topo.nodes() {
-                if src == dest || router.distance(src, dest).is_none() {
-                    continue;
-                }
                 let mut cur = src;
-                while cur != dest {
-                    let hop: Hop = next[dest.index() * nodes + cur.index()]
-                        .expect("finite distance implies a next hop");
+                while let Some(hop) = next[dest.index() * nodes + cur.index()] {
                     walk.hops
                         .push((hop.channel.id(&topo).index(), hop.vc_class.index()));
                     cur = hop.channel.to(&topo);
                 }
-                walk.pairs.push((src, dest));
-                walk.start.push(walk.hops.len());
+                if cur != src {
+                    walk.pairs.push((src, dest));
+                    walk.start.push(walk.hops.len());
+                }
             }
         }
         walk
@@ -301,7 +331,7 @@ fn check(faults: FaultSet, hot: NodeId, loads: &[f64], ctx: &str) {
     )
     .unwrap();
     let router = model.router();
-    let walk = PairWalk::new(router);
+    let walk = PairWalk::new(&faults, router);
 
     assert_eq!(
         router.deadlock_free(),
