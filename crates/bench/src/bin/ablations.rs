@@ -14,15 +14,22 @@
 //! cargo run --release -p kncube-bench --bin ablations [-- --quick]
 //! ```
 
-use kncube_bench::{or_exit, FigureConfig};
-use kncube_core::{ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, ServiceTimeModel};
+use kncube_bench::{or_exit, run_points, FigureConfig};
+use kncube_core::{
+    ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
+    ServiceTimeModel,
+};
 use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
 
-fn model_latency(cfg: NCubeConfig) -> String {
-    match NCubeModel::new(cfg).unwrap().solve() {
+fn latency_cell(solved: &Result<NCubeOutput, ModelError>) -> String {
+    match solved {
         Ok(o) => format!("{:10.1}", o.latency),
         Err(_) => " saturated".to_string(),
     }
+}
+
+fn model_latency(cfg: NCubeConfig) -> String {
+    latency_cell(&NCubeModel::new(cfg).unwrap().solve())
 }
 
 fn main() {
@@ -59,11 +66,8 @@ fn main() {
         };
         println!(
             "{lambda:>12.3e} {} {} {delta}",
-            model_latency(base),
-            model_latency(NCubeConfig {
-                variant: ModelVariant::HotRingServiceEq25,
-                ..base
-            })
+            latency_cell(&a),
+            latency_cell(&b)
         );
     }
 
@@ -84,10 +88,13 @@ fn main() {
     println!("(path occupancy saturates far below the paper's plotted range — the");
     println!(" reason the pipelined reading is the default; see DESIGN.md)");
 
-    let sim_limits = if quick {
-        (300_000u64, 30_000u64, 8_000u64)
-    } else {
-        (1_200_000, 100_000, 25_000)
+    let short = FigureConfig {
+        sim_limits: if quick {
+            (300_000, 30_000, 8_000)
+        } else {
+            (1_200_000, 100_000, 25_000)
+        },
+        ..fig
     };
 
     println!("\n== ABL-VMUX: multiplexing model vs simulation (Lm=32, h=40%) ==");
@@ -95,25 +102,19 @@ fn main() {
         "{:>12} {:>10} {:>11} {:>12}",
         "traffic", "Dally V̄", "class-aware", "simulation"
     );
-    for &lambda in &grid {
-        let base = fig.model_config(lambda);
+    let points: Vec<_> = grid.iter().map(|&lambda| (short, lambda)).collect();
+    for row in run_points(&points) {
         let aware = NCubeConfig {
             multiplexing: MultiplexingModel::ClassAware,
-            ..base
+            ..fig.model_config(row.lambda)
         };
-        let sim = Simulator::new(fig.sim_config(lambda).with_limits(
-            sim_limits.0,
-            sim_limits.1,
-            sim_limits.2,
-        ))
-        .unwrap()
-        .run();
         println!(
-            "{lambda:>12.3e} {} {} {:>11.1}{}",
-            model_latency(base),
+            "{:>12.3e} {} {} {:>11.1}{}",
+            row.lambda,
+            latency_cell(&row.model),
             model_latency(aware),
-            sim.mean_latency,
-            if sim.saturated { "S" } else { " " }
+            row.sim.mean_latency,
+            if row.sim.saturated { "S" } else { " " }
         );
     }
     println!("(Dally's Eq. 33-35 assumes any VC is usable; the Dally-Seitz classes");
@@ -129,9 +130,8 @@ fn main() {
         let mk = |policy| {
             let cfg = SimConfig {
                 ejection: policy,
-                ..fig.sim_config(lambda)
-            }
-            .with_limits(sim_limits.0, sim_limits.1, sim_limits.2);
+                ..short.sim_config(lambda)
+            };
             Simulator::new(cfg).unwrap().run()
         };
         let sink = mk(EjectionPolicy::PerMessageSink);
@@ -153,9 +153,8 @@ fn main() {
         let mk = |depth| {
             let cfg = SimConfig {
                 buffer_depth: depth,
-                ..fig.sim_config(lambda)
-            }
-            .with_limits(sim_limits.0, sim_limits.1, sim_limits.2);
+                ..short.sim_config(lambda)
+            };
             Simulator::new(cfg).unwrap().run()
         };
         let d1 = mk(1);

@@ -12,9 +12,7 @@
 //! cargo run --release -p kncube-bench --bin validation [-- --quick]
 //! ```
 
-use kncube_bench::{or_exit, FigureConfig};
-use kncube_core::NCubeModel;
-use kncube_sim::Simulator;
+use kncube_bench::{or_exit, run_points, FigureConfig};
 
 fn main() {
     let quick = kncube_bench::quick_flag();
@@ -27,15 +25,7 @@ fn main() {
     };
     let vs: &[u32] = if quick { &[2] } else { &[2, 3] };
 
-    println!(
-        "{:>4} {:>4} {:>4} {:>5} {:>12} {:>10} {:>12} {:>7}",
-        "k", "V", "Lm", "h", "λ (0.4λ*)", "model", "simulation", "err%"
-    );
-
-    let mut worst: f64 = 0.0;
-    let mut worst_hot: f64 = 0.0;
-    let mut count = 0u32;
-    let mut cell = 0u32;
+    let mut cells = Vec::new();
     for &k in ks {
         for &v in vs {
             for &lm in lms {
@@ -43,36 +33,45 @@ fn main() {
                     let mut cfg = FigureConfig::paper(lm, h, false);
                     cfg.k = k;
                     cfg.v = v;
-                    cfg.seed = kncube_traffic::replication_seed(cfg.seed, cell);
-                    cell += 1;
+                    cfg.seed = kncube_traffic::replication_seed(cfg.seed, cells.len() as u32);
                     cfg.sim_limits = if quick {
                         (400_000, 40_000, 10_000)
                     } else {
                         (1_500_000, 100_000, 30_000)
                     };
-                    let lambda = 0.4 * or_exit(cfg.saturation());
-                    let model = NCubeModel::new(cfg.model_config(lambda)).unwrap().solve();
-                    let sim = Simulator::new(cfg.sim_config(lambda)).unwrap().run();
-                    match model {
-                        Ok(m) => {
-                            let err = (m.latency - sim.mean_latency) / sim.mean_latency * 100.0;
-                            worst = worst.max(err.abs());
-                            if h > 0.0 {
-                                worst_hot = worst_hot.max(err.abs());
-                            }
-                            count += 1;
-                            println!(
-                                "{k:>4} {v:>4} {lm:>4} {h:>5.2} {lambda:>12.3e} {:>10.1} {:>12.1} {err:>7.1}",
-                                m.latency, sim.mean_latency
-                            );
-                        }
-                        Err(e) => println!(
-                            "{k:>4} {v:>4} {lm:>4} {h:>5.2} {lambda:>12.3e} {e:>10} {:>12.1} {:>7}",
-                            sim.mean_latency, "-"
-                        ),
-                    }
+                    cells.push((cfg, 0.4 * or_exit(cfg.saturation())));
                 }
             }
+        }
+    }
+
+    println!(
+        "{:>4} {:>4} {:>4} {:>5} {:>12} {:>10} {:>12} {:>7}",
+        "k", "V", "Lm", "h", "λ (0.4λ*)", "model", "simulation", "err%"
+    );
+    let mut worst: f64 = 0.0;
+    let mut worst_hot: f64 = 0.0;
+    let mut count = 0u32;
+    for ((cfg, _), row) in cells.iter().zip(run_points(&cells)) {
+        let (k, v, lm, h, lambda) = (cfg.k, cfg.v, cfg.lm, cfg.h, row.lambda);
+        let sim = row.sim;
+        match row.model {
+            Ok(m) => {
+                let err = (m.latency - sim.mean_latency) / sim.mean_latency * 100.0;
+                worst = worst.max(err.abs());
+                if h > 0.0 {
+                    worst_hot = worst_hot.max(err.abs());
+                }
+                count += 1;
+                println!(
+                    "{k:>4} {v:>4} {lm:>4} {h:>5.2} {lambda:>12.3e} {:>10.1} {:>12.1} {err:>7.1}",
+                    m.latency, sim.mean_latency
+                );
+            }
+            Err(e) => println!(
+                "{k:>4} {v:>4} {lm:>4} {h:>5.2} {lambda:>12.3e} {e:>10} {:>12.1} {:>7}",
+                sim.mean_latency, "-"
+            ),
         }
     }
     println!("\n{count} configurations; worst |error| at 0.4λ*: {worst:.1}%");

@@ -181,25 +181,25 @@ impl FigureConfig {
     }
 }
 
-/// One row of a regenerated figure.
+/// One model-vs-simulator point: a row of a regenerated figure.
 #[derive(Clone, Debug)]
-struct FigureRow {
+pub struct FigureRow {
     /// Offered traffic (messages/node/cycle).
-    lambda: f64,
+    pub lambda: f64,
     /// The model's prediction.
-    model: Result<NCubeOutput, ModelError>,
+    pub model: Result<NCubeOutput, ModelError>,
     /// The simulation measurement.
-    sim: SimReport,
+    pub sim: SimReport,
 }
 
-/// Regenerate one figure: run the model and the simulator over the λ
-/// grid.  Points run in parallel on the pooled rayon workers (the
-/// simulator dominates the cost; the model solve per point is cheap).
-fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> {
-    let lambdas = config.lambda_grid()?;
-    Ok(lambdas
+/// Run the model and the simulator at each `(config, λ)` point, with the
+/// config's fixed run lengths and no calibration.  Points run in parallel
+/// on the pooled rayon workers (the simulator dominates the cost; the
+/// model solve per point is cheap); rows come back in input order.
+pub fn run_points(points: &[(FigureConfig, f64)]) -> Vec<FigureRow> {
+    points
         .par_iter()
-        .map(|&lambda| {
+        .map(|&(config, lambda)| {
             let sim = Simulator::new(config.sim_config(lambda))
                 .expect("valid sim config")
                 .run();
@@ -209,17 +209,25 @@ fn run_figure(config: &FigureConfig) -> Result<Vec<FigureRow>, SaturationError> 
                 sim,
             }
         })
-        .collect())
+        .collect()
 }
 
-/// The whole of a figure binary: for each `(title, prefix, config)` in
-/// turn, run the figure, print it under `title` and shape-check it,
-/// prefixing its violations with `prefix`; then [`gate`] on all of them.
+/// The whole of a figure binary: run every figure's points in one
+/// [`run_points`] call; then, for each `(title, prefix, config)` in turn,
+/// print its rows under `title` and shape-check them, prefixing its
+/// violations with `prefix`; then [`gate`] on all of them.
 pub fn figure_main(runs: impl IntoIterator<Item = (String, String, FigureConfig)>, reason: &str) {
+    let runs: Vec<_> = runs.into_iter().collect();
+    let mut points = Vec::new();
+    for (_, _, config) in &runs {
+        let grid = or_exit(config.lambda_grid());
+        points.extend(grid.into_iter().map(|lambda| (*config, lambda)));
+    }
+    let mut rows = run_points(&points).into_iter();
     let mut violations = Vec::new();
-    for (title, prefix, config) in runs {
-        let rows = or_exit(run_figure(&config));
-        print_figure(&title, &config, &rows);
+    for (title, prefix, config) in &runs {
+        let rows: Vec<_> = rows.by_ref().take(config.points).collect();
+        print_figure(title, config, &rows);
         violations.extend(
             check_figure_shape(&rows)
                 .into_iter()
@@ -345,7 +353,8 @@ mod tests {
     #[test]
     fn quick_figure_run_has_sane_shape() {
         let cfg = FigureConfig::paper(16, 0.3, true);
-        let rows = run_figure(&cfg).expect("paper config saturates");
+        let grid = cfg.lambda_grid().expect("paper config saturates");
+        let rows = run_points(&grid.iter().map(|&l| (cfg, l)).collect::<Vec<_>>());
         assert_eq!(rows.len(), cfg.points);
         let violations = check_figure_shape(&rows);
         assert!(violations.is_empty(), "{violations:?}");
@@ -373,7 +382,8 @@ mod tests {
     #[test]
     fn quick_ncube_figure_run_has_sane_shape() {
         let cfg = FigureConfig::ncube(4, 3, 8, 0.3, true);
-        let rows = run_figure(&cfg).expect("hot-spot cubes saturate");
+        let grid = cfg.lambda_grid().expect("hot-spot cubes saturate");
+        let rows = run_points(&grid.iter().map(|&l| (cfg, l)).collect::<Vec<_>>());
         assert_eq!(rows.len(), cfg.points);
         let violations = check_figure_shape(&rows);
         assert!(violations.is_empty(), "{violations:?}");

@@ -1,5 +1,8 @@
-//! The faulty-network model-vs-simulator protocol, shared by the
-//! `faulty_model` binary and the `tests/model_vs_sim_faults.rs` suite.
+//! The calibrated model-vs-simulator protocol, for faulty and fault-free
+//! networks alike: the `faulty_model` binary and `tests/model_vs_sim_faults.rs`
+//! run it across fault densities, `tests/model_vs_sim.rs` at density 0
+//! (where the model is the closed-form `NCubeModel`, bit for bit).
+//! Uncalibrated points with fixed run lengths go through [`crate::run_points`].
 //!
 //! Per fault density the protocol:
 //!
@@ -23,7 +26,7 @@
 //! rows and notes and gate on its violations.
 
 use crate::{SATURATION_BRACKET, SATURATION_REL_TOL};
-use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
+use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel, SaturationError};
 use kncube_sim::{SimConfig, SimReport, Simulator};
 use kncube_topology::{FaultRouter, FaultSet, KAryNCube};
 use kncube_traffic::{sample_fault_set, FaultSpec};
@@ -151,6 +154,9 @@ pub struct Row {
     pub predicted: f64,
     /// Simulated mean latency.
     pub sim: f64,
+    /// The envelope override's 95% CI band: the point's batch-means
+    /// half-width plus the calibration run's (`None` without batch means).
+    pub ci: Option<f64>,
     /// The model's reachable fraction of ordered pairs.
     pub reachable: f64,
     /// Measured messages of the simulation.
@@ -213,6 +219,20 @@ pub fn sweep(name: &str, topo: KAryNCube, grid: &Grid) -> Outcome {
     out
 }
 
+/// The model of `sample` (`v` virtual channels, message length [`LM`],
+/// hot fraction `h`) and its `λ*`, searched from [`SATURATION_BRACKET`].
+fn sample_model(
+    sample: &FaultSample,
+    v: u32,
+    h: f64,
+) -> (FaultyNCubeModel, Result<f64, SaturationError>) {
+    let config = FaultyNCubeConfig::new(sample.router.fault_set().clone(), v, LM, 0.0, h);
+    let model = FaultyNCubeModel::new(config).expect("valid faulty config");
+    let (lo, hi) = SATURATION_BRACKET;
+    let sat = model.saturation(lo, hi, SATURATION_REL_TOL);
+    (model, sat.map(|report| report.lambda_star))
+}
+
 /// The calibration and load points of one fault sample.
 fn sweep_sample(
     ctx: &str,
@@ -222,11 +242,9 @@ fn sweep_sample(
     grid: &Grid,
     out: &mut Outcome,
 ) {
-    let config = FaultyNCubeConfig::new(sample.router.fault_set().clone(), V, LM, 0.0, H);
-    let model = FaultyNCubeModel::new(config).expect("valid faulty config");
-    let (lo, hi) = SATURATION_BRACKET;
-    let sat = match model.saturation(lo, hi, SATURATION_REL_TOL) {
-        Ok(report) => report.lambda_star,
+    let (model, sat) = sample_model(sample, V, H);
+    let sat = match sat {
+        Ok(sat) => sat,
         Err(e) => {
             out.violations
                 .push(format!("{ctx}: no saturation rate: {e:?}"));
@@ -258,9 +276,9 @@ fn sweep_sample(
         grid.cal_target,
         grid.warmup,
     );
-    if cal.deadlocked {
+    if cal.deadlocked || cal.saturated {
         out.violations
-            .push(format!("{ctx}: calibration run deadlocked"));
+            .push(format!("{ctx}: calibration run deadlocked or saturated"));
         return;
     }
     let Some(cal_model) = solve(
@@ -297,12 +315,14 @@ fn sweep_sample(
         };
         let sim = run_sim(topo, sample, lambda, delivered, grid.target, grid.warmup);
         let predicted = solved.latency + offset;
+        let ci = sim.ci_half_width.map(|sim_ci| sim_ci + cal_ci);
         out.rows.push(Row {
             density,
             frac,
             lambda,
             predicted,
             sim: sim.mean_latency,
+            ci,
             reachable: solved.reachable_fraction,
             completed: sim.completed,
         });
@@ -328,12 +348,11 @@ fn sweep_sample(
                 solved.reachable_fraction, sim.reachable_fraction
             ));
         }
-        let Some(sim_ci) = sim.ci_half_width else {
+        let Some(ci) = ci else {
             out.violations
                 .push(format!("{ctx}: simulation has no batch-means CI"));
             continue;
         };
-        let ci = sim_ci + cal_ci;
         let residual = (predicted - sim.mean_latency).abs();
         let f = agreement_factor(frac);
         let ratio = predicted / sim.mean_latency;
@@ -372,6 +391,31 @@ mod tests {
         assert!(sample.spec.is_none());
         assert_eq!(sample.seed, 0x1234);
         assert!(sample.certified);
+    }
+
+    #[test]
+    fn density_zero_saturation_is_the_closed_form_models_to_the_bit() {
+        // The fault-free entry point `tests/model_vs_sim.rs` relies on: on
+        // an empty unidirectional torus the sweep's λ* search lands on the
+        // same rate as the figure harness's.
+        for (k, n) in [(8, 2), (16, 2), (8, 3)] {
+            let topo = KAryNCube::unidirectional(k, n).unwrap();
+            let sample = select_fault_sample(topo, 0.0, 0).unwrap();
+            for h in [0.0, 0.2, 0.7] {
+                for v in [2, 3] {
+                    let (_, sat) = sample_model(&sample, v, h);
+                    let figure = crate::FigureConfig {
+                        v,
+                        ..crate::FigureConfig::ncube(k, n, LM, h, true)
+                    };
+                    assert_eq!(
+                        sat.unwrap().to_bits(),
+                        figure.saturation().unwrap().to_bits(),
+                        "k={k} n={n} h={h} V={v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

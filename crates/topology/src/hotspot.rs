@@ -275,12 +275,22 @@ mod tests {
 
     #[test]
     fn hot_y_ring_is_hot_column() {
+        // The y channels leaving the hot node's column (x = 3) form the hot
+        // y-ring: one channel at each paper distance 1..=k.
         let g = geometry(5, &[3, 1]);
-        let ring = g.topology().ring_of(g.hot_node(), 1);
-        assert_eq!(ring.nodes.len(), 5);
-        for &m in &ring.nodes {
-            assert_eq!(g.topology().coord(m, 0), 3);
-        }
+        let t = g.topology();
+        let mut distances: Vec<u32> = (0..5)
+            .map(|y| {
+                g.hot_channel_distance(Channel {
+                    from: t.node_at(&[3, y]),
+                    dim: 1,
+                    direction: Direction::Plus,
+                })
+                .unwrap()
+            })
+            .collect();
+        distances.sort();
+        assert_eq!(distances, [1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -376,7 +386,7 @@ mod tests {
             let g = geometry(k, &[0, 2 % k]);
             let t = *g.topology();
             let n = t.num_nodes() as f64;
-            for &from in &t.ring_of(g.hot_node(), 1).nodes {
+            for from in (0..k).map(|y| t.with_coord(g.hot_node(), 1, y)) {
                 let c = Channel {
                     from,
                     dim: 1,

@@ -15,6 +15,8 @@
 //! * the hot-spot geometry of §3 of the paper ([`hotspot`]): distances of
 //!   channels and rings from the hot-spot node / hot `y`-ring, and the
 //!   traffic fractions `P_hx,j`, `P_hy,j` of Eqs. (4)–(5).
+//! * fault sets and the fault-aware minimal router shared by the faulty
+//!   model and the simulator ([`faults`]).
 //!
 //! Everything here is exact, deterministic combinatorics; the probabilistic
 //! machinery lives in `kncube-traffic` and `kncube-queueing`.
@@ -26,12 +28,10 @@ pub mod channel;
 pub mod faults;
 pub mod geometry;
 pub mod hotspot;
-pub mod ring;
 pub mod routing;
 
 pub use channel::{Channel, ChannelId, Direction};
 pub use faults::{FaultRouter, FaultSet, TreeEdge, FAULT_ROUTER_BYTES_PER_PAIR};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
 pub use hotspot::HotSpotGeometry;
-pub use ring::Ring;
 pub use routing::{DorRoute, Hop, VcClass, MAX_VIRTUAL_CHANNELS};

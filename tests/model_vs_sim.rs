@@ -7,30 +7,44 @@
 //! on small networks (debug-build friendly); the full 256-node figures are
 //! regenerated by `cargo run --release -p kncube-bench --bin figure1/2`.
 
-use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel};
-use kncube::sim::{SimConfig, SimReport, Simulator};
+use kncube::topology::KAryNCube;
+use kncube_bench::validate::{self, Grid};
+use kncube_bench::{run_points, FigureConfig, FigureRow};
 
-/// Run both model and simulation, returning (model, sim) mean latencies.
+/// Run model and simulation at `lambda`, with the run sized so the offered
+/// rate yields `target` measured messages: the whole network generates
+/// N·λ messages per cycle, and the run may last `slack` times the ideal
+/// length after `warmup`.
+fn run_sized(config: FigureConfig, lambda: f64, warmup: u64, target: u64, slack: f64) -> FigureRow {
+    let rate = config.num_nodes() as f64 * lambda;
+    let max_cycles = warmup + (slack * target as f64 / rate) as u64;
+    let config = FigureConfig {
+        sim_limits: (max_cycles, warmup, target),
+        ..config
+    };
+    let row = run_points(&[(config, lambda)]).remove(0);
+    assert!(!row.sim.saturated, "simulation saturated at λ={lambda}");
+    assert!(!row.sim.deadlocked);
+    row
+}
+
+/// Run both model and simulation on the `k × k` torus, returning (model,
+/// sim) mean latencies.
 fn compare(k: u32, v: u32, lm: u32, lambda: f64, h: f64) -> (f64, f64) {
-    let model = NCubeModel::new(NCubeConfig::new(k, 2, v, lm, lambda, h))
-        .expect("valid config")
-        .solve()
-        .expect("below saturation");
-    // Size the run so the offered rate yields the sample target: the whole
-    // network generates N·λ messages per cycle.
-    let target = 8_000u64;
-    let n = (k * k) as f64;
-    let warmup = 40_000u64;
-    let max_cycles = warmup + (1.3 * target as f64 / (n * lambda)) as u64;
-    let sim = Simulator::new(
-        SimConfig::ncube(k, 2, v, lm, lambda, h, 31_415).with_limits(max_cycles, warmup, target),
-    )
-    .expect("valid config")
-    .run();
-    assert!(!sim.saturated, "simulation saturated at λ={lambda}");
-    assert!(!sim.deadlocked);
-    assert!(sim.completed >= 5_000, "too few samples: {}", sim.completed);
-    (model.latency, sim.mean_latency)
+    let config = FigureConfig {
+        k,
+        v,
+        seed: 31_415,
+        ..FigureConfig::paper(lm, h, true)
+    };
+    let row = run_sized(config, lambda, 40_000, 8_000, 1.3);
+    assert!(
+        row.sim.completed >= 5_000,
+        "too few samples: {}",
+        row.sim.completed
+    );
+    let model = row.model.expect("below saturation");
+    (model.latency, row.sim.mean_latency)
 }
 
 #[test]
@@ -86,111 +100,81 @@ fn zero_load_offsets_match_within_injection_overhead() {
     );
 }
 
-/// Run the generalized simulator at `(k, n)` sized so the offered rate
-/// yields `target` measured messages on a `--quick`-sized budget.
-fn run_ncube_sim(k: u32, n: u32, lambda: f64, h: f64, target: u64, seed: u64) -> SimReport {
-    let nodes = (k as u64).pow(n) as f64;
-    let warmup = 25_000u64;
-    let max_cycles = warmup + (1.5 * target as f64 / (nodes * lambda)) as u64;
-    let sim = Simulator::new(
-        SimConfig::ncube(k, n, 2, 16, lambda, h, seed).with_limits(max_cycles, warmup, target),
-    )
-    .expect("valid sim config")
-    .run();
-    assert!(!sim.saturated, "simulation saturated at λ={lambda}");
-    assert!(!sim.deadlocked);
-    sim
-}
-
 #[test]
 fn ncube_8_3_hot_spot_within_the_sim_confidence_interval() {
     // The generalized model on the 512-node 8-ary 3-cube under hot-spot
-    // traffic, held to the simulator's batch-means 95% CI at low and
-    // moderate load.
+    // traffic (V = 2, Lm = 16, h = 20%), held to the simulator's
+    // batch-means 95% CI at low and moderate load.
     //
     // The simulator's measured latency carries a constant instrumentation
     // offset the model deliberately excludes (one cycle to cross the
     // injection port, and completion observed at the end of the delivery
     // cycle).  That offset is a property of the measurement apparatus, not
-    // of either latency model, so it is calibrated once at near-zero load
-    // — where the model is exact (hops + Lm, enforced by the ncube unit
-    // tests) — and the CI comparison is made on the calibrated prediction,
-    // with the calibration run's own CI widening the band.
-    let (k, n, h) = (8u32, 3u32, 0.2f64);
-    let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
-    let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).expect("hot-spot cubes saturate");
-
-    let solve = |lambda: f64| {
-        NCubeModel::new(NCubeConfig { lambda, ..base })
-            .expect("valid config")
-            .solve()
-            .expect("below saturation")
-            .latency
+    // of either latency model, so the protocol calibrates it once at
+    // near-zero load — where the model is exact (hops + Lm, enforced by
+    // the ncube unit tests) — and the CI comparison is made on the
+    // calibrated prediction, with the calibration run's own CI widening
+    // the band.  Density 0 is the fault-free cube.
+    let grid = Grid {
+        densities: &[0.0],
+        fracs: &[0.15, 0.35],
+        seed_base: 31_415,
+        cal_target: 3_000,
+        target: 5_000,
+        warmup: 25_000,
+        min_completed: 5_000,
     };
-
-    let cal_lambda = 0.05 * sat;
-    let cal = run_ncube_sim(k, n, cal_lambda, h, 3_000, 31_415);
-    let offset = cal.mean_latency - solve(cal_lambda);
-    let cal_ci = cal.ci_half_width.expect("batch means available");
-    assert!(
-        (0.0..3.0).contains(&offset),
-        "calibration offset {offset} outside the plausible injection overhead"
-    );
-
-    for frac in [0.15, 0.35] {
-        let lambda = frac * sat;
-        let model = solve(lambda);
-        let sim = run_ncube_sim(k, n, lambda, h, 5_000, 31_415);
-        let ci = sim.ci_half_width.expect("batch means available");
-        let residual = (model + offset - sim.mean_latency).abs();
+    let topo = KAryNCube::unidirectional(8, 3).unwrap();
+    let out = validate::sweep("(k=8, n=3)", topo, &grid);
+    assert!(out.violations.is_empty(), "{}", out.violations.join("\n"));
+    assert_eq!(out.rows.len(), grid.fracs.len());
+    for row in &out.rows {
+        let ci = row.ci.expect("batch means available");
+        let residual = (row.predicted - row.sim).abs();
         assert!(
-            residual <= ci + cal_ci,
-            "(k=8, n=3) at {:.0}% of λ*: model {model:.2}+{offset:.2} vs sim {:.2} — \
-             residual {residual:.3} exceeds the 95% CI band {:.3}",
-            frac * 100.0,
-            sim.mean_latency,
-            ci + cal_ci
+            residual <= ci,
+            "(k=8, n=3) at {:.0}% of λ*: model {:.2} vs sim {:.2} — residual {residual:.3} \
+             exceeds the 95% CI band {ci:.3}",
+            row.frac * 100.0,
+            row.predicted,
+            row.sim
         );
     }
 }
 
 #[test]
 fn ncube_8_3_ranks_hot_and_regular_like_the_simulator() {
-    let (k, n, h) = (8u32, 3u32, 0.4f64);
-    let base = NCubeConfig::new(k, n, 2, 16, 0.0, h);
-    let sat = find_saturation_ncube(base, 1e-9, 1e-1, 1e-3).expect("hot-spot cubes saturate");
-    let lambda = 0.3 * sat;
-    let model = NCubeModel::new(NCubeConfig { lambda, ..base })
-        .unwrap()
-        .solve()
-        .unwrap();
-    let sim = run_ncube_sim(k, n, lambda, h, 5_000, 7);
+    let config = FigureConfig {
+        seed: 7,
+        ..FigureConfig::ncube(8, 3, 16, 0.4, true)
+    };
+    let lambda = 0.3 * config.saturation().expect("hot-spot cubes saturate");
+    let row = run_sized(config, lambda, 25_000, 5_000, 1.5);
+    let model = row.model.unwrap();
     assert!(model.hot_latency > model.regular_latency);
     assert!(
-        sim.mean_latency_hot > sim.mean_latency_regular,
+        row.sim.mean_latency_hot > row.sim.mean_latency_regular,
         "sim: hot {:.1} !> regular {:.1}",
-        sim.mean_latency_hot,
-        sim.mean_latency_regular
+        row.sim.mean_latency_hot,
+        row.sim.mean_latency_regular
     );
 }
 
 #[test]
 fn hot_messages_slower_in_both_worlds() {
-    let lambda = 2.5e-4;
-    let model = NCubeModel::new(NCubeConfig::new(8, 2, 2, 16, lambda, 0.4))
-        .unwrap()
-        .solve()
-        .unwrap();
-    let sim = Simulator::new(
-        SimConfig::ncube(8, 2, 2, 16, lambda, 0.4, 7).with_limits(600_000, 40_000, 12_000),
-    )
-    .unwrap()
-    .run();
+    let config = FigureConfig {
+        k: 8,
+        seed: 7,
+        sim_limits: (600_000, 40_000, 12_000),
+        ..FigureConfig::paper(16, 0.4, true)
+    };
+    let row = run_points(&[(config, 2.5e-4)]).remove(0);
+    let model = row.model.unwrap();
     assert!(model.hot_latency > model.regular_latency);
     assert!(
-        sim.mean_latency_hot > sim.mean_latency_regular,
+        row.sim.mean_latency_hot > row.sim.mean_latency_regular,
         "sim: hot {:.1} !> regular {:.1}",
-        sim.mean_latency_hot,
-        sim.mean_latency_regular
+        row.sim.mean_latency_hot,
+        row.sim.mean_latency_regular
     );
 }

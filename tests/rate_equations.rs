@@ -35,7 +35,8 @@ fn hot_ring_channel_rates_match_eq9() {
     let geom = HotSpotGeometry::new(topo, NodeId(0));
     let rates = NCubeRates::new(k, 2, lambda, h);
 
-    for &from in &topo.ring_of(NodeId(0), Y).nodes {
+    // The hot y-ring: the nodes sharing the hot node's x coordinate.
+    for from in (0..k).map(|y| topo.with_coord(NodeId(0), Y, y)) {
         let ch = Channel {
             from,
             dim: Y,
