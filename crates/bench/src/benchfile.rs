@@ -185,6 +185,14 @@ pub fn header(schema: &Schema, quick: bool) -> Json {
     doc
 }
 
+/// A config entry holding its `(k, n, v, lm, h)` key in `CONFIG_KEY`
+/// order; the harness appends its measurements.
+pub fn config_entry(k: u32, n: u32, v: u32, lm: u32, h: f64) -> Json {
+    let values: [f64; 5] = [k.into(), n.into(), v.into(), lm.into(), h];
+    let key = CONFIG_KEY.iter().zip(values);
+    Json::Obj(key.map(|(k, v)| (k.to_string(), Json::Num(v))).collect())
+}
+
 /// Check `doc` against the common header and `schema`.  Returns the list
 /// of violations (empty = conforming).
 pub fn violations(doc: &Json, schema: &Schema) -> Vec<String> {

@@ -14,12 +14,12 @@
 //! cargo run --release -p kncube-bench --bin ablations [-- --quick]
 //! ```
 
-use kncube_bench::{or_exit, run_points, FigureConfig};
+use kncube_bench::{or_exit, run_points, simulate, FigureConfig};
 use kncube_core::{
     ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
     ServiceTimeModel,
 };
-use kncube_sim::{EjectionPolicy, SimConfig, Simulator};
+use kncube_sim::{EjectionPolicy, SimConfig};
 
 fn latency_cell(solved: &Result<NCubeOutput, ModelError>) -> String {
     match solved {
@@ -121,21 +121,36 @@ fn main() {
     println!(" restrict hot messages to one class, which the class-aware variant");
     println!(" captures — it tracks the simulator more tightly at moderate load)");
 
+    // ABL-EJECT and ABL-BUF share one batch: per load, buffer depths 1, 2
+    // and 4, then the shared ejection channel.  ABL-EJECT's per-message
+    // sink is the default, so it is depth 2's run.
+    let configs: Vec<SimConfig> = grid
+        .iter()
+        .flat_map(|&lambda| {
+            let base = short.sim_config(lambda);
+            let shared = SimConfig {
+                ejection: EjectionPolicy::SharedChannel,
+                ..base
+            };
+            [1, 2, 4]
+                .map(|buffer_depth| SimConfig {
+                    buffer_depth,
+                    ..base
+                })
+                .into_iter()
+                .chain([shared])
+        })
+        .collect();
+    let reports = simulate(&configs);
+    let rows: Vec<_> = grid.iter().zip(reports.chunks(4)).collect();
+
     println!("\n== ABL-EJECT: ejection policy (simulation, Lm=32, h=40%) ==");
     println!(
         "{:>12} {:>12} {:>12}",
         "traffic", "per-msg sink", "shared 1f/c"
     );
-    for &lambda in &grid {
-        let mk = |policy| {
-            let cfg = SimConfig {
-                ejection: policy,
-                ..short.sim_config(lambda)
-            };
-            Simulator::new(cfg).unwrap().run()
-        };
-        let sink = mk(EjectionPolicy::PerMessageSink);
-        let shared = mk(EjectionPolicy::SharedChannel);
+    for (lambda, runs) in &rows {
+        let (sink, shared) = (&runs[1], &runs[3]);
         println!(
             "{lambda:>12.3e} {:>12.1} {:>11.1}{}",
             sink.mean_latency,
@@ -149,25 +164,16 @@ fn main() {
         "{:>12} {:>10} {:>10} {:>10}",
         "traffic", "depth 1", "depth 2", "depth 4"
     );
-    for &lambda in &grid {
-        let mk = |depth| {
-            let cfg = SimConfig {
-                buffer_depth: depth,
-                ..short.sim_config(lambda)
-            };
-            Simulator::new(cfg).unwrap().run()
-        };
-        let d1 = mk(1);
-        let d2 = mk(2);
-        let d4 = mk(4);
-        let cell = |r: &kncube_sim::SimReport| {
-            if r.saturated {
-                "  saturated".to_string()
-            } else {
-                format!("{:>10.1}", r.mean_latency)
-            }
-        };
-        println!("{lambda:>12.3e} {} {} {}", cell(&d1), cell(&d2), cell(&d4));
+    let cell = |r: &kncube_sim::SimReport| {
+        if r.saturated {
+            "  saturated".to_string()
+        } else {
+            format!("{:>10.1}", r.mean_latency)
+        }
+    };
+    for (lambda, runs) in &rows {
+        let (d1, d2, d4) = (&runs[0], &runs[1], &runs[2]);
+        println!("{lambda:>12.3e} {} {} {}", cell(d1), cell(d2), cell(d4));
     }
     println!("(depth 1 halves sustainable bandwidth — it saturates where depth 2 cruises)");
 }

@@ -20,7 +20,7 @@
 
 use kncube_bench::{or_exit, FigureConfig};
 use kncube_core::NCubeModel;
-use kncube_sim::{SimConfig, Simulator};
+use kncube_sim::SimConfig;
 use kncube_traffic::ArrivalProcess;
 
 fn main() {
@@ -47,24 +47,30 @@ fn main() {
     }
     println!();
 
-    let mut cell = 0u32;
-    for f in fractions {
-        let lambda = f * sat;
+    // Cell `i` of the f × β grid, row by row, runs with replication seed `i`.
+    let lambdas: Vec<f64> = fractions.iter().map(|f| f * sat).collect();
+    let configs: Vec<SimConfig> = lambdas
+        .iter()
+        .flat_map(|&lambda| betas.map(|beta| (lambda, beta)))
+        .zip(0u32..)
+        .map(|((lambda, beta), cell)| {
+            SimConfig {
+                arrivals: ArrivalProcess::bursty(lambda, beta, 200.0),
+                seed: kncube_traffic::replication_seed(fig.seed, cell),
+                ..fig.sim_config(lambda)
+            }
+            .with_limits(limits.0, limits.1, limits.2)
+        })
+        .collect();
+    let reports = kncube_bench::simulate(&configs);
+    for (&lambda, reports) in lambdas.iter().zip(reports.chunks(betas.len())) {
         let model = NCubeModel::new(fig.model_config(lambda))
             .unwrap()
             .solve()
             .map(|o| format!("{:10.1}", o.latency))
             .unwrap_or_else(|_| " saturated".into());
         print!("{lambda:>12.3e} {model}");
-        for beta in betas {
-            let cfg = SimConfig {
-                arrivals: ArrivalProcess::bursty(lambda, beta, 200.0),
-                seed: kncube_traffic::replication_seed(fig.seed, cell),
-                ..fig.sim_config(lambda)
-            }
-            .with_limits(limits.0, limits.1, limits.2);
-            cell += 1;
-            let report = Simulator::new(cfg).unwrap().run();
+        for report in reports {
             if report.saturated {
                 print!(" {:>9}", "SAT");
             } else {

@@ -29,23 +29,21 @@
 //! cargo run --release -p kncube-bench --bin faults [-- --quick]
 //! ```
 
-use kncube_sim::{SimConfig, Simulator};
+use kncube_sim::{SimConfig, SimReport};
 use kncube_topology::{Boundary, FaultRouter, KAryNCube, LinkKind};
 use kncube_traffic::{sample_fault_set, FaultSpec};
 
-/// One sweep point, seed-averaged.
+/// One sweep point: the seed-averaged router census of its fault sets
+/// and the simulation of the first one.
 struct SweepRow {
     p: f64,
     reach_mean: f64,
     detour_mean: f64,
-    sim_reach: f64,
-    sim_latency: f64,
-    sim_dropped: u64,
-    deadlocked: bool,
     certified: f64,
     witness_mean: Option<f64>,
     lower: f64,
     upper: f64,
+    sim: SimReport,
 }
 
 /// Seed-averaged closed-form envelopes: `upper = (1-p)²`,
@@ -66,55 +64,39 @@ fn envelopes(topo: &KAryNCube, p: f64) -> (f64, f64) {
     (lower_sum / pairs as f64, q * q)
 }
 
-fn sweep_point(
-    topo: KAryNCube,
-    link_kind: LinkKind,
-    boundary: Boundary,
-    p: f64,
-    seeds: u64,
-    sim_cycles: u64,
-) -> SweepRow {
-    let spec = FaultSpec {
+fn spec(p: f64) -> FaultSpec {
+    FaultSpec {
         router_failure_prob: p,
         link_failure_prob: p,
-    };
+    }
+}
+
+/// The census of `seeds` fault sets at `p`, around the point's
+/// simulation `sim`.
+fn sweep_point(topo: KAryNCube, p: f64, seeds: u64, sim: SimReport) -> SweepRow {
     let mut reach_sum = 0.0;
     let mut detour_sum = 0.0;
     let mut uncertified = 0u64;
     let mut witness_sum = 0usize;
-    // The simulation below re-samples seed 0's fault set: holding its
-    // router lets `Simulator::new` share the route tables.
-    let mut seed_zero = None;
     for seed in 0..seeds {
-        let router = FaultRouter::new(sample_fault_set(topo, spec, 0xFA0 + seed));
+        let router = FaultRouter::new(sample_fault_set(topo, spec(p), 0xFA0 + seed));
         reach_sum += router.reachable_fraction();
         detour_sum += router.expected_detour();
         if let Some(cycle) = router.dependency_cycle() {
             uncertified += 1;
             witness_sum += cycle.len();
         }
-        seed_zero.get_or_insert(router);
     }
-    let mut cfg = SimConfig::ncube(topo.k(), 2, 8, 8, 1e-3, 0.0, 0xFA0)
-        .with_topology(link_kind, boundary)
-        .with_limits(sim_cycles, sim_cycles / 10, 0);
-    if p > 0.0 {
-        cfg = cfg.with_faults(spec);
-    }
-    let report = Simulator::new(cfg).expect("valid sweep config").run();
     let (lower, upper) = envelopes(&topo, p);
     SweepRow {
         p,
         reach_mean: reach_sum / seeds as f64,
         detour_mean: detour_sum / seeds as f64,
-        sim_reach: report.reachable_fraction,
-        sim_latency: report.mean_latency,
-        sim_dropped: report.dropped_unreachable,
-        deadlocked: report.deadlocked,
         certified: 1.0 - uncertified as f64 / seeds as f64,
         witness_mean: (uncertified > 0).then(|| witness_sum as f64 / uncertified as f64),
         lower,
         upper,
+        sim,
     }
 }
 
@@ -151,10 +133,10 @@ fn check_rows(name: &str, rows: &[SweepRow], slack: f64) -> Vec<String> {
                 row.reach_mean, row.lower
             ));
         }
-        if row.deadlocked {
+        if row.sim.deadlocked {
             violations.push(format!("{ctx}: simulation deadlocked"));
         }
-        if row.p == 0.0 && row.sim_dropped != 0 {
+        if row.p == 0.0 && row.sim.dropped_unreachable != 0 {
             violations.push(format!("{ctx}: drops without faults"));
         }
     }
@@ -197,9 +179,9 @@ fn print_rows(name: &str, rows: &[SweepRow]) {
             r.reach_mean,
             r.upper,
             r.detour_mean,
-            r.sim_reach,
-            r.sim_latency,
-            r.sim_dropped,
+            r.sim.reachable_fraction,
+            r.sim.mean_latency,
+            r.sim.dropped_unreachable,
             r.certified,
             witness
         );
@@ -214,20 +196,38 @@ fn main() {
         (20, 20_000, 0.05, &[0.0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20])
     };
 
+    let geometries = [
+        ("8x8 bidirectional torus", Boundary::Torus),
+        ("8x8 mesh", Boundary::Mesh),
+    ]
+    .map(|(name, boundary)| {
+        let topo = KAryNCube::with_boundary(8, 2, LinkKind::Bidirectional, boundary)
+            .expect("valid topology");
+        (name, topo)
+    });
+    let points: Vec<(KAryNCube, f64)> = geometries
+        .iter()
+        .flat_map(|&(_, topo)| grid.iter().map(move |&p| (topo, p)))
+        .collect();
+    // Each point simulates its first fault set (seed 0) once.
+    let configs: Vec<SimConfig> = points
+        .iter()
+        .map(|&(topo, p)| SimConfig {
+            faults: (p > 0.0).then(|| spec(p)),
+            ..SimConfig::ncube(8, 2, 8, 8, 1e-3, 0.0, 0xFA0)
+                .with_topology(LinkKind::Bidirectional, topo.boundary())
+                .with_limits(sim_cycles, sim_cycles / 10, 0)
+        })
+        .collect();
+    let reports = kncube_bench::simulate(&configs);
+    let mut rows = points
+        .into_iter()
+        .zip(reports)
+        .map(|((topo, p), sim)| sweep_point(topo, p, seeds, sim));
+
     let mut all_violations = Vec::new();
-    for (name, link_kind, boundary) in [
-        (
-            "8x8 bidirectional torus",
-            LinkKind::Bidirectional,
-            Boundary::Torus,
-        ),
-        ("8x8 mesh", LinkKind::Bidirectional, Boundary::Mesh),
-    ] {
-        let topo = KAryNCube::with_boundary(8, 2, link_kind, boundary).expect("valid topology");
-        let rows: Vec<SweepRow> = grid
-            .iter()
-            .map(|&p| sweep_point(topo, link_kind, boundary, p, seeds, sim_cycles))
-            .collect();
+    for (name, _) in geometries {
+        let rows: Vec<SweepRow> = rows.by_ref().take(grid.len()).collect();
         print_rows(name, &rows);
         all_violations.extend(check_rows(name, &rows, slack));
     }

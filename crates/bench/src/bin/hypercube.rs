@@ -17,7 +17,7 @@
 
 use kncube_bench::{or_exit, FigureConfig};
 use kncube_core::HypercubeModel;
-use kncube_sim::{SimConfig, Simulator};
+use kncube_sim::SimConfig;
 
 fn main() {
     let quick = kncube_bench::quick_flag();
@@ -41,13 +41,17 @@ fn main() {
         "{:>12} {:>10} {:>14} {:>8}",
         "traffic", "model", "simulation", "err%"
     );
-    for f in &fractions {
-        let lambda = f * sat;
+    // The simulator runs the hypercube as the 2-ary n-cube.
+    let lambdas: Vec<f64> = fractions.iter().map(|f| f * sat).collect();
+    let configs: Vec<SimConfig> = lambdas
+        .iter()
+        .map(|&lambda| {
+            SimConfig::ncube(2, n, 2, lm, lambda, h, 20_050_408)
+                .with_limits(limits.0, limits.1, limits.2)
+        })
+        .collect();
+    for (&lambda, sim) in lambdas.iter().zip(kncube_bench::simulate(&configs)) {
         let model = HypercubeModel::new(n, 2, lm, lambda, h).unwrap().solve();
-        // The simulator runs the hypercube as the 2-ary n-cube.
-        let cfg = SimConfig::ncube(2, n, 2, lm, lambda, h, 20_050_408)
-            .with_limits(limits.0, limits.1, limits.2);
-        let sim = Simulator::new(cfg).unwrap().run();
         match model {
             Ok(m) => println!(
                 "{lambda:>12.3e} {:>10.1} {:>11.1}±{:<4.1} {:>6.1}",

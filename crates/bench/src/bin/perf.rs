@@ -28,7 +28,7 @@
 
 use kncube_bench::benchfile::{self, SIMULATOR};
 use kncube_bench::json::Json;
-use kncube_bench::{SATURATION_BRACKET, SATURATION_REL_TOL};
+use kncube_bench::{or_exit, SATURATION_BRACKET, SATURATION_REL_TOL};
 use kncube_core::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube_sim::{SimConfig, Simulator};
 use std::time::Instant;
@@ -103,19 +103,8 @@ fn measure(quick: bool) -> Json {
     for (k, n, v, lm, h) in CONFIGS {
         let base = NCubeConfig::new(k, n, v, lm, 0.0, h);
         let (lo, hi) = SATURATION_BRACKET;
-        let sat = match find_saturation_ncube(base, lo, hi, SATURATION_REL_TOL) {
-            Ok(sat) => sat,
-            Err(e) => {
-                eprintln!("error: no saturation rate for k={k} n={n}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut entry = Json::obj();
-        entry.set("k", Json::Num(k as f64));
-        entry.set("n", Json::Num(n as f64));
-        entry.set("v", Json::Num(v as f64));
-        entry.set("lm", Json::Num(lm as f64));
-        entry.set("h", Json::Num(h));
+        let sat = or_exit(find_saturation_ncube(base, lo, hi, SATURATION_REL_TOL));
+        let mut entry = benchfile::config_entry(k, n, v, lm, h);
         entry.set("saturation_lambda", Json::Num(sat));
 
         let mut loads = Vec::new();

@@ -11,6 +11,7 @@
 use kncube_bench::{or_exit, FigureConfig};
 use kncube_core::bisect_saturation;
 use kncube_sim::Simulator;
+use rayon::prelude::*;
 
 /// Whether the simulated network fails to deliver its offered load at
 /// `lambda`: the stability probe of the simulator's saturation search.
@@ -54,30 +55,35 @@ fn main() {
             (100, 0.7),
         ]
     };
-    for (lm, h) in configs {
-        let mut cfg = FigureConfig::paper(lm, h, false);
-        // Short runs suffice: saturation shows up fast in the queues.
-        cfg.sim_limits = if quick {
-            (250_000, 25_000, 0)
-        } else {
-            (600_000, 50_000, 0)
-        };
-        let model_sat = or_exit(cfg.saturation());
-        // The model's search, driven by the simulator: bisect to 5%.
-        let sim_sat = or_exit(bisect_saturation(
-            0.5 * model_sat,
-            1.4 * model_sat,
-            0.05,
-            |lambda| (!saturates(&cfg, lambda)).then_some(0),
-        ))
-        .lambda_star;
-        let bound = 1.0 / (h * (cfg.k * (cfg.k - 1)) as f64 * (lm + 1) as f64);
-        println!(
-            "{lm:>4} {:>4} {h:>5.2} {model_sat:>14.3e} {sim_sat:>14.3e} {bound:>14.3e} {:>9.2}",
-            cfg.v,
-            model_sat / sim_sat
-        );
-    }
+    // Configs run on the pool; each one's bisection stays sequential.
+    let rows: Vec<_> = configs
+        .par_iter()
+        .map(|&(lm, h)| {
+            let mut cfg = FigureConfig::paper(lm, h, false);
+            // Short runs suffice: saturation shows up fast in the queues.
+            cfg.sim_limits = if quick {
+                (250_000, 25_000, 0)
+            } else {
+                (600_000, 50_000, 0)
+            };
+            let model_sat = or_exit(cfg.saturation());
+            // The model's search, driven by the simulator: bisect to 5%.
+            let sim_sat = or_exit(bisect_saturation(
+                0.5 * model_sat,
+                1.4 * model_sat,
+                0.05,
+                |lambda| (!saturates(&cfg, lambda)).then_some(0),
+            ))
+            .lambda_star;
+            let bound = 1.0 / (h * (cfg.k * (cfg.k - 1)) as f64 * (lm + 1) as f64);
+            format!(
+                "{lm:>4} {:>4} {h:>5.2} {model_sat:>14.3e} {sim_sat:>14.3e} {bound:>14.3e} {:>9.2}",
+                cfg.v,
+                model_sat / sim_sat
+            )
+        })
+        .collect();
+    println!("{}", rows.join("\n"));
     println!(
         "\nreading: model and simulator collapse at the same operating\n\
          points (ratio ≈ 1), both slightly below the pure flit bound — the\n\

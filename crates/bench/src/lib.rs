@@ -192,22 +192,32 @@ pub struct FigureRow {
     pub sim: SimReport,
 }
 
-/// Run the model and the simulator at each `(config, λ)` point, with the
-/// config's fixed run lengths and no calibration.  Points run in parallel
-/// on the pooled rayon workers (the simulator dominates the cost; the
-/// model solve per point is cheap); rows come back in input order.
-pub fn run_points(points: &[(FigureConfig, f64)]) -> Vec<FigureRow> {
-    points
+/// Run every simulation on the pooled rayon workers and return the
+/// reports in input order.  Every experiment batch of simulations goes
+/// through here, so no output depends on the pool width.
+pub fn simulate(configs: &[SimConfig]) -> Vec<SimReport> {
+    configs
         .par_iter()
-        .map(|&(config, lambda)| {
-            let sim = Simulator::new(config.sim_config(lambda))
-                .expect("valid sim config")
-                .run();
-            FigureRow {
-                lambda,
-                model: NCubeModel::new(config.model_config(lambda)).and_then(|m| m.solve()),
-                sim,
-            }
+        .map(|&config| Simulator::new(config).expect("valid sim config").run())
+        .collect()
+}
+
+/// Run the model and the simulator at each `(config, λ)` point, with the
+/// config's fixed run lengths and no calibration.  The simulations run
+/// in one [`simulate`] batch (they dominate the cost; the model solve
+/// per point is cheap); rows come back in input order.
+pub fn run_points(points: &[(FigureConfig, f64)]) -> Vec<FigureRow> {
+    let configs: Vec<_> = points
+        .iter()
+        .map(|(c, lambda)| c.sim_config(*lambda))
+        .collect();
+    simulate(&configs)
+        .into_iter()
+        .zip(points)
+        .map(|(sim, &(config, lambda))| FigureRow {
+            lambda,
+            model: NCubeModel::new(config.model_config(lambda)).and_then(|m| m.solve()),
+            sim,
         })
         .collect()
 }

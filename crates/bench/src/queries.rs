@@ -55,7 +55,7 @@
 
 use crate::benchfile;
 use crate::json::Json;
-use crate::SATURATION_BRACKET;
+use crate::{or_exit, SATURATION_BRACKET};
 use kncube_core::{
     find_saturation_ncube_report, ModelError, NCubeConfig, NCubeModel, NCubeOutput,
     ServiceTimeModel, SolveCache,
@@ -548,13 +548,13 @@ pub fn run_query_bench(quick: bool) -> Json {
         let mut base = NCubeConfig::new(k, n, v, lm, 0.0, h);
         base.service_model = ServiceTimeModel::PathOccupancy;
         let (sat_lo, sat_hi) = SATURATION_BRACKET;
-        let sat = match find_saturation_ncube_report(base, sat_lo, sat_hi, SATURATION_REL_TOL) {
-            Ok(report) => report.lambda_star,
-            Err(e) => {
-                eprintln!("error: no saturation rate for k={k} n={n}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let sat = or_exit(find_saturation_ncube_report(
+            base,
+            sat_lo,
+            sat_hi,
+            SATURATION_REL_TOL,
+        ))
+        .lambda_star;
         let configs_grid: Vec<NCubeConfig> = (0..points)
             .map(|i| {
                 let f = lo + (hi - lo) * i as f64 / (points - 1) as f64;
@@ -624,12 +624,7 @@ pub fn run_query_bench(quick: bool) -> Json {
             points as f64 / replay_secs,
         );
 
-        let mut entry = Json::obj();
-        entry.set("k", Json::Num(k as f64));
-        entry.set("n", Json::Num(n as f64));
-        entry.set("v", Json::Num(v as f64));
-        entry.set("lm", Json::Num(lm as f64));
-        entry.set("h", Json::Num(h));
+        let mut entry = benchfile::config_entry(k, n, v, lm, h);
         entry.set("service_model", Json::Str("path_occupancy".into()));
         entry.set("saturation_lambda", Json::Num(sat));
         entry.set("points", Json::Num(points as f64));

@@ -27,9 +27,10 @@
 
 use crate::{SATURATION_BRACKET, SATURATION_REL_TOL};
 use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel, SaturationError};
-use kncube_sim::{SimConfig, SimReport, Simulator};
+use kncube_sim::{SimConfig, SimReport};
 use kncube_topology::{FaultRouter, FaultSet, KAryNCube};
 use kncube_traffic::{sample_fault_set, FaultSpec};
+use rayon::prelude::*;
 
 /// Virtual channels per physical channel.
 pub const V: u32 = 2;
@@ -187,34 +188,47 @@ fn run_sim(
 ) -> SimReport {
     let rate = (topo.num_nodes() as f64 * lambda * delivered.max(0.05)).max(1e-9);
     let max_cycles = warmup + (1.6 * target as f64 / rate) as u64;
-    let mut cfg = SimConfig::ncube(topo.k(), topo.n(), V, LM, lambda, H, sample.seed)
-        .with_topology(topo.link_kind(), topo.boundary())
-        .with_limits(max_cycles, warmup, target);
-    if let Some(spec) = sample.spec {
-        cfg = cfg.with_faults(spec);
-    }
-    Simulator::new(cfg).expect("valid sim config").run()
+    let cfg = SimConfig {
+        faults: sample.spec,
+        ..SimConfig::ncube(topo.k(), topo.n(), V, LM, lambda, H, sample.seed)
+            .with_topology(topo.link_kind(), topo.boundary())
+            .with_limits(max_cycles, warmup, target)
+    };
+    crate::simulate(&[cfg]).remove(0)
 }
 
 /// Sweep one geometry across the grid's densities and load fractions.
+/// Densities run on the pool; their rows, notes and violations come back
+/// in grid order.
 pub fn sweep(name: &str, topo: KAryNCube, grid: &Grid) -> Outcome {
+    let densities: Vec<(usize, f64)> = grid.densities.iter().copied().enumerate().collect();
+    let outcomes: Vec<Outcome> = densities
+        .par_iter()
+        .map(|&(idx, density)| {
+            let mut out = Outcome::default();
+            let ctx = format!("{name} p={density:.2}");
+            let base = grid.seed_base + 100 * idx as u64;
+            let Some(sample) = select_fault_sample(topo, density, base) else {
+                out.violations
+                    .push(format!("{ctx}: no connected fault sample in the seed scan"));
+                return out;
+            };
+            if !sample.certified {
+                out.notes.push(format!(
+                    "{ctx}: seed {:#x} sample is connected but carries no deadlock-freedom \
+                     certificate; relying on the simulator's detector",
+                    sample.seed
+                ));
+            }
+            sweep_sample(&ctx, topo, &sample, density, grid, &mut out);
+            out
+        })
+        .collect();
     let mut out = Outcome::default();
-    for (idx, &density) in grid.densities.iter().enumerate() {
-        let ctx = format!("{name} p={density:.2}");
-        let Some(sample) = select_fault_sample(topo, density, grid.seed_base + 100 * idx as u64)
-        else {
-            out.violations
-                .push(format!("{ctx}: no connected fault sample in the seed scan"));
-            continue;
-        };
-        if !sample.certified {
-            out.notes.push(format!(
-                "{ctx}: seed {:#x} sample is connected but carries no deadlock-freedom \
-                 certificate; relying on the simulator's detector",
-                sample.seed
-            ));
-        }
-        sweep_sample(&ctx, topo, &sample, density, grid, &mut out);
+    for density in outcomes {
+        out.rows.extend(density.rows);
+        out.notes.extend(density.notes);
+        out.violations.extend(density.violations);
     }
     out
 }
@@ -247,7 +261,7 @@ fn sweep_sample(
         Ok(sat) => sat,
         Err(e) => {
             out.violations
-                .push(format!("{ctx}: no saturation rate: {e:?}"));
+                .push(format!("{ctx}: no saturation rate: {e}"));
             return;
         }
     };
@@ -260,7 +274,7 @@ fn sweep_sample(
         Ok(solved) => Some(solved),
         Err(e) => {
             violations.push(format!(
-                "{ctx}: model saturated below its own λ* estimate: {e:?}"
+                "{ctx}: model saturated below its own λ* estimate: {e}"
             ));
             None
         }

@@ -40,7 +40,7 @@
 //! [`FaultyNCubeModel::solve_general_at`] forces the per-channel path for
 //! cross-validation.
 
-use crate::ncube::{ModelError, NCubeConfig, NCubeModel, MAX_VIRTUAL_CHANNELS, RHO_CAP};
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, RHO_CAP};
 use crate::rates::FaultyChannelRates;
 use crate::sweep::{bisect_saturation, SaturationError, SaturationReport};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
@@ -55,17 +55,6 @@ use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, Lin
 ///
 /// [`FAULT_ROUTER_BYTES_PER_PAIR`]: kncube_topology::FAULT_ROUTER_BYTES_PER_PAIR
 pub const MAX_FAULTY_MODEL_NODES: u64 = 1 << 12;
-
-/// The per-node generation rate must be finite and non-negative.
-fn check_lambda(lambda: f64) -> Result<(), ModelError> {
-    if lambda.is_finite() && lambda >= 0.0 {
-        Ok(())
-    } else {
-        Err(ModelError::BadConfig(
-            "lambda must be finite and non-negative".into(),
-        ))
-    }
-}
 
 /// Configuration of the faulty-network model.
 ///
@@ -194,25 +183,28 @@ pub struct FaultyNCubeModel {
     rates: FaultyChannelRates,
 }
 
+/// The closed-form configuration of `config`'s geometry and traffic at
+/// rate `lambda`.  [`NCubeModel::new`] owns the parameter ranges, so the
+/// faulty model validates V, Lm, h and λ by building it; the delegated
+/// fault-free path solves it.
+fn closed_form_twin(config: &FaultyNCubeConfig, lambda: f64) -> NCubeConfig {
+    let topo = config.topology();
+    NCubeConfig::new(
+        topo.k(),
+        topo.n(),
+        config.virtual_channels,
+        config.message_length,
+        lambda,
+        config.hot_fraction,
+    )
+}
+
 impl FaultyNCubeModel {
     /// Validate `config`, build the fault-aware router, and enumerate the
     /// per-channel loads.
     pub fn new(config: FaultyNCubeConfig) -> Result<Self, ModelError> {
         let topo = *config.topology();
-        if !(1..=MAX_VIRTUAL_CHANNELS).contains(&config.virtual_channels) {
-            return Err(ModelError::BadConfig(format!(
-                "virtual_channels must be in 1..={MAX_VIRTUAL_CHANNELS}"
-            )));
-        }
-        if config.message_length < 1 {
-            return Err(ModelError::BadConfig("message_length must be >= 1".into()));
-        }
-        if !(0.0..=1.0).contains(&config.hot_fraction) {
-            return Err(ModelError::BadConfig(
-                "hot_fraction must be in [0, 1]".into(),
-            ));
-        }
-        check_lambda(config.lambda)?;
+        NCubeModel::new(closed_form_twin(&config, config.lambda))?;
         if u64::from(topo.num_nodes()) > MAX_FAULTY_MODEL_NODES {
             return Err(ModelError::BadConfig(format!(
                 "faulty model limited to {MAX_FAULTY_MODEL_NODES} nodes (got {})",
@@ -272,7 +264,6 @@ impl FaultyNCubeModel {
     /// Returns what a model built with `lambda` in its configuration
     /// returns from [`FaultyNCubeModel::solve`], bit for bit.
     pub fn solve_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
-        check_lambda(lambda)?;
         if self.delegates_to_ncube() {
             self.solve_delegated(lambda)
         } else {
@@ -300,26 +291,16 @@ impl FaultyNCubeModel {
     /// The bit-exact fault-free reduction: map the closed-form solver's
     /// output onto the faulty-model shape.
     fn solve_delegated(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
-        let topo = self.config.topology();
-        let cfg = NCubeConfig::new(
-            topo.k(),
-            topo.n(),
-            self.config.virtual_channels,
-            self.config.message_length,
-            lambda,
-            self.config.hot_fraction,
-        );
-        let out = NCubeModel::new(cfg)?.solve()?;
-        let n = u64::from(topo.num_nodes());
+        let out = NCubeModel::new(closed_form_twin(&self.config, lambda))?.solve()?;
         Ok(FaultyNCubeOutput {
             latency: out.latency,
             regular_latency: out.regular_latency,
             hot_latency: out.hot_latency,
             source_wait_regular: out.source_wait_regular,
             max_utilization: out.max_utilization,
-            reachable_pairs: n * (n - 1),
-            reachable_fraction: 1.0,
-            mean_detour_hops: 0.0,
+            reachable_pairs: self.router.reachable_pairs(),
+            reachable_fraction: self.router.reachable_fraction(),
+            mean_detour_hops: self.router.expected_detour(),
             delivered_fraction: 1.0,
             iterations: out.iterations,
             delegated: true,
@@ -330,7 +311,7 @@ impl FaultyNCubeModel {
     /// [`FaultyNCubeModel::solve`] would delegate — the cross-validation
     /// hook for the reduction tests.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
-        check_lambda(lambda)?;
+        NCubeModel::new(closed_form_twin(&self.config, lambda))?;
         let topo = *self.config.topology();
         let n_nodes = topo.num_nodes();
         let others = (n_nodes - 1) as f64;
@@ -437,7 +418,6 @@ impl FaultyNCubeModel {
         let latency_den = regular_den + hot_den;
 
         let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-        let n64 = u64::from(n_nodes);
         Ok(FaultyNCubeOutput {
             latency: ratio(latency_num, latency_den),
             regular_latency: ratio(regular_num, regular_den),
@@ -448,8 +428,8 @@ impl FaultyNCubeModel {
                 0.0
             },
             max_utilization,
-            reachable_pairs: self.rates.reachable_pairs(),
-            reachable_fraction: self.rates.reachable_pairs() as f64 / (n64 * (n64 - 1)) as f64,
+            reachable_pairs: self.router.reachable_pairs(),
+            reachable_fraction: self.router.reachable_fraction(),
             mean_detour_hops: self.router.expected_detour(),
             delivered_fraction: latency_den / n_nodes as f64,
             iterations: 1,
@@ -461,6 +441,7 @@ impl FaultyNCubeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ncube::MAX_VIRTUAL_CHANNELS;
 
     fn empty(topo: KAryNCube) -> FaultSet {
         FaultSet::none(topo)

@@ -387,11 +387,6 @@ impl NCubeModel {
         &self.config
     }
 
-    /// The traffic rates (generalized Eqs. 1–9).
-    pub fn rates(&self) -> &NCubeRates {
-        &self.rates
-    }
-
     /// Node count `N = k^n`.
     fn num_nodes(&self) -> f64 {
         (self.config.k as u64).pow(self.config.n) as f64

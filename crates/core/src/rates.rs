@@ -81,26 +81,6 @@ impl NCubeRates {
     pub fn total_rate(&self, dim: u32, j: u32) -> f64 {
         self.regular_channel_rate() + self.hot_rate(dim, j)
     }
-
-    /// The radix.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The dimension count.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// Per-node generation rate `λ`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Hot fraction `h`.
-    pub fn hot_fraction(&self) -> f64 {
-        self.hot_fraction
-    }
 }
 
 /// Per-channel traffic rates of a *faulty* (or bidirectional / mesh)
@@ -131,8 +111,6 @@ impl NCubeRates {
 pub struct FaultyChannelRates {
     regular_unit: Vec<f64>,
     hot_unit: Vec<f64>,
-    reachable_pairs: u64,
-    hot_fraction: f64,
 }
 
 impl FaultyChannelRates {
@@ -145,7 +123,6 @@ impl FaultyChannelRates {
         let n_nodes = topo.num_nodes();
         let mut regular_unit = vec![0.0; topo.num_channels() as usize];
         let mut hot_unit = vec![0.0; topo.num_channels() as usize];
-        let mut reachable_pairs = 0u64;
         let others = (n_nodes - 1) as f64;
         // The hot node generates only regular traffic; everyone else
         // splits `1 - h` uniform / `h` hot.  Failed sources generate
@@ -156,7 +133,6 @@ impl FaultyChannelRates {
         };
         let mut below = vec![0.0f64; n_nodes as usize];
         for dest in topo.nodes() {
-            reachable_pairs += router.tree(dest).len() as u64;
             add_subtree_loads(router, dest, pair_share, &mut below, &mut regular_unit);
             if dest == hot {
                 add_subtree_loads(router, dest, |_| hot_fraction, &mut below, &mut hot_unit);
@@ -165,8 +141,6 @@ impl FaultyChannelRates {
         FaultyChannelRates {
             regular_unit,
             hot_unit,
-            reachable_pairs,
-            hot_fraction,
         }
     }
 
@@ -193,17 +167,6 @@ impl FaultyChannelRates {
     /// [`ChannelId`]).
     pub fn num_channels(&self) -> usize {
         self.regular_unit.len()
-    }
-
-    /// Ordered pairs `(src, dest)` with a surviving route, counted during
-    /// the enumeration (matches [`FaultRouter::reachable_pairs`] exactly).
-    pub fn reachable_pairs(&self) -> u64 {
-        self.reachable_pairs
-    }
-
-    /// Hot fraction `h` the rates were accumulated with.
-    pub fn hot_fraction(&self) -> f64 {
-        self.hot_fraction
     }
 }
 
@@ -408,7 +371,6 @@ mod tests {
             (sum_hot - expected_hot).abs() < 1e-9,
             "{sum_hot} {expected_hot}"
         );
-        assert_eq!(rates.reachable_pairs(), router.reachable_pairs());
         // Channels incident to the failed router carry nothing.
         for dim in 0..topo.n() {
             for direction in [Direction::Plus, Direction::Minus] {

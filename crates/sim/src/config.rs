@@ -18,6 +18,16 @@ pub const FAULT_ROUTER_BUDGET_BYTES: u64 = 1 << 30;
 pub const MAX_FAULTY_SIM_NODES: u64 =
     (FAULT_ROUTER_BUDGET_BYTES / FAULT_ROUTER_BYTES_PER_PAIR).isqrt();
 
+/// Memory the simulator may spend on its per-node and per-port state.
+pub const SIM_STATE_BUDGET_BYTES: u64 = 1 << 30;
+
+/// Largest network, in nodes, the simulator accepts.  Every node holds at
+/// least 256 bytes of state (its traffic generator and arrival-heap entry,
+/// the counters and VC words of its injection port and of one channel), so
+/// [`SIM_STATE_BUDGET_BYTES`] gives `N ≤ 2^22`.  Fault injection caps `N`
+/// lower still ([`MAX_FAULTY_SIM_NODES`]).
+pub const MAX_SIM_NODES: u64 = SIM_STATE_BUDGET_BYTES / 256;
+
 /// How arrived messages leave the network at their destination.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EjectionPolicy {
@@ -215,6 +225,9 @@ impl SimConfig {
                     "fault injection needs N x N fault-router tables: network above MAX_FAULTY_SIM_NODES",
                 ));
             }
+        }
+        if nodes.is_none_or(|nodes| nodes > MAX_SIM_NODES) {
+            return Err(SimConfigError::Invalid("network above MAX_SIM_NODES"));
         }
         if self.virtual_channels < 1 {
             return Err(SimConfigError::Invalid("need at least 1 virtual channel"));
@@ -474,6 +487,37 @@ mod tests {
         assert!(SimConfig::ncube(32, 3, 2, 16, 1e-4, 0.2, 1)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn fault_free_networks_are_capped_by_the_state_budget() {
+        // Derived from the per-node floor: 1 GiB / 256 B = 2^22 nodes.
+        assert_eq!(MAX_SIM_NODES, 1 << 22);
+        let cube = |k, n| SimConfig::ncube(k, n, 2, 16, 1e-6, 0.2, 1);
+        // 2^22 nodes pass; one radix step past the cap is refused.
+        assert!(cube(1 << 11, 2).validate().is_ok());
+        assert!(matches!(
+            cube((1 << 11) + 1, 2).validate(),
+            Err(SimConfigError::Invalid(_))
+        ));
+        // 2^30 nodes: refused by `validate`, so `Simulator::new` returns
+        // the typed error before it allocates any per-node state.
+        assert!(matches!(
+            cube(1024, 3).validate(),
+            Err(SimConfigError::Invalid(_))
+        ));
+        assert!(matches!(
+            crate::Simulator::new(cube(1024, 3)),
+            Err(SimConfigError::Invalid(_))
+        ));
+        // Its bidirectional twin's 6·2^30 channel ids overflow u32, so its
+        // topology alone is refused.
+        assert_eq!(
+            cube(1024, 3)
+                .with_topology(LinkKind::Bidirectional, Boundary::Torus)
+                .topology(),
+            Err(SimConfigError::Topology(TopologyError::TooManyChannels))
+        );
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod stats;
 
 pub use config::{
     EjectionPolicy, SimConfig, SimConfigError, FAULT_ROUTER_BUDGET_BYTES, MAX_FAULTY_SIM_NODES,
+    MAX_SIM_NODES, SIM_STATE_BUDGET_BYTES,
 };
 pub use engine::Simulator;
 pub use report::SimReport;

@@ -69,6 +69,8 @@ pub enum TopologyError {
     BadDimensionCount,
     /// `k^n` overflows the node-id space.
     TooManyNodes,
+    /// The network's channel count overflows the channel-id space.
+    TooManyChannels,
     /// The requested link-kind/boundary combination is not supported by the
     /// operation named in `context`.
     UnsupportedLinkKind {
@@ -85,6 +87,7 @@ impl fmt::Display for TopologyError {
                 write!(f, "dimension count n must be in 1..={MAX_DIMS}")
             }
             TopologyError::TooManyNodes => write!(f, "k^n exceeds the supported node-id space"),
+            TopologyError::TooManyChannels => write!(f, "channels exceed the channel-id space"),
             TopologyError::UnsupportedLinkKind { context } => {
                 write!(f, "unsupported link kind: {context}")
             }
@@ -151,13 +154,17 @@ impl KAryNCube {
                 return Err(TopologyError::TooManyNodes);
             }
         }
-        Ok(KAryNCube {
+        let topo = KAryNCube {
             k,
             n,
             nodes: nodes as u32,
             links,
             boundary,
-        })
+        };
+        if nodes * u64::from(topo.channels_per_node()) > u64::from(u32::MAX) {
+            return Err(TopologyError::TooManyChannels);
+        }
+        Ok(topo)
     }
 
     /// Radix `k`: nodes per dimension.
@@ -415,6 +422,29 @@ mod tests {
         assert_eq!(
             KAryNCube::unidirectional(1 << 11, 3),
             Err(TopologyError::TooManyNodes)
+        );
+    }
+
+    #[test]
+    fn channel_ids_must_fit_in_u32() {
+        // 2^30 nodes fit the node-id space, but their 6·2^30 channels do
+        // not fit the channel-id space.
+        assert_eq!(
+            KAryNCube::bidirectional(1024, 3),
+            Err(TopologyError::TooManyChannels)
+        );
+        // Unidirectional, the same nodes need 3·2^30 channel ids: they fit.
+        assert_eq!(
+            KAryNCube::unidirectional(1024, 3).unwrap().num_channels(),
+            3 << 30
+        );
+        // The largest unidirectional ring fills the channel-id space
+        // exactly: one channel per node.
+        let ring = KAryNCube::unidirectional(u32::MAX, 1).unwrap();
+        assert_eq!(ring.num_channels(), u32::MAX);
+        assert_eq!(
+            KAryNCube::bidirectional(u32::MAX, 1),
+            Err(TopologyError::TooManyChannels)
         );
     }
 

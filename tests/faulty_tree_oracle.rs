@@ -340,8 +340,8 @@ fn check(faults: FaultSet, hot: NodeId, loads: &[f64], ctx: &str) {
     );
     assert_eq!(router.dependency_cycle().is_none(), router.deadlock_free());
 
+    assert_eq!(router.reachable_pairs(), walk.pairs.len() as u64, "{ctx}");
     let rates = model.channel_rates();
-    assert_eq!(rates.reachable_pairs(), walk.pairs.len() as u64, "{ctx}");
     let (regular, hot_unit) = walk.unit_rates(&topo, hot);
     for c in 0..regular.len() {
         let id = kncube::topology::ChannelId(c as u32);
