@@ -35,7 +35,7 @@ fn model_latency(cfg: NCubeConfig) -> String {
 fn main() {
     let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.4, false);
-    let sat = or_exit(fig.saturation());
+    let sat = or_exit(fig.saturation(), "saturation search failed");
     let grid: Vec<f64> = [0.3, 0.6, 0.85].iter().map(|f| f * sat).collect();
 
     // The Eq. 25 reading only matters when competitor services depend on

@@ -26,7 +26,7 @@ use kncube_traffic::ArrivalProcess;
 fn main() {
     let quick = kncube_bench::quick_flag();
     let fig = FigureConfig::paper(32, 0.2, false);
-    let sat = or_exit(fig.saturation());
+    let sat = or_exit(fig.saturation(), "saturation search failed");
     let betas = [1.0, 2.0, 4.0, 8.0];
     let fractions = if quick {
         vec![0.3, 0.6]

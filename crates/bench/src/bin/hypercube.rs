@@ -68,7 +68,10 @@ fn main() {
     let hyper256 = HypercubeModel::new(8, 2, 32, 0.0, 0.2)
         .unwrap()
         .saturation_bound();
-    let torus256 = or_exit(FigureConfig::paper(32, 0.2, false).saturation());
+    let torus256 = or_exit(
+        FigureConfig::paper(32, 0.2, false).saturation(),
+        "saturation search failed",
+    );
     println!(
         "\nat N = 256, Lm = 32, h = 20%:\n\
          hypercube λ* ≈ {hyper256:.3e}   (worst channel drains N/2 = 128 hot sources)\n\

@@ -59,13 +59,7 @@ With --baseline, compares against a previous document: ratios below\n\
 
 /// Time one production `run()` and return `(seconds, cycles, completed)`.
 fn time_run(cfg: SimConfig) -> (f64, u64, u64) {
-    let sim = match Simulator::new(cfg) {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("error: invalid benchmark configuration: {e}");
-            std::process::exit(2);
-        }
-    };
+    let sim = or_exit(Simulator::new(cfg), "invalid benchmark configuration");
     let start = Instant::now();
     let report = sim.run();
     let dt = start.elapsed().as_secs_f64().max(1e-9);
@@ -89,11 +83,10 @@ fn median_iqr(xs: &[f64]) -> (f64, f64) {
 fn time_model_solve(cfg: NCubeConfig, iters: u32) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {
-        let out = NCubeModel::new(cfg).and_then(|m| m.solve());
-        if let Err(e) = out {
-            eprintln!("error: model failed to solve at λ={}: {e}", cfg.lambda);
-            std::process::exit(2);
-        }
+        or_exit(
+            NCubeModel::new(cfg).and_then(|m| m.solve()),
+            format_args!("model failed to solve at λ={}", cfg.lambda),
+        );
     }
     start.elapsed().as_secs_f64() / iters as f64 * 1e6
 }
@@ -103,7 +96,10 @@ fn measure(quick: bool) -> Json {
     for (k, n, v, lm, h) in CONFIGS {
         let base = NCubeConfig::new(k, n, v, lm, 0.0, h);
         let (lo, hi) = SATURATION_BRACKET;
-        let sat = or_exit(find_saturation_ncube(base, lo, hi, SATURATION_REL_TOL));
+        let sat = or_exit(
+            find_saturation_ncube(base, lo, hi, SATURATION_REL_TOL),
+            "saturation search failed",
+        );
         let mut entry = benchfile::config_entry(k, n, v, lm, h);
         entry.set("saturation_lambda", Json::Num(sat));
 

@@ -66,14 +66,14 @@ fn main() {
             } else {
                 (600_000, 50_000, 0)
             };
-            let model_sat = or_exit(cfg.saturation());
+            let model_sat = or_exit(cfg.saturation(), "saturation search failed");
             // The model's search, driven by the simulator: bisect to 5%.
-            let sim_sat = or_exit(bisect_saturation(
-                0.5 * model_sat,
-                1.4 * model_sat,
-                0.05,
-                |lambda| (!saturates(&cfg, lambda)).then_some(0),
-            ))
+            let sim_sat = or_exit(
+                bisect_saturation(0.5 * model_sat, 1.4 * model_sat, 0.05, |lambda| {
+                    (!saturates(&cfg, lambda)).then_some(0)
+                }),
+                "saturation search failed",
+            )
             .lambda_star;
             let bound = 1.0 / (h * (cfg.k * (cfg.k - 1)) as f64 * (lm + 1) as f64);
             format!(

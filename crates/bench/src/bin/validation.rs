@@ -39,7 +39,10 @@ fn main() {
                     } else {
                         (1_500_000, 100_000, 30_000)
                     };
-                    cells.push((cfg, 0.4 * or_exit(cfg.saturation())));
+                    cells.push((
+                        cfg,
+                        0.4 * or_exit(cfg.saturation(), "saturation search failed"),
+                    ));
                 }
             }
         }

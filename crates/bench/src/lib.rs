@@ -27,14 +27,17 @@ pub const SATURATION_BRACKET: (f64, f64) = (1e-9, 1e-1);
 /// Relative width to which the experiment binaries bisect λ*.
 pub const SATURATION_REL_TOL: f64 = 1e-3;
 
-/// Unwrap a saturation-search result in a figure binary: on failure,
-/// print a one-line human-readable message (not the `Debug` form) to
-/// stderr and exit non-zero.
-pub fn or_exit<T>(result: Result<T, SaturationError>) -> T {
+/// Unwrap a result in an experiment or benchmark binary: on failure,
+/// print `error: {context}: {e}` (the error's `Display` form, not its
+/// `Debug` form) to stderr and exit 2.
+pub fn or_exit<T, E: std::fmt::Display>(
+    result: Result<T, E>,
+    context: impl std::fmt::Display,
+) -> T {
     match result {
         Ok(value) => value,
         Err(e) => {
-            eprintln!("error: saturation search failed: {e}");
+            eprintln!("error: {context}: {e}");
             std::process::exit(2);
         }
     }
@@ -230,7 +233,7 @@ pub fn figure_main(runs: impl IntoIterator<Item = (String, String, FigureConfig)
     let runs: Vec<_> = runs.into_iter().collect();
     let mut points = Vec::new();
     for (_, _, config) in &runs {
-        let grid = or_exit(config.lambda_grid());
+        let grid = or_exit(config.lambda_grid(), "saturation search failed");
         points.extend(grid.into_iter().map(|lambda| (*config, lambda)));
     }
     let mut rows = run_points(&points).into_iter();

@@ -548,12 +548,10 @@ pub fn run_query_bench(quick: bool) -> Json {
         let mut base = NCubeConfig::new(k, n, v, lm, 0.0, h);
         base.service_model = ServiceTimeModel::PathOccupancy;
         let (sat_lo, sat_hi) = SATURATION_BRACKET;
-        let sat = or_exit(find_saturation_ncube_report(
-            base,
-            sat_lo,
-            sat_hi,
-            SATURATION_REL_TOL,
-        ))
+        let sat = or_exit(
+            find_saturation_ncube_report(base, sat_lo, sat_hi, SATURATION_REL_TOL),
+            "saturation search failed",
+        )
         .lambda_star;
         let configs_grid: Vec<NCubeConfig> = (0..points)
             .map(|i| {
@@ -570,13 +568,12 @@ pub fn run_query_bench(quick: bool) -> Json {
         let cold_start = Instant::now();
         let mut cold_iters = 0usize;
         for cfg in &configs_grid {
-            match NCubeModel::new(*cfg).and_then(|m| m.solve()) {
-                Ok(out) => cold_iters += out.iterations,
-                Err(e) => {
-                    eprintln!("error: cold solve failed at λ={}: {e}", cfg.lambda);
-                    std::process::exit(2);
-                }
-            }
+            let solved = NCubeModel::new(*cfg).and_then(|m| m.solve());
+            cold_iters += or_exit(
+                solved,
+                format_args!("cold solve failed at λ={}", cfg.lambda),
+            )
+            .iterations;
         }
         let cold_secs = cold_start.elapsed().as_secs_f64().max(1e-9);
 
@@ -593,23 +590,21 @@ pub fn run_query_bench(quick: bool) -> Json {
         for cfg in &accelerated {
             let (solved, state) = cache.solve_with_warm(cfg, warm.as_deref());
             warm = state;
-            match solved {
-                Ok(out) => warm_iters += out.iterations,
-                Err(e) => {
-                    eprintln!("error: engine solve failed at λ={}: {e}", cfg.lambda);
-                    std::process::exit(2);
-                }
-            }
+            warm_iters += or_exit(
+                solved,
+                format_args!("engine solve failed at λ={}", cfg.lambda),
+            )
+            .iterations;
         }
         let warm_secs = warm_start.elapsed().as_secs_f64().max(1e-9);
 
         // Replay pass: the same grid again — pure cache hits.
         let replay_start = Instant::now();
         for cfg in &accelerated {
-            if cache.solve(cfg).is_err() {
-                eprintln!("error: cache replay failed at λ={}", cfg.lambda);
-                std::process::exit(2);
-            }
+            or_exit(
+                cache.solve(cfg),
+                format_args!("cache replay failed at λ={}", cfg.lambda),
+            );
         }
         let replay_secs = replay_start.elapsed().as_secs_f64().max(1e-9);
 

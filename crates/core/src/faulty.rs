@@ -27,6 +27,11 @@
 //!    Route latencies are prefix sums down each destination's tree, so a
 //!    solve costs `O(N²)` array operations and no route walks.
 //!
+//! A λ* search ([`FaultyNCubeModel::saturation`]) skips the composition
+//! on every probe that per-source route bounds, built once per search,
+//! prove stable; its answers are those of a search over
+//! [`FaultyNCubeModel::solve_at`].
+//!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
 //! detoured routes correlate them, and blocking delays add along a route.
@@ -199,6 +204,163 @@ fn closed_form_twin(config: &FaultyNCubeConfig, lambda: f64) -> NCubeConfig {
     )
 }
 
+/// The per-channel pass of a solve at one rate, every utilization below 1.
+struct ChannelPass {
+    blocking: Vec<f64>,
+    vbar: Vec<f64>,
+    max_utilization: f64,
+}
+
+/// Channels whose blocking [`StabilityBound`] follows one by one: the
+/// highest unit loads, where the largest blocking terms sit.
+const TRACKED_CHANNELS: usize = 16;
+
+/// Relative margin a [`StabilityBound`] keeps below utilization 1: far
+/// above the rounding of the bound and of the composition alike.
+const STABILITY_MARGIN: f64 = 1e-9;
+
+/// Upper bounds on each source's Eq. (28) utilization, from its routes'
+/// lengths and tracked-channel crossings, built once per saturation
+/// search.  Every hop is charged `1 + τ`, where `τ` is the largest
+/// blocking off the tracked channels, and a crossing of tracked channel
+/// `t` adds `B_t − τ`: a route's charge is at least its composed
+/// `Σ (1 + B_c)`, and equal to it where every untracked channel on it
+/// blocks for `τ` (DESIGN.md §Faulty-network model, *Cost*).
+struct StabilityBound {
+    /// The tracked channels, highest unit load first (ties by id).
+    tracked: Vec<usize>,
+    /// Per channel: its bit in a route's tracked mask, 0 if untracked.
+    bit: Vec<u16>,
+    /// The healthy sources.
+    sources: Vec<SourceRoutes>,
+}
+
+/// What [`StabilityBound`] keeps of one source's routes.
+struct SourceRoutes {
+    /// Weight of each uniform pair: regular share over `N − 1`.
+    pair_weight: f64,
+    /// Reachable destinations.
+    count: u32,
+    /// Summed route lengths.
+    hops: u32,
+    /// How many routes cross each tracked channel.
+    crossings: [u32; TRACKED_CHANNELS],
+    /// Length and tracked mask of the route to the hot node.
+    to_hot: Option<(u32, u16)>,
+}
+
+impl StabilityBound {
+    /// One sweep over the router's trees: depths and tracked masks are
+    /// prefix sums and unions down each tree, as latencies are in a
+    /// composition.
+    fn new(model: &FaultyNCubeModel) -> Self {
+        let config = &model.config;
+        let topo = *config.topology();
+        let num_channels = topo.num_channels() as usize;
+        let unit_load = |c: usize| model.rates.total_rate(ChannelId(c as u32), 1.0);
+        let mut tracked: Vec<usize> = (0..num_channels).collect();
+        tracked.sort_by(|&a, &b| unit_load(b).total_cmp(&unit_load(a)).then(a.cmp(&b)));
+        tracked.truncate(TRACKED_CHANNELS);
+        let mut bit = vec![0u16; num_channels];
+        for (slot, &c) in tracked.iter().enumerate() {
+            bit[c] = 1 << slot;
+        }
+
+        let n = topo.num_nodes() as usize;
+        let mut depth = vec![0u32; n];
+        let mut mask = vec![0u16; n];
+        let mut count = vec![0u32; n];
+        let mut hops = vec![0u32; n];
+        let mut crossings = vec![[0u32; TRACKED_CHANNELS]; n];
+        let mut to_hot = vec![None; n];
+        for dest in topo.nodes() {
+            (depth[dest.index()], mask[dest.index()]) = (0, 0);
+            for edge in model.router.tree(dest) {
+                let (v, p) = (edge.node.index(), edge.parent.index());
+                depth[v] = depth[p] + 1;
+                mask[v] = mask[p] | bit[edge.channel.index()];
+                count[v] += 1;
+                hops[v] += depth[v];
+                let mut rest = mask[v];
+                while rest != 0 {
+                    crossings[v][rest.trailing_zeros() as usize] += 1;
+                    rest &= rest - 1;
+                }
+                if dest == config.hot_node {
+                    to_hot[v] = Some((depth[v], mask[v]));
+                }
+            }
+        }
+
+        let others = (n - 1) as f64;
+        let sources = topo
+            .nodes()
+            .filter(|&src| !config.faults.node_failed(src))
+            .map(|src| {
+                let s = src.index();
+                let regular_share = if src == config.hot_node {
+                    1.0
+                } else {
+                    1.0 - config.hot_fraction
+                };
+                SourceRoutes {
+                    pair_weight: regular_share / others,
+                    count: count[s],
+                    hops: hops[s],
+                    crossings: crossings[s],
+                    to_hot: to_hot[s],
+                }
+            })
+            .collect();
+        StabilityBound {
+            tracked,
+            bit,
+            sources,
+        }
+    }
+
+    /// Whether every source's bounded Eq. (28) utilization at `lambda`,
+    /// over the blocking of `pass`, is below 1 with
+    /// [`STABILITY_MARGIN`] to spare.
+    fn proves_stable(&self, model: &FaultyNCubeModel, lambda: f64, pass: &ChannelPass) -> bool {
+        let mut tau = 0.0f64;
+        for (&b, &bit) in pass.blocking.iter().zip(&self.bit) {
+            if !b.is_finite() {
+                return false;
+            }
+            if bit == 0 {
+                tau = tau.max(b);
+            }
+        }
+        let mut excess = [0.0f64; TRACKED_CHANNELS];
+        for (e, &c) in excess.iter_mut().zip(&self.tracked) {
+            *e = pass.blocking[c] - tau;
+        }
+        let lm = model.config.message_length as f64;
+        let h = model.config.hot_fraction;
+        let hop = 1.0 + tau;
+        let scale = lambda / model.config.virtual_channels as f64 * (1.0 + STABILITY_MARGIN);
+        self.sources.iter().all(|src| {
+            let crossed: f64 = src
+                .crossings
+                .iter()
+                .zip(&excess)
+                .map(|(&k, &e)| k as f64 * e)
+                .sum();
+            let mut service =
+                src.pair_weight * (src.count as f64 * lm + src.hops as f64 * hop + crossed);
+            if let Some((len, mask)) = src.to_hot {
+                let crossed: f64 = (0..TRACKED_CHANNELS)
+                    .filter(|t| mask >> t & 1 == 1)
+                    .map(|t| excess[t])
+                    .sum();
+                service += h * (lm + len as f64 * hop + crossed);
+            }
+            scale * service < 1.0
+        })
+    }
+}
+
 impl FaultyNCubeModel {
     /// Validate `config`, build the fault-aware router, and enumerate the
     /// per-channel loads.
@@ -277,15 +439,45 @@ impl FaultyNCubeModel {
     /// non-iterative (each solvable probe counts one iteration); the
     /// delegated fault-free path reports the closed-form solver's
     /// converged iteration counts.
+    ///
+    /// On the per-channel path a probe that passes the per-channel check
+    /// skips the composition when the per-source route bound proves every
+    /// source queue stable ([`FaultyNCubeModel::proves_stable`]); the
+    /// bound never accepts a rate [`FaultyNCubeModel::solve_at`] rejects,
+    /// so `λ*` and the counts are those of a search over `solve_at`.
     pub fn saturation(
         &self,
         lo: f64,
         hi: f64,
         rel_tol: f64,
     ) -> Result<SaturationReport, SaturationError> {
+        if self.delegates_to_ncube() {
+            return bisect_saturation(lo, hi, rel_tol, |lambda| {
+                self.solve_delegated(lambda).ok().map(|out| out.iterations)
+            });
+        }
+        let bound = StabilityBound::new(self);
         bisect_saturation(lo, hi, rel_tol, |lambda| {
-            self.solve_at(lambda).ok().map(|out| out.iterations)
+            let pass = self.channel_pass(lambda).ok()?;
+            if bound.proves_stable(self, lambda, &pass) {
+                return Some(1);
+            }
+            self.compose(lambda, &pass).ok().map(|out| out.iterations)
         })
+    }
+
+    /// Whether the per-source route bound alone proves the per-channel
+    /// path stable at `lambda`: every channel utilization and every
+    /// source's Eq. (28) utilization below 1, without composing (DESIGN.md
+    /// §Faulty-network model, *Cost*).  `true` implies
+    /// [`FaultyNCubeModel::solve_general_at`] succeeds at `lambda`;
+    /// `false` proves nothing.  Always `false` where
+    /// [`FaultyNCubeModel::solve`] delegates to the closed forms.
+    pub fn proves_stable(&self, lambda: f64) -> bool {
+        !self.delegates_to_ncube()
+            && self
+                .channel_pass(lambda)
+                .is_ok_and(|pass| StabilityBound::new(self).proves_stable(self, lambda, &pass))
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -311,21 +503,22 @@ impl FaultyNCubeModel {
     /// [`FaultyNCubeModel::solve`] would delegate — the cross-validation
     /// hook for the reduction tests.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
+        let pass = self.channel_pass(lambda)?;
+        self.compose(lambda, &pass)
+    }
+
+    /// The per-channel pass at rate `lambda`: blocking, utilization and
+    /// multiplexing degree of every channel.  Errs `Saturated` when any
+    /// channel utilization reaches 1.
+    fn channel_pass(&self, lambda: f64) -> Result<ChannelPass, ModelError> {
         NCubeModel::new(closed_form_twin(&self.config, lambda))?;
-        let topo = *self.config.topology();
-        let n_nodes = topo.num_nodes();
-        let others = (n_nodes - 1) as f64;
         let lm = self.config.message_length as f64;
         // The default load-independent pipelined-transfer holding time:
         // one header cycle per channel plus the message body (the same
         // `Lm + 1` the fault-free solver converges to immediately).
         let hold = lm + 1.0;
         let v = self.config.virtual_channels;
-        let h = self.config.hot_fraction;
-        let hot_node = self.config.hot_node;
-        let num_channels = topo.num_channels() as usize;
-
-        // --- Per-channel blocking, utilization and multiplexing degree.
+        let num_channels = self.config.topology().num_channels() as usize;
         let mut blocking = vec![0.0f64; num_channels];
         let mut vbar = vec![1.0f64; num_channels];
         let mut max_utilization = 0.0f64;
@@ -341,6 +534,27 @@ impl FaultyNCubeModel {
         if max_utilization >= 1.0 {
             return Err(ModelError::Saturated { max_utilization });
         }
+        Ok(ChannelPass {
+            blocking,
+            vbar,
+            max_utilization,
+        })
+    }
+
+    /// Compose the per-source latencies and source-queue waits over the
+    /// channel pass at rate `lambda`.  Errs `Saturated` when a source
+    /// queue's Eq. (28) utilization reaches 1.
+    fn compose(&self, lambda: f64, pass: &ChannelPass) -> Result<FaultyNCubeOutput, ModelError> {
+        #[cfg(test)]
+        tests::COMPOSITIONS.with(|count| count.set(count.get() + 1));
+        let topo = *self.config.topology();
+        let n_nodes = topo.num_nodes();
+        let others = (n_nodes - 1) as f64;
+        let lm = self.config.message_length as f64;
+        let v = self.config.virtual_channels;
+        let h = self.config.hot_fraction;
+        let hot_node = self.config.hot_node;
+        let (blocking, vbar) = (&pass.blocking, &pass.vbar);
 
         // --- Per-source composition, one prefix-sum sweep per destination.
         // Down each destination's tree `lat[v] = lat[parent] + 1 + B_c(v)`
@@ -427,7 +641,7 @@ impl FaultyNCubeModel {
             } else {
                 0.0
             },
-            max_utilization,
+            max_utilization: pass.max_utilization,
             reachable_pairs: self.router.reachable_pairs(),
             reachable_fraction: self.router.reachable_fraction(),
             mean_detour_hops: self.router.expected_detour(),
@@ -442,9 +656,90 @@ impl FaultyNCubeModel {
 mod tests {
     use super::*;
     use crate::ncube::MAX_VIRTUAL_CHANNELS;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Full compositions run on this thread, for the tests to count
+        /// what a search composes.
+        pub(super) static COMPOSITIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `search()`'s result and the compositions it ran.
+    fn counting_compositions<T>(search: impl FnOnce() -> T) -> (T, usize) {
+        let before = COMPOSITIONS.with(Cell::get);
+        let result = search();
+        (result, COMPOSITIONS.with(Cell::get) - before)
+    }
 
     fn empty(topo: KAryNCube) -> FaultSet {
         FaultSet::none(topo)
+    }
+
+    /// Fail each router, and each node's `Plus` link in every dimension,
+    /// with probability `density`, from a splitmix64 stream of `seed`.
+    fn sampled_faults(topo: KAryNCube, density: f64, seed: u64) -> FaultSet {
+        let mut state = seed;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / ((1u64 << 53) as f64) < density
+        };
+        let mut faults = FaultSet::none(topo);
+        for node in topo.nodes() {
+            if draw() {
+                faults.fail_node(node);
+            }
+            for dim in 0..topo.n() {
+                if draw() {
+                    faults.fail_link(kncube_topology::Channel {
+                        from: node,
+                        dim,
+                        direction: kncube_topology::Direction::Plus,
+                    });
+                }
+            }
+        }
+        faults
+    }
+
+    #[test]
+    fn route_bound_leaves_few_compositions_per_search() {
+        // The benchmark's shape: 256- and 512-node bi-tori at 0, 2 and 5%
+        // faults, V = 2, Lm = 16, h = 0.2, searched from (1e-9, 1e-1) to
+        // 1e-3.  Composing every probe the channel pass accepts costs 7-10
+        // compositions per search; the bound leaves only probes that are
+        // truly unstable.
+        for (k, n) in [(16u32, 2u32), (8, 3)] {
+            for (index, density) in [0.0, 0.02, 0.05].into_iter().enumerate() {
+                let topo = KAryNCube::bidirectional(k, n).unwrap();
+                let faults = sampled_faults(topo, density, 1 + index as u64);
+                let model =
+                    FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, 2, 16, 0.0, 0.2)).unwrap();
+                let (fast, composed) =
+                    counting_compositions(|| model.saturation(1e-9, 1e-1, 1e-3).unwrap());
+                let (slow, composed_all) = counting_compositions(|| {
+                    bisect_saturation(1e-9, 1e-1, 1e-3, |lambda| {
+                        model.solve_at(lambda).ok().map(|out| out.iterations)
+                    })
+                    .unwrap()
+                });
+                assert_eq!(fast.lambda_star.to_bits(), slow.lambda_star.to_bits());
+                assert_eq!(
+                    (fast.probes, fast.solver_iterations),
+                    (slow.probes, slow.solver_iterations)
+                );
+                assert!(
+                    composed <= 3,
+                    "({k},{n}) at {density}: {composed} compositions (all: {composed_all})"
+                );
+                assert!(
+                    composed_all >= 7,
+                    "({k},{n}) at {density}: {composed_all} compositions without the bound"
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! Because the `Lm + 1` service time is load-independent, everything
 //! evaluates in closed form — no fixed-point iteration is needed.
 
-use crate::ncube::{ModelError, RHO_CAP};
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, RHO_CAP};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::mg1;
 use kncube_queueing::vc_multiplex::multiplexing_factor;
@@ -98,7 +98,8 @@ pub struct HypercubeOutput {
 }
 
 impl HypercubeModel {
-    /// Build the model; `n` in `1..=20`, `h` in `[0, 1]`.
+    /// Build the model; `n` in `1..=20`, and V, Lm, h and λ in the
+    /// ranges [`NCubeModel::new`] accepts.
     pub fn new(
         n: u32,
         virtual_channels: u32,
@@ -109,18 +110,16 @@ impl HypercubeModel {
         if n == 0 || n > 20 {
             return Err(ModelError::BadConfig("n must be in 1..=20".into()));
         }
-        if virtual_channels < 1 {
-            return Err(ModelError::BadConfig("need at least one VC".into()));
-        }
-        if message_length < 1 {
-            return Err(ModelError::BadConfig("messages need >= 1 flit".into()));
-        }
-        if !(0.0..=1.0).contains(&hot_fraction) {
-            return Err(ModelError::BadConfig("h must be in [0, 1]".into()));
-        }
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(ModelError::BadConfig("λ must be finite and >= 0".into()));
-        }
+        // The closed-form twin (the 2-ary n-cube) owns the V, Lm, h and λ
+        // ranges.
+        NCubeModel::new(NCubeConfig::new(
+            2,
+            n,
+            virtual_channels,
+            message_length,
+            lambda,
+            hot_fraction,
+        ))?;
         Ok(HypercubeModel {
             n,
             virtual_channels,

@@ -76,3 +76,44 @@ pub use sweep::{
     SaturationReport,
 };
 pub use uniform::UniformModel;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kncube_topology::{FaultSet, KAryNCube};
+
+    /// Every model checks V through `NCubeModel::new` on its closed-form
+    /// twin, so all four refuse the same values with the same message.
+    #[test]
+    fn every_model_refuses_out_of_range_virtual_channels_alike() {
+        let bi_torus = KAryNCube::bidirectional(4, 2).unwrap();
+        for v in [0, MAX_VIRTUAL_CHANNELS + 1] {
+            let message = |result: Result<(), ModelError>| match result {
+                Err(ModelError::BadConfig(message)) => message,
+                other => panic!("V = {v}: {other:?}"),
+            };
+            let messages = [
+                message(NCubeModel::new(NCubeConfig::new(4, 2, v, 16, 1e-4, 0.2)).map(drop)),
+                message(
+                    FaultyNCubeModel::new(FaultyNCubeConfig::new(
+                        FaultSet::none(bi_torus),
+                        v,
+                        16,
+                        1e-4,
+                        0.2,
+                    ))
+                    .map(drop),
+                ),
+                message(HypercubeModel::new(4, v, 16, 1e-4, 0.2).map(drop)),
+                message(UniformModel::new(4, v, 16, 1e-4).solve().map(drop)),
+            ];
+            for m in &messages {
+                assert_eq!(
+                    *m,
+                    format!("virtual channels must be in 1..={MAX_VIRTUAL_CHANNELS}"),
+                    "V = {v}"
+                );
+            }
+        }
+    }
+}

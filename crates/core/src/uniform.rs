@@ -26,7 +26,7 @@
 //! `P(y only) = 1/(k+1)`, adds the M/G/1 source wait at rate `λ/V`, and
 //! scales by the multiplexing degree of Eqs. (33)–(35).
 
-use crate::ncube::{ModelError, ServiceTimeModel, RHO_CAP};
+use crate::ncube::{ModelError, NCubeConfig, NCubeModel, ServiceTimeModel, RHO_CAP};
 use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
 use kncube_queueing::fixed_point::{self, Acceleration, FixedPointError};
 use kncube_queueing::mg1;
@@ -88,11 +88,18 @@ impl UniformModel {
         self.lambda * (self.k as f64 - 1.0) / 2.0
     }
 
-    /// Solve the baseline model.
+    /// Solve the baseline model.  The closed-form twin (the same `k × k`
+    /// torus at `h = 0`) owns the parameter ranges: a config
+    /// [`NCubeModel::new`] refuses errs with its message.
     pub fn solve(&self) -> Result<UniformOutput, ModelError> {
-        if self.k < 2 {
-            return Err(ModelError::BadConfig("radix k must be >= 2".into()));
-        }
+        NCubeModel::new(NCubeConfig::new(
+            self.k,
+            2,
+            self.virtual_channels,
+            self.message_length,
+            self.lambda,
+            0.0,
+        ))?;
         let k = self.k as usize;
         let m = k - 1;
         let kf = self.k as f64;

@@ -6,7 +6,7 @@
 //! these properties are exactly reproducible in CI — an empirically
 //! validated property here cannot flake.
 
-use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel};
+use kncube_core::{bisect_saturation, FaultyNCubeConfig, FaultyNCubeModel};
 use kncube_topology::{Channel, ChannelId, Direction, FaultRouter, FaultSet, KAryNCube, NodeId};
 use proptest::prelude::*;
 
@@ -60,6 +60,49 @@ fn apply(faults: &mut FaultSet, elem: &FaultElem) {
             });
         }
     }
+}
+
+/// Uni- and bidirectional tori and meshes up to 64 nodes.
+fn arb_bound_topology() -> impl Strategy<Value = KAryNCube> {
+    (0u32..6, 3u32..9).prop_map(|(which, k)| match which {
+        0 => KAryNCube::unidirectional(k, 2).unwrap(),
+        1 => KAryNCube::bidirectional(k, 2).unwrap(),
+        2 => KAryNCube::mesh(k, 2).unwrap(),
+        3 => KAryNCube::unidirectional(4, 3).unwrap(),
+        4 => KAryNCube::bidirectional(4, 3).unwrap(),
+        _ => KAryNCube::mesh(4, 3).unwrap(),
+    })
+}
+
+/// Fail each router and each directed link with probability `density`,
+/// from a splitmix64 stream of `seed`.
+fn sampled_faults(topo: KAryNCube, density: f64, seed: u64) -> FaultSet {
+    let mut state = seed;
+    let mut draw = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / ((1u64 << 53) as f64) < density
+    };
+    let mut faults = FaultSet::none(topo);
+    for node in topo.nodes() {
+        if draw() {
+            faults.fail_node(node);
+        }
+        for dim in 0..topo.n() {
+            for direction in [Direction::Plus, Direction::Minus] {
+                if draw() {
+                    faults.fail_link(Channel {
+                        from: node,
+                        dim,
+                        direction,
+                    });
+                }
+            }
+        }
+    }
+    faults
 }
 
 fn model(faults: FaultSet, lambda: f64) -> FaultyNCubeModel {
@@ -177,5 +220,117 @@ proptest! {
             prev = cur;
             prev_sat = sat;
         }
+    }
+}
+
+/// Every probe of `m`'s λ* search to 1e-13, then the 34 floats around
+/// the edge of the rates `solve_at` accepts, narrowed to adjacent floats:
+/// there the bound and the composition round differently.
+fn rates_near_the_edge(m: &FaultyNCubeModel) -> Vec<f64> {
+    let solves = |lambda: f64| m.solve_at(lambda).is_ok();
+    let mut rates = Vec::new();
+    let tight = bisect_saturation(1e-9, 1e-1, 1e-13, |lambda| {
+        rates.push(lambda);
+        solves(lambda).then_some(1)
+    });
+    if let Ok(tight) = tight {
+        let mut lo = (tight.lambda_star * (1.0 - 1e-13)).to_bits();
+        let mut hi = (tight.lambda_star * (1.0 + 1e-13)).to_bits();
+        if solves(f64::from_bits(lo)) && !solves(f64::from_bits(hi)) {
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if solves(f64::from_bits(mid)) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        rates.extend((lo - 16..=hi + 16).map(f64::from_bits));
+    }
+    rates
+}
+
+/// The first rate among `rates` that `m`'s stability bound certifies but
+/// the composition rejects.
+fn certified_but_unstable(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
+    rates
+        .iter()
+        .copied()
+        .find(|&lambda| m.proves_stable(lambda) && m.solve_general_at(lambda).is_err())
+}
+
+/// Fault-free bidirectional tori at `h = 0`: every channel carries the
+/// same load, so the stability bound is exact and only its margin
+/// separates it from the composition's rounding, float by float.
+#[test]
+fn certification_holds_float_by_float_where_the_bound_is_exact() {
+    for (k, n) in [
+        (3u32, 2u32),
+        (4, 2),
+        (5, 2),
+        (6, 2),
+        (7, 2),
+        (8, 2),
+        (3, 3),
+        (4, 3),
+    ] {
+        for lm in [1u32, 4, 16, 64] {
+            for v in [1u32, 2] {
+                let topo = KAryNCube::bidirectional(k, n).unwrap();
+                let config = FaultyNCubeConfig::new(FaultSet::none(topo), v, lm, 0.0, 0.0);
+                let m = FaultyNCubeModel::new(config).expect("valid faulty config");
+                let rates = rates_near_the_edge(&m);
+                assert_eq!(
+                    certified_but_unstable(&m, &rates),
+                    None,
+                    "({k},{n}), Lm {lm}, V {v}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The stability bound only ever skips compositions: a probe it
+    /// certifies solves, and the search that uses it
+    /// (`FaultyNCubeModel::saturation`) is the bisection over `solve_at`,
+    /// bit for bit.  Certification is checked on [`rates_near_the_edge`].
+    /// A quarter of the draws are fault-free, and `h` is 0 or 1 a quarter
+    /// of the time each.
+    #[test]
+    fn certified_probes_solve_and_the_search_is_unchanged(
+        topo in arb_bound_topology(),
+        (density_pick, density, seed) in (0u32..4, 0.0f64..=0.1, 0u64..u64::MAX),
+        (v, lm) in (1u32..=4, 1u32..=64),
+        (h_pick, h, hot) in (0u32..4, 0.0f64..=1.0, 0u32..u32::MAX),
+    ) {
+        let density = if density_pick == 0 { 0.0 } else { density };
+        let faults = sampled_faults(topo, density, seed);
+        let h = match h_pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => h,
+        };
+        let config = FaultyNCubeConfig::new(faults, v, lm, 0.0, h)
+            .with_hot_node(NodeId(hot % topo.num_nodes()));
+        let m = FaultyNCubeModel::new(config).expect("valid faulty config");
+        let solvable = |lambda: f64| m.solve_at(lambda).ok().map(|out| out.iterations);
+
+        let fast = m.saturation(1e-9, 1e-1, 1e-3);
+        let reference = bisect_saturation(1e-9, 1e-1, 1e-3, solvable);
+        match (fast, reference) {
+            (Ok(fast), Ok(reference)) => {
+                prop_assert_eq!(fast.lambda_star.to_bits(), reference.lambda_star.to_bits());
+                prop_assert_eq!(fast.probes, reference.probes);
+                prop_assert_eq!(fast.solver_iterations, reference.solver_iterations);
+            }
+            (fast, reference) => prop_assert_eq!(fast.err(), reference.err()),
+        }
+
+        let rates = rates_near_the_edge(&m);
+        prop_assert_eq!(certified_but_unstable(&m, &rates), None, "{:?}", topo);
     }
 }
