@@ -35,8 +35,9 @@
 //!
 //! * [`rates`] — channel traffic rates, Eqs. (1)–(9) for any `(k, n)`,
 //!   and the exact per-channel rates of a faulty network;
-//! * [`probabilities`] — route-case probabilities behind Eqs. (11)–(15),
-//!   (22), (24) and (31)–(32), plus the generalized entry families;
+//! * [`probabilities`] — the entry families of regular messages, the
+//!   n-dimensional aggregation of the route cases of Eqs. (11)–(15), (22),
+//!   (24) and (31)–(32);
 //! * [`ncube`] — the fixed-point solver and latency composition
 //!   (Eqs. 10–37), its configuration and error types;
 //! * [`hypercube`] — the binary-hypercube comparison model (closed form);
@@ -69,7 +70,7 @@ pub use ncube::{
     ModelError, ModelVariant, MultiplexingModel, NCubeConfig, NCubeModel, NCubeOutput,
     ServiceTimeModel, MAX_VIRTUAL_CHANNELS,
 };
-pub use probabilities::{entry_cases, EntryCase, RegularRouteProbs};
+pub use probabilities::{entry_cases, EntryCase};
 pub use rates::{FaultyChannelRates, NCubeRates};
 pub use sweep::{
     bisect_saturation, find_saturation_ncube, find_saturation_ncube_report, SaturationError,

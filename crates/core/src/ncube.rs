@@ -953,6 +953,31 @@ mod tests {
     }
 
     #[test]
+    fn flit_bound_fills_the_busiest_channel_exactly() {
+        // At λ = flit_bound the busiest channel of the rate table carries
+        // one message per `Lm + 1` cycles: the bound is 1 / ((Lm + 1) ·
+        // max over (d, j) of the per-unit-λ total rate of Eqs. 8-9).
+        for k in 2u32..=16 {
+            for n in 1u32..=4 {
+                for h in [0.0, 0.2, 1.0] {
+                    for lm in [1u32, 16, 100] {
+                        let model = NCubeModel::new(NCubeConfig::new(k, n, 2, lm, 0.0, h)).unwrap();
+                        let unit = NCubeRates::new(k, n, 1.0, h);
+                        let busiest = (0..n)
+                            .flat_map(|d| (1..=k).map(move |j| unit.total_rate(d, j)))
+                            .fold(0.0, f64::max);
+                        let fill = model.flit_bound() * (lm + 1) as f64 * busiest;
+                        assert!(
+                            (fill - 1.0).abs() < 1e-12,
+                            "k={k} n={n} h={h} Lm={lm}: flit bound fills {fill}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hot_messages_slower_than_regular_under_hot_load() {
         let out = solve(8, 3, 5e-5, 0.4).unwrap();
         assert!(

@@ -14,6 +14,12 @@
 //!   the product-over-rings generalization of Eqs. (4)–(7), whose 2-D
 //!   instances are the paper's `k - j` (x, Eqs. 4/6) and `k(k - j)`
 //!   (hot y-ring, Eqs. 5/7).
+//!
+//! Both rate tables are checked against a brute-force count of the
+//! sources whose dimension-order route crosses each channel:
+//! [`NCubeRates::hot_rate`] on random cubes in this crate's
+//! `tests/properties.rs`, and [`FaultyChannelRates`] on fault-free
+//! unidirectional tori, bidirectional tori and meshes in the unit tests.
 
 use kncube_topology::{ChannelId, FaultRouter, NodeId};
 
@@ -292,31 +298,47 @@ mod tests {
     #[test]
     fn faulty_rates_cross_check_p_hot_channel_on_fault_free_networks() {
         // On a fault-free network the enumerated hot load on a channel is
-        // exactly `λ h` times the number of sources whose route to the hot
-        // node crosses it — the quantity `N · p_hot_channel` of the
-        // signed-offset hot-spot geometry, on every link kind/boundary.
-        use kncube_topology::{Channel, FaultSet, HotSpotGeometry, KAryNCube};
+        // exactly `λ h` times the number of sources whose dimension-order
+        // route to the hot node crosses it, on every link kind/boundary
+        // (bidirectional ties route positive; meshes have no wrap-around).
+        use kncube_topology::{FaultSet, KAryNCube};
         let h = 0.35;
+        let uni = KAryNCube::unidirectional;
+        let bi = KAryNCube::bidirectional;
+        let mesh = KAryNCube::mesh;
         for topo in [
-            KAryNCube::unidirectional(5, 2).unwrap(),
-            KAryNCube::bidirectional(6, 2).unwrap(),
-            KAryNCube::mesh(4, 2).unwrap(),
+            uni(5, 2),
+            uni(3, 3),
+            bi(6, 2),
+            bi(5, 2),
+            bi(3, 3),
+            bi(2, 4),
+            mesh(4, 2),
+            mesh(5, 2),
+            mesh(3, 3),
+            mesh(2, 4),
         ] {
-            for hot_idx in [0u32, 3, topo.num_nodes() - 1] {
-                let hot = kncube_topology::NodeId(hot_idx);
-                let router = FaultRouter::new(FaultSet::none(topo));
+            let topo = topo.unwrap();
+            let router = FaultRouter::new(FaultSet::none(topo));
+            for hot_idx in [0u32, 3, topo.num_nodes() / 3, topo.num_nodes() - 1] {
+                let hot = NodeId(hot_idx);
                 let rates = FaultyChannelRates::from_router(&router, hot, h);
-                let geom = HotSpotGeometry::new(topo, hot);
-                let n_nodes = topo.num_nodes() as f64;
-                for id in 0..topo.num_channels() {
-                    let cid = ChannelId(id);
-                    let ch = Channel::from_id(&topo, cid);
-                    let expected = h * n_nodes * geom.p_hot_channel(ch);
-                    let got = rates.hot_rate(cid, 1.0);
+                let mut crossing = vec![0u32; topo.num_channels() as usize];
+                for src in topo.nodes().filter(|&src| src != hot) {
+                    for hop in topo.dor_route(src, hot).hops {
+                        crossing[hop.channel.id(&topo).index()] += 1;
+                    }
+                }
+                for (id, &count) in crossing.iter().enumerate() {
+                    let expected = h * count as f64;
+                    let got = rates.hot_rate(ChannelId(id as u32), 1.0);
                     assert!(
                         (got - expected).abs() < 1e-12,
-                        "k={} hot={hot_idx} channel {id}: {got} vs {expected}",
-                        topo.k()
+                        "{:?} {:?} k={} n={} hot={hot_idx} channel {id}: {got} vs {expected}",
+                        topo.link_kind(),
+                        topo.boundary(),
+                        topo.k(),
+                        topo.n()
                     );
                 }
             }

@@ -1,10 +1,11 @@
 //! Property-based tests of the analytical model.
 
 use kncube_core::{
-    ModelError, NCubeConfig, NCubeModel, NCubeRates, RegularRouteProbs, ServiceTimeModel,
-    SolveCache,
+    entry_cases, ModelError, NCubeConfig, NCubeModel, NCubeRates, ServiceTimeModel, SolveCache,
 };
+use kncube_topology::{Channel, Direction, KAryNCube, NodeId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy over valid configurations of the paper's `k × k` torus at a
 /// load comfortably below the hot-channel flit bound.
@@ -22,6 +23,101 @@ fn sub_saturation_config() -> impl Strategy<Value = NCubeConfig> {
             let lambda = frac * hot_bound.min(uni_bound);
             NCubeConfig::new(k, 2, v, lm, lambda, h)
         })
+}
+
+/// Strategy over modest unidirectional 2-D tori plus a hot-spot node.
+fn torus_and_hot() -> impl Strategy<Value = (KAryNCube, u32)> {
+    (2u32..=9).prop_flat_map(|k| {
+        let t = KAryNCube::unidirectional(k, 2).unwrap();
+        let n = t.num_nodes();
+        (Just(t), 0..n)
+    })
+}
+
+/// Strategy over unidirectional k-ary n-cubes (`k <= 16`, `n <= 4`,
+/// at most 1024 nodes so the brute-force route count stays fast) plus a
+/// hot node and a channel source node.
+fn ncube_hot_and_from() -> impl Strategy<Value = (KAryNCube, u32, u32)> {
+    (2u32..=16, 1u32..=4).prop_flat_map(|(k, n)| {
+        // Clamp the radix so high dimensions stay enumerable.
+        let k = match n {
+            3 => k.min(10),
+            4 => k.min(5),
+            _ => k,
+        };
+        let t = KAryNCube::unidirectional(k, n).unwrap();
+        let nodes = t.num_nodes();
+        (Just(t), 0..nodes, 0..nodes)
+    })
+}
+
+/// Brute-force count of the sources whose dimension-order route to `hot`
+/// crosses `channel`.
+fn hot_sources_crossing(t: &KAryNCube, hot: NodeId, channel: Channel) -> u32 {
+    t.nodes()
+        .filter(|&src| src != hot)
+        .filter(|&src| {
+            t.dor_route(src, hot)
+                .hops
+                .iter()
+                .any(|h| h.channel == channel)
+        })
+        .count() as u32
+}
+
+/// Check the model's hot rate on the `Plus` channel of dimension `dim`
+/// leaving `from` against the brute-force count: on a hot ring of `dim`
+/// (the source matches the hot node below `dim`) the channel `j` hops
+/// from the hot coordinate (`0` read as `k`) carries `hot_rate(dim, j)`
+/// per unit `λh`; every other channel carries no hot traffic.
+fn check_hot_rate(t: &KAryNCube, hot: NodeId, from: NodeId, dim: u32) -> Result<(), TestCaseError> {
+    let channel = Channel {
+        from,
+        dim,
+        direction: Direction::Plus,
+    };
+    let counted = hot_sources_crossing(t, hot, channel);
+    if (0..dim).all(|lower| t.coord(from, lower) == t.coord(hot, lower)) {
+        let j = match t.ring_distance_forward(t.coord(from, dim), t.coord(hot, dim)) {
+            0 => t.k(),
+            j => j,
+        };
+        let rate = NCubeRates::new(t.k(), t.n(), 1.0, 1.0).hot_rate(dim, j);
+        prop_assert_eq!(
+            rate,
+            counted as f64,
+            "k={} n={} dim={} j={} from {:?}",
+            t.k(),
+            t.n(),
+            dim,
+            j,
+            t.coords(from)
+        );
+    } else {
+        prop_assert_eq!(
+            counted,
+            0,
+            "off the hot rings: k={} n={} dim={}",
+            t.k(),
+            t.n(),
+            dim
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn hot_fractions_match_bruteforce((t, hot) in torus_and_hot(), from in 0u32..81, dim in 0u32..2) {
+        // Eq. 4 on x channels, Eq. 5 on hot y-ring channels, 0 elsewhere.
+        check_hot_rate(&t, NodeId(hot), NodeId(from % t.num_nodes()), dim)?;
+    }
+
+    #[test]
+    fn ndim_hot_fractions_match_bruteforce((t, hot, from) in ncube_hot_and_from(), dim in 0u32..4) {
+        // Generalized Eqs. 4-5 against route enumeration on random cubes.
+        check_hot_rate(&t, NodeId(hot), NodeId(from), dim % t.n())?;
+    }
 }
 
 proptest! {
@@ -103,11 +199,14 @@ proptest! {
     }
 
     #[test]
-    fn route_probabilities_always_marginalise(k in 2u32..=64) {
-        let p = RegularRouteProbs::new(k);
-        prop_assert!((p.total() - 1.0).abs() < 1e-12);
-        prop_assert!(p.y_only_hot_ring > 0.0);
-        prop_assert!(p.x_then_nonhot_ring >= 0.0);
+    fn route_probabilities_always_marginalise(k in 2u32..=64, n in 1u32..=4) {
+        let cases = entry_cases(k, n);
+        let total: f64 = cases.iter().map(|c| c.probability).sum();
+        prop_assert!((total - 1.0).abs() < 1e-12);
+        prop_assert!(cases.iter().all(|c| c.probability >= 0.0));
+        // The least likely family, entry in the innermost hot ring, is
+        // still possible.
+        prop_assert!(cases.iter().all(|c| !c.hot || c.probability > 0.0));
     }
 
     #[test]

@@ -12,14 +12,12 @@
 //! * dimension-order ("XY") deterministic routing ([`routing`]), including
 //!   the Dally–Seitz virtual-channel *dating* classes that make wormhole
 //!   routing deadlock-free on rings with wrap-around links;
-//! * the hot-spot geometry of §3 of the paper ([`hotspot`]): distances of
-//!   channels and rings from the hot-spot node / hot `y`-ring, and the
-//!   traffic fractions `P_hx,j`, `P_hy,j` of Eqs. (4)–(5).
 //! * fault sets and the fault-aware minimal router shared by the faulty
 //!   model and the simulator ([`faults`]).
 //!
 //! Everything here is exact, deterministic combinatorics; the probabilistic
-//! machinery lives in `kncube-traffic` and `kncube-queueing`.
+//! machinery lives in `kncube-traffic` and `kncube-queueing`, and the
+//! hot-spot channel rates of Eqs. (4)–(9) in `kncube-core`'s `rates`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,11 +25,9 @@
 pub mod channel;
 pub mod faults;
 pub mod geometry;
-pub mod hotspot;
 pub mod routing;
 
 pub use channel::{Channel, ChannelId, Direction};
 pub use faults::{FaultRouter, FaultSet, TreeEdge, FAULT_ROUTER_BYTES_PER_PAIR};
 pub use geometry::{Boundary, KAryNCube, LinkKind, NodeId, TopologyError};
-pub use hotspot::HotSpotGeometry;
 pub use routing::{DorRoute, Hop, VcClass, MAX_VIRTUAL_CHANNELS};

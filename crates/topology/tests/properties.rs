@@ -3,8 +3,7 @@
 //! `(k, n)` up to `k = 16`, `n = 4`.
 
 use kncube_topology::{
-    Boundary, Channel, Direction, FaultRouter, FaultSet, HotSpotGeometry, KAryNCube, NodeId,
-    VcClass,
+    Boundary, Channel, Direction, FaultRouter, FaultSet, KAryNCube, NodeId, VcClass,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -254,18 +253,6 @@ proptest! {
     }
 
     #[test]
-    fn hot_fractions_match_bruteforce((t, hot) in torus_and_hot(), from in 0u32..81, dim in 0u32..2) {
-        let g = HotSpotGeometry::new(t, kncube_topology::NodeId(hot));
-        let from = kncube_topology::NodeId(from % t.num_nodes());
-        let c = Channel { from, dim, direction: Direction::Plus };
-        let counted = g.count_hot_sources_crossing(c) as f64 / t.num_nodes() as f64;
-        // Eq. 4 on x channels, Eq. 5 on hot y-ring channels, 0 elsewhere.
-        let expected = g.hot_channel_distance(c).map_or(0.0, |j| g.p_hot(dim, j));
-        prop_assert!((counted - expected).abs() < 1e-12,
-            "channel {:?} dim {} counted {} expected {}", t.coords(from), dim, counted, expected);
-    }
-
-    #[test]
     fn vc_labels_strictly_decrease_along_routes((t, _) in torus_and_hot(), a in 0u32..81, b in 0u32..81) {
         // Dally-Seitz deadlock-freedom witness: label every virtual channel
         // of a ring with label(Low, i) = 2k-1-i and label(High, i) = k-1-i
@@ -375,21 +362,5 @@ proptest! {
             cur = hop.channel.to(&t);
         }
         prop_assert_eq!(t.dor_next_hop(cur, b), None);
-    }
-
-    #[test]
-    fn ndim_hot_fractions_match_bruteforce((t, hot, from) in ncube_and_pair(), dim in 0u32..4) {
-        // Generalized Eqs. 4-5 against route enumeration on random cubes.
-        prop_assume!(t.num_nodes() <= 1024); // keep the N-route oracle fast
-        let dim = dim % t.n();
-        let g = HotSpotGeometry::new(t, NodeId(hot));
-        let c = Channel { from: NodeId(from), dim, direction: Direction::Plus };
-        let counted = g.count_hot_sources_crossing(c) as f64 / t.num_nodes() as f64;
-        let expected = match g.hot_channel_distance(c) {
-            Some(j) => g.p_hot(dim, j),
-            None => 0.0,
-        };
-        prop_assert!((counted - expected).abs() < 1e-12,
-            "k={} n={} dim={} counted {} expected {}", t.k(), t.n(), dim, counted, expected);
     }
 }

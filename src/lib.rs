@@ -14,15 +14,16 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`topology`] — k-ary n-cube geometry, dimension-order routing,
-//!   Dally–Seitz virtual-channel classes, hot-spot geometry (Eqs. 4–5 and
-//!   their product-over-rings generalization);
+//!   Dally–Seitz virtual-channel classes, fault sets and the fault-aware
+//!   router;
 //! * [`traffic`] — Poisson and bursty sources, destination patterns
 //!   (uniform, hot-spot, tornado) and fault-set sampling;
 //! * [`queueing`] — M/G/1 waits, the blocking operator, Dally's
 //!   virtual-channel multiplexing model, fixed-point machinery
 //!   (Eqs. 26–30, 33–35);
-//! * [`model`] — the latency model for any `(k, n)` (`NCubeModel`), the
-//!   faulty-network model, the hypercube comparison model and the
+//! * [`model`] — channel rates (Eqs. 1–9 and their product-over-rings
+//!   generalization), the latency model for any `(k, n)` (`NCubeModel`),
+//!   the faulty-network model, the hypercube comparison model and the
 //!   uniform-traffic baseline;
 //! * [`sim`] — the cycle-accurate wormhole simulator (§4's validation
 //!   vehicle), dimension-agnostic by construction.
@@ -76,18 +77,6 @@ pub use kncube_sim as sim;
 pub use kncube_topology as topology;
 pub use kncube_traffic as traffic;
 
-/// The paper's validation network size (`N = 256` nodes, a 16×16 torus).
-pub const PAPER_RADIX: u32 = 16;
-
-/// The paper's virtual-channel count lower bound (`V >= 2`).
-pub const PAPER_VIRTUAL_CHANNELS: u32 = 2;
-
-/// The paper's two message lengths, in flits.
-pub const PAPER_MESSAGE_LENGTHS: [u32; 2] = [32, 100];
-
-/// The paper's three hot-spot fractions.
-pub const PAPER_HOT_FRACTIONS: [f64; 3] = [0.2, 0.4, 0.7];
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -95,8 +84,9 @@ mod tests {
         // A request flowing through all the crates via the facade.
         let topo = crate::topology::KAryNCube::unidirectional(4, 2).unwrap();
         assert_eq!(topo.num_nodes(), 16);
-        let probs = crate::model::RegularRouteProbs::new(4);
-        assert!((probs.total() - 1.0).abs() < 1e-12);
+        let cases = crate::model::entry_cases(4, 2);
+        let total: f64 = cases.iter().map(|c| c.probability).sum();
+        assert!((total - 1.0).abs() < 1e-12);
         let w = crate::queueing::mg1::waiting_time(0.001, 33.0, 32.0).unwrap();
         assert!(w > 0.0);
     }

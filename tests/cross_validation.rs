@@ -5,7 +5,8 @@
 //!   recorded from the 2-D solver when that API was folded into
 //!   [`kncube::model::NCubeModel`], to `1e-12` relative, and its zero-load
 //!   latency must equal the paper's five-route-case closed form
-//!   (Eqs. 11–15 via [`kncube::model::RegularRouteProbs`]);
+//!   (Eqs. 11–15, held here by `RegularRouteProbs` and checked against
+//!   brute-force route enumeration);
 //! * at `k = 2` it must reproduce the closed-form binary-hypercube model
 //!   ([`kncube::model::HypercubeModel`], the paper's reference \[12\]
 //!   rebuilt) within `1e-9` relative — the two are derived separately
@@ -15,8 +16,9 @@
 
 use kncube::model::{
     find_saturation_ncube, HypercubeModel, ModelVariant, MultiplexingModel, NCubeConfig,
-    NCubeModel, NCubeOutput, RegularRouteProbs, ServiceTimeModel,
+    NCubeModel, NCubeOutput, ServiceTimeModel,
 };
+use kncube::topology::KAryNCube;
 
 /// `[latency, regular latency, hot latency, regular source wait]`.
 type Recorded = [f64; 4];
@@ -214,6 +216,140 @@ fn n2_matches_the_recorded_model_variants() {
             &expected,
         );
     }
+}
+
+/// The paper's x and y dimensions.
+const X: u32 = 0;
+const Y: u32 = 1;
+
+/// The five route-case probabilities of Eqs. (11)–(15) for regular
+/// messages on the `k × k` torus (see `kncube::model::probabilities`).
+struct RegularRouteProbs {
+    /// P(message moves only in `y`, inside the hot y-ring).
+    y_only_hot_ring: f64,
+    /// P(message moves only in `y`, inside a non-hot y-ring).
+    y_only_nonhot_ring: f64,
+    /// P(message moves only in `x`).
+    x_only: f64,
+    /// P(message moves in `x` then down the hot y-ring).
+    x_then_hot_ring: f64,
+    /// P(message moves in `x` then down a non-hot y-ring).
+    x_then_nonhot_ring: f64,
+}
+
+impl RegularRouteProbs {
+    fn new(k: u32) -> Self {
+        let kf = k as f64;
+        RegularRouteProbs {
+            y_only_hot_ring: 1.0 / (kf * (kf + 1.0)),
+            y_only_nonhot_ring: (kf - 1.0) / (kf * (kf + 1.0)),
+            x_only: 1.0 / (kf + 1.0),
+            x_then_hot_ring: (kf - 1.0) / (kf * (kf + 1.0)),
+            x_then_nonhot_ring: (kf - 1.0) * (kf - 1.0) / (kf * (kf + 1.0)),
+        }
+    }
+
+    /// Probability of entering the network through dimension `x`
+    /// (the factor in Eq. 14): `k/(k+1)`.
+    fn enters_via_x(&self) -> f64 {
+        self.x_only + self.x_then_hot_ring + self.x_then_nonhot_ring
+    }
+
+    /// Sum of all five cases (must be 1).
+    fn total(&self) -> f64 {
+        self.y_only_hot_ring + self.y_only_nonhot_ring + self.enters_via_x()
+    }
+}
+
+/// Brute-force oracle: enumerate every (src, dest) pair with dest ≠ src
+/// and classify its dimension-order route relative to a hot column.
+fn enumerate_route_cases(k: u32) -> RegularRouteProbs {
+    let t = KAryNCube::unidirectional(k, 2).unwrap();
+    let hot = t.node_at(&[1 % k, 2 % k]);
+    let hot_x = t.coord(hot, X);
+    let mut counts = [0u64; 5];
+    let mut total = 0u64;
+    for src in t.nodes() {
+        for dest in t.nodes() {
+            if src == dest {
+                continue;
+            }
+            total += 1;
+            let moves_x = t.coord(src, X) != t.coord(dest, X);
+            let moves_y = t.coord(src, Y) != t.coord(dest, Y);
+            let idx = match (moves_x, moves_y) {
+                (false, true) => {
+                    if t.coord(src, X) == hot_x {
+                        0
+                    } else {
+                        1
+                    }
+                }
+                (true, false) => 2,
+                (true, true) => {
+                    if t.coord(dest, X) == hot_x {
+                        3
+                    } else {
+                        4
+                    }
+                }
+                (false, false) => unreachable!("src == dest filtered"),
+            };
+            counts[idx] += 1;
+        }
+    }
+    let f = |i: usize| counts[i] as f64 / total as f64;
+    RegularRouteProbs {
+        y_only_hot_ring: f(0),
+        y_only_nonhot_ring: f(1),
+        x_only: f(2),
+        x_then_hot_ring: f(3),
+        x_then_nonhot_ring: f(4),
+    }
+}
+
+#[test]
+fn five_route_case_closed_forms_match_bruteforce() {
+    for k in [2u32, 3, 4, 5, 8] {
+        let exact = enumerate_route_cases(k);
+        let model = RegularRouteProbs::new(k);
+        for (a, b, name) in [
+            (exact.y_only_hot_ring, model.y_only_hot_ring, "y-hot"),
+            (exact.y_only_nonhot_ring, model.y_only_nonhot_ring, "y-non"),
+            (exact.x_only, model.x_only, "x-only"),
+            (exact.x_then_hot_ring, model.x_then_hot_ring, "x-hot"),
+            (exact.x_then_nonhot_ring, model.x_then_nonhot_ring, "x-non"),
+        ] {
+            assert!(
+                (a - b).abs() < 1e-12,
+                "k={k} case {name}: enumerated {a} vs closed form {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn five_route_cases_sum_to_one() {
+    for k in 2..=64 {
+        let p = RegularRouteProbs::new(k);
+        assert!((p.total() - 1.0).abs() < 1e-12, "k={k}");
+        let kf = k as f64;
+        assert!((p.enters_via_x() - kf / (kf + 1.0)).abs() < 1e-12);
+        assert!(p.y_only_hot_ring > 0.0);
+        assert!(p.x_then_nonhot_ring >= 0.0);
+    }
+}
+
+#[test]
+fn route_case_probabilities_are_ordered_sensibly() {
+    // For k >= 3 the dominant case is x-then-non-hot-y (two random
+    // coordinates both differ, non-hot column); the rarest is
+    // y-only within the single hot ring.
+    let p = RegularRouteProbs::new(16);
+    assert!(p.x_then_nonhot_ring > p.x_only);
+    assert!(p.x_only > p.x_then_hot_ring);
+    assert!(p.x_then_hot_ring > p.y_only_hot_ring);
+    assert!((p.x_then_hot_ring - p.y_only_nonhot_ring).abs() < 1e-15);
 }
 
 /// The paper's zero-load latency on the `k × k` torus, composed from the

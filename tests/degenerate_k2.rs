@@ -10,8 +10,10 @@
 //! The engine-level half of the equivalence (bit-identical simulation
 //! reports) lives in `crates/sim/tests/degenerate_equivalence.rs`.
 
-use kncube_core::{FaultyNCubeConfig, FaultyNCubeModel, NCubeConfig, NCubeModel};
-use kncube_topology::{Channel, Direction, FaultSet, HotSpotGeometry, KAryNCube, NodeId};
+use kncube_core::{
+    FaultyChannelRates, FaultyNCubeConfig, FaultyNCubeModel, NCubeConfig, NCubeModel,
+};
+use kncube_topology::{Channel, Direction, FaultRouter, FaultSet, KAryNCube, NodeId};
 
 #[test]
 fn k2_topology_quantities_coincide_bitwise() {
@@ -55,8 +57,17 @@ fn k2_hot_spot_fractions_coincide_and_minus_channels_carry_nothing() {
         let uni = KAryNCube::unidirectional(2, n).unwrap();
         let bi = KAryNCube::bidirectional(2, n).unwrap();
         let hot = NodeId(uni.num_nodes() / 3);
-        let gu = HotSpotGeometry::new(uni, hot);
-        let gb = HotSpotGeometry::new(bi, hot);
+        let rates = |topo| {
+            FaultyChannelRates::from_router(&FaultRouter::new(FaultSet::none(topo)), hot, 0.35)
+        };
+        let (ru, rb) = (rates(uni), rates(bi));
+        for src in bi.nodes() {
+            let route = bi.dor_route(src, hot);
+            assert!(route
+                .hops
+                .iter()
+                .all(|hop| hop.channel.direction == Direction::Plus));
+        }
         for from in uni.nodes() {
             for dim in 0..n {
                 let plus = Channel {
@@ -65,8 +76,8 @@ fn k2_hot_spot_fractions_coincide_and_minus_channels_carry_nothing() {
                     direction: Direction::Plus,
                 };
                 assert_eq!(
-                    gu.p_hot_channel(plus).to_bits(),
-                    gb.p_hot_channel(plus).to_bits(),
+                    ru.hot_rate(plus.id(&uni), 1.0).to_bits(),
+                    rb.hot_rate(plus.id(&bi), 1.0).to_bits(),
                     "n={n} {:?} dim {dim}",
                     uni.coords(from)
                 );
@@ -77,8 +88,7 @@ fn k2_hot_spot_fractions_coincide_and_minus_channels_carry_nothing() {
                     dim,
                     direction: Direction::Minus,
                 };
-                assert_eq!(gb.p_hot_channel(minus), 0.0, "n={n}");
-                assert_eq!(gb.count_hot_sources_crossing(minus), 0, "n={n}");
+                assert_eq!(rb.hot_rate(minus.id(&bi), 1.0), 0.0, "n={n}");
             }
         }
     }

@@ -9,11 +9,21 @@
 
 use kncube::model::NCubeRates;
 use kncube::sim::{SimConfig, Simulator};
-use kncube::topology::{Channel, Direction, HotSpotGeometry, NodeId};
+use kncube::topology::{Channel, Direction, KAryNCube, NodeId};
 
 /// The paper's x and y dimensions.
 const X: u32 = 0;
 const Y: u32 = 1;
+
+/// The paper's distance `j` of the `dim` channel leaving `from` from the
+/// hot node: forward ring distance to the hot coordinate, with 0 (the
+/// channel leaving the hot coordinate) read as `k`.
+fn paper_distance(topo: &KAryNCube, from: NodeId, hot: NodeId, dim: u32) -> u32 {
+    match topo.ring_distance_forward(topo.coord(from, dim), topo.coord(hot, dim)) {
+        0 => topo.k(),
+        j => j,
+    }
+}
 
 /// Run the simulator and return (cycles, per-channel flit counts keyed by
 /// channel id).
@@ -32,7 +42,6 @@ fn hot_ring_channel_rates_match_eq9() {
     let cycles = 400_000u64;
     let (sim, cycles) = measure(k, lm, lambda, h, cycles);
     let topo = *sim.topology();
-    let geom = HotSpotGeometry::new(topo, NodeId(0));
     let rates = NCubeRates::new(k, 2, lambda, h);
 
     // The hot y-ring: the nodes sharing the hot node's x coordinate.
@@ -42,7 +51,7 @@ fn hot_ring_channel_rates_match_eq9() {
             dim: Y,
             direction: Direction::Plus,
         };
-        let j = geom.hot_channel_distance(ch).unwrap();
+        let j = paper_distance(&topo, from, NodeId(0), Y);
         // Flit rate = message rate × Lm (every message contributes Lm
         // flits to every channel it crosses).
         let expected = rates.total_rate(Y, j) * lm as f64;
@@ -60,7 +69,6 @@ fn x_channel_rates_match_eq8() {
     let (k, lm, lambda, h) = (8u32, 16u32, 1e-3, 0.4);
     let (sim, cycles) = measure(k, lm, lambda, h, 400_000);
     let topo = *sim.topology();
-    let geom = HotSpotGeometry::new(topo, NodeId(0));
     let rates = NCubeRates::new(k, 2, lambda, h);
 
     // Average the observed rate over the k rings at each distance j (the
@@ -74,7 +82,7 @@ fn x_channel_rates_match_eq8() {
                 dim: X,
                 direction: Direction::Plus,
             };
-            if geom.hot_channel_distance(ch) == Some(j) {
+            if paper_distance(&topo, from, NodeId(0), X) == j {
                 observed_sum += sim.channel_flits(ch.id(&topo)) as f64 / cycles as f64;
                 count += 1;
             }

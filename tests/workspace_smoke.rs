@@ -31,11 +31,9 @@ fn facade_reexports_compose_across_all_crates() {
     let wait = kncube::queueing::mg1::waiting_time(1e-3, (LM + 1) as f64, LM as f64).unwrap();
     assert!(wait > 0.0);
 
-    let probs = kncube::model::RegularRouteProbs::new(K);
-    assert!((probs.total() - 1.0).abs() < 1e-12);
-
-    assert_eq!(kncube::PAPER_RADIX, 16);
-    assert!(kncube::PAPER_HOT_FRACTIONS.contains(&H));
+    let cases = kncube::model::entry_cases(K, 2);
+    let total: f64 = cases.iter().map(|c| c.probability).sum();
+    assert!((total - 1.0).abs() < 1e-12);
 }
 
 #[test]
