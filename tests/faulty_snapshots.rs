@@ -9,7 +9,11 @@
 //! λ* at four loads on a bi-torus, a mesh and a unidirectional torus,
 //! all with faults.  They were recorded from the router that kept a
 //! `u16` distance and a `u32` BFS-order entry per pair, so they hold any
-//! later table layout to the same routes, in the same order.
+//! later table layout to the same routes, in the same order.  The
+//! benchmark-sized cases (256- and 512-node bi-tori at 2% and 5% faults)
+//! pin the same fields at the sizes `perfbench --workload faulty_scale`
+//! runs; they were recorded from the model that composed every probe
+//! its route bound did not certify.
 //!
 //! If an intentional behaviour change lands (a new tie-break, a
 //! different summation order), re-record the constants in the same
@@ -116,10 +120,10 @@ const MODEL_POINTS: [&str; 15] = [
     "uni-torus 8x8 5% @ 0.95: latency 0x40633c9a34e4dee1 regular 0x405dfe27b908e2f1 hot 0x407177a9159e8aa6 wait 0x4026eb17b9f4b123 util 0x3fee16e5e12fbe72 pairs 3251 reach 0x3fe9cd34d34d34d3 detour 0x3fef2eda704a55d5 delivered 0x3fea54ed4ed4ed4a iterations 1 delegated false",
 ];
 
-#[test]
-fn model_outputs_match_the_recorded_bits() {
+/// λ* and every output field at four loads of each case, as bit strings.
+fn model_points(cases: impl IntoIterator<Item = (&'static str, FaultSet)>) -> Vec<String> {
     let mut actual = Vec::new();
-    for (name, faults) in model_cases() {
+    for (name, faults) in cases {
         assert!(!faults.is_empty(), "{name}: the sample must carry faults");
         let model = FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, V, LM, 0.0, H)).unwrap();
         let sat = model.saturation(1e-9, 1e-1, 1e-6).unwrap();
@@ -148,5 +152,65 @@ fn model_outputs_match_the_recorded_bits() {
             ));
         }
     }
-    assert_eq!(actual, MODEL_POINTS);
+    actual
+}
+
+#[test]
+fn model_outputs_match_the_recorded_bits() {
+    assert_eq!(model_points(model_cases()), MODEL_POINTS);
+}
+
+/// The benchmark's faulted shapes: 256- and 512-node bi-tori at 2% and
+/// 5% faults.
+fn benchmark_cases() -> [(&'static str, FaultSet); 4] {
+    [
+        ("bi-torus 16x16 2%", faults(bi(16, 2), 0.02, SEED)),
+        ("bi-torus 16x16 5%", faults(bi(16, 2), 0.05, SEED)),
+        ("bi-torus 8x8x8 2%", faults(bi(8, 3), 0.02, SEED)),
+        ("bi-torus 8x8x8 5%", faults(bi(8, 3), 0.05, SEED)),
+    ]
+}
+
+const BENCHMARK_ROUTER_SUMMARIES: [&str; 4] = [
+    "bi-torus 16x16 2%: pairs 61752 detour 0x3fabb9d2b25c65c0 max 16 deadlock_free false",
+    "bi-torus 16x16 5%: pairs 55932 detour 0x3fcbc13d8872f951 max 17 deadlock_free false",
+    "bi-torus 8x8x8 2%: pairs 251502 detour 0x3f7da40b57e2dd34 max 12 deadlock_free false",
+    "bi-torus 8x8x8 5%: pairs 228006 detour 0x3fa4e2379abc0533 max 12 deadlock_free false",
+];
+
+const BENCHMARK_MODEL_POINTS: [&str; 20] = [
+    "bi-torus 16x16 2%: lambda* 0x3f633891b96a09b4 probes 27",
+    "bi-torus 16x16 2% @ 0.1: latency 0x403899662302be5a regular 0x40388a95fa7fe364 hot 0x4038d350bb60bb1a wait 0x3fa319bc19d02220 util 0x3fb98a6951341a2e pairs 61752 reach 0x3fee454545454545 detour 0x3fabb9d2b25c65c0 delivered 0x3fee70d73da40a8b iterations 1 delegated false",
+    "bi-torus 16x16 2% @ 0.4: latency 0x403b1ffa95187f18 regular 0x403a0cde6a981d02 hot 0x403f539ae6f054ed wait 0x3fc553bee6e6e7dd util 0x3fd98a6951341a2e pairs 61752 reach 0x3fee454545454545 detour 0x3fabb9d2b25c65c0 delivered 0x3fee70d73da40a8b iterations 1 delegated false",
+    "bi-torus 16x16 2% @ 0.7: latency 0x4040cdfa5c45c812 regular 0x403c258a92c8a35b hot 0x404b7bbdd243d835 wait 0x3fdbde2c1501b0a6 util 0x3fe6591c270d96e9 pairs 61752 reach 0x3fee454545454545 detour 0x3fabb9d2b25c65c0 delivered 0x3fee70d73da40a8b iterations 1 delegated false",
+    "bi-torus 16x16 2% @ 0.95: latency 0x40511fc48584aaa6 regular 0x40416f39293e6eee hot 0x4068ff234a60c087 wait 0x4007864fa48234dd util 0x3fee545d106ddf16 pairs 61752 reach 0x3fee454545454545 detour 0x3fabb9d2b25c65c0 delivered 0x3fee70d73da40a8b iterations 1 delegated false",
+    "bi-torus 16x16 5%: lambda* 0x3f62ffbb530d2c76 probes 27",
+    "bi-torus 16x16 5% @ 0.1: latency 0x4038cb0b102ac86a regular 0x4038bd0af5bab8ee hot 0x4038ff258ca8afb9 wait 0x3fa272fa918d6629 util 0x3fb98a12465ca718 pairs 55932 reach 0x3feb6aeaeaeaeaeb detour 0x3fcbc13d8872f951 delivered 0x3febdb750ea841e7 iterations 1 delegated false",
+    "bi-torus 16x16 5% @ 0.4: latency 0x403b77fde0a973b0 regular 0x403a5fed1330b239 hot 0x403f8a4672ec5bc7 wait 0x3fc4ad713056b156 util 0x3fd98a12465ca718 pairs 55932 reach 0x3feb6aeaeaeaeaeb detour 0x3fcbc13d8872f951 delivered 0x3febdb750ea841e7 iterations 1 delegated false",
+    "bi-torus 16x16 5% @ 0.7: latency 0x40412ece64905eb6 regular 0x403cab87a8d6e9fc hot 0x404bc7fbba3ee39d wait 0x3fdb5a778cd07840 util 0x3fe658cffd911235 pairs 55932 reach 0x3feb6aeaeaeaeaeb detour 0x3fcbc13d8872f951 delivered 0x3febdb750ea841e7 iterations 1 delegated false",
+    "bi-torus 16x16 5% @ 0.95: latency 0x4052acde1cbaf38a regular 0x4042244e0a88a833 hot 0x406b35928edb561e wait 0x40091c477846b4cd util 0x3fee53f5b38e066c pairs 55932 reach 0x3feb6aeaeaeaeaeb detour 0x3fcbc13d8872f951 delivered 0x3febdb750ea841e7 iterations 1 delegated false",
+    "bi-torus 8x8x8 2%: lambda* 0x3f548933dc3b885b probes 28",
+    "bi-torus 8x8x8 2% @ 0.1: latency 0x40362ce74f3f29a1 regular 0x403622dd6ecc0aa1 hot 0x4036545ecc3159db wait 0x3f9088c4aff670ce util 0x3fb991da91acea20 pairs 251502 reach 0x3feec2d168b45a2d detour 0x3f7da40b57e2dd34 delivered 0x3feee231188c4674 iterations 1 delegated false",
+    "bi-torus 8x8x8 2% @ 0.4: latency 0x403714527a21d5b4 regular 0x403681a2ab330d71 hot 0x40395505ab324ebc wait 0x3fb18287562b69ff util 0x3fd991da91acea20 pairs 251502 reach 0x3feec2d168b45a2d detour 0x3f7da40b57e2dd34 delivered 0x3feee231188c4674 iterations 1 delegated false",
+    "bi-torus 8x8x8 2% @ 0.7: latency 0x4039d4d1c72c8910 regular 0x4036f6183353af35 hot 0x40428eb29ec40cd9 wait 0x3fc35a9cfa857478 util 0x3fe65f9f3f774cdb pairs 251502 reach 0x3feec2d168b45a2d detour 0x3f7da40b57e2dd34 delivered 0x3feee231188c4674 iterations 1 delegated false",
+    "bi-torus 8x8x8 2% @ 0.95: latency 0x40466f9771808c05 regular 0x40385f7c29b510e0 hot 0x405f5da2d653c44c wait 0x3fea5d8a2ba7bdf4 util 0x3fee5d338cfd5606 pairs 251502 reach 0x3feec2d168b45a2d detour 0x3f7da40b57e2dd34 delivered 0x3feee231188c4674 iterations 1 delegated false",
+    "bi-torus 8x8x8 5%: lambda* 0x3f5514670f5760f7 probes 28",
+    "bi-torus 8x8x8 5% @ 0.1: latency 0x403638068ba04667 regular 0x40362de8593fc7b8 hot 0x40365de74f3b9d69 wait 0x3f90625589edec1c util 0x3fb99197eb6bfafd pairs 228006 reach 0x3febe32190c86432 detour 0x3fa4e2379abc0533 delivered 0x3fec48b1255f7c6a iterations 1 delegated false",
+    "bi-torus 8x8x8 5% @ 0.4: latency 0x4037225d696bc2fc regular 0x40369395289105ff hot 0x403938e3e2f9d118 wait 0x3fb151a87d4ae2b3 util 0x3fd99197eb6bfafd pairs 228006 reach 0x3febe32190c86432 detour 0x3fa4e2379abc0533 delivered 0x3fec48b1255f7c6a iterations 1 delegated false",
+    "bi-torus 8x8x8 5% @ 0.7: latency 0x4039d4a1b0494937 regular 0x40370e702b740f87 hot 0x40421bab87e3db27 wait 0x3fc2ffac2c6bc0d9 util 0x3fe65f64edfe7b9d pairs 228006 reach 0x3febe32190c86432 detour 0x3fa4e2379abc0533 delivered 0x3fec48b1255f7c6a iterations 1 delegated false",
+    "bi-torus 8x8x8 5% @ 0.95: latency 0x4046660e8d45ed3d regular 0x4038821381a59747 hot 0x405e302e10fa376c wait 0x3fea8271268f4f63 util 0x3fee5ce467903a0c pairs 228006 reach 0x3febe32190c86432 detour 0x3fa4e2379abc0533 delivered 0x3fec48b1255f7c6a iterations 1 delegated false",
+];
+
+#[test]
+fn benchmark_sized_routers_match_the_recorded_tables() {
+    let actual: Vec<String> = benchmark_cases()
+        .into_iter()
+        .map(|(name, faults)| router_summary(name, faults))
+        .collect();
+    assert_eq!(actual, BENCHMARK_ROUTER_SUMMARIES);
+}
+
+#[test]
+fn benchmark_sized_models_match_the_recorded_bits() {
+    assert_eq!(model_points(benchmark_cases()), BENCHMARK_MODEL_POINTS);
 }
