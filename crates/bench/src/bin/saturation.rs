@@ -81,8 +81,12 @@ fn main() {
             let bound = NCubeModel::new(cfg.model_config(0.0))
                 .expect("the paper preset is a valid model configuration")
                 .flit_bound();
+            // One flit per cycle into the hot node: the flit bound counts
+            // `Lm + 1` cycles per message, the flits themselves `Lm`.
+            let capacity = bound * f64::from(lm + 1) / f64::from(lm);
+            let mark = if sim_sat > capacity { " *" } else { "" };
             format!(
-                "{lm:>4} {:>4} {h:>5.2} {model_sat:>14.3e} {sim_sat:>14.3e} {bound:>14.3e} {:>9.2}",
+                "{lm:>4} {:>4} {h:>5.2} {model_sat:>14.3e} {sim_sat:>14.3e} {bound:>14.3e} {:>9.2}{mark}",
                 cfg.v,
                 model_sat / sim_sat
             )
@@ -94,6 +98,10 @@ fn main() {
          it saturates when the busiest channel, the last one into the hot\n\
          node, is busy every cycle.  The simulator's λ*, bisected to 5% with\n\
          a 3σ + 1.5% throughput allowance, lies 5–10% below the bound at\n\
-         h = 0.2 and within 5% of it, on either side, at h ≥ 0.4."
+         h = 0.2 and within 5% of it, on either side, at h ≥ 0.4.  A row\n\
+         marked * has a simulator λ* above one flit per cycle into the hot\n\
+         node (flit bound · (Lm + 1)/Lm), which no run can deliver: the\n\
+         probe accepts a run within its allowance of the offered load, so\n\
+         its bisection can settle past capacity."
     );
 }

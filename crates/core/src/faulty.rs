@@ -204,28 +204,85 @@ fn closed_form_twin(config: &FaultyNCubeConfig, lambda: f64) -> NCubeConfig {
     )
 }
 
-/// The per-channel pass of a solve at one rate, every utilization below 1.
-struct ChannelPass {
-    blocking: Vec<f64>,
-    vbar: Vec<f64>,
+/// The per-channel utilizations at one rate, every one below 1: the first
+/// half of a channel pass, which decides `Saturated` before any blocking
+/// term is computed.
+struct ChannelLoads {
+    lambda: f64,
+    utilization: Vec<f64>,
     max_utilization: f64,
 }
+
+/// What a route sweep reads of each channel, and what it adds up per
+/// source over the routes that enter the network on that channel.
+trait ChannelTerm: Copy {
+    /// One source's route sums.
+    type Sums: Copy;
+    /// The sums of a source with no routes.
+    const NO_ROUTES: Self::Sums;
+    /// The term of a channel blocking for `blocking` at `utilization`,
+    /// with `v` virtual channels.
+    fn new(blocking: f64, utilization: f64, v: u32) -> Self;
+    /// The channel's blocking delay `B_c`.
+    fn blocking(self) -> f64;
+    /// Add a route of network latency `s_net` entering on this channel.
+    fn add_route(self, sums: &mut Self::Sums, s_net: f64);
+}
+
+/// A verdict sweep's channel: `B_c` alone; a source sums `Σ s_net`.
+impl ChannelTerm for f64 {
+    type Sums = f64;
+    const NO_ROUTES: f64 = 0.0;
+    fn new(blocking: f64, _: f64, _: u32) -> Self {
+        blocking
+    }
+    fn blocking(self) -> f64 {
+        self
+    }
+    fn add_route(self, sum_s: &mut f64, s_net: f64) {
+        *sum_s += s_net;
+    }
+}
+
+/// A composition's channel: `(B_c, V̄_c)`; a source sums
+/// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry]`.
+impl ChannelTerm for (f64, f64) {
+    type Sums = [f64; 3];
+    const NO_ROUTES: [f64; 3] = [0.0; 3];
+    fn new(blocking: f64, utilization: f64, v: u32) -> Self {
+        (blocking, multiplexing_factor(utilization, v))
+    }
+    fn blocking(self) -> f64 {
+        self.0
+    }
+    fn add_route(self, sums: &mut [f64; 3], s_net: f64) {
+        sums[0] += s_net;
+        sums[1] += s_net * self.1;
+        sums[2] += self.1;
+    }
+}
+
+/// Per-source route sums of one sweep, and each source's network latency
+/// and entry term on its route to the hot node.
+type RouteSums<T> = (Vec<<T as ChannelTerm>::Sums>, Vec<Option<(f64, T)>>);
 
 /// Channels whose blocking [`StabilityBound`] follows one by one: the
 /// highest unit loads, where the largest blocking terms sit.
 const TRACKED_CHANNELS: usize = 16;
 
-/// Relative margin a [`StabilityBound`] keeps below utilization 1: far
-/// above the rounding of the bound and of the composition alike.
+/// Relative margin each [`StabilityBound`] keeps from utilization 1: far
+/// above the rounding of the bounds and of the composition alike.
 const STABILITY_MARGIN: f64 = 1e-9;
 
-/// Upper bounds on each source's Eq. (28) utilization, from its routes'
-/// lengths and tracked-channel crossings, built once per saturation
-/// search.  Every hop is charged `1 + τ`, where `τ` is the largest
+/// Bounds on each source's Eq. (28) utilization, from its routes' lengths
+/// and tracked-channel crossings, built once per saturation search.  The
+/// upper bound charges every hop `1 + τ`, where `τ` is the largest
 /// blocking off the tracked channels, and a crossing of tracked channel
 /// `t` adds `B_t − τ`: a route's charge is at least its composed
-/// `Σ (1 + B_c)`, and equal to it where every untracked channel on it
-/// blocks for `τ` (DESIGN.md §Faulty-network model, *Cost*).
+/// `Σ (1 + B_c)`.  The lower bound is the same charge at `τ = 0`: an
+/// untracked hop costs `1 + 0` and a tracked one exactly `1 + B_t`, so a
+/// route's charge is at most its composed latency (DESIGN.md
+/// §Faulty-network model, *Cost*).
 struct StabilityBound {
     /// The tracked channels, highest unit load first (ties by id).
     tracked: Vec<usize>,
@@ -269,7 +326,6 @@ impl StabilityBound {
         let n = topo.num_nodes() as usize;
         let mut depth = vec![0u32; n];
         let mut mask = vec![0u16; n];
-        let mut count = vec![0u32; n];
         let mut hops = vec![0u32; n];
         let mut crossings = vec![[0u32; TRACKED_CHANNELS]; n];
         let mut to_hot = vec![None; n];
@@ -279,7 +335,6 @@ impl StabilityBound {
                 let (v, p) = (edge.node.index(), edge.parent.index());
                 depth[v] = depth[p] + 1;
                 mask[v] = mask[p] | bit[edge.channel.index()];
-                count[v] += 1;
                 hops[v] += depth[v];
                 let mut rest = mask[v];
                 while rest != 0 {
@@ -292,20 +347,13 @@ impl StabilityBound {
             }
         }
 
-        let others = (n - 1) as f64;
-        let sources = topo
-            .nodes()
-            .filter(|&src| !config.faults.node_failed(src))
+        let sources = model
+            .healthy_sources()
             .map(|src| {
                 let s = src.index();
-                let regular_share = if src == config.hot_node {
-                    1.0
-                } else {
-                    1.0 - config.hot_fraction
-                };
                 SourceRoutes {
-                    pair_weight: regular_share / others,
-                    count: count[s],
+                    pair_weight: model.pair_weight(src),
+                    count: model.router.reachable_from(src),
                     hops: hops[s],
                     crossings: crossings[s],
                     to_hot: to_hot[s],
@@ -319,28 +367,47 @@ impl StabilityBound {
         }
     }
 
-    /// Whether every source's bounded Eq. (28) utilization at `lambda`,
-    /// over the blocking of `pass`, is below 1 with
-    /// [`STABILITY_MARGIN`] to spare.
-    fn proves_stable(&self, model: &FaultyNCubeModel, lambda: f64, pass: &ChannelPass) -> bool {
+    /// What the bounds prove at `lambda` over the per-channel `blocking`:
+    /// `Some(true)` when every source's upper bound is below 1 with
+    /// [`STABILITY_MARGIN`] to spare, `Some(false)` when some source's
+    /// lower bound reaches 1 with that margin, `None` when neither holds.
+    fn decide(&self, model: &FaultyNCubeModel, lambda: f64, blocking: &[f64]) -> Option<bool> {
         let mut tau = 0.0f64;
-        for (&b, &bit) in pass.blocking.iter().zip(&self.bit) {
+        for (&b, &bit) in blocking.iter().zip(&self.bit) {
             if !b.is_finite() {
-                return false;
+                return None;
             }
             if bit == 0 {
                 tau = tau.max(b);
             }
         }
+        let per_vc = lambda / model.config.virtual_channels as f64;
+        if self.max_utilization(model, blocking, tau, per_vc * (1.0 + STABILITY_MARGIN)) < 1.0 {
+            return Some(true);
+        }
+        if self.max_utilization(model, blocking, 0.0, per_vc * (1.0 - STABILITY_MARGIN)) >= 1.0 {
+            return Some(false);
+        }
+        None
+    }
+
+    /// The largest `scale · service` over the sources, each route charged
+    /// `Lm + len·(1 + τ) + Σ_tracked (B_t − τ)`.
+    fn max_utilization(
+        &self,
+        model: &FaultyNCubeModel,
+        blocking: &[f64],
+        tau: f64,
+        scale: f64,
+    ) -> f64 {
         let mut excess = [0.0f64; TRACKED_CHANNELS];
         for (e, &c) in excess.iter_mut().zip(&self.tracked) {
-            *e = pass.blocking[c] - tau;
+            *e = blocking[c] - tau;
         }
         let lm = model.config.message_length as f64;
         let h = model.config.hot_fraction;
         let hop = 1.0 + tau;
-        let scale = lambda / model.config.virtual_channels as f64 * (1.0 + STABILITY_MARGIN);
-        self.sources.iter().all(|src| {
+        self.sources.iter().fold(0.0f64, |max, src| {
             let crossed: f64 = src
                 .crossings
                 .iter()
@@ -356,7 +423,7 @@ impl StabilityBound {
                     .sum();
                 service += h * (lm + len as f64 * hop + crossed);
             }
-            scale * service < 1.0
+            max.max(scale * service)
         })
     }
 }
@@ -440,11 +507,16 @@ impl FaultyNCubeModel {
     /// delegated fault-free path reports the closed-form solver's
     /// converged iteration counts.
     ///
-    /// On the per-channel path a probe that passes the per-channel check
-    /// skips the composition when the per-source route bound proves every
-    /// source queue stable ([`FaultyNCubeModel::proves_stable`]); the
-    /// bound never accepts a rate [`FaultyNCubeModel::solve_at`] rejects,
-    /// so `λ*` and the counts are those of a search over `solve_at`.
+    /// On the per-channel path no probe composes.  The channel pass
+    /// refuses a probe whose channel utilization reaches 1 before it
+    /// computes any blocking term; per-source route bounds, built once
+    /// per search, then prove the probe stable
+    /// ([`FaultyNCubeModel::proves_stable`]) or saturated
+    /// ([`FaultyNCubeModel::proves_saturated`]); a probe neither bound
+    /// decides runs the verdict-only sweep
+    /// ([`FaultyNCubeModel::verdict_at`]).  Each step returns what
+    /// [`FaultyNCubeModel::solve_at`] would, so `λ*` and the counts are
+    /// those of a search over `solve_at`.
     pub fn saturation(
         &self,
         lo: f64,
@@ -458,15 +530,27 @@ impl FaultyNCubeModel {
         }
         let bound = StabilityBound::new(self);
         bisect_saturation(lo, hi, rel_tol, |lambda| {
-            let pass = self.channel_pass(lambda).ok()?;
-            if bound.proves_stable(self, lambda, &pass) {
-                return Some(1);
-            }
-            self.compose(lambda, &pass).ok().map(|out| out.iterations)
+            let blocking = self.channel_terms(&self.channel_loads(lambda).ok()?);
+            let stable = match bound.decide(self, lambda, &blocking) {
+                Some(stable) => stable,
+                None => self.verdict(lambda, &blocking).is_ok(),
+            };
+            stable.then_some(1)
         })
     }
 
-    /// Whether the per-source route bound alone proves the per-channel
+    /// What the per-source route bounds alone prove of the per-channel
+    /// path at `lambda`, once its channel pass succeeds; `None` where
+    /// [`FaultyNCubeModel::solve`] delegates to the closed forms.
+    fn route_bounds_decide(&self, lambda: f64) -> Option<bool> {
+        if self.delegates_to_ncube() {
+            return None;
+        }
+        let blocking = self.channel_terms(&self.channel_loads(lambda).ok()?);
+        StabilityBound::new(self).decide(self, lambda, &blocking)
+    }
+
+    /// Whether the per-source route bounds alone prove the per-channel
     /// path stable at `lambda`: every channel utilization and every
     /// source's Eq. (28) utilization below 1, without composing (DESIGN.md
     /// §Faulty-network model, *Cost*).  `true` implies
@@ -474,10 +558,27 @@ impl FaultyNCubeModel {
     /// `false` proves nothing.  Always `false` where
     /// [`FaultyNCubeModel::solve`] delegates to the closed forms.
     pub fn proves_stable(&self, lambda: f64) -> bool {
-        !self.delegates_to_ncube()
-            && self
-                .channel_pass(lambda)
-                .is_ok_and(|pass| StabilityBound::new(self).proves_stable(self, lambda, &pass))
+        self.route_bounds_decide(lambda) == Some(true)
+    }
+
+    /// Whether the per-source route bounds alone prove some source queue
+    /// of the per-channel path saturated at `lambda`, where every channel
+    /// utilization is below 1.  `true` implies
+    /// [`FaultyNCubeModel::solve_general_at`] fails at `lambda`; `false`
+    /// proves nothing.  Always `false` where [`FaultyNCubeModel::solve`]
+    /// delegates to the closed forms.
+    pub fn proves_saturated(&self, lambda: f64) -> bool {
+        self.route_bounds_decide(lambda) == Some(false)
+    }
+
+    /// The per-channel path's verdict at `lambda` without its outputs:
+    /// the channel pass without multiplexing degrees, then the latency
+    /// prefix sums and `Σ s_net` per source.  Returns `Ok` exactly where
+    /// [`FaultyNCubeModel::solve_general_at`] does, and otherwise its
+    /// error.
+    pub fn verdict_at(&self, lambda: f64) -> Result<(), ModelError> {
+        let blocking = self.channel_terms(&self.channel_loads(lambda)?);
+        self.verdict(lambda, &blocking)
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -503,89 +604,174 @@ impl FaultyNCubeModel {
     /// [`FaultyNCubeModel::solve`] would delegate — the cross-validation
     /// hook for the reduction tests.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
-        let pass = self.channel_pass(lambda)?;
-        self.compose(lambda, &pass)
+        let loads = self.channel_loads(lambda)?;
+        self.compose(&loads)
     }
 
-    /// The per-channel pass at rate `lambda`: blocking, utilization and
-    /// multiplexing degree of every channel.  Errs `Saturated` when any
-    /// channel utilization reaches 1.
-    fn channel_pass(&self, lambda: f64) -> Result<ChannelPass, ModelError> {
+    /// Every channel's utilization at rate `lambda`.  Errs `Saturated`
+    /// when any reaches 1.
+    fn channel_loads(&self, lambda: f64) -> Result<ChannelLoads, ModelError> {
         NCubeModel::new(closed_form_twin(&self.config, lambda))?;
-        let lm = self.config.message_length as f64;
-        // The default load-independent pipelined-transfer holding time:
-        // one header cycle per channel plus the message body (the same
-        // `Lm + 1` the fault-free solver converges to immediately).
-        let hold = lm + 1.0;
-        let v = self.config.virtual_channels;
-        let num_channels = self.config.topology().num_channels() as usize;
-        let mut blocking = vec![0.0f64; num_channels];
-        let mut vbar = vec![1.0f64; num_channels];
+        let hold = self.holding_time();
+        let num_channels = self.rates.num_channels();
+        let mut utilization = Vec::with_capacity(num_channels);
         let mut max_utilization = 0.0f64;
         for id in 0..num_channels {
-            let cid = ChannelId(id as u32);
-            let regular = TrafficClass::new(self.rates.regular_rate(cid, lambda), hold);
-            let hot = TrafficClass::new(self.rates.hot_rate(cid, lambda), hold);
-            let utilization = channel_utilization(regular, hot);
-            blocking[id] = blocking_delay(regular, hot, lm, RHO_CAP);
-            max_utilization = max_utilization.max(utilization);
-            vbar[id] = multiplexing_factor(utilization, v);
+            let (regular, hot) = self.classes(ChannelId(id as u32), lambda, hold);
+            let u = channel_utilization(regular, hot);
+            max_utilization = max_utilization.max(u);
+            utilization.push(u);
         }
         if max_utilization >= 1.0 {
             return Err(ModelError::Saturated { max_utilization });
         }
-        Ok(ChannelPass {
-            blocking,
-            vbar,
+        Ok(ChannelLoads {
+            lambda,
+            utilization,
             max_utilization,
         })
     }
 
-    /// Compose the per-source latencies and source-queue waits over the
-    /// channel pass at rate `lambda`.  Errs `Saturated` when a source
-    /// queue's Eq. (28) utilization reaches 1.
-    fn compose(&self, lambda: f64, pass: &ChannelPass) -> Result<FaultyNCubeOutput, ModelError> {
-        #[cfg(test)]
-        tests::COMPOSITIONS.with(|count| count.set(count.get() + 1));
-        let topo = *self.config.topology();
-        let n_nodes = topo.num_nodes();
-        let others = (n_nodes - 1) as f64;
+    /// The second half of the channel pass: each channel's term at the
+    /// loads' rate, its blocking (Eqs. 26–30) and whatever else `T` keeps.
+    fn channel_terms<T: ChannelTerm>(&self, loads: &ChannelLoads) -> Vec<T> {
         let lm = self.config.message_length as f64;
+        let hold = self.holding_time();
         let v = self.config.virtual_channels;
-        let h = self.config.hot_fraction;
-        let hot_node = self.config.hot_node;
-        let (blocking, vbar) = (&pass.blocking, &pass.vbar);
+        loads
+            .utilization
+            .iter()
+            .enumerate()
+            .map(|(id, &u)| {
+                let (regular, hot) = self.classes(ChannelId(id as u32), loads.lambda, hold);
+                T::new(blocking_delay(regular, hot, lm, RHO_CAP), u, v)
+            })
+            .collect()
+    }
 
-        // --- Per-source composition, one prefix-sum sweep per destination.
-        // Down each destination's tree `lat[v] = lat[parent] + 1 + B_c(v)`
-        // is the network latency beyond `Lm` of the route from `v`, and
-        // `c(v)` is that route's entry channel.  Each source accumulates
-        // what Eq. (28) and the class means need: over its reachable
-        // destinations, Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry and the count;
-        // and its route to the hot node separately.
-        let n = n_nodes as usize;
+    /// The default load-independent pipelined-transfer holding time: one
+    /// header cycle per channel plus the message body (the same `Lm + 1`
+    /// the fault-free solver converges to immediately).
+    fn holding_time(&self) -> f64 {
+        self.config.message_length as f64 + 1.0
+    }
+
+    /// The regular and hot traffic classes of `channel` at rate `lambda`.
+    fn classes(&self, channel: ChannelId, lambda: f64, hold: f64) -> (TrafficClass, TrafficClass) {
+        (
+            TrafficClass::new(self.rates.regular_rate(channel, lambda), hold),
+            TrafficClass::new(self.rates.hot_rate(channel, lambda), hold),
+        )
+    }
+
+    /// The sources whose routers survive.
+    fn healthy_sources(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let faults = &self.config.faults;
+        faults
+            .topology()
+            .nodes()
+            .filter(|&src| !faults.node_failed(src))
+    }
+
+    /// Weight of each of `src`'s uniform pairs: its regular share (all of
+    /// it at the hot node) over the `N − 1` other nodes.
+    fn pair_weight(&self, src: NodeId) -> f64 {
+        let regular_share = if src == self.config.hot_node {
+            1.0
+        } else {
+            1.0 - self.config.hot_fraction
+        };
+        regular_share / (self.config.topology().num_nodes() - 1) as f64
+    }
+
+    /// One prefix-sum sweep over every destination's route tree.  Down
+    /// each tree `lat[v] = lat[parent] + 1 + B_c(v)` is the network
+    /// latency beyond `Lm` of the route from `v`, and `c(v)` is that
+    /// route's entry channel.  Each source adds its routes' `T` sums over
+    /// its reachable destinations, in destination order, and keeps its
+    /// route to the hot node apart.
+    fn sweep<T: ChannelTerm>(&self, terms: &[T]) -> RouteSums<T> {
+        let topo = self.config.topology();
+        let n = topo.num_nodes() as usize;
+        let lm = self.config.message_length as f64;
         let mut lat = vec![0.0f64; n];
-        let mut sum_s = vec![0.0f64; n];
-        let mut sum_sv = vec![0.0f64; n];
-        let mut sum_v = vec![0.0f64; n];
-        let mut count = vec![0u32; n];
-        // (s_net, v̄_entry) of each source's route to the hot node.
-        let mut to_hot: Vec<Option<(f64, f64)>> = vec![None; n];
+        let mut sums = vec![T::NO_ROUTES; n];
+        let mut to_hot = vec![None; n];
         for dest in topo.nodes() {
             lat[dest.index()] = 0.0;
             for edge in self.router.tree(dest) {
-                let (v, c) = (edge.node.index(), edge.channel.index());
-                lat[v] = lat[edge.parent.index()] + 1.0 + blocking[c];
-                let s_net = lm + lat[v];
-                sum_s[v] += s_net;
-                sum_sv[v] += s_net * vbar[c];
-                sum_v[v] += vbar[c];
-                count[v] += 1;
-                if dest == hot_node {
-                    to_hot[v] = Some((s_net, vbar[c]));
+                let (v, term) = (edge.node.index(), terms[edge.channel.index()]);
+                lat[v] = lat[edge.parent.index()] + 1.0 + term.blocking();
+                term.add_route(&mut sums[v], lm + lat[v]);
+            }
+            if dest == self.config.hot_node {
+                for edge in self.router.tree(dest) {
+                    let v = edge.node.index();
+                    to_hot[v] = Some((lm + lat[v], terms[edge.channel.index()]));
                 }
             }
         }
+        (sums, to_hot)
+    }
+
+    /// Source `src`'s Eq. (28) wait: the M/G/1 wait at its *delivered*
+    /// injection rate per VC, with the delivered-mix mean network latency
+    /// as service, from `sum_s` (its `Σ s_net` over its reachable
+    /// destinations) and `hot` (the `s_net` of its route to the hot node).
+    /// Errs `Saturated` when the queue's utilization reaches 1.
+    fn source_wait(
+        &self,
+        lambda: f64,
+        src: NodeId,
+        sum_s: f64,
+        hot: Option<f64>,
+    ) -> Result<f64, ModelError> {
+        let h = self.config.hot_fraction;
+        let pair_weight = self.pair_weight(src);
+        let mut service_num = pair_weight * sum_s;
+        let mut delivered_weight = pair_weight * self.router.reachable_from(src) as f64;
+        if let Some(s_net) = hot {
+            service_num += h * s_net;
+            delivered_weight += h;
+        }
+        if delivered_weight > 0.0 {
+            let service = service_num / delivered_weight;
+            let injection = lambda * delivered_weight / self.config.virtual_channels as f64;
+            let lm = self.config.message_length as f64;
+            mg1::waiting_time(injection, service, lm).map_err(|sat| ModelError::Saturated {
+                max_utilization: sat.rho,
+            })
+        } else {
+            Ok(0.0)
+        }
+    }
+
+    /// The verdict-only sweep over the channel pass's `blocking` at rate
+    /// `lambda`: [`FaultyNCubeModel::compose`]'s `Ok` or its error, from
+    /// the same floats in the same order, without the multiplexing terms.
+    fn verdict(&self, lambda: f64, blocking: &[f64]) -> Result<(), ModelError> {
+        #[cfg(test)]
+        tests::VERDICTS.with(|count| count.set(count.get() + 1));
+        let (sum_s, to_hot) = self.sweep(blocking);
+        for src in self.healthy_sources() {
+            let s = src.index();
+            self.source_wait(lambda, src, sum_s[s], to_hot[s].map(|(s_net, _)| s_net))?;
+        }
+        Ok(())
+    }
+
+    /// Compose the per-source latencies and source-queue waits over the
+    /// channel loads: one packed sweep of `(B_c, V̄_c)` per channel into
+    /// `[Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry]` per source, then Eq. (28)
+    /// and the class means.  Errs `Saturated` when a source queue's
+    /// Eq. (28) utilization reaches 1.
+    fn compose(&self, loads: &ChannelLoads) -> Result<FaultyNCubeOutput, ModelError> {
+        #[cfg(test)]
+        tests::COMPOSITIONS.with(|count| count.set(count.get() + 1));
+        let lambda = loads.lambda;
+        let terms: Vec<(f64, f64)> = self.channel_terms(loads);
+        let (sums, to_hot) = self.sweep(&terms);
+        let h = self.config.hot_fraction;
 
         let mut regular_num = 0.0;
         let mut regular_den = 0.0;
@@ -593,37 +779,17 @@ impl FaultyNCubeModel {
         let mut hot_den = 0.0;
         let mut wait_sum = 0.0;
         let mut healthy_sources = 0u32;
-        for src in topo.nodes() {
-            if self.config.faults.node_failed(src) {
-                continue;
-            }
+        for src in self.healthy_sources() {
             healthy_sources += 1;
             let s = src.index();
-            let regular_share = if src == hot_node { 1.0 } else { 1.0 - h };
-            let pair_weight = regular_share / others;
-            let regular_weight = pair_weight * count[s] as f64;
-            let mut service_num = pair_weight * sum_s[s];
-            let mut delivered_weight = regular_weight;
-            if let Some((s_net, _)) = to_hot[s] {
-                service_num += h * s_net;
-                delivered_weight += h;
-            }
-            // Source queue: Eq. (28) at the *delivered* injection rate per
-            // VC, with the delivered-mix mean network latency as service.
-            let wait = if delivered_weight > 0.0 {
-                let service = service_num / delivered_weight;
-                let injection = lambda * delivered_weight / v as f64;
-                mg1::waiting_time(injection, service, lm).map_err(|sat| ModelError::Saturated {
-                    max_utilization: sat.rho,
-                })?
-            } else {
-                0.0
-            };
+            let [sum_s, sum_sv, sum_v] = sums[s];
+            let wait = self.source_wait(lambda, src, sum_s, to_hot[s].map(|(s_net, _)| s_net))?;
             wait_sum += wait;
             // Σ (s_net + wait)·v̄_entry over the source's pairs.
-            regular_num += pair_weight * (sum_sv[s] + wait * sum_v[s]);
-            regular_den += regular_weight;
-            if let Some((s_net, entry_vbar)) = to_hot[s] {
+            let pair_weight = self.pair_weight(src);
+            regular_num += pair_weight * (sum_sv + wait * sum_v);
+            regular_den += pair_weight * self.router.reachable_from(src) as f64;
+            if let Some((s_net, (_, entry_vbar))) = to_hot[s] {
                 hot_num += h * (s_net + wait) * entry_vbar;
                 hot_den += h;
             }
@@ -641,11 +807,11 @@ impl FaultyNCubeModel {
             } else {
                 0.0
             },
-            max_utilization: pass.max_utilization,
+            max_utilization: loads.max_utilization,
             reachable_pairs: self.router.reachable_pairs(),
             reachable_fraction: self.router.reachable_fraction(),
             mean_detour_hops: self.router.expected_detour(),
-            delivered_fraction: latency_den / n_nodes as f64,
+            delivered_fraction: latency_den / self.config.topology().num_nodes() as f64,
             iterations: 1,
             delegated: false,
         })
@@ -662,13 +828,17 @@ mod tests {
         /// Full compositions run on this thread, for the tests to count
         /// what a search composes.
         pub(super) static COMPOSITIONS: Cell<usize> = const { Cell::new(0) };
+        /// Verdict-only sweeps run on this thread.
+        pub(super) static VERDICTS: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// `search()`'s result and the compositions it ran.
-    fn counting_compositions<T>(search: impl FnOnce() -> T) -> (T, usize) {
-        let before = COMPOSITIONS.with(Cell::get);
+    /// `search()`'s result, and the compositions and verdict sweeps it ran.
+    fn counting_sweeps<T>(search: impl FnOnce() -> T) -> (T, usize, usize) {
+        let count = || (COMPOSITIONS.with(Cell::get), VERDICTS.with(Cell::get));
+        let before = count();
         let result = search();
-        (result, COMPOSITIONS.with(Cell::get) - before)
+        let after = count();
+        (result, after.0 - before.0, after.1 - before.1)
     }
 
     fn empty(topo: KAryNCube) -> FaultSet {
@@ -705,38 +875,46 @@ mod tests {
     }
 
     #[test]
-    fn route_bound_leaves_few_compositions_per_search() {
+    fn route_bounds_leave_few_verdict_sweeps_per_search() {
         // The benchmark's shape: 256- and 512-node bi-tori at 0, 2 and 5%
         // faults, V = 2, Lm = 16, h = 0.2, searched from (1e-9, 1e-1) to
         // 1e-3.  Composing every probe the channel pass accepts costs 7-10
-        // compositions per search; the bound leaves only probes that are
-        // truly unstable.
+        // compositions per search, and the stability bound alone left 0-3
+        // of them to a composition.  With the saturation bound too, the
+        // search composes none and leaves no probe to the verdict sweep on
+        // any of the six sets.
         for (k, n) in [(16u32, 2u32), (8, 3)] {
             for (index, density) in [0.0, 0.02, 0.05].into_iter().enumerate() {
                 let topo = KAryNCube::bidirectional(k, n).unwrap();
                 let faults = sampled_faults(topo, density, 1 + index as u64);
                 let model =
                     FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, 2, 16, 0.0, 0.2)).unwrap();
-                let (fast, composed) =
-                    counting_compositions(|| model.saturation(1e-9, 1e-1, 1e-3).unwrap());
-                let (slow, composed_all) = counting_compositions(|| {
+                let (fast, composed, swept) =
+                    counting_sweeps(|| model.saturation(1e-9, 1e-1, 1e-3).unwrap());
+                let (slow, composed_all, _) = counting_sweeps(|| {
                     bisect_saturation(1e-9, 1e-1, 1e-3, |lambda| {
                         model.solve_at(lambda).ok().map(|out| out.iterations)
                     })
                     .unwrap()
                 });
-                assert_eq!(fast.lambda_star.to_bits(), slow.lambda_star.to_bits());
+                let SaturationReport {
+                    lambda_star,
+                    probes,
+                    solver_iterations,
+                } = fast;
+                assert_eq!(lambda_star.to_bits(), slow.lambda_star.to_bits());
                 assert_eq!(
-                    (fast.probes, fast.solver_iterations),
+                    (probes, solver_iterations),
                     (slow.probes, slow.solver_iterations)
                 );
-                assert!(
-                    composed <= 3,
-                    "({k},{n}) at {density}: {composed} compositions (all: {composed_all})"
+                assert_eq!(
+                    (composed, swept),
+                    (0, 0),
+                    "({k},{n}) at {density}: compositions and verdict sweeps"
                 );
                 assert!(
                     composed_all >= 7,
-                    "({k},{n}) at {density}: {composed_all} compositions without the bound"
+                    "({k},{n}) at {density}: {composed_all} compositions without the bounds"
                 );
             }
         }

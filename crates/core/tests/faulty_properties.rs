@@ -260,6 +260,48 @@ fn certified_but_unstable(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
         .find(|&lambda| m.proves_stable(lambda) && m.solve_general_at(lambda).is_err())
 }
 
+/// The first rate among `rates` that `m`'s saturation bound refuses but
+/// the composition solves.
+fn refused_but_solvable(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
+    rates
+        .iter()
+        .copied()
+        .find(|&lambda| m.proves_saturated(lambda) && m.solve_general_at(lambda).is_ok())
+}
+
+/// The first rate among `rates` where `m`'s verdict-only sweep and its
+/// per-channel solve disagree on `Ok` or on the error.
+fn verdict_differs(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
+    rates
+        .iter()
+        .copied()
+        .find(|&lambda| m.verdict_at(lambda).err() != m.solve_general_at(lambda).err())
+}
+
+/// Rings of at most 16 channels: every channel is tracked, so both route
+/// bounds charge each route exactly and only their margin separates them
+/// from the composition's rounding, float by float.
+#[test]
+fn both_bounds_hold_float_by_float_where_every_channel_is_tracked() {
+    for k in 3u32..=8 {
+        for topo in [
+            KAryNCube::unidirectional(k, 1).unwrap(),
+            KAryNCube::bidirectional(k, 1).unwrap(),
+        ] {
+            for lm in [1u32, 4, 16, 64] {
+                for (v, h) in [(1u32, 0.0), (2, 0.0), (1, 0.5), (2, 0.5), (2, 1.0)] {
+                    let config = FaultyNCubeConfig::new(FaultSet::none(topo), v, lm, 0.0, h);
+                    let m = FaultyNCubeModel::new(config).expect("valid faulty config");
+                    let rates = rates_near_the_edge(&m);
+                    let at = format!("{topo:?}, Lm {lm}, V {v}, h {h}");
+                    assert_eq!(certified_but_unstable(&m, &rates), None, "{at}");
+                    assert_eq!(refused_but_solvable(&m, &rates), None, "{at}");
+                }
+            }
+        }
+    }
+}
+
 /// Fault-free bidirectional tori at `h = 0`: every channel carries the
 /// same load, so the stability bound is exact and only its margin
 /// separates it from the composition's rounding, float by float.
@@ -294,12 +336,14 @@ fn certification_holds_float_by_float_where_the_bound_is_exact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The stability bound only ever skips compositions: a probe it
-    /// certifies solves, and the search that uses it
-    /// (`FaultyNCubeModel::saturation`) is the bisection over `solve_at`,
-    /// bit for bit.  Certification is checked on [`rates_near_the_edge`].
-    /// A quarter of the draws are fault-free, and `h` is 0 or 1 a quarter
-    /// of the time each.
+    /// The route bounds and the verdict sweep only ever skip
+    /// compositions: a probe the stability bound certifies solves, no
+    /// probe the saturation bound refuses solves, the verdict sweep
+    /// returns the per-channel solve's `Ok` or error, and the search that
+    /// uses them (`FaultyNCubeModel::saturation`) is the bisection over
+    /// `solve_at`, bit for bit.  All three are checked on
+    /// [`rates_near_the_edge`].  A quarter of the draws are fault-free,
+    /// and `h` is 0 or 1 a quarter of the time each.
     #[test]
     fn certified_probes_solve_and_the_search_is_unchanged(
         topo in arb_bound_topology(),
@@ -332,5 +376,7 @@ proptest! {
 
         let rates = rates_near_the_edge(&m);
         prop_assert_eq!(certified_but_unstable(&m, &rates), None, "{:?}", topo);
+        prop_assert_eq!(refused_but_solvable(&m, &rates), None, "{:?}", topo);
+        prop_assert_eq!(verdict_differs(&m, &rates), None, "{:?}", topo);
     }
 }

@@ -263,6 +263,8 @@ struct RouteTables {
     order_start: Vec<usize>,
     /// Ordered pairs `(src, dest)`, `src != dest`, with a surviving route.
     reachable_pairs: u64,
+    /// Per source, the destinations other than itself it reaches.
+    reachable_from: Vec<u32>,
     /// Σ over reachable pairs of the surviving distance minus the
     /// fault-free minimal distance.
     detour_hops: u64,
@@ -382,6 +384,7 @@ impl RouteTables {
         let mut order: Vec<u16> = Vec::with_capacity(healthy * healthy);
         let mut order_start = Vec::with_capacity(nodes + 1);
         let mut reachable_pairs = 0u64;
+        let mut reachable_from = vec![0u32; nodes];
         let mut detour_hops = 0u64;
         let mut max_finite_distance = 0u32;
         for dest in topo.nodes() {
@@ -415,6 +418,7 @@ impl RouteTables {
             let mut distance_sum = 0u64;
             for &v in &order[start + 1..] {
                 let v = usize::from(v);
+                reachable_from[v] += 1;
                 distance_sum += u64::from(dist[v]);
                 // `d - 1` rather than `neighbor + 1`: the neighbor may sit
                 // at the UNREACHABLE marker, which must not wrap.
@@ -465,6 +469,7 @@ impl RouteTables {
             order,
             order_start,
             reachable_pairs,
+            reachable_from,
             detour_hops,
             max_finite_distance,
         }
@@ -600,6 +605,13 @@ impl FaultRouter {
     /// still communicate.
     pub fn reachable_pairs(&self) -> u64 {
         self.tables.reachable_pairs
+    }
+
+    /// Number of destinations other than `src` that `src` can reach: the
+    /// edges `src` contributes to the route trees, counted with
+    /// [`FaultRouter::reachable_pairs`].
+    pub fn reachable_from(&self, src: NodeId) -> u32 {
+        self.tables.reachable_from[src.index()]
     }
 
     /// Fraction of the `N(N-1)` ordered pairs that can still communicate
@@ -1163,6 +1175,20 @@ mod tests {
             assert_eq!(edges.len(), reaching);
         }
         assert_eq!(router.tree(NodeId(7)).len(), 0);
+        // Each source's census counts its edges over all trees.
+        let mut edges_from = vec![0u32; t.num_nodes() as usize];
+        for dest in t.nodes() {
+            for edge in router.tree(dest) {
+                edges_from[edge.node.index()] += 1;
+            }
+        }
+        for src in t.nodes() {
+            assert_eq!(router.reachable_from(src), edges_from[src.index()]);
+        }
+        assert_eq!(
+            edges_from.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            router.reachable_pairs()
+        );
     }
 
     #[test]

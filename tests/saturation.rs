@@ -2,13 +2,17 @@
 //! the simulator's queue blow-up, and the hot-channel flit bound must all
 //! tell the same story.
 
-use kncube::model::{find_saturation_ncube, NCubeConfig};
+use kncube::model::{find_saturation_ncube, NCubeConfig, NCubeModel};
 use kncube::sim::{SimConfig, Simulator};
 
-/// The hot channel into the hot-spot node carries `λ h k(k-1)` messages of
-/// `Lm + 1` cycles each; it cannot absorb more than one flit per cycle.
+/// The flit bound of the paper's `k × k` torus ([`NCubeModel::flit_bound`]):
+/// the last channel into the hot node carries `λ h k(k-1)` hot messages
+/// plus its regular share, `Lm + 1` cycles each, and cannot absorb more
+/// than one flit per cycle.
 fn flit_bound(k: u32, lm: u32, h: f64) -> f64 {
-    1.0 / (h * (k * (k - 1)) as f64 * (lm + 1) as f64)
+    NCubeModel::new(NCubeConfig::new(k, 2, 2, lm, 0.0, h))
+        .expect("paper configurations are valid")
+        .flit_bound()
 }
 
 #[test]
@@ -28,7 +32,7 @@ fn model_saturation_tracks_flit_bound() {
             "k={k} Lm={lm} h={h}: λ*={sat:.3e} must sit below the flit bound {bound:.3e}"
         );
         assert!(
-            sat > 0.75 * bound,
+            sat > 0.99 * bound,
             "k={k} Lm={lm} h={h}: λ*={sat:.3e} implausibly far below the bound {bound:.3e}"
         );
     }
