@@ -314,10 +314,16 @@ impl StabilityBound {
         let config = &model.config;
         let topo = *config.topology();
         let num_channels = topo.num_channels() as usize;
-        let unit_load = |c: usize| model.rates.total_rate(ChannelId(c as u32), 1.0);
+        let unit_load: Vec<f64> = (0..num_channels)
+            .map(|c| model.rates.total_rate(ChannelId(c as u32), 1.0))
+            .collect();
+        let by_load = |a: &usize, b: &usize| unit_load[*b].total_cmp(&unit_load[*a]).then(a.cmp(b));
         let mut tracked: Vec<usize> = (0..num_channels).collect();
-        tracked.sort_by(|&a, &b| unit_load(b).total_cmp(&unit_load(a)).then(a.cmp(&b)));
-        tracked.truncate(TRACKED_CHANNELS);
+        if num_channels > TRACKED_CHANNELS {
+            tracked.select_nth_unstable_by(TRACKED_CHANNELS - 1, by_load);
+            tracked.truncate(TRACKED_CHANNELS);
+        }
+        tracked.sort_by(by_load);
         let mut bit = vec![0u16; num_channels];
         for (slot, &c) in tracked.iter().enumerate() {
             bit[c] = 1 << slot;
@@ -341,7 +347,10 @@ impl StabilityBound {
                     crossings[v][rest.trailing_zeros() as usize] += 1;
                     rest &= rest - 1;
                 }
-                if dest == config.hot_node {
+            }
+            if dest == config.hot_node {
+                for edge in model.router.tree(dest) {
+                    let v = edge.node.index();
                     to_hot[v] = Some((depth[v], mask[v]));
                 }
             }
