@@ -418,7 +418,6 @@ impl RouteTables {
             let mut distance_sum = 0u64;
             for &v in &order[start + 1..] {
                 let v = usize::from(v);
-                reachable_from[v] += 1;
                 distance_sum += u64::from(dist[v]);
                 // `d - 1` rather than `neighbor + 1`: the neighbor may sit
                 // at the UNREACHABLE marker, which must not wrap.
@@ -443,6 +442,11 @@ impl RouteTables {
                     }
                 };
                 hop[v] = (port as u8) << 1 | class.index() as u8;
+            }
+            // The reached nodes are those with a next hop, so each source's
+            // census is a column count of the table, one row at a time.
+            for (count, &byte) in reachable_from.iter_mut().zip(hop.iter()) {
+                *count += u32::from(byte != NO_HOP);
             }
             // Minimal distances of the reached nodes: those of all healthy
             // nodes, less those of the healthy nodes the search missed.
