@@ -25,12 +25,16 @@
 //!    the source queue adds the Eq. (28) M/G/1 wait at rate `λ_inj / V`,
 //!    where `λ_inj` counts only the *delivered* share of generation.
 //!    Route latencies are prefix sums down each destination's tree, so a
-//!    solve costs `O(N²)` array operations and no route walks.
+//!    solve is one packed sweep of `O(N²)` array operations over the
+//!    per-channel `(B_c, V̄_c)` pairs, with no route walks.
 //!
-//! A λ* search ([`FaultyNCubeModel::saturation`]) skips the composition
-//! on every probe that per-source route bounds, built once per search,
-//! prove stable; its answers are those of a search over
-//! [`FaultyNCubeModel::solve_at`].
+//! A λ* search ([`FaultyNCubeModel::saturation`]) composes no probe.  The
+//! channel pass refuses a probe at channel utilization 1 before it
+//! computes any blocking term; per-source route bounds, built once per
+//! search, prove the probe stable or its source queue saturated; a probe
+//! neither bound decides runs a verdict-only sweep, the composition's
+//! prefix sums without the multiplexing terms.  Its answers are those of
+//! a search over [`FaultyNCubeModel::solve_at`].
 //!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
@@ -229,36 +233,39 @@ trait ChannelTerm: Copy {
     fn add_route(self, sums: &mut Self::Sums, s_net: f64);
 }
 
-/// A verdict sweep's channel: `B_c` alone; a source sums `Σ s_net`.
+/// A verdict sweep's channel: `B_c` alone; a source sums
+/// `[Σ s_net, routes]`.
 impl ChannelTerm for f64 {
-    type Sums = f64;
-    const NO_ROUTES: f64 = 0.0;
+    type Sums = [f64; 2];
+    const NO_ROUTES: [f64; 2] = [0.0; 2];
     fn new(blocking: f64, _: f64, _: u32) -> Self {
         blocking
     }
     fn blocking(self) -> f64 {
         self
     }
-    fn add_route(self, sum_s: &mut f64, s_net: f64) {
-        *sum_s += s_net;
+    fn add_route(self, sums: &mut [f64; 2], s_net: f64) {
+        sums[0] += s_net;
+        sums[1] += 1.0;
     }
 }
 
 /// A composition's channel: `(B_c, V̄_c)`; a source sums
-/// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry]`.
+/// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry, routes]`.
 impl ChannelTerm for (f64, f64) {
-    type Sums = [f64; 3];
-    const NO_ROUTES: [f64; 3] = [0.0; 3];
+    type Sums = [f64; 4];
+    const NO_ROUTES: [f64; 4] = [0.0; 4];
     fn new(blocking: f64, utilization: f64, v: u32) -> Self {
         (blocking, multiplexing_factor(utilization, v))
     }
     fn blocking(self) -> f64 {
         self.0
     }
-    fn add_route(self, sums: &mut [f64; 3], s_net: f64) {
+    fn add_route(self, sums: &mut [f64; 4], s_net: f64) {
         sums[0] += s_net;
         sums[1] += s_net * self.1;
         sums[2] += self.1;
+        sums[3] += 1.0;
     }
 }
 
@@ -332,6 +339,7 @@ impl StabilityBound {
         let n = topo.num_nodes() as usize;
         let mut depth = vec![0u32; n];
         let mut mask = vec![0u16; n];
+        let mut count = vec![0u32; n];
         let mut hops = vec![0u32; n];
         let mut crossings = vec![[0u32; TRACKED_CHANNELS]; n];
         let mut to_hot = vec![None; n];
@@ -341,6 +349,7 @@ impl StabilityBound {
                 let (v, p) = (edge.node.index(), edge.parent.index());
                 depth[v] = depth[p] + 1;
                 mask[v] = mask[p] | bit[edge.channel.index()];
+                count[v] += 1;
                 hops[v] += depth[v];
                 let mut rest = mask[v];
                 while rest != 0 {
@@ -362,7 +371,7 @@ impl StabilityBound {
                 let s = src.index();
                 SourceRoutes {
                     pair_weight: model.pair_weight(src),
-                    count: model.router.reachable_from(src),
+                    count: count[s],
                     hops: hops[s],
                     crossings: crossings[s],
                     to_hot: to_hot[s],
@@ -582,7 +591,8 @@ impl FaultyNCubeModel {
 
     /// The per-channel path's verdict at `lambda` without its outputs:
     /// the channel pass without multiplexing degrees, then the latency
-    /// prefix sums and `Σ s_net` per source.  Returns `Ok` exactly where
+    /// prefix sums, `Σ s_net` and the route count per source.  Returns
+    /// `Ok` exactly where
     /// [`FaultyNCubeModel::solve_general_at`] does, and otherwise its
     /// error.
     pub fn verdict_at(&self, lambda: f64) -> Result<(), ModelError> {
@@ -725,20 +735,20 @@ impl FaultyNCubeModel {
 
     /// Source `src`'s Eq. (28) wait: the M/G/1 wait at its *delivered*
     /// injection rate per VC, with the delivered-mix mean network latency
-    /// as service, from `sum_s` (its `Σ s_net` over its reachable
-    /// destinations) and `hot` (the `s_net` of its route to the hot node).
+    /// as service, from `Σ s_net` over its `routes` to reachable
+    /// destinations and `hot`, the `s_net` of its route to the hot node.
     /// Errs `Saturated` when the queue's utilization reaches 1.
     fn source_wait(
         &self,
         lambda: f64,
         src: NodeId,
-        sum_s: f64,
+        [sum_s, routes]: [f64; 2],
         hot: Option<f64>,
     ) -> Result<f64, ModelError> {
         let h = self.config.hot_fraction;
         let pair_weight = self.pair_weight(src);
         let mut service_num = pair_weight * sum_s;
-        let mut delivered_weight = pair_weight * self.router.reachable_from(src) as f64;
+        let mut delivered_weight = pair_weight * routes;
         if let Some(s_net) = hot {
             service_num += h * s_net;
             delivered_weight += h;
@@ -761,17 +771,17 @@ impl FaultyNCubeModel {
     fn verdict(&self, lambda: f64, blocking: &[f64]) -> Result<(), ModelError> {
         #[cfg(test)]
         tests::VERDICTS.with(|count| count.set(count.get() + 1));
-        let (sum_s, to_hot) = self.sweep(blocking);
+        let (sums, to_hot) = self.sweep(blocking);
         for src in self.healthy_sources() {
             let s = src.index();
-            self.source_wait(lambda, src, sum_s[s], to_hot[s].map(|(s_net, _)| s_net))?;
+            self.source_wait(lambda, src, sums[s], to_hot[s].map(|(s_net, _)| s_net))?;
         }
         Ok(())
     }
 
     /// Compose the per-source latencies and source-queue waits over the
     /// channel loads: one packed sweep of `(B_c, V̄_c)` per channel into
-    /// `[Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry]` per source, then Eq. (28)
+    /// `[Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry, routes]` per source, then Eq. (28)
     /// and the class means.  Errs `Saturated` when a source queue's
     /// Eq. (28) utilization reaches 1.
     fn compose(&self, loads: &ChannelLoads) -> Result<FaultyNCubeOutput, ModelError> {
@@ -791,13 +801,14 @@ impl FaultyNCubeModel {
         for src in self.healthy_sources() {
             healthy_sources += 1;
             let s = src.index();
-            let [sum_s, sum_sv, sum_v] = sums[s];
-            let wait = self.source_wait(lambda, src, sum_s, to_hot[s].map(|(s_net, _)| s_net))?;
+            let [sum_s, sum_sv, sum_v, routes] = sums[s];
+            let hot = to_hot[s].map(|(s_net, _)| s_net);
+            let wait = self.source_wait(lambda, src, [sum_s, routes], hot)?;
             wait_sum += wait;
             // Σ (s_net + wait)·v̄_entry over the source's pairs.
             let pair_weight = self.pair_weight(src);
             regular_num += pair_weight * (sum_sv + wait * sum_v);
-            regular_den += pair_weight * self.router.reachable_from(src) as f64;
+            regular_den += pair_weight * routes;
             if let Some((s_net, (_, entry_vbar))) = to_hot[s] {
                 hot_num += h * (s_net + wait) * entry_vbar;
                 hot_den += h;

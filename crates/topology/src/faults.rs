@@ -263,8 +263,6 @@ struct RouteTables {
     order_start: Vec<usize>,
     /// Ordered pairs `(src, dest)`, `src != dest`, with a surviving route.
     reachable_pairs: u64,
-    /// Per source, the destinations other than itself it reaches.
-    reachable_from: Vec<u32>,
     /// Σ over reachable pairs of the surviving distance minus the
     /// fault-free minimal distance.
     detour_hops: u64,
@@ -384,7 +382,6 @@ impl RouteTables {
         let mut order: Vec<u16> = Vec::with_capacity(healthy * healthy);
         let mut order_start = Vec::with_capacity(nodes + 1);
         let mut reachable_pairs = 0u64;
-        let mut reachable_from = vec![0u32; nodes];
         let mut detour_hops = 0u64;
         let mut max_finite_distance = 0u32;
         for dest in topo.nodes() {
@@ -443,11 +440,6 @@ impl RouteTables {
                 };
                 hop[v] = (port as u8) << 1 | class.index() as u8;
             }
-            // The reached nodes are those with a next hop, so each source's
-            // census is a column count of the table, one row at a time.
-            for (count, &byte) in reachable_from.iter_mut().zip(hop.iter()) {
-                *count += u32::from(byte != NO_HOP);
-            }
             // Minimal distances of the reached nodes: those of all healthy
             // nodes, less those of the healthy nodes the search missed.
             let mut minimal_sum: u64 = (0..n)
@@ -473,7 +465,6 @@ impl RouteTables {
             order,
             order_start,
             reachable_pairs,
-            reachable_from,
             detour_hops,
             max_finite_distance,
         }
@@ -609,13 +600,6 @@ impl FaultRouter {
     /// still communicate.
     pub fn reachable_pairs(&self) -> u64 {
         self.tables.reachable_pairs
-    }
-
-    /// Number of destinations other than `src` that `src` can reach: the
-    /// edges `src` contributes to the route trees, counted with
-    /// [`FaultRouter::reachable_pairs`].
-    pub fn reachable_from(&self, src: NodeId) -> u32 {
-        self.tables.reachable_from[src.index()]
     }
 
     /// Fraction of the `N(N-1)` ordered pairs that can still communicate
@@ -1179,20 +1163,6 @@ mod tests {
             assert_eq!(edges.len(), reaching);
         }
         assert_eq!(router.tree(NodeId(7)).len(), 0);
-        // Each source's census counts its edges over all trees.
-        let mut edges_from = vec![0u32; t.num_nodes() as usize];
-        for dest in t.nodes() {
-            for edge in router.tree(dest) {
-                edges_from[edge.node.index()] += 1;
-            }
-        }
-        for src in t.nodes() {
-            assert_eq!(router.reachable_from(src), edges_from[src.index()]);
-        }
-        assert_eq!(
-            edges_from.iter().map(|&c| u64::from(c)).sum::<u64>(),
-            router.reachable_pairs()
-        );
     }
 
     #[test]
