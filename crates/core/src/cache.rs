@@ -68,8 +68,9 @@ pub struct SolveCache {
     /// `λ = 0` and reused by misses that differ from it only in `λ`.  A
     /// new model finds its router's tables in [`FaultRouter::new`]'s
     /// registry while any holder of the fault set lives, so the slot
-    /// saves only the rate walk.  One slot keeps memory bounded: its model
-    /// keeps the router's `N²` tables alive.
+    /// saves only the rate walk; each miss then costs one packed tree
+    /// sweep ([`FaultyNCubeModel::solve_at`]).  One slot keeps memory
+    /// bounded: its model keeps the router's `N²` tables alive.
     ///
     /// [`FaultRouter::new`]: kncube_topology::FaultRouter::new
     faulty_model: Mutex<Option<(FaultyNCubeConfig, Arc<FaultyNCubeModel>)>>,
