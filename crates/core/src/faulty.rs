@@ -28,13 +28,12 @@
 //!    solve is one packed sweep of `O(N²)` array operations over the
 //!    per-channel `(B_c, V̄_c)` pairs, with no route walks.
 //!
-//! A λ* search ([`FaultyNCubeModel::saturation`]) composes no probe.  The
-//! channel pass refuses a probe at channel utilization 1 before it
+//! A λ* search ([`FaultyNCubeModel::saturation`]) composes few probes.
+//! The channel pass refuses a probe at channel utilization 1 before it
 //! computes any blocking term; per-source route bounds, built once per
-//! search, prove the probe stable or its source queue saturated; a probe
-//! neither bound decides runs a verdict-only sweep, the composition's
-//! prefix sums without the multiplexing terms.  Its answers are those of
-//! a search over [`FaultyNCubeModel::solve_at`].
+//! search, prove the probe stable or its source queue saturated; only a
+//! probe neither bound decides is composed.  Its answers are those of a
+//! search over [`FaultyNCubeModel::solve_at`].
 //!
 //! Superposition is approximate exactly where it is in the paper: channel
 //! arrivals are treated as independent Poisson streams even though the
@@ -208,70 +207,16 @@ fn closed_form_twin(config: &FaultyNCubeConfig, lambda: f64) -> NCubeConfig {
     )
 }
 
-/// The per-channel utilizations at one rate, every one below 1: the first
-/// half of a channel pass, which decides `Saturated` before any blocking
-/// term is computed.
+/// The per-channel traffic classes and utilizations at one rate, every
+/// utilization below 1: the first half of a channel pass, which decides
+/// `Saturated` before any blocking term is computed.
 struct ChannelLoads {
     lambda: f64,
+    /// Per channel: its regular and hot traffic classes.
+    classes: Vec<(TrafficClass, TrafficClass)>,
     utilization: Vec<f64>,
     max_utilization: f64,
 }
-
-/// What a route sweep reads of each channel, and what it adds up per
-/// source over the routes that enter the network on that channel.
-trait ChannelTerm: Copy {
-    /// One source's route sums.
-    type Sums: Copy;
-    /// The sums of a source with no routes.
-    const NO_ROUTES: Self::Sums;
-    /// The term of a channel blocking for `blocking` at `utilization`,
-    /// with `v` virtual channels.
-    fn new(blocking: f64, utilization: f64, v: u32) -> Self;
-    /// The channel's blocking delay `B_c`.
-    fn blocking(self) -> f64;
-    /// Add a route of network latency `s_net` entering on this channel.
-    fn add_route(self, sums: &mut Self::Sums, s_net: f64);
-}
-
-/// A verdict sweep's channel: `B_c` alone; a source sums
-/// `[Σ s_net, routes]`.
-impl ChannelTerm for f64 {
-    type Sums = [f64; 2];
-    const NO_ROUTES: [f64; 2] = [0.0; 2];
-    fn new(blocking: f64, _: f64, _: u32) -> Self {
-        blocking
-    }
-    fn blocking(self) -> f64 {
-        self
-    }
-    fn add_route(self, sums: &mut [f64; 2], s_net: f64) {
-        sums[0] += s_net;
-        sums[1] += 1.0;
-    }
-}
-
-/// A composition's channel: `(B_c, V̄_c)`; a source sums
-/// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry, routes]`.
-impl ChannelTerm for (f64, f64) {
-    type Sums = [f64; 4];
-    const NO_ROUTES: [f64; 4] = [0.0; 4];
-    fn new(blocking: f64, utilization: f64, v: u32) -> Self {
-        (blocking, multiplexing_factor(utilization, v))
-    }
-    fn blocking(self) -> f64 {
-        self.0
-    }
-    fn add_route(self, sums: &mut [f64; 4], s_net: f64) {
-        sums[0] += s_net;
-        sums[1] += s_net * self.1;
-        sums[2] += self.1;
-        sums[3] += 1.0;
-    }
-}
-
-/// Per-source route sums of one sweep, and each source's network latency
-/// and entry term on its route to the hot node.
-type RouteSums<T> = (Vec<<T as ChannelTerm>::Sums>, Vec<Option<(f64, T)>>);
 
 /// Channels whose blocking [`StabilityBound`] follows one by one: the
 /// highest unit loads, where the largest blocking terms sit.
@@ -525,14 +470,12 @@ impl FaultyNCubeModel {
     /// delegated fault-free path reports the closed-form solver's
     /// converged iteration counts.
     ///
-    /// On the per-channel path no probe composes.  The channel pass
-    /// refuses a probe whose channel utilization reaches 1 before it
-    /// computes any blocking term; per-source route bounds, built once
-    /// per search, then prove the probe stable
-    /// ([`FaultyNCubeModel::proves_stable`]) or saturated
-    /// ([`FaultyNCubeModel::proves_saturated`]); a probe neither bound
-    /// decides runs the verdict-only sweep
-    /// ([`FaultyNCubeModel::verdict_at`]).  Each step returns what
+    /// On the per-channel path the channel pass refuses a probe whose
+    /// channel utilization reaches 1 before it computes any blocking term;
+    /// per-source route bounds, built once per search, then prove the
+    /// probe stable or its source queue saturated
+    /// ([`FaultyNCubeModel::route_bounds_decide`]); only a probe neither
+    /// bound decides is composed.  Each step returns what
     /// [`FaultyNCubeModel::solve_at`] would, so `λ*` and the counts are
     /// those of a search over `solve_at`.
     pub fn saturation(
@@ -548,56 +491,31 @@ impl FaultyNCubeModel {
         }
         let bound = StabilityBound::new(self);
         bisect_saturation(lo, hi, rel_tol, |lambda| {
-            let blocking = self.channel_terms(&self.channel_loads(lambda).ok()?);
+            let loads = self.channel_loads(lambda).ok()?;
+            let blocking = self.blocking(&loads);
             let stable = match bound.decide(self, lambda, &blocking) {
                 Some(stable) => stable,
-                None => self.verdict(lambda, &blocking).is_ok(),
+                None => self.compose(&loads, &blocking).is_ok(),
             };
             stable.then_some(1)
         })
     }
 
     /// What the per-source route bounds alone prove of the per-channel
-    /// path at `lambda`, once its channel pass succeeds; `None` where
-    /// [`FaultyNCubeModel::solve`] delegates to the closed forms.
-    fn route_bounds_decide(&self, lambda: f64) -> Option<bool> {
+    /// path at `lambda`, without composing (DESIGN.md §Faulty-network
+    /// model, *Cost*).  `Some(true)`: every channel utilization and every
+    /// source's Eq. (28) utilization is below 1, so
+    /// [`FaultyNCubeModel::solve_general_at`] succeeds.  `Some(false)`:
+    /// every channel utilization is below 1 but some source queue
+    /// saturates, so it fails.  `None` proves nothing: neither bound
+    /// decides, a channel saturates, or [`FaultyNCubeModel::solve`]
+    /// delegates to the closed forms.
+    pub fn route_bounds_decide(&self, lambda: f64) -> Option<bool> {
         if self.delegates_to_ncube() {
             return None;
         }
-        let blocking = self.channel_terms(&self.channel_loads(lambda).ok()?);
+        let blocking = self.blocking(&self.channel_loads(lambda).ok()?);
         StabilityBound::new(self).decide(self, lambda, &blocking)
-    }
-
-    /// Whether the per-source route bounds alone prove the per-channel
-    /// path stable at `lambda`: every channel utilization and every
-    /// source's Eq. (28) utilization below 1, without composing (DESIGN.md
-    /// §Faulty-network model, *Cost*).  `true` implies
-    /// [`FaultyNCubeModel::solve_general_at`] succeeds at `lambda`;
-    /// `false` proves nothing.  Always `false` where
-    /// [`FaultyNCubeModel::solve`] delegates to the closed forms.
-    pub fn proves_stable(&self, lambda: f64) -> bool {
-        self.route_bounds_decide(lambda) == Some(true)
-    }
-
-    /// Whether the per-source route bounds alone prove some source queue
-    /// of the per-channel path saturated at `lambda`, where every channel
-    /// utilization is below 1.  `true` implies
-    /// [`FaultyNCubeModel::solve_general_at`] fails at `lambda`; `false`
-    /// proves nothing.  Always `false` where [`FaultyNCubeModel::solve`]
-    /// delegates to the closed forms.
-    pub fn proves_saturated(&self, lambda: f64) -> bool {
-        self.route_bounds_decide(lambda) == Some(false)
-    }
-
-    /// The per-channel path's verdict at `lambda` without its outputs:
-    /// the channel pass without multiplexing degrees, then the latency
-    /// prefix sums, `Σ s_net` and the route count per source.  Returns
-    /// `Ok` exactly where
-    /// [`FaultyNCubeModel::solve_general_at`] does, and otherwise its
-    /// error.
-    pub fn verdict_at(&self, lambda: f64) -> Result<(), ModelError> {
-        let blocking = self.channel_terms(&self.channel_loads(lambda)?);
-        self.verdict(lambda, &blocking)
     }
 
     /// The bit-exact fault-free reduction: map the closed-form solver's
@@ -624,21 +542,23 @@ impl FaultyNCubeModel {
     /// hook for the reduction tests.
     pub fn solve_general_at(&self, lambda: f64) -> Result<FaultyNCubeOutput, ModelError> {
         let loads = self.channel_loads(lambda)?;
-        self.compose(&loads)
+        self.compose(&loads, &self.blocking(&loads))
     }
 
-    /// Every channel's utilization at rate `lambda`.  Errs `Saturated`
-    /// when any reaches 1.
+    /// Every channel's traffic classes and utilization at rate `lambda`.
+    /// Errs `Saturated` when any utilization reaches 1.
     fn channel_loads(&self, lambda: f64) -> Result<ChannelLoads, ModelError> {
         NCubeModel::new(closed_form_twin(&self.config, lambda))?;
         let hold = self.holding_time();
         let num_channels = self.rates.num_channels();
+        let mut classes = Vec::with_capacity(num_channels);
         let mut utilization = Vec::with_capacity(num_channels);
         let mut max_utilization = 0.0f64;
         for id in 0..num_channels {
             let (regular, hot) = self.classes(ChannelId(id as u32), lambda, hold);
             let u = channel_utilization(regular, hot);
             max_utilization = max_utilization.max(u);
+            classes.push((regular, hot));
             utilization.push(u);
         }
         if max_utilization >= 1.0 {
@@ -646,25 +566,20 @@ impl FaultyNCubeModel {
         }
         Ok(ChannelLoads {
             lambda,
+            classes,
             utilization,
             max_utilization,
         })
     }
 
-    /// The second half of the channel pass: each channel's term at the
-    /// loads' rate, its blocking (Eqs. 26–30) and whatever else `T` keeps.
-    fn channel_terms<T: ChannelTerm>(&self, loads: &ChannelLoads) -> Vec<T> {
+    /// The second half of the channel pass: each channel's blocking delay
+    /// `B_c` (Eqs. 26–30) at the loads' classes.
+    fn blocking(&self, loads: &ChannelLoads) -> Vec<f64> {
         let lm = self.config.message_length as f64;
-        let hold = self.holding_time();
-        let v = self.config.virtual_channels;
         loads
-            .utilization
+            .classes
             .iter()
-            .enumerate()
-            .map(|(id, &u)| {
-                let (regular, hot) = self.classes(ChannelId(id as u32), loads.lambda, hold);
-                T::new(blocking_delay(regular, hot, lm, RHO_CAP), u, v)
-            })
+            .map(|&(regular, hot)| blocking_delay(regular, hot, lm, RHO_CAP))
             .collect()
     }
 
@@ -703,36 +618,6 @@ impl FaultyNCubeModel {
         regular_share / (self.config.topology().num_nodes() - 1) as f64
     }
 
-    /// One prefix-sum sweep over every destination's route tree.  Down
-    /// each tree `lat[v] = lat[parent] + 1 + B_c(v)` is the network
-    /// latency beyond `Lm` of the route from `v`, and `c(v)` is that
-    /// route's entry channel.  Each source adds its routes' `T` sums over
-    /// its reachable destinations, in destination order, and keeps its
-    /// route to the hot node apart.
-    fn sweep<T: ChannelTerm>(&self, terms: &[T]) -> RouteSums<T> {
-        let topo = self.config.topology();
-        let n = topo.num_nodes() as usize;
-        let lm = self.config.message_length as f64;
-        let mut lat = vec![0.0f64; n];
-        let mut sums = vec![T::NO_ROUTES; n];
-        let mut to_hot = vec![None; n];
-        for dest in topo.nodes() {
-            lat[dest.index()] = 0.0;
-            for edge in self.router.tree(dest) {
-                let (v, term) = (edge.node.index(), terms[edge.channel.index()]);
-                lat[v] = lat[edge.parent.index()] + 1.0 + term.blocking();
-                term.add_route(&mut sums[v], lm + lat[v]);
-            }
-            if dest == self.config.hot_node {
-                for edge in self.router.tree(dest) {
-                    let v = edge.node.index();
-                    to_hot[v] = Some((lm + lat[v], terms[edge.channel.index()]));
-                }
-            }
-        }
-        (sums, to_hot)
-    }
-
     /// Source `src`'s Eq. (28) wait: the M/G/1 wait at its *delivered*
     /// injection rate per VC, with the delivered-mix mean network latency
     /// as service, from `Σ s_net` over its `routes` to reachable
@@ -765,33 +650,58 @@ impl FaultyNCubeModel {
         }
     }
 
-    /// The verdict-only sweep over the channel pass's `blocking` at rate
-    /// `lambda`: [`FaultyNCubeModel::compose`]'s `Ok` or its error, from
-    /// the same floats in the same order, without the multiplexing terms.
-    fn verdict(&self, lambda: f64, blocking: &[f64]) -> Result<(), ModelError> {
-        #[cfg(test)]
-        tests::VERDICTS.with(|count| count.set(count.get() + 1));
-        let (sums, to_hot) = self.sweep(blocking);
-        for src in self.healthy_sources() {
-            let s = src.index();
-            self.source_wait(lambda, src, sums[s], to_hot[s].map(|(s_net, _)| s_net))?;
-        }
-        Ok(())
-    }
-
     /// Compose the per-source latencies and source-queue waits over the
-    /// channel loads: one packed sweep of `(B_c, V̄_c)` per channel into
-    /// `[Σ s_net, Σ s_net·v̄_entry, Σ v̄_entry, routes]` per source, then Eq. (28)
-    /// and the class means.  Errs `Saturated` when a source queue's
-    /// Eq. (28) utilization reaches 1.
-    fn compose(&self, loads: &ChannelLoads) -> Result<FaultyNCubeOutput, ModelError> {
+    /// channel pass, then Eq. (28) and the class means.  Errs `Saturated`
+    /// when a source queue's Eq. (28) utilization reaches 1.
+    ///
+    /// One packed prefix-sum sweep of `(B_c, V̄_c)` per channel over every
+    /// destination's route tree: down each tree `lat[v] = lat[parent] + 1
+    /// + B_c(v)` is the network latency beyond `Lm` of the route from
+    /// `v`, and `c(v)` is that route's entry channel.  Each source adds
+    /// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry, routes]` over its reachable
+    /// destinations, in destination order, and keeps the `s_net` and
+    /// entry `V̄` of its route to the hot node apart.
+    fn compose(
+        &self,
+        loads: &ChannelLoads,
+        blocking: &[f64],
+    ) -> Result<FaultyNCubeOutput, ModelError> {
         #[cfg(test)]
         tests::COMPOSITIONS.with(|count| count.set(count.get() + 1));
         let lambda = loads.lambda;
-        let terms: Vec<(f64, f64)> = self.channel_terms(loads);
-        let (sums, to_hot) = self.sweep(&terms);
-        let h = self.config.hot_fraction;
+        let vcs = self.config.virtual_channels;
+        let terms: Vec<(f64, f64)> = blocking
+            .iter()
+            .zip(&loads.utilization)
+            .map(|(&b, &u)| (b, multiplexing_factor(u, vcs)))
+            .collect();
+        let topo = self.config.topology();
+        let n = topo.num_nodes() as usize;
+        let lm = self.config.message_length as f64;
+        let mut lat = vec![0.0f64; n];
+        let mut sums = vec![[0.0f64; 4]; n];
+        let mut to_hot = vec![None; n];
+        for dest in topo.nodes() {
+            lat[dest.index()] = 0.0;
+            for edge in self.router.tree(dest) {
+                let (v, (blocking, vbar)) = (edge.node.index(), terms[edge.channel.index()]);
+                lat[v] = lat[edge.parent.index()] + 1.0 + blocking;
+                let s_net = lm + lat[v];
+                let sums = &mut sums[v];
+                sums[0] += s_net;
+                sums[1] += s_net * vbar;
+                sums[2] += vbar;
+                sums[3] += 1.0;
+            }
+            if dest == self.config.hot_node {
+                for edge in self.router.tree(dest) {
+                    let v = edge.node.index();
+                    to_hot[v] = Some((lm + lat[v], terms[edge.channel.index()].1));
+                }
+            }
+        }
 
+        let h = self.config.hot_fraction;
         let mut regular_num = 0.0;
         let mut regular_den = 0.0;
         let mut hot_num = 0.0;
@@ -809,7 +719,7 @@ impl FaultyNCubeModel {
             let pair_weight = self.pair_weight(src);
             regular_num += pair_weight * (sum_sv + wait * sum_v);
             regular_den += pair_weight * routes;
-            if let Some((s_net, (_, entry_vbar))) = to_hot[s] {
+            if let Some((s_net, entry_vbar)) = to_hot[s] {
                 hot_num += h * (s_net + wait) * entry_vbar;
                 hot_den += h;
             }
@@ -831,7 +741,7 @@ impl FaultyNCubeModel {
             reachable_pairs: self.router.reachable_pairs(),
             reachable_fraction: self.router.reachable_fraction(),
             mean_detour_hops: self.router.expected_detour(),
-            delivered_fraction: latency_den / self.config.topology().num_nodes() as f64,
+            delivered_fraction: latency_den / n as f64,
             iterations: 1,
             delegated: false,
         })
@@ -848,17 +758,13 @@ mod tests {
         /// Full compositions run on this thread, for the tests to count
         /// what a search composes.
         pub(super) static COMPOSITIONS: Cell<usize> = const { Cell::new(0) };
-        /// Verdict-only sweeps run on this thread.
-        pub(super) static VERDICTS: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// `search()`'s result, and the compositions and verdict sweeps it ran.
-    fn counting_sweeps<T>(search: impl FnOnce() -> T) -> (T, usize, usize) {
-        let count = || (COMPOSITIONS.with(Cell::get), VERDICTS.with(Cell::get));
-        let before = count();
+    /// `search()`'s result, and the compositions it ran.
+    fn counting_compositions<T>(search: impl FnOnce() -> T) -> (T, usize) {
+        let before = COMPOSITIONS.with(Cell::get);
         let result = search();
-        let after = count();
-        (result, after.0 - before.0, after.1 - before.1)
+        (result, COMPOSITIONS.with(Cell::get) - before)
     }
 
     fn empty(topo: KAryNCube) -> FaultSet {
@@ -895,23 +801,22 @@ mod tests {
     }
 
     #[test]
-    fn route_bounds_leave_few_verdict_sweeps_per_search() {
+    fn route_bound_leaves_few_compositions_per_search() {
         // The benchmark's shape: 256- and 512-node bi-tori at 0, 2 and 5%
         // faults, V = 2, Lm = 16, h = 0.2, searched from (1e-9, 1e-1) to
         // 1e-3.  Composing every probe the channel pass accepts costs 7-10
         // compositions per search, and the stability bound alone left 0-3
         // of them to a composition.  With the saturation bound too, the
-        // search composes none and leaves no probe to the verdict sweep on
-        // any of the six sets.
+        // search composes none on any of the six sets.
         for (k, n) in [(16u32, 2u32), (8, 3)] {
             for (index, density) in [0.0, 0.02, 0.05].into_iter().enumerate() {
                 let topo = KAryNCube::bidirectional(k, n).unwrap();
                 let faults = sampled_faults(topo, density, 1 + index as u64);
                 let model =
                     FaultyNCubeModel::new(FaultyNCubeConfig::new(faults, 2, 16, 0.0, 0.2)).unwrap();
-                let (fast, composed, swept) =
-                    counting_sweeps(|| model.saturation(1e-9, 1e-1, 1e-3).unwrap());
-                let (slow, composed_all, _) = counting_sweeps(|| {
+                let (fast, composed) =
+                    counting_compositions(|| model.saturation(1e-9, 1e-1, 1e-3).unwrap());
+                let (slow, composed_all) = counting_compositions(|| {
                     bisect_saturation(1e-9, 1e-1, 1e-3, |lambda| {
                         model.solve_at(lambda).ok().map(|out| out.iterations)
                     })
@@ -927,11 +832,7 @@ mod tests {
                     (probes, solver_iterations),
                     (slow.probes, slow.solver_iterations)
                 );
-                assert_eq!(
-                    (composed, swept),
-                    (0, 0),
-                    "({k},{n}) at {density}: compositions and verdict sweeps"
-                );
+                assert_eq!(composed, 0, "({k},{n}) at {density}: compositions");
                 assert!(
                     composed_all >= 7,
                     "({k},{n}) at {density}: {composed_all} compositions without the bounds"

@@ -254,28 +254,17 @@ fn rates_near_the_edge(m: &FaultyNCubeModel) -> Vec<f64> {
 /// The first rate among `rates` that `m`'s stability bound certifies but
 /// the composition rejects.
 fn certified_but_unstable(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
-    rates
-        .iter()
-        .copied()
-        .find(|&lambda| m.proves_stable(lambda) && m.solve_general_at(lambda).is_err())
+    rates.iter().copied().find(|&lambda| {
+        m.route_bounds_decide(lambda) == Some(true) && m.solve_general_at(lambda).is_err()
+    })
 }
 
 /// The first rate among `rates` that `m`'s saturation bound refuses but
 /// the composition solves.
 fn refused_but_solvable(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
-    rates
-        .iter()
-        .copied()
-        .find(|&lambda| m.proves_saturated(lambda) && m.solve_general_at(lambda).is_ok())
-}
-
-/// The first rate among `rates` where `m`'s verdict-only sweep and its
-/// per-channel solve disagree on `Ok` or on the error.
-fn verdict_differs(m: &FaultyNCubeModel, rates: &[f64]) -> Option<f64> {
-    rates
-        .iter()
-        .copied()
-        .find(|&lambda| m.verdict_at(lambda).err() != m.solve_general_at(lambda).err())
+    rates.iter().copied().find(|&lambda| {
+        m.route_bounds_decide(lambda) == Some(false) && m.solve_general_at(lambda).is_ok()
+    })
 }
 
 /// Rings of at most 16 channels: every channel is tracked, so both route
@@ -336,14 +325,13 @@ fn certification_holds_float_by_float_where_the_bound_is_exact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The route bounds and the verdict sweep only ever skip
-    /// compositions: a probe the stability bound certifies solves, no
-    /// probe the saturation bound refuses solves, the verdict sweep
-    /// returns the per-channel solve's `Ok` or error, and the search that
-    /// uses them (`FaultyNCubeModel::saturation`) is the bisection over
-    /// `solve_at`, bit for bit.  All three are checked on
-    /// [`rates_near_the_edge`].  A quarter of the draws are fault-free,
-    /// and `h` is 0 or 1 a quarter of the time each.
+    /// The route bounds only ever skip compositions: a probe the
+    /// stability bound certifies solves, no probe the saturation bound
+    /// refuses solves, and the search that uses them
+    /// (`FaultyNCubeModel::saturation`) is the bisection over `solve_at`,
+    /// bit for bit.  Both bounds are checked on [`rates_near_the_edge`].
+    /// A quarter of the draws are fault-free, and `h` is 0 or 1 a quarter
+    /// of the time each.
     #[test]
     fn certified_probes_solve_and_the_search_is_unchanged(
         topo in arb_bound_topology(),
@@ -377,6 +365,5 @@ proptest! {
         let rates = rates_near_the_edge(&m);
         prop_assert_eq!(certified_but_unstable(&m, &rates), None, "{:?}", topo);
         prop_assert_eq!(refused_but_solvable(&m, &rates), None, "{:?}", topo);
-        prop_assert_eq!(verdict_differs(&m, &rates), None, "{:?}", topo);
     }
 }
