@@ -51,9 +51,9 @@
 use crate::ncube::{ModelError, NCubeConfig, NCubeModel, RHO_CAP};
 use crate::rates::FaultyChannelRates;
 use crate::sweep::{bisect_saturation, SaturationError, SaturationReport};
-use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
+use kncube_queueing::blocking::{blocking_delays, channel_utilization, TrafficClass};
 use kncube_queueing::mg1;
-use kncube_queueing::vc_multiplex::multiplexing_factor;
+use kncube_queueing::vc_multiplex::multiplexing_factors;
 use kncube_topology::{Boundary, ChannelId, FaultRouter, FaultSet, KAryNCube, LinkKind, NodeId};
 
 /// Hard cap on `N = k^n` for the faulty model.  The [`FaultRouter`]
@@ -212,8 +212,12 @@ fn closed_form_twin(config: &FaultyNCubeConfig, lambda: f64) -> NCubeConfig {
 /// `Saturated` before any blocking term is computed.
 struct ChannelLoads {
     lambda: f64,
-    /// Per channel: its regular and hot traffic classes.
-    classes: Vec<(TrafficClass, TrafficClass)>,
+    /// The holding time both classes present on every channel.
+    hold: f64,
+    /// Per channel: its regular and hot rates, one row each so the
+    /// blocking row reads its lanes contiguously.
+    regular: Vec<f64>,
+    hot: Vec<f64>,
     utilization: Vec<f64>,
     max_utilization: f64,
 }
@@ -551,14 +555,16 @@ impl FaultyNCubeModel {
         NCubeModel::new(closed_form_twin(&self.config, lambda))?;
         let hold = self.holding_time();
         let num_channels = self.rates.num_channels();
-        let mut classes = Vec::with_capacity(num_channels);
+        let mut regular_rates = Vec::with_capacity(num_channels);
+        let mut hot_rates = Vec::with_capacity(num_channels);
         let mut utilization = Vec::with_capacity(num_channels);
         let mut max_utilization = 0.0f64;
         for id in 0..num_channels {
             let (regular, hot) = self.classes(ChannelId(id as u32), lambda, hold);
             let u = channel_utilization(regular, hot);
             max_utilization = max_utilization.max(u);
-            classes.push((regular, hot));
+            regular_rates.push(regular.rate);
+            hot_rates.push(hot.rate);
             utilization.push(u);
         }
         if max_utilization >= 1.0 {
@@ -566,7 +572,9 @@ impl FaultyNCubeModel {
         }
         Ok(ChannelLoads {
             lambda,
-            classes,
+            hold,
+            regular: regular_rates,
+            hot: hot_rates,
             utilization,
             max_utilization,
         })
@@ -576,11 +584,15 @@ impl FaultyNCubeModel {
     /// `B_c` (Eqs. 26–30) at the loads' classes.
     fn blocking(&self, loads: &ChannelLoads) -> Vec<f64> {
         let lm = self.config.message_length as f64;
-        loads
-            .classes
-            .iter()
-            .map(|&(regular, hot)| blocking_delay(regular, hot, lm, RHO_CAP))
-            .collect()
+        let mut blocking = vec![0.0; loads.regular.len()];
+        let classes = |c: usize| {
+            (
+                TrafficClass::new(loads.regular[c], loads.hold),
+                TrafficClass::new(loads.hot[c], loads.hold),
+            )
+        };
+        blocking_delays(&mut blocking, lm, RHO_CAP, classes, |_| {});
+        blocking
     }
 
     /// The default load-independent pipelined-transfer holding time: one
@@ -655,9 +667,10 @@ impl FaultyNCubeModel {
     /// when a source queue's Eq. (28) utilization reaches 1.
     ///
     /// One packed prefix-sum sweep of `(B_c, V̄_c)` per channel over every
-    /// destination's route tree: down each tree `lat[v] = lat[parent] + 1
-    /// + B_c(v)` is the network latency beyond `Lm` of the route from
-    /// `v`, and `c(v)` is that route's entry channel.  Each source adds
+    /// destination's route tree: down each tree
+    /// `lat[v] = lat[parent] + 1 + B_c(v)` is the network latency beyond
+    /// `Lm` of the route from `v`, and `c(v)` is that route's entry
+    /// channel.  Each source adds
     /// `[Σ s_net, Σ s_net·V̄_entry, Σ V̄_entry, routes]` over its reachable
     /// destinations, in destination order, and keeps the `s_net` and
     /// entry `V̄` of its route to the hot node apart.
@@ -669,12 +682,9 @@ impl FaultyNCubeModel {
         #[cfg(test)]
         tests::COMPOSITIONS.with(|count| count.set(count.get() + 1));
         let lambda = loads.lambda;
-        let vcs = self.config.virtual_channels;
-        let terms: Vec<(f64, f64)> = blocking
-            .iter()
-            .zip(&loads.utilization)
-            .map(|(&b, &u)| (b, multiplexing_factor(u, vcs)))
-            .collect();
+        let mut vbar = loads.utilization.clone();
+        multiplexing_factors(&mut vbar, self.config.virtual_channels);
+        let terms: Vec<(f64, f64)> = blocking.iter().copied().zip(vbar).collect();
         let topo = self.config.topology();
         let n = topo.num_nodes() as usize;
         let lm = self.config.message_length as f64;

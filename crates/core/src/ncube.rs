@@ -52,10 +52,12 @@
 
 use crate::probabilities::{entry_cases, EntryCase};
 use crate::rates::NCubeRates;
-use kncube_queueing::blocking::{blocking_delay, channel_utilization, TrafficClass};
+use kncube_queueing::blocking::{
+    blocking_delay, blocking_delays, channel_utilization, TrafficClass,
+};
 use kncube_queueing::fixed_point::{self, Acceleration, FixedPointError};
 use kncube_queueing::mg1;
-use kncube_queueing::vc_multiplex::multiplexing_factor;
+use kncube_queueing::vc_multiplex::{multiplexing_factor, multiplexing_factors};
 use std::fmt;
 
 /// Utilization cap used to keep intermediate fixed-point iterates finite.
@@ -344,6 +346,19 @@ enum Tails {
     Mean,
 }
 
+/// The rows one fixed-point update evaluates, kept across iterations so
+/// no update allocates.
+#[derive(Default)]
+struct UpdateRows {
+    /// The downstream tail costs of the current dimension.
+    tails: Vec<f64>,
+    /// Where a blocking row stores its terms, one per tail.  The update
+    /// reads none of them back: its sums take each term in row order as
+    /// it is made, and the stores are what lets the row form pack its
+    /// lanes ([`blocking_delays`]).
+    blocking: Vec<f64>,
+}
+
 impl NCubeModel {
     /// Validate the configuration and build the model.
     pub fn new(config: NCubeConfig) -> Result<Self, ModelError> {
@@ -495,7 +510,7 @@ impl NCubeModel {
         &self,
         layout: Layout,
         hot_rates: &[f64],
-        tails: &mut Vec<f64>,
+        rows: &mut UpdateRows,
         state: &[f64],
         next: &mut [f64],
     ) {
@@ -513,8 +528,8 @@ impl NCubeModel {
         );
 
         for d in 0..layout.n {
-            self.tail_sums(layout, state, d, tails);
-            let inv_tails = 1.0 / tails.len() as f64;
+            self.tail_sums(layout, state, d, &mut rows.tails);
+            let inv_tails = 1.0 / rows.tails.len() as f64;
             let hold_d = self.hold_regular(state[layout.b_hot(d)]);
             let regular = TrafficClass::new(lr, hold_d);
             // The hot chain's regular competitor holds for the Eq. 25
@@ -536,25 +551,38 @@ impl NCubeModel {
             // positions (and the tail profiles, which only matter under
             // the path-occupancy ablation).  Eqs. (23)/(25) generalized:
             // the hot-message chain C_{d,j} over the first k-1 positions.
+            // Each position's blocking terms are one row over the tail
+            // profiles (one entry under the pipelined default); a chain
+            // whose competitor is another family takes a second row.
             let mut sum = 0.0;
             let mut cum = 0.0;
             for l in 1..=k {
                 let rate = hot_rates[d * k + l - 1];
                 let c_before = layout.c_or_zero(state, d, l - 1);
-                let in_chain = l <= layout.m;
+                let tails = &rows.tails;
+                let hot = |t: usize| TrafficClass::new(rate, self.hot_hold(c_before, tails[t]));
+                let row = &mut rows.blocking;
+                row.resize(tails.len(), 0.0);
                 let mut bsum = 0.0;
-                for &tail in tails.iter() {
-                    let hot = TrafficClass::new(rate, self.hot_hold(c_before, tail));
-                    let b = blocking_delay(regular, hot, lm, RHO_CAP);
-                    sum += b;
-                    if in_chain {
-                        bsum += match chain_regular {
-                            None => b,
-                            Some(reg) => blocking_delay(reg, hot, lm, RHO_CAP),
-                        };
+                match chain_regular {
+                    None => blocking_delays(
+                        row,
+                        lm,
+                        RHO_CAP,
+                        |t| (regular, hot(t)),
+                        |b| {
+                            sum += b;
+                            bsum += b;
+                        },
+                    ),
+                    Some(reg) => {
+                        blocking_delays(row, lm, RHO_CAP, |t| (regular, hot(t)), |b| sum += b);
+                        if l <= layout.m {
+                            blocking_delays(row, lm, RHO_CAP, |t| (reg, hot(t)), |b| bsum += b);
+                        }
                     }
                 }
-                if in_chain {
+                if l <= layout.m {
                     cum += 1.0 + bsum * inv_tails;
                     next[layout.c(d, l)] = cum;
                 }
@@ -600,7 +628,7 @@ impl NCubeModel {
             _ => self.initial_state(layout),
         };
         let hot_rates = self.hot_rate_table();
-        let mut tails = Vec::new();
+        let mut rows = UpdateRows::default();
         let mut clamped = Vec::new();
         let report = fixed_point::solve(initial, self.config.acceleration, |state, next| {
             // Delays and hop counts are non-negative; Anderson steps that
@@ -613,7 +641,7 @@ impl NCubeModel {
             } else {
                 state
             };
-            self.update(layout, &hot_rates, &mut tails, state, next)
+            self.update(layout, &hot_rates, &mut rows, state, next)
         })
         .map_err(|e| match e {
             FixedPointError::NonFinite | FixedPointError::NotConverged => ModelError::NotConverged,
@@ -691,8 +719,13 @@ impl NCubeModel {
             }
         };
         let vbar_nonhot = vbar_of(lr * hold_nonhot);
-        for x in per_channel.iter_mut() {
-            *x = vbar_of(*x);
+        match self.config.multiplexing {
+            MultiplexingModel::DallyMarkov => multiplexing_factors(&mut per_channel, v),
+            MultiplexingModel::ClassAware => {
+                for x in per_channel.iter_mut() {
+                    *x = vbar_of(*x);
+                }
+            }
         }
         let vbar_hot: Vec<f64> = (0..n)
             .map(|d| {

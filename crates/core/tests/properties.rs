@@ -7,8 +7,16 @@ use kncube_topology::{Channel, Direction, KAryNCube, NodeId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+/// [`NCubeModel::flit_bound`] of the configuration at any rate: the hot
+/// funnel plus the regular share on the busiest channel.
+fn flit_bound(cfg: NCubeConfig) -> f64 {
+    NCubeModel::new(NCubeConfig { lambda: 0.0, ..cfg })
+        .unwrap()
+        .flit_bound()
+}
+
 /// Strategy over valid configurations of the paper's `k × k` torus at a
-/// load comfortably below the hot-channel flit bound.
+/// load comfortably below the flit bound.
 fn sub_saturation_config() -> impl Strategy<Value = NCubeConfig> {
     (
         4u32..=16,     // k
@@ -18,10 +26,11 @@ fn sub_saturation_config() -> impl Strategy<Value = NCubeConfig> {
         0.05f64..=0.5, // fraction of the flit bound
     )
         .prop_map(|(k, v, lm, h, frac)| {
-            let hot_bound = 1.0 / (h.max(0.01) * (k * (k - 1)) as f64 * (lm + 1) as f64);
-            let uni_bound = 1.0 / ((k as f64 - 1.0) / 2.0 * (lm + 1) as f64);
-            let lambda = frac * hot_bound.min(uni_bound);
-            NCubeConfig::new(k, 2, v, lm, lambda, h)
+            let cfg = NCubeConfig::new(k, 2, v, lm, 0.0, h);
+            NCubeConfig {
+                lambda: frac * flit_bound(cfg),
+                ..cfg
+            }
         })
 }
 
@@ -229,9 +238,7 @@ proptest! {
         if iterative {
             base.service_model = ServiceTimeModel::PathOccupancy;
         }
-        let hot_bound = 1.0 / (h.max(0.01) * (k * (k - 1)) as f64 * (lm + 1) as f64);
-        let uni_bound = 1.0 / ((k as f64 - 1.0) / 2.0 * (lm + 1) as f64);
-        let cap = top * hot_bound.min(uni_bound) / (n - 1) as f64;
+        let cap = top * flit_bound(base);
         let configs: Vec<NCubeConfig> = (1..=6)
             .map(|i| NCubeConfig { lambda: cap * i as f64 / 6.0, ..base })
             .collect();
@@ -273,10 +280,8 @@ proptest! {
         // must be the *exact* solution of quantize(λ′): a hit is only
         // legal because the two requests snapped to the same lattice
         // configuration.
-        let hot_bound = 1.0 / (h.max(0.01) * (k * (k - 1)) as f64 * (lm + 1) as f64);
-        let uni_bound = 1.0 / ((k as f64 - 1.0) / 2.0 * (lm + 1) as f64);
-        let lambda = frac * hot_bound.min(uni_bound) / (n - 1) as f64;
-        let a = NCubeConfig::new(k, n, 2, lm, lambda, h);
+        let a = NCubeConfig::new(k, n, 2, lm, 0.0, h);
+        let a = NCubeConfig { lambda: frac * flit_bound(a), ..a };
         let b = NCubeConfig {
             lambda: f64::from_bits(a.lambda.to_bits() + nudge_ulps),
             ..a

@@ -13,6 +13,10 @@
 //! wc = (λ+γ) S̄² (1 + (S̄-Lm)²/S̄²) / (2 (1 - (λ+γ) S̄))   (29)
 //! B  = Pb · wc                                             (26)
 //! ```
+//!
+//! [`blocking_delay`] evaluates one channel and [`blocking_delays`] a row
+//! of channels, four lanes at a time.  Both run one branch-free body, so
+//! the row form is the scalar form element for element, bit for bit.
 
 use crate::mg1;
 
@@ -41,14 +45,22 @@ impl TrafficClass {
     }
 }
 
+/// Eq. (30) with its total rate, unguarded: `S̄` is NaN when no traffic
+/// visits the channel, for the caller to select away.
+#[inline(always)]
+fn rate_and_mean_service(regular: TrafficClass, hot: TrafficClass) -> (f64, f64) {
+    let total = regular.rate + hot.rate;
+    (
+        total,
+        (regular.rate * regular.service + hot.rate * hot.service) / total,
+    )
+}
+
 /// Eq. (30): the rate-weighted mean service time of the channel.  Zero when
 /// no traffic visits the channel.
 pub fn weighted_service(regular: TrafficClass, hot: TrafficClass) -> f64 {
-    let total = regular.rate + hot.rate;
-    if total == 0.0 {
-        return 0.0;
-    }
-    (regular.rate * regular.service + hot.rate * hot.service) / total
+    let (total, s_bar) = rate_and_mean_service(regular, hot);
+    crate::select(total == 0.0, 0.0, s_bar)
 }
 
 /// Eqs. (26)–(30): mean blocking delay at a channel visited by the two
@@ -58,11 +70,53 @@ pub fn weighted_service(regular: TrafficClass, hot: TrafficClass) -> f64 {
 /// [`mg1::waiting_time_clamped`]); callers diagnose saturation on the
 /// converged state.
 pub fn blocking_delay(regular: TrafficClass, hot: TrafficClass, lm: f64, rho_cap: f64) -> f64 {
-    let total_rate = regular.rate + hot.rate;
-    if total_rate == 0.0 {
-        return 0.0;
+    blocking_body(regular, hot, lm, rho_cap)
+}
+
+/// [`blocking_delay`] of every channel of a row: `out[i]` from the
+/// `(regular, hot)` classes `classes(i)`, bit for bit.  `each` sees every
+/// delay in row order right after its chunk is written, so a caller's
+/// running sums keep their order and run alongside the next chunk's
+/// divisions instead of in a second pass over `out`.
+///
+/// The row runs in chunks of four lanes: the four copies of the body
+/// are straight-line code with a select for the guard, which the optimizer
+/// packs into two-lane SSE2 `divpd`/`mulpd` on the baseline x86-64
+/// target when `classes` reads its rates and services from contiguous
+/// rows or constants.  No fused multiply-add and no target feature is
+/// used, so every host computes the same bits.  The form is inlined into
+/// its caller so that `each`'s accumulators stay in registers.
+#[inline(always)]
+pub fn blocking_delays(
+    out: &mut [f64],
+    lm: f64,
+    rho_cap: f64,
+    classes: impl Fn(usize) -> (TrafficClass, TrafficClass),
+    mut each: impl FnMut(f64),
+) {
+    for (c, chunk) in out.chunks_exact_mut(4).enumerate() {
+        let lanes: [_; 4] = std::array::from_fn(|j| classes(4 * c + j));
+        let mut delays = [0.0; 4];
+        for (delay, (regular, hot)) in delays.iter_mut().zip(lanes) {
+            *delay = blocking_body(regular, hot, lm, rho_cap);
+        }
+        chunk.copy_from_slice(&delays);
+        delays.into_iter().for_each(&mut each);
     }
-    let s_bar = weighted_service(regular, hot);
+    let done = out.len() - out.len() % 4;
+    for (i, out) in out[done..].iter_mut().enumerate() {
+        let (regular, hot) = classes(done + i);
+        *out = blocking_body(regular, hot, lm, rho_cap);
+        each(*out);
+    }
+}
+
+/// The one body of Eqs. (26)–(30), branch-free.  An idle channel needs
+/// no guard of its own: its `S̄ = 0/0` is NaN, the wait's zero-rate
+/// select makes `wc = 0` and `Pb = min(NaN, 1) = 1`, so `B = +0`.
+#[inline(always)]
+fn blocking_body(regular: TrafficClass, hot: TrafficClass, lm: f64, rho_cap: f64) -> f64 {
+    let (total_rate, s_bar) = rate_and_mean_service(regular, hot);
     // Eq. (27): blocking probability = channel utilization, capped at 1
     // (it is a probability; the un-capped product can exceed 1 only past
     // saturation, which the solver reports separately).

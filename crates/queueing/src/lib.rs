@@ -15,8 +15,17 @@
 //!   interdependent equations ("the different variables of the model are
 //!   computed using iterative techniques", §3).
 //!
-//! Everything is deliberately scalar and allocation-free on the hot paths so
-//! model evaluation stays cheap inside parameter sweeps.
+//! Everything is allocation-free on the hot paths so model evaluation
+//! stays cheap inside parameter sweeps.  The two formulas the models
+//! evaluate per channel, the blocking operator and the multiplexing
+//! degree, also come in row forms ([`blocking_delays`],
+//! [`multiplexing_factors`]) that run four `[f64; 4]` lanes per step
+//! through the scalar form's own branch-free body.  The optimizer packs
+//! those lanes into two-lane SSE2 `divpd`/`mulpd` on the baseline x86-64
+//! target, which is where the models spend their divisions.  The row
+//! forms add no operation, reorder none and fuse none (no `mul_add`, no
+//! target feature), so every answer is the scalar one bit for bit on
+//! every host; `tests/properties.rs` checks this lane by lane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +35,18 @@ pub mod fixed_point;
 pub mod mg1;
 pub mod vc_multiplex;
 
-pub use blocking::{blocking_delay, weighted_service, TrafficClass};
+pub use blocking::{blocking_delay, blocking_delays, weighted_service, TrafficClass};
 pub use fixed_point::{solve, Acceleration, FixedPointError, FixedPointReport};
 pub use mg1::{utilization, waiting_time, waiting_time_clamped, Saturated};
-pub use vc_multiplex::{multiplexing_factor, occupancy_distribution};
+pub use vc_multiplex::{multiplexing_factor, multiplexing_factors, occupancy_distribution};
+
+/// `if cond { picked } else { other }` without a branch: both values are
+/// already computed and a mask of `cond` picks one's bits.  With an `if`
+/// the optimizer may sink the computation of a value used on one side
+/// only into that side's branch, and a branch per lane keeps the lanes
+/// of a row form from being packed.
+#[inline(always)]
+pub(crate) fn select(cond: bool, picked: f64, other: f64) -> f64 {
+    let mask = (cond as u64).wrapping_neg();
+    f64::from_bits((picked.to_bits() & mask) | (other.to_bits() & !mask))
+}

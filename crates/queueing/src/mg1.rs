@@ -69,17 +69,20 @@ pub fn waiting_time(lambda: f64, service: f64, lm: f64) -> Result<f64, Saturated
 /// intermediate iterate does not abort the iteration with NaN/negative
 /// waits; saturation is then diagnosed on the *converged* state (or by
 /// non-convergence).
+///
+/// The zero-rate and zero-service guard is a select on a wait computed
+/// unconditionally, so the body has no branch: the blocking operator's
+/// lane-array form ([`crate::blocking::blocking_delays`]) inlines it.
+#[inline(always)]
 pub fn waiting_time_clamped(lambda: f64, service: f64, lm: f64, rho_cap: f64) -> f64 {
     debug_assert!((0.0..1.0).contains(&rho_cap));
-    if lambda == 0.0 || service == 0.0 {
-        return 0.0;
-    }
     let rho = utilization(lambda, service).min(rho_cap);
     let c2 = {
         let sigma = service - lm;
         (sigma * sigma) / (service * service)
     };
-    lambda * service * service * (1.0 + c2) / (2.0 * (1.0 - rho))
+    let wait = lambda * service * service * (1.0 + c2) / (2.0 * (1.0 - rho));
+    crate::select(lambda == 0.0 || service == 0.0, 0.0, wait)
 }
 
 #[cfg(test)]

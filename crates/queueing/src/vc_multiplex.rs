@@ -55,34 +55,79 @@ pub fn multiplexing_factor(rho: f64, v_channels: u32) -> f64 {
         return 1.0;
     }
     assert!(v_channels >= 1, "need at least one virtual channel");
-    let rho = rho.clamp(0.0, 1.0 - 1e-12);
-    let total: f64 = occupancy_weights(rho, v_channels).sum();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (v, q) in occupancy_weights(rho, v_channels).enumerate() {
-        let pv = q / total;
-        num += (v * v) as f64 * pv;
-        den += v as f64 * pv;
+    multiplexing_body([rho], v_channels)[0]
+}
+
+/// [`multiplexing_factor`] of every channel of a row: each offered load
+/// in `loads` is replaced by its multiplexing degree, bit for bit.
+///
+/// The row runs in chunks of four lanes through one body whose Eq. (33)
+/// recursion steps all four `[f64; 4]` lanes together, so the optimizer
+/// packs its divisions into two-lane SSE2 `divpd` on the baseline x86-64
+/// target; the remainder runs the same body one lane wide.  No fused
+/// multiply-add and no target feature is used, so every host computes
+/// the same bits.
+///
+/// # Panics
+///
+/// When `v_channels` is 0.
+pub fn multiplexing_factors(loads: &mut [f64], v_channels: u32) {
+    assert!(v_channels >= 1, "need at least one virtual channel");
+    let mut chunks = loads.chunks_exact_mut(4);
+    for chunk in &mut chunks {
+        let rho: [f64; 4] = (&*chunk).try_into().expect("chunks of four");
+        chunk.copy_from_slice(&multiplexing_body(rho, v_channels));
     }
-    if den == 0.0 {
-        1.0
-    } else {
-        num / den
+    for rho in chunks.into_remainder() {
+        *rho = multiplexing_body([*rho], v_channels)[0];
     }
+}
+
+/// The one body of Eqs. (33)–(35) over `L` lanes, branch-free: the
+/// zero-load and zero-denominator guards select 1 after the sums.
+#[inline(always)]
+fn multiplexing_body<const L: usize>(load: [f64; L], v_channels: u32) -> [f64; L] {
+    let rho = load.map(|r| r.clamp(0.0, 1.0 - 1e-12));
+    let mut total = [0.0; L];
+    let mut q = [1.0; L];
+    for i in 0..=v_channels {
+        q = occupancy_weight(q, rho, i, v_channels);
+        for j in 0..L {
+            total[j] += q[j];
+        }
+    }
+    let mut num = [0.0; L];
+    let mut den = [0.0; L];
+    let mut q = [1.0; L];
+    for i in 0..=v_channels {
+        q = occupancy_weight(q, rho, i, v_channels);
+        let (v2, v) = ((i * i) as f64, i as f64);
+        for j in 0..L {
+            let pv = q[j] / total[j];
+            num[j] += v2 * pv;
+            den[j] += v * pv;
+        }
+    }
+    std::array::from_fn(|j| crate::select(load[j] <= 0.0 || den[j] == 0.0, 1.0, num[j] / den[j]))
+}
+
+/// Eq. (33): the weight `q_i` of every lane from `q_{i-1}` (`q_0 = 1`)
+/// at a clamped load.
+#[inline(always)]
+fn occupancy_weight<const L: usize>(q: [f64; L], rho: [f64; L], i: u32, v: u32) -> [f64; L] {
+    std::array::from_fn(|j| match i {
+        0 => q[j],
+        i if i < v => q[j] * rho[j],
+        _ => q[j] * rho[j] / (1.0 - rho[j]),
+    })
 }
 
 /// The unnormalised weights `q_0, …, q_V` of Eq. (33) for a clamped load.
 fn occupancy_weights(rho: f64, v_channels: u32) -> impl Iterator<Item = f64> {
-    let mut q = 1.0;
+    let mut q = [1.0];
     (0..=v_channels).map(move |i| {
-        if i > 0 {
-            q = if i < v_channels {
-                q * rho
-            } else {
-                q * rho / (1.0 - rho)
-            };
-        }
-        q
+        q = occupancy_weight(q, [rho], i, v_channels);
+        q[0]
     })
 }
 

@@ -1,13 +1,114 @@
 //! Property-based tests for the queueing primitives.
 
 use kncube_queueing::blocking::{
-    blocking_delay, channel_utilization, weighted_service, TrafficClass,
+    blocking_delay, blocking_delays, channel_utilization, weighted_service, TrafficClass,
 };
 use kncube_queueing::mg1;
-use kncube_queueing::vc_multiplex::{multiplexing_factor, occupancy_distribution};
+use kncube_queueing::vc_multiplex::{
+    multiplexing_factor, multiplexing_factors, occupancy_distribution,
+};
 use proptest::prelude::*;
 
 const CAP: f64 = 1.0 - 1e-9;
+
+/// The closed-form models' utilization cap.
+const RHO_CAP: f64 = 1.0 - 1e-7;
+
+/// Eqs. (26)–(30) as the scalar operator computed them before it had a
+/// row form: branches for the guards, every product and quotient in the
+/// paper's order.  Both forms must reproduce it bit for bit.
+fn reference_blocking(regular: TrafficClass, hot: TrafficClass, lm: f64, rho_cap: f64) -> f64 {
+    let total = regular.rate + hot.rate;
+    if total == 0.0 {
+        return 0.0;
+    }
+    let s_bar = (regular.rate * regular.service + hot.rate * hot.service) / total;
+    let pb = (total * s_bar).min(1.0);
+    let wc = if s_bar == 0.0 {
+        0.0
+    } else {
+        let rho = (total * s_bar).min(rho_cap);
+        let sigma = s_bar - lm;
+        let c2 = (sigma * sigma) / (s_bar * s_bar);
+        total * s_bar * s_bar * (1.0 + c2) / (2.0 * (1.0 - rho))
+    };
+    pb * wc
+}
+
+/// Eqs. (33)–(35) written out: the weights collected, summed, then the
+/// two moments of the normalised distribution.
+fn reference_multiplexing(rho: f64, v: u32) -> f64 {
+    if rho <= 0.0 {
+        return 1.0;
+    }
+    let rho = rho.clamp(0.0, 1.0 - 1e-12);
+    let mut q = vec![1.0];
+    for i in 1..=v {
+        let prev = q[i as usize - 1];
+        q.push(if i < v {
+            prev * rho
+        } else {
+            prev * rho / (1.0 - rho)
+        });
+    }
+    let total: f64 = q.iter().sum();
+    let (mut num, mut den) = (0.0, 0.0);
+    for (i, &qi) in q.iter().enumerate() {
+        let p = qi / total;
+        num += (i * i) as f64 * p;
+        den += i as f64 * p;
+    }
+    if den == 0.0 {
+        1.0
+    } else {
+        num / den
+    }
+}
+
+/// Bitwise equality, with any NaN equal to any NaN: the lanes of a row
+/// may carry another NaN payload than the scalar form, never a number.
+fn same_bits(got: f64, want: f64) -> bool {
+    if want.is_nan() {
+        got.is_nan()
+    } else {
+        got.to_bits() == want.to_bits()
+    }
+}
+
+/// One traffic class, weighted towards the guards and the cap: zero
+/// rates, zero services, idle classes, utilization at the cap, between
+/// the cap and 1 and above 1, and NaN rates and services.
+fn traffic_class() -> impl Strategy<Value = TrafficClass> {
+    (0u32..12, 0.0f64..1.0, 1.0f64..200.0).prop_map(|(kind, x, s)| match kind {
+        0..=3 => TrafficClass::new(0.05 * x, s),
+        4 => TrafficClass::new(RHO_CAP / s, s),
+        5 => TrafficClass::new((RHO_CAP + (1.0 - RHO_CAP) * x) / s, s),
+        6 => TrafficClass::new((1.0 + 3.0 * x) / s, s),
+        7 => TrafficClass::new(0.0, s),
+        8 => TrafficClass::new(0.05 * x, 0.0),
+        9 => TrafficClass::none(),
+        10 => TrafficClass::new(f64::NAN, s),
+        _ => TrafficClass::new(0.05 * x, f64::NAN),
+    })
+}
+
+/// One offered load for the multiplexing degree: inside (0, 1), at or
+/// below 0, at or past the `1 − 1e-12` clamp, subnormal, or NaN.
+fn offered_load() -> impl Strategy<Value = f64> {
+    (0u32..14, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0..=3 => x,
+        4 => 0.0,
+        5 => -0.0,
+        6 => -2.0 * x,
+        7 => f64::NEG_INFINITY,
+        8 => 1.0 - 1e-12,
+        9 => 1.0 - 1e-12 * x,
+        10 => 1.0 + 2.0 * x,
+        11 => f64::INFINITY,
+        12 => f64::MIN_POSITIVE * x,
+        _ => f64::NAN,
+    })
+}
 
 proptest! {
     #[test]
@@ -127,6 +228,59 @@ proptest! {
         let want = if rho <= 0.0 || den == 0.0 { 1.0 } else { num / den };
         let got = multiplexing_factor(rho, v);
         prop_assert_eq!(got.to_bits(), want.to_bits(), "ρ={} V={}: {} vs {}", rho, v, got, want);
+    }
+
+    #[test]
+    fn blocking_rows_are_the_scalar_operator_bit_for_bit(
+        classes in proptest::collection::vec((traffic_class(), traffic_class()), 9),
+        lm in 1.0f64..4000.0,
+    ) {
+        // Every row length 0..=9, so every chunk count and every
+        // remainder lane runs.
+        for len in 0..=classes.len() {
+            let row = &classes[..len];
+            let mut out = vec![f64::NAN; len];
+            let mut seen = Vec::new();
+            blocking_delays(&mut out, lm, RHO_CAP, |i| row[i], |b| seen.push(b));
+            prop_assert_eq!(seen.len(), len);
+            for (i, &(regular, hot)) in row.iter().enumerate() {
+                let scalar = blocking_delay(regular, hot, lm, RHO_CAP);
+                let want = reference_blocking(regular, hot, lm, RHO_CAP);
+                prop_assert!(same_bits(scalar, want),
+                    "scalar {:?} {:?}: {} vs reference {}", regular, hot, scalar, want);
+                prop_assert!(same_bits(out[i], want),
+                    "len {} lane {} {:?} {:?}: {} vs {}", len, i, regular, hot, out[i], want);
+                prop_assert!(same_bits(seen[i], out[i]));
+                let nan_in = [regular.rate, regular.service, hot.rate, hot.service]
+                    .iter()
+                    .any(|x| x.is_nan());
+                if nan_in && regular.rate + hot.rate != 0.0 {
+                    prop_assert!(out[i].is_nan(), "NaN in, {} out", out[i]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiplexing_rows_are_the_scalar_degree_bit_for_bit(
+        loads in proptest::collection::vec(offered_load(), 9),
+        v in 1u32..=8,
+    ) {
+        for len in 0..=loads.len() {
+            let mut row = loads[..len].to_vec();
+            multiplexing_factors(&mut row, v);
+            for (i, &rho) in loads[..len].iter().enumerate() {
+                let scalar = multiplexing_factor(rho, v);
+                let want = reference_multiplexing(rho, v);
+                prop_assert!(same_bits(scalar, want),
+                    "scalar ρ={} V={}: {} vs reference {}", rho, v, scalar, want);
+                prop_assert!(same_bits(row[i], want),
+                    "len {} lane {} ρ={} V={}: {} vs {}", len, i, rho, v, row[i], want);
+                if rho.is_nan() {
+                    prop_assert!(row[i].is_nan(), "NaN in, {} out", row[i]);
+                }
+            }
+        }
     }
 
     #[test]
