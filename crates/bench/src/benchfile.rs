@@ -89,10 +89,11 @@ pub const SIMULATOR: Schema = Schema {
 };
 
 /// `BENCH_model_queries.json`: query-engine throughput and the warm-vs-cold
-/// iteration reduction on near-saturation λ grids.
+/// iteration reduction on near-saturation λ grids.  Version 2 dropped the
+/// cached-replay throughput and the cache counters.
 pub const MODEL_QUERIES: Schema = Schema {
-    version: 1.0,
-    positive: &["queries_per_sec", "cached_queries_per_sec"],
+    version: 2.0,
+    positive: &["queries_per_sec"],
     floors: &[("mean_iteration_reduction", MIN_ITERATION_REDUCTION)],
     config: Fields {
         numbers: &[
@@ -102,8 +103,6 @@ pub const MODEL_QUERIES: Schema = Schema {
             "warm_mean_iterations",
             "iteration_reduction",
             "queries_per_sec",
-            "cached_queries_per_sec",
-            "cache_misses",
         ],
         strings: &["service_model"],
     },
@@ -133,15 +132,15 @@ impl Args {
     pub fn value(&mut self) -> String {
         match self.rest.next() {
             Some(value) => value,
-            None => self.usage(),
+            None => usage_error(self.usage),
         }
     }
+}
 
-    /// Print the usage text and exit 2.
-    fn usage(&self) -> ! {
-        eprintln!("{}", self.usage);
-        std::process::exit(2);
-    }
+/// Print `usage` and exit 2.
+pub fn usage_error(usage: &str) -> ! {
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// Parse the harness command line.  `extra` sees every other flag first,
@@ -165,7 +164,7 @@ pub fn parse_args(usage: &'static str, mut extra: impl FnMut(&str, &mut Args) ->
             "--baseline" => opts.baseline = Some(args.value()),
             flag => {
                 if !extra(flag, &mut args) {
-                    args.usage();
+                    usage_error(usage);
                 }
             }
         }
@@ -488,6 +487,18 @@ mod tests {
             Json::Num(MIN_ITERATION_REDUCTION),
         );
         assert!(violations(&doc, &MODEL_QUERIES).is_empty());
+    }
+
+    #[test]
+    fn a_version_1_query_record_is_rejected() {
+        // Version 2 dropped the cached-replay throughput and the cache
+        // counters; a record of the old shape is no baseline for it.
+        let mut doc = committed(MODEL_QUERIES_FILE);
+        edit(&mut doc, &["schema_version"], Json::Num(1.0));
+        assert_eq!(
+            violations(&doc, &MODEL_QUERIES),
+            vec!["schema_version 1 != 2".to_string()]
+        );
     }
 
     #[test]

@@ -1,40 +1,34 @@
-//! A solved-configuration cache for batched model queries.
+//! The quantization lattice of batched model queries, and a memo of
+//! faulty-network solves over it.
 //!
-//! Design-space exploration re-solves the same neighbourhoods over and
-//! over: Pareto scans, saturation bisections and user query batches all
-//! revisit configurations that differ only in the last few bits of `λ` or
-//! `h`.  [`SolveCache`] memoises [`NCubeModel`] solves behind a quantized
-//! key so those revisits become lookups.
+//! Design-space exploration revisits configurations that differ only in
+//! the last few bits of `λ` or `h`.  [`SolveCache::quantize`] snaps a
+//! configuration onto a lattice: it zeroes the low [`QUANT_DROP_BITS`]
+//! mantissa bits of `λ` and `h`, a relative perturbation below
+//! `2⁻²⁰ ≈ 10⁻⁶`.  Two requests that snap to the same configuration are
+//! the *same* lattice point, so one exact solve answers both.  The
+//! fault-free query engine (`kncube_bench::queries`) shares such repeats
+//! along its continuation chains; [`SolveCache`] memoises
+//! [`FaultyNCubeModel`] solves behind the snapped faulty config.
 //!
 //! # Never stale by construction
 //!
-//! The cache does **not** return "the solution of a nearby config".  A
-//! request is first *snapped* to the quantization lattice
-//! ([`SolveCache::quantize`] zeroes the low [`QUANT_DROP_BITS`] mantissa
-//! bits of `λ` and `h`, a relative perturbation below `2⁻²⁰ ≈ 10⁻⁶`), and
-//! what is solved — and cached — is exactly that snapped configuration.
-//! Two requests that collide on a key are therefore the *same* lattice
-//! configuration, and the cached entry is its exact solution; there is no
-//! approximation radius to go stale.  The key is the snapped
-//! configuration itself — every field, floats by bit pattern — so it
-//! carries every knob that changes the numerics (model variant, service
-//! model, multiplexing model, acceleration scheme), and an ablation run
-//! can never be served a default-model entry.
+//! The memo does **not** return "the solution of a nearby config".  What
+//! is solved — and stored — is exactly the snapped configuration, so an
+//! entry is the exact solution of every request that collides on its key;
+//! there is no approximation radius to go stale.  The key is the snapped
+//! configuration itself — every field, floats by bit pattern, the fault
+//! set whole — so two different fault sets never share an entry.
 //!
-//! Failures are cached too, so a repeated probe past `λ*` costs one
-//! lookup.  Such a probe stops far short of the iteration budget —
-//! `compose` rejects a channel whose utilization reaches 1, usually after
-//! two iterations, or the iterate turns non-finite within a few dozen
-//! (the slowest measured took 885 of 20 000) — but on a large network
-//! each of those iterations evaluates many blocking terms.
+//! Failures are stored too, so a repeated probe past `λ*` costs one
+//! lookup.
 //!
-//! The cache is shared across threads (`&SolveCache` is `Sync`); the map
-//! lock is held only for lookups and inserts, never across a solve.
+//! The memo is shared across threads (`&SolveCache` is `Sync`); its locks
+//! are held only for lookups and inserts, never across a solve.
 
 use crate::faulty::{FaultyNCubeConfig, FaultyNCubeModel, FaultyNCubeOutput};
-use crate::ncube::{ModelError, NCubeConfig, NCubeModel, NCubeOutput};
+use crate::ncube::{ModelError, NCubeConfig};
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -52,18 +46,12 @@ fn quantize_f64(x: f64) -> f64 {
     f64::from_bits(x.to_bits() & !((1u64 << QUANT_DROP_BITS) - 1))
 }
 
-/// A fault-free solve as the cache stores it: the output and, when it
-/// converged, the fixed-point state for warm-start chaining.
-type WarmSolve = (Result<NCubeOutput, ModelError>, Option<Vec<f64>>);
-
-/// A thread-safe memo of [`NCubeModel`] solves over the quantization
-/// lattice, with hit/miss accounting.  Faulty-network solves
-/// ([`SolveCache::solve_faulty`]) share the hit/miss counters but live in
-/// their own map, keyed by the snapped faulty config (fault set included).
+/// A thread-safe memo of [`FaultyNCubeModel`] solves over the
+/// quantization lattice, keyed by the snapped faulty config (fault set
+/// included), with hit/miss accounting.
 #[derive(Default)]
 pub struct SolveCache {
-    map: Mutex<HashMap<NCubeConfig, WarmSolve>>,
-    faulty_map: Mutex<HashMap<FaultyNCubeConfig, Result<FaultyNCubeOutput, ModelError>>>,
+    map: Mutex<HashMap<FaultyNCubeConfig, Result<FaultyNCubeOutput, ModelError>>>,
     /// The most recently built faulty model, keyed by its config with
     /// `λ = 0` and reused by misses that differ from it only in `λ`.  A
     /// new model finds its router's tables in [`FaultRouter::new`]'s
@@ -85,61 +73,15 @@ impl SolveCache {
     }
 
     /// Snap a configuration onto the quantization lattice: the returned
-    /// config is what [`SolveCache::solve`] actually solves.  Idempotent;
-    /// only `lambda` and `hot_fraction` change, each by a relative amount
-    /// below `2⁻²⁰`.
+    /// config is what the query engine actually solves.  Idempotent; only
+    /// `lambda` and `hot_fraction` change, each by a relative amount below
+    /// `2⁻²⁰`.
     pub fn quantize(cfg: &NCubeConfig) -> NCubeConfig {
         NCubeConfig {
             lambda: quantize_f64(cfg.lambda),
             hot_fraction: quantize_f64(cfg.hot_fraction),
             ..*cfg
         }
-    }
-
-    /// Solve the quantized image of `cfg`, consulting the cache first.
-    pub fn solve(&self, cfg: &NCubeConfig) -> Result<NCubeOutput, ModelError> {
-        self.solve_with_warm(cfg, None).0
-    }
-
-    /// [`SolveCache::solve`] with warm-start chaining: `warm` seeds the
-    /// fixed point on a miss, and the converged state (cached or fresh)
-    /// comes back for the caller's next link in the chain.
-    ///
-    /// A hit returns the stored solution verbatim — including its
-    /// `iterations` count, which reflects the warm state in effect when
-    /// the entry was first solved, not the `warm` passed here.
-    pub fn solve_with_warm(&self, cfg: &NCubeConfig, warm: Option<&[f64]>) -> WarmSolve {
-        self.memo(&self.map, Self::quantize(cfg), |snapped| {
-            let solved = NCubeModel::new(*snapped).and_then(|model| model.solve_warm(warm));
-            match solved {
-                Ok((out, state)) => (Ok(out), Some(state)),
-                Err(e) => (Err(e), None),
-            }
-        })
-    }
-
-    /// The entry of `key` in `map`, solved on a miss.  The lock is held
-    /// only for the lookup and the insert, never across `solve`.
-    fn memo<K: Eq + Hash, V: Clone>(
-        &self,
-        map: &Mutex<HashMap<K, V>>,
-        key: K,
-        solve: impl FnOnce(&K) -> V,
-    ) -> V {
-        let poisoned = "solve cache map poisoned";
-        if let Some(value) = map.lock().expect(poisoned).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return value.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = solve(&key);
-        // Racing threads may both have missed; keep the first insert so
-        // concurrent readers of the same key always see one entry.
-        map.lock()
-            .expect(poisoned)
-            .entry(key)
-            .or_insert_with(|| value.clone());
-        value
     }
 
     /// Snap a faulty configuration onto the quantization lattice, the
@@ -155,7 +97,7 @@ impl SolveCache {
     }
 
     /// Solve the quantized image of a faulty-network configuration,
-    /// consulting the cache first.  The key includes the fault set, so two
+    /// consulting the memo first.  The key includes the fault set, so two
     /// different [`FaultSet`](kncube_topology::FaultSet)s never share an
     /// entry even when every scalar knob coincides.
     ///
@@ -163,10 +105,24 @@ impl SolveCache {
     /// that model ([`FaultyNCubeModel::solve_at`], bit-identical to a fresh
     /// build) instead of rebuilding its router and rates.
     pub fn solve_faulty(&self, cfg: &FaultyNCubeConfig) -> Result<FaultyNCubeOutput, ModelError> {
-        self.memo(&self.faulty_map, Self::quantize_faulty(cfg), |snapped| {
-            self.faulty_model(snapped)
-                .and_then(|model| model.solve_at(snapped.lambda))
-        })
+        let poisoned = "solve cache map poisoned";
+        let key = Self::quantize_faulty(cfg);
+        if let Some(value) = self.map.lock().expect(poisoned).get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return value.clone();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = self
+            .faulty_model(&key)
+            .and_then(|model| model.solve_at(key.lambda));
+        // Racing threads may both have missed; keep the first insert so
+        // concurrent readers of the same key always see one entry.
+        self.map
+            .lock()
+            .expect(poisoned)
+            .entry(key)
+            .or_insert_with(|| value.clone());
+        value
     }
 
     /// The built model for `snapped`: the slot's when only `λ` differs,
@@ -200,78 +156,23 @@ impl SolveCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct fault-free lattice configurations stored.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
     /// Number of distinct faulty-network lattice configurations stored.
     pub fn faulty_len(&self) -> usize {
-        self.faulty_map.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no entries yet (of either kind).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.faulty_len() == 0
+        self.map.lock().unwrap().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ncube::{ModelVariant, MultiplexingModel, ServiceTimeModel};
+    use crate::ncube::{
+        ModelVariant, MultiplexingModel, NCubeModel, NCubeOutput, ServiceTimeModel,
+    };
     use kncube_queueing::fixed_point::Acceleration;
     use kncube_topology::{FaultSet, KAryNCube, NodeId};
 
     /// One single-field change of a config, named for the failure message.
     type Change<C> = (&'static str, fn(&mut C));
-
-    #[test]
-    fn hit_returns_the_exact_solution_of_the_quantized_config() {
-        let cache = SolveCache::new();
-        let cfg = NCubeConfig::new(8, 3, 2, 16, 1.234_567_89e-5, 0.3);
-        let via_cache = cache.solve(&cfg).unwrap();
-        let direct = NCubeModel::new(SolveCache::quantize(&cfg))
-            .unwrap()
-            .solve()
-            .unwrap();
-        assert_eq!(via_cache.latency.to_bits(), direct.latency.to_bits());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 1);
-        // Asking again is a hit with the identical answer.
-        let again = cache.solve(&cfg).unwrap();
-        assert_eq!(again.latency.to_bits(), via_cache.latency.to_bits());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn nearby_lambdas_collapse_onto_one_lattice_point() {
-        let cache = SolveCache::new();
-        let a = NCubeConfig::new(8, 3, 2, 16, 1e-5, 0.3);
-        // Perturb λ by one ulp-scale nudge far below the lattice spacing.
-        let b = NCubeConfig {
-            lambda: f64::from_bits(a.lambda.to_bits() + 3),
-            ..a
-        };
-        assert_ne!(a.lambda.to_bits(), b.lambda.to_bits());
-        let ra = cache.solve(&a).unwrap();
-        let rb = cache.solve(&b).unwrap();
-        assert_eq!(ra.latency.to_bits(), rb.latency.to_bits());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn failures_are_cached_as_failures() {
-        let cache = SolveCache::new();
-        // Far past saturation for the paper geometry.
-        let cfg = NCubeConfig::new(16, 2, 2, 32, 5e-3, 0.2);
-        let first = cache.solve(&cfg).unwrap_err();
-        let second = cache.solve(&cfg).unwrap_err();
-        assert!(matches!(first, ModelError::Saturated { .. }), "{first:?}");
-        assert_eq!(first, second);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
 
     #[test]
     fn quantization_is_idempotent_and_small() {
@@ -328,21 +229,26 @@ mod tests {
     fn faulty_and_fault_free_keyspaces_are_disjoint() {
         let cache = SolveCache::new();
         // A faulty solve of the empty set on a uni torus delegates to the
-        // closed-form model, but must not collide with (or populate) the
-        // fault-free memo's keyspace.
+        // closed-form model; the memo keys it by the faulty config alone,
+        // and a fault-free solve of the same configuration never reads or
+        // fills it.
         let topo = KAryNCube::unidirectional(8, 2).unwrap();
         let fcfg = FaultyNCubeConfig::new(FaultSet::none(topo), 2, 16, 1e-4, 0.2);
         let via_faulty = cache.solve_faulty(&fcfg).unwrap();
         assert!(via_faulty.delegated);
-        assert_eq!((cache.len(), cache.faulty_len()), (0, 1));
+        assert_eq!(cache.faulty_len(), 1);
         let ncfg = NCubeConfig::new(8, 2, 2, 16, 1e-4, 0.2);
-        let via_plain = cache.solve(&ncfg).unwrap();
-        assert_eq!((cache.len(), cache.faulty_len()), (1, 1));
+        let via_plain = NCubeModel::new(SolveCache::quantize(&ncfg))
+            .unwrap()
+            .solve()
+            .unwrap();
         // Same physical configuration: the answers agree bit-for-bit
-        // through both keyspaces (the bit-exact reduction).
+        // (the bit-exact reduction).
         assert_eq!(via_faulty.latency.to_bits(), via_plain.latency.to_bits());
-        assert_eq!(cache.misses(), 2);
-        assert!(!cache.is_empty());
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.faulty_len()),
+            (0, 1, 1)
+        );
     }
 
     #[test]
@@ -425,41 +331,39 @@ mod tests {
     fn warm_chaining_through_the_cache_matches_cold_answers() {
         let mut base = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.3);
         base.service_model = ServiceTimeModel::PathOccupancy;
-        let cache = SolveCache::new();
-        let mut warm: Option<Vec<f64>> = None;
-        for i in 1..=10 {
-            let cfg = NCubeConfig {
+        let configs: Vec<NCubeConfig> = (1..=10)
+            .map(|i| NCubeConfig {
                 lambda: i as f64 * 2e-6,
                 ..base
-            };
-            let (out, state) = cache.solve_with_warm(&cfg, warm.as_deref());
-            let out = out.unwrap();
-            let cold = NCubeModel::new(SolveCache::quantize(&cfg))
+            })
+            .collect();
+        for (i, (cfg, warm)) in configs.iter().zip(chained(&configs)).enumerate() {
+            let warm = warm.unwrap();
+            let cold = NCubeModel::new(SolveCache::quantize(cfg))
                 .unwrap()
                 .solve()
                 .unwrap();
             assert!(
-                (out.latency - cold.latency).abs() <= 1e-6 * cold.latency,
+                (warm.latency - cold.latency).abs() <= 1e-6 * cold.latency,
                 "λ index {i}: warm {} vs cold {}",
-                out.latency,
+                warm.latency,
                 cold.latency
             );
-            warm = state;
         }
-        assert_eq!(cache.misses(), 10);
     }
 
-    /// Chain `configs` through a fresh cache's warm-start path, the way the
-    /// query engine walks a batch.
+    /// Solve `configs` in order, each snapped onto the lattice and started
+    /// from the previous solve's converged state (none after a failure),
+    /// the way the query engine walks a chain.
     fn chained(configs: &[NCubeConfig]) -> Vec<Result<NCubeOutput, ModelError>> {
-        let cache = SolveCache::new();
         let mut warm: Option<Vec<f64>> = None;
         configs
             .iter()
             .map(|cfg| {
-                let (out, state) = cache.solve_with_warm(cfg, warm.as_deref());
-                warm = state;
-                out
+                let solved = NCubeModel::new(SolveCache::quantize(cfg))
+                    .and_then(|model| model.solve_warm(warm.as_deref()));
+                warm = solved.as_ref().ok().map(|(_, state)| state.clone());
+                solved.map(|(out, _)| out)
             })
             .collect()
     }
@@ -583,9 +487,12 @@ mod tests {
 
     #[test]
     fn every_identity_field_keys_its_own_entry() {
-        // Changing any one field of a snapped config (λ by more than the
-        // lattice spacing) must miss: a shared entry would serve one
-        // config the other's answer.
+        // The query engine keys its chains by the snapped config at λ = 0
+        // and shares a solve only between equal snapped configs.  Changing
+        // any one field (λ by more than the lattice spacing) must make the
+        // snapped configs unequal, or one config would be served the
+        // other's answer; changing any field but λ must also move the
+        // config to another chain.
         let base = NCubeConfig::new(8, 3, 2, 16, 1e-5, 0.3);
         let changes: [Change<NCubeConfig>; 10] = [
             ("k", |c| c.k = 4),
@@ -605,27 +512,20 @@ mod tests {
                 c.acceleration = Acceleration::Anderson { depth: 4 }
             }),
         ];
-        let cache = SolveCache::new();
-        cache.solve(&base).unwrap();
-        for (i, (field, change)) in changes.iter().enumerate() {
+        let geometry = |cfg: &NCubeConfig| {
+            SolveCache::quantize(&NCubeConfig {
+                lambda: 0.0,
+                ..*cfg
+            })
+        };
+        let snapped = SolveCache::quantize(&base);
+        assert_eq!(snapped, SolveCache::quantize(&snapped));
+        for (field, change) in changes {
             let mut cfg = base;
             change(&mut cfg);
-            assert_ne!(SolveCache::quantize(&cfg), SolveCache::quantize(&base));
-            let got = cache.solve(&cfg);
-            let direct = NCubeModel::new(SolveCache::quantize(&cfg)).and_then(|m| m.solve());
-            assert_eq!(
-                got.map(|o| o.latency.to_bits()),
-                direct.map(|o| o.latency.to_bits()),
-                "{field}"
-            );
-            assert_eq!(
-                (cache.hits(), cache.misses(), cache.len()),
-                (0, i as u64 + 2, i + 2),
-                "changing {field} reused an entry"
-            );
+            assert_ne!(SolveCache::quantize(&cfg), snapped, "{field}");
+            assert_eq!(geometry(&cfg) == geometry(&base), field == "λ", "{field}");
         }
-        cache.solve(&base).unwrap();
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //!   also covers the bidirectional and mesh geometries;
 //! * [`sweep`] — saturation search by bisection, warm-started across
 //!   probes;
-//! * [`cache`] — a solved-configuration memo behind a quantized key, the
-//!   backbone of the batched query engine.
+//! * [`cache`] — the quantization lattice of batched queries, and a memo of
+//!   faulty-network solves behind it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

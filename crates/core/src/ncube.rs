@@ -177,7 +177,8 @@ const TAIL_ENUM_CAP: usize = 4096;
 /// Configuration of one generalized model evaluation.
 ///
 /// Equality and hashing compare every field, the floats by bit pattern,
-/// so a config is its own exact cache key ([`crate::SolveCache`]).
+/// so a snapped config ([`crate::SolveCache::quantize`]) is its own exact
+/// key for the query engine's chains and shared repeats.
 #[derive(Clone, Copy, Debug)]
 pub struct NCubeConfig {
     /// Radix `k` (nodes per dimension).
