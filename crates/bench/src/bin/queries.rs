@@ -4,7 +4,7 @@
 //! Two modes:
 //!
 //! * **Batch** (default): read a `{"queries": [...]}` document from
-//!   `--in FILE` (or stdin), answer it with the warm-start/cache engine
+//!   `--in FILE` (or stdin), answer it with the warm-start engine
 //!   ([`kncube_bench::queries::run_batch`]), and write the results to
 //!   `--out FILE` (or stdout).  `--check-cold` re-solves every latency
 //!   query cold and exits 3 if any engine answer drifts past `1e-9`
@@ -14,9 +14,12 @@
 //!   `--baseline` compare throughput, warning below 0.8×), all
 //!   through [`kncube_bench::benchfile`].
 //!
+//! A flag of the other mode (`--in` or `--check-cold` with `--bench`;
+//! `--quick` or `--baseline` without it) is a usage error (exit 2).
+//!
 //! Exit codes: 0 ok (including throughput warnings), 1 bad input or
-//! baseline schema drift, 2 measurement/solver failure, 3 cold-check
-//! mismatch.
+//! baseline schema drift, 2 bad flag or measurement/solver failure,
+//! 3 cold-check mismatch.
 
 use kncube_bench::benchfile::{self, MODEL_QUERIES};
 use kncube_bench::json::parse;
@@ -27,7 +30,7 @@ const USAGE: &str = "usage: queries [--in FILE] [--out FILE] [--check-cold]\n\
 \x20      queries --bench [--quick] [--out FILE] [--baseline FILE]\n\
 \n\
 Batch mode answers a {\"queries\": [...]} JSON document (from --in or\n\
-stdin) with the warm-start/cache engine; --check-cold re-solves every\n\
+stdin) with the warm-start engine; --check-cold re-solves every\n\
 latency query cold and fails (exit 3) on drift beyond 1e-9 relative.\n\
 Bench mode sweeps near-saturation λ grids and emits the\n\
 BENCH_model_queries.json document; with --baseline, throughput ratios\n\
@@ -45,6 +48,11 @@ fn main() {
         true
     });
 
+    let batch_flags = input.is_some() || check;
+    let bench_flags = opts.quick || opts.baseline.is_some();
+    if (bench && batch_flags) || (!bench && bench_flags) {
+        benchfile::usage_error(USAGE);
+    }
     if bench {
         benchfile::finish(&run_query_bench(opts.quick), &MODEL_QUERIES, &opts);
         return;

@@ -47,3 +47,24 @@ fn an_unknown_flag_is_a_usage_error_in_both_harnesses() {
     ));
     assert_usage_error(&run(env!("CARGO_BIN_EXE_queries"), &["--in"]));
 }
+
+/// Each `queries` mode rejects the other mode's flags instead of
+/// ignoring them.
+#[test]
+fn a_flag_of_the_other_queries_mode_is_a_usage_error() {
+    let batch = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/queries_chain.json"
+    );
+    for args in [
+        &["--in", batch, "--baseline", "missing.json", "--quick"][..],
+        &["--in", batch, "--quick"],
+        &["--in", batch, "--baseline", "missing.json"],
+        &["--check-cold", "--quick"],
+        &["--bench", "--in", batch, "--check-cold"],
+        &["--bench", "--in", batch],
+        &["--bench", "--check-cold"],
+    ] {
+        assert_usage_error(&run(env!("CARGO_BIN_EXE_queries"), args));
+    }
+}
