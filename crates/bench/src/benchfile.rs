@@ -490,18 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_query_record_is_rejected() {
-        // Version 2 dropped the cached-replay throughput and the cache
-        // counters; a record of the old shape is no baseline for it.
-        let mut doc = committed(MODEL_QUERIES_FILE);
-        edit(&mut doc, &["schema_version"], Json::Num(1.0));
-        assert_eq!(
-            violations(&doc, &MODEL_QUERIES),
-            vec!["schema_version 1 != 2".to_string()]
-        );
-    }
-
-    #[test]
     fn header_drift_is_rejected() {
         let mut doc = committed(SIMULATOR_FILE);
         edit(&mut doc, &["schema_version"], Json::Num(1.0));
