@@ -174,6 +174,44 @@ mod tests {
     /// One single-field change of a config, named for the failure message.
     type Change<C> = (&'static str, fn(&mut C));
 
+    /// A bidirectional 8-ary 2-cube with one failed router.
+    fn one_fault() -> FaultSet {
+        let mut faults = FaultSet::none(KAryNCube::bidirectional(8, 2).unwrap());
+        faults.fail_node(NodeId(9));
+        faults
+    }
+
+    #[test]
+    fn hit_returns_the_exact_solution_of_the_quantized_config() {
+        let cache = SolveCache::new();
+        let cfg = FaultyNCubeConfig::new(one_fault(), 2, 16, 1.234_567_89e-4, 0.3);
+        let via_cache = cache.solve_faulty(&cfg).unwrap();
+        let direct = FaultyNCubeModel::new(SolveCache::quantize_faulty(&cfg))
+            .unwrap()
+            .solve()
+            .unwrap();
+        assert_eq!(via_cache.latency.to_bits(), direct.latency.to_bits());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // Asking again is a hit with the identical answer.
+        let again = cache.solve_faulty(&cfg).unwrap();
+        assert_eq!(again.latency.to_bits(), via_cache.latency.to_bits());
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.faulty_len(), 1);
+    }
+
+    #[test]
+    fn failures_are_cached_as_failures() {
+        let cache = SolveCache::new();
+        // Far past saturation for this network.
+        let cfg = FaultyNCubeConfig::new(one_fault(), 2, 16, 5e-2, 0.2);
+        let first = cache.solve_faulty(&cfg).unwrap_err();
+        let second = cache.solve_faulty(&cfg).unwrap_err();
+        assert!(matches!(first, ModelError::Saturated { .. }), "{first:?}");
+        assert_eq!(first, second);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.faulty_len(), 1);
+    }
+
     #[test]
     fn quantization_is_idempotent_and_small() {
         for x in [0.0, -0.0, 1e-5, 0.3, 0.999_999, 123.456e-7] {
