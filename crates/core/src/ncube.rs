@@ -347,8 +347,8 @@ enum Tails {
     Mean,
 }
 
-/// The rows one fixed-point update evaluates, kept across iterations so
-/// no update allocates.
+/// The rows one solve evaluates, kept across its fixed-point iterations
+/// and its composition so that neither allocates per step.
 #[derive(Default)]
 struct UpdateRows {
     /// The downstream tail costs of the current dimension.
@@ -358,6 +358,33 @@ struct UpdateRows {
     /// it is made, and the stores are what lets the row form pack its
     /// lanes ([`blocking_delays`]).
     blocking: Vec<f64>,
+    /// Composition: `Σ_{d<n-1} C_{d,t_d}` of every profile of the lower
+    /// `n - 1` dimensions ([`NCubeModel::source_sums`]).
+    prefix: Vec<f64>,
+    /// Composition: the enumerated tail index of every profile of
+    /// dimensions `1..n-1`, last digit left out.
+    tail_index: Vec<usize>,
+    /// Composition: the entry multiplexing degree of each source of a row.
+    degrees: Vec<f64>,
+    /// Composition: the source-queue wait of each source of a row.
+    waits: Vec<f64>,
+}
+
+/// The hot channels at a converged state, as the composition reads them.
+struct HotChannels {
+    /// The largest utilization of any channel (below 1).
+    max_util: f64,
+    /// Regular holding time at the hot ring family of each dimension.
+    hold: Vec<f64>,
+    /// How each dimension's downstream tails are represented.
+    kinds: Vec<Tails>,
+    /// Tails per channel of each dimension.
+    widths: Vec<usize>,
+    /// Where each dimension's family starts in `degrees`.
+    offset: Vec<usize>,
+    /// The multiplexing degree of hot channel `(d, l)` at each tail, at
+    /// `offset[d] + (l-1)·widths[d] + tail`.
+    degrees: Vec<f64>,
 }
 
 impl NCubeModel {
@@ -595,7 +622,7 @@ impl NCubeModel {
     /// Number of components in the fixed-point state vector for this
     /// configuration — the length a warm-start state must have to be
     /// accepted by [`NCubeModel::solve_warm`].
-    pub fn state_len(&self) -> usize {
+    fn state_len(&self) -> usize {
         self.layout().len()
     }
 
@@ -615,15 +642,18 @@ impl NCubeModel {
     /// converged state of a nearby configuration, and return the converged
     /// state alongside the output so the caller can continue the chain.
     ///
-    /// A warm state is accepted only when its length matches
-    /// [`NCubeModel::state_len`] and every component is finite and
+    /// A warm state is accepted only when it has this configuration's
+    /// `1 + n·k` components, as the converged state of any configuration
+    /// of the same `(k, n)` has, and every component is finite and
     /// non-negative; anything else silently falls back to the cold
     /// zero-load initial guess, so continuation across a `(k, n)` boundary
     /// is safe by construction.
     pub fn solve_warm(&self, warm: Option<&[f64]>) -> Result<(NCubeOutput, Vec<f64>), ModelError> {
         let layout = self.layout();
         let initial = match warm {
-            Some(w) if w.len() == layout.len() && w.iter().all(|x| x.is_finite() && *x >= 0.0) => {
+            Some(w)
+                if w.len() == self.state_len() && w.iter().all(|x| x.is_finite() && *x >= 0.0) =>
+            {
                 w.to_vec()
             }
             _ => self.initial_state(layout),
@@ -647,7 +677,13 @@ impl NCubeModel {
         .map_err(|e| match e {
             FixedPointError::NonFinite | FixedPointError::NotConverged => ModelError::NotConverged,
         })?;
-        let out = self.compose(layout, &hot_rates, &report.state, report.iterations)?;
+        let out = self.compose(
+            layout,
+            &hot_rates,
+            &report.state,
+            report.iterations,
+            &mut rows,
+        )?;
         Ok((out, report.state))
     }
 
@@ -659,83 +695,32 @@ impl NCubeModel {
         hot_rates: &[f64],
         state: &[f64],
         iterations: usize,
+        rows: &mut UpdateRows,
     ) -> Result<NCubeOutput, ModelError> {
         let k = self.config.k as usize;
         let kf = k as f64;
         let n = layout.n;
         let m = layout.m;
         let lm = self.config.message_length as f64;
-        let v = self.config.virtual_channels;
         let h = self.config.hot_fraction;
         let n_nodes = self.num_nodes();
         let lr = self.rates.regular_channel_rate();
 
+        let hot = self.hot_channels(layout, hot_rates, state)?;
         let b_nonhot = state[layout.b_nonhot()];
         let b_hot: Vec<f64> = (0..n).map(|d| state[layout.b_hot(d)]).collect();
-        let hold_nonhot = self.hold_regular(b_nonhot);
-        let hold_hot: Vec<f64> = b_hot.iter().map(|&b| self.hold_regular(b)).collect();
 
-        // --- Saturation diagnosis: every physical channel must be stable.
-        // The utilization of hot channel (d, l) at each tail is also the
-        // offered load its multiplexing degree is taken at, so it is kept
-        // in `per_channel`, at `offset[d] + (l-1)·|tails[d]| + tail`.
-        let mut max_util: f64 = 0.0;
-        if n >= 2 {
-            max_util =
-                channel_utilization(TrafficClass::new(lr, hold_nonhot), TrafficClass::none());
-        }
-        let mut tails: Vec<Vec<f64>> = vec![Vec::new(); n];
-        let kinds: Vec<Tails> = (0..n)
-            .map(|d| self.tail_sums(layout, state, d, &mut tails[d]))
-            .collect();
-        let mut offset = Vec::with_capacity(n);
-        let mut per_channel = Vec::with_capacity(tails.iter().map(|t| k * t.len()).sum());
-        for d in 0..n {
-            offset.push(per_channel.len());
-            for l in 1..=k {
-                let rate = hot_rates[d * k + l - 1];
-                let c_before = layout.c_or_zero(state, d, l - 1);
-                for &tail in &tails[d] {
-                    let util = channel_utilization(
-                        TrafficClass::new(lr, hold_hot[d]),
-                        TrafficClass::new(rate, self.hot_hold(c_before, tail)),
-                    );
-                    max_util = max_util.max(util);
-                    per_channel.push(util);
-                }
-            }
-        }
-        if max_util >= 1.0 {
-            return Err(ModelError::Saturated {
-                max_utilization: max_util,
-            });
-        }
-
-        // --- Eqs. (33)-(37): multiplexing degrees per channel family;
-        // `per_channel` now holds each hot channel's degree.
-        let vbar_of = |rho: f64| -> f64 {
-            match self.config.multiplexing {
-                MultiplexingModel::DallyMarkov => multiplexing_factor(rho, v),
-                MultiplexingModel::ClassAware => 1.0 + rho.clamp(0.0, (v - 1).max(1) as f64),
-            }
-        };
-        let vbar_nonhot = vbar_of(lr * hold_nonhot);
-        match self.config.multiplexing {
-            MultiplexingModel::DallyMarkov => multiplexing_factors(&mut per_channel, v),
-            MultiplexingModel::ClassAware => {
-                for x in per_channel.iter_mut() {
-                    *x = vbar_of(*x);
-                }
-            }
-        }
+        // --- Eqs. (33)-(37): multiplexing degrees per channel family.
+        let vbar_nonhot = self.degree(lr * self.hold_regular(b_nonhot));
         let vbar_hot: Vec<f64> = (0..n)
             .map(|d| {
-                let family = &per_channel[offset[d]..offset[d] + k * tails[d].len()];
+                let size = k * hot.widths[d];
+                let family = &hot.degrees[hot.offset[d]..hot.offset[d] + size];
                 let mut sum = 0.0;
                 for &x in family {
                     sum += x;
                 }
-                sum / (k * tails[d].len()) as f64
+                sum / size as f64
             })
             .collect();
 
@@ -766,68 +751,15 @@ impl NCubeModel {
             .map(|case| case.probability * family_latency(case))
             .sum();
 
-        // --- Eqs. (21)-(24) and (32): per-source hot latencies and waits,
-        // one source per distance profile (t_0, …, t_{n-1}) != 0.  The
-        // source enters the network at channel (d0, t_{d0}) of the hot
-        // ring family of its first non-zero dimension d0, carrying the
-        // tail (t_{d0+1}, …, t_{n-1}); its multiplexing degree is the
-        // family entry at that channel and tail, looked up, unless the
-        // tails past d0 are too many to enumerate.
-        let vc_rate = self.config.lambda / v as f64;
-        let wait = |service: f64| -> Result<f64, ModelError> {
-            mg1::waiting_time(vc_rate, service, lm).map_err(|sat| ModelError::Saturated {
+        // --- Eqs. (21)-(24) and (32): per-source hot latencies and waits.
+        let (ws_sum, s_h_sum) =
+            self.source_sums(layout, hot_rates, state, &hot, s_r_network, rows)?;
+        let vc_rate = self.config.lambda / self.config.virtual_channels as f64;
+        let regular_wait =
+            mg1::waiting_time(vc_rate, s_r_network, lm).map_err(|sat| ModelError::Saturated {
                 max_utilization: sat.rho,
-            })
-        };
-        let mut ws_sum = 0.0;
-        let mut s_h_sum = 0.0;
-        let mut profile = vec![0usize; n];
-        'profiles: loop {
-            // Advance the odometer (dimension 0 fastest); the all-zero
-            // profile (the hot node itself) is skipped.  The dimension
-            // that was incremented is the first non-zero one, d0.
-            let mut d0 = 0;
-            loop {
-                if d0 == n {
-                    break 'profiles;
-                }
-                profile[d0] += 1;
-                if profile[d0] <= m {
-                    break;
-                }
-                profile[d0] = 0;
-                d0 += 1;
-            }
-            let s_h_net = lm
-                + profile
-                    .iter()
-                    .enumerate()
-                    .map(|(dd, &t)| layout.c_or_zero(state, dd, t))
-                    .sum::<f64>();
-            let t0 = profile[d0];
-            let family = offset[d0] + (t0 - 1) * tails[d0].len();
-            let entry_vbar = match kinds[d0] {
-                Tails::Ignored => per_channel[family],
-                Tails::Enumerated => {
-                    let tail = profile[d0 + 1..].iter().fold(0, |i, &t| i * k + t);
-                    per_channel[family + tail]
-                }
-                Tails::Mean => {
-                    let entry_tail: f64 = (d0 + 1..n)
-                        .map(|dd| layout.c_or_zero(state, dd, profile[dd]))
-                        .sum();
-                    vbar_of(
-                        lr * hold_hot[d0]
-                            + hot_rates[d0 * k + t0 - 1]
-                                * self.hot_hold(layout.c_or_zero(state, d0, t0 - 1), entry_tail),
-                    )
-                }
-            };
-            let w = wait((1.0 - h) * s_r_network + h * s_h_net)?;
-            ws_sum += w;
-            s_h_sum += (s_h_net + w) * entry_vbar;
-        }
-        let ws_r = (ws_sum + wait(s_r_network)?) / n_nodes;
+            })?;
+        let ws_r = (ws_sum + regular_wait) / n_nodes;
         let s_h = s_h_sum / (n_nodes - 1.0);
 
         // --- Eqs. (11)-(15) generalized: regular-message latency as the
@@ -863,9 +795,255 @@ impl NCubeModel {
             blocking_hot: b_hot,
             blocking_nonhot: b_nonhot,
             hot_path_services,
-            max_utilization: max_util,
+            max_utilization: hot.max_util,
             iterations,
         })
+    }
+
+    /// The multiplexing degree of a channel at offered load `rho`
+    /// (Eqs. 33–35 or the class-aware stretch).
+    fn degree(&self, rho: f64) -> f64 {
+        let v = self.config.virtual_channels;
+        match self.config.multiplexing {
+            MultiplexingModel::DallyMarkov => multiplexing_factor(rho, v),
+            MultiplexingModel::ClassAware => 1.0 + rho.clamp(0.0, (v - 1).max(1) as f64),
+        }
+    }
+
+    /// Saturation diagnosis and multiplexing degrees of the hot channels
+    /// at the converged state: every physical channel must be stable, and
+    /// the utilization of hot channel `(d, l)` at each tail is also the
+    /// offered load its multiplexing degree is taken at.
+    fn hot_channels(
+        &self,
+        layout: Layout,
+        hot_rates: &[f64],
+        state: &[f64],
+    ) -> Result<HotChannels, ModelError> {
+        let k = self.config.k as usize;
+        let n = layout.n;
+        let lr = self.rates.regular_channel_rate();
+        let hold: Vec<f64> = (0..n)
+            .map(|d| self.hold_regular(state[layout.b_hot(d)]))
+            .collect();
+
+        let mut max_util: f64 = 0.0;
+        if n >= 2 {
+            let hold_nonhot = self.hold_regular(state[layout.b_nonhot()]);
+            max_util =
+                channel_utilization(TrafficClass::new(lr, hold_nonhot), TrafficClass::none());
+        }
+        let mut tails: Vec<Vec<f64>> = vec![Vec::new(); n];
+        let kinds: Vec<Tails> = (0..n)
+            .map(|d| self.tail_sums(layout, state, d, &mut tails[d]))
+            .collect();
+        let mut offset = Vec::with_capacity(n);
+        let mut degrees = Vec::with_capacity(tails.iter().map(|t| k * t.len()).sum());
+        for d in 0..n {
+            offset.push(degrees.len());
+            for l in 1..=k {
+                let rate = hot_rates[d * k + l - 1];
+                let c_before = layout.c_or_zero(state, d, l - 1);
+                for &tail in &tails[d] {
+                    let util = channel_utilization(
+                        TrafficClass::new(lr, hold[d]),
+                        TrafficClass::new(rate, self.hot_hold(c_before, tail)),
+                    );
+                    max_util = max_util.max(util);
+                    degrees.push(util);
+                }
+            }
+        }
+        if max_util >= 1.0 {
+            return Err(ModelError::Saturated {
+                max_utilization: max_util,
+            });
+        }
+        match self.config.multiplexing {
+            MultiplexingModel::DallyMarkov => {
+                multiplexing_factors(&mut degrees, self.config.virtual_channels)
+            }
+            MultiplexingModel::ClassAware => {
+                for x in degrees.iter_mut() {
+                    *x = self.degree(*x);
+                }
+            }
+        }
+        Ok(HotChannels {
+            max_util,
+            hold,
+            kinds,
+            widths: tails.iter().map(Vec::len).collect(),
+            offset,
+            degrees,
+        })
+    }
+
+    /// Eqs. (21)–(24) and (32) over every source, one per distance profile
+    /// `(t_0, …, t_{n-1}) ≠ 0`: the sum of the source waits and the sum of
+    /// the multiplexed hot latencies `(S^h_net + w)·V̄`, each taken in
+    /// profile order `p = Σ t_d k^d` (dimension 0 fastest).
+    ///
+    /// The sources are evaluated in rows of `k^{n-1}`, one row per digit
+    /// of the last dimension, in four steps that keep the bits of a loop
+    /// over the profiles:
+    /// 1. the cost `Σ_{d<n-1} C_{d,t_d}` of every profile of the lower
+    ///    `n - 1` dimensions is built once, by expanding one dimension at
+    ///    a time, which is the per-profile sum's own left fold; a row adds
+    ///    its `C_{n-1,t_{n-1}}` to it;
+    /// 2. [`NCubeModel::entry_degrees`] fills the row's entry degrees;
+    /// 3. [`mg1::waiting_times`] evaluates the row's waits four lanes at a
+    ///    time; the first saturated source of the first row with one is
+    ///    the error, as in a loop stopping at its first error;
+    /// 4. the two sums take the row's sources in turn.
+    ///
+    /// Kept out of line, so the packed wait row has a symbol of its own.
+    #[inline(never)]
+    fn source_sums(
+        &self,
+        layout: Layout,
+        hot_rates: &[f64],
+        state: &[f64],
+        hot: &HotChannels,
+        s_r_network: f64,
+        rows: &mut UpdateRows,
+    ) -> Result<(f64, f64), ModelError> {
+        let k = self.config.k as usize;
+        let n = layout.n;
+        let lm = self.config.message_length as f64;
+        let h = self.config.hot_fraction;
+        let vc_rate = self.config.lambda / self.config.virtual_channels as f64;
+
+        // Step 1, folded from -0.0 as `f64`'s `Sum` is.  Each dimension
+        // turns entry `i` into entries `i + t·len`; `t = 0` adds the
+        // literal `C_{d,0} = 0` in place.
+        let prefix = &mut rows.prefix;
+        prefix.clear();
+        prefix.push(-0.0);
+        for d in 0..n - 1 {
+            let len = prefix.len();
+            prefix.resize(len * k, 0.0);
+            let (low, high) = prefix.split_at_mut(len);
+            for (t, block) in high.chunks_exact_mut(len).enumerate() {
+                let cost = layout.c_or_zero(state, d, t + 1);
+                for (x, &y) in block.iter_mut().zip(&*low) {
+                    *x = y + cost;
+                }
+            }
+            let zero = layout.c_or_zero(state, d, 0);
+            for x in low {
+                *x += zero;
+            }
+        }
+        // The tail index of the digits of dimensions 1..n-1 (weight
+        // k^{n-1-d} for digit d, the last dimension's weight 1 left out),
+        // for entry degrees read from an enumerated family.
+        let tail_index = &mut rows.tail_index;
+        tail_index.clear();
+        tail_index.push(0);
+        for d in 1..n.saturating_sub(1) {
+            let len = tail_index.len();
+            let weight = k.pow((n - 1 - d) as u32);
+            tail_index.resize(len * k, 0);
+            let (low, high) = tail_index.split_at_mut(len);
+            for (t, block) in high.chunks_exact_mut(len).enumerate() {
+                for (x, &y) in block.iter_mut().zip(&*low) {
+                    *x = y + (t + 1) * weight;
+                }
+            }
+        }
+
+        let width = rows.prefix.len();
+        rows.degrees.resize(width, 0.0);
+        rows.waits.resize(width, 0.0);
+        let regular_share = (1.0 - h) * s_r_network;
+        let mut ws_sum = 0.0;
+        let mut s_h_sum = 0.0;
+        for last in 0..k {
+            let c_last = layout.c_or_zero(state, n - 1, last);
+            self.entry_degrees(layout, hot_rates, state, hot, last, rows);
+            // Profile 0 is the hot node itself, not a source.
+            let first = usize::from(last == 0);
+            let prefix = &rows.prefix[first..];
+            let waits = &mut rows.waits[first..];
+            for (service, &cost) in waits.iter_mut().zip(prefix) {
+                *service = regular_share + h * (lm + (cost + c_last));
+            }
+            mg1::waiting_times(waits, vc_rate, lm).map_err(|sat| ModelError::Saturated {
+                max_utilization: sat.rho,
+            })?;
+            for ((&cost, &w), &vbar) in prefix.iter().zip(&*waits).zip(&rows.degrees[first..]) {
+                let s_h_net = lm + (cost + c_last);
+                ws_sum += w;
+                s_h_sum += (s_h_net + w) * vbar;
+            }
+        }
+        Ok((ws_sum, s_h_sum))
+    }
+
+    /// The entry multiplexing degree of every source of the row whose
+    /// last digit is `last`, into `rows.degrees`.
+    ///
+    /// A source enters the network at channel `(d0, t_{d0})` of the hot
+    /// ring family of its first non-zero dimension `d0`, carrying the
+    /// tail `(t_{d0+1}, …, t_{n-1})`.  Its degree is the family entry at
+    /// that channel and tail, looked up, unless the tails past `d0` are
+    /// too many to enumerate ([`Tails::Mean`]); then it is the degree at
+    /// that channel's load with the source's own tail cost.  The sources
+    /// are filled in runs grouped by `d0`: run `r` of dimension `d0 <
+    /// n - 1` holds the sources `k^{d0}·(k·r + t)`, `t = 1..k`, whose
+    /// digits above `d0` are those of `r`; source 0 enters in dimension
+    /// `n - 1`.  An enumerated tail index is the digits above `d0` read
+    /// from the highest dimension down, that is `rows.tail_index[k^{d0}·r]
+    /// + last`.
+    fn entry_degrees(
+        &self,
+        layout: Layout,
+        hot_rates: &[f64],
+        state: &[f64],
+        hot: &HotChannels,
+        last: usize,
+        rows: &mut UpdateRows,
+    ) {
+        let k = self.config.k as usize;
+        let n = layout.n;
+        let lr = self.rates.regular_channel_rate();
+        let degrees = &mut rows.degrees;
+        if last > 0 {
+            degrees[0] = hot.degrees[hot.offset[n - 1] + last - 1];
+        }
+        for d0 in 0..n - 1 {
+            let stride = k.pow(d0 as u32);
+            let family = &hot.degrees[hot.offset[d0]..];
+            let width = hot.widths[d0];
+            for run in 0..k.pow((n - 2 - d0) as u32) {
+                let sources = (1..k).map(|t| (t, stride * (k * run + t)));
+                match hot.kinds[d0] {
+                    Tails::Ignored => {
+                        for (t, at) in sources {
+                            degrees[at] = family[t - 1];
+                        }
+                    }
+                    Tails::Enumerated => {
+                        let tail = rows.tail_index[stride * run] + last;
+                        for (t, at) in sources {
+                            degrees[at] = family[(t - 1) * width + tail];
+                        }
+                    }
+                    Tails::Mean => {
+                        let tail =
+                            rows.prefix[stride * k * run] + layout.c_or_zero(state, n - 1, last);
+                        for (t, at) in sources {
+                            let c_before = layout.c_or_zero(state, d0, t - 1);
+                            degrees[at] = self.degree(
+                                lr * hot.hold[d0]
+                                    + hot_rates[d0 * k + t - 1] * self.hot_hold(c_before, tail),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Closed-form zero-load latency (λ → 0): no blocking, no queueing, no
@@ -1111,6 +1289,171 @@ mod tests {
         assert_eq!(model.state_len(), 1 + 3 + 3 * 7);
         let (_, state) = model.solve_warm(None).unwrap();
         assert_eq!(state.len(), model.state_len());
+    }
+
+    /// The per-source pass as a loop over the profiles with an odometer
+    /// (dimension 0 fastest), as the composition was written before it
+    /// had rows: an n-term sum, a scalar wait and an entry degree per
+    /// source.
+    fn odometer_source_sums(
+        model: &NCubeModel,
+        layout: Layout,
+        hot_rates: &[f64],
+        state: &[f64],
+        hot: &HotChannels,
+        s_r_network: f64,
+    ) -> Result<(f64, f64), ModelError> {
+        let k = model.config.k as usize;
+        let (n, m) = (layout.n, layout.m);
+        let lm = model.config.message_length as f64;
+        let h = model.config.hot_fraction;
+        let lr = model.rates.regular_channel_rate();
+        let vc_rate = model.config.lambda / model.config.virtual_channels as f64;
+        let wait = |service: f64| -> Result<f64, ModelError> {
+            mg1::waiting_time(vc_rate, service, lm).map_err(|sat| ModelError::Saturated {
+                max_utilization: sat.rho,
+            })
+        };
+        let mut ws_sum = 0.0;
+        let mut s_h_sum = 0.0;
+        let mut profile = vec![0usize; n];
+        'profiles: loop {
+            let mut d0 = 0;
+            loop {
+                if d0 == n {
+                    break 'profiles;
+                }
+                profile[d0] += 1;
+                if profile[d0] <= m {
+                    break;
+                }
+                profile[d0] = 0;
+                d0 += 1;
+            }
+            let s_h_net = lm
+                + profile
+                    .iter()
+                    .enumerate()
+                    .map(|(dd, &t)| layout.c_or_zero(state, dd, t))
+                    .sum::<f64>();
+            let t0 = profile[d0];
+            let family = hot.offset[d0] + (t0 - 1) * hot.widths[d0];
+            let entry_vbar = match hot.kinds[d0] {
+                Tails::Ignored => hot.degrees[family],
+                Tails::Enumerated => {
+                    let tail = profile[d0 + 1..].iter().fold(0, |i, &t| i * k + t);
+                    hot.degrees[family + tail]
+                }
+                Tails::Mean => {
+                    let entry_tail: f64 = (d0 + 1..n)
+                        .map(|dd| layout.c_or_zero(state, dd, profile[dd]))
+                        .sum();
+                    model.degree(
+                        lr * hot.hold[d0]
+                            + hot_rates[d0 * k + t0 - 1]
+                                * model.hot_hold(layout.c_or_zero(state, d0, t0 - 1), entry_tail),
+                    )
+                }
+            };
+            let w = wait((1.0 - h) * s_r_network + h * s_h_net)?;
+            ws_sum += w;
+            s_h_sum += (s_h_net + w) * entry_vbar;
+        }
+        Ok((ws_sum, s_h_sum))
+    }
+
+    #[test]
+    fn source_rows_match_the_profile_odometer_bit_for_bit() {
+        let geometries = [
+            (2, 1),
+            (2, 2),
+            (2, 3),
+            (2, 6),
+            (3, 1),
+            (3, 2),
+            (3, 3),
+            (3, 4),
+            (4, 1),
+            (4, 2),
+            (4, 3),
+            (4, 4),
+            (5, 3),
+            (8, 2),
+            (8, 3),
+            (16, 2),
+            // Path occupancy: dimension 0's 4^7 tails are past the
+            // enumeration cap (their mean), dimension 1's 4^6 are not.
+            (4, 8),
+        ];
+        let (mut ok, mut saturated) = (0, 0);
+        let mut kinds = [false; 3];
+        for (i, &(k, n)) in geometries.iter().enumerate() {
+            for service_model in [
+                ServiceTimeModel::PipelinedTransfer,
+                ServiceTimeModel::PathOccupancy,
+            ] {
+                let mut cfg = NCubeConfig::new(k, n, 2 + (i % 2) as u32, 16, 0.0, 0.3);
+                cfg.service_model = service_model;
+                cfg.multiplexing = match i % 3 {
+                    0 => MultiplexingModel::ClassAware,
+                    _ => MultiplexingModel::DallyMarkov,
+                };
+                // A load well inside the stable region of either model.
+                let mut lambda = 0.2 * NCubeModel::new(cfg).unwrap().flit_bound();
+                let (model, out, state) = loop {
+                    cfg.lambda = lambda;
+                    let model = NCubeModel::new(cfg).unwrap();
+                    match model.solve_warm(None) {
+                        Ok((out, state)) => break (model, out, state),
+                        Err(_) => lambda /= 2.0,
+                    }
+                };
+                let layout = model.layout();
+                let hot_rates = model.hot_rate_table();
+                let hot = model.hot_channels(layout, &hot_rates, &state).unwrap();
+                for kind in &hot.kinds {
+                    kinds[*kind as usize] = true;
+                }
+                // The solved network latency, then ones that put the
+                // saturation threshold S = V/λ of the source queues at a
+                // quarter, half and all of the hot chains' cost range.
+                let top: f64 = (0..layout.n)
+                    .map(|d| layout.c_or_zero(&state, d, layout.m))
+                    .sum();
+                let threshold = cfg.virtual_channels as f64 / cfg.lambda;
+                let mut networks = vec![out.mean_network_latency_regular];
+                for q in [0.25, 0.5, 1.0] {
+                    let s_h = cfg.message_length as f64 + q * top;
+                    networks.push((threshold - cfg.hot_fraction * s_h) / (1.0 - cfg.hot_fraction));
+                }
+                let mut rows = UpdateRows::default();
+                for s_r_network in networks {
+                    let ctx = format!("({k},{n}) {service_model:?} S_r={s_r_network}");
+                    let got =
+                        model.source_sums(layout, &hot_rates, &state, &hot, s_r_network, &mut rows);
+                    let want =
+                        odometer_source_sums(&model, layout, &hot_rates, &state, &hot, s_r_network);
+                    match (got, want) {
+                        (Ok((ws, sh)), Ok((want_ws, want_sh))) => {
+                            assert_eq!(ws.to_bits(), want_ws.to_bits(), "{ctx}: Σw");
+                            assert_eq!(sh.to_bits(), want_sh.to_bits(), "{ctx}: Σ(S+w)V̄");
+                            ok += 1;
+                        }
+                        (
+                            Err(ModelError::Saturated { max_utilization: a }),
+                            Err(ModelError::Saturated { max_utilization: b }),
+                        ) => {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: saturated ρ");
+                            saturated += 1;
+                        }
+                        (got, want) => panic!("{ctx}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
+        assert!(ok >= geometries.len() * 2, "{ok} stable comparisons");
+        assert!(saturated >= geometries.len() * 4, "{saturated} saturated");
+        assert_eq!(kinds, [true; 3], "every tail representation runs");
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!   computed using iterative techniques", §3).
 //!
 //! Everything is allocation-free on the hot paths so model evaluation
-//! stays cheap inside parameter sweeps.  The two formulas the models
-//! evaluate per channel, the blocking operator and the multiplexing
-//! degree, also come in row forms ([`blocking_delays`],
-//! [`multiplexing_factors`]) that run four `[f64; 4]` lanes per step
-//! through the scalar form's own branch-free body.  The optimizer packs
+//! stays cheap inside parameter sweeps.  The formulas the models
+//! evaluate per channel or per source, the blocking operator, the
+//! multiplexing degree and the source-queue wait, also come in row forms
+//! ([`blocking_delays`], [`multiplexing_factors`], [`waiting_times`])
+//! that run four `[f64; 4]` lanes per step through the scalar form's own
+//! branch-free body.  The optimizer packs
 //! those lanes into two-lane SSE2 `divpd`/`mulpd` on the baseline x86-64
 //! target, which is where the models spend their divisions.  The row
 //! forms add no operation, reorder none and fuse none (no `mul_add`, no
@@ -37,7 +38,7 @@ pub mod vc_multiplex;
 
 pub use blocking::{blocking_delay, blocking_delays, weighted_service, TrafficClass};
 pub use fixed_point::{solve, Acceleration, FixedPointError, FixedPointReport};
-pub use mg1::{utilization, waiting_time, waiting_time_clamped, Saturated};
+pub use mg1::{utilization, waiting_time, waiting_time_clamped, waiting_times, Saturated};
 pub use vc_multiplex::{multiplexing_factor, multiplexing_factors, occupancy_distribution};
 
 /// `if cond { picked } else { other }` without a branch: both values are

@@ -45,20 +45,57 @@ pub fn utilization(lambda: f64, service: f64) -> f64 {
 ///
 /// Returns [`Saturated`] when `ρ = λS >= 1` (the queue has no steady
 /// state), which the model reports as the saturation point.
+#[inline]
 pub fn waiting_time(lambda: f64, service: f64, lm: f64) -> Result<f64, Saturated> {
     debug_assert!(lambda >= 0.0 && service >= 0.0 && lm >= 0.0);
-    if lambda == 0.0 || service == 0.0 {
-        return Ok(0.0);
+    waits_body([service], lambda, lm).map(|[wait]| wait)
+}
+
+/// [`waiting_time`] of every queue of a row at one arrival rate: each
+/// service time in `row` is replaced by its wait, bit for bit.  When a
+/// queue of the row saturates, the row answers the [`Saturated`] of the
+/// first such queue, as a loop over [`waiting_time`] stopping at its
+/// first error would, and `row` holds no meaningful values.
+///
+/// The row runs in chunks of four lanes through [`waiting_time`]'s own
+/// branch-free body, with a select for the zero guard and one test of
+/// the chunk for saturation, so the optimizer packs the two divisions
+/// into two-lane SSE2 `divpd` on the baseline x86-64 target; the
+/// remainder runs the same body one lane wide.  No fused multiply-add
+/// and no target feature is used, so every host computes the same bits.
+#[inline(always)]
+pub fn waiting_times(row: &mut [f64], lambda: f64, lm: f64) -> Result<(), Saturated> {
+    let mut chunks = row.chunks_exact_mut(4);
+    for chunk in &mut chunks {
+        let services: [f64; 4] = (&*chunk).try_into().expect("chunks of four");
+        chunk.copy_from_slice(&waits_body(services, lambda, lm)?);
     }
-    let rho = utilization(lambda, service);
-    if rho >= 1.0 {
-        return Err(Saturated { rho });
+    for service in chunks.into_remainder() {
+        *service = waits_body([*service], lambda, lm)?[0];
     }
-    let c2 = {
-        let sigma = service - lm;
-        (sigma * sigma) / (service * service)
-    };
-    Ok(lambda * service * service * (1.0 + c2) / (2.0 * (1.0 - rho)))
+    Ok(())
+}
+
+/// The one body of [`waiting_time`] and [`waiting_times`]: Eq. (28) over
+/// `L` lanes at one arrival rate, or the [`Saturated`] of the first lane
+/// whose `ρ >= 1`.  The saturation test of the lanes is one branch, taken
+/// before any division.
+#[inline(always)]
+fn waits_body<const L: usize>(
+    services: [f64; L],
+    lambda: f64,
+    lm: f64,
+) -> Result<[f64; L], Saturated> {
+    let rho = services.map(|s| utilization(lambda, s));
+    if rho.iter().fold(false, |any, &r| any | (r >= 1.0)) {
+        let first = rho.into_iter().find(|&r| r >= 1.0);
+        return Err(Saturated {
+            rho: first.expect("a saturated lane"),
+        });
+    }
+    Ok(std::array::from_fn(|j| {
+        wait_at(lambda, services[j], lm, rho[j])
+    }))
 }
 
 /// Like [`waiting_time`] but saturating: past `ρ >= rho_cap` the `1 - ρ`
@@ -70,13 +107,27 @@ pub fn waiting_time(lambda: f64, service: f64, lm: f64) -> Result<f64, Saturated
 /// waits; saturation is then diagnosed on the *converged* state (or by
 /// non-convergence).
 ///
-/// The zero-rate and zero-service guard is a select on a wait computed
-/// unconditionally, so the body has no branch: the blocking operator's
-/// lane-array form ([`crate::blocking::blocking_delays`]) inlines it.
+/// The body has no branch: the blocking operator's lane-array form
+/// ([`crate::blocking::blocking_delays`]) inlines it.
 #[inline(always)]
 pub fn waiting_time_clamped(lambda: f64, service: f64, lm: f64, rho_cap: f64) -> f64 {
     debug_assert!((0.0..1.0).contains(&rho_cap));
-    let rho = utilization(lambda, service).min(rho_cap);
+    wait_at(
+        lambda,
+        service,
+        lm,
+        utilization(lambda, service).min(rho_cap),
+    )
+}
+
+/// Eq. (28) with the utilization `rho` of its `1 - ρ` denominator given,
+/// branch-free: the exact waits and the clamped one share it.  The
+/// zero-rate and zero-service guard
+/// is a select on a wait computed unconditionally: with an `if` the
+/// optimizer may sink the computation into one branch, and a branch per
+/// lane keeps the lanes of a row form from being packed.
+#[inline(always)]
+fn wait_at(lambda: f64, service: f64, lm: f64, rho: f64) -> f64 {
     let c2 = {
         let sigma = service - lm;
         (sigma * sigma) / (service * service)

@@ -35,6 +35,22 @@ fn reference_blocking(regular: TrafficClass, hot: TrafficClass, lm: f64, rho_cap
     pb * wc
 }
 
+/// Eq. (28) as the scalar wait computed it before it had a row form: the
+/// zero guard and the saturation test as branches, `Err(ρ)` when
+/// saturated.
+fn reference_wait(lambda: f64, service: f64, lm: f64) -> Result<f64, f64> {
+    if lambda == 0.0 || service == 0.0 {
+        return Ok(0.0);
+    }
+    let rho = lambda * service;
+    if rho >= 1.0 {
+        return Err(rho);
+    }
+    let sigma = service - lm;
+    let c2 = (sigma * sigma) / (service * service);
+    Ok(lambda * service * service * (1.0 + c2) / (2.0 * (1.0 - rho)))
+}
+
 /// Eqs. (33)–(35) written out: the weights collected, summed, then the
 /// two moments of the normalised distribution.
 fn reference_multiplexing(rho: f64, v: u32) -> f64 {
@@ -90,6 +106,32 @@ fn traffic_class() -> impl Strategy<Value = TrafficClass> {
         10 => TrafficClass::new(f64::NAN, s),
         _ => TrafficClass::new(0.05 * x, f64::NAN),
     })
+}
+
+/// One arrival rate for a row of source queues: positive, zero,
+/// subnormal or NaN.
+fn arrival_rate() -> impl Strategy<Value = f64> {
+    (0u32..6, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0..=2 => 0.05 * x,
+        3 => 0.0,
+        4 => f64::MIN_POSITIVE * x,
+        _ => f64::NAN,
+    })
+}
+
+/// One service time at arrival rate `lambda`: ordinary, zero, `Lm`
+/// itself, utilization just below, at and above 1, subnormal, or NaN.
+fn service_at(lambda: f64, lm: f64, kind: u32, x: f64, s: f64) -> f64 {
+    match kind {
+        0..=2 => s,
+        3 => 0.0,
+        4 => lm,
+        5 => (1.0 - 1e-9 * x) / lambda,
+        6 => 1.0 / lambda,
+        7 => (1.0 + 3.0 * x) / lambda,
+        8 => f64::MIN_POSITIVE * x,
+        _ => f64::NAN,
+    }
 }
 
 /// One offered load for the multiplexing degree: inside (0, 1), at or
@@ -256,6 +298,58 @@ proptest! {
                     .any(|x| x.is_nan());
                 if nan_in && regular.rate + hot.rate != 0.0 {
                     prop_assert!(out[i].is_nan(), "NaN in, {} out", out[i]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wait_rows_are_the_scalar_wait_bit_for_bit(
+        lambda in arrival_rate(),
+        lanes in proptest::collection::vec((0u32..10, 0.0f64..1.0, 1.0f64..200.0), 9),
+        lm in 1.0f64..4000.0,
+    ) {
+        let services: Vec<f64> = lanes
+            .iter()
+            .map(|&(kind, x, s)| service_at(lambda, lm, kind, x, s))
+            .collect();
+        for len in 0..=services.len() {
+            let row = &services[..len];
+            let mut out = row.to_vec();
+            let got = mg1::waiting_times(&mut out, lambda, lm);
+            let want: Vec<Result<f64, f64>> =
+                row.iter().map(|&s| reference_wait(lambda, s, lm)).collect();
+            for (&service, want) in row.iter().zip(&want) {
+                // The scalar asserts non-negative inputs in debug builds,
+                // which NaN fails; its NaN lanes are the reference's.
+                if lambda.is_nan() || service.is_nan() {
+                    continue;
+                }
+                let scalar = mg1::waiting_time(lambda, service, lm);
+                let same = match (scalar, *want) {
+                    (Ok(a), Ok(b)) => same_bits(a, b),
+                    (Err(a), Err(b)) => a.rho.to_bits() == b.to_bits(),
+                    _ => false,
+                };
+                prop_assert!(same, "scalar λ={} S={}: {:?} vs {:?}", lambda, service, scalar, want);
+            }
+            match want.iter().find_map(|w| w.err()) {
+                Some(rho) => {
+                    let sat = got.expect_err("a saturated lane");
+                    prop_assert_eq!(sat.rho.to_bits(), rho.to_bits(),
+                        "len {} λ={}: ρ {} vs the first saturated {}", len, lambda, sat.rho, rho);
+                }
+                None => {
+                    prop_assert!(got.is_ok(), "len {} λ={}: {:?}", len, lambda, got);
+                    for (i, (&service, want)) in row.iter().zip(&want).enumerate() {
+                        let want = want.expect("no saturated lane");
+                        prop_assert!(same_bits(out[i], want),
+                            "len {} lane {} λ={} S={}: {} vs {}", len, i, lambda, service, out[i], want);
+                        let nan_in = lambda.is_nan() || service.is_nan();
+                        if nan_in && lambda != 0.0 && service != 0.0 {
+                            prop_assert!(out[i].is_nan(), "NaN in, {} out", out[i]);
+                        }
+                    }
                 }
             }
         }
