@@ -755,6 +755,22 @@ mod tests {
     }
 
     #[test]
+    fn tiny_negative_rates_are_typed_errors() {
+        // -5e-324 has no mantissa bit above the snapped ones; it must not
+        // snap to a zero-load answer.
+        let cfg = NCubeConfig::new(8, 3, 2, 16, 0.0, 0.2);
+        let input = latency_batch(&cfg, &[-5e-324, -1e-5, 0.0]);
+        let output = run_batch(&input).unwrap();
+        for i in [0, 1] {
+            assert_eq!(field(&output, i, "ok"), &Json::Bool(false), "query {i}");
+        }
+        let error = field(&output, 0, "error").as_str().unwrap();
+        assert!(error.contains("λ must be finite and >= 0"), "{error}");
+        assert_eq!(field(&output, 1, "error"), field(&output, 0, "error"));
+        assert_eq!(field(&output, 2, "ok"), &Json::Bool(true));
+    }
+
+    #[test]
     fn saturation_query_agrees_with_the_direct_search() {
         let input = batch(
             r#"{"queries": [

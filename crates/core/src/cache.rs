@@ -43,7 +43,15 @@ fn quantize_f64(x: f64) -> f64 {
         // Collapse -0.0 onto +0.0 so the two zero keys coincide.
         return 0.0;
     }
-    f64::from_bits(x.to_bits() & !((1u64 << QUANT_DROP_BITS) - 1))
+    let snapped = f64::from_bits(x.to_bits() & !((1u64 << QUANT_DROP_BITS) - 1));
+    // A negative value with no mantissa bit above the dropped ones would
+    // snap to -0.0, which range checks accept as zero: it stays as it is,
+    // so the model rejects it as it rejects any negative value.
+    if snapped == 0.0 && x < 0.0 {
+        x
+    } else {
+        snapped
+    }
 }
 
 /// A thread-safe memo of [`FaultyNCubeModel`] solves over the
@@ -197,6 +205,21 @@ mod tests {
         assert_eq!(again.latency.to_bits(), via_cache.latency.to_bits());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.faulty_len(), 1);
+    }
+
+    #[test]
+    fn tiny_negative_rates_keep_their_sign_through_the_snap() {
+        assert_eq!(quantize_f64(-0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(quantize_f64(5e-324).to_bits(), 0.0f64.to_bits());
+        assert_eq!(quantize_f64(-5e-324).to_bits(), (-5e-324f64).to_bits());
+        let cache = SolveCache::new();
+        for lambda in [-5e-324, -1e-5] {
+            let cfg = FaultyNCubeConfig::new(one_fault(), 2, 16, lambda, 0.3);
+            let err = cache.solve_faulty(&cfg).unwrap_err();
+            assert!(matches!(err, ModelError::BadConfig(_)), "λ={lambda}: {err:?}");
+        }
+        let zero = FaultyNCubeConfig::new(one_fault(), 2, 16, 5e-324, 0.3);
+        assert!(cache.solve_faulty(&zero).is_ok());
     }
 
     #[test]
