@@ -120,8 +120,11 @@ impl Unit {
     /// 256 to 4096 nodes): a link weighs 1 under pipelined transfer and
     /// 10 under path occupancy with Anderson depth 4; a λ* search weighs
     /// 14 under pipelined transfer and 10 000 under path occupancy,
-    /// whose cold probes near λ* iterate far longer.  The estimate only
-    /// orders units; no answer depends on it.
+    /// whose cold probes near λ* iterate far longer.  Since then the
+    /// composition's profile row made pipelined units 2–4× cheaper at
+    /// 4096 nodes; no replay has shown other weights to schedule shorter
+    /// (EXPERIMENTS.md §Cost per query kind).  The estimate only orders
+    /// units; no answer depends on it.
     fn estimated_cost(&self, links: &[NCubeConfig]) -> u64 {
         let (cfg, solves, [pipelined, path_occupancy]) = match self {
             Unit::Chain(chain) => (&links[chain[0]], chain.len() as u64, [1, 10]),

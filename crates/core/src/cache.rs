@@ -216,7 +216,10 @@ mod tests {
         for lambda in [-5e-324, -1e-5] {
             let cfg = FaultyNCubeConfig::new(one_fault(), 2, 16, lambda, 0.3);
             let err = cache.solve_faulty(&cfg).unwrap_err();
-            assert!(matches!(err, ModelError::BadConfig(_)), "λ={lambda}: {err:?}");
+            assert!(
+                matches!(err, ModelError::BadConfig(_)),
+                "λ={lambda}: {err:?}"
+            );
         }
         let zero = FaultyNCubeConfig::new(one_fault(), 2, 16, 5e-324, 0.3);
         assert!(cache.solve_faulty(&zero).is_ok());

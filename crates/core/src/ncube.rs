@@ -619,13 +619,6 @@ impl NCubeModel {
         }
     }
 
-    /// Number of components in the fixed-point state vector for this
-    /// configuration — the length a warm-start state must have to be
-    /// accepted by [`NCubeModel::solve_warm`].
-    fn state_len(&self) -> usize {
-        self.layout().len()
-    }
-
     fn layout(&self) -> Layout {
         Layout {
             n: self.config.n as usize,
@@ -651,9 +644,7 @@ impl NCubeModel {
     pub fn solve_warm(&self, warm: Option<&[f64]>) -> Result<(NCubeOutput, Vec<f64>), ModelError> {
         let layout = self.layout();
         let initial = match warm {
-            Some(w)
-                if w.len() == self.state_len() && w.iter().all(|x| x.is_finite() && *x >= 0.0) =>
-            {
+            Some(w) if w.len() == layout.len() && w.iter().all(|x| x.is_finite() && *x >= 0.0) => {
                 w.to_vec()
             }
             _ => self.initial_state(layout),
@@ -1271,11 +1262,11 @@ mod tests {
         let model = NCubeModel::new(NCubeConfig::new(8, 3, 2, 16, 5e-5, 0.2)).unwrap();
         let cold = model.solve().unwrap();
         for bad in [
-            vec![],                                 // wrong length
-            vec![1.0; 3],                           // wrong length
-            vec![f64::NAN; model.state_len()],      // non-finite
-            vec![-1.0; model.state_len()],          // negative
-            vec![f64::INFINITY; model.state_len()], // non-finite
+            vec![],                                    // wrong length
+            vec![1.0; 3],                              // wrong length
+            vec![f64::NAN; model.layout().len()],      // non-finite
+            vec![-1.0; model.layout().len()],          // negative
+            vec![f64::INFINITY; model.layout().len()], // non-finite
         ] {
             let (out, _) = model.solve_warm(Some(&bad)).unwrap();
             assert_eq!(out.latency.to_bits(), cold.latency.to_bits());
@@ -1286,9 +1277,9 @@ mod tests {
     fn state_len_matches_the_layout() {
         let model = NCubeModel::new(NCubeConfig::new(8, 3, 2, 16, 5e-5, 0.2)).unwrap();
         // 1 non-hot blocking + n hot blockings + n·(k-1) chain entries.
-        assert_eq!(model.state_len(), 1 + 3 + 3 * 7);
+        assert_eq!(model.layout().len(), 1 + 3 + 3 * 7);
         let (_, state) = model.solve_warm(None).unwrap();
-        assert_eq!(state.len(), model.state_len());
+        assert_eq!(state.len(), model.layout().len());
     }
 
     /// The per-source pass as a loop over the profiles with an odometer

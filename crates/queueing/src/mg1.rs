@@ -122,10 +122,10 @@ pub fn waiting_time_clamped(lambda: f64, service: f64, lm: f64, rho_cap: f64) ->
 
 /// Eq. (28) with the utilization `rho` of its `1 - ρ` denominator given,
 /// branch-free: the exact waits and the clamped one share it.  The
-/// zero-rate and zero-service guard
-/// is a select on a wait computed unconditionally: with an `if` the
-/// optimizer may sink the computation into one branch, and a branch per
-/// lane keeps the lanes of a row form from being packed.
+/// zero-rate and zero-service guard is a select on a wait computed
+/// unconditionally: with an `if` the optimizer may sink the computation
+/// into one branch, and a branch per lane keeps the lanes of a row form
+/// from being packed.
 #[inline(always)]
 fn wait_at(lambda: f64, service: f64, lm: f64, rho: f64) -> f64 {
     let c2 = {
