@@ -370,6 +370,24 @@ struct UpdateRows {
     waits: Vec<f64>,
 }
 
+/// Extend `row`, indexed by the digits of the dimensions so far, by one
+/// more dimension of `k` digits as the most significant: entry `i`
+/// becomes the entries `i + t·len` (`t = 0..k`), each `next(entry, t)`.
+/// Written back to front, so no entry is overwritten before it is read.
+fn expand<T: Copy>(row: &mut Vec<T>, k: usize, next: impl Fn(T, usize) -> T) {
+    let len = row.len();
+    row.resize(len * k, row[0]);
+    let (low, high) = row.split_at_mut(len);
+    for (t, block) in high.chunks_exact_mut(len).enumerate() {
+        for (x, &y) in block.iter_mut().zip(&*low) {
+            *x = next(y, t + 1);
+        }
+    }
+    for x in low {
+        *x = next(*x, 0);
+    }
+}
+
 /// The hot channels at a converged state, as the composition reads them.
 struct HotChannels {
     /// The largest utilization of any channel (below 1).
@@ -905,43 +923,23 @@ impl NCubeModel {
         let h = self.config.hot_fraction;
         let vc_rate = self.config.lambda / self.config.virtual_channels as f64;
 
-        // Step 1, folded from -0.0 as `f64`'s `Sum` is.  Each dimension
-        // turns entry `i` into entries `i + t·len`; `t = 0` adds the
-        // literal `C_{d,0} = 0` in place.
-        let prefix = &mut rows.prefix;
-        prefix.clear();
-        prefix.push(-0.0);
+        // Step 1, folded from -0.0 as `f64`'s `Sum` is; a zero digit adds
+        // the literal `C_{d,0} = 0` like the per-profile sum.
+        rows.prefix.clear();
+        rows.prefix.push(-0.0);
         for d in 0..n - 1 {
-            let len = prefix.len();
-            prefix.resize(len * k, 0.0);
-            let (low, high) = prefix.split_at_mut(len);
-            for (t, block) in high.chunks_exact_mut(len).enumerate() {
-                let cost = layout.c_or_zero(state, d, t + 1);
-                for (x, &y) in block.iter_mut().zip(&*low) {
-                    *x = y + cost;
-                }
-            }
-            let zero = layout.c_or_zero(state, d, 0);
-            for x in low {
-                *x += zero;
-            }
+            expand(&mut rows.prefix, k, |sum, t| {
+                sum + layout.c_or_zero(state, d, t)
+            });
         }
         // The tail index of the digits of dimensions 1..n-1 (weight
         // k^{n-1-d} for digit d, the last dimension's weight 1 left out),
         // for entry degrees read from an enumerated family.
-        let tail_index = &mut rows.tail_index;
-        tail_index.clear();
-        tail_index.push(0);
+        rows.tail_index.clear();
+        rows.tail_index.push(0);
         for d in 1..n.saturating_sub(1) {
-            let len = tail_index.len();
             let weight = k.pow((n - 1 - d) as u32);
-            tail_index.resize(len * k, 0);
-            let (low, high) = tail_index.split_at_mut(len);
-            for (t, block) in high.chunks_exact_mut(len).enumerate() {
-                for (x, &y) in block.iter_mut().zip(&*low) {
-                    *x = y + (t + 1) * weight;
-                }
-            }
+            expand(&mut rows.tail_index, k, |index, t| index + t * weight);
         }
 
         let width = rows.prefix.len();
